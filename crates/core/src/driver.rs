@@ -1,47 +1,37 @@
-//! The benchmark driver.
+//! The single-client entry points of the benchmark driver.
 //!
-//! The driver runs a [`SystemUnderTest`] through a [`Scenario`]: it
-//! bulk-loads the dataset (outside measured time, as benchmarks do), runs
-//! the **training phase** against the configured budget — reported as a
-//! first-class result (Lesson 3) — then streams the phased workload,
+//! A run bulk-loads the dataset (outside measured time, as benchmarks do),
+//! runs the **training phase** against the configured budget — reported as
+//! a first-class result (Lesson 3) — then streams the phased workload,
 //! recording every completion on a deterministic virtual clock. Phase
 //! changes are announced to the SUT (systems may ignore them), and
 //! maintenance slots are offered periodically so online-adaptive systems
 //! can retrain; both kinds of adaptation work consume virtual time, which
 //! is exactly how adaptation cost becomes visible in the Fig. 1b/1c
 //! curves.
+//!
+//! That rule is written once, in the execution core (`exec.rs`);
+//! every function here is an op source plus a plan handed to it.
 
-use crate::faults::{execute_faulted, FaultOpCtx, FaultSession, FaultStats};
+use crate::exec::{
+    epilogue, prelude, prologue, run_inline, scenario_ops, ClientState, CoreOp, Merged, RunPlan,
+    Sinks,
+};
 use crate::obs::{LaneObs, RunObserver};
-use crate::record::{OpRecord, RunRecord, TrainInfo};
+use crate::record::RunRecord;
 use crate::runner::WallStats;
-use crate::scenario::{ClockMode, Scenario};
+use crate::scenario::{ClockMode, OnlineTrainMode, Scenario};
 use crate::{BenchError, Result};
-use lsbench_stats::LatencyHistogram;
-use lsbench_sut::clock::{Clock, SimClock};
 use lsbench_sut::query_sut::QueryOp;
-use lsbench_sut::sut::{SystemUnderTest, TransportStats};
-use lsbench_workload::arrival::ArrivalGenerator;
+use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
-use std::time::Instant;
+use lsbench_workload::trace::Trace;
 
 /// Extra driver knobs independent of the scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct DriverConfig {
     /// Cap on recorded operations (guards against runaway scenarios).
     pub max_ops: u64,
-    /// Requested execution mode. The serial driver itself always runs
-    /// serially; this field is routing metadata consumed by
-    /// [`EngineConfig::from_driver`](crate::engine::EngineConfig::from_driver)
-    /// when a caller hands a driver config to the concurrent engine
-    /// ([`crate::engine`]).
-    pub mode: crate::runner::ExecutionMode,
-    /// Operations dispatched per [`SystemUnderTest::execute_many`] call in
-    /// the serial hot loop. Batches never span a phase boundary, a
-    /// maintenance slot, or the `max_ops` cap, so the record is
-    /// bit-identical for any batch size; larger batches amortize dispatch
-    /// cost (one wire frame instead of one per op on a remote SUT).
-    pub dispatch_batch: usize,
     /// Which clock the run reports on. [`ClockMode::Sim`] is the
     /// conformance oracle; [`ClockMode::Wall`] additionally captures host
     /// wall-clock timings ([`WallStats`]) *beside* the virtual record —
@@ -54,52 +44,13 @@ impl Default for DriverConfig {
     fn default() -> Self {
         DriverConfig {
             max_ops: u64::MAX,
-            mode: crate::runner::ExecutionMode::Serial,
-            dispatch_batch: 64,
             clock: ClockMode::Sim,
         }
     }
 }
 
-/// Accumulates host wall-clock timings alongside the virtual clock when a
-/// run executes with `clock = wall`.
-///
-/// Latencies are captured coordinated-omission-safely: every operation in
-/// a dispatch batch is charged the batch's *full* wall duration, so a
-/// stall that delayed ten queued operations inflates all ten samples
-/// instead of being averaged into one. This is deliberately conservative —
-/// a per-op split would credit queued work with time it did not wait.
-struct WallRecorder {
-    started: Instant,
-    latency: LatencyHistogram,
-    ops: u64,
-}
-
-impl WallRecorder {
-    fn new() -> Self {
-        WallRecorder {
-            started: Instant::now(),
-            latency: LatencyHistogram::new(),
-            ops: 0,
-        }
-    }
-
-    /// Records one dispatch of `ops` operations that took `elapsed` of
-    /// host time (each op gets the full batch duration — see type docs).
-    fn batch(&mut self, elapsed: std::time::Duration, ops: usize) {
-        let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        for _ in 0..ops {
-            self.latency.record(ns);
-        }
-        self.ops += ops as u64;
-    }
-
-    fn finish(self) -> WallStats {
-        WallStats::new(self.started.elapsed().as_secs_f64(), self.ops, self.latency)
-    }
-}
-
-/// Runs a key-value SUT through a scenario's phased workload.
+/// Runs a key-value SUT through a scenario's phased workload, serially:
+/// one client on the calling thread, the stream pulled lazily.
 ///
 /// The SUT must already be loaded with the scenario's dataset (SUT
 /// constructors take the dataset so each system can bulk-load natively).
@@ -108,350 +59,22 @@ pub fn run_kv_scenario<S: SystemUnderTest<Operation> + ?Sized>(
     scenario: &Scenario,
     config: DriverConfig,
 ) -> Result<RunRecord> {
-    run_kv_scenario_observed(sut, scenario, config, &mut RunObserver::disabled())
+    run_serial(sut, scenario, config, &mut RunObserver::disabled()).map(|(record, _)| record)
 }
 
-/// [`run_kv_scenario`] with observability: the observer receives run events
-/// (on the virtual clock), hot-path counters, and latency samples.
-///
-/// Observation never advances or reads the clock as a side effect, so the
-/// returned [`RunRecord`] is bit-identical whether the observer is active,
-/// tracing, or [`RunObserver::disabled`] (enforced by
-/// `tests/observability.rs`).
-pub fn run_kv_scenario_observed<S: SystemUnderTest<Operation> + ?Sized>(
-    sut: &mut S,
-    scenario: &Scenario,
-    config: DriverConfig,
-    obs: &mut RunObserver,
-) -> Result<RunRecord> {
-    run_kv_scenario_timed(sut, scenario, config, obs).map(|(record, _)| record)
-}
-
-/// [`run_kv_scenario_observed`] that also returns the host wall-clock
-/// statistics when [`DriverConfig::clock`] is [`ClockMode::Wall`]
-/// (`None` in sim mode).
-///
-/// The wall recorder only *observes* the hot loop — it never advances or
-/// reads the virtual clock, and nothing it measures feeds back into
-/// scheduling — so the returned [`RunRecord`] is bit-identical between
-/// clock modes by construction.
-pub fn run_kv_scenario_timed<S: SystemUnderTest<Operation> + ?Sized>(
+/// [`run_kv_scenario`] with the observer and the wall recorder attached.
+/// Neither ever advances or reads the virtual clock, so the record is
+/// bit-identical whether they are on or off (enforced by
+/// `tests/observability.rs` and `tests/determinism.rs`).
+pub(crate) fn run_serial<S: SystemUnderTest<Operation> + ?Sized>(
     sut: &mut S,
     scenario: &Scenario,
     config: DriverConfig,
     obs: &mut RunObserver,
 ) -> Result<(RunRecord, Option<WallStats>)> {
-    scenario.validate()?;
-    let stream = scenario
-        .workload
-        .stream()
-        .map_err(|e| BenchError::Workload(e.to_string()))?;
-    let rate = scenario.work_units_per_second;
-    let mut clock = SimClock::new();
-
-    // Training phase (Lesson 3: first-class result).
-    obs.train_start(0.0, scenario.train_budget);
-    let train_work = sut.train(scenario.train_budget);
-    clock.advance(train_work as f64 / rate);
-    let train = TrainInfo {
-        work: train_work,
-        seconds: clock.now(),
-    };
-    let exec_start = clock.now();
-    obs.train_end(exec_start, train_work);
-    // Phase-0 anchor, mirroring `phase_change_times[0]`.
-    obs.root.phase_change(exec_start, 0);
-    // Wall-clock capture starts after training so `elapsed_seconds`
-    // covers the same window as `exec_start..exec_end` does virtually.
-    let mut wall = match config.clock {
-        ClockMode::Sim => None,
-        ClockMode::Wall => Some(WallRecorder::new()),
-    };
-
-    let mut ops = Vec::with_capacity(scenario.workload.total_ops().min(1 << 22) as usize);
-    let mut phase_change_times = vec![(0usize, exec_start)];
-    let mut current_phase = 0usize;
-    let mut since_maintenance = 0u64;
-    // Adaptation work (retraining bursts) slows the queries issued behind
-    // it — §V-D.2: "throughput could temporarily decrease due to the CPU
-    // overheads of retraining a model. Similarly, query latency could
-    // increase". In Foreground mode the whole burst stalls the next query;
-    // in Background mode it becomes a backlog drained by processor sharing
-    // (see `service_with_backlog`).
-    let mut backlog = 0.0f64;
-    // Open loop: operations arrive on their own schedule and may queue
-    // behind earlier ones; latency = completion − arrival.
-    let mut arrivals = match &scenario.arrival {
-        Some(spec) => Some(
-            ArrivalGenerator::new(spec.process, spec.modulation, spec.seed)
-                .map_err(|e| BenchError::Workload(e.to_string()))?,
-        ),
-        None => None,
-    };
-    // `None` keeps the exact unfaulted code path below (zero-cost
-    // passthrough); `Some` routes every operation through the
-    // fault/timeout/retry layer.
-    let fault_session = FaultSession::from_scenario(scenario);
-    let mut fault_stats = FaultStats::default();
-
-    let mut stream = stream.peekable();
-    // Reused dispatch-batch buffers for the unfaulted execute_many path.
-    let mut batch: Vec<lsbench_workload::phases::LabeledOp> = Vec::new();
-    let mut batch_ops: Vec<Operation> = Vec::new();
-
-    while let Some(labeled) = stream.next() {
-        if ops.len() as u64 >= config.max_ops {
-            break;
-        }
-        if labeled.phase != current_phase {
-            current_phase = labeled.phase;
-            phase_change_times.push((current_phase, clock.now()));
-            obs.root.phase_change(clock.now(), current_phase);
-            let adapt_work = sut.on_phase_change(current_phase);
-            backlog += adapt_work as f64 / rate;
-            obs.root
-                .retrain_burst(clock.now(), current_phase, adapt_work);
-            obs.root.backlog(clock.now(), backlog);
-        }
-        since_maintenance += 1;
-        if since_maintenance >= scenario.maintenance_every {
-            since_maintenance = 0;
-            let maint_work = sut.maintenance();
-            backlog += maint_work as f64 / rate;
-            obs.root.maintenance(clock.now(), maint_work);
-            obs.root.backlog(clock.now(), backlog);
-        }
-        match &fault_session {
-            None => {
-                // Gather a dispatch batch: successor ops that stay in this
-                // phase and would hit neither a maintenance slot nor the
-                // max_ops cap. Batches therefore never reorder the SUT's
-                // prelude calls, and since execution never reads the
-                // clock, the record is bit-identical to op-at-a-time
-                // dispatch for any `dispatch_batch`.
-                batch.clear();
-                batch.push(labeled);
-                let limit = config.dispatch_batch.max(1);
-                while batch.len() < limit
-                    && ops.len() as u64 + (batch.len() as u64) < config.max_ops
-                    && since_maintenance + 1 < scenario.maintenance_every
-                {
-                    match stream.peek() {
-                        Some(next) if next.phase == current_phase => {
-                            since_maintenance += 1;
-                            batch.push(stream.next().expect("peeked"));
-                        }
-                        _ => break,
-                    }
-                }
-                batch_ops.clear();
-                batch_ops.extend(batch.iter().map(|l| l.op));
-                let before = sut.transport_stats();
-                let dispatched = wall.as_ref().map(|_| Instant::now());
-                let outcomes = sut.execute_many(&batch_ops);
-                if let (Some(w), Some(t0)) = (wall.as_mut(), dispatched) {
-                    w.batch(t0.elapsed(), batch.len());
-                }
-                fold_transport_delta(
-                    before,
-                    sut.transport_stats(),
-                    &mut fault_stats,
-                    &mut obs.root,
-                    clock.now(),
-                );
-                for (labeled, outcome) in batch.iter().zip(outcomes) {
-                    let outcome = outcome.map_err(|e| BenchError::Sut(e.to_string()))?;
-                    // In open loop the server may idle until the next
-                    // arrival.
-                    let arrival_t = arrivals.as_mut().map(|g| {
-                        let t = exec_start + g.next_arrival();
-                        if t > clock.now() {
-                            clock.advance(t - clock.now());
-                        }
-                        t
-                    });
-                    let service = service_with_backlog(
-                        outcome.work as f64 / rate,
-                        &mut backlog,
-                        scenario.online_train,
-                    );
-                    clock.advance(service);
-                    // Closed loop: latency = service. Open loop: queueing
-                    // included.
-                    let latency = match arrival_t {
-                        Some(a) => clock.now() - a,
-                        None => service,
-                    };
-                    obs.root
-                        .op_done(clock.now(), clock.now() - exec_start, latency, outcome.ok);
-                    ops.push(OpRecord {
-                        t_end: clock.now(),
-                        latency,
-                        phase: labeled.phase as u16,
-                        ok: outcome.ok,
-                        in_transition: labeled.in_transition,
-                    });
-                }
-            }
-            Some(session) => {
-                // In open loop the server may idle until the next arrival.
-                let arrival_t = arrivals.as_mut().map(|g| {
-                    let t = exec_start + g.next_arrival();
-                    if t > clock.now() {
-                        clock.advance(t - clock.now());
-                    }
-                    t
-                });
-                let before = sut.transport_stats();
-                let dispatched = wall.as_ref().map(|_| Instant::now());
-                let fr = execute_faulted(
-                    sut,
-                    &labeled.op,
-                    FaultOpCtx {
-                        phase: labeled.phase,
-                        idx: ops.len() as u64,
-                        rate,
-                        mode: scenario.online_train,
-                    },
-                    session,
-                    &mut backlog,
-                )?;
-                if let (Some(w), Some(t0)) = (wall.as_mut(), dispatched) {
-                    w.batch(t0.elapsed(), 1);
-                }
-                fold_transport_delta(
-                    before,
-                    sut.transport_stats(),
-                    &mut fault_stats,
-                    &mut obs.root,
-                    clock.now(),
-                );
-                // The server stays busy for the full service time of every
-                // attempt, but the client observes timed-out attempts only
-                // up to the timeout.
-                clock.advance(fr.service);
-                let latency = match arrival_t {
-                    Some(a) => clock.now() - a - (fr.service - fr.observed),
-                    None => fr.observed,
-                };
-                for kind in &fr.injected {
-                    obs.root.fault_injected(clock.now(), *kind);
-                }
-                for attempt in 0..fr.retries {
-                    obs.root.query_retried(clock.now(), attempt + 1);
-                }
-                for _ in 0..fr.timeouts {
-                    obs.root.query_timed_out(clock.now(), latency);
-                }
-                fr.fold_into(&mut fault_stats);
-                obs.root
-                    .op_done(clock.now(), clock.now() - exec_start, latency, fr.ok);
-                ops.push(OpRecord {
-                    t_end: clock.now(),
-                    latency,
-                    phase: labeled.phase as u16,
-                    ok: fr.ok,
-                    in_transition: labeled.in_transition,
-                });
-            }
-        }
-    }
-
-    // Any undrained background-training backlog must still be paid before
-    // the run can be declared finished (conservation of adaptation work).
-    clock.advance(backlog);
-    obs.run_end(clock.now(), ops.len() as u64);
-
-    let record = RunRecord {
-        sut_name: sut.name(),
-        scenario_name: scenario.name.clone(),
-        phase_names: scenario
-            .workload
-            .phases()
-            .iter()
-            .map(|p| p.name.clone())
-            .collect(),
-        ops,
-        phase_change_times,
-        train,
-        exec_start,
-        exec_end: clock.now(),
-        final_metrics: sut.metrics(),
-        work_units_per_second: rate,
-        faults: fault_stats,
-    };
-    Ok((record, wall.map(WallRecorder::finish)))
-}
-
-/// Folds a [`TransportStats`] delta (a remote SUT's socket-deadline
-/// expiries and reconnect-resends accumulated during one dispatch) into
-/// the run's fault ledger and observability stream — the **same**
-/// [`FaultStats`] fields and event kinds a PR-4 injected timeout
-/// produces, so real network failures and chaos-injected ones share one
-/// ledger (pinned by `tests/remote_conformance.rs`).
-pub(crate) fn fold_transport_delta(
-    before: TransportStats,
-    after: TransportStats,
-    stats: &mut FaultStats,
-    obs: &mut LaneObs,
-    now: f64,
-) {
-    let retries = after.retries.saturating_sub(before.retries);
-    let timeouts = after.timeouts.saturating_sub(before.timeouts);
-    stats.retries += retries;
-    stats.timeouts += timeouts;
-    for attempt in 0..retries {
-        obs.query_retried(now, attempt as u32 + 1);
-    }
-    for _ in 0..timeouts {
-        // A wall-clock deadline has no virtual latency; record the event
-        // at the current virtual time with zero observed latency.
-        obs.query_timed_out(now, 0.0);
-    }
-}
-
-/// Computes one operation's service time given pending adaptation backlog
-/// (both in seconds of full-rate work).
-///
-/// * [`OnlineTrainMode::Foreground`]: the entire backlog is prepended to
-///   this operation's service time (a single latency spike).
-/// * [`OnlineTrainMode::Background`]: processor sharing — while backlog
-///   remains, training gets `fraction` of the resources and the query runs
-///   at `1 − fraction` speed; the backlog drains by `fraction ×` the shared
-///   wall time. The dip is shallower but lasts longer.
-pub(crate) fn service_with_backlog(
-    base_service: f64,
-    backlog: &mut f64,
-    mode: crate::scenario::OnlineTrainMode,
-) -> f64 {
-    use crate::scenario::OnlineTrainMode;
-    match mode {
-        OnlineTrainMode::Foreground => {
-            let service = *backlog + base_service;
-            *backlog = 0.0;
-            service
-        }
-        OnlineTrainMode::Background { fraction } => {
-            if *backlog <= 0.0 {
-                return base_service;
-            }
-            let query_share = 1.0 - fraction;
-            // Wall time until the backlog would drain under sharing.
-            let drain_wall = *backlog / fraction;
-            // Query work that would complete during that window.
-            let query_done = drain_wall * query_share;
-            if query_done >= base_service {
-                // Query finishes while training still runs in background.
-                let wall = base_service / query_share;
-                *backlog -= fraction * wall;
-                wall
-            } else {
-                // Backlog drains mid-query; the rest runs at full speed.
-                *backlog = 0.0;
-                drain_wall + (base_service - query_done)
-            }
-        }
-    }
+    let plan = RunPlan::from_scenario(scenario)?;
+    let source = scenario_ops(scenario, config.max_ops)?;
+    run_inline(sut, plan, source, config.clock, obs)
 }
 
 /// Configuration for trace replay.
@@ -464,7 +87,7 @@ pub struct ReplayConfig {
     /// Offline training budget passed to the SUT before replay.
     pub train_budget: u64,
     /// Online-training scheduling mode.
-    pub online_train: crate::scenario::OnlineTrainMode,
+    pub online_train: OnlineTrainMode,
 }
 
 impl Default for ReplayConfig {
@@ -473,13 +96,31 @@ impl Default for ReplayConfig {
             work_units_per_second: 1_000_000.0,
             maintenance_every: 256,
             train_budget: u64::MAX,
-            online_train: crate::scenario::OnlineTrainMode::Foreground,
+            online_train: OnlineTrainMode::Foreground,
         }
     }
 }
 
-/// Replays a recorded [`Trace`](lsbench_workload::trace::Trace) against a
-/// SUT.
+/// A trace as an op source. Entries with positive `arrival` times are
+/// open-loop (latency from the intended arrival); zero arrivals are
+/// closed-loop.
+fn trace_ops(trace: &Trace) -> impl Iterator<Item = CoreOp<Operation>> + '_ {
+    trace.entries().iter().enumerate().map(|(i, entry)| {
+        let arrival = (entry.arrival > 0.0).then_some(entry.arrival);
+        CoreOp::new(entry.op, entry.phase, i, arrival)
+    })
+}
+
+fn replay_plan(trace: &Trace, config: &ReplayConfig) -> Result<RunPlan> {
+    RunPlan::bare(
+        "trace-replay",
+        trace.phase_names().to_vec(),
+        config,
+        trace.len(),
+    )
+}
+
+/// Replays a recorded [`Trace`] against a SUT.
 ///
 /// This is the mechanism behind §V-A's requirement that hold-out workloads
 /// be presented to every system *identically and exactly once*: a trace is
@@ -488,83 +129,12 @@ impl Default for ReplayConfig {
 /// times replay closed-loop.
 pub fn run_kv_trace<S: SystemUnderTest<Operation> + ?Sized>(
     sut: &mut S,
-    trace: &lsbench_workload::trace::Trace,
+    trace: &Trace,
     config: &ReplayConfig,
 ) -> Result<RunRecord> {
-    if config.work_units_per_second <= 0.0 {
-        return Err(BenchError::InvalidScenario(
-            "work_units_per_second must be positive".to_string(),
-        ));
-    }
-    let rate = config.work_units_per_second;
-    let mut clock = SimClock::new();
-    let train_work = sut.train(config.train_budget);
-    clock.advance(train_work as f64 / rate);
-    let train = TrainInfo {
-        work: train_work,
-        seconds: clock.now(),
-    };
-    let exec_start = clock.now();
-    let mut ops = Vec::with_capacity(trace.len());
-    let mut phase_change_times = vec![(0usize, exec_start)];
-    let mut current_phase = 0usize;
-    let mut since_maintenance = 0u64;
-    let mut backlog = 0.0f64;
-    for entry in trace.entries() {
-        if entry.phase != current_phase {
-            current_phase = entry.phase;
-            phase_change_times.push((current_phase, clock.now()));
-            backlog += sut.on_phase_change(current_phase) as f64 / rate;
-        }
-        since_maintenance += 1;
-        if since_maintenance >= config.maintenance_every {
-            since_maintenance = 0;
-            backlog += sut.maintenance() as f64 / rate;
-        }
-        let arrival_t = if entry.arrival > 0.0 {
-            let t = exec_start + entry.arrival;
-            if t > clock.now() {
-                clock.advance(t - clock.now());
-            }
-            Some(t)
-        } else {
-            None
-        };
-        let outcome = sut
-            .execute(&entry.op)
-            .map_err(|e| BenchError::Sut(e.to_string()))?;
-        let service = service_with_backlog(
-            outcome.work as f64 / rate,
-            &mut backlog,
-            config.online_train,
-        );
-        clock.advance(service);
-        let latency = match arrival_t {
-            Some(a) => clock.now() - a,
-            None => service,
-        };
-        ops.push(OpRecord {
-            t_end: clock.now(),
-            latency,
-            phase: entry.phase as u16,
-            ok: outcome.ok,
-            in_transition: false,
-        });
-    }
-    clock.advance(backlog);
-    Ok(RunRecord {
-        sut_name: sut.name(),
-        scenario_name: "trace-replay".to_string(),
-        phase_names: trace.phase_names().to_vec(),
-        ops,
-        phase_change_times,
-        train,
-        exec_start,
-        exec_end: clock.now(),
-        final_metrics: sut.metrics(),
-        work_units_per_second: rate,
-        faults: FaultStats::default(),
-    })
+    let plan = replay_plan(trace, config)?;
+    let obs = &mut RunObserver::disabled();
+    run_inline(sut, plan, trace_ops(trace), ClockMode::Sim, obs).map(|(record, _)| record)
 }
 
 /// Replays a trace open-loop against a SUT with a population of `clients`
@@ -578,156 +148,77 @@ pub fn run_kv_trace<S: SystemUnderTest<Operation> + ?Sized>(
 /// time only.
 ///
 /// The replay is a logically serial discrete-event simulation on the
-/// virtual clock: operations execute against the SUT in trace order, and
-/// only per-client completion times differ from [`run_kv_trace`]. Physical
-/// worker count can therefore never affect the record — the same contract
-/// the engine pins for generated scenarios ("threads never decide
-/// results"), guarded for replays by `tests/open_loop.rs` and the CI
-/// trace-smoke job.
+/// virtual clock with a timing rule of its own: operations execute against
+/// the SUT in trace order on one server (shared backlog, maintenance
+/// cadence and phase), and only per-client *free times* differ from
+/// [`run_kv_trace`]. Prologue, per-op prelude, service computation and
+/// record assembly are the core's. Physical worker count can never affect
+/// the record — guarded by `tests/open_loop.rs` and the CI trace-smoke job.
 pub fn run_kv_trace_open_loop<S: SystemUnderTest<Operation> + ?Sized>(
     sut: &mut S,
-    trace: &lsbench_workload::trace::Trace,
+    trace: &Trace,
     config: &ReplayConfig,
     clients: usize,
 ) -> Result<RunRecord> {
-    if config.work_units_per_second <= 0.0 {
-        return Err(BenchError::InvalidScenario(
-            "work_units_per_second must be positive".to_string(),
-        ));
-    }
     if clients == 0 {
         return Err(BenchError::InvalidScenario(
             "open-loop replay needs at least one client".to_string(),
         ));
     }
-    let rate = config.work_units_per_second;
-    let mut clock = SimClock::new();
-    let train_work = sut.train(config.train_budget);
-    clock.advance(train_work as f64 / rate);
-    let train = TrainInfo {
-        work: train_work,
-        seconds: clock.now(),
-    };
-    let exec_start = clock.now();
-    let mut client_free = vec![exec_start; clients.min(trace.len().max(1))];
-    let mut ops = Vec::with_capacity(trace.len());
-    let mut phase_change_times = vec![(0usize, exec_start)];
-    let mut current_phase = 0usize;
-    let mut since_maintenance = 0u64;
-    let mut backlog = 0.0f64;
-    let mut last_completion = exec_start;
-    for (i, entry) in trace.entries().iter().enumerate() {
-        if entry.phase != current_phase {
-            current_phase = entry.phase;
-            phase_change_times.push((current_phase, last_completion));
-            backlog += sut.on_phase_change(current_phase) as f64 / rate;
-        }
-        since_maintenance += 1;
-        if since_maintenance >= config.maintenance_every {
-            since_maintenance = 0;
-            backlog += sut.maintenance() as f64 / rate;
-        }
-        let slot = i % client_free.len();
+    let obs = &mut RunObserver::disabled();
+    let started = prologue(replay_plan(trace, config)?, [&mut *sut], obs);
+    let p = &started.plan.params;
+    // The server's `clock` is the latest completion so far: phase changes
+    // are stamped there.
+    let mut server = ClientState::new(p.exec_start);
+    let mut sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, trace.len(), false);
+    let mut client_free = vec![p.exec_start; clients.min(trace.len().max(1))];
+    for (i, CoreOp { op, meta }) in trace_ops(trace).enumerate() {
+        prelude(&mut server, &mut sinks, sut, &meta, p);
         let outcome = sut
-            .execute(&entry.op)
+            .execute(&op)
             .map_err(|e| BenchError::Sut(e.to_string()))?;
-        let service = service_with_backlog(
-            outcome.work as f64 / rate,
-            &mut backlog,
-            config.online_train,
-        );
-        let (start, basis) = if entry.arrival > 0.0 {
-            let arrival = exec_start + entry.arrival;
-            (arrival.max(client_free[slot]), arrival)
-        } else {
-            (client_free[slot], client_free[slot])
+        let service = server.serve(outcome.work, p);
+        let slot = i % client_free.len();
+        let free = &mut client_free[slot];
+        let (start, basis) = match meta.arrival {
+            Some(offset) => ((p.exec_start + offset).max(*free), p.exec_start + offset),
+            None => (*free, *free),
         };
-        let completion = start + service;
-        client_free[slot] = completion;
-        last_completion = last_completion.max(completion);
-        ops.push(OpRecord {
-            t_end: completion,
-            latency: completion - basis,
-            phase: entry.phase as u16,
-            ok: outcome.ok,
-            in_transition: false,
-        });
+        *free = start + service;
+        server.clock = server.clock.max(*free);
+        sinks.complete(*free, *free - basis, outcome.ok, &meta, p.exec_start);
     }
-    Ok(RunRecord {
-        sut_name: sut.name(),
-        scenario_name: "trace-replay".to_string(),
-        phase_names: trace.phase_names().to_vec(),
-        ops,
-        phase_change_times,
-        train,
-        exec_start,
-        exec_end: last_completion + backlog,
-        final_metrics: sut.metrics(),
-        work_units_per_second: rate,
-        faults: FaultStats::default(),
-    })
+    let merged = Merged::inline(&mut sinks, p.exec_start, server.finish());
+    Ok(epilogue(started, merged, sut.metrics(), None, obs))
 }
 
 /// Runs a query SUT over per-phase query batches (each inner vector is one
-/// workload phase). Phase changes are announced between batches.
+/// workload phase). A phase change is announced before the first query of
+/// each later phase; its adaptation work stalls that query. Phases without
+/// queries are never entered.
 pub fn run_query_workload<S: SystemUnderTest<QueryOp> + ?Sized>(
     sut: &mut S,
     phases: &[(String, Vec<QueryOp>)],
     work_units_per_second: f64,
     train_budget: u64,
 ) -> Result<RunRecord> {
-    if work_units_per_second <= 0.0 {
-        return Err(BenchError::InvalidScenario(
-            "work_units_per_second must be positive".to_string(),
-        ));
-    }
-    let rate = work_units_per_second;
-    let mut clock = SimClock::new();
-    let train_work = sut.train(train_budget);
-    clock.advance(train_work as f64 / rate);
-    let train = TrainInfo {
-        work: train_work,
-        seconds: clock.now(),
+    let pacing = ReplayConfig {
+        work_units_per_second,
+        maintenance_every: u64::MAX,
+        train_budget,
+        online_train: OnlineTrainMode::Foreground,
     };
-    let exec_start = clock.now();
-    let mut ops = Vec::new();
-    let mut phase_change_times = Vec::new();
-    let mut stall = 0.0f64;
-    for (phase_idx, (_, batch)) in phases.iter().enumerate() {
-        phase_change_times.push((phase_idx, clock.now()));
-        if phase_idx > 0 {
-            let adapt = sut.on_phase_change(phase_idx);
-            stall += adapt as f64 / rate;
-        }
-        for op in batch {
-            let outcome = sut
-                .execute(op)
-                .map_err(|e| BenchError::Sut(e.to_string()))?;
-            let latency = stall + outcome.work as f64 / rate;
-            stall = 0.0;
-            clock.advance(latency);
-            ops.push(OpRecord {
-                t_end: clock.now(),
-                latency,
-                phase: phase_idx as u16,
-                ok: outcome.ok,
-                in_transition: false,
-            });
-        }
-    }
-    Ok(RunRecord {
-        sut_name: sut.name(),
-        scenario_name: "query-workload".to_string(),
-        phase_names: phases.iter().map(|(n, _)| n.clone()).collect(),
-        ops,
-        phase_change_times,
-        train,
-        exec_start,
-        exec_end: clock.now(),
-        final_metrics: sut.metrics(),
-        work_units_per_second: rate,
-        faults: FaultStats::default(),
-    })
+    let names = phases.iter().map(|(name, _)| name.clone()).collect();
+    let plan = RunPlan::bare("query-workload", names, &pacing, 0)?;
+    let source = phases
+        .iter()
+        .enumerate()
+        .flat_map(|(phase, (_, batch))| batch.iter().map(move |op| (phase, op)))
+        .enumerate()
+        .map(|(i, (phase, op))| CoreOp::new(op.clone(), phase, i, None));
+    let obs = &mut RunObserver::disabled();
+    run_inline(sut, plan, source, ClockMode::Sim, obs).map(|(record, _)| record)
 }
 
 #[cfg(test)]
@@ -805,7 +296,7 @@ mod tests {
                 clock,
                 ..DriverConfig::default()
             };
-            run_kv_scenario_timed(&mut sut, &s, cfg, &mut RunObserver::disabled()).unwrap()
+            run_serial(&mut sut, &s, cfg, &mut RunObserver::disabled()).unwrap()
         };
         let (sim_record, sim_wall) = run(ClockMode::Sim);
         let (wall_record, wall_stats) = run(ClockMode::Wall);

@@ -1,59 +1,11 @@
-//! Per-lane latency and completion recording.
-//!
-//! Every lane records into its own [`LaneRecorder`] — a log-bucketed
-//! latency histogram plus fixed-width per-interval completion counters —
-//! so workers never contend on shared statistics. Both structures merge by
-//! addition, which makes the merged result independent of worker count and
-//! merge order (the determinism property `tests/determinism.rs` checks).
-
-use crate::{BenchError, Result};
-use lsbench_stats::{IntervalCounts, LatencyHistogram};
+//! Latency unit conversion shared by the engine statistics and the
+//! observability histograms.
 
 /// Converts a latency in virtual seconds to integer nanoseconds for the
-/// log-bucketed histogram. Negative inputs (impossible for well-formed
+/// log-bucketed histograms. Negative inputs (impossible for well-formed
 /// lanes, but cheap to guard) clamp to zero.
 pub(crate) fn latency_to_ns(seconds: f64) -> u64 {
     (seconds.max(0.0) * 1e9).round() as u64
-}
-
-/// One lane's mergeable statistics: latency distribution + completions
-/// over time.
-#[derive(Debug, Clone)]
-pub(crate) struct LaneRecorder {
-    /// Log-bucketed latency histogram in nanoseconds.
-    pub hist: LatencyHistogram,
-    /// Completions per fixed-width interval of virtual time.
-    pub counts: IntervalCounts,
-}
-
-impl LaneRecorder {
-    /// Creates a recorder whose completion intervals start at `origin`
-    /// (the run's `exec_start`) with the given bucket `width`.
-    pub(crate) fn new(origin: f64, width: f64) -> Result<Self> {
-        Ok(LaneRecorder {
-            hist: LatencyHistogram::new(),
-            counts: IntervalCounts::new(origin, width)
-                .map_err(|e| BenchError::Metric(e.to_string()))?,
-        })
-    }
-
-    /// Records one completed operation.
-    pub(crate) fn record(&mut self, t_end: f64, latency: f64) -> Result<()> {
-        self.hist.record(latency_to_ns(latency));
-        self.counts
-            .record(t_end)
-            .map_err(|e| BenchError::Metric(e.to_string()))
-    }
-
-    /// Folds another lane's statistics into this one.
-    pub(crate) fn merge(&mut self, other: &LaneRecorder) -> Result<()> {
-        self.hist
-            .merge(&other.hist)
-            .map_err(|e| BenchError::Metric(e.to_string()))?;
-        self.counts
-            .merge(&other.counts)
-            .map_err(|e| BenchError::Metric(e.to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -67,28 +19,5 @@ mod tests {
         assert_eq!(latency_to_ns(1.5e-9), 2);
         assert_eq!(latency_to_ns(-1.0), 0);
         assert_eq!(latency_to_ns(2.0), 2_000_000_000);
-    }
-
-    #[test]
-    fn recorder_merge_accumulates_both_structures() {
-        let mut a = LaneRecorder::new(0.0, 0.5).unwrap();
-        let mut b = LaneRecorder::new(0.0, 0.5).unwrap();
-        a.record(0.1, 1e-6).unwrap();
-        b.record(0.7, 3e-6).unwrap();
-        b.record(0.8, 5e-6).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.hist.total(), 3);
-        assert_eq!(a.counts.total(), 3);
-        assert_eq!(a.counts.counts(), &[1, 2]);
-        // Mismatched interval geometry cannot be merged.
-        let c = LaneRecorder::new(1.0, 0.5).unwrap();
-        assert!(a.merge(&c).is_err());
-    }
-
-    #[test]
-    fn recorder_rejects_completion_before_origin() {
-        let mut r = LaneRecorder::new(5.0, 1.0).unwrap();
-        assert!(r.record(4.9, 1e-6).is_err());
-        assert!(r.record(5.0, 1e-6).is_ok());
     }
 }

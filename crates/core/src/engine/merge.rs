@@ -1,24 +1,25 @@
 //! Deterministic folding of per-lane results into one [`RunRecord`].
 //!
-//! The merged record has the exact shape the serial driver produces, so
+//! The merged record has the exact shape the serial policy produces, so
 //! every downstream metric family — adaptability curves, SLA bands,
 //! specialization box plots — works on concurrent runs unchanged. All
 //! merge rules are commutative/associative (sorts with total orders, min
 //! per phase, sums), so the output is identical for any worker count and
 //! any lane-arrival order.
 
-use super::latency::LaneRecorder;
+use super::latency::latency_to_ns;
 use super::worker::LaneResult;
 use super::EngineReport;
+use crate::exec::{epilogue, Merged, Started};
 use crate::faults::FaultStats;
-use crate::record::{RunRecord, TrainInfo};
-use crate::scenario::Scenario;
-use crate::Result;
+use crate::obs::{LaneObs, RunObserver};
+use crate::record::OpRecord;
+use crate::{BenchError, Result};
+use lsbench_stats::{IntervalCounts, LatencyHistogram};
 use lsbench_sut::sut::SutMetrics;
 use std::collections::BTreeMap;
 
-/// Sums SUT metric counters across shards (for shared mode the single
-/// SUT's metrics pass through unchanged).
+/// Sums SUT metric counters across shards.
 pub(crate) fn sum_metrics<I: IntoIterator<Item = SutMetrics>>(metrics: I) -> SutMetrics {
     metrics
         .into_iter()
@@ -33,124 +34,97 @@ pub(crate) fn sum_metrics<I: IntoIterator<Item = SutMetrics>>(metrics: I) -> Sut
         })
 }
 
-/// Run-level context the merge folds lane results into.
-pub(crate) struct MergeContext<'a> {
-    pub sut_name: String,
-    pub scenario: &'a Scenario,
-    pub train: TrainInfo,
-    pub exec_start: f64,
-    pub final_metrics: SutMetrics,
-    pub interval_width: f64,
-    pub threads: usize,
+/// How the merged drivers were laid out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EngineShape {
+    /// Logical lanes (the client count for the scheduler).
     pub lanes: usize,
+    /// Worker threads used.
+    pub threads: usize,
+    /// Width of the per-interval completion counters.
+    pub interval: f64,
+    /// Whether `LaneResult::lane` is a stable identity (one lane = one op
+    /// stream) and so may break completion ties before the global index.
+    /// Scheduler results are per *worker* — an index that changes with the
+    /// thread count — so their ties break on the global index alone
+    /// (globally unique, hence still a total order).
+    pub stable_lanes: bool,
 }
 
-/// Folds lane results into an [`EngineReport`]. Completion ties break on
-/// `(lane, global index)`: lanes are stable identities here (one lane =
-/// one op stream), so the tiebreaker is worker-count-invariant.
-pub(crate) fn merge_lanes(lanes: Vec<LaneResult>, ctx: MergeContext<'_>) -> Result<EngineReport> {
-    merge_results(lanes, ctx, false)
-}
-
-/// Folds per-*worker* results from the open-loop scheduler
-/// ([`super::sched`]) into an [`EngineReport`]. Here `lane` is a worker
-/// index — it changes with the thread count — so completion ties must
-/// break on the global op index alone (globally unique, so still a total
-/// order, and invariant across worker counts).
-pub(crate) fn merge_clients(lanes: Vec<LaneResult>, ctx: MergeContext<'_>) -> Result<EngineReport> {
-    merge_results(lanes, ctx, true)
-}
-
-fn merge_results(
-    mut lanes: Vec<LaneResult>,
-    ctx: MergeContext<'_>,
-    by_global_idx: bool,
+/// The engine's epilogue: hands each driver's observability state to the
+/// run observer, folds the results, closes the run.
+pub(crate) fn finish_engine(
+    started: Started,
+    mut results: Vec<LaneResult>,
+    final_metrics: SutMetrics,
+    shape: EngineShape,
+    obs: &mut RunObserver,
 ) -> Result<EngineReport> {
-    let MergeContext {
-        sut_name,
-        scenario,
-        train,
-        exec_start,
-        final_metrics,
-        interval_width,
-        threads,
-        lanes: lane_count,
-    } = ctx;
+    if obs.is_active() {
+        let lane_obs = results
+            .iter_mut()
+            .map(|l| std::mem::replace(&mut l.sinks.obs, LaneObs::inert()))
+            .collect();
+        obs.absorb(lane_obs);
+    }
+    let exec_start = started.plan.params.exec_start;
     // Deterministic fold order regardless of which worker finished first.
-    lanes.sort_by_key(|l| l.lane);
+    results.sort_by_key(|l| l.lane);
 
     // Completion order across lanes: by virtual completion time, with
     // (lane, global index) as a total-order tiebreaker for simultaneous
     // completions.
-    let mut tagged: Vec<(usize, u64, crate::record::OpRecord)> = Vec::new();
-    for lane in &lanes {
-        tagged.extend(lane.ops.iter().map(|&(idx, rec)| (lane.lane, idx, rec)));
-    }
-    if by_global_idx {
-        tagged.sort_by(|a, b| a.2.t_end.total_cmp(&b.2.t_end).then(a.1.cmp(&b.1)));
-    } else {
-        tagged.sort_by(|a, b| {
-            a.2.t_end
-                .total_cmp(&b.2.t_end)
-                .then(a.0.cmp(&b.0))
-                .then(a.1.cmp(&b.1))
-        });
-    }
-    let ops = tagged.into_iter().map(|(_, _, rec)| rec).collect();
-
+    let mut tagged: Vec<(usize, u64, OpRecord)> = Vec::new();
+    let mut faults = FaultStats::default();
     // A phase becomes active when the first lane reaches it.
     let mut first_seen: BTreeMap<usize, f64> = BTreeMap::new();
     first_seen.insert(0, exec_start);
-    for lane in &lanes {
-        for &(phase, t) in &lane.phase_first {
+    let mut exec_end = exec_start;
+    for result in &results {
+        let lane = if shape.stable_lanes { result.lane } else { 0 };
+        let idx = result.sinks.idx.iter().flatten();
+        tagged.extend(idx.zip(&result.sinks.ops).map(|(&i, &rec)| (lane, i, rec)));
+        faults.merge(&result.sinks.faults);
+        for &(phase, t) in &result.sinks.phase_first {
             first_seen
                 .entry(phase)
                 .and_modify(|cur| *cur = cur.min(t))
                 .or_insert(t);
         }
+        exec_end = exec_end.max(result.final_clock);
     }
+    tagged.sort_by(|a, b| {
+        a.2.t_end
+            .total_cmp(&b.2.t_end)
+            .then(a.0.cmp(&b.0))
+            .then(a.1.cmp(&b.1))
+    });
     let mut phase_change_times: Vec<(usize, f64)> = first_seen.into_iter().collect();
     phase_change_times.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 
-    let exec_end = lanes
-        .iter()
-        .map(|l| l.final_clock)
-        .fold(exec_start, f64::max);
-
-    let mut recorder = LaneRecorder::new(exec_start, interval_width)?;
-    for lane in &lanes {
-        recorder.merge(&lane.recorder)?;
+    // The engine's own statistics are sums over the merged record, so they
+    // are taken from it once rather than kept (and merged) per lane.
+    let metric = |e: lsbench_stats::StatsError| BenchError::Metric(e.to_string());
+    let mut latency = LatencyHistogram::new();
+    let mut completions = IntervalCounts::new(exec_start, shape.interval).map_err(metric)?;
+    for (_, _, op) in &tagged {
+        latency.record(latency_to_ns(op.latency));
+        completions.record(op.t_end).map_err(metric)?;
     }
 
-    let mut faults = FaultStats::default();
-    for lane in &lanes {
-        faults.merge(&lane.faults);
-    }
-
-    let record = RunRecord {
-        sut_name,
-        scenario_name: scenario.name.clone(),
-        phase_names: scenario
-            .workload
-            .phases()
-            .iter()
-            .map(|p| p.name.clone())
-            .collect(),
-        ops,
+    let merged = Merged {
+        ops: tagged.into_iter().map(|(_, _, rec)| rec).collect(),
         phase_change_times,
-        train,
-        exec_start,
         exec_end,
-        final_metrics,
-        work_units_per_second: scenario.work_units_per_second,
         faults,
     };
+    let engine = Some((shape.lanes, shape.threads));
     Ok(EngineReport {
-        record,
-        latency: recorder.hist,
-        completions: recorder.counts,
-        threads,
-        lanes: lane_count,
+        record: epilogue(started, merged, final_metrics, engine, obs),
+        latency,
+        completions,
+        threads: shape.threads,
+        lanes: shape.lanes,
     })
 }
 

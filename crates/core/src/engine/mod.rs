@@ -1,9 +1,9 @@
 //! The concurrent execution engine.
 //!
-//! The serial driver ([`crate::driver`]) runs one operation at a time on
-//! one virtual clock. This module executes the same scenarios with **N
-//! logical lanes** mapped onto **M worker threads**, in either of the two
-//! textbook load models:
+//! The serial policy runs one client on the caller's thread. This module
+//! runs the same scenarios — through the same execution core (`exec.rs`)
+//! — with **N logical lanes** mapped onto **M worker
+//! threads**, in either of the two textbook load models:
 //!
 //! * **Closed loop** — each lane issues its next operation as soon as the
 //!   previous one completes; latency is pure service time.
@@ -15,28 +15,37 @@
 //!   schedule down, so queueing delay is fully charged to the operations
 //!   that queued — the measurement is **coordinated-omission-safe**.
 //!
-//! Lanes — not threads — determine results: every lane runs the serial
-//! driver's loop on its own virtual clock over its own operation
-//! subsequence, so a run with 4 lanes produces bit-identical merged
-//! output whether it used 1, 2, or 4 worker threads. Workers pull
-//! pre-partitioned operation `Batch`es over crossbeam
-//! channels (lane → worker by `lane % threads`).
+//! Lanes — not threads — determine results: every lane is one client of
+//! the core on its own virtual clock over its own operation subsequence,
+//! so a run with 4 lanes produces bit-identical merged output whether it
+//! used 1, 2, or 4 worker threads. The partition is complete before any
+//! worker starts (lane → worker by `lane % threads`), so workers share
+//! nothing but the SUT.
 //!
-//! Two sharing models are provided:
+//! An [`ExecutionMode`](crate::runner::ExecutionMode) only chooses the op
+//! partition, the SUT access and the driver:
+//!
+//! | mode         | partition            | SUT access                    | driver     |
+//! |--------------|----------------------|-------------------------------|------------|
+//! | `Serial`     | none                 | `&mut S`                      | inline     |
+//! | `SharedLock` | round-robin to lanes | `Mutex<&mut S>`, per dispatch | inline × N |
+//! | `Sharded`    | [`KeyRouter`]        | each lane owns its shard      | inline × N |
+//! | `OpenLoop`   | round-robin to clients | `Mutex<&mut S>`, per event batch | event heap |
 //!
 //! * [`run_concurrent_kv_scenario`] — all lanes execute against **one
-//!   shared SUT** behind a mutex (lane index = stream index mod lanes).
-//!   The lock provides physical exclusion only; virtual time assumes the
-//!   lanes proceed in parallel. Deterministic for read-only workloads;
-//!   with writes, SUT-internal adaptation may depend on thread
-//!   interleaving.
+//!   shared SUT** behind a mutex. The lock provides physical exclusion
+//!   only; virtual time assumes the lanes proceed in parallel.
+//!   Deterministic for read-only workloads; with writes, SUT-internal
+//!   adaptation may depend on thread interleaving.
 //! * [`run_sharded_kv_scenario`] — the key space is split at dataset-key
-//!   quantiles ([`shard_dataset`]) and each lane **owns one shard SUT**
-//!   (lane index = [`KeyRouter::route`]). Deterministic even with writes,
-//!   since each shard observes exactly its own key-ordered subsequence.
+//!   quantiles ([`shard_dataset`]) and each lane **owns one shard SUT**.
+//!   Deterministic even with writes, since each shard observes exactly
+//!   its own key-ordered subsequence.
+//! * [`run_open_loop_kv_scenario`] — the event-heap scheduler
+//!   ([`sched`]).
 //!
 //! The merged [`EngineReport`] contains a [`RunRecord`] of the exact
-//! shape the serial driver produces, so adaptability, SLA-band, and
+//! shape the serial policy produces, so adaptability, SLA-band, and
 //! specialization metrics work on concurrent runs unchanged.
 
 pub(crate) mod latency;
@@ -45,43 +54,33 @@ pub mod sched;
 mod shard;
 mod worker;
 
-pub use sched::{run_open_loop_kv_scenario, run_open_loop_kv_scenario_observed};
+pub use sched::run_open_loop_kv_scenario;
 pub use shard::{shard_dataset, KeyRouter};
 
-use crate::driver::DriverConfig;
-use crate::faults::FaultSession;
-use crate::obs::{LaneObs, RunObserver};
-use crate::record::{RunRecord, TrainInfo};
-use crate::runner::ExecutionMode;
-use crate::scenario::Scenario;
+use crate::exec::{lock, prologue, scenario_ops, CoreOp, RunPlan, Sinks, SutRef};
+use crate::obs::RunObserver;
+use crate::record::RunRecord;
+use crate::runner::BoxedKvSut;
+use crate::scenario::{ClockMode, Scenario};
 use crate::{BenchError, Result};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use lsbench_stats::{IntervalCounts, LatencyHistogram};
 use lsbench_sut::sut::SystemUnderTest;
-use lsbench_workload::arrival::ArrivalGenerator;
 use lsbench_workload::ops::Operation;
-use lsbench_workload::phases::LabeledOp;
-use merge::{merge_lanes, sum_metrics, MergeContext};
+use merge::{finish_engine, sum_metrics, EngineShape};
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
-use worker::{run_worker, Batch, LaneOp, LaneParams, LaneResult, WorkerSut};
-
-/// One lane's shard assignment handed to a worker.
-type ShardSlot<'a> = (usize, &'a mut Box<dyn SystemUnderTest<Operation> + Send>);
+use worker::LaneJob;
 
 /// Concurrent-engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Worker threads (physical parallelism; never affects results).
     pub threads: usize,
-    /// Logical lanes (determines the partitioning and the results).
+    /// Logical lanes (determines the partitioning and the results); the
+    /// simulated client count for the open-loop scheduler.
     pub lanes: usize,
     /// Cap on executed operations.
     pub max_ops: u64,
-    /// Operations per channel batch.
-    pub batch_size: usize,
-    /// Width of the per-interval completion counters, in virtual seconds.
-    pub completion_interval: f64,
 }
 
 impl Default for EngineConfig {
@@ -90,8 +89,6 @@ impl Default for EngineConfig {
             threads: 1,
             lanes: 1,
             max_ops: u64::MAX,
-            batch_size: 1024,
-            completion_interval: 0.01,
         }
     }
 }
@@ -106,44 +103,47 @@ impl EngineConfig {
             ..EngineConfig::default()
         }
     }
+}
 
-    /// Derives an engine configuration from the serial driver's knobs.
-    pub fn from_driver(config: &DriverConfig) -> Self {
-        let (threads, lanes) = match config.mode {
-            ExecutionMode::Serial => (1, 1),
-            ExecutionMode::SharedLock { workers } | ExecutionMode::Sharded { workers } => {
-                (workers.max(1), workers.max(1))
-            }
-            ExecutionMode::OpenLoop { clients, workers } => (workers.max(1), clients.max(1)),
-        };
-        EngineConfig {
-            threads,
-            lanes,
-            max_ops: config.max_ops,
-            ..EngineConfig::default()
+/// Engine constants that never reach the record. One value is in use;
+/// they stay a (crate-private) parameter only so the tests can prove the
+/// record does not depend on them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tuning {
+    /// Scheduler events popped (and executed) per SUT lock.
+    pub batch_size: usize,
+    /// Width of the per-interval completion counters, in virtual seconds.
+    pub completion_interval: f64,
+}
+
+impl Default for Tuning {
+    fn default() -> Self {
+        Tuning {
+            batch_size: 1024,
+            completion_interval: 0.01,
         }
     }
+}
 
-    fn validate(&self) -> Result<()> {
-        if self.threads == 0 || self.lanes == 0 || self.batch_size == 0 {
-            return Err(BenchError::InvalidScenario(
-                "engine threads, lanes, and batch_size must be at least 1".to_string(),
-            ));
-        }
-        if !(self.completion_interval > 0.0 && self.completion_interval.is_finite()) {
-            return Err(BenchError::InvalidScenario(
-                "engine completion_interval must be positive and finite".to_string(),
-            ));
-        }
-        Ok(())
+fn validate(config: &EngineConfig, tuning: &Tuning) -> Result<()> {
+    if config.threads == 0 || config.lanes == 0 || tuning.batch_size == 0 {
+        return Err(BenchError::InvalidScenario(
+            "engine threads, lanes, and batch_size must be at least 1".to_string(),
+        ));
     }
+    if !(tuning.completion_interval > 0.0 && tuning.completion_interval.is_finite()) {
+        return Err(BenchError::InvalidScenario(
+            "engine completion_interval must be positive and finite".to_string(),
+        ));
+    }
+    Ok(())
 }
 
 /// Result of a concurrent run: the merged serial-shaped record plus the
 /// engine's own mergeable statistics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineReport {
-    /// Merged run record, same shape as the serial driver's.
+    /// Merged run record, same shape as the serial policy's.
     pub record: RunRecord,
     /// Log-bucketed latency histogram (nanoseconds of virtual time).
     pub latency: LatencyHistogram,
@@ -155,111 +155,126 @@ pub struct EngineReport {
     pub lanes: usize,
 }
 
-/// Pre-computes every operation's intended start time (absolute virtual
-/// seconds) from the scenario's seeded arrival process. Returns `None`
-/// for closed-loop scenarios.
-///
-/// Per-phase [`concurrency_burst`](lsbench_workload::phases::WorkloadPhase::concurrency_burst)
+/// Turns the raw arrival schedule of `stream` into the lane modes' one:
+/// per-phase [`concurrency_burst`](lsbench_workload::phases::WorkloadPhase::concurrency_burst)
 /// factors divide the inter-arrival gaps while their phase is active, so a
 /// burst of 2.0 doubles the offered load for that stretch of the stream.
-pub(crate) fn intended_times(
-    scenario: &Scenario,
-    labeled: &[LabeledOp],
-    exec_start: f64,
-) -> Result<Option<Vec<f64>>> {
-    let Some(spec) = &scenario.arrival else {
-        return Ok(None);
-    };
-    let mut generator = ArrivalGenerator::new(spec.process, spec.modulation, spec.seed)
-        .map_err(|e| BenchError::Workload(e.to_string()))?;
+/// (The serial policy and the open-loop scheduler keep the raw process:
+/// there the arrival process *is* the offered load.) A no-op on a
+/// closed-loop stream.
+pub(crate) fn scale_bursts(scenario: &Scenario, stream: &mut [CoreOp<Operation>]) {
     let phases = scenario.workload.phases();
-    let mut raw_prev = 0.0f64;
-    let mut scaled = 0.0f64;
-    let mut out = Vec::with_capacity(labeled.len());
-    for op in labeled {
-        let raw = generator.next_arrival();
+    let (mut raw_prev, mut scaled) = (0.0f64, 0.0f64);
+    for op in stream {
+        let Some(raw) = op.meta.arrival else { return };
         let gap = raw - raw_prev;
         raw_prev = raw;
         let burst = phases
-            .get(op.phase)
+            .get(op.meta.phase)
             .map(|p| p.concurrency_burst)
             .unwrap_or(1.0);
         scaled += gap / burst;
-        out.push(exec_start + scaled);
+        op.meta.arrival = Some(scaled);
     }
-    Ok(Some(out))
 }
 
-/// Splits one lane's operations into channel batches, marking the last.
-fn make_batches(lane: usize, ops: Vec<LaneOp>, batch_size: usize) -> Vec<Batch> {
-    let mut batches: Vec<Batch> = Vec::with_capacity(ops.len().div_ceil(batch_size));
-    let mut current = Vec::with_capacity(batch_size.min(ops.len()));
-    for op in ops {
-        current.push(op);
-        if current.len() == batch_size {
-            batches.push(Batch {
+/// The SUT(s) a lane run executes against.
+pub(crate) enum LaneSuts<'a, S: ?Sized> {
+    /// One SUT shared by every lane; ops are dealt round-robin
+    /// (`stream index mod lanes`).
+    Shared(&'a mut S),
+    /// `shards[i]` owns shard `i` of the key space and is driven by lane
+    /// `i`; the lane of every op is `router.route(op)`.
+    Shards(&'a mut [BoxedKvSut], &'a KeyRouter),
+}
+
+/// The lane engine: partitions the stream into lanes, runs every lane as
+/// one inline client of the core on a scoped worker, merges.
+pub(crate) fn run_lanes<S>(
+    suts: &mut LaneSuts<'_, S>,
+    scenario: &Scenario,
+    config: &EngineConfig,
+    tuning: Tuning,
+    obs: &mut RunObserver,
+) -> Result<EngineReport>
+where
+    S: SystemUnderTest<Operation> + Send + ?Sized,
+{
+    let plan = RunPlan::from_scenario(scenario)?;
+    validate(config, &tuning)?;
+    let lanes = match suts {
+        LaneSuts::Shared(_) => config.lanes,
+        LaneSuts::Shards(shards, router) if shards.len() == router.shards() => shards.len(),
+        LaneSuts::Shards(shards, router) => {
+            return Err(BenchError::InvalidScenario(format!(
+                "router splits {} ways but {} shard SUTs were given",
+                router.shards(),
+                shards.len()
+            )))
+        }
+    };
+    let mut stream: Vec<CoreOp<Operation>> = scenario_ops(scenario, config.max_ops)?.collect();
+    scale_bursts(scenario, &mut stream);
+    let started = match suts {
+        LaneSuts::Shared(sut) => prologue(plan, [&mut **sut], obs),
+        LaneSuts::Shards(shards, _) => prologue(plan, shards.iter_mut().map(|s| s.as_mut()), obs),
+    };
+    let params = &started.plan.params;
+
+    // Partition. On a shared SUT only the globally first op of a phase
+    // announces it; a shard hears about a phase from its own first op.
+    let mut lane_ops: Vec<Vec<CoreOp<Operation>>> = vec![Vec::new(); lanes];
+    let mut seen_phase = vec![0usize; lanes];
+    for (i, mut op) in stream.into_iter().enumerate() {
+        let (lane, seen) = match suts {
+            LaneSuts::Shared(_) => (i % lanes, &mut seen_phase[0]),
+            LaneSuts::Shards(_, router) => {
+                let lane = router.route(&op.op);
+                (lane, &mut seen_phase[lane])
+            }
+        };
+        op.meta.announce = op.meta.phase != std::mem::replace(seen, op.meta.phase);
+        lane_ops[lane].push(op);
+    }
+
+    let threads = config.threads.min(lanes).max(1);
+    let shape = EngineShape {
+        lanes,
+        threads,
+        interval: tuning.completion_interval,
+        stable_lanes: true,
+    };
+    let inputs = lane_ops.into_iter().enumerate().map(|(lane, ops)| {
+        let sinks = Sinks::new(obs.lane_obs(lane), ClockMode::Sim, ops.len(), true);
+        (lane, ops, sinks)
+    });
+    let (results, final_metrics) = match suts {
+        LaneSuts::Shared(sut) => {
+            let mutex = Mutex::new(&mut **sut);
+            let jobs = inputs.map(|(lane, ops, sinks)| LaneJob {
                 lane,
-                ops: std::mem::take(&mut current),
-                last: false,
+                ops,
+                sinks,
+                sut: SutRef::Shared(&mutex),
             });
+            let results = worker::run_lane_jobs(jobs.collect(), threads, params)?;
+            let final_metrics = lock(&mutex)?.metrics();
+            (results, final_metrics)
         }
-    }
-    if !current.is_empty() {
-        batches.push(Batch {
-            lane,
-            ops: current,
-            last: true,
-        });
-    } else if let Some(last) = batches.last_mut() {
-        last.last = true;
-    }
-    batches
-}
-
-/// Streams the scenario workload, capped at `max_ops`.
-fn collect_stream(scenario: &Scenario, max_ops: u64) -> Result<Vec<LabeledOp>> {
-    let stream = scenario
-        .workload
-        .stream()
-        .map_err(|e| BenchError::Workload(e.to_string()))?;
-    let cap = scenario.workload.total_ops().min(max_ops) as usize;
-    Ok(stream.take(cap).collect())
-}
-
-/// Sends every lane's batches to its worker's channel, then hangs up.
-fn enqueue_lanes(
-    lane_ops: Vec<Vec<LaneOp>>,
-    senders: Vec<Sender<Batch>>,
-    batch_size: usize,
-) -> Result<()> {
-    let threads = senders.len();
-    for (lane, ops) in lane_ops.into_iter().enumerate() {
-        if ops.is_empty() {
-            continue;
+        LaneSuts::Shards(shards, _) => {
+            let jobs = inputs
+                .zip(shards.iter_mut())
+                .map(|((lane, ops, sinks), shard)| LaneJob {
+                    lane,
+                    ops,
+                    sinks,
+                    sut: SutRef::Owned(shard.as_mut()),
+                });
+            let results = worker::run_lane_jobs(jobs.collect(), threads, params)?;
+            (results, sum_metrics(shards.iter().map(|s| s.metrics())))
         }
-        let sender = &senders[lane % threads];
-        for batch in make_batches(lane, ops, batch_size) {
-            sender
-                .send(batch)
-                .map_err(|_| BenchError::Sut("engine worker hung up early".to_string()))?;
-        }
-    }
-    Ok(())
-}
-
-/// Joins worker handles, surfacing the first error or panic.
-fn join_workers(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<Vec<LaneResult>>>>,
-) -> Result<Vec<LaneResult>> {
-    let mut all = Vec::new();
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok(mut lanes)) => all.append(&mut lanes),
-            Ok(Err(e)) => return Err(e),
-            Err(_) => return Err(BenchError::Sut("engine worker panicked".to_string())),
-        }
-    }
-    Ok(all)
+    };
+    finish_engine(started, results, final_metrics, shape, obs)
 }
 
 /// Runs a scenario with every lane executing against one **shared** SUT
@@ -280,131 +295,8 @@ pub fn run_concurrent_kv_scenario<S>(
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
-    run_concurrent_kv_scenario_observed(sut, scenario, config, &mut RunObserver::disabled())
-}
-
-/// [`run_concurrent_kv_scenario`] with observability: lanes accumulate
-/// events and counters locally (on their own virtual clocks) and the
-/// observer absorbs them at join, so the merged trace is deterministic for
-/// any worker-thread count. The returned [`EngineReport`] is bit-identical
-/// whether the observer is active or [`RunObserver::disabled`].
-pub fn run_concurrent_kv_scenario_observed<S>(
-    sut: &mut S,
-    scenario: &Scenario,
-    config: &EngineConfig,
-    obs: &mut RunObserver,
-) -> Result<EngineReport>
-where
-    S: SystemUnderTest<Operation> + Send + ?Sized,
-{
-    scenario.validate()?;
-    config.validate()?;
-    let rate = scenario.work_units_per_second;
-    let labeled = collect_stream(scenario, config.max_ops)?;
-
-    let sut_name = sut.name();
-    obs.train_start(0.0, scenario.train_budget);
-    let train_work = sut.train(scenario.train_budget);
-    let exec_start = train_work as f64 / rate;
-    let train = TrainInfo {
-        work: train_work,
-        seconds: exec_start,
-    };
-    obs.train_end(exec_start, train_work);
-    obs.root.phase_change(exec_start, 0);
-
-    let intended = intended_times(scenario, &labeled, exec_start)?;
-    let lanes = config.lanes;
-    let mut lane_ops: Vec<Vec<LaneOp>> = vec![Vec::new(); lanes];
-    let mut current_phase = 0usize;
-    for (i, op) in labeled.iter().enumerate() {
-        let announce = op.phase != current_phase;
-        if announce {
-            current_phase = op.phase;
-        }
-        lane_ops[i % lanes].push(LaneOp {
-            labeled: *op,
-            idx: i as u64,
-            intended: intended.as_ref().map(|v| v[i]),
-            announce,
-        });
-    }
-
-    let threads = config.threads.min(lanes).max(1);
-    let params = LaneParams {
-        rate,
-        maintenance_every: scenario.maintenance_every,
-        online_train: scenario.online_train,
-        exec_start,
-        interval_width: config.completion_interval,
-        obs_cfg: *obs.config(),
-        obs_active: obs.is_active(),
-    };
-    let fault_session = FaultSession::from_scenario(scenario);
-    let mutex = Mutex::new(sut);
-    let mut senders: Vec<Sender<Batch>> = Vec::with_capacity(threads);
-    let mut receivers: Vec<Receiver<Batch>> = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (tx, rx) = unbounded();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    // `enqueue_lanes` consumes the senders, so workers see end-of-stream
-    // once every batch is queued.
-    enqueue_lanes(lane_ops, senders, config.batch_size)?;
-
-    let lane_results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for rx in receivers {
-            let mutex_ref = &mutex;
-            let session = fault_session.as_ref();
-            handles.push(
-                scope.spawn(move || run_worker(rx, WorkerSut::Shared(mutex_ref), &params, session)),
-            );
-        }
-        join_workers(handles)
-    })?;
-
-    let final_metrics = mutex
-        .into_inner()
-        .map_err(|_| BenchError::Sut("shared SUT mutex poisoned".to_string()))?
-        .metrics();
-    let report = merge_lanes(
-        absorb_lane_obs(lane_results, obs),
-        MergeContext {
-            sut_name,
-            scenario,
-            train,
-            exec_start,
-            final_metrics,
-            interval_width: config.completion_interval,
-            threads,
-            lanes,
-        },
-    )?;
-    finish_engine_obs(obs, &report);
-    Ok(report)
-}
-
-/// Moves each lane's observability state into the run observer, leaving
-/// the lane results themselves ready for merging.
-fn absorb_lane_obs(mut lane_results: Vec<LaneResult>, obs: &mut RunObserver) -> Vec<LaneResult> {
-    if obs.is_active() {
-        let lane_obs = lane_results
-            .iter_mut()
-            .map(|l| std::mem::replace(&mut l.obs, LaneObs::inert()))
-            .collect();
-        obs.absorb(lane_obs);
-    }
-    lane_results
-}
-
-/// Coordinator-side events once the merge is done: the merge itself and
-/// the end of the run, both stamped at the merged `exec_end`.
-fn finish_engine_obs(obs: &mut RunObserver, report: &EngineReport) {
-    let end = report.record.exec_end;
-    obs.shard_merge(end, report.lanes, report.threads);
-    obs.run_end(end, report.record.ops.len() as u64);
+    let (suts, obs) = (&mut LaneSuts::Shared(sut), &mut RunObserver::disabled());
+    run_lanes(suts, scenario, config, Tuning::default(), obs)
 }
 
 /// Runs a scenario over **key-range-sharded** SUTs: `suts[i]` owns shard
@@ -418,148 +310,21 @@ fn finish_engine_obs(obs: &mut RunObserver, report: &EngineReport) {
 /// so callers can keep using the shards afterwards (e.g. for a hold-out
 /// pass); final metrics are the field-wise sum across shards.
 pub fn run_sharded_kv_scenario(
-    suts: &mut [Box<dyn SystemUnderTest<Operation> + Send>],
+    suts: &mut [BoxedKvSut],
     router: &KeyRouter,
     scenario: &Scenario,
     config: &EngineConfig,
 ) -> Result<EngineReport> {
-    run_sharded_kv_scenario_observed(suts, router, scenario, config, &mut RunObserver::disabled())
-}
-
-/// [`run_sharded_kv_scenario`] with observability; see
-/// [`run_concurrent_kv_scenario_observed`] for the guarantees.
-pub fn run_sharded_kv_scenario_observed(
-    suts: &mut [Box<dyn SystemUnderTest<Operation> + Send>],
-    router: &KeyRouter,
-    scenario: &Scenario,
-    config: &EngineConfig,
-    obs: &mut RunObserver,
-) -> Result<EngineReport> {
-    scenario.validate()?;
-    config.validate()?;
-    if suts.is_empty() {
-        return Err(BenchError::InvalidScenario(
-            "sharded run needs at least one SUT".to_string(),
-        ));
-    }
-    if suts.len() != router.shards() {
-        return Err(BenchError::InvalidScenario(format!(
-            "router splits {} ways but {} shard SUTs were given",
-            router.shards(),
-            suts.len()
-        )));
-    }
-    let rate = scenario.work_units_per_second;
-    let labeled = collect_stream(scenario, config.max_ops)?;
-
-    let sut_name = suts[0].name();
-    obs.train_start(0.0, scenario.train_budget);
-    let mut train_work_total = 0u64;
-    let mut slowest_train = 0u64;
-    for sut in suts.iter_mut() {
-        let work = sut.train(scenario.train_budget);
-        train_work_total += work;
-        slowest_train = slowest_train.max(work);
-    }
-    let exec_start = slowest_train as f64 / rate;
-    let train = TrainInfo {
-        work: train_work_total,
-        seconds: exec_start,
-    };
-    obs.train_end(exec_start, train_work_total);
-    obs.root.phase_change(exec_start, 0);
-
-    let intended = intended_times(scenario, &labeled, exec_start)?;
-    let lanes = suts.len();
-    let mut lane_ops: Vec<Vec<LaneOp>> = vec![Vec::new(); lanes];
-    let mut lane_phase = vec![0usize; lanes];
-    for (i, op) in labeled.iter().enumerate() {
-        let lane = router.route(&op.op);
-        let announce = op.phase != lane_phase[lane];
-        if announce {
-            lane_phase[lane] = op.phase;
-        }
-        lane_ops[lane].push(LaneOp {
-            labeled: *op,
-            idx: i as u64,
-            intended: intended.as_ref().map(|v| v[i]),
-            announce,
-        });
-    }
-
-    let threads = config.threads.min(lanes).max(1);
-    let params = LaneParams {
-        rate,
-        maintenance_every: scenario.maintenance_every,
-        online_train: scenario.online_train,
-        exec_start,
-        interval_width: config.completion_interval,
-        obs_cfg: *obs.config(),
-        obs_active: obs.is_active(),
-    };
-    let mut senders: Vec<Sender<Batch>> = Vec::with_capacity(threads);
-    let mut receivers: Vec<Receiver<Batch>> = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (tx, rx) = unbounded();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    enqueue_lanes(lane_ops, senders, config.batch_size)?;
-
-    let fault_session = FaultSession::from_scenario(scenario);
-    let mut per_worker: Vec<Vec<ShardSlot<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-    for (lane, sut) in suts.iter_mut().enumerate() {
-        per_worker[lane % threads].push((lane, sut));
-    }
-
-    let lane_results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for (rx, worker_suts) in receivers.into_iter().zip(per_worker) {
-            let session = fault_session.as_ref();
-            handles.push(scope.spawn(move || {
-                let suts: WorkerSut<'_, '_, dyn SystemUnderTest<Operation> + Send> =
-                    WorkerSut::Sharded(worker_suts);
-                run_worker(rx, suts, &params, session)
-            }));
-        }
-        join_workers(handles)
-    })?;
-
-    let final_metrics = sum_metrics(suts.iter().map(|s| s.metrics()));
-    let report = merge_lanes(
-        absorb_lane_obs(lane_results, obs),
-        MergeContext {
-            sut_name,
-            scenario,
-            train,
-            exec_start,
-            final_metrics,
-            interval_width: config.completion_interval,
-            threads,
-            lanes,
-        },
-    )?;
-    finish_engine_obs(obs, &report);
-    Ok(report)
-}
-
-/// Runs the scenario's hold-out workload once against already-run shard
-/// SUTs (single pass, no maintenance, no phase announcements — the same
-/// adaptation-free contract as [`crate::holdout::run_holdout`]).
-pub fn run_sharded_holdout(
-    suts: &mut [Box<dyn SystemUnderTest<Operation> + Send>],
-    router: &KeyRouter,
-    scenario: &Scenario,
-    config: &EngineConfig,
-) -> Result<EngineReport> {
-    let one_shot = crate::holdout::one_shot_scenario(scenario)?;
-    run_sharded_kv_scenario(suts, router, &one_shot, config)
+    let obs = &mut RunObserver::disabled();
+    let mut suts: LaneSuts<'_, dyn SystemUnderTest<Operation> + Send> =
+        LaneSuts::Shards(suts, router);
+    run_lanes(&mut suts, scenario, config, Tuning::default(), obs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::run_kv_scenario;
+    use crate::driver::{run_kv_scenario, DriverConfig};
     use crate::scenario::ArrivalSpec;
     use lsbench_sut::kv::BTreeSut;
     use lsbench_sut::sut::{ExecOutcome, SutMetrics};
@@ -583,6 +348,13 @@ mod tests {
             42,
         )
         .unwrap()
+    }
+
+    /// The lane modes' intended arrivals (offsets from `exec_start`).
+    fn lane_arrivals(s: &Scenario) -> Vec<f64> {
+        let mut stream: Vec<_> = scenario_ops(s, u64::MAX).unwrap().collect();
+        scale_bursts(s, &mut stream);
+        stream.iter().map(|op| op.meta.arrival.unwrap()).collect()
     }
 
     fn boxed_shards(datasets: &[Dataset]) -> Vec<Box<dyn SystemUnderTest<Operation> + Send>> {
@@ -776,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn intended_times_track_poisson_rate() {
+    fn lane_arrivals_track_poisson_rate() {
         let mut s = shift_scenario();
         let rate = 5_000.0;
         s.arrival = Some(ArrivalSpec {
@@ -784,12 +556,11 @@ mod tests {
             modulation: LoadModulation::Constant,
             seed: 17,
         });
-        let labeled = collect_stream(&s, u64::MAX).unwrap();
-        let times = intended_times(&s, &labeled, 0.5).unwrap().unwrap();
+        let times = lane_arrivals(&s);
         assert_eq!(times.len(), 4_000);
         assert!(times.windows(2).all(|w| w[0] < w[1]));
-        assert!(times[0] >= 0.5);
-        let span = times.last().unwrap() - 0.5;
+        assert!(times[0] >= 0.0);
+        let span = *times.last().unwrap();
         let observed = times.len() as f64 / span;
         assert!(
             (observed - rate).abs() / rate < 0.1,
@@ -824,8 +595,7 @@ mod tests {
             modulation: LoadModulation::Constant,
             seed: 7,
         });
-        let labeled = collect_stream(&s, u64::MAX).unwrap();
-        let times = intended_times(&s, &labeled, 0.0).unwrap().unwrap();
+        let times = lane_arrivals(&s);
         let span0 = times[1_999] - times[0];
         let span1 = times[3_999] - times[2_000];
         // Burst 2.0 halves the inter-arrival gaps, doubling offered load.
@@ -838,6 +608,10 @@ mod tests {
         let s = shift_scenario();
         let data = s.dataset.build().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
+        let run = |config: EngineConfig, tuning: Tuning, sut: &mut BTreeSut| {
+            let obs = &mut RunObserver::disabled();
+            run_lanes(&mut LaneSuts::Shared(sut), &s, &config, tuning, obs)
+        };
         for bad in [
             EngineConfig {
                 threads: 0,
@@ -847,20 +621,24 @@ mod tests {
                 lanes: 0,
                 ..EngineConfig::default()
             },
-            EngineConfig {
+        ] {
+            assert!(run(bad, Tuning::default(), &mut sut).is_err());
+        }
+        for bad in [
+            Tuning {
                 batch_size: 0,
-                ..EngineConfig::default()
+                ..Tuning::default()
             },
-            EngineConfig {
+            Tuning {
                 completion_interval: 0.0,
-                ..EngineConfig::default()
+                ..Tuning::default()
             },
-            EngineConfig {
+            Tuning {
                 completion_interval: f64::NAN,
-                ..EngineConfig::default()
+                ..Tuning::default()
             },
         ] {
-            assert!(run_concurrent_kv_scenario(&mut sut, &s, &bad).is_err());
+            assert!(run(EngineConfig::default(), bad, &mut sut).is_err());
         }
         // Shard-count mismatch is rejected too.
         let (router, datasets) = shard_dataset(&data, 3).unwrap();
@@ -879,33 +657,5 @@ mod tests {
         };
         let report = run_concurrent_kv_scenario(&mut sut, &s, &config).unwrap();
         assert_eq!(report.record.completed(), 100);
-    }
-
-    #[test]
-    fn sharded_holdout_runs_once_without_retraining() {
-        let mut s = shift_scenario();
-        s.holdout = Some(
-            PhasedWorkload::single(
-                WorkloadPhase::new(
-                    "holdout",
-                    KeyDistribution::Uniform,
-                    (0, 10_000_000),
-                    OperationMix::ycsb_c(),
-                    500,
-                ),
-                99,
-            )
-            .unwrap(),
-        );
-        let data = s.dataset.build().unwrap();
-        let (router, datasets) = shard_dataset(&data, 2).unwrap();
-        let mut suts = boxed_shards(&datasets);
-        let config = EngineConfig::with_concurrency(2);
-        let main = run_sharded_kv_scenario(&mut suts, &router, &s, &config).unwrap();
-        let hold = run_sharded_holdout(&mut suts, &router, &s, &config).unwrap();
-        assert_eq!(hold.record.completed(), 500);
-        assert_eq!(hold.record.train.work, 0, "hold-out must not retrain");
-        let report = crate::HoldoutReport::new(&main.record, &hold.record).unwrap();
-        assert!(report.generalization_ratio > 0.0);
     }
 }

@@ -1,28 +1,27 @@
 //! Event-heap scheduler: millions of open-loop clients on a worker pool.
 //!
-//! The classic engine modes pin lanes 1:1 to pre-partitioned op streams,
-//! so "concurrency" tops out at a few workers. This module models the
+//! The lane modes pin lanes 1:1 to pre-partitioned op streams, so
+//! "concurrency" tops out at a few workers. This module models the
 //! population the north star actually asks about — *millions of
 //! simulated open-loop clients* — by decoupling clients from threads:
 //!
 //! * The global op stream is dealt round-robin to `clients` virtual
 //!   clients (`stream index mod clients`), and every op gets an
 //!   *intended* start time drawn from the scenario's seeded arrival
-//!   process — computed exactly as the serial driver computes it
-//!   (`exec_start + generator.next_arrival()`), so a one-client run is
-//!   bit-identical to the serial driver. (Per-phase `concurrency_burst`
-//!   factors are ignored here, as they are in the serial driver: the
-//!   arrival process *is* the offered load.)
+//!   process — the very schedule the serial policy pulls
+//!   (`exec::scenario_ops`), so a one-client run is bit-identical to a
+//!   serial run. (Per-phase `concurrency_burst` factors are ignored here,
+//!   as they are serially: the arrival process *is* the offered load.)
 //! * Clients are assigned to workers by `client mod workers`. Each
 //!   worker drives its clients through a binary **event heap** keyed on
-//!   `(virtual deadline, client id)`: pop the next-due client, execute
-//!   one op via the same `step_op` the lane workers use, push the
-//!   client back with its next op's deadline. Per-client state is four
-//!   scalars (`ClientState`) and all result sinks are per-worker
-//!   (`LaneSinks`), so bookkeeping is O(1) per event and memory is
-//!   O(clients + ops), never O(clients × histogram).
-//! * Events are popped in batches of [`EngineConfig::batch_size`] so the
-//!   shared-SUT mutex is taken once per batch instead of once per op.
+//!   `(virtual deadline, client id)`: pop the next-due client, run one
+//!   `step` of the execution core for it, push the client back with its
+//!   next op's deadline. Per-client state is four scalars
+//!   (`ClientState`) and all result sinks are per-worker (`Sinks`), so
+//!   bookkeeping is O(1) per event and memory is O(clients + ops), never
+//!   O(clients × histogram).
+//! * Events are popped in batches so the shared-SUT mutex is taken once
+//!   per batch instead of once per op.
 //!
 //! Determinism survives the multiplexing because every op's outcome is a
 //! function of *its client's* state only — the heap decides *when a
@@ -35,22 +34,20 @@
 //!
 //! [`run_concurrent_kv_scenario`]: super::run_concurrent_kv_scenario
 
-use super::merge::{merge_clients, MergeContext};
-use super::worker::{step_op, ClientState, LaneOp, LaneParams, LaneResult, LaneSinks};
-use super::{absorb_lane_obs, collect_stream, finish_engine_obs, EngineConfig, EngineReport};
-use crate::faults::FaultSession;
+use super::merge::{finish_engine, EngineShape};
+use super::worker::{on_workers, LaneResult};
+use super::{validate, EngineConfig, EngineReport, Tuning};
+use crate::exec::{
+    lock, prologue, scenario_ops, step, Batch, ClientState, CoreOp, LaneParams, RunPlan, Sinks,
+};
 use crate::obs::RunObserver;
-use crate::record::TrainInfo;
-use crate::scenario::Scenario;
+use crate::scenario::{ClockMode, Scenario};
 use crate::{BenchError, Result};
-use lsbench_workload::arrival::ArrivalGenerator;
+use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
-use lsbench_workload::phases::LabeledOp;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Mutex;
-
-use lsbench_sut::sut::SystemUnderTest;
 
 /// One pending client event: the client's next op and when it is due.
 #[derive(Debug, Clone, Copy)]
@@ -88,14 +85,6 @@ impl Ord for Event {
     }
 }
 
-/// The shared, read-only view of the pre-computed op stream.
-#[derive(Clone, Copy)]
-struct SchedStream<'a> {
-    labeled: &'a [LabeledOp],
-    intended: &'a [f64],
-    announce: &'a [bool],
-}
-
 /// Runs a scenario as `config.lanes` simulated open-loop clients
 /// multiplexed onto `config.threads` workers against one shared SUT.
 /// Requires an arrival process ([`Scenario::arrival`]); see the
@@ -108,147 +97,101 @@ pub fn run_open_loop_kv_scenario<S>(
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
-    run_open_loop_kv_scenario_observed(sut, scenario, config, &mut RunObserver::disabled())
+    let obs = &mut RunObserver::disabled();
+    run_heap(sut, scenario, config, Tuning::default(), obs)
 }
 
-/// [`run_open_loop_kv_scenario`] with observability. Metrics, counters,
-/// and histograms are worker-count-invariant; the *event trace* is not
-/// (trace events interleave per worker), so trace-level comparisons
-/// should pin one worker.
-pub fn run_open_loop_kv_scenario_observed<S>(
+/// The event-heap driver. Metrics, counters, and histograms are
+/// worker-count-invariant; the *event trace* is not (trace events
+/// interleave per worker), so trace-level comparisons should pin one
+/// worker.
+pub(crate) fn run_heap<S>(
     sut: &mut S,
     scenario: &Scenario,
     config: &EngineConfig,
+    tuning: Tuning,
     obs: &mut RunObserver,
 ) -> Result<EngineReport>
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
-    scenario.validate()?;
-    config.validate()?;
-    let Some(spec) = scenario.arrival else {
+    let plan = RunPlan::from_scenario(scenario)?;
+    validate(config, &tuning)?;
+    if scenario.arrival.is_none() {
         return Err(BenchError::InvalidScenario(
             "open-loop execution requires an [arrival] section: without an arrival \
              process an open loop is just a closed loop"
                 .to_string(),
         ));
-    };
-    let rate = scenario.work_units_per_second;
-    let labeled = collect_stream(scenario, config.max_ops)?;
-
-    let sut_name = sut.name();
-    obs.train_start(0.0, scenario.train_budget);
-    let train_work = sut.train(scenario.train_budget);
-    let exec_start = train_work as f64 / rate;
-    let train = TrainInfo {
-        work: train_work,
-        seconds: exec_start,
-    };
-    obs.train_end(exec_start, train_work);
-    obs.root.phase_change(exec_start, 0);
-
-    // Intended start times, computed exactly as the serial driver does
-    // (`exec_start + next_arrival()`): bit-for-bit the serial schedule.
-    let mut generator = ArrivalGenerator::new(spec.process, spec.modulation, spec.seed)
-        .map_err(|e| BenchError::Workload(e.to_string()))?;
-    let intended: Vec<f64> = labeled
-        .iter()
-        .map(|_| exec_start + generator.next_arrival())
-        .collect();
+    }
     // Only the globally first op of each phase announces the change to
     // the shared SUT (same rule as shared-lanes mode).
-    let mut announce = vec![false; labeled.len()];
-    let mut current_phase = 0usize;
-    for (i, op) in labeled.iter().enumerate() {
-        if op.phase != current_phase {
-            current_phase = op.phase;
-            announce[i] = true;
-        }
+    let mut stream: Vec<CoreOp<Operation>> = scenario_ops(scenario, config.max_ops)?.collect();
+    let mut seen_phase = 0usize;
+    for op in &mut stream {
+        op.meta.announce = op.meta.phase != std::mem::replace(&mut seen_phase, op.meta.phase);
     }
+    // The heap reads an op's arrival when it *schedules* the op, long
+    // before it executes it: a dense array of their own keeps those reads
+    // in cache.
+    let arrivals: Vec<f64> = stream
+        .iter()
+        .map(|op| op.meta.arrival.unwrap_or(0.0))
+        .collect();
+    let started = prologue(plan, [&mut *sut], obs);
+    let params = &started.plan.params;
 
     let clients = config.lanes;
     let threads = config.threads.min(clients).max(1);
-    let params = LaneParams {
-        rate,
-        maintenance_every: scenario.maintenance_every,
-        online_train: scenario.online_train,
-        exec_start,
-        interval_width: config.completion_interval,
-        obs_cfg: *obs.config(),
-        obs_active: obs.is_active(),
+    let shape = EngineShape {
+        lanes: clients,
+        threads,
+        interval: tuning.completion_interval,
+        stable_lanes: false,
     };
-    let fault_session = FaultSession::from_scenario(scenario);
+    let workers = (0..threads)
+        .map(|worker| {
+            (
+                worker,
+                Sinks::new(obs.lane_obs(worker), ClockMode::Sim, 0, true),
+            )
+        })
+        .collect();
     let mutex = Mutex::new(sut);
-    let stream = SchedStream {
-        labeled: &labeled,
-        intended: &intended,
-        announce: &announce,
-    };
-
-    let worker_results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for worker in 0..threads {
-            let mutex_ref = &mutex;
-            let params_ref = &params;
-            let session = fault_session.as_ref();
-            let batch_size = config.batch_size;
-            handles.push(scope.spawn(move || {
-                run_sched_worker(
-                    worker, threads, clients, stream, mutex_ref, params_ref, session, batch_size,
-                )
-            }));
-        }
-        let mut all = Vec::with_capacity(threads);
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(result)) => all.push(result),
-                Ok(Err(e)) => return Err(e),
-                Err(_) => return Err(BenchError::Sut("scheduler worker panicked".to_string())),
-            }
-        }
-        Ok(all)
+    let results = on_workers(workers, |(worker, sinks)| {
+        let stream = (stream.as_slice(), arrivals.as_slice());
+        run_sched_worker(
+            worker,
+            sinks,
+            shape,
+            stream,
+            &mutex,
+            params,
+            tuning.batch_size,
+        )
     })?;
-
-    let final_metrics = mutex
-        .into_inner()
-        .map_err(|_| BenchError::Sut("shared SUT mutex poisoned".to_string()))?
-        .metrics();
-    let report = merge_clients(
-        absorb_lane_obs(worker_results, obs),
-        MergeContext {
-            sut_name,
-            scenario,
-            train,
-            exec_start,
-            final_metrics,
-            interval_width: config.completion_interval,
-            threads,
-            lanes: clients,
-        },
-    )?;
-    finish_engine_obs(obs, &report);
-    Ok(report)
+    let final_metrics = lock(&mutex)?.metrics();
+    finish_engine(started, results, final_metrics, shape, obs)
 }
 
 /// One scheduler worker: owns every client with `client % threads ==
 /// worker`, drives them in event-heap order, and returns one
-/// [`LaneResult`] whose `lane` is the worker index (so the observer
-/// absorption path is shared with the lane engine).
-#[allow(clippy::too_many_arguments)]
+/// [`LaneResult`] whose `lane` is the worker index.
 fn run_sched_worker<S>(
     worker: usize,
-    threads: usize,
-    clients: usize,
-    stream: SchedStream<'_>,
+    mut sinks: Sinks,
+    shape: EngineShape,
+    (stream, arrivals): (&[CoreOp<Operation>], &[f64]),
     mutex: &Mutex<&mut S>,
     params: &LaneParams,
-    session: Option<&FaultSession>,
     batch_size: usize,
 ) -> Result<LaneResult>
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
-    let total = stream.labeled.len();
+    let (clients, threads) = (shape.lanes, shape.threads);
+    let total = stream.len();
+    let intended = |i: usize| params.exec_start + arrivals[i];
     // Client `c` owns global indices c, c + clients, c + 2·clients, …
     // Local slot for client `c` on this worker: (c - worker) / threads.
     let owned = if worker < clients {
@@ -257,74 +200,66 @@ where
         0
     };
     let mut states: Vec<ClientState> = vec![ClientState::new(params.exec_start); owned];
-    let mut sinks = LaneSinks::new(params, worker)?;
     let mut final_clock = params.exec_start;
 
     let mut heap: BinaryHeap<Event> = BinaryHeap::with_capacity(owned.min(total));
     let mut client = worker;
     while client < clients && client < total {
         heap.push(Event {
-            deadline: stream.intended[client],
+            deadline: intended(client),
             client,
             next: client,
         });
         client += threads;
     }
 
-    let mut batch: Vec<Event> = Vec::with_capacity(batch_size);
+    let mut events: Vec<Event> = Vec::with_capacity(batch_size);
+    let mut dispatch = Batch::default();
+    // Every event is a run of one op: nothing to gather behind it.
+    let mut rest = std::iter::empty().peekable();
     while !heap.is_empty() {
-        batch.clear();
-        while batch.len() < batch_size {
+        events.clear();
+        while events.len() < batch_size {
             match heap.pop() {
-                Some(event) => batch.push(event),
+                Some(event) => events.push(event),
                 None => break,
             }
         }
         // One lock per batch, not per op: the scheduler's throughput
         // lever. Virtual results cannot tell the difference because each
         // event only touches its own client's clock.
-        let mut guard = mutex
-            .lock()
-            .map_err(|_| BenchError::Sut("shared SUT mutex poisoned".to_string()))?;
-        for event in &batch {
-            let slot = (event.client - worker) / threads;
-            let op = LaneOp {
-                labeled: stream.labeled[event.next],
-                idx: event.next as u64,
-                intended: Some(stream.intended[event.next]),
-                announce: stream.announce[event.next],
-            };
-            step_op(
-                &mut states[slot],
+        let mut guard = lock(mutex)?;
+        for event in &events {
+            let state = &mut states[(event.client - worker) / threads];
+            let op = stream[event.next];
+            step(
+                state,
                 &mut sinks,
+                &mut dispatch,
                 &mut **guard,
-                &op,
+                op,
+                &mut rest,
                 params,
-                session,
             )?;
             let next = event.next + clients;
             if next < total {
                 heap.push(Event {
-                    deadline: stream.intended[next].max(states[slot].clock),
+                    deadline: intended(next).max(state.clock),
                     client: event.client,
                     next,
                 });
             } else {
                 // The client's last op: pay any remaining adaptation
                 // backlog (conservation of adaptation work).
-                final_clock = final_clock.max(states[slot].finish());
+                final_clock = final_clock.max(state.finish());
             }
         }
     }
 
     Ok(LaneResult {
         lane: worker,
-        ops: sinks.ops,
-        phase_first: sinks.phase_first,
+        sinks,
         final_clock,
-        recorder: sinks.recorder,
-        obs: sinks.obs,
-        faults: sinks.faults,
     })
 }
 
@@ -411,15 +346,12 @@ mod tests {
         let s = open_loop_scenario(80_000.0);
         let data = s.dataset.build().unwrap();
         let mut small_sut = BTreeSut::build(&data).unwrap();
-        let small = run_open_loop_kv_scenario(
-            &mut small_sut,
-            &s,
-            &EngineConfig {
-                batch_size: 1,
-                ..config(64, 4)
-            },
-        )
-        .unwrap();
+        let tiny = Tuning {
+            batch_size: 1,
+            ..Tuning::default()
+        };
+        let obs = &mut RunObserver::disabled();
+        let small = run_heap(&mut small_sut, &s, &config(64, 4), tiny, obs).unwrap();
         let mut big_sut = BTreeSut::build(&data).unwrap();
         let big = run_open_loop_kv_scenario(&mut big_sut, &s, &config(64, 4)).unwrap();
         assert_eq!(small.record.ops, big.record.ops);

@@ -1,397 +1,95 @@
-//! Worker threads and per-lane execution state.
+//! Worker threads: where lanes physically run.
 //!
-//! The engine pre-partitions the operation stream into *lanes* (logical
-//! concurrency) and maps lanes onto *workers* (physical threads) by
-//! `lane % threads`. Workers pull [`Batch`]es over crossbeam channels and
-//! drive each lane through exactly the serial driver's loop — phase
-//! announcement, maintenance slot, arrival wait, execute, backlog-aware
-//! service — on the lane's own virtual clock. Because each lane's virtual
-//! timeline depends only on its operation subsequence (never on thread
-//! scheduling), results are reproducible for any worker count.
+//! The engine partitions the operation stream into *lanes* (logical
+//! concurrency) before any thread exists, and maps lanes onto *workers*
+//! (physical threads) by `lane % threads`. A worker simply runs each of
+//! its lanes to completion, in lane order, with the inline driver
+//! ([`drive_inline`]) — the same loop the serial policy runs on the
+//! caller's thread. Nothing is communicated while workers run, so there is
+//! no channel: a lane's input is its op vector, its output its sinks.
+//! Because each lane's virtual timeline depends only on its operation
+//! subsequence (never on thread scheduling), results are reproducible for
+//! any worker count.
 
-use super::latency::LaneRecorder;
-use crate::driver::{fold_transport_delta, service_with_backlog};
-use crate::faults::{execute_faulted, FaultOpCtx, FaultSession, FaultStats};
-use crate::obs::{LaneObs, ObsConfig};
-use crate::record::OpRecord;
-use crate::scenario::OnlineTrainMode;
+use crate::exec::{drive_inline, CoreOp, LaneParams, Sinks, SutRef};
 use crate::{BenchError, Result};
-use crossbeam::channel::Receiver;
 use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
-use lsbench_workload::phases::LabeledOp;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
 
-/// One operation assigned to a lane.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneOp {
-    /// The labeled operation from the workload stream.
-    pub labeled: LabeledOp,
-    /// Global stream index (deterministic merge tiebreaker).
-    pub idx: u64,
-    /// Open loop: intended start time in absolute virtual seconds.
-    /// Coordinated-omission safety hinges on latency being measured from
-    /// this schedule, not from when the lane got around to the operation.
-    pub intended: Option<f64>,
-    /// Whether this operation announces its phase change to the SUT
-    /// (shared mode: only the globally first operation of a phase;
-    /// sharded mode: the first operation of the phase in each lane).
-    pub announce: bool,
-}
-
-/// A chunk of one lane's operations, pulled by a worker.
-#[derive(Debug)]
-pub(crate) struct Batch {
-    /// Lane the operations belong to.
-    pub lane: usize,
-    /// The operations, in lane order.
-    pub ops: Vec<LaneOp>,
-    /// True on the lane's final batch: the lane pays any remaining
-    /// adaptation backlog and freezes its clock.
-    pub last: bool,
-}
-
-/// Scenario-derived parameters every lane shares.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneParams {
-    /// Work units per virtual second.
-    pub rate: f64,
-    /// Offer a maintenance slot every this many lane-local operations.
-    pub maintenance_every: u64,
-    /// Online-training scheduling mode.
-    pub online_train: OnlineTrainMode,
-    /// Virtual time execution starts (training already paid).
-    pub exec_start: f64,
-    /// Completion-counter interval width.
-    pub interval_width: f64,
-    /// Observability configuration shared by every lane.
-    pub obs_cfg: ObsConfig,
-    /// Whether lanes observe at all (false = fully inert hooks).
-    pub obs_active: bool,
-}
-
-/// Everything one lane produced, returned to the coordinator at join.
-#[derive(Debug)]
-pub(crate) struct LaneResult {
+/// One lane, ready to run: its op subsequence, sinks and SUT access.
+pub(crate) struct LaneJob<'env, 'sut, S: ?Sized> {
     /// Lane index.
     pub lane: usize,
-    /// Completed operations as `(global index, record)`.
-    pub ops: Vec<(u64, OpRecord)>,
-    /// Virtual time this lane first saw each phase (phase 0 excluded; the
-    /// merge anchors it at `exec_start`).
-    pub phase_first: Vec<(usize, f64)>,
-    /// Lane clock after the final operation and backlog payment.
-    pub final_clock: f64,
-    /// Latency histogram + per-interval completion counts.
-    pub recorder: LaneRecorder,
-    /// The lane's observability state (events, counters, histogram).
-    pub obs: LaneObs,
-    /// Fault-injection accounting for this lane's operations.
-    pub faults: FaultStats,
+    /// The lane's operations, in stream order.
+    pub ops: Vec<CoreOp<Operation>>,
+    /// The lane's result sinks.
+    pub sinks: Sinks,
+    /// The shared SUT, or the shard this lane owns.
+    pub sut: SutRef<'env, 'sut, S>,
 }
 
-/// How a worker reaches the system(s) under test.
-///
-/// `'env` is the scoped-thread borrow; `'sut` is the caller's SUT borrow
-/// (longer-lived — `Mutex` is invariant in its contents, so conflating the
-/// two would pin the mutex borrow for the whole caller).
-pub(crate) enum WorkerSut<'env, 'sut, S: ?Sized> {
-    /// One SUT shared by every lane behind a mutex (lock per operation).
-    Shared(&'env Mutex<&'sut mut S>),
-    /// Key-range sharding: this worker exclusively owns its lanes' shards.
-    Sharded(Vec<(usize, &'env mut Box<dyn SystemUnderTest<Operation> + Send>)>),
-}
-
-/// One simulated client's virtual execution state: four scalars, so the
-/// open-loop scheduler ([`super::sched`]) can hold millions of them. The
-/// classic lane model is a client that owns a whole op stream.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ClientState {
-    /// The client's virtual clock (starts at `exec_start`).
-    pub clock: f64,
-    /// Outstanding adaptation work, in virtual seconds.
-    pub backlog: f64,
-    /// Client-local operations since the last maintenance slot.
-    pub since_maintenance: u64,
-    /// Last phase this client saw (phase changes fire on transition).
-    pub current_phase: usize,
-}
-
-impl ClientState {
-    pub(crate) fn new(exec_start: f64) -> Self {
-        ClientState {
-            clock: exec_start,
-            backlog: 0.0,
-            since_maintenance: 0,
-            current_phase: 0,
-        }
-    }
-
-    /// Pays any remaining adaptation backlog (conservation of adaptation
-    /// work, as in the serial driver) and returns the final clock.
-    pub(crate) fn finish(&mut self) -> f64 {
-        self.clock += self.backlog;
-        self.clock
-    }
-}
-
-/// Per-worker result sinks shared by every client the worker executes:
-/// op records, phase first-seen times, the mergeable latency recorder,
-/// observability state, and fault accounting. All of them merge
-/// order-insensitively, so sinks are per-*worker* while clocks are
-/// per-*client* — O(1) bookkeeping per event regardless of population.
+/// Everything one driver produced, returned to the coordinator at join.
 #[derive(Debug)]
-pub(crate) struct LaneSinks {
-    /// Completed operations as `(global index, record)`.
-    pub ops: Vec<(u64, OpRecord)>,
-    /// Virtual time a client first saw each phase (min-folded at merge).
-    pub phase_first: Vec<(usize, f64)>,
-    /// Latency histogram + per-interval completion counts.
-    pub recorder: LaneRecorder,
-    /// Observability state (events, counters, histogram).
-    pub obs: LaneObs,
-    /// Fault-injection accounting.
-    pub faults: FaultStats,
+pub(crate) struct LaneResult {
+    /// Lane index (worker index for the open-loop scheduler).
+    pub lane: usize,
+    /// Records, phase first-seen times, statistics, observability state.
+    pub sinks: Sinks,
+    /// Latest client clock after the final backlog payment.
+    pub final_clock: f64,
 }
 
-impl LaneSinks {
-    pub(crate) fn new(params: &LaneParams, lane: usize) -> Result<Self> {
-        Ok(LaneSinks {
-            ops: Vec::new(),
-            phase_first: Vec::new(),
-            recorder: LaneRecorder::new(params.exec_start, params.interval_width)?,
-            obs: LaneObs::for_lane(lane, params.obs_cfg, params.obs_active),
-            faults: FaultStats::default(),
-        })
-    }
+/// Runs `work` over each input on its own scoped thread and joins them in
+/// order, surfacing the first error or panic.
+pub(crate) fn on_workers<T: Send, R: Send>(
+    inputs: Vec<T>,
+    work: impl Fn(T) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .map(|input| {
+                let work = &work;
+                scope.spawn(move || work(input))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .map_err(|_| BenchError::Sut("engine worker panicked".to_string()))?
+            })
+            .collect()
+    })
 }
 
-/// Executes one operation for one client — exactly the serial driver's
-/// loop: phase announcement, maintenance slot, arrival wait, execute,
-/// backlog-aware service, coordinated-omission-safe latency. Shared by
-/// the lane workers below and the open-loop scheduler.
-pub(crate) fn step_op<T: SystemUnderTest<Operation> + ?Sized>(
-    client: &mut ClientState,
-    sinks: &mut LaneSinks,
-    sut: &mut T,
-    op: &LaneOp,
+/// Runs every lane on `threads` workers (lane → worker by `lane %
+/// threads`, lanes of one worker in lane order).
+pub(crate) fn run_lane_jobs<S>(
+    jobs: Vec<LaneJob<'_, '_, S>>,
+    threads: usize,
     params: &LaneParams,
-    session: Option<&FaultSession>,
-) -> Result<()> {
-    let labeled = &op.labeled;
-    if labeled.phase != client.current_phase {
-        client.current_phase = labeled.phase;
-        sinks.phase_first.push((labeled.phase, client.clock));
-        sinks.obs.phase_change(client.clock, labeled.phase);
-        if op.announce {
-            let adapt_work = sut.on_phase_change(labeled.phase);
-            client.backlog += adapt_work as f64 / params.rate;
-            sinks
-                .obs
-                .retrain_burst(client.clock, labeled.phase, adapt_work);
-            sinks.obs.backlog(client.clock, client.backlog);
-        }
-    }
-    client.since_maintenance += 1;
-    if client.since_maintenance >= params.maintenance_every {
-        client.since_maintenance = 0;
-        let maint_work = sut.maintenance();
-        client.backlog += maint_work as f64 / params.rate;
-        sinks.obs.maintenance(client.clock, maint_work);
-        sinks.obs.backlog(client.clock, client.backlog);
-    }
-    // Open loop: idle until the intended start if the client is ahead of
-    // schedule; if it is behind, the operation has been queueing and its
-    // wait will surface in the latency below.
-    if let Some(intended) = op.intended {
-        if intended > client.clock {
-            client.clock = intended;
-        }
-    }
-    let (latency, ok) = match session {
-        None => {
-            let before = sut.transport_stats();
-            let outcome = sut
-                .execute(&labeled.op)
-                .map_err(|e| BenchError::Sut(e.to_string()))?;
-            fold_transport_delta(
-                before,
-                sut.transport_stats(),
-                &mut sinks.faults,
-                &mut sinks.obs,
-                client.clock,
-            );
-            let service = service_with_backlog(
-                outcome.work as f64 / params.rate,
-                &mut client.backlog,
-                params.online_train,
-            );
-            client.clock += service;
-            // Closed loop: latency = service. Open loop: completion minus
-            // the *intended* start, so queueing delay is never omitted.
-            let latency = match op.intended {
-                Some(intended) => client.clock - intended,
-                None => service,
-            };
-            (latency, outcome.ok)
-        }
-        Some(session) => {
-            // Every decision in here is a pure function of the plan seed
-            // and `op.idx`, so clients stay thread-invariant.
-            let before = sut.transport_stats();
-            let fr = execute_faulted(
-                sut,
-                &labeled.op,
-                FaultOpCtx {
-                    phase: labeled.phase,
-                    idx: op.idx,
-                    rate: params.rate,
-                    mode: params.online_train,
-                },
-                session,
-                &mut client.backlog,
-            )?;
-            fold_transport_delta(
-                before,
-                sut.transport_stats(),
-                &mut sinks.faults,
-                &mut sinks.obs,
-                client.clock,
-            );
-            client.clock += fr.service;
-            // The client stays busy for the full service; it observes
-            // timed-out attempts only up to the timeout.
-            let latency = match op.intended {
-                Some(intended) => client.clock - intended - (fr.service - fr.observed),
-                None => fr.observed,
-            };
-            for kind in &fr.injected {
-                sinks.obs.fault_injected(client.clock, *kind);
-            }
-            for attempt in 0..fr.retries {
-                sinks.obs.query_retried(client.clock, attempt + 1);
-            }
-            for _ in 0..fr.timeouts {
-                sinks.obs.query_timed_out(client.clock, latency);
-            }
-            fr.fold_into(&mut sinks.faults);
-            (latency, fr.ok)
-        }
-    };
-    let record = OpRecord {
-        t_end: client.clock,
-        latency,
-        phase: labeled.phase as u16,
-        ok,
-        in_transition: labeled.in_transition,
-    };
-    sinks.recorder.record(client.clock, latency)?;
-    sinks
-        .obs
-        .op_done(client.clock, client.clock - params.exec_start, latency, ok);
-    sinks.ops.push((op.idx, record));
-    Ok(())
-}
-
-/// Per-lane virtual execution state, advanced one operation at a time in
-/// exactly the serial driver's order: one [`ClientState`] owning the
-/// lane's whole stream, plus the lane's own sinks.
-struct LaneState {
-    client: ClientState,
-    sinks: LaneSinks,
-}
-
-impl LaneState {
-    fn new(params: &LaneParams, lane: usize) -> Result<Self> {
-        Ok(LaneState {
-            client: ClientState::new(params.exec_start),
-            sinks: LaneSinks::new(params, lane)?,
-        })
-    }
-
-    fn step<T: SystemUnderTest<Operation> + ?Sized>(
-        &mut self,
-        sut: &mut T,
-        op: &LaneOp,
-        params: &LaneParams,
-        session: Option<&FaultSession>,
-    ) -> Result<()> {
-        step_op(&mut self.client, &mut self.sinks, sut, op, params, session)
-    }
-
-    /// Pays any remaining adaptation backlog and returns the lane's result.
-    fn finish(mut self, lane: usize) -> LaneResult {
-        let final_clock = self.client.finish();
-        LaneResult {
-            lane,
-            ops: self.sinks.ops,
-            phase_first: self.sinks.phase_first,
-            final_clock,
-            recorder: self.sinks.recorder,
-            obs: self.sinks.obs,
-            faults: self.sinks.faults,
-        }
-    }
-}
-
-/// One worker's main loop: drain batches until every sender hangs up,
-/// then return the finished lanes.
-pub(crate) fn run_worker<S>(
-    rx: Receiver<Batch>,
-    mut suts: WorkerSut<'_, '_, S>,
-    params: &LaneParams,
-    faults: Option<&FaultSession>,
 ) -> Result<Vec<LaneResult>>
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
-    let mut states: BTreeMap<usize, LaneState> = BTreeMap::new();
-    let mut done: Vec<LaneResult> = Vec::new();
-    for batch in rx.iter() {
-        let mut state = match states.remove(&batch.lane) {
-            Some(s) => s,
-            None => LaneState::new(params, batch.lane)?,
-        };
-        match &mut suts {
-            WorkerSut::Shared(mutex) => {
-                for op in &batch.ops {
-                    // Lock per operation: physical mutual exclusion on the
-                    // shared SUT without serializing whole batches.
-                    let mut guard = mutex
-                        .lock()
-                        .map_err(|_| BenchError::Sut("shared SUT mutex poisoned".to_string()))?;
-                    state.step(&mut **guard, op, params, faults)?;
-                }
-            }
-            WorkerSut::Sharded(owned) => {
-                let sut = owned
-                    .iter_mut()
-                    .find(|(lane, _)| *lane == batch.lane)
-                    .map(|(_, sut)| sut)
-                    .ok_or_else(|| {
-                        BenchError::InvalidScenario(format!(
-                            "lane {} routed to a worker that does not own its shard",
-                            batch.lane
-                        ))
-                    })?;
-                for op in &batch.ops {
-                    state.step(sut.as_mut(), op, params, faults)?;
-                }
-            }
-        }
-        if batch.last {
-            done.push(state.finish(batch.lane));
-        } else {
-            states.insert(batch.lane, state);
-        }
+    let mut per_worker: Vec<Vec<LaneJob<'_, '_, S>>> = (0..threads).map(|_| Vec::new()).collect();
+    for job in jobs {
+        per_worker[job.lane % threads].push(job);
     }
-    // Lanes whose final batch never arrived would silently truncate the
-    // run; that is a coordinator bug, not a data condition.
-    if !states.is_empty() {
-        return Err(BenchError::InvalidScenario(
-            "worker channel closed before all lanes finished".to_string(),
-        ));
-    }
-    Ok(done)
+    let done = on_workers(per_worker, |jobs| {
+        jobs.into_iter()
+            .map(|mut job| {
+                let final_clock =
+                    drive_inline(job.sut, job.ops.into_iter(), &mut job.sinks, params)?;
+                Ok(LaneResult {
+                    lane: job.lane,
+                    sinks: job.sinks,
+                    final_clock,
+                })
+            })
+            .collect::<Result<Vec<_>>>()
+    })?;
+    Ok(done.into_iter().flatten().collect())
 }

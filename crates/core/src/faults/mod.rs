@@ -29,11 +29,10 @@
 //!
 //! [`RunRecord::faults`]: crate::record::RunRecord::faults
 
-use crate::driver::service_with_backlog;
+use crate::exec::service_with_backlog;
 use crate::scenario::{OnlineTrainMode, Scenario};
 use crate::{BenchError, Result};
 use lsbench_sut::sut::SystemUnderTest;
-use lsbench_workload::ops::Operation;
 use lsbench_workload::phases::WorkloadPhase;
 use serde::{Deserialize, Serialize};
 
@@ -462,9 +461,9 @@ pub struct FaultOpCtx {
 /// runs stay deterministic. Permanent SUT failures (`ExecOutcome::failed`)
 /// are not retried. The first attempt absorbs the training/maintenance
 /// backlog exactly like the unfaulted path.
-pub fn execute_faulted<S: SystemUnderTest<Operation> + ?Sized>(
+pub fn execute_faulted<Op, S: SystemUnderTest<Op> + ?Sized>(
     sut: &mut S,
-    op: &Operation,
+    op: &Op,
     ctx: FaultOpCtx,
     session: &FaultSession,
     backlog: &mut f64,

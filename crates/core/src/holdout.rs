@@ -52,8 +52,8 @@ impl HoldoutReport {
 /// no training, effectively-disabled maintenance, no arrival schedule, no
 /// nested hold-out, and no fault plan (the builder defaults to `None`, so
 /// hold-out passes always measure the unperturbed system). Errors if the
-/// scenario has no hold-out. Shared by the serial [`run_holdout`] and the
-/// concurrent engine's sharded hold-out.
+/// scenario has no hold-out. Shared by [`run_holdout`] and the
+/// [`Runner`](crate::runner::Runner)'s hold-out pass.
 pub(crate) fn one_shot_scenario(scenario: &Scenario) -> Result<Scenario> {
     let holdout = scenario
         .holdout

@@ -8,7 +8,11 @@
 //!   phases (§V-A/§V-B configuration).
 //! * [`driver`] — the benchmark driver: load → train → phased execution
 //!   with per-query records on a deterministic virtual clock, maintenance
-//!   slots, and phase-change notifications.
+//!   slots, and phase-change notifications. That timing rule is written
+//!   once, in the crate-private execution core (`exec.rs`: op source,
+//!   prologue/epilogue, one `step`, two drivers); serial runs, trace
+//!   replay, the query workload, hold-out and every [`engine`] mode are
+//!   policies over it.
 //! * [`record`] — run records: every completed query with timestamp,
 //!   latency, phase, and success flag, plus training info and SUT metrics.
 //! * [`metrics`] — the paper's new metric families:
@@ -68,6 +72,7 @@
 pub mod capacity;
 pub mod driver;
 pub mod engine;
+mod exec;
 pub mod faults;
 pub mod holdout;
 pub mod metrics;
@@ -86,13 +91,12 @@ pub mod wire;
 
 pub use capacity::{capacity_search, CapacityConfig, CapacityPoint, CapacityReport, SlaTarget};
 pub use driver::{
-    run_kv_scenario, run_kv_scenario_observed, run_kv_scenario_timed, run_kv_trace,
-    run_kv_trace_open_loop, run_query_workload, DriverConfig, ReplayConfig,
+    run_kv_scenario, run_kv_trace, run_kv_trace_open_loop, run_query_workload, DriverConfig,
+    ReplayConfig,
 };
 pub use engine::{
-    run_concurrent_kv_scenario, run_concurrent_kv_scenario_observed, run_open_loop_kv_scenario,
-    run_open_loop_kv_scenario_observed, run_sharded_holdout, run_sharded_kv_scenario,
-    run_sharded_kv_scenario_observed, shard_dataset, EngineConfig, EngineReport, KeyRouter,
+    run_concurrent_kv_scenario, run_open_loop_kv_scenario, run_sharded_kv_scenario, shard_dataset,
+    EngineConfig, EngineReport, KeyRouter,
 };
 pub use faults::{FaultKind, FaultPlan, FaultSpec, FaultStats, RetryPolicy};
 pub use holdout::HoldoutReport;

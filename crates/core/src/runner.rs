@@ -1,31 +1,24 @@
 //! The unified run facade.
 //!
-//! Historically each execution mode had its own entry point —
-//! [`run_kv_scenario`](crate::driver::run_kv_scenario) for serial runs,
-//! [`run_concurrent_kv_scenario`](crate::engine::run_concurrent_kv_scenario)
-//! for shared-SUT concurrency,
-//! [`run_sharded_kv_scenario`](crate::engine::run_sharded_kv_scenario) for
-//! key-range sharding,
-//! [`run_open_loop_kv_scenario`](crate::engine::run_open_loop_kv_scenario)
-//! for multiplexed open-loop client populations, and
-//! [`run_holdout`](crate::holdout::run_holdout) for the out-of-sample pass
-//! — and every caller chose a code path by hand. [`Runner`] collapses
-//! them: describe *what* to run with [`RunOptions`] (an explicit
+//! Describe *what* to run with [`RunOptions`] (an explicit
 //! [`ExecutionMode`], operation cap, hold-out, observability) and the
-//! runner picks the path:
+//! [`Runner`] builds the SUT(s) once, hands them to the execution core
+//! (`exec.rs`), and optionally runs the hold-out pass:
 //!
 //! ```text
 //! Runner::new(&mut sut).config(opts).run(&scenario)?          // one SUT
 //! Runner::from_factory(|data| build(data)).run(&scenario)?    // per-shard SUTs
 //! ```
 //!
-//! * [`ExecutionMode::Serial`] → the serial driver.
-//! * [`ExecutionMode::SharedLock`] → the concurrent engine in shared-mutex
-//!   mode (a factory builds one SUT from the full dataset first).
+//! The mode only picks the op partition, the SUT access and the driver
+//! (see the table in [`crate::engine`]):
+//!
+//! * [`ExecutionMode::Serial`] → one inline client on the caller's thread.
+//! * [`ExecutionMode::SharedLock`] → lanes over one shared SUT behind a
+//!   mutex (a factory builds one SUT from the full dataset first).
 //! * [`ExecutionMode::Sharded`] → the dataset is key-range-sharded and each
 //!   lane owns one factory-built shard. With a single borrowed SUT there is
-//!   nothing to shard, so this degrades to shared-mutex mode (the historic
-//!   `with_concurrency` behavior).
+//!   nothing to shard, so this degrades to shared-lock lanes.
 //! * [`ExecutionMode::OpenLoop`] → the event-heap scheduler multiplexes
 //!   `clients` simulated open-loop clients onto `workers` threads
 //!   ([`crate::engine::sched`]); the scenario must carry an
@@ -34,12 +27,17 @@
 //! Every path reports through the same [`RunOutcome`]: the merged
 //! [`RunRecord`], optional engine statistics, optional hold-out
 //! comparison, and whatever the observability layer collected.
+//!
+//! The thin per-mode functions tests, benches and examples call directly —
+//! [`run_kv_scenario`](crate::driver::run_kv_scenario),
+//! [`run_concurrent_kv_scenario`](crate::engine::run_concurrent_kv_scenario),
+//! [`run_sharded_kv_scenario`](crate::engine::run_sharded_kv_scenario),
+//! [`run_open_loop_kv_scenario`](crate::engine::run_open_loop_kv_scenario),
+//! [`run_holdout`](crate::holdout::run_holdout) — enter the same core.
 
-use crate::driver::{run_kv_scenario_observed, run_kv_scenario_timed, DriverConfig};
-use crate::engine::{
-    run_concurrent_kv_scenario_observed, run_open_loop_kv_scenario_observed,
-    run_sharded_kv_scenario_observed, shard_dataset, EngineConfig, EngineReport,
-};
+use crate::driver::{run_serial, DriverConfig};
+use crate::engine::sched::run_heap;
+use crate::engine::{run_lanes, shard_dataset, EngineConfig, LaneSuts, Tuning};
 use crate::holdout::{one_shot_scenario, HoldoutReport};
 use crate::obs::{MetricsRegistry, ObsConfig, RunObserver, SpanNode, TraceLog};
 use crate::record::RunRecord;
@@ -50,6 +48,7 @@ use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::dataset::Dataset;
 use lsbench_workload::ops::Operation;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// A boxed key-value system under test, as produced by SUT factories and
 /// the [`SutRegistry`](crate::sut_registry::SutRegistry).
@@ -134,11 +133,6 @@ pub struct RunOptions {
     pub threads: Option<usize>,
     /// Cap on executed operations.
     pub max_ops: u64,
-    /// Operations per engine channel batch (and per scheduler event
-    /// batch in open-loop mode).
-    pub batch_size: usize,
-    /// Engine completion-counter interval width (virtual seconds).
-    pub completion_interval: f64,
     /// Also run the scenario's hold-out workload once after the main run
     /// and report the generalization ratio (§V-A).
     pub holdout: bool,
@@ -154,13 +148,10 @@ pub struct RunOptions {
 
 impl Default for RunOptions {
     fn default() -> Self {
-        let engine = EngineConfig::default();
         RunOptions {
             mode: ExecutionMode::Serial,
             threads: None,
             max_ops: u64::MAX,
-            batch_size: engine.batch_size,
-            completion_interval: engine.completion_interval,
             holdout: false,
             obs: ObsConfig::default(),
             clock: ClockMode::Sim,
@@ -177,23 +168,6 @@ impl RunOptions {
         }
     }
 
-    /// Legacy constructor from a bare lane count: `n <= 1` is serial,
-    /// anything larger maps to [`ExecutionMode::Sharded`] (which the
-    /// runner degrades to shared-mutex when it only holds one SUT — the
-    /// exact historic routing).
-    #[deprecated(
-        since = "0.1.0",
-        note = "name the concurrency model explicitly with `RunOptions::with_mode(ExecutionMode::...)`"
-    )]
-    pub fn with_concurrency(n: usize) -> Self {
-        let mode = if n <= 1 {
-            ExecutionMode::Serial
-        } else {
-            ExecutionMode::Sharded { workers: n }
-        };
-        RunOptions::with_mode(mode)
-    }
-
     fn engine_config(&self) -> EngineConfig {
         let (default_threads, lanes) = match self.mode {
             ExecutionMode::Serial => (1, 1),
@@ -206,17 +180,6 @@ impl RunOptions {
             threads: self.threads.unwrap_or(default_threads).max(1),
             lanes,
             max_ops: self.max_ops,
-            batch_size: self.batch_size,
-            completion_interval: self.completion_interval,
-        }
-    }
-
-    fn driver_config(&self) -> DriverConfig {
-        DriverConfig {
-            max_ops: self.max_ops,
-            mode: ExecutionMode::Serial,
-            clock: self.clock,
-            ..DriverConfig::default()
         }
     }
 }
@@ -235,17 +198,6 @@ pub struct EngineStats {
     pub threads: usize,
     /// Logical lanes used (the client count in open-loop mode).
     pub lanes: usize,
-}
-
-impl EngineStats {
-    fn from_report(report: &EngineReport) -> Self {
-        EngineStats {
-            latency: report.latency.clone(),
-            completions: report.completions.clone(),
-            threads: report.threads,
-            lanes: report.lanes,
-        }
-    }
 }
 
 /// Host wall-clock statistics for a run executed with [`ClockMode::Wall`],
@@ -319,10 +271,13 @@ pub struct RunOutcome {
 /// A boxed per-shard SUT constructor, as held by [`Runner::from_factory`].
 type SutFactory<'a> = Box<dyn FnMut(&Dataset) -> Result<BoxedKvSut> + 'a>;
 
+/// The SUT type the runner drives (borrowed or factory-built).
+type DynKvSut = dyn SystemUnderTest<Operation> + Send;
+
 /// The system(s) under test a [`Runner`] drives.
 enum RunnerSut<'a> {
     /// One caller-built SUT, already loaded with the scenario's dataset.
-    Single(&'a mut (dyn SystemUnderTest<Operation> + Send)),
+    Single(&'a mut DynKvSut),
     /// A constructor invoked per shard (or once, for the non-sharded
     /// modes) with the freshly built dataset.
     Factory(SutFactory<'a>),
@@ -339,7 +294,7 @@ impl<'a> Runner<'a> {
     /// scenario's dataset). The shared-lock and open-loop modes drive it
     /// directly; `Sharded` degrades to shared-lock (one SUT cannot be
     /// range-split).
-    pub fn new(sut: &'a mut (dyn SystemUnderTest<Operation> + Send)) -> Self {
+    pub fn new(sut: &'a mut DynKvSut) -> Self {
         Runner {
             sut: RunnerSut::Single(sut),
             opts: RunOptions::default(),
@@ -364,143 +319,63 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Runs the scenario, routing to the serial driver, the shared-SUT
-    /// engine, the sharded engine, or the open-loop scheduler based on
-    /// the configured [`ExecutionMode`].
+    /// Runs the scenario: build the SUT(s) once (borrowed, factory-built,
+    /// or factory-built per shard), run them through the execution core in
+    /// the configured [`ExecutionMode`], then optionally the hold-out pass
+    /// on the same SUT(s).
     pub fn run(&mut self, scenario: &Scenario) -> Result<RunOutcome> {
         self.opts.mode.validate()?;
         let opts = self.opts;
         let mut obs = RunObserver::new(opts.obs);
-        // Engine paths have no per-op wall recorder; when clock=wall they
+        // Engine runs have no per-op wall recorder; when clock=wall they
         // get a coarse elapsed/throughput capture measured from here (so
         // the window includes dataset build for factory runs — coarse by
-        // name and by nature; the serial driver owns precise capture).
-        let coarse_start = (opts.clock == ClockMode::Wall).then(std::time::Instant::now);
-        let coarse = |started: Option<std::time::Instant>, record: &RunRecord| {
-            started.map(|t0| WallStats::coarse(t0.elapsed().as_secs_f64(), record.ops.len() as u64))
+        // name and by nature; the serial policy owns precise capture).
+        let coarse_start = Instant::now();
+        let mut built: Vec<BoxedKvSut> = Vec::new();
+        let mut router = None;
+        if let RunnerSut::Factory(factory) = &mut self.sut {
+            let span = obs.spans.enter("bulk-load");
+            let data = scenario.dataset.build()?;
+            if let ExecutionMode::Sharded { workers } = opts.mode {
+                let (split, shards) = shard_dataset(&data, workers)?;
+                built = shards.iter().map(factory).collect::<Result<_>>()?;
+                router = Some(split);
+            } else {
+                built.push(factory(&data)?);
+            }
+            obs.spans.exit(span);
+        }
+        let mut suts = match (&mut self.sut, &router) {
+            (RunnerSut::Single(sut), _) => LaneSuts::Shared(&mut **sut),
+            (RunnerSut::Factory(_), Some(router)) => LaneSuts::Shards(&mut built, router),
+            (RunnerSut::Factory(_), None) => LaneSuts::Shared(built[0].as_mut()),
         };
-        let (record, engine, holdout, wall) = match (&mut self.sut, opts.mode) {
-            (RunnerSut::Single(sut), ExecutionMode::Serial) => {
-                let span = obs.spans.enter("run");
-                let (record, wall) =
-                    run_kv_scenario_timed(*sut, scenario, opts.driver_config(), &mut obs)?;
-                obs.spans.exit(span);
-                let holdout = run_serial_holdout(&mut obs, *sut, scenario, opts, &record)?;
-                (record, None, holdout, wall)
-            }
-            (
-                RunnerSut::Single(sut),
-                ExecutionMode::SharedLock { .. } | ExecutionMode::Sharded { .. },
-            ) => {
-                let span = obs.spans.enter("run");
-                let report = run_concurrent_kv_scenario_observed(
-                    *sut,
-                    scenario,
-                    &opts.engine_config(),
-                    &mut obs,
-                )?;
-                obs.spans.exit(span);
-                let wall = coarse(coarse_start, &report.record);
-                let holdout = run_serial_holdout(&mut obs, *sut, scenario, opts, &report.record)?;
-                let stats = EngineStats::from_report(&report);
-                (report.record, Some(stats), holdout, wall)
-            }
-            (RunnerSut::Single(sut), ExecutionMode::OpenLoop { .. }) => {
-                let span = obs.spans.enter("run");
-                let report = run_open_loop_kv_scenario_observed(
-                    *sut,
-                    scenario,
-                    &opts.engine_config(),
-                    &mut obs,
-                )?;
-                obs.spans.exit(span);
-                let wall = coarse(coarse_start, &report.record);
-                let holdout = run_serial_holdout(&mut obs, *sut, scenario, opts, &report.record)?;
-                let stats = EngineStats::from_report(&report);
-                (report.record, Some(stats), holdout, wall)
-            }
-            (RunnerSut::Factory(factory), ExecutionMode::Serial) => {
-                let span = obs.spans.enter("bulk-load");
-                let data = scenario.dataset.build()?;
-                let mut sut = factory(&data)?;
-                obs.spans.exit(span);
-                let span = obs.spans.enter("run");
-                let (record, wall) =
-                    run_kv_scenario_timed(sut.as_mut(), scenario, opts.driver_config(), &mut obs)?;
-                obs.spans.exit(span);
-                let holdout = run_serial_holdout(&mut obs, sut.as_mut(), scenario, opts, &record)?;
-                (record, None, holdout, wall)
-            }
-            (RunnerSut::Factory(factory), ExecutionMode::SharedLock { .. }) => {
-                let span = obs.spans.enter("bulk-load");
-                let data = scenario.dataset.build()?;
-                let mut sut = factory(&data)?;
-                obs.spans.exit(span);
-                let span = obs.spans.enter("run");
-                let report = run_concurrent_kv_scenario_observed(
-                    sut.as_mut(),
-                    scenario,
-                    &opts.engine_config(),
-                    &mut obs,
-                )?;
-                obs.spans.exit(span);
-                let wall = coarse(coarse_start, &report.record);
-                let holdout =
-                    run_serial_holdout(&mut obs, sut.as_mut(), scenario, opts, &report.record)?;
-                let stats = EngineStats::from_report(&report);
-                (report.record, Some(stats), holdout, wall)
-            }
-            (RunnerSut::Factory(factory), ExecutionMode::OpenLoop { .. }) => {
-                let span = obs.spans.enter("bulk-load");
-                let data = scenario.dataset.build()?;
-                let mut sut = factory(&data)?;
-                obs.spans.exit(span);
-                let span = obs.spans.enter("run");
-                let report = run_open_loop_kv_scenario_observed(
-                    sut.as_mut(),
-                    scenario,
-                    &opts.engine_config(),
-                    &mut obs,
-                )?;
-                obs.spans.exit(span);
-                let wall = coarse(coarse_start, &report.record);
-                let holdout =
-                    run_serial_holdout(&mut obs, sut.as_mut(), scenario, opts, &report.record)?;
-                let stats = EngineStats::from_report(&report);
-                (report.record, Some(stats), holdout, wall)
-            }
-            (RunnerSut::Factory(factory), ExecutionMode::Sharded { workers }) => {
-                let span = obs.spans.enter("bulk-load");
-                let data = scenario.dataset.build()?;
-                let (router, shards) = shard_dataset(&data, workers)?;
-                let mut suts = shards.iter().map(factory).collect::<Result<Vec<_>>>()?;
-                obs.spans.exit(span);
-                let config = opts.engine_config();
-                let span = obs.spans.enter("run");
-                let report = run_sharded_kv_scenario_observed(
-                    &mut suts, &router, scenario, &config, &mut obs,
-                )?;
-                obs.spans.exit(span);
-                let wall = coarse(coarse_start, &report.record);
-                let holdout = if opts.holdout {
-                    let span = obs.spans.enter("holdout");
-                    let one_shot = one_shot_scenario(scenario)?;
-                    let hold = run_sharded_kv_scenario_observed(
-                        &mut suts,
-                        &router,
-                        &one_shot,
-                        &config,
-                        &mut RunObserver::disabled(),
-                    )?;
-                    obs.spans.exit(span);
-                    let cmp = HoldoutReport::new(&report.record, &hold.record)?;
-                    Some((hold.record, cmp))
-                } else {
-                    None
-                };
-                let stats = EngineStats::from_report(&report);
-                (report.record, Some(stats), holdout, wall)
-            }
+
+        let span = obs.spans.enter("run");
+        let (record, engine, mut wall) = execute(&mut suts, scenario, &opts, &mut obs)?;
+        obs.spans.exit(span);
+        if engine.is_some() && opts.clock == ClockMode::Wall {
+            let elapsed = coarse_start.elapsed().as_secs_f64();
+            wall = Some(WallStats::coarse(elapsed, record.ops.len() as u64));
+        }
+        // The hold-out pass gives the SUT no adaptation opportunity and is
+        // not observed, so the main run's trace stays a trace of the main
+        // run. Shards re-run sharded; a single SUT runs it serially.
+        let holdout = if opts.holdout {
+            let span = obs.spans.enter("holdout");
+            let one_shot = one_shot_scenario(scenario)?;
+            let hold_opts = match suts {
+                LaneSuts::Shards(..) => opts,
+                LaneSuts::Shared(_) => RunOptions::default(),
+            };
+            let unobserved = &mut RunObserver::disabled();
+            let (hold, _, _) = execute(&mut suts, &one_shot, &hold_opts, unobserved)?;
+            obs.spans.exit(span);
+            let cmp = HoldoutReport::new(&record, &hold)?;
+            Some((hold, cmp))
+        } else {
+            None
         };
         let report = obs.finish()?;
         Ok(RunOutcome {
@@ -515,30 +390,35 @@ impl<'a> Runner<'a> {
     }
 }
 
-/// Shared serial hold-out pass: runs the one-shot scenario on the same SUT
-/// (no adaptation opportunity), with observation disabled so the main
-/// run's trace stays a trace of the main run.
-fn run_serial_holdout(
-    obs: &mut RunObserver,
-    sut: &mut (dyn SystemUnderTest<Operation> + Send),
+/// One pass through the execution core in `opts.mode`.
+fn execute(
+    suts: &mut LaneSuts<'_, DynKvSut>,
     scenario: &Scenario,
-    opts: RunOptions,
-    main: &RunRecord,
-) -> Result<Option<(RunRecord, HoldoutReport)>> {
-    if !opts.holdout {
-        return Ok(None);
-    }
-    let span = obs.spans.enter("holdout");
-    let one_shot = one_shot_scenario(scenario)?;
-    let hold = run_kv_scenario_observed(
-        sut,
-        &one_shot,
-        DriverConfig::default(),
-        &mut RunObserver::disabled(),
-    )?;
-    obs.spans.exit(span);
-    let cmp = HoldoutReport::new(main, &hold)?;
-    Ok(Some((hold, cmp)))
+    opts: &RunOptions,
+    obs: &mut RunObserver,
+) -> Result<(RunRecord, Option<EngineStats>, Option<WallStats>)> {
+    let engine = opts.engine_config();
+    let report = match (opts.mode, suts) {
+        (ExecutionMode::Serial, LaneSuts::Shared(sut)) => {
+            let config = DriverConfig {
+                max_ops: opts.max_ops,
+                clock: opts.clock,
+            };
+            let (record, wall) = run_serial(&mut **sut, scenario, config, obs)?;
+            return Ok((record, None, wall));
+        }
+        (ExecutionMode::OpenLoop { .. }, LaneSuts::Shared(sut)) => {
+            run_heap(&mut **sut, scenario, &engine, Tuning::default(), obs)?
+        }
+        (_, suts) => run_lanes(suts, scenario, &engine, Tuning::default(), obs)?,
+    };
+    let stats = EngineStats {
+        latency: report.latency,
+        completions: report.completions,
+        threads: report.threads,
+        lanes: report.lanes,
+    };
+    Ok((report.record, Some(stats), None))
 }
 
 #[cfg(test)]
@@ -623,31 +503,6 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.engine.as_ref().unwrap().lanes, 2);
         assert_eq!(outcome.record.completed(), 2_000);
-    }
-
-    #[test]
-    fn deprecated_concurrency_shim_keeps_historic_routing() {
-        // `with_concurrency(n)` on a single borrowed SUT historically ran
-        // the shared-mutex engine with `n` lanes; the shim must preserve
-        // that (via Sharded-degrades-to-shared).
-        let s = scenario();
-        let data = s.dataset.build().unwrap();
-        let mut sut = BTreeSut::build(&data).unwrap();
-        #[allow(deprecated)]
-        let opts = RunOptions::with_concurrency(2);
-        assert_eq!(opts.mode, ExecutionMode::Sharded { workers: 2 });
-        let legacy = Runner::new(&mut sut).config(opts).run(&s).unwrap();
-        let mut sut2 = BTreeSut::build(&data).unwrap();
-        let explicit = Runner::new(&mut sut2)
-            .config(RunOptions::with_mode(ExecutionMode::SharedLock {
-                workers: 2,
-            }))
-            .run(&s)
-            .unwrap();
-        assert_eq!(legacy.record.ops, explicit.record.ops);
-        #[allow(deprecated)]
-        let serial = RunOptions::with_concurrency(1);
-        assert_eq!(serial.mode, ExecutionMode::Serial);
     }
 
     #[test]

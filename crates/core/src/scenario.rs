@@ -181,11 +181,9 @@ impl DatasetSpec {
 /// standard defaults and validates on [`ScenarioBuilder::build`], so an
 /// inconsistent scenario fails at construction instead of mid-run. The
 /// fields stay public for inspection and targeted tweaks of a built
-/// scenario, but populating the struct literally is a deprecated pattern —
-/// it silently compiles with nonsense (zero rates, empty datasets) that
-/// the builder rejects. The deprecated [`raw`](Scenario::raw) marker field
-/// makes the compiler say so: a struct literal has to name it and earns a
-/// deprecation warning, while builder-made scenarios never touch it.
+/// scenario; a struct literal compiles with nonsense (zero rates, empty
+/// datasets) that the builder rejects, and every run entry point
+/// re-validates for exactly that reason.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name for reports.
@@ -222,15 +220,6 @@ pub struct Scenario {
     /// blocks or the `--faults` CLI flag). `None` = unfaulted run taking
     /// the exact unperturbed code path.
     pub faults: Option<FaultPlan>,
-    /// Deprecation marker for raw struct-literal construction: a literal
-    /// must name this field (`raw: ()`), which trips the deprecation lint
-    /// and points at [`Scenario::builder`]. Carries no data.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct scenarios with `Scenario::builder(..)` (validates on build) or a \
-                `scenarios/*.spec` file instead of a raw struct literal"
-    )]
-    pub raw: (),
 }
 
 impl Scenario {
@@ -544,7 +533,6 @@ impl ScenarioBuilder {
 
     /// Assembles and validates the scenario. Errors if the dataset or
     /// workload is missing, or if any field fails [`Scenario::validate`].
-    #[allow(deprecated)] // the builder is the one sanctioned literal constructor
     pub fn build(self) -> Result<Scenario> {
         let dataset = self.dataset.ok_or_else(|| {
             BenchError::InvalidScenario(format!("scenario '{}' has no dataset", self.name))
@@ -567,7 +555,6 @@ impl ScenarioBuilder {
             clock: self.clock,
             online_train: self.online_train,
             faults: self.faults,
-            raw: (),
         };
         scenario.validate()?;
         Ok(scenario)

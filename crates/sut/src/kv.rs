@@ -122,6 +122,13 @@ impl<I: Index + BulkLoad> LearnedKvSut<I> {
     }
 }
 
+impl<I: Index + BulkLoad> ReadPath for LearnedKvSut<I> {
+    type Ix = DeltaIndex<I>;
+    fn read_path(&mut self) -> (&Self::Ix, &mut u64) {
+        (&self.index, &mut self.execution_work)
+    }
+}
+
 impl<I: Index + BulkLoad> SystemUnderTest<Operation> for LearnedKvSut<I> {
     fn name(&self) -> String {
         self.name.clone()
@@ -137,48 +144,14 @@ impl<I: Index + BulkLoad> SystemUnderTest<Operation> for LearnedKvSut<I> {
     fn execute(&mut self, op: &Operation) -> Result<ExecOutcome> {
         let work = self.op_cost(op);
         self.execution_work += work;
-        let result = apply_op(&mut self.index, op);
-        match result {
-            Ok(()) => Ok(ExecOutcome::ok(work)),
-            Err(IndexError::Unsupported(_)) => Ok(ExecOutcome::failed(work)),
-            Err(e) => Err(SutError::Internal(e.to_string())),
-        }
+        degrade(apply_op(&mut self.index, op), work)
     }
 
     fn execute_many(&mut self, ops: &[Operation]) -> Vec<Result<ExecOutcome>> {
-        // Batched dispatch: reads never fail and never mutate, so the
-        // fast path skips the per-op cost-model match and the delta-size
-        // probe the general path recomputes every call, and routes each
-        // run of consecutive reads through `Index::get_many` so the base
-        // index can overlap their cache misses. The work charged per read
-        // is `probe_cost(key)` either way — batching never changes the
-        // record.
-        let mut out = Vec::with_capacity(ops.len());
-        let mut keys: Vec<u64> = Vec::new();
-        let mut hits: Vec<Option<u64>> = Vec::new();
-        let mut i = 0;
-        while i < ops.len() {
-            let Operation::Read { key } = ops[i] else {
-                out.push(self.execute(&ops[i]));
-                i += 1;
-                continue;
-            };
-            keys.clear();
-            keys.push(key);
-            while let Some(&Operation::Read { key }) = ops.get(i + keys.len()) {
-                keys.push(key);
-            }
-            hits.clear();
-            self.index.get_many(&keys, &mut hits);
-            debug_assert_eq!(hits.len(), keys.len());
-            for &key in &keys {
-                let work = self.index.probe_cost(key);
-                self.execution_work += work;
-                out.push(Ok(ExecOutcome::ok(work)));
-            }
-            i += keys.len();
-        }
-        out
+        // Reads never fail and never mutate, so the batched path skips the
+        // per-op cost-model match and the delta-size probe the general
+        // path recomputes every call.
+        execute_read_runs(self, ops)
     }
 
     fn on_phase_change(&mut self, _new_phase: usize) -> u64 {
@@ -233,6 +206,61 @@ fn apply_op<Ix: Index>(index: &mut Ix, op: &Operation) -> lsbench_index::Result<
     }
 }
 
+/// Capabilities-then-degrade (SNIPPETS.md §3): an operation the index does
+/// not support (a scan on a hash table) is a *failed outcome* whose work
+/// is still charged — the benchmark ranks that system lower — never a
+/// fatal error. Every other index error is.
+fn degrade(result: lsbench_index::Result<()>, work: u64) -> Result<ExecOutcome> {
+    match result {
+        Ok(()) => Ok(ExecOutcome::ok(work)),
+        Err(IndexError::Unsupported(_)) => Ok(ExecOutcome::failed(work)),
+        Err(e) => Err(SutError::Internal(e.to_string())),
+    }
+}
+
+/// What the batched read path needs from an adapter: its index and its
+/// execution-work counter, borrowed together.
+trait ReadPath: SystemUnderTest<Operation> {
+    type Ix: Index;
+    fn read_path(&mut self) -> (&Self::Ix, &mut u64);
+}
+
+/// Batched dispatch shared by every index adapter: each run of consecutive
+/// reads goes through `Index::get_many` in one call, so the index can
+/// overlap the probes' cache misses (the B+-tree's group descent, the
+/// learned indexes' last-mile searches); everything else takes the
+/// adapter's own `execute`. The work charged per read is `probe_cost(key)`
+/// either way — batching never changes the record.
+fn execute_read_runs<S: ReadPath>(sut: &mut S, ops: &[Operation]) -> Vec<Result<ExecOutcome>> {
+    let mut out = Vec::with_capacity(ops.len());
+    let mut keys: Vec<u64> = Vec::new();
+    let mut hits: Vec<Option<u64>> = Vec::new();
+    let mut i = 0;
+    while i < ops.len() {
+        let Operation::Read { key } = ops[i] else {
+            out.push(sut.execute(&ops[i]));
+            i += 1;
+            continue;
+        };
+        keys.clear();
+        keys.push(key);
+        while let Some(&Operation::Read { key }) = ops.get(i + keys.len()) {
+            keys.push(key);
+        }
+        hits.clear();
+        let (index, execution_work) = sut.read_path();
+        index.get_many(&keys, &mut hits);
+        debug_assert_eq!(hits.len(), keys.len());
+        for &key in &keys {
+            let work = index.probe_cost(key);
+            *execution_work += work;
+            out.push(Ok(ExecOutcome::ok(work)));
+        }
+        i += keys.len();
+    }
+    out
+}
+
 /// Macro-free shared implementation for the traditional SUTs.
 macro_rules! traditional_sut {
     ($sut:ident, $index:ty, $label:expr) => {
@@ -264,6 +292,13 @@ macro_rules! traditional_sut {
             }
         }
 
+        impl ReadPath for $sut {
+            type Ix = $index;
+            fn read_path(&mut self) -> (&Self::Ix, &mut u64) {
+                (&self.index, &mut self.execution_work)
+            }
+        }
+
         impl SystemUnderTest<Operation> for $sut {
             fn name(&self) -> String {
                 $label.to_string()
@@ -288,47 +323,14 @@ macro_rules! traditional_sut {
                     Operation::Read { .. } => read,
                 };
                 self.execution_work += work;
-                match result {
-                    Ok(()) => Ok(ExecOutcome::ok(work)),
-                    Err(IndexError::Unsupported(_)) => Ok(ExecOutcome::failed(work)),
-                    Err(e) => Err(SutError::Internal(e.to_string())),
-                }
+                degrade(result, work)
             }
 
             fn execute_many(&mut self, ops: &[Operation]) -> Vec<Result<ExecOutcome>> {
-                // Batched dispatch: `Index::get` takes `&self`, so a read's
-                // structural work is provably zero and the two full-arena
-                // `stats()` scans the general path pays per op can be
-                // skipped entirely. Runs of consecutive reads go through
-                // `Index::get_many` (the B+-tree's group descent overlaps
-                // the probes' node misses); the work units charged are
-                // `probe_cost(key)` per read either way.
-                let mut out = Vec::with_capacity(ops.len());
-                let mut keys: Vec<u64> = Vec::new();
-                let mut hits: Vec<Option<u64>> = Vec::new();
-                let mut i = 0;
-                while i < ops.len() {
-                    let Operation::Read { key } = ops[i] else {
-                        out.push(self.execute(&ops[i]));
-                        i += 1;
-                        continue;
-                    };
-                    keys.clear();
-                    keys.push(key);
-                    while let Some(&Operation::Read { key }) = ops.get(i + keys.len()) {
-                        keys.push(key);
-                    }
-                    hits.clear();
-                    self.index.get_many(&keys, &mut hits);
-                    debug_assert_eq!(hits.len(), keys.len());
-                    for &key in &keys {
-                        let work = self.index.probe_cost(key);
-                        self.execution_work += work;
-                        out.push(Ok(ExecOutcome::ok(work)));
-                    }
-                    i += keys.len();
-                }
-                out
+                // `Index::get` takes `&self`, so a read's structural work is
+                // provably zero and the two full-arena `stats()` scans the
+                // general path pays per op can be skipped entirely.
+                execute_read_runs(self, ops)
             }
 
             fn metrics(&self) -> SutMetrics {
@@ -379,6 +381,13 @@ impl AlexSut {
     }
 }
 
+impl ReadPath for AlexSut {
+    type Ix = AlexIndex;
+    fn read_path(&mut self) -> (&Self::Ix, &mut u64) {
+        (&self.index, &mut self.execution_work)
+    }
+}
+
 impl SystemUnderTest<Operation> for AlexSut {
     fn name(&self) -> String {
         "alex".to_string()
@@ -399,44 +408,13 @@ impl SystemUnderTest<Operation> for AlexSut {
             _ => read + structural + 1,
         };
         self.execution_work += work;
-        match result {
-            Ok(()) => Ok(ExecOutcome::ok(work)),
-            Err(IndexError::Unsupported(_)) => Ok(ExecOutcome::failed(work)),
-            Err(e) => Err(SutError::Internal(e.to_string())),
-        }
+        degrade(result, work)
     }
 
     fn execute_many(&mut self, ops: &[Operation]) -> Vec<Result<ExecOutcome>> {
-        // Batched dispatch: reads can't adapt the structure (`get` takes
-        // `&self`), so skip the per-op `stats()` scans over every leaf.
-        // Consecutive reads are handed to `Index::get_many` in one run;
-        // the charged work stays `probe_cost(key)` per read.
-        let mut out = Vec::with_capacity(ops.len());
-        let mut keys: Vec<u64> = Vec::new();
-        let mut hits: Vec<Option<u64>> = Vec::new();
-        let mut i = 0;
-        while i < ops.len() {
-            let Operation::Read { key } = ops[i] else {
-                out.push(self.execute(&ops[i]));
-                i += 1;
-                continue;
-            };
-            keys.clear();
-            keys.push(key);
-            while let Some(&Operation::Read { key }) = ops.get(i + keys.len()) {
-                keys.push(key);
-            }
-            hits.clear();
-            self.index.get_many(&keys, &mut hits);
-            debug_assert_eq!(hits.len(), keys.len());
-            for &key in &keys {
-                let work = self.index.probe_cost(key);
-                self.execution_work += work;
-                out.push(Ok(ExecOutcome::ok(work)));
-            }
-            i += keys.len();
-        }
-        out
+        // Reads can't adapt the structure (`get` takes `&self`), so the
+        // batched path skips the per-op `stats()` scans over every leaf.
+        execute_read_runs(self, ops)
     }
 
     fn metrics(&self) -> SutMetrics {

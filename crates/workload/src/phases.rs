@@ -300,6 +300,13 @@ impl Iterator for PhasedStream {
             in_transition,
         })
     }
+
+    /// Exact: a stream knows how many operations are left, so collecting
+    /// one allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.workload.total_ops() - self.produced) as usize;
+        (left, Some(left))
+    }
 }
 
 #[cfg(test)]
@@ -313,6 +320,10 @@ mod tests {
     #[test]
     fn single_phase_stream() {
         let w = PhasedWorkload::single(phase("p0", KeyDistribution::Uniform, 100), 1).unwrap();
+        let mut stream = w.stream().unwrap();
+        assert_eq!(stream.size_hint(), (100, Some(100)));
+        stream.next();
+        assert_eq!(stream.size_hint(), (99, Some(99)));
         let ops: Vec<LabeledOp> = w.stream().unwrap().collect();
         assert_eq!(ops.len(), 100);
         assert!(ops.iter().all(|o| o.phase == 0 && !o.in_transition));

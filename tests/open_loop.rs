@@ -116,6 +116,59 @@ fn single_client_open_loop_matches_serial_via_runner() {
     assert_eq!(open.record, serial.record);
 }
 
+/// The same identity over a sweep of idle gaps: the serial policy and the
+/// scheduler must idle to an arrival with the *same* arithmetic. Advancing
+/// the clock by `t − now` instead of jumping it to `t` differs by one ulp
+/// whenever the gap dwarfs the elapsed time (`now + (t − now) ≠ t`), and
+/// the ulp then leaks into every later `t_end` and latency. The sweep
+/// contains the two cells that caught exactly that: `alex` at
+/// `(rate 50, seed 1)` and `(rate 1000, seed 4)`, Poisson.
+#[test]
+fn single_client_open_loop_matches_serial_across_idle_gaps() {
+    let registry = SutRegistry::default();
+    for sut in ["btree", "rmi", "pgm", "alex"] {
+        for rate in [50.0, 1_000.0, 20_000.0] {
+            for seed in [1u64, 4, 7] {
+                for process in [
+                    ArrivalProcess::Poisson { rate },
+                    ArrivalProcess::Uniform { rate },
+                ] {
+                    let mut scenario = Scenario::two_phase_shift(
+                        "probe",
+                        KeyDistribution::Uniform,
+                        KeyDistribution::Normal {
+                            center: 0.9,
+                            std_frac: 0.03,
+                        },
+                        4_000,
+                        400,
+                        seed,
+                    )
+                    .expect("valid scenario");
+                    scenario.arrival = Some(ArrivalSpec {
+                        process,
+                        modulation: LoadModulation::Constant,
+                        seed,
+                    });
+                    let run = |mode| {
+                        let factory = registry.factory(sut).expect("known SUT");
+                        let outcome = Runner::from_factory(factory)
+                            .config(RunOptions::with_mode(mode))
+                            .run(&scenario);
+                        outcome.expect("run succeeds").record
+                    };
+                    let serial = run(ExecutionMode::Serial);
+                    let open = run(ExecutionMode::OpenLoop {
+                        clients: 1,
+                        workers: 1,
+                    });
+                    assert_eq!(open, serial, "{sut} {process:?} seed {seed}");
+                }
+            }
+        }
+    }
+}
+
 /// The trace-replay counterpart of the worker-count guard: an imported,
 /// timestamped trace replayed open-loop with a 100,000-client population
 /// produces bit-identical records on every replay. The replay is a

@@ -392,6 +392,25 @@ fn worker_count_never_reaches_the_record() {
     assert!(pairs > 100, "only {pairs} thread-invariant cells pinned");
 }
 
+/// One open-loop client *is* the serial policy: `OpenLoop { clients: 1 }`
+/// pins the same record as `Serial` in every cell that has both. (The two
+/// idle-gap cells of `probe-idle` are where a clock advanced by `t − now`
+/// instead of set to `t` used to break this by one ulp.)
+#[test]
+fn one_open_loop_client_is_the_serial_policy() {
+    let cells = fixture();
+    let mut pairs = 0;
+    for (key, serial) in &cells {
+        if key.contains("/serial/") && key.ends_with("/record") {
+            if let Some(open) = cells.get(&key.replace("/serial/", "/open1x1/")) {
+                assert_eq!(open, serial, "{key}");
+                pairs += 1;
+            }
+        }
+    }
+    assert!(pairs >= 48, "only {pairs} serial/open-loop twins pinned");
+}
+
 /// Regenerates the fixture. Deliberately `#[ignore]`d: the digests are the
 /// oracle, so a regeneration is a reviewed event, never a side effect.
 #[test]
