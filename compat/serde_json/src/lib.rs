@@ -295,7 +295,9 @@ impl<'a> Parser<'a> {
                 .map_err(|_| self.err("invalid float"))
         } else if let Some(digits) = text.strip_prefix('-') {
             let u: u64 = digits.parse().map_err(|_| self.err("invalid integer"))?;
-            Ok(Value::Int(-(u as i64)))
+            0i64.checked_sub_unsigned(u)
+                .map(Value::Int)
+                .ok_or_else(|| self.err("invalid integer"))
         } else {
             text.parse::<u64>()
                 .map(Value::UInt)

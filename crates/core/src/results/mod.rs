@@ -43,8 +43,9 @@ pub use regress::{
     PolicyViolation, RegressionPolicy, RegressionReport,
 };
 pub use store::{
-    CapacityArtifact, CapacityManifest, ResultStore, RunArtifact, RunManifest, StoreEntry,
-    StoreError, SuiteArtifact, SweepArtifact, SweepManifest, Transport, SWEEP_SCHEMA_VERSION,
+    Artifact, CapacityArtifact, CapacityManifest, ResultStore, RunArtifact, RunManifest,
+    StoreEntry, StoreError, SuiteArtifact, SweepArtifact, SweepManifest, Transport,
+    SWEEP_SCHEMA_VERSION,
 };
 
 /// Version of every serialized artifact schema in this module

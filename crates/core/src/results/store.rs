@@ -13,6 +13,12 @@
 //! [`StoreError::ManifestMismatch`]. There is no best-effort parsing — a
 //! benchmark result that cannot be trusted end-to-end is worse than no
 //! result.
+//!
+//! Run, capacity and sweep artifacts are three concrete structs (their
+//! fields are their JSON bytes) that share one envelope, the [`Artifact`]
+//! trait: a schema version, a store subdirectory, a stored manifest digest
+//! and a file name. Encoding, strict decoding, saving, loading and listing
+//! are written once against that trait.
 
 use super::SCHEMA_VERSION;
 use crate::capacity::CapacityReport;
@@ -60,6 +66,14 @@ pub enum StoreError {
         /// File names of all matches.
         matches: Vec<String>,
     },
+    /// A store listing tripped over one artifact: `source` is what loading
+    /// `file` returned.
+    InFile {
+        /// Path of the offending artifact file.
+        file: String,
+        /// The error loading it produced.
+        source: Box<StoreError>,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -90,6 +104,7 @@ impl std::fmt::Display for StoreError {
                 matches.len(),
                 matches.join(", ")
             ),
+            StoreError::InFile { file, source } => write!(f, "{file}: {source}"),
         }
     }
 }
@@ -194,9 +209,15 @@ impl RunManifest {
     /// manifests always hash equal — across runs, platforms, and worker
     /// counts.
     pub fn digest(&self) -> String {
-        let canonical = serde_json::to_string(self).expect("manifest serialization is total");
-        format!("{:016x}", fnv1a64(canonical.as_bytes()))
+        digest_of(self)
     }
+}
+
+/// The content digest of a manifest of any artifact kind (see
+/// [`RunManifest::digest`]).
+fn digest_of(manifest: &impl Serialize) -> String {
+    let canonical = serde_json::to_string(manifest).expect("manifest serialization is total");
+    format!("{:016x}", fnv1a64(canonical.as_bytes()))
 }
 
 /// FNV-1a, 64-bit: tiny, dependency-free, and stable — exactly what a
@@ -242,7 +263,7 @@ impl RunArtifact {
     pub fn new(manifest: RunManifest, record: RunRecord) -> Self {
         RunArtifact {
             schema_version: SCHEMA_VERSION,
-            digest: manifest.digest(),
+            digest: digest_of(&manifest),
             manifest,
             record,
             engine: None,
@@ -265,10 +286,33 @@ impl RunArtifact {
         self
     }
 
-    /// The file name this artifact stores under:
+    /// Pretty JSON encoding (trailing newline included).
+    pub fn to_json(&self) -> Result<String, StoreError> {
+        encode(self)
+    }
+
+    /// Strict decode: checks `schema_version` *before* interpreting the
+    /// rest, then revalidates the stored digest against the manifest.
+    pub fn from_json(text: &str) -> Result<Self, StoreError> {
+        decode(text)
+    }
+}
+
+impl Artifact for RunArtifact {
+    const SCHEMA: u32 = SCHEMA_VERSION;
+    const SUBDIR: &'static str = "";
+
+    fn digest(&self) -> &str {
+        &self.digest
+    }
+
+    fn manifest_digest(&self) -> String {
+        digest_of(&self.manifest)
+    }
+
     /// `<scenario>-<sut>-t<workers>-<digest>.json` (slugged), so listings
     /// read well while the digest keeps the name content-addressed.
-    pub fn file_name(&self) -> String {
+    fn file_name(&self) -> String {
         format!(
             "{}-{}-t{}-{}.json",
             slug(&self.manifest.scenario),
@@ -276,32 +320,6 @@ impl RunArtifact {
             self.manifest.concurrency,
             self.digest
         )
-    }
-
-    /// Pretty JSON encoding (trailing newline included).
-    pub fn to_json(&self) -> Result<String, StoreError> {
-        serde_json::to_string_pretty(self)
-            .map(|mut s| {
-                s.push('\n');
-                s
-            })
-            .map_err(|e| StoreError::Parse(e.to_string()))
-    }
-
-    /// Strict decode: checks `schema_version` *before* interpreting the
-    /// rest, then revalidates the stored digest against the manifest.
-    pub fn from_json(text: &str) -> Result<Self, StoreError> {
-        check_schema_version(text)?;
-        let artifact: RunArtifact =
-            serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))?;
-        let computed = artifact.manifest.digest();
-        if computed != artifact.digest {
-            return Err(StoreError::ManifestMismatch {
-                stored: artifact.digest,
-                computed,
-            });
-        }
-        Ok(artifact)
     }
 }
 
@@ -360,12 +378,6 @@ impl CapacityManifest {
         self.transport = transport;
         self
     }
-
-    /// Stable content digest, same construction as [`RunManifest::digest`].
-    pub fn digest(&self) -> String {
-        let canonical = serde_json::to_string(self).expect("manifest serialization is total");
-        format!("{:016x}", fnv1a64(canonical.as_bytes()))
-    }
 }
 
 /// A saved capacity search: schema version, manifest digest, manifest,
@@ -377,7 +389,7 @@ pub struct CapacityArtifact {
     /// Schema version ([`SCHEMA_VERSION`]) — checked before anything else
     /// on load.
     pub schema_version: u32,
-    /// [`CapacityManifest::digest`] at save time — revalidated on load.
+    /// The manifest's digest at save time — revalidated on load.
     pub digest: String,
     /// The reproduction manifest.
     pub manifest: CapacityManifest,
@@ -390,15 +402,27 @@ impl CapacityArtifact {
     pub fn new(manifest: CapacityManifest, report: CapacityReport) -> Self {
         CapacityArtifact {
             schema_version: SCHEMA_VERSION,
-            digest: manifest.digest(),
+            digest: digest_of(&manifest),
             manifest,
             report,
         }
     }
+}
 
-    /// The file name this artifact stores under (inside `capacity/`):
+impl Artifact for CapacityArtifact {
+    const SCHEMA: u32 = SCHEMA_VERSION;
+    const SUBDIR: &'static str = "capacity";
+
+    fn digest(&self) -> &str {
+        &self.digest
+    }
+
+    fn manifest_digest(&self) -> String {
+        digest_of(&self.manifest)
+    }
+
     /// `<scenario>-<sut>-<sla>-<digest>.json` (slugged).
-    pub fn file_name(&self) -> String {
+    fn file_name(&self) -> String {
         format!(
             "{}-{}-{}-{}.json",
             slug(&self.manifest.scenario),
@@ -406,32 +430,6 @@ impl CapacityArtifact {
             slug(&self.manifest.sla),
             self.digest
         )
-    }
-
-    /// Pretty JSON encoding (trailing newline included).
-    pub fn to_json(&self) -> Result<String, StoreError> {
-        serde_json::to_string_pretty(self)
-            .map(|mut s| {
-                s.push('\n');
-                s
-            })
-            .map_err(|e| StoreError::Parse(e.to_string()))
-    }
-
-    /// Strict decode: checks `schema_version` *before* interpreting the
-    /// rest, then revalidates the stored digest against the manifest.
-    pub fn from_json(text: &str) -> Result<Self, StoreError> {
-        check_schema_version(text)?;
-        let artifact: CapacityArtifact =
-            serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))?;
-        let computed = artifact.manifest.digest();
-        if computed != artifact.digest {
-            return Err(StoreError::ManifestMismatch {
-                stored: artifact.digest,
-                computed,
-            });
-        }
-        Ok(artifact)
     }
 }
 
@@ -505,12 +503,6 @@ impl SweepManifest {
         self.clock = clock;
         self
     }
-
-    /// Stable content digest, same construction as [`RunManifest::digest`].
-    pub fn digest(&self) -> String {
-        let canonical = serde_json::to_string(self).expect("manifest serialization is total");
-        format!("{:016x}", fnv1a64(canonical.as_bytes()))
-    }
 }
 
 /// A saved drift sweep: schema version ([`SWEEP_SCHEMA_VERSION`]),
@@ -522,7 +514,7 @@ pub struct SweepArtifact {
     /// Schema version ([`SWEEP_SCHEMA_VERSION`]) — checked before
     /// anything else on load.
     pub schema_version: u32,
-    /// [`SweepManifest::digest`] at save time — revalidated on load.
+    /// The manifest's digest at save time — revalidated on load.
     pub digest: String,
     /// The reproduction manifest.
     pub manifest: SweepManifest,
@@ -535,48 +527,45 @@ impl SweepArtifact {
     pub fn new(manifest: SweepManifest, curves: Vec<SweepCurve>) -> Self {
         SweepArtifact {
             schema_version: SWEEP_SCHEMA_VERSION,
-            digest: manifest.digest(),
+            digest: digest_of(&manifest),
             manifest,
             curves,
         }
     }
 
-    /// The file name this artifact stores under (inside `sweep/`):
-    /// `<scenario>-sweep-<axis>-<digest>.json` (slugged).
-    pub fn file_name(&self) -> String {
-        format!(
-            "{}-sweep-{}-{}.json",
-            slug(&self.manifest.scenario),
-            slug(&self.manifest.axis),
-            self.digest
-        )
-    }
-
     /// Pretty JSON encoding (trailing newline included).
     pub fn to_json(&self) -> Result<String, StoreError> {
-        serde_json::to_string_pretty(self)
-            .map(|mut s| {
-                s.push('\n');
-                s
-            })
-            .map_err(|e| StoreError::Parse(e.to_string()))
+        encode(self)
     }
 
     /// Strict decode: checks `schema_version` against
     /// [`SWEEP_SCHEMA_VERSION`] *before* interpreting the rest, then
     /// revalidates the stored digest against the manifest.
     pub fn from_json(text: &str) -> Result<Self, StoreError> {
-        check_schema_version_expecting(text, SWEEP_SCHEMA_VERSION)?;
-        let artifact: SweepArtifact =
-            serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))?;
-        let computed = artifact.manifest.digest();
-        if computed != artifact.digest {
-            return Err(StoreError::ManifestMismatch {
-                stored: artifact.digest,
-                computed,
-            });
-        }
-        Ok(artifact)
+        decode(text)
+    }
+}
+
+impl Artifact for SweepArtifact {
+    const SCHEMA: u32 = SWEEP_SCHEMA_VERSION;
+    const SUBDIR: &'static str = "sweep";
+
+    fn digest(&self) -> &str {
+        &self.digest
+    }
+
+    fn manifest_digest(&self) -> String {
+        digest_of(&self.manifest)
+    }
+
+    /// `<scenario>-sweep-<axis>-<digest>.json` (slugged).
+    fn file_name(&self) -> String {
+        format!(
+            "{}-sweep-{}-{}.json",
+            slug(&self.manifest.scenario),
+            slug(&self.manifest.axis),
+            self.digest
+        )
     }
 }
 
@@ -602,22 +591,61 @@ impl SuiteArtifact {
 
     /// Strict decode: refuses unversioned or version-drifted suite JSON.
     pub fn from_json(text: &str) -> Result<Self, StoreError> {
-        check_schema_version(text)?;
-        serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))
+        decode_versioned(text, SCHEMA_VERSION)
     }
 }
 
-/// Reads the `schema_version` field of a JSON object without interpreting
-/// anything else, so version drift is reported as such rather than as a
-/// confusing field-level parse error.
-fn check_schema_version(text: &str) -> Result<(), StoreError> {
-    check_schema_version_expecting(text, SCHEMA_VERSION)
+/// The envelope shared by every artifact kind a [`ResultStore`] holds. The
+/// kinds stay concrete structs — their declared fields *are* the JSON
+/// bytes the golden fixtures pin, and the vendored derive does not accept
+/// generic types — so what they share is this trait, and the store's
+/// encode / decode / save / load / list are written once against it.
+pub trait Artifact: Serialize + Deserialize {
+    /// The `schema_version` this build reads and writes for the kind.
+    const SCHEMA: u32;
+    /// The subdirectory of a store the kind lives in (`""` = the store
+    /// root), so kinds never shadow each other in listings.
+    const SUBDIR: &'static str;
+
+    /// The manifest digest recorded in the artifact when it was packaged.
+    fn digest(&self) -> &str;
+
+    /// The digest of the manifest as it is now; differs from
+    /// [`Artifact::digest`] exactly when the artifact was edited after it
+    /// was packaged.
+    fn manifest_digest(&self) -> String;
+
+    /// The content-addressed file name the artifact stores under.
+    fn file_name(&self) -> String;
 }
 
-/// [`check_schema_version`], parameterized over the expected version —
-/// artifact families that version independently (sweeps vs. runs) share
-/// the same strict-refusal machinery.
-fn check_schema_version_expecting(text: &str, expected: u32) -> Result<(), StoreError> {
+/// Pretty JSON encoding (trailing newline included).
+fn encode(artifact: &impl Serialize) -> Result<String, StoreError> {
+    let mut json =
+        serde_json::to_string_pretty(artifact).map_err(|e| StoreError::Parse(e.to_string()))?;
+    json.push('\n');
+    Ok(json)
+}
+
+/// Strict decode: checks `schema_version` against [`Artifact::SCHEMA`]
+/// *before* interpreting any other field ([`decode_versioned`]), then
+/// revalidates the stored digest against the manifest.
+fn decode<A: Artifact>(text: &str) -> Result<A, StoreError> {
+    let artifact: A = decode_versioned(text, A::SCHEMA)?;
+    let computed = artifact.manifest_digest();
+    if computed != artifact.digest() {
+        return Err(StoreError::ManifestMismatch {
+            stored: artifact.digest().to_string(),
+            computed,
+        });
+    }
+    Ok(artifact)
+}
+
+/// Parses `text` once, reads `schema_version` without interpreting
+/// anything else — so version drift is reported as such rather than as a
+/// confusing field-level parse error — and only then builds the `T`.
+fn decode_versioned<T: Deserialize>(text: &str, expected: u32) -> Result<T, StoreError> {
     let value: serde::Value =
         serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))?;
     let entries = value
@@ -632,13 +660,10 @@ fn check_schema_version_expecting(text: &str, expected: u32) -> Result<(), Store
             )))
         }
     };
-    match found {
-        Some(v) if v == expected => Ok(()),
-        other => Err(StoreError::Schema {
-            found: other,
-            expected,
-        }),
+    if found != Some(expected) {
+        return Err(StoreError::Schema { found, expected });
     }
+    T::from_value(&value).map_err(|e| StoreError::Parse(e.to_string()))
 }
 
 /// Lowercases and maps every non-alphanumeric run to a single `-` so SUT
@@ -686,7 +711,8 @@ pub struct StoreEntry {
     pub transport: Transport,
 }
 
-/// A directory of [`RunArtifact`] files with save/load/list/find.
+/// A directory of artifact files: runs in the root, every other
+/// [`Artifact`] kind in its own subdirectory, with save/load/list/find.
 #[derive(Debug, Clone)]
 pub struct ResultStore {
     dir: PathBuf,
@@ -716,56 +742,91 @@ impl ResultStore {
         &self.dir
     }
 
-    /// Saves an artifact under its content-addressed file name, routed
-    /// through the same write path as every other lsbench artifact.
-    /// Saving the same manifest again overwrites the same file.
-    pub fn save(&self, artifact: &RunArtifact) -> Result<PathBuf, StoreError> {
-        let json = artifact.to_json()?;
-        write_artifact_to(&self.dir, &artifact.file_name(), &json)
+    /// Saves an artifact of any kind under its content-addressed file name
+    /// in the kind's subdirectory, routed through the same write path as
+    /// every other lsbench artifact. Saving the same manifest again
+    /// overwrites the same file.
+    pub fn save<A: Artifact>(&self, artifact: &A) -> Result<PathBuf, StoreError> {
+        let json = encode(artifact)?;
+        write_artifact_to(&self.dir.join(A::SUBDIR), &artifact.file_name(), &json)
             .map_err(|e| StoreError::Io(e.to_string()))
     }
 
-    /// Loads and strictly validates the artifact at `path` (any path, not
-    /// necessarily inside a store).
-    pub fn load_path(path: &Path) -> Result<RunArtifact, StoreError> {
+    /// Loads and strictly validates the artifact of kind `A` at `path`
+    /// (any path, not necessarily inside a store).
+    pub fn load_as<A: Artifact>(path: &Path) -> Result<A, StoreError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", path.display())))?;
-        RunArtifact::from_json(&text).map_err(|e| annotate_with_path(e, path))
+        decode(&text).map_err(|e| match e {
+            StoreError::Parse(m) => StoreError::Parse(format!("{}: {m}", path.display())),
+            other => other,
+        })
     }
 
-    /// Loads an artifact by identifier: an existing file path, a digest
-    /// (or unique digest prefix), or a unique substring of the entry's
-    /// `sut`/`scenario`/file name.
-    pub fn load(&self, id: &str) -> Result<RunArtifact, StoreError> {
-        let as_path = Path::new(id);
-        if as_path.is_file() {
-            return Self::load_path(as_path);
+    /// [`ResultStore::load_as`] for run artifacts.
+    pub fn load_path(path: &Path) -> Result<RunArtifact, StoreError> {
+        Self::load_as(path)
+    }
+
+    /// The files of kind `A` in the store, sorted by name: the `*.json`
+    /// files directly in the kind's subdirectory (anything else there, and
+    /// every other kind's subdirectory, is not looked at). An absent
+    /// subdirectory lists as empty.
+    pub fn paths<A: Artifact>(&self) -> Result<Vec<PathBuf>, StoreError> {
+        let dir = self.dir.join(A::SUBDIR);
+        if !dir.is_dir() {
+            return Ok(Vec::new());
         }
-        let entry = self.find(id)?;
-        Self::load_path(&entry.path)
-    }
-
-    /// Lists every artifact in the store, sorted by file name. Strict like
-    /// everything else here: one invalid artifact fails the listing with
-    /// an error naming the file, because a store with unreadable entries
-    /// should be repaired, not skimmed.
-    pub fn list(&self) -> Result<Vec<StoreEntry>, StoreError> {
-        let read = std::fs::read_dir(&self.dir)
-            .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", self.dir.display())))?;
+        let read = std::fs::read_dir(&dir)
+            .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", dir.display())))?;
         let mut paths: Vec<PathBuf> = read
             .filter_map(|e| e.ok())
             .map(|e| e.path())
             .filter(|p| p.extension().is_some_and(|x| x == "json"))
             .collect();
         paths.sort();
+        Ok(paths)
+    }
+
+    /// Loads a run artifact by identifier: an existing file path, a
+    /// digest (or unique digest prefix), or a unique substring of the
+    /// entry's `sut`/`scenario`/file name.
+    pub fn load(&self, id: &str) -> Result<RunArtifact, StoreError> {
+        let as_path = Path::new(id);
+        if as_path.is_file() {
+            return Self::load_path(as_path);
+        }
+        // A full digest is the content address and the file name embeds
+        // it, so it resolves like a path: without loading the rest of the
+        // store, and with exactly `load_path`'s errors.
+        let addressed = format!("-{id}.json");
+        let mut named = self.paths::<RunArtifact>()?;
+        named.retain(|p| file_name_of(p).ends_with(&addressed));
+        if let [path] = named.as_slice() {
+            return Self::load_path(path);
+        }
+        let entry = self.find(id)?;
+        Self::load_path(&entry.path)
+    }
+
+    /// Lists every run artifact in the store, sorted by file name. Strict
+    /// like everything else here: one invalid artifact fails the listing
+    /// with an error naming the file, because a store with unreadable
+    /// entries should be repaired, not skimmed.
+    pub fn list(&self) -> Result<Vec<StoreEntry>, StoreError> {
+        let paths = self.paths::<RunArtifact>()?;
         let mut out = Vec::with_capacity(paths.len());
         for path in paths {
-            let artifact = Self::load_path(&path)?;
+            let artifact = Self::load_path(&path).map_err(|e| match e {
+                // These two already carry the path in their text.
+                StoreError::Io(_) | StoreError::Parse(_) => e,
+                other => StoreError::InFile {
+                    file: path.display().to_string(),
+                    source: Box::new(other),
+                },
+            })?;
             out.push(StoreEntry {
-                file: path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default(),
+                file: file_name_of(&path),
                 digest: artifact.digest,
                 sut: artifact.manifest.sut,
                 scenario: artifact.manifest.scenario,
@@ -776,94 +837,6 @@ impl ResultStore {
             });
         }
         Ok(out)
-    }
-
-    /// The capacity subdirectory of this store. [`ResultStore::list`]
-    /// only looks at files directly in the store directory, so capacity
-    /// artifacts never appear in (or break) run listings.
-    pub fn capacity_dir(&self) -> PathBuf {
-        self.dir.join("capacity")
-    }
-
-    /// Saves a capacity artifact under its content-addressed file name in
-    /// the `capacity/` subdirectory. Saving the same manifest again
-    /// overwrites the same file.
-    pub fn save_capacity(&self, artifact: &CapacityArtifact) -> Result<PathBuf, StoreError> {
-        let dir = self.capacity_dir();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| StoreError::Io(format!("cannot create {}: {e}", dir.display())))?;
-        let json = artifact.to_json()?;
-        write_artifact_to(&dir, &artifact.file_name(), &json)
-            .map_err(|e| StoreError::Io(e.to_string()))
-    }
-
-    /// Loads and strictly validates the capacity artifact at `path`.
-    pub fn load_capacity_path(path: &Path) -> Result<CapacityArtifact, StoreError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", path.display())))?;
-        CapacityArtifact::from_json(&text).map_err(|e| annotate_with_path(e, path))
-    }
-
-    /// Lists every capacity artifact file in the store, sorted by name.
-    /// An empty (or absent) `capacity/` directory lists as empty.
-    pub fn list_capacity(&self) -> Result<Vec<PathBuf>, StoreError> {
-        let dir = self.capacity_dir();
-        if !dir.is_dir() {
-            return Ok(Vec::new());
-        }
-        let read = std::fs::read_dir(&dir)
-            .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", dir.display())))?;
-        let mut paths: Vec<PathBuf> = read
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        paths.sort();
-        Ok(paths)
-    }
-
-    /// The sweep subdirectory of this store. Like `capacity/`,
-    /// [`ResultStore::list`] never looks inside it, so sweep artifacts
-    /// never appear in (or break) run listings.
-    pub fn sweep_dir(&self) -> PathBuf {
-        self.dir.join("sweep")
-    }
-
-    /// Saves a sweep artifact under its content-addressed file name in
-    /// the `sweep/` subdirectory. Saving the same manifest again
-    /// overwrites the same file.
-    pub fn save_sweep(&self, artifact: &SweepArtifact) -> Result<PathBuf, StoreError> {
-        let dir = self.sweep_dir();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| StoreError::Io(format!("cannot create {}: {e}", dir.display())))?;
-        let json = artifact.to_json()?;
-        write_artifact_to(&dir, &artifact.file_name(), &json)
-            .map_err(|e| StoreError::Io(e.to_string()))
-    }
-
-    /// Loads and strictly validates the sweep artifact at `path`.
-    pub fn load_sweep_path(path: &Path) -> Result<SweepArtifact, StoreError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", path.display())))?;
-        SweepArtifact::from_json(&text).map_err(|e| annotate_with_path(e, path))
-    }
-
-    /// Lists every sweep artifact file in the store, sorted by name. An
-    /// empty (or absent) `sweep/` directory lists as empty.
-    pub fn list_sweep(&self) -> Result<Vec<PathBuf>, StoreError> {
-        let dir = self.sweep_dir();
-        if !dir.is_dir() {
-            return Ok(Vec::new());
-        }
-        let read = std::fs::read_dir(&dir)
-            .map_err(|e| StoreError::Io(format!("cannot read {}: {e}", dir.display())))?;
-        let mut paths: Vec<PathBuf> = read
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        paths.sort();
-        Ok(paths)
     }
 
     /// Finds the unique entry matching `query`: first by digest prefix,
@@ -897,12 +870,10 @@ impl ResultStore {
     }
 }
 
-/// Prefixes schema/digest/parse errors with the offending file path.
-fn annotate_with_path(e: StoreError, path: &Path) -> StoreError {
-    match e {
-        StoreError::Parse(m) => StoreError::Parse(format!("{}: {m}", path.display())),
-        other => other,
-    }
+fn file_name_of(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -944,6 +915,61 @@ mod tests {
             transport: Transport::Local,
             clock: ClockMode::Sim,
         }
+    }
+
+    fn tiny_capacity() -> CapacityArtifact {
+        use crate::capacity::{CapacityPoint, CapacityReport, SlaTarget};
+        let manifest = CapacityManifest {
+            sut: "btree".to_string(),
+            scenario: "store-test".to_string(),
+            spec: "name = \"store-test\"\n".to_string(),
+            sla: "p99:5".to_string(),
+            clients: 1000,
+            workers: 4,
+            crate_version: "0.0.0-test".to_string(),
+            transport: Transport::Local,
+        };
+        let report = CapacityReport {
+            sla: SlaTarget {
+                quantile: 0.99,
+                threshold_seconds: 0.005,
+            },
+            points: vec![CapacityPoint {
+                rate: 100.0,
+                latency_seconds: 0.001,
+                throughput: 99.0,
+                completed: 1000,
+                met: true,
+            }],
+            knee_rate: 100.0,
+            saturated: false,
+        };
+        CapacityArtifact::new(manifest, report)
+    }
+
+    fn tiny_sweep() -> SweepArtifact {
+        use crate::sweep::curves::{SweepCurve, SweepPoint};
+        let manifest = SweepManifest {
+            scenario: "store-test".to_string(),
+            spec: "name = \"store-test\"\n".to_string(),
+            suts: vec!["btree".to_string(), "rmi".to_string()],
+            axis: "0..1x2".to_string(),
+            alphas: vec![0.0, 1.0],
+            crate_version: "0.0.0-test".to_string(),
+            transport: Transport::Local,
+            clock: ClockMode::Sim,
+        };
+        let curves = vec![SweepCurve {
+            sut: "btree".to_string(),
+            points: vec![SweepPoint {
+                alpha: 0.0,
+                adaptability_area: -0.01,
+                adjustment_speed: 0.5,
+                sla_violation_rate: 0.1,
+                specialization_spread: 1.25,
+            }],
+        }];
+        SweepArtifact::new(manifest, curves)
     }
 
     fn temp_store(tag: &str) -> (ResultStore, PathBuf) {
@@ -1074,52 +1100,25 @@ mod tests {
 
     #[test]
     fn capacity_artifacts_round_trip_in_their_own_subdirectory() {
-        use crate::capacity::{CapacityPoint, CapacityReport, SlaTarget};
         let (store, dir) = temp_store("capacity");
-        let manifest = CapacityManifest {
-            sut: "btree".to_string(),
-            scenario: "store-test".to_string(),
-            spec: "name = \"store-test\"\n".to_string(),
-            sla: "p99:5".to_string(),
-            clients: 1000,
-            workers: 4,
-            crate_version: "0.0.0-test".to_string(),
-            transport: Transport::Local,
-        };
-        let report = CapacityReport {
-            sla: SlaTarget {
-                quantile: 0.99,
-                threshold_seconds: 0.005,
-            },
-            points: vec![CapacityPoint {
-                rate: 100.0,
-                latency_seconds: 0.001,
-                throughput: 99.0,
-                completed: 1000,
-                met: true,
-            }],
-            knee_rate: 100.0,
-            saturated: false,
-        };
-        let artifact = CapacityArtifact::new(manifest.clone(), report);
-        let p1 = store.save_capacity(&artifact).unwrap();
-        let p2 = store.save_capacity(&artifact).unwrap();
+        let artifact = tiny_capacity();
+        let p1 = store.save(&artifact).unwrap();
+        let p2 = store.save(&artifact).unwrap();
         assert_eq!(p1, p2, "same manifest → same file");
-        assert!(p1.starts_with(store.capacity_dir()));
-        let back = ResultStore::load_capacity_path(&p1).unwrap();
+        assert!(p1.starts_with(store.dir().join("capacity")));
+        let back = ResultStore::load_as::<CapacityArtifact>(&p1).unwrap();
         assert_eq!(back, artifact);
-        assert_eq!(store.list_capacity().unwrap(), vec![p1]);
+        assert_eq!(store.paths::<CapacityArtifact>().unwrap(), vec![p1]);
         // Capacity artifacts never leak into the run listing, and run
         // listings never fail because a capacity artifact exists.
         assert!(store.list().unwrap().is_empty());
         // Tampering with the manifest is refused just like run artifacts.
         let tampered =
-            artifact
-                .to_json()
+            encode(&artifact)
                 .unwrap()
                 .replacen("\"sla\": \"p99:5\"", "\"sla\": \"p50:5\"", 1);
         assert!(matches!(
-            CapacityArtifact::from_json(&tampered),
+            decode::<CapacityArtifact>(&tampered),
             Err(StoreError::ManifestMismatch { .. })
         ));
         let _ = std::fs::remove_dir_all(dir);
@@ -1127,37 +1126,16 @@ mod tests {
 
     #[test]
     fn sweep_artifacts_round_trip_in_their_own_subdirectory() {
-        use crate::sweep::curves::{SweepCurve, SweepPoint};
         let (store, dir) = temp_store("sweep");
-        let manifest = SweepManifest {
-            scenario: "store-test".to_string(),
-            spec: "name = \"store-test\"\n".to_string(),
-            suts: vec!["btree".to_string(), "rmi".to_string()],
-            axis: "0..1x2".to_string(),
-            alphas: vec![0.0, 1.0],
-            crate_version: "0.0.0-test".to_string(),
-            transport: Transport::Local,
-            clock: ClockMode::Sim,
-        };
-        let curves = vec![SweepCurve {
-            sut: "btree".to_string(),
-            points: vec![SweepPoint {
-                alpha: 0.0,
-                adaptability_area: -0.01,
-                adjustment_speed: 0.5,
-                sla_violation_rate: 0.1,
-                specialization_spread: 1.25,
-            }],
-        }];
-        let artifact = SweepArtifact::new(manifest.clone(), curves);
+        let artifact = tiny_sweep();
         assert_eq!(artifact.schema_version, SWEEP_SCHEMA_VERSION);
-        let p1 = store.save_sweep(&artifact).unwrap();
-        let p2 = store.save_sweep(&artifact).unwrap();
+        let p1 = store.save(&artifact).unwrap();
+        let p2 = store.save(&artifact).unwrap();
         assert_eq!(p1, p2, "same manifest → same file");
-        assert!(p1.starts_with(store.sweep_dir()));
-        let back = ResultStore::load_sweep_path(&p1).unwrap();
+        assert!(p1.starts_with(store.dir().join("sweep")));
+        let back = ResultStore::load_as::<SweepArtifact>(&p1).unwrap();
         assert_eq!(back, artifact);
-        assert_eq!(store.list_sweep().unwrap(), vec![p1]);
+        assert_eq!(store.paths::<SweepArtifact>().unwrap(), vec![p1]);
         // Sweep artifacts never leak into (or break) run listings.
         assert!(store.list().unwrap().is_empty());
         // Tampering with the manifest is refused just like run artifacts.
@@ -1243,5 +1221,218 @@ mod tests {
             SuiteArtifact::from_json("{\"results\": []}"),
             Err(StoreError::Schema { found: None, .. })
         ));
+    }
+
+    #[test]
+    fn listing_errors_name_the_damaged_file_whatever_the_damage() {
+        let (store, dir) = temp_store("named");
+        store
+            .save(&RunArtifact::new(manifest("rmi"), tiny_record("rmi")))
+            .unwrap();
+        let victim = store
+            .save(&RunArtifact::new(manifest("btree"), tiny_record("btree")))
+            .unwrap();
+        let intact = std::fs::read_to_string(&victim).unwrap();
+        let name = file_name_of(&victim);
+        for damaged in [
+            intact.replacen("\"schema_version\": 4", "\"schema_version\": 3", 1),
+            intact.replacen("\"sut\": \"btree\"", "\"sut\": \"edited\"", 1),
+            intact[..intact.len() / 2].to_string(),
+        ] {
+            assert_ne!(damaged, intact);
+            std::fs::write(&victim, &damaged).unwrap();
+            for error in [
+                store.list().unwrap_err(),
+                store.find("rmi").unwrap_err(),
+                store.load("rmi").unwrap_err(),
+            ] {
+                assert!(error.to_string().contains(&name), "{error}");
+            }
+            // What `load_path` itself returns is unchanged: the bare variant.
+            assert!(!matches!(
+                ResultStore::load_path(&victim),
+                Ok(_) | Err(StoreError::InFile { .. })
+            ));
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn digest_prefixes_are_ambiguous_until_they_are_not() {
+        let (store, dir) = temp_store("prefix");
+        // Find two manifests whose digests share their first hex digit.
+        let mut by_first = std::collections::BTreeMap::new();
+        let (a, b) = (1..)
+            .find_map(|workers| {
+                let mut m = manifest("btree");
+                m.concurrency = workers;
+                let first = m.digest().remove(0);
+                by_first
+                    .insert(first, m.clone())
+                    .map(|earlier| (earlier, m))
+            })
+            .unwrap();
+        let (a, b) = (
+            RunArtifact::new(a, tiny_record("btree")),
+            RunArtifact::new(b, tiny_record("btree")),
+        );
+        store.save(&a).unwrap();
+        store.save(&b).unwrap();
+        match store.find(&a.digest[..1]) {
+            Err(StoreError::Ambiguous { matches, .. }) => {
+                assert_eq!(matches.len(), 2);
+                assert!(matches.contains(&a.file_name()) && matches.contains(&b.file_name()));
+            }
+            other => panic!("expected both candidates, got {other:?}"),
+        }
+        assert_eq!(store.find(&a.digest).unwrap().digest, a.digest);
+        assert_eq!(store.load(&b.digest).unwrap(), b);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn paths_ignores_everything_but_the_kinds_own_json_files() {
+        let (store, dir) = temp_store("paths");
+        let run = store
+            .save(&RunArtifact::new(manifest("btree"), tiny_record("btree")))
+            .unwrap();
+        let capacity = store.save(&tiny_capacity()).unwrap();
+        std::fs::write(dir.join("notes.txt"), "not an artifact").unwrap();
+        std::fs::create_dir_all(dir.join("scratch")).unwrap();
+        assert_eq!(store.paths::<RunArtifact>().unwrap(), vec![run.clone()]);
+        assert_eq!(store.paths::<CapacityArtifact>().unwrap(), vec![capacity]);
+        assert!(store.paths::<SweepArtifact>().unwrap().is_empty());
+        assert_eq!(store.list().unwrap().len(), 1);
+
+        // A run file copied into `capacity/` is refused by the capacity
+        // loader as what it is — another kind — not misread.
+        let stray = dir.join("capacity").join(file_name_of(&run));
+        std::fs::copy(&run, &stray).unwrap();
+        assert!(matches!(
+            ResultStore::load_as::<CapacityArtifact>(&stray),
+            Err(StoreError::Parse(_))
+        ));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// What a decoder made of a text, reduced to what the hostile-input
+    /// properties compare: the artifact re-encoded.
+    type Decoded = Result<String, StoreError>;
+
+    fn through<A: Artifact>(text: &str) -> Decoded {
+        let artifact: A = decode(text)?;
+        assert_eq!(artifact.digest(), artifact.manifest_digest());
+        encode(&artifact)
+    }
+
+    fn through_suite(text: &str) -> Decoded {
+        encode(&SuiteArtifact::from_json(text)?)
+    }
+
+    type Decoder = fn(&str) -> Decoded;
+
+    /// One valid encoded artifact per kind, with the kind's decoder.
+    fn specimens() -> Vec<(String, Decoder)> {
+        let run = RunArtifact::new(manifest("btree"), tiny_record("btree"));
+        let suite = SuiteArtifact::new(vec![SuiteResult {
+            sut_name: "btree".to_string(),
+            summaries: vec![],
+        }]);
+        vec![
+            (encode(&run).unwrap(), through::<RunArtifact>),
+            (
+                encode(&tiny_capacity()).unwrap(),
+                through::<CapacityArtifact>,
+            ),
+            (encode(&tiny_sweep()).unwrap(), through::<SweepArtifact>),
+            (encode(&suite).unwrap(), through_suite),
+        ]
+    }
+
+    #[test]
+    fn every_kind_refuses_every_other_kinds_json() {
+        let specimens = specimens();
+        for (i, (json, _)) in specimens.iter().enumerate() {
+            for (j, (_, decoder)) in specimens.iter().enumerate() {
+                match decoder(json) {
+                    Ok(back) => assert!(i == j && back == *json),
+                    Err(e) => assert!(
+                        i != j && matches!(e, StoreError::Parse(_) | StoreError::Schema { .. }),
+                        "kind {i} through decoder {j}: {e}"
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_schema_version_that_is_not_a_u32_is_a_parse_error() {
+        for (json, decoder) in specimens() {
+            let version = json.lines().nth(1).unwrap().trim().trim_end_matches(',');
+            assert!(version.starts_with("\"schema_version\": "), "{version}");
+            let most_negative = i64::MIN.to_string();
+            let beyond = format!("{most_negative}0");
+            for hostile in [
+                "\"4\"",
+                "-4",
+                "4294967296",
+                "4.0",
+                "[4]",
+                "true",
+                &most_negative,
+                &beyond,
+            ] {
+                let text = json.replacen(version, &format!("\"schema_version\": {hostile}"), 1);
+                assert!(
+                    matches!(decoder(&text), Err(StoreError::Parse(_))),
+                    "schema_version {hostile}"
+                );
+            }
+            // The version is judged before anything else is interpreted: a
+            // drifted artifact whose payload is gone is drift, not a parse
+            // error.
+            let hollow = "{\n  \"schema_version\": 999\n}";
+            assert!(matches!(
+                decoder(hollow),
+                Err(StoreError::Schema {
+                    found: Some(999),
+                    ..
+                })
+            ));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn truncated_artifacts_are_refused(cut in 0.0f64..1.0) {
+            for (json, decoder) in specimens() {
+                // Losing only the trailing newline loses nothing.
+                let keep = (cut * (json.len() - 1) as f64) as usize;
+                let text = String::from_utf8_lossy(&json.as_bytes()[..keep]);
+                proptest::prop_assert!(decoder(&text).is_err(), "{} of {} bytes", keep, json.len());
+            }
+        }
+
+        #[test]
+        fn overwritten_bytes_never_panic_and_never_pass_a_changed_manifest(
+            at in 0.0f64..1.0,
+            junk in proptest::collection::vec(proptest::any::<u8>(), 1..8),
+        ) {
+            for (json, decoder) in specimens() {
+                let mut bytes = json.clone().into_bytes();
+                let start = (at * bytes.len() as f64) as usize;
+                for (slot, byte) in bytes[start..].iter_mut().zip(&junk) {
+                    *slot = *byte;
+                }
+                let text = String::from_utf8_lossy(&bytes);
+                // `through` asserts digest == manifest digest on every Ok;
+                // beyond that, whatever is accepted must be stable.
+                if let Ok(accepted) = decoder(&text) {
+                    proptest::prop_assert_eq!(decoder(&accepted), Ok(accepted.clone()));
+                }
+            }
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! §V-A envisions the benchmark as "a common framework for executing
 //! different scenarios" whose official results come from a fixed,
 //! hold-out-bearing suite (possibly run as a service). This module defines
-//! that suite: five standard scenarios covering the paper's dynamism axes
-//! — specialization, abrupt and gradual shifts, write bursts, and bursty
-//! open-loop load — plus a hold-out pass. Running a SUT through the suite
+//! that suite: seven standard scenarios covering the paper's dynamism axes
+//! — specialization, abrupt and gradual shifts, write bursts, bursty
+//! open-loop load, templated repetition, and ledger growth — plus a
+//! hold-out pass. Running a SUT through the suite
 //! yields one [`SuiteResult`] combining every metric family, with the SLA
 //! threshold calibrated per scenario from a B+-tree baseline run (as
 //! §V-D.2 recommends).

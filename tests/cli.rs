@@ -44,7 +44,6 @@ enum Pin {
     /// wall-clock dependent).
     Code,
     Stdout,
-    Stderr,
     Both,
 }
 
@@ -100,7 +99,7 @@ impl Session {
         if matches!(pin, Pin::Stdout | Pin::Both) {
             self.section("stdout", &ran.stdout);
         }
-        if matches!(pin, Pin::Stderr | Pin::Both) {
+        if pin == Pin::Both {
             self.section("stderr", &ran.stderr);
         }
         self.transcript.push('\n');
@@ -251,6 +250,8 @@ cli_cases!(
     shift_and_suite,
     wall_clock_archive,
     errors,
+    hostile_arguments,
+    damaged_store,
 );
 
 /// The report half of `capacity --json` stdout (the archived path and
@@ -571,5 +572,99 @@ mod cases {
         }
         // A failed gate still writes the summary it failed on.
         s.file("BENCH_summary.json");
+    }
+
+    /// Mistyped and hostile arguments are refused with exit 2 and a message
+    /// naming the flag — never run as something other than what was asked.
+    pub fn hostile_arguments(s: &mut Session) {
+        let run = format!("run {S2_SMALL} --sut btree");
+        for line in [
+            // A flag the command does not declare.
+            format!("{run} --thread 4"),
+            "archive list --json".to_string(),
+            "list --verbose".to_string(),
+            "suite --scenario S2-abrupt-shift".to_string(),
+            // A value-taking flag without its value.
+            "archive list --store".to_string(),
+            "run --scenario --sut btree".to_string(),
+            format!("{run} --threads"),
+            // A numeric flag that is not a number.
+            format!("{run} --threads abc"),
+            "run --scenario S2-abrupt-shift --size 2000 --sut btree --ops 1e5".to_string(),
+            format!("{run} --threads -1"),
+            format!("capacity {S2_SMALL} --sut btree --sla p99:1 --rate x"),
+            format!("capacity {S2_SMALL} --sut btree --sla p99:1 --probes 2.5"),
+            "quality --dist zipf --theta y".to_string(),
+            "shift --sut rmi --size big".to_string(),
+            "suite --seed 0x5EED".to_string(),
+            "trace fit traces/golden.csv --seed s".to_string(),
+            // A single-use flag given twice.
+            format!("{run} --threads 2 --threads 4"),
+            // Surplus positionals.
+            "compare a b c --store st".to_string(),
+            "list suts".to_string(),
+            format!("{run} extra"),
+            "export S2-abrupt-shift S3-gradual-writes".to_string(),
+        ] {
+            let ran = s.run(&line, Pin::Both);
+            assert_eq!(
+                ran.code, 2,
+                "`lsbench {line}` must be refused as a usage error"
+            );
+            assert_eq!(ran.stdout, "", "`lsbench {line}` must not start working");
+        }
+        // Positionals are found the same way by every command: a flag's
+        // value is never mistaken for one.
+        let before = s.ok("export S2-abrupt-shift --size 5000", Pin::Code);
+        let after = s.ok("export --size 5000 S2-abrupt-shift", Pin::Code);
+        assert_eq!(before.stdout, after.stdout);
+        assert!(after.stdout.contains("size = 5000"));
+    }
+
+    /// A store holding one damaged run: every command that lists the store
+    /// says which file it tripped over, once.
+    pub fn damaged_store(s: &mut Session) {
+        for sut in ["btree", "rmi"] {
+            s.ok(
+                &format!("archive run {S2_SMALL} --sut {sut} --store st"),
+                Pin::Code,
+            );
+        }
+        let victim = s
+            .json_files("st")
+            .into_iter()
+            .find(|f| f.contains("-btree-"))
+            .expect("the btree run was archived");
+        let intact = s.read(&victim);
+        let damage: [(&str, String); 3] = [
+            (
+                "a v3-era artifact",
+                intact.replacen("\"schema_version\": 4", "\"schema_version\": 3", 1),
+            ),
+            (
+                "a hand-edited manifest",
+                intact.replacen("\"sut\": \"btree\"", "\"sut\": \"edited\"", 1),
+            ),
+            ("a truncated file", intact[..intact.len() / 2].to_string()),
+        ];
+        for (what, damaged) in &damage {
+            assert_ne!(*damaged, intact, "{what}");
+            s.write(&victim, damaged);
+            s.transcript
+                .push_str(&format!("# {victim} is now {what}\n\n"));
+            for line in [
+                "archive list --store st",
+                "archive show rmi --store st",
+                "compare btree btree --store st",
+                "regress --baseline rmi --candidate rmi --policy policies/default.policy --store st",
+            ] {
+                let ran = s.run(line, Pin::Both);
+                assert_eq!(ran.code, 1, "`lsbench {line}` over {what}");
+                assert!(ran.stderr.contains(&victim), "{what}: {}", ran.stderr);
+                assert_eq!(ran.stderr.lines().count(), 1, "{what}: {}", ran.stderr);
+            }
+        }
+        // Addressed by its path, the damaged file is the only one looked at.
+        s.run(&format!("archive show {victim}"), Pin::Both);
     }
 }

@@ -5,7 +5,8 @@
 //! byte-identical, digest included).
 
 use lsbench::core::results::{
-    ResultStore, StoreError, SweepArtifact, SweepManifest, Transport, SWEEP_SCHEMA_VERSION,
+    Artifact, ResultStore, StoreError, SweepArtifact, SweepManifest, Transport,
+    SWEEP_SCHEMA_VERSION,
 };
 use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::{ClockMode, Scenario};
@@ -107,14 +108,14 @@ fn regenerate_golden_sweep_fixture() {
 fn store_refuses_unversioned_and_drifted_sweep_artifacts() {
     let (store, dir) = temp_store("strict");
     let artifact = golden_sweep_artifact();
-    let path = store.save_sweep(&artifact).expect("save");
+    let path = store.save(&artifact).expect("save");
     let json = std::fs::read_to_string(&path).unwrap();
 
     // Strip the version field → refused as unversioned.
     let unversioned = json.replacen("  \"schema_version\": 1,\n", "", 1);
     assert_ne!(unversioned, json);
     std::fs::write(&path, &unversioned).unwrap();
-    match ResultStore::load_sweep_path(&path) {
+    match ResultStore::load_as::<SweepArtifact>(&path) {
         Err(StoreError::Schema {
             found: None,
             expected,
@@ -127,7 +128,7 @@ fn store_refuses_unversioned_and_drifted_sweep_artifacts() {
     let drifted = json.replacen("\"schema_version\": 1", "\"schema_version\": 2", 1);
     std::fs::write(&path, &drifted).unwrap();
     assert!(matches!(
-        ResultStore::load_sweep_path(&path),
+        ResultStore::load_as::<SweepArtifact>(&path),
         Err(StoreError::Schema { found: Some(2), .. })
     ));
 
@@ -136,7 +137,7 @@ fn store_refuses_unversioned_and_drifted_sweep_artifacts() {
     assert_ne!(tampered, json);
     std::fs::write(&path, &tampered).unwrap();
     assert!(matches!(
-        ResultStore::load_sweep_path(&path),
+        ResultStore::load_as::<SweepArtifact>(&path),
         Err(StoreError::ManifestMismatch { .. })
     ));
     let _ = std::fs::remove_dir_all(dir);
@@ -199,11 +200,11 @@ fn sweep_artifacts_are_byte_identical_across_worker_counts() {
     // And through the store: both land at the same path with the same
     // bytes on disk.
     let (store, dir) = temp_store("workers");
-    let p1 = store.save_sweep(&a1).expect("save 1-worker sweep");
-    let p4 = store.save_sweep(&a4).expect("save 4-worker sweep");
+    let p1 = store.save(&a1).expect("save 1-worker sweep");
+    let p4 = store.save(&a4).expect("save 4-worker sweep");
     assert_eq!(p1, p4);
     assert_eq!(std::fs::read_to_string(&p1).unwrap(), j1);
-    assert_eq!(store.list_sweep().expect("list"), vec![p1]);
+    assert_eq!(store.paths::<SweepArtifact>().expect("list"), vec![p1]);
     let _ = std::fs::remove_dir_all(dir);
 }
 
