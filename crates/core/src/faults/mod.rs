@@ -206,7 +206,8 @@ impl FaultSpec {
                         "ops",
                         format!(
                             "stall window [{from_op}, {}) overlapping phase boundary (phase {} has {available} ops)",
-                            from_op + ops, phase
+                            from_op.saturating_add(*ops),
+                            phase
                         ),
                     ));
                 }

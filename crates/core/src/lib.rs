@@ -46,8 +46,8 @@
 //!   canonical renderer, and the [`spec::ScenarioRegistry`] resolving
 //!   built-in and file-based scenarios uniformly.
 //! * [`sweep`] — the drift-sweep subsystem: the endpoint-exact
-//!   [`sweep::DriftAxis`] α ∈ [0, 1] primitive every composer expands
-//!   through, scenario ladders over an α grid, per-SUT metric-vs-α
+//!   [`sweep::DriftAxis`] α ∈ [0, 1] primitive the distribution-drift
+//!   composers sample, scenario ladders over an α grid, per-SUT metric-vs-α
 //!   curves with the distribution-learnability linear bound as a theory
 //!   overlay, and the archived [`results::SweepArtifact`].
 //! * [`sut_registry`] — name → constructor registry so CLIs, suites, and

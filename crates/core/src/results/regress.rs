@@ -22,7 +22,7 @@
 use crate::report::{to_json, workspace_root, write_artifact, write_artifact_to};
 use crate::results::compare::ComparisonReport;
 use crate::results::SCHEMA_VERSION;
-use crate::spec::parse::{lex, Fields};
+use crate::spec::parse::{lex_flat, Fields};
 use crate::spec::SpecError;
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -50,63 +50,24 @@ pub struct RegressionPolicy {
 /// closed schema, positioned errors. Negative limits (or a non-positive
 /// cost ratio) are rejected at the offending line.
 pub fn parse_regression_policy(text: &str) -> std::result::Result<RegressionPolicy, SpecError> {
-    let sections = lex(text)?;
-    let mut root: Option<Fields> = None;
-    for section in sections {
-        match section.header.as_str() {
-            "" => root = Some(Fields::new(section)),
-            other => {
-                return Err(SpecError::new(
-                    section.line,
-                    other,
-                    format!("a regression policy file allows only root-level keys, not '{other}'"),
-                ))
-            }
-        }
-    }
-    let mut root = root.expect("root section always present");
-    let non_negative = |v: Option<(f64, usize)>, key: &str| match v {
-        Some((x, line)) if x < 0.0 => Err(SpecError::new(
-            line,
-            key,
-            "limit must be non-negative".to_string(),
-        )),
-        Some((x, _)) => Ok(Some(x)),
-        None => Ok(None),
+    let refusal = "a regression policy file allows only root-level keys";
+    let mut root = lex_flat(text, &[], refusal, |_| Ok(()))?;
+    let limit = |root: &mut Fields, key: &str| {
+        root.opt_if(key, |x: &f64| *x >= 0.0, "limit must be non-negative")
     };
-    let max_area_regression =
-        non_negative(root.opt_f64("max_area_regression")?, "max_area_regression")?;
-    let max_p99_regression_pct = non_negative(
-        root.opt_f64("max_p99_regression_pct")?,
-        "max_p99_regression_pct",
-    )?;
-    let max_throughput_regression_pct = non_negative(
-        root.opt_f64("max_throughput_regression_pct")?,
-        "max_throughput_regression_pct",
-    )?;
-    let max_sla_violation_increase = non_negative(
-        root.opt_f64("max_sla_violation_increase")?,
-        "max_sla_violation_increase",
-    )?;
-    let max_cost_ratio = match root.opt_f64("max_cost_ratio")? {
-        Some((x, line)) if x <= 0.0 => {
-            return Err(SpecError::new(
-                line,
-                "max_cost_ratio",
-                "cost ratio limit must be positive".to_string(),
-            ))
-        }
-        Some((x, _)) => Some(x),
-        None => None,
+    let policy = RegressionPolicy {
+        max_area_regression: limit(&mut root, "max_area_regression")?,
+        max_p99_regression_pct: limit(&mut root, "max_p99_regression_pct")?,
+        max_throughput_regression_pct: limit(&mut root, "max_throughput_regression_pct")?,
+        max_sla_violation_increase: limit(&mut root, "max_sla_violation_increase")?,
+        max_cost_ratio: root.opt_if(
+            "max_cost_ratio",
+            |x: &f64| *x > 0.0,
+            "cost ratio limit must be positive",
+        )?,
     };
     root.finish()?;
-    Ok(RegressionPolicy {
-        max_area_regression,
-        max_p99_regression_pct,
-        max_throughput_regression_pct,
-        max_sla_violation_increase,
-        max_cost_ratio,
-    })
+    Ok(policy)
 }
 
 /// One fired policy rule: which knob, its limit, and the measured value.

@@ -3,31 +3,32 @@
 //!
 //! NeurBench-style parameterized drift: instead of hand-writing N phases,
 //! a spec states the *shape* of the drift and the composer unrolls it into
-//! [`WorkloadPhase`]s joined by [`TransitionKind`]s (the canonical table
-//! of all seven composer blocks lives in the [`spec`](crate::spec)
-//! module docs). Expansion happens at parse time and is pure arithmetic
-//! over a virtual clock (step midpoints), so a composed scenario is
-//! indistinguishable from one whose phases were written out by hand — the
-//! run-time driver never knows composers exist. See DESIGN.md
+//! [`WorkloadPhase`](lsbench_workload::phases::WorkloadPhase)s joined by
+//! [`TransitionKind`](lsbench_workload::phases::TransitionKind)s (the
+//! canonical table of all seven composer blocks lives in the
+//! [`spec`](crate::spec) module docs). Expansion happens at parse time and
+//! is pure arithmetic over a virtual clock (step midpoints), so a composed
+//! scenario is indistinguishable from one whose phases were written out by
+//! hand — the run-time driver never knows composers exist. See DESIGN.md
 //! ("Parse-time composer expansion") for why.
 //!
-//! Every composer in this file expands through the shared
-//! [`DriftAxis`] primitive from the sweep subsystem
-//! ([`crate::sweep::drift`]): the composer states the α = 0 and α = 1
-//! endpoint phases and a per-step intensity schedule, and the axis does
-//! the interpolation. The axis's interior arithmetic is the same
-//! `a + (b − a) · t` the composers used before the refactor and its
-//! endpoints are clamped to exact clones, so existing spec expansions are
-//! preserved bit for bit (DESIGN.md §13).
+//! A composer is a function from the block's [`Steps`] and its own
+//! parameters to an [`Expansion`]; all of them unroll through
+//! [`Steps::unroll`], as the two workload families
+//! (`lsbench_workload::families`) do. The two that move a distribution —
+//! [`drift`], and [`growing_skew`] on top of it — sample a [`DriftAxis`]
+//! between two distinct endpoint phases; `[[gradual_shift]]` *is*
+//! `drift` at `alpha = 1`. The two that only move the load —
+//! [`diurnal`] and [`burst`] — scale one template phase (DESIGN.md §13).
 //!
 //! Composers return plain `String` reasons on invalid parameters; the
 //! parser attaches the source position to produce a
 //! [`SpecError`](super::SpecError).
 
 use crate::sweep::drift::{lerp_t, DriftAxis};
+use lsbench_workload::families::{FamilyExpansion, Steps};
 use lsbench_workload::keygen::KeyDistribution;
 use lsbench_workload::ops::OperationMix;
-use lsbench_workload::phases::{TransitionKind, WorkloadPhase};
 
 /// Re-exported from [`crate::sweep::drift`], where the interpolation
 /// arithmetic moved when the composers were refactored onto [`DriftAxis`].
@@ -35,369 +36,155 @@ pub use crate::sweep::drift::interpolate_distribution;
 
 /// An expanded composer: the concrete phases and the transitions *between*
 /// them (`transitions.len() == phases.len() - 1`).
-pub type Expansion = (Vec<WorkloadPhase>, Vec<TransitionKind>);
-
-/// Internal transitions for a composer: abrupt by default, or gradual with
-/// the given `smooth` window.
-fn internal_transitions(count: usize, smooth: Option<f64>) -> Vec<TransitionKind> {
-    let kind = match smooth {
-        Some(window) => TransitionKind::Gradual { window },
-        None => TransitionKind::Abrupt,
-    };
-    vec![kind; count]
-}
-
-fn check_steps(steps: u64, min: u64) -> Result<(), String> {
-    if steps < min {
-        Err(format!("needs at least {min} steps, got {steps}"))
-    } else if steps > 100_000 {
-        Err(format!("{steps} steps is unreasonably many (max 100000)"))
-    } else {
-        Ok(())
-    }
-}
-
-fn check_ops(ops_per_step: u64) -> Result<(), String> {
-    if ops_per_step == 0 {
-        Err("ops_per_step must be positive".to_string())
-    } else {
-        Ok(())
-    }
-}
+pub type Expansion = FamilyExpansion;
 
 /// `diurnal { period, amplitude }`: a day/night load cycle.
 ///
 /// Expands to `steps` phases over one shared distribution whose open-loop
-/// [`concurrency_burst`](WorkloadPhase::concurrency_burst) follows a
-/// sinusoid sampled at each step's virtual midpoint:
-/// `1 + amplitude · sin(2π · (i + 0.5) / period)`. With `amplitude < 1`
-/// the factor stays positive, so every expanded phase validates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiurnalComposer {
-    /// Phase-name prefix (phases are `{name}-0`, `{name}-1`, …).
-    pub name: String,
-    /// Number of phases to expand to.
-    pub steps: u64,
-    /// Operations per expanded phase.
-    pub ops_per_step: u64,
-    /// Cycle length in steps (one full sinusoid per `period` steps).
-    pub period: f64,
-    /// Relative swing of the load factor, in `[0, 1)`.
-    pub amplitude: f64,
-    /// Key distribution shared by every step.
-    pub distribution: KeyDistribution,
-    /// Key range shared by every step.
-    pub key_range: (u64, u64),
-    /// Operation mix shared by every step.
-    pub mix: OperationMix,
-}
-
-impl DiurnalComposer {
-    /// Expands the composer. See the type-level docs for the schedule.
-    pub fn expand(&self) -> Result<Expansion, String> {
-        check_steps(self.steps, 1)?;
-        check_ops(self.ops_per_step)?;
-        if !(self.period > 0.0 && self.period.is_finite()) {
-            return Err("period must be positive and finite".to_string());
-        }
-        if !(0.0..1.0).contains(&self.amplitude) {
-            return Err("amplitude must be in [0, 1)".to_string());
-        }
-        // Diurnal drift is pure load-shape drift: the distribution endpoint
-        // is degenerate (base ≡ target) and the sinusoid modulates the
-        // concurrency lever on top of the axis's α = 0 template.
-        let template = WorkloadPhase::new(
-            self.name.clone(),
-            self.distribution.clone(),
-            self.key_range,
-            self.mix.clone(),
-            self.ops_per_step,
-        );
-        let axis = DriftAxis::new(template.clone(), template)
-            .expect("a degenerate axis between identical shapes always builds");
-        let phases = (0..self.steps)
-            .map(|i| {
-                let t = (i as f64 + 0.5) / self.period;
-                let factor = 1.0 + self.amplitude * (2.0 * std::f64::consts::PI * t).sin();
-                let mut p = axis.at(0.0).with_concurrency_burst(factor);
-                p.name = format!("{}-{i}", self.name);
-                p
-            })
-            .collect::<Vec<_>>();
-        let transitions = internal_transitions(phases.len() - 1, None);
-        Ok((phases, transitions))
+/// `concurrency_burst` follows a sinusoid sampled at each step's virtual
+/// midpoint: `1 + amplitude · sin(2π · (i + 0.5) / period)`, with `period`
+/// in steps. With `amplitude < 1` the factor stays positive, so every
+/// expanded phase validates.
+pub fn diurnal(
+    steps: &Steps,
+    mix: OperationMix,
+    period: f64,
+    amplitude: f64,
+    distribution: KeyDistribution,
+) -> Result<Expansion, String> {
+    steps.check(1)?;
+    if !(period > 0.0 && period.is_finite()) {
+        return Err("period must be positive and finite".to_string());
     }
+    if !(0.0..1.0).contains(&amplitude) {
+        return Err("amplitude must be in [0, 1)".to_string());
+    }
+    let template = steps.phase(distribution, steps.key_range, mix);
+    Ok(steps.unroll(None, |i| {
+        let t = (i as f64 + 0.5) / period;
+        let factor = 1.0 + amplitude * (2.0 * std::f64::consts::PI * t).sin();
+        template.clone().with_concurrency_burst(factor)
+    }))
 }
 
 /// `burst { at, factor, width }`: a flash crowd.
 ///
 /// Expands to `steps` phases; the `width` phases starting at step `at`
-/// carry `concurrency_burst = factor`, the rest run at 1.0.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BurstComposer {
-    /// Phase-name prefix.
-    pub name: String,
-    /// Number of phases to expand to.
-    pub steps: u64,
-    /// Operations per expanded phase.
-    pub ops_per_step: u64,
-    /// First step of the burst (0-based).
-    pub at: u64,
-    /// Burst duration in steps.
-    pub width: u64,
-    /// Load multiplier during the burst.
-    pub factor: f64,
-    /// Key distribution shared by every step.
-    pub distribution: KeyDistribution,
-    /// Key range shared by every step.
-    pub key_range: (u64, u64),
-    /// Operation mix shared by every step.
-    pub mix: OperationMix,
-}
-
-impl BurstComposer {
-    /// Expands the composer. See the type-level docs for the schedule.
-    pub fn expand(&self) -> Result<Expansion, String> {
-        check_steps(self.steps, 1)?;
-        check_ops(self.ops_per_step)?;
-        if self.width == 0 {
-            return Err("width must be at least 1 step".to_string());
-        }
-        if self
-            .at
-            .checked_add(self.width)
-            .is_none_or(|e| e > self.steps)
-        {
-            return Err(format!(
-                "burst [{}, {}) runs past the last step ({})",
-                self.at,
-                self.at.saturating_add(self.width),
-                self.steps
-            ));
-        }
-        if !(self.factor > 0.0 && self.factor.is_finite()) {
-            return Err("factor must be positive and finite".to_string());
-        }
-        // A flash crowd is a two-point axis — calm (α = 0) vs. surge
-        // (α = 1) — sampled only at its exact endpoints per step.
-        let calm = WorkloadPhase::new(
-            self.name.clone(),
-            self.distribution.clone(),
-            self.key_range,
-            self.mix.clone(),
-            self.ops_per_step,
-        );
-        let surge = calm.clone().with_concurrency_burst(self.factor);
-        let axis = DriftAxis::new(calm, surge)
-            .expect("a burst axis between identical shapes always builds");
-        let phases = (0..self.steps)
-            .map(|i| {
-                let in_burst = i >= self.at && i < self.at + self.width;
-                let mut p = axis.at(if in_burst { 1.0 } else { 0.0 });
-                p.name = format!("{}-{i}", self.name);
-                p
-            })
-            .collect::<Vec<_>>();
-        let transitions = internal_transitions(phases.len() - 1, None);
-        Ok((phases, transitions))
+/// (0-based) carry `concurrency_burst = factor`, the rest run at 1.0.
+pub fn burst(
+    steps: &Steps,
+    mix: OperationMix,
+    at: u64,
+    width: u64,
+    factor: f64,
+    distribution: KeyDistribution,
+) -> Result<Expansion, String> {
+    steps.check(1)?;
+    if width == 0 {
+        return Err("width must be at least 1 step".to_string());
     }
+    if at.checked_add(width).is_none_or(|end| end > steps.steps) {
+        return Err(format!(
+            "burst [{at}, {}) runs past the last step ({})",
+            at.saturating_add(width),
+            steps.steps
+        ));
+    }
+    if !(factor > 0.0 && factor.is_finite()) {
+        return Err("factor must be positive and finite".to_string());
+    }
+    let calm = steps.phase(distribution, steps.key_range, mix);
+    let surge = calm.clone().with_concurrency_burst(factor);
+    Ok(steps.unroll(None, |i| {
+        if i >= at && i < at + width {
+            surge.clone()
+        } else {
+            calm.clone()
+        }
+    }))
 }
 
-/// `gradual_shift { from, to, steps }`: piecewise drift between two
-/// same-shape distributions.
+/// `drift { alpha, from, to }`: the sweep subsystem's α axis exposed
+/// directly in spec files, and — at `alpha = 1` — `[[gradual_shift]]`.
 ///
-/// Expands to `steps` phases whose distribution parameters are linearly
-/// interpolated from `from` (step 0) to `to` (last step). Joins between
-/// steps are abrupt by default — many small abrupt steps approximate a
-/// continuous drift — or gradual with the `smooth` window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GradualShiftComposer {
-    /// Phase-name prefix.
-    pub name: String,
-    /// Number of phases to expand to (at least 2).
-    pub steps: u64,
-    /// Operations per expanded phase.
-    pub ops_per_step: u64,
-    /// Starting distribution.
-    pub from: KeyDistribution,
-    /// Final distribution (same shape as `from`).
-    pub to: KeyDistribution,
-    /// Gradual window for the joins between steps (`None` = abrupt).
-    pub smooth: Option<f64>,
-    /// Key range shared by every step.
-    pub key_range: (u64, u64),
-    /// Operation mix shared by every step.
-    pub mix: OperationMix,
-}
-
-impl GradualShiftComposer {
-    /// Expands the composer. See the type-level docs for the schedule.
-    pub fn expand(&self) -> Result<Expansion, String> {
-        check_steps(self.steps, 2)?;
-        check_ops(self.ops_per_step)?;
-        let endpoint = |d: &KeyDistribution| {
-            WorkloadPhase::new(
-                self.name.clone(),
-                d.clone(),
-                self.key_range,
-                self.mix.clone(),
-                self.ops_per_step,
-            )
-        };
-        let axis = DriftAxis::new(endpoint(&self.from), endpoint(&self.to))?;
-        let phases = (0..self.steps)
-            .map(|i| {
-                let mut p = axis.at(lerp_t(i, self.steps));
-                p.name = format!("{}-{i}", self.name);
-                p
-            })
-            .collect::<Vec<_>>();
-        let transitions = internal_transitions(phases.len() - 1, self.smooth);
-        Ok((phases, transitions))
+/// Expands to `steps` phases (at least 2) that ramp the drift intensity
+/// linearly from 0 (the `from` distribution, exactly) up to `alpha` — step
+/// `i` sits at `α_i = alpha · i / (steps − 1)` on the [`DriftAxis`] between
+/// two same-shape distributions. `alpha = 1` is the full shift from `from`
+/// (step 0) to `to` (last step), and since `1.0 · x == x` exactly that is
+/// how `[[gradual_shift]]` is defined; smaller values stop the drift
+/// partway, which is what a ladder of `[[drift]]` specs at increasing
+/// `alpha` sweeps over. Joins between steps are abrupt by default — many
+/// small abrupt steps approximate a continuous drift — or gradual with the
+/// `smooth` window.
+pub fn drift(
+    steps: &Steps,
+    mix: OperationMix,
+    from: KeyDistribution,
+    to: KeyDistribution,
+    alpha: f64,
+    smooth: Option<f64>,
+) -> Result<Expansion, String> {
+    steps.check(2)?;
+    if !(alpha.is_finite() && (0.0..=1.0).contains(&alpha)) {
+        return Err(format!("alpha must be in [0, 1], got {alpha}"));
     }
+    let axis = DriftAxis::new(
+        steps.phase(from, steps.key_range, mix.clone()),
+        steps.phase(to, steps.key_range, mix),
+    )?;
+    Ok(steps.unroll(smooth, |i| axis.at(alpha * lerp_t(i, steps.steps))))
 }
 
 /// `growing_skew { start_theta, end_theta }`: access skew that tightens
 /// (or relaxes) over time.
 ///
 /// Expands to `steps` zipfian phases with `theta` linearly interpolated —
-/// the canonical "a hot set emerges" drift for learned structures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GrowingSkewComposer {
-    /// Phase-name prefix.
-    pub name: String,
-    /// Number of phases to expand to (at least 2).
-    pub steps: u64,
-    /// Operations per expanded phase.
-    pub ops_per_step: u64,
-    /// Zipf theta of the first step.
-    pub start_theta: f64,
-    /// Zipf theta of the last step.
-    pub end_theta: f64,
-    /// Gradual window for the joins between steps (`None` = abrupt).
-    pub smooth: Option<f64>,
-    /// Key range shared by every step.
-    pub key_range: (u64, u64),
-    /// Operation mix shared by every step.
-    pub mix: OperationMix,
-}
-
-impl GrowingSkewComposer {
-    /// Expands the composer. See the type-level docs for the schedule.
-    pub fn expand(&self) -> Result<Expansion, String> {
-        check_steps(self.steps, 2)?;
-        check_ops(self.ops_per_step)?;
-        for (label, theta) in [
-            ("start_theta", self.start_theta),
-            ("end_theta", self.end_theta),
-        ] {
-            if !(theta > 0.0 && theta.is_finite()) {
-                return Err(format!("{label} must be positive and finite"));
-            }
+/// the canonical "a hot set emerges" drift for learned structures: a full
+/// [`drift`] between two zipf endpoints.
+pub fn growing_skew(
+    steps: &Steps,
+    mix: OperationMix,
+    start_theta: f64,
+    end_theta: f64,
+    smooth: Option<f64>,
+) -> Result<Expansion, String> {
+    steps.check(2)?;
+    for (label, theta) in [("start_theta", start_theta), ("end_theta", end_theta)] {
+        if !(theta > 0.0 && theta.is_finite()) {
+            return Err(format!("{label} must be positive and finite"));
         }
-        let endpoint = |theta: f64| {
-            WorkloadPhase::new(
-                self.name.clone(),
-                KeyDistribution::Zipf { theta },
-                self.key_range,
-                self.mix.clone(),
-                self.ops_per_step,
-            )
-        };
-        let axis = DriftAxis::new(endpoint(self.start_theta), endpoint(self.end_theta))
-            .expect("two zipf endpoints always share a shape");
-        let phases = (0..self.steps)
-            .map(|i| {
-                let mut p = axis.at(lerp_t(i, self.steps));
-                p.name = format!("{}-{i}", self.name);
-                p
-            })
-            .collect::<Vec<_>>();
-        let transitions = internal_transitions(phases.len() - 1, self.smooth);
-        Ok((phases, transitions))
     }
-}
-
-/// `drift { alpha, from, to, steps }`: the sweep subsystem's α axis
-/// exposed directly in spec files.
-///
-/// Expands to `steps` phases that ramp the drift intensity linearly from
-/// 0 (the `from` distribution, exactly) up to `alpha` — step `i` sits at
-/// `α_i = alpha · i / (steps − 1)` on the [`DriftAxis`] between `from`
-/// and `to`. `alpha = 1` reproduces `[[gradual_shift]]` bit for bit;
-/// smaller values stop the drift partway, which is what a ladder of
-/// `[[drift]]` specs at increasing `alpha` sweeps over.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftComposer {
-    /// Phase-name prefix.
-    pub name: String,
-    /// Number of phases to expand to (at least 2).
-    pub steps: u64,
-    /// Operations per expanded phase.
-    pub ops_per_step: u64,
-    /// Starting distribution (the α = 0 anchor).
-    pub from: KeyDistribution,
-    /// Full-drift distribution (reached only when `alpha = 1`).
-    pub to: KeyDistribution,
-    /// Drift intensity the last step reaches, in `[0, 1]`.
-    pub alpha: f64,
-    /// Gradual window for the joins between steps (`None` = abrupt).
-    pub smooth: Option<f64>,
-    /// Key range shared by every step.
-    pub key_range: (u64, u64),
-    /// Operation mix shared by every step.
-    pub mix: OperationMix,
-}
-
-impl DriftComposer {
-    /// Expands the composer. See the type-level docs for the schedule.
-    pub fn expand(&self) -> Result<Expansion, String> {
-        check_steps(self.steps, 2)?;
-        check_ops(self.ops_per_step)?;
-        if !(self.alpha.is_finite() && (0.0..=1.0).contains(&self.alpha)) {
-            return Err(format!("alpha must be in [0, 1], got {}", self.alpha));
-        }
-        let endpoint = |d: &KeyDistribution| {
-            WorkloadPhase::new(
-                self.name.clone(),
-                d.clone(),
-                self.key_range,
-                self.mix.clone(),
-                self.ops_per_step,
-            )
-        };
-        let axis = DriftAxis::new(endpoint(&self.from), endpoint(&self.to))?;
-        let phases = (0..self.steps)
-            .map(|i| {
-                let mut p = axis.at(self.alpha * lerp_t(i, self.steps));
-                p.name = format!("{}-{i}", self.name);
-                p
-            })
-            .collect::<Vec<_>>();
-        let transitions = internal_transitions(phases.len() - 1, self.smooth);
-        Ok((phases, transitions))
-    }
+    let zipf = |theta| KeyDistribution::Zipf { theta };
+    drift(steps, mix, zipf(start_theta), zipf(end_theta), 1.0, smooth)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsbench_workload::phases::{TransitionKind, WorkloadPhase};
 
-    const RANGE: (u64, u64) = (0, 1_000_000);
+    fn steps(name: &str, steps: u64, ops_per_step: u64) -> Steps {
+        Steps {
+            name: name.to_string(),
+            steps,
+            ops_per_step,
+            key_range: (0, 1_000_000),
+        }
+    }
 
     #[test]
     fn diurnal_cycle_is_sinusoidal_and_positive() {
-        let c = DiurnalComposer {
-            name: "day".to_string(),
-            steps: 12,
-            ops_per_step: 100,
-            period: 12.0,
-            amplitude: 0.9,
-            distribution: KeyDistribution::Uniform,
-            key_range: RANGE,
-            mix: OperationMix::ycsb_c(),
+        let expand = || {
+            diurnal(
+                &steps("day", 12, 100),
+                OperationMix::ycsb_c(),
+                12.0,
+                0.9,
+                KeyDistribution::Uniform,
+            )
         };
-        let (phases, transitions) = c.expand().unwrap();
+        let (phases, transitions) = expand().unwrap();
         assert_eq!(phases.len(), 12);
         assert_eq!(transitions.len(), 11);
         assert!(phases.iter().all(|p| p.concurrency_burst > 0.0));
@@ -405,49 +192,48 @@ mod tests {
         assert!(phases[2].concurrency_burst > 1.5);
         assert!(phases[8].concurrency_burst < 0.5);
         // Deterministic: same inputs, same expansion.
-        assert_eq!(c.expand().unwrap(), (phases, transitions));
+        assert_eq!(expand().unwrap(), (phases, transitions));
     }
 
     #[test]
     fn burst_window_carries_factor() {
-        let c = BurstComposer {
-            name: "crowd".to_string(),
-            steps: 6,
-            ops_per_step: 50,
-            at: 2,
-            width: 2,
-            factor: 8.0,
-            distribution: KeyDistribution::Zipf { theta: 0.99 },
-            key_range: RANGE,
-            mix: OperationMix::ycsb_b(),
+        let expand = |at| {
+            burst(
+                &steps("crowd", 6, 50),
+                OperationMix::ycsb_b(),
+                at,
+                2,
+                8.0,
+                KeyDistribution::Zipf { theta: 0.99 },
+            )
         };
-        let (phases, _) = c.expand().unwrap();
+        let (phases, _) = expand(2).unwrap();
         let factors: Vec<f64> = phases.iter().map(|p| p.concurrency_burst).collect();
         assert_eq!(factors, [1.0, 1.0, 8.0, 8.0, 1.0, 1.0]);
         // Out-of-range burst rejected.
-        let bad = BurstComposer { at: 5, ..c };
-        assert!(bad.expand().is_err());
+        assert!(expand(5).is_err());
     }
 
     #[test]
     fn gradual_shift_interpolates_and_rejects_shape_jumps() {
-        let c = GradualShiftComposer {
-            name: "drift".to_string(),
-            steps: 5,
-            ops_per_step: 10,
-            from: KeyDistribution::Normal {
-                center: 0.1,
-                std_frac: 0.05,
-            },
-            to: KeyDistribution::Normal {
-                center: 0.9,
-                std_frac: 0.01,
-            },
-            smooth: Some(0.5),
-            key_range: RANGE,
-            mix: OperationMix::ycsb_c(),
+        let expand = |to| {
+            drift(
+                &steps("drift", 5, 10),
+                OperationMix::ycsb_c(),
+                KeyDistribution::Normal {
+                    center: 0.1,
+                    std_frac: 0.05,
+                },
+                to,
+                1.0,
+                Some(0.5),
+            )
         };
-        let (phases, transitions) = c.expand().unwrap();
+        let (phases, transitions) = expand(KeyDistribution::Normal {
+            center: 0.9,
+            std_frac: 0.01,
+        })
+        .unwrap();
         let KeyDistribution::Normal { center, .. } = phases[2].distribution else {
             panic!("shape preserved");
         };
@@ -455,26 +241,20 @@ mod tests {
         assert!(transitions
             .iter()
             .all(|t| *t == TransitionKind::Gradual { window: 0.5 }));
-        let bad = GradualShiftComposer {
-            to: KeyDistribution::Uniform,
-            ..c
-        };
-        assert!(bad.expand().unwrap_err().contains("cannot interpolate"));
+        let err = expand(KeyDistribution::Uniform).unwrap_err();
+        assert!(err.contains("cannot interpolate"));
     }
 
     #[test]
     fn growing_skew_hits_both_endpoints() {
-        let c = GrowingSkewComposer {
-            name: "skew".to_string(),
-            steps: 9,
-            ops_per_step: 10,
-            start_theta: 0.6,
-            end_theta: 1.4,
-            smooth: None,
-            key_range: RANGE,
-            mix: OperationMix::ycsb_c(),
-        };
-        let (phases, transitions) = c.expand().unwrap();
+        let (phases, transitions) = growing_skew(
+            &steps("skew", 9, 10),
+            OperationMix::ycsb_c(),
+            0.6,
+            1.4,
+            None,
+        )
+        .unwrap();
         let thetas: Vec<f64> = phases
             .iter()
             .map(|p| match p.distribution {
@@ -488,47 +268,28 @@ mod tests {
         assert!(transitions.iter().all(|t| *t == TransitionKind::Abrupt));
     }
 
-    fn drift_composer(alpha: f64) -> DriftComposer {
-        DriftComposer {
-            name: "d".to_string(),
-            steps: 5,
-            ops_per_step: 10,
-            from: KeyDistribution::Zipf { theta: 0.5 },
-            to: KeyDistribution::Zipf { theta: 1.3 },
+    fn zipf_drift(alpha: f64) -> Result<Expansion, String> {
+        drift(
+            &steps("d", 5, 10),
+            OperationMix::ycsb_c(),
+            KeyDistribution::Zipf { theta: 0.5 },
+            KeyDistribution::Zipf { theta: 1.3 },
             alpha,
-            smooth: None,
-            key_range: RANGE,
-            mix: OperationMix::ycsb_c(),
-        }
+            None,
+        )
     }
 
     #[test]
     fn drift_at_zero_alpha_never_leaves_the_base_distribution() {
-        let (phases, _) = drift_composer(0.0).expand().unwrap();
+        let (phases, _) = zipf_drift(0.0).unwrap();
         assert!(phases
             .iter()
             .all(|p| p.distribution == KeyDistribution::Zipf { theta: 0.5 }));
     }
 
     #[test]
-    fn drift_at_full_alpha_matches_gradual_shift_exactly() {
-        let d = drift_composer(1.0);
-        let g = GradualShiftComposer {
-            name: d.name.clone(),
-            steps: d.steps,
-            ops_per_step: d.ops_per_step,
-            from: d.from.clone(),
-            to: d.to.clone(),
-            smooth: d.smooth,
-            key_range: d.key_range,
-            mix: d.mix.clone(),
-        };
-        assert_eq!(d.expand().unwrap(), g.expand().unwrap());
-    }
-
-    #[test]
     fn drift_partial_alpha_stops_partway_and_hits_its_endpoint_exactly() {
-        let (phases, _) = drift_composer(0.5).expand().unwrap();
+        let (phases, _) = zipf_drift(0.5).unwrap();
         let theta_of = |p: &WorkloadPhase| match p.distribution {
             KeyDistribution::Zipf { theta } => theta,
             _ => panic!("all phases zipf"),
@@ -543,7 +304,7 @@ mod tests {
     #[test]
     fn drift_rejects_out_of_range_alpha() {
         for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
-            let err = drift_composer(bad).expand().unwrap_err();
+            let err = zipf_drift(bad).unwrap_err();
             assert!(err.contains("alpha must be in [0, 1]"), "{err}");
         }
     }

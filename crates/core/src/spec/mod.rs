@@ -12,9 +12,13 @@
 //!
 //! Four layers:
 //!
-//! * [`parse`] — the parser + schema. Every rejection is a positioned
-//!   [`SpecError`] (`line`, `field`, `reason`); malformed input never
-//!   panics.
+//! * [`parse`] — the parser + schema. One reading layer serves every
+//!   spec-style file (scenarios, `--faults` plans, regression policies):
+//!   its `BLOCKS` table is the header vocabulary — every `[section]` and
+//!   `[[block]]` name, the seven composers below among them — and its
+//!   typed, line-remembering `Fields` are how every key is read. Every
+//!   rejection is a positioned [`SpecError`] (`line`, `field`, `reason`);
+//!   malformed input never panics.
 //! * [`compose`] — *drift composers*: high-level phase generators that
 //!   expand into concrete phase lists at parse time, deterministically
 //!   (virtual clock arithmetic + the spec seed — see DESIGN.md). The
@@ -33,28 +37,28 @@
 //! |---|---|---|
 //! | `[[diurnal]]` | `steps` phases | sinusoidal load swing (concurrency burst) over a fixed distribution |
 //! | `[[burst]]` | `steps` phases | calm/surge alternation between two load levels |
-//! | `[[gradual_shift]]` | `steps` phases | parameter interpolation from `from` to `to` at full intensity |
-//! | `[[growing_skew]]` | `steps` phases | Zipf theta ramp (a `gradual_shift` specialized to skew) |
+//! | `[[gradual_shift]]` | `steps` phases | parameter interpolation from `from` to `to` at full intensity (`drift` at `alpha = 1`) |
+//! | `[[growing_skew]]` | `steps` phases | Zipf theta ramp (a `gradual_shift` between two zipf endpoints) |
 //! | `[[drift]]` | `steps` phases | `gradual_shift` scaled by an explicit intensity `alpha` ∈ \[0, 1\] |
 //! | `[[templated_repetition]]` | template-driven phases | query-template popularity churn (PR-8 workload family) |
 //! | `[[ledger]]` | growth-driven phases | append-heavy ledger growth (PR-8 workload family) |
 //!
-//! The first five route through the shared
-//! [`DriftAxis`](crate::sweep::DriftAxis) primitive in [`crate::sweep`];
-//! `drift(0)` is the base phase and `drift(1)` the target, exact by
-//! construction. The last two wrap `lsbench_workload::families`
-//! generators. The `lsbench sweep` ladder
-//! ([`DriftLadder`](crate::sweep::DriftLadder)) reuses the same axis at
-//! run time to grade whole scenarios by intensity.
+//! All seven unroll through one `Steps::unroll`
+//! (`lsbench_workload::families`). `[[gradual_shift]]` *is* `[[drift]]` at
+//! `alpha = 1`, and `[[growing_skew]]` is that between two zipf endpoints:
+//! the three sample the shared [`DriftAxis`](crate::sweep::DriftAxis)
+//! primitive in [`crate::sweep`], where `drift(0)` is the base phase and
+//! `drift(1)` the target, exact by construction. `[[diurnal]]` and
+//! `[[burst]]` only scale the load of one template phase. The last two
+//! wrap `lsbench_workload::families` generators. The `lsbench sweep`
+//! ladder ([`DriftLadder`](crate::sweep::DriftLadder)) reuses the same
+//! axis at run time to grade whole scenarios by intensity.
 
 pub mod compose;
 pub mod parse;
 pub mod registry;
 pub mod render;
 
-pub use compose::{
-    BurstComposer, DiurnalComposer, DriftComposer, GradualShiftComposer, GrowingSkewComposer,
-};
 pub use parse::{parse_fault_plan, parse_scenario};
 pub use registry::ScenarioRegistry;
 pub use render::render_scenario;

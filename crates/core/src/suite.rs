@@ -21,7 +21,7 @@ use crate::{BenchError, Result};
 use lsbench_sut::kv::BTreeSut;
 use lsbench_workload::arrival::{ArrivalProcess, LoadModulation};
 use lsbench_workload::dataset::Dataset;
-use lsbench_workload::families::{LedgerGrowth, TemplatedRepetition};
+use lsbench_workload::families::{LedgerGrowth, Steps, TemplatedRepetition};
 use lsbench_workload::keygen::KeyDistribution;
 use lsbench_workload::ops::OperationMix;
 use lsbench_workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase};
@@ -284,10 +284,12 @@ pub fn s5_bursty_load(cfg: &SuiteConfig) -> Result<Scenario> {
 /// S6: templated query repetition with churn (Redbench dynamics).
 pub fn s6_templated_repetition(cfg: &SuiteConfig) -> Result<Scenario> {
     let family = TemplatedRepetition {
-        name: "templ".to_string(),
-        steps: 4,
-        ops_per_step: (cfg.ops_per_phase / 2).max(1),
-        key_range: KEY_RANGE,
+        steps: Steps {
+            name: "templ".to_string(),
+            steps: 4,
+            ops_per_step: (cfg.ops_per_phase / 2).max(1),
+            key_range: KEY_RANGE,
+        },
         mix: OperationMix::ycsb_c(),
         templates: 1_000,
         hot_templates: 50,
@@ -307,10 +309,12 @@ pub fn s6_templated_repetition(cfg: &SuiteConfig) -> Result<Scenario> {
 /// (CrypQ dynamics).
 pub fn s7_ledger_growth(cfg: &SuiteConfig) -> Result<Scenario> {
     let family = LedgerGrowth {
-        name: "ledger".to_string(),
-        steps: 4,
-        ops_per_step: (cfg.ops_per_phase / 2).max(1),
-        key_range: KEY_RANGE,
+        steps: Steps {
+            name: "ledger".to_string(),
+            steps: 4,
+            ops_per_step: (cfg.ops_per_phase / 2).max(1),
+            key_range: KEY_RANGE,
+        },
         start_frac: 0.25,
         append_fraction: 0.3,
         recency: 0.1,

@@ -15,24 +15,11 @@ use lsbench_workload::keygen::KeyDistribution;
 use lsbench_workload::ops::OperationMix;
 use lsbench_workload::phases::WorkloadPhase;
 
-/// Unclamped linear interpolation `a + (b − a) · t`.
-///
-/// At `t = 0` this is exactly `a` (adding a signed zero never changes a
-/// nonzero value); at `t = 1` it may differ from `b` by an ulp, which is
-/// why [`DriftAxis::at`] clamps the endpoints instead of evaluating them.
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
-}
-
-/// Linear interpolation position of step `i` among `steps` (0 at the
-/// first step, 1 at the last; 0 for a single step).
-pub fn lerp_t(i: u64, steps: u64) -> f64 {
-    if steps <= 1 {
-        0.0
-    } else {
-        i as f64 / (steps - 1) as f64
-    }
-}
+/// The interpolation arithmetic is defined once, next to the workload
+/// families that share it. `lerp(a, b, 1)` may differ from `b` by an ulp,
+/// which is why [`DriftAxis::at`] clamps the endpoints instead of
+/// evaluating them.
+pub use lsbench_workload::families::{lerp, lerp_t};
 
 /// Interpolates two same-shape distributions at `t ∈ [0, 1]`.
 ///

@@ -11,9 +11,9 @@
 //! * [`drift`] — the [`DriftAxis`] primitive: a
 //!   deterministic, endpoint-exact interpolation between two same-shape
 //!   workload phases (distribution parameters, operation mix, ops,
-//!   key range, concurrency burst, and optionally arrival rate). The four
-//!   original spec composers and the `[[drift]]` block all expand through
-//!   it (see [`crate::spec::compose`]).
+//!   key range, concurrency burst, and optionally arrival rate). The spec
+//!   composers that move a distribution (`[[drift]]`, `[[gradual_shift]]`,
+//!   `[[growing_skew]]`) sample it (see [`crate::spec::compose`]).
 //! * [`ladder`] — sweep grids and scenario ladders: parse a
 //!   `lo..hixN` axis into a monotone α grid and derive the rung scenario
 //!   at each α from a base scenario by drifting every phase from the

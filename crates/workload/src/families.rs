@@ -10,12 +10,14 @@
 //!   space only grows, recent keys absorb most accesses, and the absolute
 //!   key distribution therefore drifts continuously as the ledger grows.
 //!
-//! This module provides both as phase-expanding families, in the same shape
-//! as the core crate's drift composers: a family is a plain struct whose
-//! [`expand`](TemplatedRepetition::expand) unrolls it into concrete
-//! [`WorkloadPhase`]s joined by [`TransitionKind`]s. Expansion is pure
-//! arithmetic — families return `String` reasons on invalid parameters and
-//! the spec parser attaches source positions.
+//! This module provides both as phase-expanding families: a family is a
+//! plain struct whose [`expand`](TemplatedRepetition::expand) unrolls it
+//! into concrete [`WorkloadPhase`]s joined by [`TransitionKind`]s.
+//! Expansion is pure arithmetic — families return `String` reasons on
+//! invalid parameters and the spec parser attaches source positions. The
+//! unrolling itself ([`Steps`]) and the interpolation arithmetic
+//! ([`lerp`], [`lerp_t`]) live here once; the core crate's drift composers
+//! and drift axis use the same definitions.
 
 use crate::keygen::KeyDistribution;
 use crate::ops::OperationMix;
@@ -25,9 +27,19 @@ use crate::phases::{TransitionKind, WorkloadPhase};
 /// (`transitions.len() == phases.len() - 1`).
 pub type FamilyExpansion = (Vec<WorkloadPhase>, Vec<TransitionKind>);
 
+/// Unclamped linear interpolation `a + (b − a) · t`.
+///
+/// At `t = 0` this is exactly `a` (adding a signed zero never changes a
+/// nonzero value); at `t = 1` it may differ from `b` by an ulp, which is
+/// why the core crate's `DriftAxis::at` clamps the endpoints instead of
+/// evaluating them.
+pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
+    a + (b - a) * t
+}
+
 /// Linear interpolation position of step `i` among `steps` (0 at the first
 /// step, 1 at the last; 0 for a single step).
-fn lerp_t(i: u64, steps: u64) -> f64 {
+pub fn lerp_t(i: u64, steps: u64) -> f64 {
     if steps <= 1 {
         0.0
     } else {
@@ -35,25 +47,81 @@ fn lerp_t(i: u64, steps: u64) -> f64 {
     }
 }
 
-fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
+/// What every phase-unrolling block states: how many phases, how long
+/// each, over which keys, and what to call them. The families below and
+/// the core crate's drift composers all unroll through this one type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Steps {
+    /// Phase-name prefix (phases are `{name}-0`, `{name}-1`, …).
+    pub name: String,
+    /// Number of phases to expand to.
+    pub steps: u64,
+    /// Operations per expanded phase.
+    pub ops_per_step: u64,
+    /// Key range of the block (the ledger's *final* extent).
+    pub key_range: (u64, u64),
 }
 
-fn check_steps(steps: u64, min: u64) -> Result<(), String> {
-    if steps < min {
-        Err(format!("needs at least {min} steps, got {steps}"))
-    } else if steps > 100_000 {
-        Err(format!("{steps} steps is unreasonably many (max 100000)"))
-    } else {
-        Ok(())
+impl Steps {
+    /// Rejects fewer than `min_steps` steps, an unreasonable step count,
+    /// and empty steps.
+    pub fn check(&self, min_steps: u64) -> Result<(), String> {
+        if self.steps < min_steps {
+            Err(format!(
+                "needs at least {min_steps} steps, got {}",
+                self.steps
+            ))
+        } else if self.steps > 100_000 {
+            Err(format!(
+                "{} steps is unreasonably many (max 100000)",
+                self.steps
+            ))
+        } else if self.ops_per_step == 0 {
+            Err("ops_per_step must be positive".to_string())
+        } else {
+            Ok(())
+        }
     }
-}
 
-fn check_ops(ops_per_step: u64) -> Result<(), String> {
-    if ops_per_step == 0 {
-        Err("ops_per_step must be positive".to_string())
-    } else {
-        Ok(())
+    /// One step's phase over `range`, named after the block
+    /// ([`unroll`](Steps::unroll) numbers it).
+    pub fn phase(
+        &self,
+        distribution: KeyDistribution,
+        range: (u64, u64),
+        mix: OperationMix,
+    ) -> WorkloadPhase {
+        WorkloadPhase::new(
+            self.name.clone(),
+            distribution,
+            range,
+            mix,
+            self.ops_per_step,
+        )
+    }
+
+    /// Unrolls the block: step `i`'s phase is `phase(i)` renamed
+    /// `{name}-{i}`; consecutive steps are joined abruptly, or gradually
+    /// over the `smooth` window. Call after [`check`](Steps::check), which
+    /// guarantees at least one step.
+    pub fn unroll(
+        &self,
+        smooth: Option<f64>,
+        mut phase: impl FnMut(u64) -> WorkloadPhase,
+    ) -> FamilyExpansion {
+        let phases: Vec<WorkloadPhase> = (0..self.steps)
+            .map(|i| {
+                let mut p = phase(i);
+                p.name = format!("{}-{i}", self.name);
+                p
+            })
+            .collect();
+        let join = match smooth {
+            Some(window) => TransitionKind::Gradual { window },
+            None => TransitionKind::Abrupt,
+        };
+        let transitions = vec![join; phases.len() - 1];
+        (phases, transitions)
     }
 }
 
@@ -75,14 +143,9 @@ fn harmonic(k: u64, theta: f64) -> f64 {
 /// dominance as the template population turns over.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TemplatedRepetition {
-    /// Phase-name prefix (phases are `{name}-0`, `{name}-1`, …).
-    pub name: String,
-    /// Number of phases to expand to.
-    pub steps: u64,
-    /// Operations per expanded phase.
-    pub ops_per_step: u64,
-    /// Key range partitioned into template slots.
-    pub key_range: (u64, u64),
+    /// Step count, length, name prefix, and the key range partitioned into
+    /// template slots.
+    pub steps: Steps,
     /// Operation mix shared by every step.
     pub mix: OperationMix,
     /// Total number of query templates (≥ 2).
@@ -98,8 +161,7 @@ pub struct TemplatedRepetition {
 impl TemplatedRepetition {
     /// Expands the family. See the type-level docs for the schedule.
     pub fn expand(&self) -> Result<FamilyExpansion, String> {
-        check_steps(self.steps, 1)?;
-        check_ops(self.ops_per_step)?;
+        self.steps.check(1)?;
         if self.templates < 2 {
             return Err(format!(
                 "needs at least 2 templates, got {}",
@@ -124,31 +186,29 @@ impl TemplatedRepetition {
         if !(0.0..=1.0).contains(&self.churn) {
             return Err("churn must be in [0, 1]".to_string());
         }
-        if self.churn > 0.0 && self.steps < 2 {
+        if self.churn > 0.0 && self.steps.steps < 2 {
             return Err("churn needs at least 2 steps to erode over".to_string());
         }
         let hot_span = self.hot_templates as f64 / self.templates as f64;
         let head_mass =
             harmonic(self.hot_templates, self.theta) / harmonic(self.templates, self.theta);
-        let phases = (0..self.steps)
-            .map(|i| {
-                // Erode the Zipf head mass toward the uniform baseline
-                // (where the hot set receives exactly its span's share).
-                let hot_fraction = lerp(head_mass, hot_span, self.churn * lerp_t(i, self.steps));
-                WorkloadPhase::new(
-                    format!("{}-{i}", self.name),
-                    KeyDistribution::Hotspot {
-                        hot_fraction,
-                        hot_span,
-                    },
-                    self.key_range,
-                    self.mix.clone(),
-                    self.ops_per_step,
-                )
-            })
-            .collect::<Vec<_>>();
-        let transitions = vec![TransitionKind::Abrupt; phases.len() - 1];
-        Ok((phases, transitions))
+        Ok(self.steps.unroll(None, |i| {
+            // Erode the Zipf head mass toward the uniform baseline (where
+            // the hot set receives exactly its span's share).
+            let hot_fraction = lerp(
+                head_mass,
+                hot_span,
+                self.churn * lerp_t(i, self.steps.steps),
+            );
+            self.steps.phase(
+                KeyDistribution::Hotspot {
+                    hot_fraction,
+                    hot_span,
+                },
+                self.steps.key_range,
+                self.mix.clone(),
+            )
+        }))
     }
 }
 
@@ -165,14 +225,9 @@ impl TemplatedRepetition {
 /// range) and the rest are reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerGrowth {
-    /// Phase-name prefix (phases are `{name}-0`, `{name}-1`, …).
-    pub name: String,
-    /// Number of phases to expand to (≥ 2 — growth needs somewhere to go).
-    pub steps: u64,
-    /// Operations per expanded phase.
-    pub ops_per_step: u64,
-    /// The ledger's final key range, reached at the last step.
-    pub key_range: (u64, u64),
+    /// Step count (≥ 2 — growth needs somewhere to go), length, name
+    /// prefix, and the ledger's final key range, reached at the last step.
+    pub steps: Steps,
     /// Fraction of the final range live at the first step, in `(0, 1)`.
     pub start_frac: f64,
     /// Fraction of operations that append, in `[0, 1)`.
@@ -184,9 +239,8 @@ pub struct LedgerGrowth {
 impl LedgerGrowth {
     /// Expands the family. See the type-level docs for the schedule.
     pub fn expand(&self) -> Result<FamilyExpansion, String> {
-        check_steps(self.steps, 2)?;
-        check_ops(self.ops_per_step)?;
-        let (lo, hi) = self.key_range;
+        self.steps.check(2)?;
+        let (lo, hi) = self.steps.key_range;
         if lo >= hi {
             return Err(format!("key_range {lo}..{hi} is empty"));
         }
@@ -220,21 +274,17 @@ impl LedgerGrowth {
             center: 1.0 - self.recency / 2.0,
             std_frac: self.recency / 4.0,
         };
-        let phases = (0..self.steps)
-            .map(|i| {
-                let frac = lerp(self.start_frac, 1.0, lerp_t(i, self.steps));
-                let live_hi = lo + (span * frac).round().max(1.0) as u64;
-                WorkloadPhase::new(
-                    format!("{}-{i}", self.name),
-                    distribution.clone(),
-                    (lo, live_hi.min(hi).max(lo + 1)),
-                    mix.clone(),
-                    self.ops_per_step,
-                )
-            })
-            .collect::<Vec<_>>();
-        let transitions = vec![TransitionKind::Abrupt; phases.len() - 1];
-        Ok((phases, transitions))
+        Ok(self.steps.unroll(None, |i| {
+            let frac = lerp(self.start_frac, 1.0, lerp_t(i, self.steps.steps));
+            // Saturating: `span` rounds up to 2^64 under a range that ends
+            // at `u64::MAX`.
+            let live_hi = lo.saturating_add((span * frac).round().max(1.0) as u64);
+            self.steps.phase(
+                distribution.clone(),
+                (lo, live_hi.min(hi).max(lo + 1)),
+                mix.clone(),
+            )
+        }))
     }
 }
 
@@ -243,12 +293,18 @@ mod tests {
     use super::*;
     use crate::phases::PhasedWorkload;
 
-    fn templated() -> TemplatedRepetition {
-        TemplatedRepetition {
-            name: "templ".to_string(),
-            steps: 4,
+    fn steps(name: &str, steps: u64) -> Steps {
+        Steps {
+            name: name.to_string(),
+            steps,
             ops_per_step: 1_000,
             key_range: (0, 1_000_000),
+        }
+    }
+
+    fn templated() -> TemplatedRepetition {
+        TemplatedRepetition {
+            steps: steps("templ", 4),
             mix: OperationMix::ycsb_c(),
             templates: 100,
             hot_templates: 10,
@@ -259,10 +315,7 @@ mod tests {
 
     fn ledger() -> LedgerGrowth {
         LedgerGrowth {
-            name: "ledger".to_string(),
-            steps: 5,
-            ops_per_step: 1_000,
-            key_range: (0, 1_000_000),
+            steps: steps("ledger", 5),
             start_frac: 0.2,
             append_fraction: 0.3,
             recency: 0.1,
@@ -308,7 +361,7 @@ mod tests {
     fn templated_zero_churn_is_stationary() {
         let mut fam = templated();
         fam.churn = 0.0;
-        fam.steps = 1;
+        fam.steps.steps = 1;
         let (phases, transitions) = fam.expand().unwrap();
         assert_eq!(phases.len(), 1);
         assert!(transitions.is_empty());
@@ -326,7 +379,7 @@ mod tests {
         fam.churn = 1.5;
         assert!(fam.expand().unwrap_err().contains("churn"));
         let mut fam = templated();
-        fam.steps = 1;
+        fam.steps.steps = 1;
         assert!(fam.expand().unwrap_err().contains("churn"));
         let mut fam = templated();
         fam.templates = 1;
@@ -354,9 +407,18 @@ mod tests {
     }
 
     #[test]
+    fn ledger_whose_range_ends_at_u64_max_stays_inside_it() {
+        let mut fam = ledger();
+        fam.steps.key_range = (1, u64::MAX);
+        let (phases, _) = fam.expand().unwrap();
+        assert_eq!(phases.last().unwrap().key_range, (1, u64::MAX));
+        assert!(phases.iter().all(|p| p.key_range.1 > 1));
+    }
+
+    #[test]
     fn ledger_rejects_bad_parameters() {
         let mut fam = ledger();
-        fam.steps = 1;
+        fam.steps.steps = 1;
         assert!(fam.expand().unwrap_err().contains("steps"));
         let mut fam = ledger();
         fam.start_frac = 1.0;
@@ -368,7 +430,7 @@ mod tests {
         fam.recency = 0.0;
         assert!(fam.expand().unwrap_err().contains("recency"));
         let mut fam = ledger();
-        fam.key_range = (10, 10);
+        fam.steps.key_range = (10, 10);
         assert!(fam.expand().unwrap_err().contains("empty"));
     }
 }

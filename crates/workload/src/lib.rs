@@ -41,7 +41,7 @@ pub mod trace;
 
 pub use arrival::{ArrivalProcess, LoadModulation};
 pub use dataset::Dataset;
-pub use families::{LedgerGrowth, TemplatedRepetition};
+pub use families::{LedgerGrowth, Steps, TemplatedRepetition};
 pub use keygen::{KeyDistribution, KeyGenerator};
 pub use ops::{Operation, OperationMix};
 pub use phases::{PhasedWorkload, TransitionKind, WorkloadPhase};

@@ -163,6 +163,16 @@ impl PhasedWorkload {
         for t in &transitions {
             t.validate()?;
         }
+        // `total_ops` and `phase_start` sum the phases unchecked.
+        if phases
+            .iter()
+            .try_fold(0u64, |sum, p| sum.checked_add(p.ops))
+            .is_none()
+        {
+            return Err(crate::WorkloadError::InvalidParameter(
+                "the phases' ops add up to more than 2^64 - 1".to_string(),
+            ));
+        }
         Ok(PhasedWorkload {
             phases,
             transitions,
@@ -466,6 +476,17 @@ mod tests {
         let low_b = ops[2000..].iter().filter(|o| o.op.key() < 10_000).count();
         assert!(low_a < 400, "low_a = {low_a}"); // ~10% of uniform
         assert!(low_b > 1800, "low_b = {low_b}"); // nearly all of normal(0.05)
+    }
+
+    #[test]
+    fn op_counts_that_overflow_are_refused() {
+        let huge = |ops| phase("p", KeyDistribution::Uniform, ops);
+        let join = vec![TransitionKind::Abrupt];
+        let w = PhasedWorkload::new(vec![huge(u64::MAX - 1), huge(1)], join.clone(), 1).unwrap();
+        assert_eq!(w.total_ops(), u64::MAX);
+        assert_eq!(w.phase_start(2), u64::MAX);
+        let err = PhasedWorkload::new(vec![huge(u64::MAX), huge(1)], join, 1).unwrap_err();
+        assert!(err.to_string().contains("more than 2^64 - 1"), "{err}");
     }
 
     #[test]

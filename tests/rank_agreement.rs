@@ -9,7 +9,8 @@
 //!      `clock = wall` (the wall recorder observes, never perturbs), and
 //!   2. the wall-clock throughput ranking agrees with the work-unit
 //!      ranking at Kendall's tau >= 1/3 (at most one discordant pair of
-//!      three), using best-of-N wall repeats to shrug off scheduler noise.
+//!      three), using best-of-N wall repeats, interleaved across the SUTs,
+//!      to shrug off scheduler noise.
 
 use lsbench::core::record::RunRecord;
 use lsbench::core::runner::{RunOptions, Runner};
@@ -71,33 +72,46 @@ fn kendall_tau(a: &[f64], b: &[f64]) -> f64 {
 #[test]
 fn wall_clock_ranking_agrees_with_work_unit_ranking() {
     const SUTS: &[&str] = &["hash", "rmi", "btree"];
-    const WALL_REPEATS: usize = 3;
+    const WALL_REPEATS: usize = 5;
     let s = scenario();
 
-    let mut work_tput = Vec::new();
-    let mut wall_tput = Vec::new();
-    for sut in SUTS {
-        let (sim_record, sim_wall) = run(sut, &s, ClockMode::Sim);
-        assert!(sim_wall.is_none(), "{sut}: sim mode must not capture wall");
+    let sims: Vec<RunRecord> = SUTS
+        .iter()
+        .map(|sut| {
+            let (sim_record, sim_wall) = run(sut, &s, ClockMode::Sim);
+            assert!(sim_wall.is_none(), "{sut}: sim mode must not capture wall");
+            sim_record
+        })
+        .collect();
 
-        // Best-of-N wall repeats; every repeat must reproduce the sim
-        // record bit-for-bit — the tentpole's core invariant.
-        let mut best = 0.0f64;
-        for _ in 0..WALL_REPEATS {
+    // Best-of-N wall repeats, interleaved across the SUTs so that one noisy
+    // stretch of host time costs every SUT a repeat instead of costing one
+    // SUT all of them. Every repeat must reproduce the sim record
+    // bit-for-bit — the tentpole's core invariant.
+    let mut wall_tput = vec![0.0f64; SUTS.len()];
+    for _ in 0..WALL_REPEATS {
+        for (i, sut) in SUTS.iter().enumerate() {
             let (wall_record, wall) = run(sut, &s, ClockMode::Wall);
             assert_eq!(
-                wall_record, sim_record,
+                wall_record, sims[i],
                 "{sut}: clock=wall perturbed the work-unit record"
             );
-            best = best.max(wall.expect("wall mode captures wall stats"));
+            wall_tput[i] = wall_tput[i].max(wall.expect("wall mode captures wall stats"));
         }
-        assert!(best > 0.0, "{sut}: wall throughput must be positive");
-
-        let virtual_secs = sim_record.exec_end - sim_record.exec_start;
-        assert!(virtual_secs > 0.0);
-        work_tput.push(sim_record.ops.len() as f64 / virtual_secs);
-        wall_tput.push(best);
     }
+
+    assert!(
+        wall_tput.iter().all(|t| *t > 0.0),
+        "wall throughput must be positive: {wall_tput:?}"
+    );
+    let work_tput: Vec<f64> = sims
+        .iter()
+        .map(|record| {
+            let virtual_secs = record.exec_end - record.exec_start;
+            assert!(virtual_secs > 0.0);
+            record.ops.len() as f64 / virtual_secs
+        })
+        .collect();
 
     let tau = kendall_tau(&work_tput, &wall_tput);
     assert!(

@@ -8,7 +8,7 @@ use lsbench::core::metrics::sla::SlaPolicy;
 use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::{ArrivalSpec, ClockMode, OnlineTrainMode, Scenario};
 use lsbench::core::spec::{parse_scenario, render_scenario, ScenarioRegistry};
-use lsbench::core::suite::SuiteConfig;
+use lsbench::core::suite::{SuiteConfig, STANDARD_SCENARIOS};
 use lsbench::core::sut_registry::SutRegistry;
 use lsbench::workload::arrival::{ArrivalProcess, LoadModulation};
 use lsbench::workload::keygen::KeyDistribution;
@@ -161,6 +161,32 @@ fn shipped_suite_specs_equal_registry_builtins() {
         let built_in = reg.get(name).expect("registered");
         assert_eq!(from_file, built_in, "{file} drifted from built-in {name}");
     }
+}
+
+/// Every built-in — the two composer families S6/S7 included, which ship
+/// as exemplar specs rather than exported suite files — survives
+/// `parse ∘ render` unchanged, and a second render is byte-identical.
+#[test]
+fn every_built_in_round_trips_through_render() {
+    let small = SuiteConfig {
+        dataset_size: 500,
+        ops_per_phase: 7,
+        ..SuiteConfig::default()
+    };
+    for cfg in [SuiteConfig::default(), small] {
+        for (name, _, build) in STANDARD_SCENARIOS {
+            let built_in = build(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let text = render_scenario(&built_in);
+            let back = parse_scenario(&text).unwrap_or_else(|e| panic!("{name}: {e}\n{text}"));
+            assert_eq!(back, built_in, "{name} changed on the way through a file");
+            assert_eq!(
+                render_scenario(&back),
+                text,
+                "{name}: second render differs"
+            );
+        }
+    }
+    assert_eq!(STANDARD_SCENARIOS.len(), 7);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! The rejection oracle of the spec language: a frozen transcript of what
-//! the parser says about ~300 broken (and a few deliberately fine) files.
+//! the parser says about ~500 broken (and a few deliberately fine) files.
 //!
 //! `tests/spec_fixtures/bad/` pins fourteen rejections; the parser has
 //! several times that many. This file takes four well-formed base texts —
@@ -277,7 +277,7 @@ enum Edit {
 }
 use Edit::{D, I, R};
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Kind {
     Scenario,
     Plan,
@@ -561,6 +561,9 @@ const FULL_EDITS: &[Edit] = &[
     R("at_op = 150", r#"at_op = "x""#),
     R(r#"kind = "crash""#, r#"kind = "stall""#),
     I("[[fault]]", "bogus = 1"),
+    // --- counts at the edge of u64 (these overflowed before ISSUE 14) ---
+    R("ops = 200", "ops = 18446744073709551615"),
+    R("from_op = 10", "from_op = 18446744073709551615"),
 ];
 
 const COMPOSED_EDITS: &[Edit] = &[
@@ -729,6 +732,9 @@ window = 0.2"#,
         "recency = 0.2",
         "[[fault]]\nkind = \"crash\"\nphase = 41\nat_op = 39",
     ),
+    // --- counts at the edge of u64 (these overflowed before ISSUE 14) ---
+    R("ops_per_step = 50", "ops_per_step = 18446744073709551615"),
+    I("[[ledger]]", "key_range = [1, 18446744073709551615]"),
 ];
 
 const PLAN_EDITS: &[Edit] = &[
@@ -1140,6 +1146,67 @@ fn the_oracle_is_as_wide_as_it_claims() {
             assert!(verdict(*kind, text).starts_with("OK"), "{header}");
         }
     }
+}
+
+/// Values at the edges of what the lexer admits: the smallest and largest
+/// integers, both sides of the `u32` boundary, ranges touching `u64::MAX`,
+/// and the largest and smallest positive floats.
+const BOUNDARY_VALUES: &[&str] = &[
+    "0",
+    "1",
+    "4294967295",
+    "4294967296",
+    "18446744073709551614",
+    "18446744073709551615",
+    "[0, 18446744073709551615]",
+    "[1, 18446744073709551615]",
+    "[18446744073709551614, 18446744073709551615]",
+    "1e308",
+    "5e-324",
+];
+
+/// No value a spec file can hold makes the parser — or what callers do with
+/// an accepted scenario — overflow: every value of the two scenario base
+/// texts is replaced, one at a time, by each boundary value.
+#[test]
+fn boundary_values_never_panic() {
+    let mut panicked = Vec::new();
+    let mut variants = 0;
+    for base in [FULL, COMPOSED] {
+        let lines: Vec<&str> = base.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let Some((key, _)) = line.split_once(" = ") else {
+                continue;
+            };
+            for value in BOUNDARY_VALUES {
+                let mut edited = lines.clone();
+                let replaced = format!("{key} = {value}");
+                edited[i] = &replaced;
+                let text = edited.join("\n");
+                variants += 1;
+                let survived = std::panic::catch_unwind(|| {
+                    if let Ok(s) = parse_scenario(&text) {
+                        let _ = s.validate();
+                        let _ = s.workload.total_ops();
+                        for phase in 0..=s.workload.phases().len() {
+                            let _ = s.workload.phase_start(phase);
+                        }
+                        let _ = render_scenario(&s);
+                    }
+                });
+                if survived.is_err() {
+                    panicked.push(format!("line {}: {replaced}", i + 1));
+                }
+            }
+        }
+    }
+    assert!(variants > 1_000, "only {variants} variants");
+    assert!(
+        panicked.is_empty(),
+        "{} of {variants} variants panicked:\n{}",
+        panicked.len(),
+        panicked.join("\n")
+    );
 }
 
 /// Regenerates the fixture. Deliberately `#[ignore]`d: the transcript is
