@@ -10,8 +10,7 @@
 //! ratio below the traditional B+-tree's (which is ~1.0 by construction).
 
 use lsbench_bench::{emit, KEY_RANGE};
-use lsbench_core::driver::{run_kv_scenario, DriverConfig};
-use lsbench_core::holdout::{run_holdout, HoldoutReport};
+use lsbench_core::runner::{RunOptions, Runner};
 use lsbench_core::scenario::Scenario;
 use lsbench_sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
 use lsbench_workload::keygen::KeyDistribution;
@@ -112,9 +111,12 @@ fn main() {
     // in-sample specialization.
     let mut rmi =
         RmiSut::build("rmi+specialize", &data, RetrainPolicy::OnPhaseChange).expect("rmi");
-    let main_rmi = run_kv_scenario(&mut rmi, &s, DriverConfig::default()).expect("run");
-    let hold_rmi = run_holdout(&mut rmi, &s).expect("holdout run");
-    let rep_rmi = HoldoutReport::new(&main_rmi, &hold_rmi).expect("report");
+    let with_holdout = RunOptions {
+        holdout: true,
+        ..RunOptions::default()
+    };
+    let run_rmi = Runner::new(&mut rmi).config(with_holdout).run(&s);
+    let (_, rep_rmi) = run_rmi.expect("run").holdout.expect("hold-out pass");
     fig.push_str(&format!(
         "{:<17} {:>12.0}  {:>17.0}  {:>13.3}\n",
         rep_rmi.sut_name,
@@ -124,9 +126,8 @@ fn main() {
     ));
 
     let mut btree = BTreeSut::build(&data).expect("btree");
-    let main_bt = run_kv_scenario(&mut btree, &s, DriverConfig::default()).expect("run");
-    let hold_bt = run_holdout(&mut btree, &s).expect("holdout run");
-    let rep_bt = HoldoutReport::new(&main_bt, &hold_bt).expect("report");
+    let run_bt = Runner::new(&mut btree).config(with_holdout).run(&s);
+    let (_, rep_bt) = run_bt.expect("run").holdout.expect("hold-out pass");
     fig.push_str(&format!(
         "{:<17} {:>12.0}  {:>17.0}  {:>13.3}\n",
         rep_bt.sut_name,

@@ -11,8 +11,8 @@
 //! with the dip length shrinking as the training fraction grows.
 
 use lsbench_bench::{emit, KEY_RANGE};
-use lsbench_core::driver::{run_kv_scenario, DriverConfig};
 use lsbench_core::metrics::sla::SlaReport;
+use lsbench_core::runner::Runner;
 use lsbench_core::scenario::{OnlineTrainMode, Scenario};
 use lsbench_sut::kv::{RetrainPolicy, RmiSut};
 use lsbench_workload::keygen::KeyDistribution;
@@ -112,7 +112,7 @@ fn main() {
         // adaptation work, scheduled differently.
         let mut sut =
             RmiSut::build("rmi", &data, RetrainPolicy::OnPhaseChange).expect("rmi builds");
-        let record = run_kv_scenario(&mut sut, &s, DriverConfig::default()).expect("run");
+        let record = Runner::new(&mut sut).run(&s).expect("run").record;
         let lats = record.all_latencies();
         let max_lat = lats.iter().cloned().fold(0.0f64, f64::max);
         let p99 = lsbench_stats::descriptive::quantile(&lats, 0.99).expect("non-empty");

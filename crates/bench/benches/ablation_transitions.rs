@@ -11,9 +11,9 @@
 //! learned system smaller SLA-adjustment costs than the abrupt switch.
 
 use lsbench_bench::{emit, KEY_RANGE};
-use lsbench_core::driver::{run_kv_scenario, DriverConfig};
 use lsbench_core::metrics::adaptability::AdaptabilityReport;
 use lsbench_core::metrics::sla::SlaReport;
+use lsbench_core::runner::Runner;
 use lsbench_core::scenario::Scenario;
 use lsbench_sut::kv::{RetrainPolicy, RmiSut};
 use lsbench_workload::keygen::KeyDistribution;
@@ -90,7 +90,7 @@ fn main() {
         let data = s.dataset.build().expect("dataset builds");
         let mut sut = RmiSut::build("rmi+retrain", &data, RetrainPolicy::DeltaFraction(0.02))
             .expect("rmi builds");
-        let record = run_kv_scenario(&mut sut, &s, DriverConfig::default()).expect("run");
+        let record = Runner::new(&mut sut).run(&s).expect("run").record;
         let adapt = AdaptabilityReport::from_record(&record).expect("report");
         // Fixed threshold derived from typical steady latency (~2x typical).
         let lats = record.all_latencies();

@@ -11,15 +11,14 @@
 //! where they don't), while the traditional B+-tree is nearly flat.
 
 use lsbench_bench::{distribution_ladder, emit, KEY_RANGE};
-use lsbench_core::driver::{run_kv_scenario, DriverConfig};
 use lsbench_core::metrics::phi::{distribution_phis, DataPhiMethod};
 use lsbench_core::metrics::specialization::SpecializationReport;
 use lsbench_core::report::{render_specialization, series_csv, to_json, write_artifact};
+use lsbench_core::runner::{BoxedKvSut, Runner};
 use lsbench_core::scenario::Scenario;
 use lsbench_core::sut_registry::SutRegistry;
 use lsbench_sut::kv::{RetrainPolicy, RmiSut};
-use lsbench_sut::sut::SystemUnderTest;
-use lsbench_workload::ops::{Operation, OperationMix};
+use lsbench_workload::ops::OperationMix;
 
 const DATASET_SIZE: usize = 200_000;
 const OPS_PER_PHASE: u64 = 20_000;
@@ -43,12 +42,11 @@ fn scenario() -> Scenario {
     s
 }
 
-fn run_one<S: SystemUnderTest<Operation> + ?Sized>(
-    sut: &mut S,
-    s: &Scenario,
-    phis: &[f64],
-) -> String {
-    let record = run_kv_scenario(sut, s, DriverConfig::default()).expect("run succeeds");
+fn run_one(mut sut: BoxedKvSut, s: &Scenario, phis: &[f64]) -> String {
+    let record = Runner::new(sut.as_mut())
+        .run(s)
+        .expect("run succeeds")
+        .record;
     let report = SpecializationReport::from_record(&record, phis, OPS_PER_WINDOW, &[])
         .expect("report builds");
     let fig = render_specialization(&report);
@@ -83,13 +81,13 @@ fn main() {
     // The RMI is frozen (RetrainPolicy::Never) so the figure shows pure
     // specialization, not adaptation — the registry's default retrains, so
     // this SUT stays hand-built.
-    let mut rmi = RmiSut::build("rmi", &data, RetrainPolicy::Never).expect("rmi builds");
-    emit("fig1a_rmi.txt", &run_one(&mut rmi, &s, &phis));
+    let rmi = RmiSut::build("rmi", &data, RetrainPolicy::Never).expect("rmi builds");
+    emit("fig1a_rmi.txt", &run_one(Box::new(rmi), &s, &phis));
 
     let registry = SutRegistry::default();
-    let mut btree = registry.build("btree", &data).expect("btree builds");
-    emit("fig1a_btree.txt", &run_one(&mut *btree, &s, &phis));
+    let btree = registry.build("btree", &data).expect("btree builds");
+    emit("fig1a_btree.txt", &run_one(btree, &s, &phis));
 
-    let mut alex = registry.build("alex", &data).expect("alex builds");
-    emit("fig1a_alex.txt", &run_one(&mut *alex, &s, &phis));
+    let alex = registry.build("alex", &data).expect("alex builds");
+    emit("fig1a_alex.txt", &run_one(alex, &s, &phis));
 }

@@ -13,9 +13,9 @@
 //! overall.
 
 use lsbench_bench::{emit, KEY_RANGE};
-use lsbench_core::driver::{run_kv_scenario, DriverConfig};
 use lsbench_core::metrics::adaptability::AdaptabilityReport;
 use lsbench_core::report::{render_adaptability, series_csv, to_json, write_artifact};
+use lsbench_core::runner::Runner;
 use lsbench_core::scenario::Scenario;
 use lsbench_sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
 use lsbench_workload::keygen::KeyDistribution;
@@ -95,11 +95,11 @@ fn main() {
     println!("=== F1b: cumulative queries over time (adaptability) ===\n");
     let mut rmi =
         RmiSut::build("rmi+retrain", &data, RetrainPolicy::DeltaFraction(0.05)).expect("rmi");
-    let rmi_record = run_kv_scenario(&mut rmi, &s, DriverConfig::default()).expect("run");
+    let rmi_record = Runner::new(&mut rmi).run(&s).expect("run").record;
     let mut rmi_never = RmiSut::build("rmi-no-retrain", &data, RetrainPolicy::Never).expect("rmi");
-    let never_record = run_kv_scenario(&mut rmi_never, &s, DriverConfig::default()).expect("run");
+    let never_record = Runner::new(&mut rmi_never).run(&s).expect("run").record;
     let mut btree = BTreeSut::build(&data).expect("btree");
-    let btree_record = run_kv_scenario(&mut btree, &s, DriverConfig::default()).expect("run");
+    let btree_record = Runner::new(&mut btree).run(&s).expect("run").record;
 
     let rmi_rep = AdaptabilityReport::from_record(&rmi_record).expect("report");
     let never_rep = AdaptabilityReport::from_record(&never_record).expect("report");

@@ -11,9 +11,9 @@
 //! retraining bursts), the B+-tree shows none.
 
 use lsbench_bench::{emit, KEY_RANGE};
-use lsbench_core::driver::{run_kv_scenario, DriverConfig};
 use lsbench_core::metrics::sla::{SlaPolicy, SlaReport};
 use lsbench_core::report::{render_sla, to_json, write_artifact};
+use lsbench_core::runner::Runner;
 use lsbench_core::scenario::Scenario;
 use lsbench_sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
 use lsbench_workload::keygen::KeyDistribution;
@@ -84,13 +84,13 @@ fn main() {
     println!("=== F1c: SLA violation bands ===\n");
     // Baseline run calibrates the SLA threshold (paper §V-D.2).
     let mut btree = BTreeSut::build(&data).expect("btree");
-    let btree_record = run_kv_scenario(&mut btree, &s, DriverConfig::default()).expect("run");
+    let btree_record = Runner::new(&mut btree).run(&s).expect("run").record;
     let threshold = s.sla.resolve(Some(&btree_record)).expect("resolvable");
     println!("SLA threshold (2 × baseline p99): {threshold:.6} virtual seconds\n");
 
     let mut rmi =
         RmiSut::build("rmi+retrain", &data, RetrainPolicy::DeltaFraction(0.005)).expect("rmi");
-    let rmi_record = run_kv_scenario(&mut rmi, &s, DriverConfig::default()).expect("run");
+    let rmi_record = Runner::new(&mut rmi).run(&s).expect("run").record;
 
     // Interval: 1/50 of the execution so both figures have ~50 bands.
     for record in [&btree_record, &rmi_record] {

@@ -12,10 +12,10 @@
 //! "training cost to outperform a traditional system" metric.
 
 use lsbench_bench::{emit, standard_dataset, KEY_RANGE};
-use lsbench_core::driver::{run_kv_scenario, DriverConfig};
 use lsbench_core::metrics::cost::{CostReport, TrainingTradeoff};
 use lsbench_core::record::RunRecord;
 use lsbench_core::report::{render_cost, render_tradeoff, to_json, write_artifact};
+use lsbench_core::runner::Runner;
 use lsbench_core::scenario::Scenario;
 use lsbench_index::rmi::{Rmi, RmiConfig};
 use lsbench_sut::cost::{DbaCostModel, HardwareProfile};
@@ -78,7 +78,7 @@ fn main() {
 
     // Traditional baseline throughput anchors the DBA step function.
     let mut btree = BTreeSut::build(&data).expect("btree");
-    let btree_record = run_kv_scenario(&mut btree, &s, DriverConfig::default()).expect("run");
+    let btree_record = Runner::new(&mut btree).run(&s).expect("run").record;
     let dba = DbaCostModel::default_model(btree_record.mean_throughput());
     println!(
         "baseline (untuned btree) throughput: {:.0} ops/s\n",
@@ -101,7 +101,7 @@ fn main() {
             rmi,
             RetrainPolicy::Never,
         );
-        let mut record = run_kv_scenario(&mut sut, &s, DriverConfig::default()).expect("run");
+        let mut record = Runner::new(&mut sut).run(&s).expect("run").record;
         println!(
             "  {}: train work {:>12}, throughput {:>8.0} ops/s",
             record.sut_name,

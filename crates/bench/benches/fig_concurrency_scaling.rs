@@ -3,18 +3,18 @@
 //!
 //! Two readings per point:
 //!
-//! * criterion's wall-clock time for the whole sharded run (does the
-//!   physical fan-out pay for itself?), and
+//! * criterion's wall-clock time for the whole sharded run, dataset build
+//!   and shard loading included (does the physical fan-out pay for
+//!   itself?), and
 //! * the merged *virtual* mean throughput, emitted as a small table (does
 //!   the modeled parallelism scale as N lanes should?).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsbench_bench::emit;
-use lsbench_core::engine::{run_sharded_kv_scenario, shard_dataset, EngineConfig};
-use lsbench_core::runner::BoxedKvSut;
+use lsbench_core::record::RunRecord;
+use lsbench_core::runner::{ExecutionMode, RunOptions, Runner};
 use lsbench_core::scenario::Scenario;
 use lsbench_core::sut_registry::SutRegistry;
-use lsbench_workload::dataset::Dataset;
 use lsbench_workload::keygen::KeyDistribution;
 
 const CONCURRENCY: [usize; 4] = [1, 2, 4, 8];
@@ -34,39 +34,30 @@ fn scenario() -> Scenario {
     .expect("valid scenario")
 }
 
-fn shard_suts(registry: &SutRegistry, shards: &[Dataset]) -> Vec<BoxedKvSut> {
-    shards
-        .iter()
-        .map(|d| registry.build("btree", d).expect("shard builds"))
-        .collect()
+/// One key-range-sharded B+-tree run on `n` lanes and threads: the runner
+/// builds the dataset, splits it and loads one shard SUT per lane.
+fn run_sharded(registry: &SutRegistry, s: &Scenario, n: usize) -> RunRecord {
+    let factory = registry.factory("btree").expect("registered");
+    let opts = RunOptions::with_mode(ExecutionMode::Sharded { workers: n });
+    let outcome = Runner::from_factory(factory).config(opts).run(s);
+    outcome.expect("run").record
 }
 
 fn bench_scaling(c: &mut Criterion) {
     let registry = SutRegistry::default();
     let s = scenario();
-    let data = s.dataset.build().expect("dataset builds");
     let mut group = c.benchmark_group("sharded_btree_scaling");
     group.sample_size(10);
     let mut table = String::from("threads  virtual-ops/s  speedup\n");
     let mut base = 0.0f64;
     for n in CONCURRENCY {
-        let (router, shards) = shard_dataset(&data, n).expect("shards");
-        let config = EngineConfig::with_concurrency(n);
-        let report = {
-            let mut suts = shard_suts(&registry, &shards);
-            run_sharded_kv_scenario(&mut suts, &router, &s, &config).expect("run")
-        };
-        let tput = report.record.mean_throughput();
+        let tput = run_sharded(&registry, &s, n).mean_throughput();
         if n == 1 {
             base = tput;
         }
         table.push_str(&format!("{n:>7}  {tput:>13.0}  {:>7.2}\n", tput / base));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let mut suts = shard_suts(&registry, &shards);
-                let _ = n;
-                run_sharded_kv_scenario(&mut suts, &router, &s, &config).expect("run")
-            })
+            b.iter(|| run_sharded(&registry, &s, n))
         });
     }
     group.finish();

@@ -11,8 +11,8 @@
 //! adaptability metrics exist to quantify.
 
 use lsbench_bench::{emit, KEY_RANGE};
-use lsbench_core::driver::{run_kv_scenario, DriverConfig};
 use lsbench_core::metrics::adaptability::AdaptabilityReport;
+use lsbench_core::runner::Runner;
 use lsbench_core::scenario::Scenario;
 use lsbench_index::cache::{KeyCache, LearnedCache, LruCache};
 use lsbench_sut::kv::{BTreeSut, CachedSut};
@@ -65,7 +65,7 @@ fn run_cached<C: KeyCache + 'static>(
 ) -> AdaptabilityReport {
     let data = s.dataset.build().expect("dataset builds");
     let mut sut = CachedSut::new(BTreeSut::build(&data).expect("btree"), cache);
-    let record = run_kv_scenario(&mut sut, s, DriverConfig::default()).expect("run");
+    let record = Runner::new(&mut sut).run(s).expect("run").record;
     let stats = sut.cache_stats();
     let rep = AdaptabilityReport::from_record(&record).expect("report");
     fig.push_str(&format!(
@@ -93,7 +93,7 @@ fn main() {
     {
         let data = s.dataset.build().expect("dataset builds");
         let mut plain = BTreeSut::build(&data).expect("btree");
-        let record = run_kv_scenario(&mut plain, &s, DriverConfig::default()).expect("run");
+        let record = Runner::new(&mut plain).run(&s).expect("run").record;
         fig.push_str(&format!(
             "{:<22} hit-rate   -    mean tput {:.0}\n",
             "btree (no cache)",

@@ -1,5 +1,5 @@
 //! **Suite — the "official result"**: every registered KV SUT through the
-//! standard five-scenario suite, with per-scenario SLA calibration from
+//! standard seven-scenario suite, with per-scenario SLA calibration from
 //! the B+-tree baseline and the S1 hold-out pass.
 //!
 //! This is the §V-A "benchmark-as-a-service" artifact: one table that a
@@ -8,8 +8,11 @@
 //! stays in lockstep with the CLI.
 
 use lsbench_bench::emit;
+use lsbench_core::obs::ObsConfig;
 use lsbench_core::report::{to_json, write_artifact};
-use lsbench_core::suite::{render_comparison, run_suite, SuiteConfig, SuiteResult};
+use lsbench_core::suite::{
+    calibrate_sla, render_comparison, run_scenarios, standard_scenarios, SuiteConfig, SuiteResult,
+};
 use lsbench_core::sut_registry::SutRegistry;
 
 fn main() {
@@ -22,15 +25,18 @@ fn main() {
     };
     let registry = SutRegistry::default();
     println!(
-        "=== Standard suite: 5 scenarios × {} SUTs ===\n",
+        "=== Standard suite: 7 scenarios × {} SUTs ===\n",
         registry.names().len()
     );
+    let scenarios = standard_scenarios(&cfg).expect("suite scenarios build");
+    let scenarios = calibrate_sla(scenarios, cfg.threads).expect("baselines run");
 
     let mut results: Vec<SuiteResult> = Vec::new();
     for name in registry.names() {
         print!("running {name} ... ");
         let factory = registry.factory(name).expect("registered");
-        let result = run_suite(factory, &cfg).expect("suite run succeeds");
+        let (result, _) = run_scenarios(factory, &scenarios, cfg.threads, ObsConfig::default())
+            .expect("suite run succeeds");
         println!("done");
         results.push(result);
     }

@@ -1,4 +1,4 @@
-//! The single-client entry points of the benchmark driver.
+//! The single-client policies of the execution core.
 //!
 //! A run bulk-loads the dataset (outside measured time, as benchmarks do),
 //! runs the **training phase** against the configured budget — reported as
@@ -11,94 +11,43 @@
 //! curves.
 //!
 //! That rule is written once, in the execution core (`exec.rs`);
-//! every function here is an op source plus a plan handed to it.
+//! every function here is an op source plus a plan handed to it. Scenarios
+//! are run through the [`Runner`](crate::runner::Runner) — the serial
+//! policy here is what its `Serial` mode executes — and the public
+//! functions are the runs that have no scenario: trace replay and the
+//! query workload.
 
 use crate::exec::{
-    epilogue, prelude, prologue, run_inline, scenario_ops, ClientState, CoreOp, Merged, RunPlan,
-    Sinks,
+    epilogue, prelude, prologue, run_inline, scenario_ops, ClientState, CoreOp, Merged, Pacing,
+    RunPlan, Sinks,
 };
 use crate::obs::{LaneObs, RunObserver};
 use crate::record::RunRecord;
-use crate::runner::WallStats;
-use crate::scenario::{ClockMode, OnlineTrainMode, Scenario};
+use crate::runner::{Executed, RunOptions};
+use crate::scenario::{ClockMode, Scenario};
 use crate::{BenchError, Result};
 use lsbench_sut::query_sut::QueryOp;
 use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
 use lsbench_workload::trace::Trace;
 
-/// Extra driver knobs independent of the scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct DriverConfig {
-    /// Cap on recorded operations (guards against runaway scenarios).
-    pub max_ops: u64,
-    /// Which clock the run reports on. [`ClockMode::Sim`] is the
-    /// conformance oracle; [`ClockMode::Wall`] additionally captures host
-    /// wall-clock timings ([`WallStats`]) *beside* the virtual record —
-    /// never inside it, so the work-unit [`RunRecord`] stays bit-identical
-    /// across clock modes (pinned by `tests/determinism.rs`).
-    pub clock: ClockMode,
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig {
-            max_ops: u64::MAX,
-            clock: ClockMode::Sim,
-        }
-    }
-}
-
-/// Runs a key-value SUT through a scenario's phased workload, serially:
-/// one client on the calling thread, the stream pulled lazily.
-///
-/// The SUT must already be loaded with the scenario's dataset (SUT
+/// The serial policy: one client on the calling thread, the stream pulled
+/// lazily. The SUT must already be loaded with the scenario's dataset (SUT
 /// constructors take the dataset so each system can bulk-load natively).
-pub fn run_kv_scenario<S: SystemUnderTest<Operation> + ?Sized>(
-    sut: &mut S,
-    scenario: &Scenario,
-    config: DriverConfig,
-) -> Result<RunRecord> {
-    run_serial(sut, scenario, config, &mut RunObserver::disabled()).map(|(record, _)| record)
-}
-
-/// [`run_kv_scenario`] with the observer and the wall recorder attached.
-/// Neither ever advances or reads the virtual clock, so the record is
-/// bit-identical whether they are on or off (enforced by
-/// `tests/observability.rs` and `tests/determinism.rs`).
+///
+/// Neither the observer nor the wall recorder ever advances or reads the
+/// virtual clock, so the record is bit-identical whether they are on or
+/// off (enforced by `tests/observability.rs` and `tests/determinism.rs`).
 pub(crate) fn run_serial<S: SystemUnderTest<Operation> + ?Sized>(
     sut: &mut S,
     scenario: &Scenario,
-    config: DriverConfig,
+    opts: &RunOptions,
     obs: &mut RunObserver,
-) -> Result<(RunRecord, Option<WallStats>)> {
+) -> Result<Executed> {
     let plan = RunPlan::from_scenario(scenario)?;
-    let source = scenario_ops(scenario, config.max_ops)?;
-    run_inline(sut, plan, source, config.clock, obs)
-}
-
-/// Configuration for trace replay.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayConfig {
-    /// Virtual work units per second.
-    pub work_units_per_second: f64,
-    /// Offer a maintenance slot every this many operations.
-    pub maintenance_every: u64,
-    /// Offline training budget passed to the SUT before replay.
-    pub train_budget: u64,
-    /// Online-training scheduling mode.
-    pub online_train: OnlineTrainMode,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        ReplayConfig {
-            work_units_per_second: 1_000_000.0,
-            maintenance_every: 256,
-            train_budget: u64::MAX,
-            online_train: OnlineTrainMode::Foreground,
-        }
-    }
+    let source = scenario_ops(scenario, opts.max_ops)?;
+    let (record, wall) = run_inline(sut, plan, source, opts.clock, obs)?;
+    Ok((record, None, wall))
 }
 
 /// A trace as an op source. Entries with positive `arrival` times are
@@ -111,13 +60,16 @@ fn trace_ops(trace: &Trace) -> impl Iterator<Item = CoreOp<Operation>> + '_ {
     })
 }
 
-fn replay_plan(trace: &Trace, config: &ReplayConfig) -> Result<RunPlan> {
-    RunPlan::bare(
-        "trace-replay",
-        trace.phase_names().to_vec(),
-        config,
-        trace.len(),
-    )
+/// Every replay is paced alike, so two SUTs replaying one trace differ in
+/// nothing but themselves.
+fn replay_plan(trace: &Trace) -> Result<RunPlan> {
+    let pacing = Pacing {
+        work_units_per_second: 1_000_000.0,
+        maintenance_every: 256,
+        train_budget: u64::MAX,
+    };
+    let names = trace.phase_names().to_vec();
+    RunPlan::bare("trace-replay", names, pacing, trace.len())
 }
 
 /// Replays a recorded [`Trace`] against a SUT.
@@ -130,9 +82,8 @@ fn replay_plan(trace: &Trace, config: &ReplayConfig) -> Result<RunPlan> {
 pub fn run_kv_trace<S: SystemUnderTest<Operation> + ?Sized>(
     sut: &mut S,
     trace: &Trace,
-    config: &ReplayConfig,
 ) -> Result<RunRecord> {
-    let plan = replay_plan(trace, config)?;
+    let plan = replay_plan(trace)?;
     let obs = &mut RunObserver::disabled();
     run_inline(sut, plan, trace_ops(trace), ClockMode::Sim, obs).map(|(record, _)| record)
 }
@@ -157,7 +108,6 @@ pub fn run_kv_trace<S: SystemUnderTest<Operation> + ?Sized>(
 pub fn run_kv_trace_open_loop<S: SystemUnderTest<Operation> + ?Sized>(
     sut: &mut S,
     trace: &Trace,
-    config: &ReplayConfig,
     clients: usize,
 ) -> Result<RunRecord> {
     if clients == 0 {
@@ -166,7 +116,7 @@ pub fn run_kv_trace_open_loop<S: SystemUnderTest<Operation> + ?Sized>(
         ));
     }
     let obs = &mut RunObserver::disabled();
-    let started = prologue(replay_plan(trace, config)?, [&mut *sut], obs);
+    let started = prologue(replay_plan(trace)?, [&mut *sut], obs);
     let p = &started.plan.params;
     // The server's `clock` is the latest completion so far: phase changes
     // are stamped there.
@@ -203,14 +153,13 @@ pub fn run_query_workload<S: SystemUnderTest<QueryOp> + ?Sized>(
     work_units_per_second: f64,
     train_budget: u64,
 ) -> Result<RunRecord> {
-    let pacing = ReplayConfig {
+    let pacing = Pacing {
         work_units_per_second,
         maintenance_every: u64::MAX,
         train_budget,
-        online_train: OnlineTrainMode::Foreground,
     };
     let names = phases.iter().map(|(name, _)| name.clone()).collect();
-    let plan = RunPlan::bare("query-workload", names, &pacing, 0)?;
+    let plan = RunPlan::bare("query-workload", names, pacing, 0)?;
     let source = phases
         .iter()
         .enumerate()
@@ -224,6 +173,7 @@ pub fn run_query_workload<S: SystemUnderTest<QueryOp> + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Runner;
     use lsbench_sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
     use lsbench_workload::keygen::KeyDistribution;
 
@@ -247,7 +197,7 @@ mod tests {
         let s = scenario();
         let data = s.dataset.build().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
-        let r = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+        let r = Runner::new(&mut sut).run(&s).unwrap().record;
         assert_eq!(r.completed(), 4_000);
         assert_eq!(r.phase_names.len(), 2);
         assert_eq!(r.phase_change_times.len(), 2);
@@ -266,7 +216,7 @@ mod tests {
         let s = scenario();
         let data = s.dataset.build().unwrap();
         let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::Never).unwrap();
-        let r = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+        let r = Runner::new(&mut sut).run(&s).unwrap().record;
         assert!(r.train.work > 0);
         assert!(r.train.seconds > 0.0);
         assert_eq!(r.exec_start, r.train.seconds);
@@ -278,7 +228,7 @@ mod tests {
         let data = s.dataset.build().unwrap();
         let run = || {
             let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.1)).unwrap();
-            run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap()
+            Runner::new(&mut sut).run(&s).unwrap().record
         };
         let a = run();
         let b = run();
@@ -292,11 +242,12 @@ mod tests {
         let data = s.dataset.build().unwrap();
         let run = |clock| {
             let mut sut = BTreeSut::build(&data).unwrap();
-            let cfg = DriverConfig {
+            let opts = RunOptions {
                 clock,
-                ..DriverConfig::default()
+                ..RunOptions::default()
             };
-            run_serial(&mut sut, &s, cfg, &mut RunObserver::disabled()).unwrap()
+            let outcome = Runner::new(&mut sut).config(opts).run(&s).unwrap();
+            (outcome.record, outcome.wall)
         };
         let (sim_record, sim_wall) = run(ClockMode::Sim);
         let (wall_record, wall_stats) = run(ClockMode::Wall);
@@ -316,11 +267,11 @@ mod tests {
         let s = scenario();
         let data = s.dataset.build().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
-        let cfg = DriverConfig {
+        let opts = RunOptions {
             max_ops: 100,
-            ..DriverConfig::default()
+            ..RunOptions::default()
         };
-        let r = run_kv_scenario(&mut sut, &s, cfg).unwrap();
+        let r = Runner::new(&mut sut).config(opts).run(&s).unwrap().record;
         assert_eq!(r.completed(), 100);
     }
 
@@ -385,7 +336,7 @@ mod tests {
             let data = s2.dataset.build().unwrap();
             // Retrains only at phase boundaries (once, entering phase 3).
             let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::OnPhaseChange).unwrap();
-            run_kv_scenario(&mut sut, &s2, DriverConfig::default()).unwrap()
+            Runner::new(&mut sut).run(&s2).unwrap().record
         };
         let fg = run_with(OnlineTrainMode::Foreground);
         let bg = run_with(OnlineTrainMode::Background { fraction: 0.3 });
@@ -438,7 +389,7 @@ mod tests {
         });
         s.validate().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
-        let r = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+        let r = Runner::new(&mut sut).run(&s).unwrap().record;
         assert_eq!(r.completed(), 4_000);
         // Some latencies exceed any plausible service time (queueing).
         let service_bound = 200.0 / s.work_units_per_second;
@@ -462,11 +413,11 @@ mod tests {
             seed: 4,
         });
         let mut sut = BTreeSut::build(&data).unwrap();
-        let cfg = DriverConfig {
+        let opts = RunOptions {
             max_ops: 500,
-            ..DriverConfig::default()
+            ..RunOptions::default()
         };
-        let r = run_kv_scenario(&mut sut, &s, cfg).unwrap();
+        let r = Runner::new(&mut sut).config(opts).run(&s).unwrap().record;
         let service_bound = 200.0 / s.work_units_per_second;
         assert!(
             r.ops.iter().all(|o| o.latency <= service_bound),
@@ -492,26 +443,21 @@ mod tests {
     #[test]
     fn trace_replay_matches_streamed_run() {
         use lsbench_workload::trace::Trace;
-        let s = scenario();
+        let mut s = scenario();
+        s.maintenance_every = 256; // the replay's cadence
         let data = s.dataset.build().unwrap();
         // Record the scenario workload once, replay it.
         let trace = Trace::record(&s.workload).unwrap();
         let mut streamed_sut = BTreeSut::build(&data).unwrap();
-        let streamed = run_kv_scenario(&mut streamed_sut, &s, DriverConfig::default()).unwrap();
+        let streamed = Runner::new(&mut streamed_sut).run(&s).unwrap().record;
         let mut replay_sut = BTreeSut::build(&data).unwrap();
-        let cfg = ReplayConfig {
-            work_units_per_second: s.work_units_per_second,
-            maintenance_every: s.maintenance_every,
-            train_budget: s.train_budget,
-            online_train: s.online_train,
-        };
-        let replayed = run_kv_trace(&mut replay_sut, &trace, &cfg).unwrap();
+        let replayed = run_kv_trace(&mut replay_sut, &trace).unwrap();
         // Identical op stream + deterministic SUT => identical records.
         assert_eq!(replayed.ops, streamed.ops);
         assert_eq!(replayed.phase_names, streamed.phase_names);
         // Replays against a second (different) SUT complete too.
         let mut other = RmiSut::build("rmi", &data, RetrainPolicy::Never).unwrap();
-        let r2 = run_kv_trace(&mut other, &trace, &cfg).unwrap();
+        let r2 = run_kv_trace(&mut other, &trace).unwrap();
         assert_eq!(r2.completed(), trace.len());
     }
 
@@ -520,7 +466,7 @@ mod tests {
         let s = scenario();
         let data = s.dataset.build().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
-        let r = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+        let r = Runner::new(&mut sut).run(&s).unwrap().record;
         let t1 = r.phase_start_time(1).unwrap();
         // Phase 1 starts after exactly 2000 ops.
         let ops_before: usize = r.ops.iter().filter(|o| o.t_end <= t1).count();

@@ -9,11 +9,11 @@
 
 use super::latency::latency_to_ns;
 use super::worker::LaneResult;
-use super::EngineReport;
 use crate::exec::{epilogue, Merged, Started};
 use crate::faults::FaultStats;
 use crate::obs::{LaneObs, RunObserver};
 use crate::record::OpRecord;
+use crate::runner::{EngineStats, Executed};
 use crate::{BenchError, Result};
 use lsbench_stats::{IntervalCounts, LatencyHistogram};
 use lsbench_sut::sut::SutMetrics;
@@ -59,7 +59,7 @@ pub(crate) fn finish_engine(
     final_metrics: SutMetrics,
     shape: EngineShape,
     obs: &mut RunObserver,
-) -> Result<EngineReport> {
+) -> Result<Executed> {
     if obs.is_active() {
         let lane_obs = results
             .iter_mut()
@@ -119,13 +119,14 @@ pub(crate) fn finish_engine(
         faults,
     };
     let engine = Some((shape.lanes, shape.threads));
-    Ok(EngineReport {
-        record: epilogue(started, merged, final_metrics, engine, obs),
+    let record = epilogue(started, merged, final_metrics, engine, obs);
+    let stats = EngineStats {
         latency,
         completions,
         threads: shape.threads,
         lanes: shape.lanes,
-    })
+    };
+    Ok((record, Some(stats), None))
 }
 
 #[cfg(test)]

@@ -22,88 +22,34 @@
 //! worker starts (lane → worker by `lane % threads`), so workers share
 //! nothing but the SUT.
 //!
-//! An [`ExecutionMode`](crate::runner::ExecutionMode) only chooses the op
-//! partition, the SUT access and the driver:
-//!
-//! | mode         | partition            | SUT access                    | driver     |
-//! |--------------|----------------------|-------------------------------|------------|
-//! | `Serial`     | none                 | `&mut S`                      | inline     |
-//! | `SharedLock` | round-robin to lanes | `Mutex<&mut S>`, per dispatch | inline × N |
-//! | `Sharded`    | [`KeyRouter`]        | each lane owns its shard      | inline × N |
-//! | `OpenLoop`   | round-robin to clients | `Mutex<&mut S>`, per event batch | event heap |
-//!
-//! * [`run_concurrent_kv_scenario`] — all lanes execute against **one
-//!   shared SUT** behind a mutex. The lock provides physical exclusion
-//!   only; virtual time assumes the lanes proceed in parallel.
-//!   Deterministic for read-only workloads; with writes, SUT-internal
-//!   adaptation may depend on thread interleaving.
-//! * [`run_sharded_kv_scenario`] — the key space is split at dataset-key
-//!   quantiles ([`shard_dataset`]) and each lane **owns one shard SUT**.
-//!   Deterministic even with writes, since each shard observes exactly
-//!   its own key-ordered subsequence.
-//! * [`run_open_loop_kv_scenario`] — the event-heap scheduler
-//!   ([`sched`]).
-//!
-//! The merged [`EngineReport`] contains a [`RunRecord`] of the exact
+//! The module is crate-private: an
+//! [`ExecutionMode`](crate::runner::ExecutionMode) of the
+//! [`Runner`](crate::runner::Runner) chooses the op partition, the SUT
+//! access and the driver (the table in [`crate::runner`]) — [`run_lanes`]
+//! for `SharedLock` and `Sharded`, [`sched::run_heap`] for `OpenLoop`.
+//! Either returns a [`RunRecord`](crate::record::RunRecord) of the exact
 //! shape the serial policy produces, so adaptability, SLA-band, and
-//! specialization metrics work on concurrent runs unchanged.
+//! specialization metrics work on concurrent runs unchanged, plus the
+//! merged [`EngineStats`](crate::runner::EngineStats).
 
 pub(crate) mod latency;
 mod merge;
-pub mod sched;
+pub(crate) mod sched;
 mod shard;
 mod worker;
 
-pub use sched::run_open_loop_kv_scenario;
-pub use shard::{shard_dataset, KeyRouter};
+pub(crate) use shard::{shard_dataset, KeyRouter};
 
 use crate::exec::{lock, prologue, scenario_ops, CoreOp, RunPlan, Sinks, SutRef};
 use crate::obs::RunObserver;
-use crate::record::RunRecord;
-use crate::runner::BoxedKvSut;
+use crate::runner::{BoxedKvSut, Executed, RunOptions};
 use crate::scenario::{ClockMode, Scenario};
 use crate::{BenchError, Result};
-use lsbench_stats::{IntervalCounts, LatencyHistogram};
 use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
 use merge::{finish_engine, sum_metrics, EngineShape};
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 use worker::LaneJob;
-
-/// Concurrent-engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EngineConfig {
-    /// Worker threads (physical parallelism; never affects results).
-    pub threads: usize,
-    /// Logical lanes (determines the partitioning and the results); the
-    /// simulated client count for the open-loop scheduler.
-    pub lanes: usize,
-    /// Cap on executed operations.
-    pub max_ops: u64,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            threads: 1,
-            lanes: 1,
-            max_ops: u64::MAX,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// `n` threads driving `n` lanes — the common "scale both" shape the
-    /// CLI's `--threads` flag uses.
-    pub fn with_concurrency(n: usize) -> Self {
-        EngineConfig {
-            threads: n,
-            lanes: n,
-            ..EngineConfig::default()
-        }
-    }
-}
 
 /// Engine constants that never reach the record. One value is in use;
 /// they stay a (crate-private) parameter only so the tests can prove the
@@ -125,34 +71,20 @@ impl Default for Tuning {
     }
 }
 
-fn validate(config: &EngineConfig, tuning: &Tuning) -> Result<()> {
-    if config.threads == 0 || config.lanes == 0 || tuning.batch_size == 0 {
-        return Err(BenchError::InvalidScenario(
-            "engine threads, lanes, and batch_size must be at least 1".to_string(),
-        ));
+impl Tuning {
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.batch_size == 0 {
+            return Err(BenchError::InvalidScenario(
+                "engine batch_size must be at least 1".to_string(),
+            ));
+        }
+        if !(self.completion_interval > 0.0 && self.completion_interval.is_finite()) {
+            return Err(BenchError::InvalidScenario(
+                "engine completion_interval must be positive and finite".to_string(),
+            ));
+        }
+        Ok(())
     }
-    if !(tuning.completion_interval > 0.0 && tuning.completion_interval.is_finite()) {
-        return Err(BenchError::InvalidScenario(
-            "engine completion_interval must be positive and finite".to_string(),
-        ));
-    }
-    Ok(())
-}
-
-/// Result of a concurrent run: the merged serial-shaped record plus the
-/// engine's own mergeable statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EngineReport {
-    /// Merged run record, same shape as the serial policy's.
-    pub record: RunRecord,
-    /// Log-bucketed latency histogram (nanoseconds of virtual time).
-    pub latency: LatencyHistogram,
-    /// Completions per fixed-width interval, anchored at `exec_start`.
-    pub completions: IntervalCounts,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Logical lanes used.
-    pub lanes: usize,
 }
 
 /// Turns the raw arrival schedule of `stream` into the lane modes' one:
@@ -193,17 +125,17 @@ pub(crate) enum LaneSuts<'a, S: ?Sized> {
 pub(crate) fn run_lanes<S>(
     suts: &mut LaneSuts<'_, S>,
     scenario: &Scenario,
-    config: &EngineConfig,
+    opts: &RunOptions,
     tuning: Tuning,
     obs: &mut RunObserver,
-) -> Result<EngineReport>
+) -> Result<Executed>
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
     let plan = RunPlan::from_scenario(scenario)?;
-    validate(config, &tuning)?;
+    tuning.validate()?;
     let lanes = match suts {
-        LaneSuts::Shared(_) => config.lanes,
+        LaneSuts::Shared(_) => opts.mode.lanes(),
         LaneSuts::Shards(shards, router) if shards.len() == router.shards() => shards.len(),
         LaneSuts::Shards(shards, router) => {
             return Err(BenchError::InvalidScenario(format!(
@@ -213,7 +145,7 @@ where
             )))
         }
     };
-    let mut stream: Vec<CoreOp<Operation>> = scenario_ops(scenario, config.max_ops)?.collect();
+    let mut stream: Vec<CoreOp<Operation>> = scenario_ops(scenario, opts.max_ops)?.collect();
     scale_bursts(scenario, &mut stream);
     let started = match suts {
         LaneSuts::Shared(sut) => prologue(plan, [&mut **sut], obs),
@@ -237,7 +169,7 @@ where
         lane_ops[lane].push(op);
     }
 
-    let threads = config.threads.min(lanes).max(1);
+    let threads = opts.worker_threads().min(lanes);
     let shape = EngineShape {
         lanes,
         threads,
@@ -277,54 +209,10 @@ where
     finish_engine(started, results, final_metrics, shape, obs)
 }
 
-/// Runs a scenario with every lane executing against one **shared** SUT
-/// behind a mutex. Operations are dealt to lanes round-robin
-/// (`stream index mod lanes`).
-///
-/// The mutex provides physical mutual exclusion only; each lane keeps its
-/// own virtual clock, so the model is an N-way parallel server over
-/// shared state. Only the globally first operation of each phase
-/// announces the phase change. Results are deterministic for read-only
-/// workloads; use [`run_sharded_kv_scenario`] when writes must stay
-/// reproducible.
-pub fn run_concurrent_kv_scenario<S>(
-    sut: &mut S,
-    scenario: &Scenario,
-    config: &EngineConfig,
-) -> Result<EngineReport>
-where
-    S: SystemUnderTest<Operation> + Send + ?Sized,
-{
-    let (suts, obs) = (&mut LaneSuts::Shared(sut), &mut RunObserver::disabled());
-    run_lanes(suts, scenario, config, Tuning::default(), obs)
-}
-
-/// Runs a scenario over **key-range-sharded** SUTs: `suts[i]` owns shard
-/// `i` of the key space and is driven by lane `i`. The lane for every
-/// operation is `router.route(op)`, so the partition — and the merged
-/// result — is identical for any worker count, even with writes.
-///
-/// Shard SUTs train in parallel: total training work is the sum, but
-/// execution starts once the *slowest* shard finishes training. Each lane
-/// announces phase changes to its own shard. `suts` is borrowed mutably
-/// so callers can keep using the shards afterwards (e.g. for a hold-out
-/// pass); final metrics are the field-wise sum across shards.
-pub fn run_sharded_kv_scenario(
-    suts: &mut [BoxedKvSut],
-    router: &KeyRouter,
-    scenario: &Scenario,
-    config: &EngineConfig,
-) -> Result<EngineReport> {
-    let obs = &mut RunObserver::disabled();
-    let mut suts: LaneSuts<'_, dyn SystemUnderTest<Operation> + Send> =
-        LaneSuts::Shards(suts, router);
-    run_lanes(&mut suts, scenario, config, Tuning::default(), obs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_kv_scenario, DriverConfig};
+    use crate::runner::{EngineStats, ExecutionMode, RunOutcome, Runner};
     use crate::scenario::ArrivalSpec;
     use lsbench_sut::kv::BTreeSut;
     use lsbench_sut::sut::{ExecOutcome, SutMetrics};
@@ -357,13 +245,25 @@ mod tests {
         stream.iter().map(|op| op.meta.arrival.unwrap()).collect()
     }
 
-    fn boxed_shards(datasets: &[Dataset]) -> Vec<Box<dyn SystemUnderTest<Operation> + Send>> {
-        datasets
-            .iter()
-            .map(|d| {
-                Box::new(BTreeSut::build(d).unwrap()) as Box<dyn SystemUnderTest<Operation> + Send>
-            })
-            .collect()
+    fn btree(data: &Dataset) -> Result<BoxedKvSut> {
+        Ok(Box::new(BTreeSut::build(data).unwrap()))
+    }
+
+    fn shared(workers: usize) -> RunOptions {
+        RunOptions::with_mode(ExecutionMode::SharedLock { workers })
+    }
+
+    /// Four key-range shards on `threads` worker threads.
+    fn sharded4(s: &Scenario, threads: usize) -> RunOutcome {
+        let opts = RunOptions {
+            threads: Some(threads),
+            ..RunOptions::with_mode(ExecutionMode::Sharded { workers: 4 })
+        };
+        Runner::from_factory(btree).config(opts).run(s).unwrap()
+    }
+
+    fn stats(outcome: &RunOutcome) -> &EngineStats {
+        outcome.engine.as_ref().expect("an engine run")
     }
 
     #[test]
@@ -371,10 +271,12 @@ mod tests {
         let s = shift_scenario();
         let data = s.dataset.build().unwrap();
         let mut serial_sut = BTreeSut::build(&data).unwrap();
-        let serial = run_kv_scenario(&mut serial_sut, &s, DriverConfig::default()).unwrap();
+        let serial = Runner::new(&mut serial_sut).run(&s).unwrap().record;
         let mut engine_sut = BTreeSut::build(&data).unwrap();
-        let report =
-            run_concurrent_kv_scenario(&mut engine_sut, &s, &EngineConfig::default()).unwrap();
+        let report = Runner::new(&mut engine_sut)
+            .config(shared(1))
+            .run(&s)
+            .unwrap();
         // One lane, closed loop: the engine *is* the serial driver —
         // bit-identical virtual timeline, not just statistically close.
         assert_eq!(report.record.ops, serial.ops);
@@ -382,8 +284,8 @@ mod tests {
         assert_eq!(report.record.exec_start, serial.exec_start);
         assert_eq!(report.record.exec_end, serial.exec_end);
         assert_eq!(report.record.final_metrics, serial.final_metrics);
-        assert_eq!(report.latency.total(), serial.ops.len() as u64);
-        assert_eq!(report.completions.total(), serial.ops.len() as u64);
+        assert_eq!(stats(&report).latency.total(), serial.ops.len() as u64);
+        assert_eq!(stats(&report).completions.total(), serial.ops.len() as u64);
     }
 
     #[test]
@@ -392,12 +294,11 @@ mod tests {
         let data = s.dataset.build().unwrap();
         let run = |threads: usize| {
             let mut sut = BTreeSut::build(&data).unwrap();
-            let config = EngineConfig {
-                threads,
-                lanes: 4,
-                ..EngineConfig::default()
+            let opts = RunOptions {
+                threads: Some(threads),
+                ..shared(4)
             };
-            run_concurrent_kv_scenario(&mut sut, &s, &config).unwrap()
+            Runner::new(&mut sut).config(opts).run(&s).unwrap()
         };
         let one = run(1);
         let two = run(2);
@@ -409,8 +310,8 @@ mod tests {
                 other.record.phase_change_times
             );
             assert_eq!(one.record.exec_end, other.record.exec_end);
-            assert_eq!(one.latency, other.latency);
-            assert_eq!(one.completions, other.completions);
+            assert_eq!(stats(&one).latency, stats(other).latency);
+            assert_eq!(stats(&one).completions, stats(other).completions);
         }
         assert_eq!(one.record.ops.len(), 4_000);
     }
@@ -420,12 +321,8 @@ mod tests {
         let s = shift_scenario();
         let data = s.dataset.build().unwrap();
         let mut serial_sut = BTreeSut::build(&data).unwrap();
-        let serial = run_kv_scenario(&mut serial_sut, &s, DriverConfig::default()).unwrap();
-        let (router, datasets) = shard_dataset(&data, 4).unwrap();
-        let mut suts = boxed_shards(&datasets);
-        let report =
-            run_sharded_kv_scenario(&mut suts, &router, &s, &EngineConfig::with_concurrency(4))
-                .unwrap();
+        let serial = Runner::new(&mut serial_sut).run(&s).unwrap().record;
+        let report = sharded4(&s, 4);
         assert_eq!(report.record.completed(), serial.completed());
         // Four closed-loop lanes advance four clocks in parallel, so the
         // merged run finishes far sooner than the serial one.
@@ -470,20 +367,9 @@ mod tests {
             42,
         )
         .unwrap();
-        let data = s.dataset.build().unwrap();
-        let (router, datasets) = shard_dataset(&data, 4).unwrap();
-        let run = |threads: usize| {
-            let mut suts = boxed_shards(&datasets);
-            let config = EngineConfig {
-                threads,
-                lanes: 4,
-                ..EngineConfig::default()
-            };
-            run_sharded_kv_scenario(&mut suts, &router, &s, &config).unwrap()
-        };
-        let one = run(1);
-        let two = run(2);
-        let four = run(4);
+        let one = sharded4(&s, 1);
+        let two = sharded4(&s, 2);
+        let four = sharded4(&s, 4);
         for other in [&two, &four] {
             // Key-range routing fixes each shard's op subsequence, so even
             // mutating workloads merge identically for any thread count.
@@ -494,8 +380,8 @@ mod tests {
             );
             assert_eq!(one.record.exec_end, other.record.exec_end);
             assert_eq!(one.record.final_metrics, other.record.final_metrics);
-            assert_eq!(one.latency, other.latency);
-            assert_eq!(one.completions, other.completions);
+            assert_eq!(stats(&one).latency, stats(other).latency);
+            assert_eq!(stats(&one).completions, stats(other).completions);
         }
         assert_eq!(one.record.completed(), 4_000);
     }
@@ -531,7 +417,7 @@ mod tests {
             seed: 9,
         });
         let mut sut = SlowSut;
-        let report = run_concurrent_kv_scenario(&mut sut, &s, &EngineConfig::default()).unwrap();
+        let report = Runner::new(&mut sut).config(shared(1)).run(&s).unwrap();
         let ops = &report.record.ops;
         assert_eq!(ops.len(), 4_000);
         let mean = |slice: &[crate::record::OpRecord]| {
@@ -608,22 +494,17 @@ mod tests {
         let s = shift_scenario();
         let data = s.dataset.build().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
-        let run = |config: EngineConfig, tuning: Tuning, sut: &mut BTreeSut| {
-            let obs = &mut RunObserver::disabled();
-            run_lanes(&mut LaneSuts::Shared(sut), &s, &config, tuning, obs)
-        };
         for bad in [
-            EngineConfig {
-                threads: 0,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                lanes: 0,
-                ..EngineConfig::default()
-            },
+            ExecutionMode::SharedLock { workers: 0 },
+            ExecutionMode::Sharded { workers: 0 },
         ] {
-            assert!(run(bad, Tuning::default(), &mut sut).is_err());
+            let opts = RunOptions::with_mode(bad);
+            assert!(Runner::new(&mut sut).config(opts).run(&s).is_err());
         }
+        let run = |tuning: Tuning, sut: &mut BTreeSut| {
+            let obs = &mut RunObserver::disabled();
+            run_lanes(&mut LaneSuts::Shared(sut), &s, &shared(1), tuning, obs)
+        };
         for bad in [
             Tuning {
                 batch_size: 0,
@@ -638,12 +519,16 @@ mod tests {
                 ..Tuning::default()
             },
         ] {
-            assert!(run(EngineConfig::default(), bad, &mut sut).is_err());
+            assert!(run(bad, &mut sut).is_err());
         }
         // Shard-count mismatch is rejected too.
         let (router, datasets) = shard_dataset(&data, 3).unwrap();
-        let mut suts = boxed_shards(&datasets[..2]);
-        assert!(run_sharded_kv_scenario(&mut suts, &router, &s, &EngineConfig::default()).is_err());
+        let mut suts: Vec<BoxedKvSut> = datasets[..2].iter().map(|d| btree(d).unwrap()).collect();
+        let mut shards: LaneSuts<'_, dyn SystemUnderTest<Operation> + Send> =
+            LaneSuts::Shards(&mut suts, &router);
+        let obs = &mut RunObserver::disabled();
+        let opts = RunOptions::with_mode(ExecutionMode::Sharded { workers: 3 });
+        assert!(run_lanes(&mut shards, &s, &opts, Tuning::default(), obs).is_err());
     }
 
     #[test]
@@ -651,11 +536,11 @@ mod tests {
         let s = shift_scenario();
         let data = s.dataset.build().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
-        let config = EngineConfig {
+        let opts = RunOptions {
             max_ops: 100,
-            ..EngineConfig::with_concurrency(2)
+            ..shared(2)
         };
-        let report = run_concurrent_kv_scenario(&mut sut, &s, &config).unwrap();
+        let report = Runner::new(&mut sut).config(opts).run(&s).unwrap();
         assert_eq!(report.record.completed(), 100);
     }
 }

@@ -30,17 +30,16 @@
 //! `(completion time, global index)`, phase first-seen times min-fold,
 //! histograms and counters add. Records are therefore bit-identical at
 //! any worker count (the same contract, and the same read-only caveat on
-//! a shared SUT, as [`run_concurrent_kv_scenario`]).
-//!
-//! [`run_concurrent_kv_scenario`]: super::run_concurrent_kv_scenario
+//! a shared SUT, as the shared-lock lanes of [`super::run_lanes`]).
 
 use super::merge::{finish_engine, EngineShape};
 use super::worker::{on_workers, LaneResult};
-use super::{validate, EngineConfig, EngineReport, Tuning};
+use super::Tuning;
 use crate::exec::{
     lock, prologue, scenario_ops, step, Batch, ClientState, CoreOp, LaneParams, RunPlan, Sinks,
 };
 use crate::obs::RunObserver;
+use crate::runner::{Executed, RunOptions};
 use crate::scenario::{ClockMode, Scenario};
 use crate::{BenchError, Result};
 use lsbench_sut::sut::SystemUnderTest;
@@ -85,38 +84,27 @@ impl Ord for Event {
     }
 }
 
-/// Runs a scenario as `config.lanes` simulated open-loop clients
-/// multiplexed onto `config.threads` workers against one shared SUT.
-/// Requires an arrival process ([`Scenario::arrival`]); see the
-/// [module docs](self) for the determinism contract.
-pub fn run_open_loop_kv_scenario<S>(
-    sut: &mut S,
-    scenario: &Scenario,
-    config: &EngineConfig,
-) -> Result<EngineReport>
-where
-    S: SystemUnderTest<Operation> + Send + ?Sized,
-{
-    let obs = &mut RunObserver::disabled();
-    run_heap(sut, scenario, config, Tuning::default(), obs)
-}
-
-/// The event-heap driver. Metrics, counters, and histograms are
+/// The event-heap driver: runs a scenario as `opts.mode.lanes()` simulated
+/// open-loop clients multiplexed onto the run's worker threads against one
+/// shared SUT. Requires an arrival process ([`Scenario::arrival`]); see
+/// the [module docs](self) for the determinism contract.
+///
+/// Metrics, counters, and histograms are
 /// worker-count-invariant; the *event trace* is not (trace events
 /// interleave per worker), so trace-level comparisons should pin one
 /// worker.
 pub(crate) fn run_heap<S>(
     sut: &mut S,
     scenario: &Scenario,
-    config: &EngineConfig,
+    opts: &RunOptions,
     tuning: Tuning,
     obs: &mut RunObserver,
-) -> Result<EngineReport>
+) -> Result<Executed>
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
     let plan = RunPlan::from_scenario(scenario)?;
-    validate(config, &tuning)?;
+    tuning.validate()?;
     if scenario.arrival.is_none() {
         return Err(BenchError::InvalidScenario(
             "open-loop execution requires an [arrival] section: without an arrival \
@@ -126,7 +114,7 @@ where
     }
     // Only the globally first op of each phase announces the change to
     // the shared SUT (same rule as shared-lanes mode).
-    let mut stream: Vec<CoreOp<Operation>> = scenario_ops(scenario, config.max_ops)?.collect();
+    let mut stream: Vec<CoreOp<Operation>> = scenario_ops(scenario, opts.max_ops)?.collect();
     let mut seen_phase = 0usize;
     for op in &mut stream {
         op.meta.announce = op.meta.phase != std::mem::replace(&mut seen_phase, op.meta.phase);
@@ -141,8 +129,8 @@ where
     let started = prologue(plan, [&mut *sut], obs);
     let params = &started.plan.params;
 
-    let clients = config.lanes;
-    let threads = config.threads.min(clients).max(1);
+    let clients = opts.mode.lanes();
+    let threads = opts.worker_threads().min(clients);
     let shape = EngineShape {
         lanes: clients,
         threads,
@@ -266,7 +254,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_kv_scenario, DriverConfig};
+    use crate::runner::{EngineStats, ExecutionMode, RunOutcome, Runner};
     use crate::scenario::ArrivalSpec;
     use lsbench_sut::kv::BTreeSut;
     use lsbench_workload::arrival::{ArrivalProcess, LoadModulation};
@@ -293,12 +281,16 @@ mod tests {
         s
     }
 
-    fn config(clients: usize, threads: usize) -> EngineConfig {
-        EngineConfig {
-            threads,
-            lanes: clients,
-            ..EngineConfig::default()
-        }
+    fn open_loop(clients: usize, workers: usize) -> RunOptions {
+        RunOptions::with_mode(ExecutionMode::OpenLoop { clients, workers })
+    }
+
+    fn run(sut: &mut BTreeSut, s: &Scenario, opts: RunOptions) -> RunOutcome {
+        Runner::new(sut).config(opts).run(s).unwrap()
+    }
+
+    fn stats(outcome: &RunOutcome) -> &EngineStats {
+        outcome.engine.as_ref().expect("an engine run")
     }
 
     #[test]
@@ -306,9 +298,9 @@ mod tests {
         let s = open_loop_scenario(50_000.0);
         let data = s.dataset.build().unwrap();
         let mut serial_sut = BTreeSut::build(&data).unwrap();
-        let serial = run_kv_scenario(&mut serial_sut, &s, DriverConfig::default()).unwrap();
+        let serial = Runner::new(&mut serial_sut).run(&s).unwrap().record;
         let mut sched_sut = BTreeSut::build(&data).unwrap();
-        let report = run_open_loop_kv_scenario(&mut sched_sut, &s, &config(1, 1)).unwrap();
+        let report = run(&mut sched_sut, &s, open_loop(1, 1));
         assert_eq!(report.record.ops, serial.ops);
         assert_eq!(report.record.phase_change_times, serial.phase_change_times);
         assert_eq!(report.record.exec_end, serial.exec_end);
@@ -322,9 +314,9 @@ mod tests {
         let mut baseline = None;
         for threads in [1, 2, 4] {
             let mut sut = BTreeSut::build(&data).unwrap();
-            let report = run_open_loop_kv_scenario(&mut sut, &s, &config(500, threads)).unwrap();
-            assert_eq!(report.threads, threads.min(500));
-            assert_eq!(report.lanes, 500);
+            let report = run(&mut sut, &s, open_loop(500, threads));
+            assert_eq!(stats(&report).threads, threads.min(500));
+            assert_eq!(stats(&report).lanes, 500);
             match &baseline {
                 None => baseline = Some(report),
                 Some(first) => {
@@ -334,8 +326,8 @@ mod tests {
                         first.record.phase_change_times
                     );
                     assert_eq!(report.record.exec_end, first.record.exec_end);
-                    assert_eq!(report.latency, first.latency);
-                    assert_eq!(report.completions, first.completions);
+                    assert_eq!(stats(&report).latency, stats(first).latency);
+                    assert_eq!(stats(&report).completions, stats(first).completions);
                 }
             }
         }
@@ -351,11 +343,11 @@ mod tests {
             ..Tuning::default()
         };
         let obs = &mut RunObserver::disabled();
-        let small = run_heap(&mut small_sut, &s, &config(64, 4), tiny, obs).unwrap();
+        let (small, _, _) = run_heap(&mut small_sut, &s, &open_loop(64, 4), tiny, obs).unwrap();
         let mut big_sut = BTreeSut::build(&data).unwrap();
-        let big = run_open_loop_kv_scenario(&mut big_sut, &s, &config(64, 4)).unwrap();
-        assert_eq!(small.record.ops, big.record.ops);
-        assert_eq!(small.record.exec_end, big.record.exec_end);
+        let big = run(&mut big_sut, &s, open_loop(64, 4));
+        assert_eq!(small.ops, big.record.ops);
+        assert_eq!(small.exec_end, big.record.exec_end);
     }
 
     #[test]
@@ -363,11 +355,11 @@ mod tests {
         let s = open_loop_scenario(50_000.0);
         let data = s.dataset.build().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
-        let report = run_open_loop_kv_scenario(&mut sut, &s, &config(10_000, 4)).unwrap();
+        let report = run(&mut sut, &s, open_loop(10_000, 4));
         // Two phases of 2 000 ops each; clients beyond the op count simply
         // never fire.
         assert_eq!(report.record.ops.len(), 4_000);
-        assert_eq!(report.lanes, 10_000);
+        assert_eq!(stats(&report).lanes, 10_000);
     }
 
     #[test]
@@ -383,7 +375,8 @@ mod tests {
         .unwrap();
         let data = s.dataset.build().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
-        let err = run_open_loop_kv_scenario(&mut sut, &s, &config(8, 2)).unwrap_err();
+        let run = Runner::new(&mut sut).config(open_loop(8, 2)).run(&s);
+        let err = run.unwrap_err();
         assert!(err.to_string().contains("arrival"));
     }
 
@@ -395,11 +388,11 @@ mod tests {
         let slow = open_loop_scenario(1_000.0);
         let data = fast.dataset.build().unwrap();
         let mut overloaded = BTreeSut::build(&data).unwrap();
-        let over = run_open_loop_kv_scenario(&mut overloaded, &fast, &config(4, 2)).unwrap();
+        let over = run(&mut overloaded, &fast, open_loop(4, 2));
         let mut relaxed = BTreeSut::build(&data).unwrap();
-        let under = run_open_loop_kv_scenario(&mut relaxed, &slow, &config(4, 2)).unwrap();
-        let over_p99 = over.latency.quantile(0.99).unwrap();
-        let under_p99 = under.latency.quantile(0.99).unwrap();
+        let under = run(&mut relaxed, &slow, open_loop(4, 2));
+        let over_p99 = stats(&over).latency.quantile(0.99).unwrap();
+        let under_p99 = stats(&under).latency.quantile(0.99).unwrap();
         assert!(
             over_p99 > under_p99,
             "overload p99 {over_p99}ns should exceed underload p99 {under_p99}ns"

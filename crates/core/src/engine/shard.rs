@@ -16,7 +16,7 @@ use lsbench_workload::ops::Operation;
 /// ends at both extremes). Scans are routed by their start key and do not
 /// cross shard boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyRouter {
+pub(crate) struct KeyRouter {
     /// `shards - 1` ascending split keys.
     boundaries: Vec<u64>,
 }
@@ -63,7 +63,7 @@ impl KeyRouter {
 /// [`Dataset::from_keys`], which derives values exactly like the original
 /// generation did, so shard SUTs hold the same key→value pairs the
 /// unsharded SUT would.
-pub fn shard_dataset(data: &Dataset, shards: usize) -> Result<(KeyRouter, Vec<Dataset>)> {
+pub(crate) fn shard_dataset(data: &Dataset, shards: usize) -> Result<(KeyRouter, Vec<Dataset>)> {
     if shards == 0 {
         return Err(BenchError::InvalidScenario(
             "shard count must be at least 1".to_string(),

@@ -136,8 +136,8 @@ pub(crate) struct LaneParams {
 }
 
 /// What a run is called and how it is paced: the scenario-shaped inputs of
-/// the core, however they were obtained (a [`Scenario`], a replay
-/// configuration, the query workload's arguments).
+/// the core, however they were obtained (a [`Scenario`], or the [`Pacing`]
+/// of a trace replay or a query workload).
 #[derive(Debug)]
 pub(crate) struct RunPlan {
     /// `RunRecord::scenario_name`.
@@ -173,14 +173,14 @@ impl RunPlan {
     }
 
     /// A scenario-less plan (trace replay, query workload): no fault plan,
-    /// only the work rate to validate.
+    /// foreground adaptation, only the work rate to validate.
     pub(crate) fn bare(
         scenario_name: &str,
         phase_names: Vec<String>,
-        config: &crate::driver::ReplayConfig,
+        pacing: Pacing,
         ops_hint: usize,
     ) -> Result<Self> {
-        if config.work_units_per_second <= 0.0 {
+        if pacing.work_units_per_second <= 0.0 {
             return Err(BenchError::InvalidScenario(
                 "work_units_per_second must be positive".to_string(),
             ));
@@ -188,17 +188,28 @@ impl RunPlan {
         Ok(RunPlan {
             scenario_name: scenario_name.to_string(),
             phase_names,
-            train_budget: config.train_budget,
+            train_budget: pacing.train_budget,
             ops_hint,
             params: LaneParams {
-                rate: config.work_units_per_second,
-                maintenance_every: config.maintenance_every,
-                online_train: config.online_train,
+                rate: pacing.work_units_per_second,
+                maintenance_every: pacing.maintenance_every,
+                online_train: OnlineTrainMode::Foreground,
                 exec_start: 0.0,
                 faults: None,
             },
         })
     }
+}
+
+/// How a scenario-less run is paced: what a [`Scenario`] would have said.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pacing {
+    /// Virtual work units per second.
+    pub work_units_per_second: f64,
+    /// Offer a maintenance slot every this many operations.
+    pub maintenance_every: u64,
+    /// Offline training budget passed to the SUT before the run.
+    pub train_budget: u64,
 }
 
 /// A run after its prologue: the plan (training paid, `exec_start` set),

@@ -2,17 +2,17 @@
 //!
 //! §V-A: "we propose to include hold-out workload and data distributions
 //! that the system is only allowed to execute once. In doing so, the
-//! benchmark could measure out-of-sample performance." The driver runs the
-//! hold-out workload exactly once, *without* phase-change notifications or
+//! benchmark could measure out-of-sample performance." The
+//! [`Runner`](crate::runner::Runner) runs the hold-out workload exactly
+//! once — as part of the run that asked for it
+//! ([`RunOptions::holdout`](crate::runner::RunOptions::holdout)), never as
+//! a pass of its own — *without* phase-change notifications or
 //! maintenance slots (no adaptation opportunity), and this module compares
 //! in-sample to out-of-sample throughput — the overfitting gap.
 
-use crate::driver::DriverConfig;
 use crate::record::RunRecord;
 use crate::scenario::{OnlineTrainMode, Scenario};
 use crate::{BenchError, Result};
-use lsbench_sut::sut::SystemUnderTest;
-use lsbench_workload::ops::Operation;
 use serde::{Deserialize, Serialize};
 
 /// Out-of-sample comparison for one SUT.
@@ -52,8 +52,7 @@ impl HoldoutReport {
 /// no training, effectively-disabled maintenance, no arrival schedule, no
 /// nested hold-out, and no fault plan (the builder defaults to `None`, so
 /// hold-out passes always measure the unperturbed system). Errors if the
-/// scenario has no hold-out. Shared by [`run_holdout`] and the
-/// [`Runner`](crate::runner::Runner)'s hold-out pass.
+/// scenario has no hold-out.
 pub(crate) fn one_shot_scenario(scenario: &Scenario) -> Result<Scenario> {
     let holdout = scenario
         .holdout
@@ -70,20 +69,10 @@ pub(crate) fn one_shot_scenario(scenario: &Scenario) -> Result<Scenario> {
         .build()
 }
 
-/// Runs the scenario's hold-out workload once (single pass, no phase
-/// notifications, no maintenance — the SUT gets no adaptation opportunity)
-/// and returns its record. Errors if the scenario has no hold-out.
-pub fn run_holdout<S: SystemUnderTest<Operation> + ?Sized>(
-    sut: &mut S,
-    scenario: &Scenario,
-) -> Result<RunRecord> {
-    let one_shot = one_shot_scenario(scenario)?;
-    crate::driver::run_kv_scenario(sut, &one_shot, DriverConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{RunOptions, RunOutcome, Runner};
     use lsbench_sut::kv::{RetrainPolicy, RmiSut};
     use lsbench_workload::keygen::KeyDistribution;
     use lsbench_workload::ops::OperationMix;
@@ -118,13 +107,21 @@ mod tests {
         s
     }
 
+    fn run_with_holdout(s: &Scenario) -> Result<RunOutcome> {
+        let data = s.dataset.build().unwrap();
+        let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::Never).unwrap();
+        let opts = RunOptions {
+            holdout: true,
+            ..RunOptions::default()
+        };
+        Runner::new(&mut sut).config(opts).run(s)
+    }
+
     #[test]
     fn holdout_runs_once() {
         let s = scenario_with_holdout();
-        let data = s.dataset.build().unwrap();
-        let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::Never).unwrap();
-        let main = crate::driver::run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
-        let hold = run_holdout(&mut sut, &s).unwrap();
+        let outcome = run_with_holdout(&s).unwrap();
+        let (main, (hold, _)) = (outcome.record, outcome.holdout.unwrap());
         assert_eq!(hold.completed(), 500);
         assert_eq!(hold.train.work, 0, "hold-out must not retrain");
         let report = HoldoutReport::new(&main, &hold).unwrap();
@@ -137,19 +134,13 @@ mod tests {
     fn missing_holdout_errors() {
         let mut s = scenario_with_holdout();
         s.holdout = None;
-        let data = s.dataset.build().unwrap();
-        let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::Never).unwrap();
-        assert!(run_holdout(&mut sut, &s).is_err());
+        assert!(run_with_holdout(&s).is_err());
     }
 
     #[test]
     fn report_math() {
         let s = scenario_with_holdout();
-        let data = s.dataset.build().unwrap();
-        let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::Never).unwrap();
-        let main = crate::driver::run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
-        let hold = run_holdout(&mut sut, &s).unwrap();
-        let report = HoldoutReport::new(&main, &hold).unwrap();
+        let (_, report) = run_with_holdout(&s).unwrap().holdout.unwrap();
         let expect = report.out_of_sample_throughput / report.in_sample_throughput;
         assert!((report.generalization_ratio - expect).abs() < 1e-12);
     }

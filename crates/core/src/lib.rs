@@ -6,13 +6,22 @@
 //! * [`scenario`] — benchmark scenarios: a dataset, a multi-phase workload
 //!   with transitions, a training budget, an SLA policy, and hold-out
 //!   phases (§V-A/§V-B configuration).
-//! * [`driver`] — the benchmark driver: load → train → phased execution
-//!   with per-query records on a deterministic virtual clock, maintenance
-//!   slots, and phase-change notifications. That timing rule is written
-//!   once, in the crate-private execution core (`exec.rs`: op source,
+//! * [`runner`] — **the one way to run a scenario**: a [`Runner`] over
+//!   one SUT or a SUT factory, configured by a single [`RunOptions`] whose
+//!   explicit [`ExecutionMode`] picks serial, shared-lock, sharded or
+//!   open-loop execution; hold-out, observability and the wall clock are
+//!   options of the same run, never separate entry points.
+//! * [`driver`] — the runs that have no scenario: trace replay and the
+//!   query workload. Load → train → phased execution with per-query
+//!   records on a deterministic virtual clock, maintenance slots, and
+//!   phase-change notifications — that timing rule is written once, in
+//!   the crate-private execution core (`exec.rs`: op source,
 //!   prologue/epilogue, one `step`, two drivers); serial runs, trace
-//!   replay, the query workload, hold-out and every [`engine`] mode are
-//!   policies over it.
+//!   replay, the query workload, hold-out and every concurrent mode
+//!   (crate-private `engine/`: lanes with coordinated-omission-safe
+//!   latency recording and deterministic merging, and the event-heap
+//!   scheduler multiplexing massive open-loop client populations onto a
+//!   worker pool) are policies over it.
 //! * [`record`] — run records: every completed query with timestamp,
 //!   latency, phase, and success flag, plus training info and SUT metrics.
 //! * [`metrics`] — the paper's new metric families:
@@ -21,11 +30,6 @@
 //!   and the Φ distribution-similarity axis ([`metrics::phi`]).
 //! * [`holdout`] — out-of-sample evaluation: hold-out phases executed once,
 //!   reported as an overfitting gap (§V-A).
-//! * [`engine`] — the concurrent execution engine: multi-worker open/
-//!   closed-loop execution with coordinated-omission-safe latency
-//!   recording, deterministic merging, and the event-heap scheduler
-//!   ([`engine::sched`]) multiplexing massive open-loop client
-//!   populations onto the worker pool.
 //! * [`capacity`] — the SLA capacity search: a binary-search load driver
 //!   that brackets the maximum sustainable arrival rate under a latency
 //!   SLA and emits a throughput–latency knee curve per SUT.
@@ -36,10 +40,6 @@
 //!   spikes, stalls, and crash-restarts driven by a seeded [`FaultPlan`]
 //!   plus a virtual-time timeout/retry/backoff policy, bit-identical
 //!   across worker counts.
-//! * [`runner`] — the unified [`Runner`] facade: one entry point that
-//!   routes serial, shared-SUT concurrent, sharded, open-loop, and
-//!   hold-out runs from a single [`RunOptions`] configuration via the
-//!   explicit [`ExecutionMode`] enum.
 //! * [`spec`] — the declarative scenario subsystem: a line-oriented spec
 //!   language with positioned errors, the seven parse-time drift
 //!   composers (see the canonical table in the [`spec`] module docs), a
@@ -71,7 +71,7 @@
 
 pub mod capacity;
 pub mod driver;
-pub mod engine;
+mod engine;
 mod exec;
 pub mod faults;
 pub mod holdout;
@@ -90,21 +90,14 @@ pub mod trace;
 pub mod wire;
 
 pub use capacity::{capacity_search, CapacityConfig, CapacityPoint, CapacityReport, SlaTarget};
-pub use driver::{
-    run_kv_scenario, run_kv_trace, run_kv_trace_open_loop, run_query_workload, DriverConfig,
-    ReplayConfig,
-};
-pub use engine::{
-    run_concurrent_kv_scenario, run_open_loop_kv_scenario, run_sharded_kv_scenario, shard_dataset,
-    EngineConfig, EngineReport, KeyRouter,
-};
+pub use driver::{run_kv_trace, run_kv_trace_open_loop, run_query_workload};
 pub use faults::{FaultKind, FaultPlan, FaultSpec, FaultStats, RetryPolicy};
 pub use holdout::HoldoutReport;
 pub use metrics::adaptability::AdaptabilityReport;
 pub use metrics::cost::CostReport;
 pub use metrics::sla::{SlaPolicy, SlaReport};
 pub use metrics::specialization::SpecializationReport;
-pub use obs::{MetricsRegistry, ObsConfig, RunEvent, RunObserver, TraceEvent, TraceLog};
+pub use obs::{MetricsRegistry, ObsConfig, RunEvent, TraceEvent, TraceLog};
 pub use record::{OpRecord, RunRecord};
 pub use results::{
     compare, evaluate_regression, parse_regression_policy, render_comparison_report,
@@ -119,7 +112,7 @@ pub use runner::{
 pub use scenario::{ClockMode, ModePreference, OpenLoopSpec, Scenario, ScenarioBuilder};
 pub use spec::{parse_fault_plan, parse_scenario, render_scenario, ScenarioRegistry, SpecError};
 pub use suite::{
-    run_suite, run_suite_observed, standard_scenarios, SuiteConfig, SuiteObservation, SuiteResult,
+    calibrate_sla, run_scenarios, standard_scenarios, SuiteConfig, SuiteObservation, SuiteResult,
 };
 pub use sut_registry::SutRegistry;
 pub use sweep::{render_sweep_report, rung_scenario, DriftAxis, DriftLadder, SweepCurve};

@@ -5,15 +5,14 @@
 //! 1. **Event tracing** — [`RunEvent`]s (phase changes, train start/end,
 //!    retraining bursts, maintenance slots, SLA violations, backlog
 //!    high-water marks, shard merges) stamped with the **virtual clock**,
-//!    merged into a deterministic [`TraceLog`] and replayable into
-//!    [`EventSink`]s (in-memory [`RingBufferSink`], artifact-writing
-//!    [`JsonlSink`]).
+//!    merged into a deterministic [`TraceLog`] that renders as tagged
+//!    JSON lines ([`TraceLog::to_jsonl_tagged`]).
 //! 2. **Metrics** — a [`MetricsRegistry`] of counters, high-water gauges,
 //!    and per-interval latency histograms, accumulated lane-locally and
 //!    merged at join; exposed per scenario in
 //!    [`ScenarioSummary`](crate::suite::ScenarioSummary).
-//! 3. **Profiling spans** — wall-clock [`ScopeTimer`]s around bulk-load,
-//!    train, steady-state, and merge, rendered as a span tree by
+//! 3. **Profiling spans** — wall-clock scope timers around bulk-load,
+//!    the run, and the hold-out pass, rendered as a span tree by
 //!    `lsbench suite --trace`. Spans measure host time and therefore live
 //!    *outside* the deterministic trace.
 //!
@@ -25,13 +24,12 @@
 mod event;
 mod observer;
 mod registry;
-mod sink;
 mod span;
 
 pub use event::{RunEvent, TraceEvent, TraceLog};
-pub use observer::{LaneObs, ObsConfig, ObsReport, RunObserver, DEFAULT_RING_CAPACITY};
+pub(crate) use observer::{LaneObs, RunObserver};
+pub use observer::{ObsConfig, DEFAULT_RING_CAPACITY};
 pub use registry::{
     IntervalHistogram, MetricsRegistry, DEFAULT_INTERVAL_WIDTH, MAX_INTERVAL_SLICES,
 };
-pub use sink::{EventSink, JsonlSink, RingBufferSink};
-pub use span::{render_spans, ScopeTimer, SpanCollector, SpanNode};
+pub use span::{render_spans, SpanNode};

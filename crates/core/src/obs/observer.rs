@@ -17,49 +17,28 @@ use super::registry::{IntervalHistogram, MetricsRegistry, DEFAULT_INTERVAL_WIDTH
 use super::span::{SpanCollector, SpanNode};
 use crate::engine::latency::latency_to_ns;
 
-/// Default per-emitter event buffer capacity.
+/// Per-emitter event buffer capacity; overflow increments
+/// [`TraceLog::dropped`].
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
-/// What to observe during a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What to observe during a run. Counters, gauges and the `latency`
+/// interval histogram (slices [`DEFAULT_INTERVAL_WIDTH`] virtual seconds
+/// wide) are always collected.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ObsConfig {
-    /// Buffer [`TraceEvent`]s and expose a merged [`TraceLog`].
+    /// Buffer [`TraceEvent`]s into a merged [`TraceLog`] and collect the
+    /// wall-clock span tree.
     pub trace: bool,
-    /// Per-emitter event buffer capacity; overflow increments
-    /// [`TraceLog::dropped`].
-    pub ring_capacity: usize,
     /// Latency threshold (virtual seconds) above which completed ops emit
     /// [`RunEvent::SlaViolation`] and bump the `sla_violations` counter.
     pub sla_threshold: Option<f64>,
-    /// Record per-op latencies into the `latency` interval histogram.
-    pub latency_metric: bool,
-    /// Interval width (virtual seconds) for the latency histogram slices.
-    pub interval_width: f64,
-    /// Collect wall-clock [`ScopeTimer`](super::ScopeTimer) spans.
-    pub spans: bool,
-}
-
-impl Default for ObsConfig {
-    /// Metrics-only observation: counters, gauges, and the latency
-    /// histogram, but no event trace and no wall-clock spans.
-    fn default() -> Self {
-        ObsConfig {
-            trace: false,
-            ring_capacity: DEFAULT_RING_CAPACITY,
-            sla_threshold: None,
-            latency_metric: true,
-            interval_width: DEFAULT_INTERVAL_WIDTH,
-            spans: false,
-        }
-    }
 }
 
 impl ObsConfig {
-    /// Full observation: event trace, latency metrics, and spans.
+    /// Full observation: event trace and spans on top of the metrics.
     pub fn traced() -> Self {
         ObsConfig {
             trace: true,
-            spans: true,
             ..ObsConfig::default()
         }
     }
@@ -92,7 +71,7 @@ struct CoreCounters {
 /// the coordinator (`lane = None`). Travels with the lane across worker
 /// threads; merged deterministically at join.
 #[derive(Debug)]
-pub struct LaneObs {
+pub(crate) struct LaneObs {
     cfg: ObsConfig,
     active: bool,
     lane: Option<usize>,
@@ -115,11 +94,7 @@ impl LaneObs {
             dropped: 0,
             counters: CoreCounters::default(),
             backlog_high_water: 0.0,
-            latency: if active && cfg.latency_metric {
-                Some(IntervalHistogram::new(cfg.interval_width))
-            } else {
-                None
-            },
+            latency: active.then(|| IntervalHistogram::new(DEFAULT_INTERVAL_WIDTH)),
         }
     }
 
@@ -128,24 +103,12 @@ impl LaneObs {
         LaneObs::new(None, ObsConfig::default(), false)
     }
 
-    /// An emitter for engine lane `lane`, built from the parameters the
-    /// coordinator ships to every worker. Equivalent to
-    /// [`RunObserver::lane_obs`] but constructible worker-side.
-    pub fn for_lane(lane: usize, cfg: ObsConfig, active: bool) -> Self {
-        LaneObs::new(Some(lane), cfg, active)
-    }
-
-    /// True when this emitter records anything at all.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     #[inline]
     fn push(&mut self, t: f64, event: RunEvent) {
         if !self.cfg.trace {
             return;
         }
-        if self.events.len() >= self.cfg.ring_capacity {
+        if self.events.len() >= DEFAULT_RING_CAPACITY {
             self.dropped += 1;
             return;
         }
@@ -292,7 +255,7 @@ impl LaneObs {
 
 /// Everything a run's observation produced.
 #[derive(Debug, Default)]
-pub struct ObsReport {
+pub(crate) struct ObsReport {
     /// Merged, time-ordered event trace (when tracing was on).
     pub trace: Option<TraceLog>,
     /// Counters, gauges, and histograms merged across lanes.
@@ -305,7 +268,7 @@ pub struct ObsReport {
 /// emitters handed out to (and absorbed back from) engine workers, and the
 /// wall-clock span collector.
 #[derive(Debug)]
-pub struct RunObserver {
+pub(crate) struct RunObserver {
     cfg: ObsConfig,
     active: bool,
     /// Coordinator-level emitter (train, phase-0 anchor, merge, run end).
@@ -323,12 +286,13 @@ impl RunObserver {
             active: true,
             root: LaneObs::new(None, cfg, true),
             lanes: Vec::new(),
-            spans: SpanCollector::new(cfg.spans),
+            spans: SpanCollector::new(cfg.trace),
         }
     }
 
-    /// A fully inert observer: zero work on every hook. Used by the legacy
-    /// entry points so existing callers pay nothing.
+    /// A fully inert observer: zero work on every hook. For the runs that
+    /// report nothing but their record (trace replay, the query workload,
+    /// the hold-out pass).
     pub fn disabled() -> Self {
         RunObserver {
             cfg: ObsConfig::default(),
@@ -342,11 +306,6 @@ impl RunObserver {
     /// True when this observer records anything at all.
     pub fn is_active(&self) -> bool {
         self.active
-    }
-
-    /// The configuration this observer was built with.
-    pub fn config(&self) -> &ObsConfig {
-        &self.cfg
     }
 
     /// Creates the emitter for engine lane `lane`, to be moved into the
@@ -532,17 +491,12 @@ mod tests {
 
     #[test]
     fn ring_capacity_bounds_events() {
-        let cfg = ObsConfig {
-            trace: true,
-            ring_capacity: 2,
-            ..ObsConfig::default()
-        };
-        let mut obs = RunObserver::new(cfg);
-        for i in 0..5 {
+        let mut obs = RunObserver::new(ObsConfig::traced());
+        for i in 0..DEFAULT_RING_CAPACITY + 3 {
             obs.root.phase_change(i as f64, i);
         }
         let trace = obs.finish().unwrap().trace.unwrap();
-        assert_eq!(trace.events.len(), 2);
+        assert_eq!(trace.events.len(), DEFAULT_RING_CAPACITY);
         assert_eq!(trace.dropped, 3);
     }
 }

@@ -24,7 +24,7 @@ pub struct SpanNode {
 /// simply discards the span (no panic, no poisoning).
 #[derive(Debug)]
 #[must_use = "pass the timer back to SpanCollector::exit to record the span"]
-pub struct ScopeTimer {
+pub(crate) struct ScopeTimer {
     depth: usize,
     start: Option<Instant>,
 }
@@ -32,7 +32,7 @@ pub struct ScopeTimer {
 /// Collects a tree of wall-clock spans. Disabled collectors are inert:
 /// `enter`/`exit` do no work and read no clocks.
 #[derive(Debug, Default)]
-pub struct SpanCollector {
+pub(crate) struct SpanCollector {
     enabled: bool,
     /// Open scopes, outermost first: (name, children-so-far).
     stack: Vec<(String, Vec<SpanNode>)>,
@@ -48,11 +48,6 @@ impl SpanCollector {
             stack: Vec::new(),
             roots: Vec::new(),
         }
-    }
-
-    /// True when this collector records spans.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Opens a scope. The returned timer must go back to [`exit`](Self::exit).

@@ -1,43 +1,53 @@
-//! The unified run facade.
+//! The run facade: the one way to run a scenario.
 //!
-//! Describe *what* to run with [`RunOptions`] (an explicit
-//! [`ExecutionMode`], operation cap, hold-out, observability) and the
-//! [`Runner`] builds the SUT(s) once, hands them to the execution core
-//! (`exec.rs`), and optionally runs the hold-out pass:
+//! **A run is [`Runner`] + [`RunOptions`]; modes are [`ExecutionMode`];
+//! there is no other door.** Describe *how* to run with [`RunOptions`] (an
+//! explicit [`ExecutionMode`], operation cap, hold-out, observability,
+//! clock) and the [`Runner`] builds the SUT(s) once, hands them to the
+//! execution core (`exec.rs`), and optionally runs the hold-out pass —
+//! once, on the very SUT(s) the main run left behind (§V-A):
 //!
 //! ```text
 //! Runner::new(&mut sut).config(opts).run(&scenario)?          // one SUT
 //! Runner::from_factory(|data| build(data)).run(&scenario)?    // per-shard SUTs
 //! ```
 //!
-//! The mode only picks the op partition, the SUT access and the driver
-//! (see the table in [`crate::engine`]):
+//! The mode only picks the op partition, the SUT access and the driver:
+//!
+//! | mode         | partition              | SUT access                       | driver     |
+//! |--------------|------------------------|----------------------------------|------------|
+//! | `Serial`     | none                   | `&mut S`                         | inline     |
+//! | `SharedLock` | round-robin to lanes   | `Mutex<&mut S>`, per dispatch    | inline × N |
+//! | `Sharded`    | key-range router       | each lane owns its shard         | inline × N |
+//! | `OpenLoop`   | round-robin to clients | `Mutex<&mut S>`, per event batch | event heap |
 //!
 //! * [`ExecutionMode::Serial`] → one inline client on the caller's thread.
 //! * [`ExecutionMode::SharedLock`] → lanes over one shared SUT behind a
-//!   mutex (a factory builds one SUT from the full dataset first).
-//! * [`ExecutionMode::Sharded`] → the dataset is key-range-sharded and each
-//!   lane owns one factory-built shard. With a single borrowed SUT there is
-//!   nothing to shard, so this degrades to shared-lock lanes.
+//!   mutex (a factory builds one SUT from the full dataset first). The
+//!   lock provides physical exclusion only; virtual time assumes the lanes
+//!   proceed in parallel. Deterministic for read-only workloads; with
+//!   writes, SUT-internal adaptation may depend on thread interleaving.
+//! * [`ExecutionMode::Sharded`] → the key space is split at dataset-key
+//!   quantiles and each lane owns one factory-built shard. Deterministic
+//!   even with writes, since each shard observes exactly its own
+//!   key-ordered subsequence. With a single borrowed SUT there is nothing
+//!   to shard, so this degrades to shared-lock lanes.
 //! * [`ExecutionMode::OpenLoop`] → the event-heap scheduler multiplexes
-//!   `clients` simulated open-loop clients onto `workers` threads
-//!   ([`crate::engine::sched`]); the scenario must carry an
+//!   `clients` simulated open-loop clients onto `workers` threads; the
+//!   scenario must carry an
 //!   [`ArrivalSpec`](crate::scenario::ArrivalSpec).
+//!
+//! Lanes — not threads — determine results: a run with 4 lanes produces a
+//! bit-identical record on 1, 2 or 4 worker threads
+//! ([`RunOptions::threads`]).
 //!
 //! Every path reports through the same [`RunOutcome`]: the merged
 //! [`RunRecord`], optional engine statistics, optional hold-out
 //! comparison, and whatever the observability layer collected.
-//!
-//! The thin per-mode functions tests, benches and examples call directly —
-//! [`run_kv_scenario`](crate::driver::run_kv_scenario),
-//! [`run_concurrent_kv_scenario`](crate::engine::run_concurrent_kv_scenario),
-//! [`run_sharded_kv_scenario`](crate::engine::run_sharded_kv_scenario),
-//! [`run_open_loop_kv_scenario`](crate::engine::run_open_loop_kv_scenario),
-//! [`run_holdout`](crate::holdout::run_holdout) — enter the same core.
 
-use crate::driver::{run_serial, DriverConfig};
+use crate::driver::run_serial;
 use crate::engine::sched::run_heap;
-use crate::engine::{run_lanes, shard_dataset, EngineConfig, LaneSuts, Tuning};
+use crate::engine::{run_lanes, shard_dataset, LaneSuts, Tuning};
 use crate::holdout::{one_shot_scenario, HoldoutReport};
 use crate::obs::{MetricsRegistry, ObsConfig, RunObserver, SpanNode, TraceLog};
 use crate::record::RunRecord;
@@ -64,24 +74,22 @@ pub type BoxedKvSut = Box<dyn SystemUnderTest<Operation> + Send>;
 /// conflated with worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// One operation at a time on one virtual clock (the serial driver).
+    /// One operation at a time on one virtual clock (the serial policy).
     #[default]
     Serial,
-    /// `workers` closed-loop lanes share one SUT behind a mutex
-    /// ([`crate::engine::run_concurrent_kv_scenario`]).
+    /// `workers` closed-loop lanes share one SUT behind a mutex.
     SharedLock {
         /// Logical lanes (and default worker threads).
         workers: usize,
     },
     /// The key space is split into `workers` range shards, each owned by
-    /// one lane ([`crate::engine::run_sharded_kv_scenario`]).
+    /// one lane.
     Sharded {
         /// Number of shards/lanes (and default worker threads).
         workers: usize,
     },
     /// `clients` simulated open-loop clients are multiplexed onto
-    /// `workers` threads by the event-heap scheduler
-    /// ([`crate::engine::run_open_loop_kv_scenario`]). Requires the
+    /// `workers` threads by the event-heap scheduler. Requires the
     /// scenario to define an arrival process.
     OpenLoop {
         /// Simulated open-loop client population (may be millions).
@@ -108,6 +116,28 @@ impl ExecutionMode {
             Err(BenchError::InvalidScenario(
                 "ExecutionMode workers and clients must be at least 1".to_string(),
             ))
+        }
+    }
+
+    /// Logical lanes: what partitions the op stream and so determines the
+    /// record (the client count in open-loop mode, 1 for serial).
+    pub(crate) fn lanes(&self) -> usize {
+        match *self {
+            ExecutionMode::Serial => 1,
+            ExecutionMode::SharedLock { workers } | ExecutionMode::Sharded { workers } => workers,
+            ExecutionMode::OpenLoop { clients, .. } => clients,
+        }
+    }
+
+    /// Worker threads the mode runs on unless [`RunOptions::threads`] says
+    /// otherwise (1 for serial) — also the worker count archive manifests
+    /// record.
+    pub fn workers(&self) -> usize {
+        match *self {
+            ExecutionMode::Serial => 1,
+            ExecutionMode::SharedLock { workers }
+            | ExecutionMode::Sharded { workers }
+            | ExecutionMode::OpenLoop { workers, .. } => workers,
         }
     }
 
@@ -168,21 +198,15 @@ impl RunOptions {
         }
     }
 
-    fn engine_config(&self) -> EngineConfig {
-        let (default_threads, lanes) = match self.mode {
-            ExecutionMode::Serial => (1, 1),
-            ExecutionMode::SharedLock { workers } | ExecutionMode::Sharded { workers } => {
-                (workers, workers)
-            }
-            ExecutionMode::OpenLoop { clients, workers } => (workers, clients),
-        };
-        EngineConfig {
-            threads: self.threads.unwrap_or(default_threads).max(1),
-            lanes,
-            max_ops: self.max_ops,
-        }
+    /// Physical worker threads of an engine run.
+    pub(crate) fn worker_threads(&self) -> usize {
+        self.threads.unwrap_or(self.mode.workers()).max(1)
     }
 }
+
+/// One pass through the execution core: the record, engine statistics for
+/// lane and scheduler runs, wall statistics for a serial wall-clock run.
+pub(crate) type Executed = (RunRecord, Option<EngineStats>, Option<WallStats>);
 
 /// Concurrent-engine statistics carried through [`RunOutcome`] when the
 /// run went through the engine, and stamped into archived
@@ -264,7 +288,7 @@ pub struct RunOutcome {
     pub trace: Option<TraceLog>,
     /// Counters, gauges, and latency histograms from the run.
     pub metrics: MetricsRegistry,
-    /// Wall-clock profiling spans when [`ObsConfig::spans`] was on.
+    /// Wall-clock profiling spans when [`ObsConfig::trace`] was on.
     pub spans: Vec<SpanNode>,
 }
 
@@ -322,16 +346,12 @@ impl<'a> Runner<'a> {
     /// Runs the scenario: build the SUT(s) once (borrowed, factory-built,
     /// or factory-built per shard), run them through the execution core in
     /// the configured [`ExecutionMode`], then optionally the hold-out pass
-    /// on the same SUT(s).
-    pub fn run(&mut self, scenario: &Scenario) -> Result<RunOutcome> {
+    /// on the same SUT(s). Consumes the runner: one runner, one run, one
+    /// hold-out pass.
+    pub fn run(mut self, scenario: &Scenario) -> Result<RunOutcome> {
         self.opts.mode.validate()?;
         let opts = self.opts;
         let mut obs = RunObserver::new(opts.obs);
-        // Engine runs have no per-op wall recorder; when clock=wall they
-        // get a coarse elapsed/throughput capture measured from here (so
-        // the window includes dataset build for factory runs — coarse by
-        // name and by nature; the serial policy owns precise capture).
-        let coarse_start = Instant::now();
         let mut built: Vec<BoxedKvSut> = Vec::new();
         let mut router = None;
         if let RunnerSut::Factory(factory) = &mut self.sut {
@@ -353,6 +373,10 @@ impl<'a> Runner<'a> {
         };
 
         let span = obs.spans.enter("run");
+        // Engine runs have no per-op wall recorder; when clock=wall they
+        // get a coarse elapsed/throughput capture of the pass itself —
+        // dataset build and SUT construction are behind us.
+        let coarse_start = Instant::now();
         let (record, engine, mut wall) = execute(&mut suts, scenario, &opts, &mut obs)?;
         obs.spans.exit(span);
         if engine.is_some() && opts.clock == ClockMode::Wall {
@@ -396,36 +420,21 @@ fn execute(
     scenario: &Scenario,
     opts: &RunOptions,
     obs: &mut RunObserver,
-) -> Result<(RunRecord, Option<EngineStats>, Option<WallStats>)> {
-    let engine = opts.engine_config();
-    let report = match (opts.mode, suts) {
+) -> Result<Executed> {
+    match (opts.mode, suts) {
         (ExecutionMode::Serial, LaneSuts::Shared(sut)) => {
-            let config = DriverConfig {
-                max_ops: opts.max_ops,
-                clock: opts.clock,
-            };
-            let (record, wall) = run_serial(&mut **sut, scenario, config, obs)?;
-            return Ok((record, None, wall));
+            run_serial(&mut **sut, scenario, opts, obs)
         }
         (ExecutionMode::OpenLoop { .. }, LaneSuts::Shared(sut)) => {
-            run_heap(&mut **sut, scenario, &engine, Tuning::default(), obs)?
+            run_heap(&mut **sut, scenario, opts, Tuning::default(), obs)
         }
-        (_, suts) => run_lanes(suts, scenario, &engine, Tuning::default(), obs)?,
-    };
-    let stats = EngineStats {
-        latency: report.latency,
-        completions: report.completions,
-        threads: report.threads,
-        lanes: report.lanes,
-    };
-    Ok((report.record, Some(stats), None))
+        (_, suts) => run_lanes(suts, scenario, opts, Tuning::default(), obs),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::run_kv_scenario;
-    use crate::engine::run_sharded_kv_scenario;
     use lsbench_sut::kv::BTreeSut;
     use lsbench_workload::keygen::KeyDistribution;
     use lsbench_workload::ops::OperationMix;
@@ -457,7 +466,9 @@ mod tests {
         let s = scenario();
         let data = s.dataset.build().unwrap();
         let mut direct_sut = BTreeSut::build(&data).unwrap();
-        let direct = run_kv_scenario(&mut direct_sut, &s, DriverConfig::default()).unwrap();
+        let unobserved = &mut RunObserver::disabled();
+        let (direct, _, _) =
+            run_serial(&mut direct_sut, &s, &RunOptions::default(), unobserved).unwrap();
         let mut runner_sut = BTreeSut::build(&data).unwrap();
         let outcome = Runner::new(&mut runner_sut).run(&s).unwrap();
         assert_eq!(outcome.record.ops, direct.ops);
@@ -477,17 +488,16 @@ mod tests {
         let data = s.dataset.build().unwrap();
         let (router, shards) = shard_dataset(&data, 4).unwrap();
         let mut suts: Vec<BoxedKvSut> = shards.iter().map(|d| factory(d).unwrap()).collect();
-        let direct =
-            run_sharded_kv_scenario(&mut suts, &router, &s, &EngineConfig::with_concurrency(4))
-                .unwrap();
-        let outcome = Runner::from_factory(factory)
-            .config(RunOptions::with_mode(ExecutionMode::Sharded { workers: 4 }))
-            .run(&s)
-            .unwrap();
-        assert_eq!(outcome.record.ops, direct.record.ops);
+        let opts = RunOptions::with_mode(ExecutionMode::Sharded { workers: 4 });
+        let mut shards: LaneSuts<'_, DynKvSut> = LaneSuts::Shards(&mut suts, &router);
+        let unobserved = &mut RunObserver::disabled();
+        let (direct, direct_stats, _) =
+            run_lanes(&mut shards, &s, &opts, Tuning::default(), unobserved).unwrap();
+        let outcome = Runner::from_factory(factory).config(opts).run(&s).unwrap();
+        assert_eq!(outcome.record.ops, direct.ops);
         let stats = outcome.engine.expect("engine stats for concurrent run");
         assert_eq!(stats.lanes, 4);
-        assert_eq!(stats.latency, direct.latency);
+        assert_eq!(stats.latency, direct_stats.unwrap().latency);
     }
 
     #[test]
@@ -546,6 +556,30 @@ mod tests {
         assert_eq!(trace.phase_boundaries(), outcome.record.phase_change_times);
         let names: Vec<&str> = outcome.spans.iter().map(|n| n.name.as_str()).collect();
         assert_eq!(names, ["bulk-load", "run"]);
+    }
+
+    #[test]
+    fn engine_wall_window_excludes_dataset_build_and_sut_construction() {
+        let s = scenario();
+        let slow_factory = |data: &Dataset| {
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            factory(data)
+        };
+        let opts = RunOptions {
+            clock: ClockMode::Wall,
+            ..RunOptions::with_mode(ExecutionMode::Sharded { workers: 2 })
+        };
+        let outcome = Runner::from_factory(slow_factory)
+            .config(opts)
+            .run(&s)
+            .unwrap();
+        let wall = outcome.wall.expect("wall stats in wall mode");
+        assert!(
+            wall.elapsed_seconds < 0.2,
+            "[wall] counted setup: {}s",
+            wall.elapsed_seconds
+        );
+        assert_eq!(wall.ops, outcome.record.ops.len() as u64);
     }
 
     #[test]

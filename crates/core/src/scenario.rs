@@ -38,7 +38,8 @@ pub struct ArrivalSpec {
 }
 
 /// Open-loop client population: how many simulated clients the event-heap
-/// scheduler ([`crate::engine::sched`]) multiplexes onto the worker pool.
+/// scheduler ([`ExecutionMode::OpenLoop`](crate::runner::ExecutionMode::OpenLoop))
+/// multiplexes onto the worker pool.
 /// Spelled as the `[open_loop]` section in `.spec` files; requires an
 /// arrival process ([`Scenario::arrival`]) since open-loop clients issue
 /// operations on the arrival schedule, not on completion.

@@ -2,7 +2,7 @@
 //! [`SutRegistry`](crate::sut_registry::SutRegistry).
 //!
 //! A [`ScenarioRegistry`] resolves the built-in standard-suite scenarios
-//! (S1–S5, generated from [`STANDARD_SCENARIOS`] at the registry's
+//! (S1–S7, generated from [`STANDARD_SCENARIOS`] at the registry's
 //! [`SuiteConfig`] scale) and user spec files on disk through one
 //! interface: [`ScenarioRegistry::resolve`] takes either a registered
 //! name or a path. `lsbench scenarios` prints the registry;
@@ -37,7 +37,7 @@ pub struct ScenarioRegistry {
 }
 
 impl Default for ScenarioRegistry {
-    /// The standard suite (S1–S5) at the default [`SuiteConfig`] scale.
+    /// The standard suite (S1–S7) at the default [`SuiteConfig`] scale.
     fn default() -> Self {
         Self::with_config(SuiteConfig::default())
     }

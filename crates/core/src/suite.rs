@@ -6,10 +6,16 @@
 //! that suite: seven standard scenarios covering the paper's dynamism axes
 //! — specialization, abrupt and gradual shifts, write bursts, bursty
 //! open-loop load, templated repetition, and ledger growth — plus a
-//! hold-out pass. Running a SUT through the suite
-//! yields one [`SuiteResult`] combining every metric family, with the SLA
-//! threshold calibrated per scenario from a B+-tree baseline run (as
-//! §V-D.2 recommends).
+//! hold-out pass. The SLA threshold of each scenario is calibrated once
+//! from a B+-tree baseline run (as §V-D.2 recommends, [`calibrate_sla`])
+//! and shared by every SUT; running a SUT through the calibrated scenarios
+//! ([`run_scenarios`]) yields one [`SuiteResult`] combining every metric
+//! family:
+//!
+//! ```text
+//! let calibrated = calibrate_sla(standard_scenarios(&cfg)?, cfg.threads)?;
+//! let (result, _) = run_scenarios(factory, &calibrated, cfg.threads, ObsConfig::default())?;
+//! ```
 
 use crate::metrics::adaptability::AdaptabilityReport;
 use crate::metrics::sla::SlaReport;
@@ -38,9 +44,9 @@ pub struct SuiteConfig {
     pub seed: u64,
     /// Virtual work units per second.
     pub work_units_per_second: f64,
-    /// Concurrency: `1` runs the serial driver; larger values split each
-    /// scenario's key space into that many shards and run them through the
-    /// concurrent engine ([`crate::engine`]) on as many worker threads.
+    /// Concurrency: `1` runs serially; larger values split each scenario's
+    /// key space into that many shards
+    /// ([`ExecutionMode::Sharded`]) on as many worker threads.
     pub threads: usize,
 }
 
@@ -419,14 +425,13 @@ const ADJUSTMENT_N: usize = 2_000;
 
 /// Observation artifacts from one suite run, beyond the summaries: the
 /// per-scenario event traces and wall-clock span trees requested via the
-/// [`ObsConfig`] handed to [`run_suite_observed`]. Both vectors pair each
-/// artifact with its scenario name and are empty when the corresponding
-/// feature was off.
+/// [`ObsConfig`] handed to [`run_scenarios`]. Both vectors pair each
+/// artifact with its scenario name and are empty when tracing was off.
 #[derive(Debug, Default)]
 pub struct SuiteObservation {
     /// `(scenario name, trace)` per scenario, when tracing was on.
     pub traces: Vec<(String, TraceLog)>,
-    /// `(scenario name, span tree)` per scenario, when spans were on.
+    /// `(scenario name, span tree)` per scenario, when tracing was on.
     pub spans: Vec<(String, Vec<SpanNode>)>,
     /// `(scenario name, complete run record)` per scenario — always
     /// populated, so suite runs can be archived into the results store
@@ -434,91 +439,73 @@ pub struct SuiteObservation {
     pub records: Vec<(String, RunRecord)>,
 }
 
-/// Runs one SUT (built fresh per scenario by `factory`) through the
-/// standard suite.
-///
-/// For every scenario a B+-tree baseline is run first to calibrate the SLA
-/// threshold, so violation fractions are comparable across SUTs. With
-/// [`SuiteConfig::threads`] greater than one, both the baseline and the
-/// SUT run key-range-sharded through the concurrent engine (one SUT
-/// instance per shard, built by the same factory), and the SLA threshold
-/// is calibrated against the equally-sharded baseline so the comparison
-/// stays apples-to-apples.
-///
-/// Equivalent to [`run_suite_observed`] with the default (metrics-only)
-/// observability configuration, discarding the observation artifacts.
-pub fn run_suite<F>(factory: F, cfg: &SuiteConfig) -> Result<SuiteResult>
-where
-    F: FnMut(&Dataset) -> Result<BoxedKvSut>,
-{
-    run_suite_observed(factory, cfg, ObsConfig::default()).map(|(result, _)| result)
+/// The suite's execution shape: `threads > 1` key-range-shards every
+/// scenario, `1` runs it serially.
+fn suite_mode(threads: usize) -> Result<ExecutionMode> {
+    match threads {
+        0 => Err(BenchError::InvalidScenario(
+            "suite threads must be at least 1".to_string(),
+        )),
+        1 => Ok(ExecutionMode::Serial),
+        workers => Ok(ExecutionMode::Sharded { workers }),
+    }
 }
 
-/// [`run_suite`] with explicit observability: `obs` applies to every
-/// scenario's main run (baseline calibration runs stay metrics-only), and
-/// the collected traces and spans come back in [`SuiteObservation`].
-pub fn run_suite_observed<F>(
-    factory: F,
-    cfg: &SuiteConfig,
-    obs: ObsConfig,
-) -> Result<(SuiteResult, SuiteObservation)>
-where
-    F: FnMut(&Dataset) -> Result<BoxedKvSut>,
-{
-    let scenarios = standard_scenarios(cfg)?;
-    run_scenarios_observed(factory, &scenarios, cfg.threads, obs)
+fn btree_baseline(data: &Dataset) -> Result<BoxedKvSut> {
+    let sut = BTreeSut::build(data).map_err(|e| BenchError::Sut(e.to_string()))?;
+    Ok(Box::new(sut))
 }
 
-/// Runs one SUT through an arbitrary scenario list — the suite pipeline
-/// (per-scenario B+-tree SLA calibration, identical execution shape,
-/// [`ScenarioSummary`] per scenario) applied to scenarios from any source:
-/// the built-in suite, a [`ScenarioRegistry`](crate::spec::ScenarioRegistry)
-/// resolution, or parsed `scenarios/*.spec` files.
-pub fn run_scenarios<F>(factory: F, scenarios: &[Scenario], threads: usize) -> Result<SuiteResult>
-where
-    F: FnMut(&Dataset) -> Result<BoxedKvSut>,
-{
-    run_scenarios_observed(factory, scenarios, threads, ObsConfig::default()).map(|(r, _)| r)
+/// Calibrates every scenario's SLA threshold from one B+-tree baseline run
+/// in the execution shape `threads` selects (no hold-out, metrics-only
+/// observation), so violation fractions are comparable across SUTs. The
+/// threshold is a function of the scenario and the shape alone: calibrate
+/// once, then hand the pairs to [`run_scenarios`] for every SUT.
+pub fn calibrate_sla(scenarios: Vec<Scenario>, threads: usize) -> Result<Vec<(Scenario, f64)>> {
+    calibrate_with(btree_baseline, scenarios, threads)
 }
 
-/// [`run_scenarios`] with explicit observability (see
-/// [`run_suite_observed`] for the semantics of `obs`).
-pub fn run_scenarios_observed<F>(
+/// [`calibrate_sla`] over any baseline factory (the tests count its calls).
+fn calibrate_with<F>(
     mut factory: F,
-    scenarios: &[Scenario],
+    scenarios: Vec<Scenario>,
+    threads: usize,
+) -> Result<Vec<(Scenario, f64)>>
+where
+    F: FnMut(&Dataset) -> Result<BoxedKvSut>,
+{
+    let opts = RunOptions::with_mode(suite_mode(threads)?);
+    let calibrate = |scenario: Scenario| {
+        let baseline = Runner::from_factory(&mut factory)
+            .config(opts)
+            .run(&scenario)?;
+        let threshold = scenario.sla.resolve(Some(&baseline.record))?;
+        Ok((scenario, threshold))
+    };
+    scenarios.into_iter().map(calibrate).collect()
+}
+
+/// Runs one SUT (built fresh per scenario by `factory`) through
+/// [calibrated](calibrate_sla) scenarios from any source — the built-in
+/// suite ([`standard_scenarios`]), a
+/// [`ScenarioRegistry`](crate::spec::ScenarioRegistry) resolution, or
+/// parsed `scenarios/*.spec` files — in the execution shape the
+/// calibration used: one [`ScenarioSummary`] per scenario, the hold-out
+/// pass where the scenario has one, and `obs` applied to every run.
+pub fn run_scenarios<F>(
+    mut factory: F,
+    calibrated: &[(Scenario, f64)],
     threads: usize,
     obs: ObsConfig,
 ) -> Result<(SuiteResult, SuiteObservation)>
 where
     F: FnMut(&Dataset) -> Result<BoxedKvSut>,
 {
-    if threads == 0 {
-        return Err(BenchError::InvalidScenario(
-            "suite threads must be at least 1".to_string(),
-        ));
-    }
-    let mut summaries = Vec::with_capacity(scenarios.len());
+    let mode = suite_mode(threads)?;
+    let mut summaries = Vec::with_capacity(calibrated.len());
     let mut observation = SuiteObservation::default();
     let mut sut_name = String::new();
-    // Suite semantics are unchanged: threads > 1 key-range-shards every
-    // scenario, threads <= 1 runs the serial driver.
-    let mode = if threads > 1 {
-        ExecutionMode::Sharded { workers: threads }
-    } else {
-        ExecutionMode::Serial
-    };
-    for scenario in scenarios {
-        // Baseline calibration run: same execution shape (serial or
-        // sharded), no hold-out, metrics-only observation.
-        let baseline = Runner::from_factory(|data: &Dataset| {
-            BTreeSut::build(data)
-                .map(|s| Box::new(s) as BoxedKvSut)
-                .map_err(|e| BenchError::Sut(e.to_string()))
-        })
-        .config(RunOptions::with_mode(mode))
-        .run(scenario)?;
-        let threshold = scenario.sla.resolve(Some(&baseline.record))?;
-
+    for (scenario, threshold) in calibrated {
         let opts = RunOptions {
             holdout: scenario.holdout.is_some(),
             obs,
@@ -542,7 +529,7 @@ where
         sut_name = outcome.record.sut_name.clone();
         summaries.push(summarize(
             &outcome.record,
-            threshold,
+            *threshold,
             generalization,
             outcome.metrics,
         )?);
@@ -624,6 +611,15 @@ pub fn render_comparison(results: &[SuiteResult]) -> String {
 mod tests {
     use super::*;
     use lsbench_sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
+
+    /// One SUT through the standard suite at `cfg`.
+    fn run_suite<F>(factory: F, cfg: &SuiteConfig) -> Result<SuiteResult>
+    where
+        F: FnMut(&Dataset) -> Result<BoxedKvSut>,
+    {
+        let calibrated = calibrate_sla(standard_scenarios(cfg)?, cfg.threads)?;
+        run_scenarios(factory, &calibrated, cfg.threads, ObsConfig::default()).map(|(r, _)| r)
+    }
 
     fn tiny() -> SuiteConfig {
         SuiteConfig {
@@ -738,7 +734,9 @@ mod tests {
                     as BoxedKvSut,
             )
         };
-        let (result, observation) = run_suite_observed(factory, &cfg, ObsConfig::traced()).unwrap();
+        let calibrated = calibrate_sla(standard_scenarios(&cfg).unwrap(), cfg.threads).unwrap();
+        let (result, observation) =
+            run_scenarios(factory, &calibrated, cfg.threads, ObsConfig::traced()).unwrap();
         assert_eq!(observation.traces.len(), result.summaries.len());
         assert_eq!(observation.spans.len(), result.summaries.len());
         for (summary, (name, trace)) in result.summaries.iter().zip(&observation.traces) {
@@ -750,6 +748,25 @@ mod tests {
         // an untraced suite run exactly.
         let untraced = run_suite(factory, &cfg).unwrap();
         assert_eq!(untraced, result);
+    }
+
+    #[test]
+    fn sla_is_calibrated_once_per_scenario_however_many_suts() {
+        let cfg = tiny();
+        let mut baselines = 0;
+        let counting = |data: &Dataset| {
+            baselines += 1;
+            btree_baseline(data)
+        };
+        let scenarios = standard_scenarios(&cfg).unwrap();
+        let calibrated = calibrate_with(counting, scenarios, cfg.threads).unwrap();
+        // Two SUTs share the thresholds; neither run calibrates again.
+        let (first, _) =
+            run_scenarios(btree_baseline, &calibrated, 1, ObsConfig::default()).unwrap();
+        let (second, _) =
+            run_scenarios(btree_baseline, &calibrated, 1, ObsConfig::default()).unwrap();
+        assert_eq!(baselines, calibrated.len());
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! single source of truth: [`SutRegistry::default`] knows every built-in
 //! system, `lsbench list` prints it, and downstream code resolves through
 //! [`SutRegistry::build`] or hands [`SutRegistry::factory`] straight to a
-//! [`Runner`](crate::runner::Runner) or [`run_suite`](crate::suite::run_suite).
+//! [`Runner`](crate::runner::Runner) or [`run_scenarios`](crate::suite::run_scenarios).
 //!
 //! Registration is open: embedders can [`SutRegistry::register`] their own
 //! systems and they show up everywhere names are resolved.
@@ -135,7 +135,7 @@ impl SutRegistry {
 
     /// A borrowing factory closure for the named SUT, suitable for
     /// [`Runner::from_factory`](crate::runner::Runner::from_factory) and
-    /// [`run_suite`](crate::suite::run_suite). Fails fast on unknown names
+    /// [`run_scenarios`](crate::suite::run_scenarios). Fails fast on unknown names
     /// instead of failing at first build.
     pub fn factory<'a>(
         &'a self,

@@ -6,7 +6,8 @@
 //! base" shape (Alexandrescu-style branchless lower bound) which LLVM
 //! lowers to a conditional move instead of a data-dependent branch.
 //!
-//! The trade-off, measured in `benches/hotpath.rs`: on *resident* data
+//! The trade-off, as first measured (ISSUE 9; `perf/` tracks
+//! `index.*.get_ns` and `index.*.get_many_ns` now): on *resident* data
 //! the cmov loop beats `slice::partition_point` (no mispredict flushes
 //! on random probe keys), but on a memory-bound search the cmov makes
 //! every load's address depend on the previous load, while a branchy

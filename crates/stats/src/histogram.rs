@@ -241,13 +241,54 @@ impl EquiDepthHistogram {
 /// Records non-negative integer latencies (e.g. nanoseconds or virtual
 /// ticks) with bounded relative error, supporting quantile queries. Used by
 /// the driver to keep full-run latency distributions cheaply.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LatencyHistogram {
     /// Sub-buckets per power-of-two band.
     sub_buckets: usize,
     counts: Vec<u64>,
     total: u64,
     max_recorded: u64,
+}
+
+/// The fields as stored, before [`LatencyHistogram`] has checked them.
+#[derive(Deserialize)]
+struct StoredLatencyHistogram {
+    sub_buckets: usize,
+    counts: Vec<u64>,
+    total: u64,
+    max_recorded: u64,
+}
+
+/// A stored histogram comes from outside the program (an archived
+/// artifact anyone can edit), so it is refused unless the bucket
+/// arithmetic is defined on it: a non-zero power-of-two resolution, no
+/// slot beyond the one `u64::MAX` maps to, and `total` the sum of the
+/// counts.
+impl Deserialize for LatencyHistogram {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let stored = StoredLatencyHistogram::from_value(v)?;
+        let refuse = |what| serde::DeError::custom(StatsError::InvalidParameter(what).to_string());
+        if !stored.sub_buckets.is_power_of_two() {
+            return Err(refuse("histogram sub_buckets must be a power of two"));
+        }
+        let hist = LatencyHistogram {
+            sub_buckets: stored.sub_buckets,
+            counts: stored.counts,
+            total: stored.total,
+            max_recorded: stored.max_recorded,
+        };
+        if hist.counts.len() > hist.index_of(u64::MAX) + 1 {
+            return Err(refuse("histogram has slots beyond the u64 range"));
+        }
+        let sum = hist
+            .counts
+            .iter()
+            .try_fold(0u64, |acc, &c| acc.checked_add(c));
+        if sum != Some(hist.total) {
+            return Err(refuse("histogram total must equal the sum of its counts"));
+        }
+        Ok(hist)
+    }
 }
 
 impl LatencyHistogram {

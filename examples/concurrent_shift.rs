@@ -6,7 +6,6 @@
 //! cargo run --release --example concurrent_shift
 //! ```
 
-use lsbench::core::engine::{run_concurrent_kv_scenario, EngineConfig};
 use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::{ArrivalSpec, Scenario};
 use lsbench::core::BenchError;
@@ -87,8 +86,13 @@ fn main() {
         seed: 5,
     });
     let mut shared = BTreeSut::build(&data).expect("builds");
-    let over =
-        run_concurrent_kv_scenario(&mut shared, &open, &EngineConfig::default()).expect("runs");
+    let one_lane = RunOptions::with_mode(ExecutionMode::SharedLock { workers: 1 });
+    let over = Runner::new(&mut shared)
+        .config(one_lane)
+        .run(&open)
+        .expect("runs")
+        .engine
+        .expect("engine stats");
     let q = |p: f64| {
         over.latency
             .quantile(p)

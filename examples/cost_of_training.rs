@@ -6,10 +6,10 @@
 //! cargo run --release --example cost_of_training
 //! ```
 
-use lsbench::core::driver::{run_kv_scenario, DriverConfig};
 use lsbench::core::metrics::cost::TrainingTradeoff;
 use lsbench::core::metrics::sla::SlaPolicy;
 use lsbench::core::report::render_tradeoff;
+use lsbench::core::runner::Runner;
 use lsbench::core::scenario::Scenario;
 use lsbench::index::rmi::{Rmi, RmiConfig};
 use lsbench::sut::cost::{DbaCostModel, HardwareProfile};
@@ -48,8 +48,10 @@ fn main() {
 
     // The traditional baseline anchors the DBA step function.
     let mut btree = BTreeSut::build(&data).expect("builds");
-    let baseline =
-        run_kv_scenario(&mut btree, &scenario, DriverConfig::default()).expect("run succeeds");
+    let baseline = Runner::new(&mut btree)
+        .run(&scenario)
+        .expect("run succeeds")
+        .record;
     let dba = DbaCostModel::default_model(baseline.mean_throughput());
 
     // Train the learned index at five budgets and measure each.
@@ -68,8 +70,10 @@ fn main() {
             rmi,
             RetrainPolicy::Never,
         );
-        let mut record =
-            run_kv_scenario(&mut sut, &scenario, DriverConfig::default()).expect("run succeeds");
+        let mut record = Runner::new(&mut sut)
+            .run(&scenario)
+            .expect("run succeeds")
+            .record;
         // Project laptop-scale training work to a production-scale
         // deployment (10⁶×) so the dollar axis is meaningful.
         record.final_metrics.training_work =

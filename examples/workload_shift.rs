@@ -10,7 +10,6 @@
 //! cargo run --release --example workload_shift
 //! ```
 
-use lsbench::core::driver::{run_kv_scenario, DriverConfig};
 use lsbench::core::metrics::adaptability::AdaptabilityReport;
 use lsbench::core::metrics::cost::CostReport;
 use lsbench::core::metrics::phi::{distribution_phis, DataPhiMethod};
@@ -18,12 +17,11 @@ use lsbench::core::metrics::sla::SlaReport;
 use lsbench::core::metrics::specialization::SpecializationReport;
 use lsbench::core::record::RunRecord;
 use lsbench::core::report::{render_adaptability, render_sla, render_specialization};
+use lsbench::core::runner::{BoxedKvSut, Runner};
 use lsbench::core::scenario::Scenario;
 use lsbench::core::spec::ScenarioRegistry;
 use lsbench::sut::cost::HardwareProfile;
 use lsbench::sut::kv::{AlexSut, BTreeSut, PgmSut, RetrainPolicy, RmiSut, SplineSut};
-use lsbench::sut::sut::SystemUnderTest;
-use lsbench::workload::ops::Operation;
 
 const SPEC_FILE: &str = "scenarios/workload_shift.spec";
 
@@ -48,8 +46,11 @@ fn main() {
 
     // Run every SUT through the same scenario.
     let mut records: Vec<RunRecord> = Vec::new();
-    let mut run = |sut: &mut dyn SystemUnderTest<Operation>| {
-        let r = run_kv_scenario(sut, &s, DriverConfig::default()).expect("run succeeds");
+    let mut run = |mut sut: BoxedKvSut| {
+        let r = Runner::new(sut.as_mut())
+            .run(&s)
+            .expect("run succeeds")
+            .record;
         println!(
             "{:<14} mean throughput {:>9.0} ops/s, failures {}, train {:.3}s",
             r.sut_name,
@@ -59,13 +60,18 @@ fn main() {
         );
         records.push(r);
     };
-    run(&mut BTreeSut::build(&data).expect("builds"));
-    run(&mut RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).expect("builds"));
-    run(&mut PgmSut::build("pgm", &data, RetrainPolicy::DeltaFraction(0.05)).expect("builds"));
-    run(
-        &mut SplineSut::build("spline", &data, RetrainPolicy::DeltaFraction(0.05)).expect("builds"),
-    );
-    run(&mut AlexSut::build(&data).expect("builds"));
+    let retrain = RetrainPolicy::DeltaFraction(0.05);
+    run(Box::new(BTreeSut::build(&data).expect("builds")));
+    run(Box::new(
+        RmiSut::build("rmi", &data, retrain).expect("builds"),
+    ));
+    run(Box::new(
+        PgmSut::build("pgm", &data, retrain).expect("builds"),
+    ));
+    run(Box::new(
+        SplineSut::build("spline", &data, retrain).expect("builds"),
+    ));
+    run(Box::new(AlexSut::build(&data).expect("builds")));
 
     // Specialization report for the learned index (Fig. 1a).
     println!();

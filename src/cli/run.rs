@@ -21,7 +21,7 @@ use lsbench::core::runner::{ExecutionMode, RunOptions, RunOutcome, Runner};
 use lsbench::core::scenario::{ClockMode, ModePreference, Scenario};
 use lsbench::core::spec::{render_scenario, ScenarioRegistry};
 use lsbench::core::suite::{
-    render_comparison, run_scenarios_observed, standard_scenarios, SuiteConfig, SuiteResult,
+    calibrate_sla, render_comparison, run_scenarios, standard_scenarios, SuiteConfig, SuiteResult,
 };
 use lsbench::core::sut_registry::SutRegistry;
 use lsbench::core::sweep::{render_sweep_report, sweep_curve, DriftLadder};
@@ -240,17 +240,6 @@ pub fn scale(args: &Args) -> Result<SuiteConfig, CliError> {
     })
 }
 
-/// Worker count recorded in archive manifests: the thread count the mode
-/// actually runs with (1 = serial driver).
-fn mode_workers(mode: ExecutionMode) -> usize {
-    match mode {
-        ExecutionMode::Serial => 1,
-        ExecutionMode::SharedLock { workers }
-        | ExecutionMode::Sharded { workers }
-        | ExecutionMode::OpenLoop { workers, .. } => workers,
-    }
-}
-
 /// Prints the standard single-run summary: engine stats, record counters,
 /// the adaptability report when the scenario has enough phases for one,
 /// span trees, and the event trace artifact.
@@ -335,6 +324,9 @@ pub fn suite(args: &Args) -> Result<(), CliError> {
     for scenario in &mut scenarios {
         common.attach_faults(scenario)?;
     }
+    // One B+-tree baseline per scenario sets the SLA threshold every SUT
+    // is judged against.
+    let scenarios = calibrate_sla(scenarios, cfg.threads).context("SLA calibration failed")?;
     let store = args.has(&SAVE).then(|| open_store(args)).transpose()?;
     let mut results: Vec<SuiteResult> = Vec::new();
     let mut trace_lines = String::new();
@@ -342,8 +334,7 @@ pub fn suite(args: &Args) -> Result<(), CliError> {
         let factory = registry.factory(name)?;
         eprint!("running {name} ... ");
         let (result, observation) =
-            run_scenarios_observed(factory, &scenarios, cfg.threads, common.obs())
-                .context("failed")?;
+            run_scenarios(factory, &scenarios, cfg.threads, common.obs()).context("failed")?;
         eprintln!("done");
         for (scenario, trace) in &observation.traces {
             match trace.to_jsonl_tagged(&[("sut", name), ("scenario", scenario)]) {
@@ -357,7 +348,8 @@ pub fn suite(args: &Args) -> Result<(), CliError> {
         }
         if let Some(store) = &store {
             for (scenario_name, record) in &observation.records {
-                let Some(scenario) = scenarios.iter().find(|s| &s.name == scenario_name) else {
+                let Some((scenario, _)) = scenarios.iter().find(|(s, _)| &s.name == scenario_name)
+                else {
                     continue;
                 };
                 let manifest = RunManifest::for_run(scenario, name, cfg.threads);
@@ -422,7 +414,7 @@ pub fn run_scenario(args: &Args, save: bool) -> Result<(), CliError> {
     let Some(store) = store else {
         return Ok(());
     };
-    let manifest = RunManifest::for_run(&scenario, &sut_name, mode_workers(opts.mode))
+    let manifest = RunManifest::for_run(&scenario, &sut_name, opts.mode.workers())
         .with_transport(common.transport())
         .with_clock(opts.clock);
     let artifact = RunArtifact::new(manifest, outcome.record)

@@ -5,7 +5,7 @@ use super::archive::{archive, open_store};
 use super::args::{Args, CliError, Context};
 use super::flag::*;
 use super::run::{RunArgs, DEFAULT_CLIENTS};
-use lsbench::core::driver::{run_kv_trace, run_kv_trace_open_loop, ReplayConfig};
+use lsbench::core::driver::{run_kv_trace, run_kv_trace_open_loop};
 use lsbench::core::results::{RunArtifact, RunManifest, Transport};
 use lsbench::core::scenario::{ClockMode, ModePreference};
 use lsbench::core::spec::render_scenario;
@@ -109,7 +109,6 @@ pub fn replay(args: &Args) -> Result<(), CliError> {
     // The dataset a trace replays over: the trace's own key population.
     let data = Dataset::from_keys(trace.entries().iter().map(|e| e.op.key()).collect());
     let mut sut = SutRegistry::default().build(sut_name, &data)?;
-    let config = ReplayConfig::default();
     let clients = common.clients.unwrap_or(DEFAULT_CLIENTS);
     let open_loop =
         matches!(common.mode, Some(ModePreference::OpenLoop)) || common.clients.is_some();
@@ -118,13 +117,13 @@ pub fn replay(args: &Args) -> Result<(), CliError> {
             "replaying {} ops open-loop on {sut_name} ({clients} clients) ...",
             trace.len()
         );
-        run_kv_trace_open_loop(sut.as_mut(), trace, &config, clients)
+        run_kv_trace_open_loop(sut.as_mut(), trace, clients)
     } else {
         eprintln!(
             "replaying {} ops closed-loop on {sut_name} ...",
             trace.len()
         );
-        run_kv_trace(sut.as_mut(), trace, &config)
+        run_kv_trace(sut.as_mut(), trace)
     }
     .context("replay failed")?;
     println!(

@@ -4,7 +4,7 @@
 //! Benchmark for Learned Systems* (ICDE 2021): dynamic multi-phase
 //! scenarios, the four new metric families of the paper's Fig. 1
 //! (specialization, adaptability, SLA bands, cost), hold-out evaluation,
-//! the dataset/workload quality scorer, and a standard five-scenario
+//! the dataset/workload quality scorer, and a standard seven-scenario
 //! suite — together with from-scratch learned and traditional systems
 //! under test (RMI, PGM-index, RadixSpline, ALEX-style adaptive index,
 //! B+-tree, hash index, a mini query engine with learned cardinality
@@ -13,7 +13,7 @@
 //! This crate re-exports the whole workspace; see the sub-crates for the
 //! full APIs:
 //!
-//! * [`core`] — scenarios, the driver, metrics, reports, the suite.
+//! * [`core`] — scenarios, the runner, metrics, reports, the suite.
 //! * [`sut`] — the `SystemUnderTest` interface and every adapter.
 //! * [`index`] / [`query`] — the systems themselves.
 //! * [`workload`] — dynamic workload and dataset generation.
@@ -25,8 +25,8 @@
 //! scenario and compare their adaptability:
 //!
 //! ```
-//! use lsbench::core::driver::{run_kv_scenario, DriverConfig};
 //! use lsbench::core::metrics::adaptability::AdaptabilityReport;
+//! use lsbench::core::runner::Runner;
 //! use lsbench::core::scenario::Scenario;
 //! use lsbench::sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
 //! use lsbench::workload::keygen::KeyDistribution;
@@ -44,8 +44,8 @@
 //!
 //! let mut rmi = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
 //! let mut btree = BTreeSut::build(&data).unwrap();
-//! let rmi_run = run_kv_scenario(&mut rmi, &scenario, DriverConfig::default()).unwrap();
-//! let btree_run = run_kv_scenario(&mut btree, &scenario, DriverConfig::default()).unwrap();
+//! let rmi_run = Runner::new(&mut rmi).run(&scenario).unwrap().record;
+//! let btree_run = Runner::new(&mut btree).run(&scenario).unwrap().record;
 //!
 //! // Lesson 3: training is a first-class result.
 //! assert!(rmi_run.train.work > 0);

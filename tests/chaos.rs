@@ -15,8 +15,6 @@
 //!    the trace/counters/record accounting all agree on how many faults
 //!    fired.
 
-use lsbench::core::driver::{run_kv_scenario, DriverConfig};
-use lsbench::core::engine::{run_sharded_kv_scenario, shard_dataset, EngineConfig};
 use lsbench::core::faults::{FaultPlan, FaultSpec, FaultStats, RetryPolicy};
 use lsbench::core::metrics::sla::SlaReport;
 use lsbench::core::obs::ObsConfig;
@@ -25,10 +23,8 @@ use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::Scenario;
 use lsbench::core::BenchError;
 use lsbench::sut::kv::{RetrainPolicy, RmiSut};
-use lsbench::sut::sut::SystemUnderTest;
 use lsbench::workload::dataset::Dataset;
 use lsbench::workload::keygen::KeyDistribution;
-use lsbench::workload::ops::Operation;
 
 fn scenario(seed: u64) -> Scenario {
     Scenario::two_phase_shift(
@@ -109,28 +105,26 @@ fn faulted_run_is_bit_identical_across_worker_counts() {
     let mut s = scenario(13);
     s.faults = Some(chaos_plan());
     s.validate().expect("plan fits the scenario");
-    let data = s.dataset.build().unwrap();
-    let (router, shards) = shard_dataset(&data, 4).unwrap();
     let run = |threads: usize| {
-        let mut suts: Vec<Box<dyn SystemUnderTest<Operation> + Send>> = shards
-            .iter()
-            .map(|d| {
-                Box::new(RmiSut::build("rmi", d, RetrainPolicy::DeltaFraction(0.05)).unwrap())
-                    as Box<dyn SystemUnderTest<Operation> + Send>
-            })
-            .collect();
-        let config = EngineConfig {
-            threads,
-            lanes: 4,
-            ..EngineConfig::default()
+        let rmi_shard = |d: &Dataset| {
+            let sut = RmiSut::build("rmi", d, RetrainPolicy::DeltaFraction(0.05)).unwrap();
+            Ok(Box::new(sut) as BoxedKvSut)
         };
-        run_sharded_kv_scenario(&mut suts, &router, &s, &config).unwrap()
+        let opts = RunOptions {
+            threads: Some(threads),
+            ..RunOptions::with_mode(ExecutionMode::Sharded { workers: 4 })
+        };
+        Runner::from_factory(rmi_shard)
+            .config(opts)
+            .run(&s)
+            .unwrap()
     };
     let one = run(1);
     let four = run(4);
     assert_records_identical(&one.record, &four.record);
-    assert_eq!(one.latency, four.latency);
-    assert_eq!(one.completions, four.completions);
+    let (stats1, stats4) = (one.engine.unwrap(), four.engine.unwrap());
+    assert_eq!(stats1.latency, stats4.latency);
+    assert_eq!(stats1.completions, stats4.completions);
     // The plan actually did something — this is not passthrough.
     let f = &one.record.faults;
     assert!(f.injected > 0, "faults injected: {f:?}");
@@ -146,7 +140,7 @@ fn faulted_serial_run_is_reproducible() {
         s.faults = Some(chaos_plan());
         let data = s.dataset.build().unwrap();
         let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
-        run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap()
+        Runner::new(&mut sut).run(&s).unwrap().record
     };
     let a = run();
     let b = run();
@@ -164,7 +158,7 @@ fn empty_plan_is_bit_identical_to_no_plan() {
         s.faults = faults;
         let data = s.dataset.build().unwrap();
         let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
-        run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap()
+        Runner::new(&mut sut).run(&s).unwrap().record
     };
     let bare = run(None);
     let wrapped = run(Some(FaultPlan {
@@ -215,8 +209,8 @@ fn failed_queries_are_sla_violations_no_matter_how_fast() {
     });
     let data = s.dataset.build().unwrap();
     let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
-    let record = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
-    let failures = record.failures() as usize;
+    let record = Runner::new(&mut sut).run(&s).unwrap().record;
+    let failures = record.failures();
     assert!(failures > 500, "20% of 6000 ops should fail: {failures}");
     let report = SlaReport::from_record(&record, 1.0, record.exec_end.max(1.0), 50).unwrap();
     let violated: usize = report.bands.iter().map(|b| b.violated).sum();
@@ -234,7 +228,7 @@ fn retries_mask_transient_errors_but_cost_virtual_time() {
         s.faults = faults;
         let data = s.dataset.build().unwrap();
         let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
-        run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap()
+        Runner::new(&mut sut).run(&s).unwrap().record
     };
     let bare = run(None);
     let faulted = run(Some(FaultPlan {
@@ -284,7 +278,7 @@ fn stalled_ops_time_out_and_fail_with_exact_accounting() {
     });
     let data = s.dataset.build().unwrap();
     let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
-    let record = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+    let record = Runner::new(&mut sut).run(&s).unwrap().record;
     assert_eq!(record.faults.injected, 500, "one stall per window op");
     assert_eq!(record.faults.timeouts, 1000, "two timed-out attempts each");
     assert_eq!(record.faults.retries, 500, "one retry each");
@@ -350,7 +344,7 @@ fn crash_drops_learned_state_and_charges_recovery_time() {
         s.faults = faults;
         let data = s.dataset.build().unwrap();
         let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
-        run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap()
+        Runner::new(&mut sut).run(&s).unwrap().record
     };
     let bare = run(None);
     let crashed = run(Some(FaultPlan {
@@ -394,7 +388,7 @@ fn shipped_chaos_specs_parse_run_and_fire() {
         assert!(!plan.faults.is_empty(), "{file}: plan has no faults");
         let data = s.dataset.build().unwrap();
         let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
-        let record = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+        let record = Runner::new(&mut sut).run(&s).unwrap().record;
         assert!(record.faults.injected > 0, "{file}: plan never fired");
         assert_eq!(record.faults.crashes > 0, expect_crash, "{file}");
     }

@@ -2,10 +2,9 @@
 //! results end-to-end; different seeds must actually differ. This is the
 //! property that makes results "comparable across many deployments" (§IV).
 
-use lsbench::core::driver::{run_kv_scenario, DriverConfig};
-use lsbench::core::engine::{run_sharded_kv_scenario, shard_dataset, EngineConfig};
 use lsbench::core::metrics::adaptability::AdaptabilityReport;
 use lsbench::core::record::RunRecord;
+use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::Scenario;
 use lsbench::sut::kv::{AlexSut, RetrainPolicy, RmiSut};
 use lsbench::workload::keygen::KeyDistribution;
@@ -29,7 +28,7 @@ fn run_rmi(seed: u64) -> RunRecord {
     let s = scenario(seed);
     let data = s.dataset.build().unwrap();
     let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
-    run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap()
+    Runner::new(&mut sut).run(&s).unwrap().record
 }
 
 #[test]
@@ -62,7 +61,7 @@ fn adaptive_structures_deterministic_too() {
     let data = s.dataset.build().unwrap();
     let run = || {
         let mut sut = AlexSut::build(&data).unwrap();
-        run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap()
+        Runner::new(&mut sut).run(&s).unwrap().record
     };
     let a = run();
     let b = run();
@@ -77,26 +76,22 @@ fn concurrent_engine_is_worker_count_invariant() {
     // bit-identical records, histograms, and interval counts whether one,
     // two, or four workers executed them — and metric reports derived from
     // the merged record must match in turn.
-    use lsbench::sut::sut::SystemUnderTest;
-    use lsbench::workload::ops::Operation;
     let s = scenario(13);
-    let data = s.dataset.build().unwrap();
-    let (router, shards) = shard_dataset(&data, 4).unwrap();
     let run = |threads: usize| {
-        let mut suts: Vec<Box<dyn SystemUnderTest<Operation> + Send>> = shards
-            .iter()
-            .map(|d| {
-                Box::new(RmiSut::build("rmi", d, RetrainPolicy::DeltaFraction(0.05)).unwrap())
-                    as Box<dyn SystemUnderTest<Operation> + Send>
-            })
-            .collect();
-        let config = EngineConfig {
-            threads,
-            lanes: 4,
-            ..EngineConfig::default()
+        let rmi_shard = |d: &lsbench::workload::dataset::Dataset| {
+            let sut = RmiSut::build("rmi", d, RetrainPolicy::DeltaFraction(0.05)).unwrap();
+            Ok(Box::new(sut) as BoxedKvSut)
         };
-        run_sharded_kv_scenario(&mut suts, &router, &s, &config).unwrap()
+        let opts = RunOptions {
+            threads: Some(threads),
+            ..RunOptions::with_mode(ExecutionMode::Sharded { workers: 4 })
+        };
+        Runner::from_factory(rmi_shard)
+            .config(opts)
+            .run(&s)
+            .unwrap()
     };
+    let stats = |outcome: &lsbench::core::RunOutcome| outcome.engine.clone().unwrap();
     let one = run(1);
     let two = run(2);
     let four = run(4);
@@ -111,8 +106,8 @@ fn concurrent_engine_is_worker_count_invariant() {
         assert_eq!(one.record.exec_end, other.record.exec_end);
         assert_eq!(one.record.train, other.record.train);
         assert_eq!(one.record.final_metrics, other.record.final_metrics);
-        assert_eq!(one.latency, other.latency);
-        assert_eq!(one.completions, other.completions);
+        assert_eq!(stats(&one).latency, stats(other).latency);
+        assert_eq!(stats(&one).completions, stats(other).completions);
         let rep = AdaptabilityReport::from_record(&other.record).unwrap();
         assert_eq!(base.area_vs_ideal, rep.area_vs_ideal);
         assert_eq!(base.curve, rep.curve);
@@ -125,7 +120,6 @@ fn wall_clock_mode_never_perturbs_the_work_unit_record() {
     // the virtual record, never fed into it. Repeating a wall run, or
     // moving it from one worker to four, must leave the work-unit record
     // bit-identical — only the wall stats block is allowed to vary.
-    use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
     use lsbench::core::scenario::ClockMode;
     use lsbench::core::sut_registry::SutRegistry;
     let s = scenario(17);

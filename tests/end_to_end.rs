@@ -1,9 +1,7 @@
 //! End-to-end integration tests: full scenario runs across every SUT, the
 //! complete metric pipeline, and report serialization.
 
-use lsbench::core::driver::{run_kv_scenario, run_query_workload, DriverConfig};
-use lsbench::core::engine::{run_concurrent_kv_scenario, EngineConfig};
-use lsbench::core::holdout::{run_holdout, HoldoutReport};
+use lsbench::core::driver::run_query_workload;
 use lsbench::core::metrics::adaptability::AdaptabilityReport;
 use lsbench::core::metrics::cost::CostReport;
 use lsbench::core::metrics::phi::{distribution_phis, DataPhiMethod};
@@ -11,6 +9,7 @@ use lsbench::core::metrics::sla::{SlaPolicy, SlaReport};
 use lsbench::core::metrics::specialization::SpecializationReport;
 use lsbench::core::record::RunRecord;
 use lsbench::core::report;
+use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::Scenario;
 use lsbench::query::generator::JoinQueryGenerator;
 use lsbench::query::table::{Catalog, Table};
@@ -57,7 +56,7 @@ fn every_kv_sut_completes_a_scenario() {
     let s = small_scenario();
     let data = s.dataset.build().expect("builds");
     for sut in &mut all_kv_suts(&data) {
-        let r = run_kv_scenario(sut.as_mut(), &s, DriverConfig::default()).unwrap();
+        let r = Runner::new(sut.as_mut()).run(&s).unwrap().record;
         assert_eq!(r.completed(), 4_000, "{}", r.sut_name);
         assert!(r.exec_end > r.exec_start, "{}", r.sut_name);
         assert!(r.mean_throughput() > 0.0, "{}", r.sut_name);
@@ -73,10 +72,13 @@ fn every_kv_sut_completes_on_the_concurrent_engine() {
     let s = small_scenario();
     let data = s.dataset.build().expect("builds");
     for sut in &mut all_kv_suts(&data) {
-        let report =
-            run_concurrent_kv_scenario(sut.as_mut(), &s, &EngineConfig::with_concurrency(4))
-                .unwrap();
-        let r = &report.record;
+        let outcome = Runner::new(sut.as_mut())
+            .config(RunOptions::with_mode(ExecutionMode::SharedLock {
+                workers: 4,
+            }))
+            .run(&s)
+            .unwrap();
+        let (r, report) = (&outcome.record, outcome.engine.as_ref().unwrap());
         assert_eq!(r.completed(), 4_000, "{}", r.sut_name);
         assert_eq!(report.latency.total(), 4_000, "{}", r.sut_name);
         assert_eq!(report.completions.total(), 4_000, "{}", r.sut_name);
@@ -92,7 +94,7 @@ fn full_metric_pipeline_from_one_run() {
     let s = small_scenario();
     let data = s.dataset.build().expect("builds");
     let mut rmi = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
-    let record = run_kv_scenario(&mut rmi, &s, DriverConfig::default()).unwrap();
+    let record = Runner::new(&mut rmi).run(&s).unwrap().record;
 
     // Φ axis.
     let dists: Vec<KeyDistribution> = s
@@ -168,10 +170,13 @@ fn holdout_pipeline() {
     );
     let data = s.dataset.build().unwrap();
     let mut rmi = RmiSut::build("rmi", &data, RetrainPolicy::OnPhaseChange).unwrap();
-    let main = run_kv_scenario(&mut rmi, &s, DriverConfig::default()).unwrap();
-    let hold = run_holdout(&mut rmi, &s).unwrap();
+    let opts = RunOptions {
+        holdout: true,
+        ..RunOptions::default()
+    };
+    let outcome = Runner::new(&mut rmi).config(opts).run(&s).unwrap();
+    let (hold, rep) = outcome.holdout.unwrap();
     assert_eq!(hold.completed(), 1_000);
-    let rep = HoldoutReport::new(&main, &hold).unwrap();
     assert!(rep.generalization_ratio > 0.0);
 }
 
@@ -217,14 +222,20 @@ fn learned_beats_btree_on_reads_loses_on_unsupported() {
     let mut hash = HashSut::build(&data).unwrap();
     let mut rmi = RmiSut::build("rmi", &data, RetrainPolicy::Never).unwrap();
     let mut btree = BTreeSut::build(&data).unwrap();
-    let th = run_kv_scenario(&mut hash, &s, DriverConfig::default())
+    let th = Runner::new(&mut hash)
+        .run(&s)
         .unwrap()
+        .record
         .mean_throughput();
-    let tr = run_kv_scenario(&mut rmi, &s, DriverConfig::default())
+    let tr = Runner::new(&mut rmi)
+        .run(&s)
         .unwrap()
+        .record
         .mean_throughput();
-    let tb = run_kv_scenario(&mut btree, &s, DriverConfig::default())
+    let tb = Runner::new(&mut btree)
+        .run(&s)
         .unwrap()
+        .record
         .mean_throughput();
     assert!(th > tr, "hash {th} !> rmi {tr}");
     assert!(tr > tb, "rmi {tr} !> btree {tb}");
@@ -241,7 +252,7 @@ fn learned_beats_btree_on_reads_loses_on_unsupported() {
     .unwrap();
     let scan_data = scan_scenario.dataset.build().unwrap();
     let mut hash = HashSut::build(&scan_data).unwrap();
-    let r = run_kv_scenario(&mut hash, &scan_scenario, DriverConfig::default()).unwrap();
+    let r = Runner::new(&mut hash).run(&scan_scenario).unwrap().record;
     assert!(
         r.failures() > 400,
         "hash should fail scans: {} failures",

@@ -1,15 +1,18 @@
 //! Cross-metric conservation and consistency laws, checked on real runs:
 //! whatever the SUT does, the metric pipeline must keep its books balanced.
 
-use lsbench::core::driver::{run_kv_scenario, DriverConfig};
+use lsbench::core::faults::resolve_fault_plan;
 use lsbench::core::metrics::adaptability::AdaptabilityReport;
 use lsbench::core::metrics::cost::CostReport;
 use lsbench::core::metrics::sla::SlaReport;
 use lsbench::core::metrics::specialization::SpecializationReport;
 use lsbench::core::record::RunRecord;
-use lsbench::core::scenario::Scenario;
+use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
+use lsbench::core::scenario::{ArrivalSpec, Scenario};
+use lsbench::core::sut_registry::SutRegistry;
 use lsbench::sut::cost::{DbaCostModel, HardwareProfile};
 use lsbench::sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
+use lsbench::workload::arrival::{ArrivalProcess, LoadModulation};
 use lsbench::workload::keygen::KeyDistribution;
 use lsbench::workload::ops::OperationMix;
 
@@ -30,8 +33,8 @@ fn run_pair() -> (RunRecord, RunRecord) {
     let mut rmi = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
     let mut btree = BTreeSut::build(&data).unwrap();
     (
-        run_kv_scenario(&mut rmi, &s, DriverConfig::default()).unwrap(),
-        run_kv_scenario(&mut btree, &s, DriverConfig::default()).unwrap(),
+        Runner::new(&mut rmi).run(&s).unwrap().record,
+        Runner::new(&mut btree).run(&s).unwrap().record,
     )
 }
 
@@ -162,8 +165,77 @@ fn mix_failures_accounted() {
     .unwrap();
     let data = s.dataset.build().unwrap();
     let mut hash = lsbench::sut::kv::HashSut::build(&data).unwrap();
-    let r = run_kv_scenario(&mut hash, &s, DriverConfig::default()).unwrap();
+    let r = Runner::new(&mut hash).run(&s).unwrap().record;
     assert_eq!(r.completed(), 1_000);
     assert!(r.failures() > 300);
     assert!(r.failures() < 700);
+}
+
+#[test]
+fn registry_restates_the_record_in_every_mode() {
+    // The same facts are kept three times — op records, `EngineStats`, the
+    // metrics registry — and must agree, failures and injected faults
+    // included: a hash SUT fails every scan, chaos-errors fails more.
+    let mut plain = Scenario::specialization_sweep(
+        "restated",
+        vec![KeyDistribution::Uniform],
+        5_000,
+        1_000,
+        OperationMix::range_heavy(),
+        23,
+    )
+    .unwrap();
+    plain.arrival = Some(ArrivalSpec {
+        process: ArrivalProcess::Poisson { rate: 20_000.0 },
+        modulation: LoadModulation::Constant,
+        seed: 29,
+    });
+    let mut faulted = plain.clone();
+    faulted.faults = Some(resolve_fault_plan("chaos-errors").unwrap());
+    faulted.validate().unwrap();
+    let modes = [
+        ExecutionMode::Serial,
+        ExecutionMode::SharedLock { workers: 4 },
+        ExecutionMode::Sharded { workers: 4 },
+        ExecutionMode::OpenLoop {
+            clients: 1_000,
+            workers: 2,
+        },
+    ];
+    let registry = SutRegistry::default();
+    for (scenario, mode) in [&plain, &faulted]
+        .into_iter()
+        .flat_map(|s| modes.map(|m| (s, m)))
+    {
+        let what = format!("{} faults={}", mode.label(), scenario.faults.is_some());
+        let outcome = Runner::from_factory(registry.factory("hash").unwrap())
+            .config(RunOptions::with_mode(mode))
+            .run(scenario)
+            .unwrap();
+        let (record, m) = (&outcome.record, &outcome.metrics);
+        let ops = record.ops.len() as u64;
+        assert_eq!(ops, 1_000, "{what}");
+        assert!(record.failures() > 300, "{what}");
+        // `completed()` counts every recorded op; the registry splits them.
+        assert_eq!(m.counter("ops_failed"), record.failures() as u64, "{what}");
+        assert_eq!(
+            m.counter("ops_completed") + m.counter("ops_failed"),
+            record.completed() as u64,
+            "{what}"
+        );
+        let latency = &m.histograms["latency"];
+        assert_eq!(latency.total.total(), ops, "{what}");
+        let sliced: u64 = latency.slices.iter().map(|s| s.total()).sum();
+        assert_eq!(sliced, ops, "{what}");
+        assert_eq!(outcome.engine.is_some(), mode != ExecutionMode::Serial);
+        if let Some(engine) = &outcome.engine {
+            assert_eq!(engine.latency, latency.total, "{what}");
+            assert_eq!(engine.completions.total(), ops, "{what}");
+        }
+        if scenario.faults.is_some() {
+            assert!(record.faults.injected > 0, "{what}");
+            assert_eq!(m.counter("faults_injected"), record.faults.injected);
+            assert_eq!(m.counter("query_retries"), record.faults.retries);
+        }
+    }
 }

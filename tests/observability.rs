@@ -10,7 +10,6 @@
 //!    `RunRecord`s are bit-identical, and the merged trace itself is
 //!    worker-count invariant.
 
-use lsbench::core::driver::{run_kv_scenario, DriverConfig};
 use lsbench::core::obs::ObsConfig;
 use lsbench::core::record::RunRecord;
 use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, RunOutcome, Runner};
@@ -127,18 +126,18 @@ fn golden_trace_aligns_with_run_record_engine() {
 
 #[test]
 fn tracing_never_changes_results() {
-    // Serial: the legacy entry point, the untraced runner, and the traced
-    // runner all produce bit-identical records.
+    // Serial: a caller-built SUT, the untraced factory runner, and the
+    // traced runner all produce bit-identical records.
     let s = scenario();
     let data = s.dataset.build().unwrap();
     let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.05)).unwrap();
-    let legacy = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+    let borrowed = Runner::new(&mut sut).run(&s).unwrap().record;
     let untraced = run_with(RunOptions::default());
     let traced = run_with(RunOptions {
         obs: ObsConfig::traced().with_sla(1e-4),
         ..RunOptions::default()
     });
-    assert_records_identical(&legacy, &untraced.record);
+    assert_records_identical(&borrowed, &untraced.record);
     assert_records_identical(&untraced.record, &traced.record);
 }
 

@@ -177,7 +177,7 @@ fn single_client_open_loop_matches_serial_across_idle_gaps() {
 /// leak into the record at any `--threads` setting.
 #[test]
 fn imported_trace_open_loop_replay_is_bit_identical() {
-    use lsbench::core::driver::{run_kv_trace_open_loop, ReplayConfig};
+    use lsbench::core::driver::run_kv_trace_open_loop;
     use lsbench::core::trace::{import_str, TraceFormat};
     use lsbench::workload::Dataset;
 
@@ -193,15 +193,14 @@ fn imported_trace_open_loop_replay_is_bit_identical() {
             .collect(),
     );
     let registry = SutRegistry::default();
-    let config = ReplayConfig::default();
 
     let mut sut = registry.build("btree", &data).expect("btree");
-    let baseline = run_kv_trace_open_loop(sut.as_mut(), &imported.trace, &config, 100_000)
-        .expect("open-loop replay");
+    let baseline =
+        run_kv_trace_open_loop(sut.as_mut(), &imported.trace, 100_000).expect("open-loop replay");
     assert_eq!(baseline.completed(), imported.trace.len());
     for run in 0..2 {
         let mut sut = registry.build("btree", &data).expect("btree");
-        let again = run_kv_trace_open_loop(sut.as_mut(), &imported.trace, &config, 100_000)
+        let again = run_kv_trace_open_loop(sut.as_mut(), &imported.trace, 100_000)
             .expect("open-loop replay");
         assert_eq!(again, baseline, "replay {run} must be bit-identical");
     }

@@ -1,11 +1,11 @@
 //! Property tests over the full benchmark pipeline: whatever the scenario
 //! parameters, the driver and metrics must keep their invariants.
 
-use lsbench::core::driver::{run_kv_scenario, DriverConfig};
 use lsbench::core::metrics::adaptability::AdaptabilityReport;
 use lsbench::core::metrics::phi::{data_phi, kv_workload_phi, DataPhiMethod};
 use lsbench::core::metrics::sla::SlaReport;
 use lsbench::core::results::compare as results_compare;
+use lsbench::core::runner::Runner;
 use lsbench::core::scenario::Scenario;
 use lsbench::sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
 use lsbench::workload::keygen::KeyDistribution;
@@ -40,7 +40,7 @@ proptest! {
         let s = Scenario::two_phase_shift("prop", first, second, 3_000, ops, seed).unwrap();
         let data = s.dataset.build().unwrap();
         let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.1)).unwrap();
-        let r = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+        let r = Runner::new(&mut sut).run(&s).unwrap().record;
 
         // Completion count and ordering.
         prop_assert_eq!(r.completed() as u64, 2 * ops);
@@ -78,7 +78,7 @@ proptest! {
         .unwrap();
         let data = s.dataset.build().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
-        let r = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+        let r = Runner::new(&mut sut).run(&s).unwrap().record;
         let report = SlaReport::from_record(
             &r,
             threshold_us * 1e-6,
@@ -108,7 +108,7 @@ proptest! {
         .unwrap();
         let data = s.dataset.build().unwrap();
         let mut sut = BTreeSut::build(&data).unwrap();
-        let r = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+        let r = Runner::new(&mut sut).run(&s).unwrap().record;
         let rep = AdaptabilityReport::from_record(&r).unwrap();
         // Monotone curve ending at the completion count.
         for w in rep.curve.windows(2) {
@@ -142,11 +142,11 @@ proptest! {
         let mut btree = BTreeSut::build(&data).unwrap();
         let mut rmi = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.1)).unwrap();
         let ra = AdaptabilityReport::from_record(
-            &run_kv_scenario(&mut btree, &s, DriverConfig::default()).unwrap(),
+            &Runner::new(&mut btree).run(&s).unwrap().record,
         )
         .unwrap();
         let rb = AdaptabilityReport::from_record(
-            &run_kv_scenario(&mut rmi, &s, DriverConfig::default()).unwrap(),
+            &Runner::new(&mut rmi).run(&s).unwrap().record,
         )
         .unwrap();
         // Identity: a curve compared with a bit-identical clone is 0.
@@ -183,7 +183,7 @@ proptest! {
         .unwrap();
         let data = s.dataset.build().unwrap();
         let mut sut = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.1)).unwrap();
-        let r = run_kv_scenario(&mut sut, &s, DriverConfig::default()).unwrap();
+        let r = Runner::new(&mut sut).run(&s).unwrap().record;
         let cmp = results_compare(&r, &r).unwrap();
         prop_assert_eq!(cmp.area_difference, 0.0);
         prop_assert_eq!(cmp.throughput.delta, 0.0);
@@ -221,8 +221,8 @@ proptest! {
         let data = s.dataset.build().unwrap();
         let mut btree = BTreeSut::build(&data).unwrap();
         let mut rmi = RmiSut::build("rmi", &data, RetrainPolicy::DeltaFraction(0.1)).unwrap();
-        let ra = run_kv_scenario(&mut btree, &s, DriverConfig::default()).unwrap();
-        let rb = run_kv_scenario(&mut rmi, &s, DriverConfig::default()).unwrap();
+        let ra = Runner::new(&mut btree).run(&s).unwrap().record;
+        let rb = Runner::new(&mut rmi).run(&s).unwrap().record;
         let ab = results_compare(&ra, &rb).unwrap();
         let ba = results_compare(&rb, &ra).unwrap();
         prop_assert_eq!(ab.area_difference, -ba.area_difference);

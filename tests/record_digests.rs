@@ -13,9 +13,7 @@
 //! `cargo test --test record_digests regenerate_record_digests -- --ignored`,
 //! and review which cells moved.
 
-use lsbench::core::driver::{
-    run_kv_trace, run_kv_trace_open_loop, run_query_workload, ReplayConfig,
-};
+use lsbench::core::driver::{run_kv_trace, run_kv_trace_open_loop, run_query_workload};
 use lsbench::core::faults::resolve_fault_plan;
 use lsbench::core::obs::ObsConfig;
 use lsbench::core::runner::{ExecutionMode, RunOptions, RunOutcome, Runner};
@@ -234,7 +232,6 @@ fn traced_cells(cells: &mut BTreeMap<String, String>) {
 
 fn trace_cells(cells: &mut BTreeMap<String, String>) {
     let registry = SutRegistry::default();
-    let config = ReplayConfig::default();
     // The head of a timestamped import (open-loop replay, one phase) …
     let head: Vec<&str> = include_str!("trace_fixtures/s2_10k.csv")
         .lines()
@@ -264,11 +261,11 @@ fn trace_cells(cells: &mut BTreeMap<String, String>) {
     ] {
         for sut in SUTS {
             let mut fresh = registry.build(sut, data).expect("known SUT");
-            let r = run_kv_trace(fresh.as_mut(), trace, &config).expect("replay");
+            let r = run_kv_trace(fresh.as_mut(), trace).expect("replay");
             cells.insert(format!("trace/{name}/closed/{sut}"), digest(to_string(&r)));
             for clients in [1usize, 1_000] {
                 let mut fresh = registry.build(sut, data).expect("known SUT");
-                let r = run_kv_trace_open_loop(fresh.as_mut(), trace, &config, clients)
+                let r = run_kv_trace_open_loop(fresh.as_mut(), trace, clients)
                     .expect("open-loop replay");
                 cells.insert(
                     format!("trace/{name}/open{clients}/{sut}"),

@@ -198,6 +198,61 @@ fn regenerate_golden_artifact_fixture() {
     std::fs::write(&path, golden_artifact().to_json().unwrap()).unwrap();
 }
 
+/// The digest covers the manifest only, so an edited histogram would load
+/// cleanly — and `sub_buckets: 0` then divides by zero in the first
+/// `quantile`. The histogram itself refuses what its bucket arithmetic is
+/// not defined on, wherever it is decoded.
+#[test]
+fn hostile_latency_histograms_are_refused_not_panicked_on() {
+    use lsbench::stats::LatencyHistogram;
+    // A slot past the one `u64::MAX` maps to would shift out of range.
+    let beyond_u64 = format!(
+        r#"{{"sub_buckets":64,"counts":[{}1],"total":1,"max_recorded":1}}"#,
+        "0,".repeat(4_200)
+    );
+    for hostile in [
+        r#"{"sub_buckets":0,"counts":[1],"total":1,"max_recorded":1}"#,
+        r#"{"sub_buckets":3,"counts":[1],"total":1,"max_recorded":1}"#,
+        r#"{"sub_buckets":64,"counts":[1,2],"total":4,"max_recorded":1}"#,
+        r#"{"sub_buckets":64,"counts":[18446744073709551615,1],"total":0,"max_recorded":1}"#,
+        beyond_u64.as_str(),
+    ] {
+        let refused = serde_json::from_str::<LatencyHistogram>(hostile);
+        assert!(refused.is_err(), "decoded {hostile}");
+    }
+    let mut honest = LatencyHistogram::new();
+    honest.record(250_000);
+    let json = serde_json::to_string(&honest).unwrap();
+    assert_eq!(
+        serde_json::from_str::<LatencyHistogram>(&json).unwrap(),
+        honest
+    );
+
+    // The same edits inside an archived artifact: refused at load, by
+    // `from_json` and by the store, while the unedited golden still loads.
+    let golden = std::fs::read_to_string(fixture_path()).unwrap();
+    for edit in ["\"sub_buckets\": 0", "\"sub_buckets\": 3"] {
+        let edited = golden.replacen("\"sub_buckets\": 64", edit, 1);
+        assert_ne!(edited, golden);
+        assert!(matches!(
+            RunArtifact::from_json(&edited),
+            Err(StoreError::Parse(_))
+        ));
+    }
+    let (store, dir) = temp_store("hostile-histogram");
+    let artifact = golden_artifact();
+    let path = store.save(&artifact).expect("save");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), golden);
+    assert_eq!(store.load(&artifact.digest).expect("load"), artifact);
+    let edited = golden.replacen("\"sub_buckets\": 64", "\"sub_buckets\": 0", 1);
+    std::fs::write(&path, edited).unwrap();
+    assert!(matches!(
+        store.load(&artifact.digest),
+        Err(StoreError::Parse(_))
+    ));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn store_refuses_unversioned_and_drifted_artifacts() {
     let (store, dir) = temp_store("strict");

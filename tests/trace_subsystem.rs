@@ -4,7 +4,7 @@
 //! operation mix, and distribution families — with the fitted spec
 //! satisfying `parse ∘ render = id` and preserving SUT rankings.
 
-use lsbench::core::driver::{run_kv_trace, run_kv_trace_open_loop, ReplayConfig};
+use lsbench::core::driver::{run_kv_trace, run_kv_trace_open_loop};
 use lsbench::core::scenario::Scenario;
 use lsbench::core::spec::{parse_scenario, render_scenario, ScenarioRegistry};
 use lsbench::core::suite::SuiteConfig;
@@ -243,7 +243,7 @@ fn mean_throughput(scenario: &Scenario, sut: &str) -> f64 {
     .expect("dataset");
     let mut sut = registry.build(sut, &data).expect("known SUT");
     let trace = Trace::record(&scenario.workload).expect("record");
-    let record = run_kv_trace(sut.as_mut(), &trace, &ReplayConfig::default()).expect("replay");
+    let record = run_kv_trace(sut.as_mut(), &trace).expect("replay");
     record.mean_throughput()
 }
 
@@ -296,16 +296,13 @@ fn ten_k_fixture_replays_bit_identically() {
             .collect(),
     );
     let registry = SutRegistry::default();
-    let config = ReplayConfig::default();
 
     let mut sut = registry.build("btree", &data).expect("btree");
-    let baseline =
-        run_kv_trace_open_loop(sut.as_mut(), &imported.trace, &config, 1_000).expect("replay");
+    let baseline = run_kv_trace_open_loop(sut.as_mut(), &imported.trace, 1_000).expect("replay");
     assert_eq!(baseline.completed(), 10_000);
     for _ in 0..2 {
         let mut sut = registry.build("btree", &data).expect("btree");
-        let again =
-            run_kv_trace_open_loop(sut.as_mut(), &imported.trace, &config, 1_000).expect("replay");
+        let again = run_kv_trace_open_loop(sut.as_mut(), &imported.trace, 1_000).expect("replay");
         assert_eq!(again, baseline, "open-loop replay must be bit-identical");
     }
 }
