@@ -440,11 +440,15 @@ impl Index for AlexIndex {
         self.len
     }
 
+    fn build_work(&self) -> u64 {
+        self.work
+    }
+
     fn stats(&self) -> IndexStats {
         let slots: usize = self.leaves.iter().map(|l| l.slots.len()).sum();
         IndexStats {
             size_bytes: slots * 24 + self.boundaries.len() * 8 + self.leaves.len() * 48,
-            build_work: self.work,
+            build_work: self.build_work(),
             model_count: self.leaves.len(),
         }
     }

@@ -633,6 +633,10 @@ impl Index for BPlusTree {
         self.len
     }
 
+    fn build_work(&self) -> u64 {
+        self.work
+    }
+
     fn stats(&self) -> IndexStats {
         let mut bytes = 0usize;
         for n in &self.nodes {
@@ -644,7 +648,7 @@ impl Index for BPlusTree {
         }
         IndexStats {
             size_bytes: bytes,
-            build_work: self.work,
+            build_work: self.build_work(),
             model_count: 0,
         }
     }

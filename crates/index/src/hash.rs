@@ -132,11 +132,15 @@ impl Index for HashIndex {
         self.len
     }
 
+    fn build_work(&self) -> u64 {
+        self.work
+    }
+
     fn stats(&self) -> IndexStats {
         let entries: usize = self.buckets.iter().map(|c| c.len()).sum();
         IndexStats {
             size_bytes: self.buckets.len() * 24 + entries * 16,
-            build_work: self.work,
+            build_work: self.build_work(),
             model_count: 0,
         }
     }

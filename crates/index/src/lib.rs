@@ -127,6 +127,13 @@ pub trait Index: Send {
         self.len() == 0
     }
 
+    /// Work units spent building and restructuring so far, read in O(1):
+    /// the counter [`IndexStats::build_work`] reports. Callers that charge
+    /// an operation for the structural work it caused read this before and
+    /// after it; [`Index::stats`] may walk the whole structure to size it
+    /// and is meant to be called once per run.
+    fn build_work(&self) -> u64;
+
     /// Size/build-cost statistics.
     fn stats(&self) -> IndexStats;
 

@@ -176,7 +176,7 @@ impl Index for PgmIndex {
 
     fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
         let from = self.lower_bound(start);
-        let to = (from + limit).min(self.keys.len());
+        let to = from.saturating_add(limit).min(self.keys.len());
         Ok(self.keys[from..to]
             .iter()
             .copied()
@@ -200,10 +200,14 @@ impl Index for PgmIndex {
         self.keys.len()
     }
 
+    fn build_work(&self) -> u64 {
+        self.build_work
+    }
+
     fn stats(&self) -> IndexStats {
         IndexStats {
             size_bytes: self.keys.len() * 16 + self.segment_count() * 48,
-            build_work: self.build_work,
+            build_work: self.build_work(),
             model_count: self.segment_count(),
         }
     }

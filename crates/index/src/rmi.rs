@@ -254,7 +254,7 @@ impl Index for Rmi {
 
     fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
         let from = self.lower_bound(start);
-        let to = (from + limit).min(self.keys.len());
+        let to = from.saturating_add(limit).min(self.keys.len());
         Ok(self.keys[from..to]
             .iter()
             .copied()
@@ -278,12 +278,16 @@ impl Index for Rmi {
         self.keys.len()
     }
 
+    fn build_work(&self) -> u64 {
+        self.build_work
+    }
+
     fn stats(&self) -> IndexStats {
         IndexStats {
             // Models only; the sorted data arrays are the dataset itself,
             // but an index owns copies here, so count them.
             size_bytes: self.keys.len() * 16 + self.leaves.len() * 32 + 32,
-            build_work: self.build_work,
+            build_work: self.build_work(),
             model_count: self.leaves.len() + 1,
         }
     }

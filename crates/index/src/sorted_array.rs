@@ -28,11 +28,6 @@ impl SortedArray {
     pub fn keys(&self) -> &[u64] {
         &self.keys
     }
-
-    /// The values aligned with [`SortedArray::keys`].
-    pub fn values(&self) -> &[u64] {
-        &self.values
-    }
 }
 
 impl BulkLoad for SortedArray {
@@ -59,7 +54,7 @@ impl Index for SortedArray {
 
     fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
         let from = self.lower_bound(start);
-        let to = (from + limit).min(self.keys.len());
+        let to = from.saturating_add(limit).min(self.keys.len());
         Ok(self.keys[from..to]
             .iter()
             .copied()
@@ -92,10 +87,14 @@ impl Index for SortedArray {
         self.keys.len()
     }
 
+    fn build_work(&self) -> u64 {
+        self.keys.len() as u64
+    }
+
     fn stats(&self) -> IndexStats {
         IndexStats {
             size_bytes: self.keys.len() * 16,
-            build_work: self.keys.len() as u64,
+            build_work: self.build_work(),
             model_count: 0,
         }
     }
@@ -129,6 +128,9 @@ impl Index for FrozenArray {
     }
     fn len(&self) -> usize {
         self.0.len()
+    }
+    fn build_work(&self) -> u64 {
+        self.0.build_work()
     }
     fn stats(&self) -> IndexStats {
         self.0.stats()

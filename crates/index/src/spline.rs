@@ -254,7 +254,7 @@ impl Index for RadixSpline {
 
     fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
         let from = self.lower_bound(start);
-        let to = (from + limit).min(self.keys.len());
+        let to = from.saturating_add(limit).min(self.keys.len());
         Ok(self.keys[from..to]
             .iter()
             .copied()
@@ -278,10 +278,14 @@ impl Index for RadixSpline {
         self.keys.len()
     }
 
+    fn build_work(&self) -> u64 {
+        self.build_work
+    }
+
     fn stats(&self) -> IndexStats {
         IndexStats {
             size_bytes: self.keys.len() * 16 + self.spline.len() * 16 + self.radix.len() * 4,
-            build_work: self.build_work,
+            build_work: self.build_work(),
             model_count: self.spline.len().saturating_sub(1),
         }
     }

@@ -13,7 +13,7 @@ use lsbench_index::sorted_array::SortedArray;
 use lsbench_index::spline::RadixSpline;
 use lsbench_index::{BulkLoad, Index};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Sorted unique pairs from an arbitrary key set.
 fn arb_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
@@ -46,6 +46,170 @@ fn check_range_against_model<I: Index>(idx: &I, model: &BTreeMap<u64, u64>, star
             idx.name()
         );
     }
+}
+
+/// One transition of the [`DeltaIndex`] state machine.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Insert(u64, u64),
+    Delete(u64),
+    Get(u64),
+    Retrain,
+}
+
+impl Step {
+    /// Maps a drawn `(kind, pick, value)` to a step whose key is one of
+    /// the base's own (so base rows get overwritten and tombstoned), one
+    /// of a few fresh low keys (so buffered keys are hit again: delete of
+    /// a buffered key, tombstone → reinsert → delete), or one of the four
+    /// largest keys there are (where a scan must not step past the end).
+    fn draw(base: &[(u64, u64)], (kind, pick, value): (u8, u64, u64)) -> Step {
+        let key = match pick % 4 {
+            0 | 1 if !base.is_empty() => base[(pick / 4) as usize % base.len()].0,
+            2 => u64::MAX - (pick / 4) % 4,
+            _ => (pick / 4) % 48,
+        };
+        match kind % 32 {
+            0..=13 => Step::Insert(key, value),
+            14..=26 => Step::Delete(key),
+            27..=30 => Step::Get(key),
+            _ => Step::Retrain,
+        }
+    }
+}
+
+/// Drives a `DeltaIndex<I>` and a `BTreeMap` oracle through `steps`,
+/// comparing everything observable after every one of them.
+fn run_delta_machine<I: Index + BulkLoad>(
+    base: &[(u64, u64)],
+    steps: &[Step],
+) -> Result<(), TestCaseError> {
+    let mut idx: DeltaIndex<I> = DeltaIndex::build(base).unwrap();
+    let who = idx.base().name();
+    // The oracle: the live pairs, plus what `pending()` counts — keys
+    // written since the last retrain and keys of that retrain's base
+    // deleted since.
+    let mut live: BTreeMap<u64, u64> = base.iter().copied().collect();
+    let mut merged: BTreeSet<u64> = live.keys().copied().collect();
+    let mut written: BTreeSet<u64> = BTreeSet::new();
+    let mut dead: BTreeSet<u64> = BTreeSet::new();
+
+    let mut probes: Vec<u64> = base
+        .iter()
+        .step_by(base.len() / 16 + 1)
+        .map(|p| p.0)
+        .collect();
+    probes.extend(0..48);
+    probes.extend(u64::MAX - 3..=u64::MAX);
+
+    for (n, &step) in steps.iter().enumerate() {
+        let at = format!("{who} step {n} {step:?}");
+        let touched = match step {
+            Step::Insert(key, value) => {
+                prop_assert_eq!(
+                    idx.insert(key, value).unwrap(),
+                    live.insert(key, value),
+                    "{}",
+                    at
+                );
+                dead.remove(&key);
+                written.insert(key);
+                key
+            }
+            Step::Delete(key) => {
+                prop_assert_eq!(idx.delete(key).unwrap(), live.remove(&key), "{}", at);
+                written.remove(&key);
+                if merged.contains(&key) {
+                    dead.insert(key);
+                }
+                key
+            }
+            Step::Get(key) => key,
+            Step::Retrain => {
+                idx.retrain().unwrap();
+                merged = live.keys().copied().collect();
+                written.clear();
+                dead.clear();
+                0
+            }
+        };
+        prop_assert_eq!(idx.len(), live.len(), "{} len", at);
+        prop_assert_eq!(idx.pending(), written.len() + dead.len(), "{} pending", at);
+
+        probes.push(touched);
+        let mut batch = Vec::new();
+        idx.get_many(&probes, &mut batch);
+        prop_assert_eq!(batch.len(), probes.len(), "{} get_many length", at);
+        for (&key, &slot) in probes.iter().zip(&batch) {
+            prop_assert_eq!(idx.get(key), live.get(&key).copied(), "{} get({})", at, key);
+            prop_assert_eq!(slot, idx.get(key), "{} get_many slot of {}", at, key);
+        }
+        probes.pop();
+
+        // Scans from below, inside and above the live key span.
+        let mut starts = vec![0, touched, u64::MAX];
+        starts.extend(live.keys().nth(live.len() / 2));
+        starts.extend(live.keys().next_back().and_then(|k| k.checked_add(1)));
+        for &start in &starts {
+            for limit in [0, 1, 20, live.len() + 5] {
+                let expected: Vec<(u64, u64)> = live
+                    .range(start..)
+                    .take(limit)
+                    .map(|(&k, &v)| (k, v))
+                    .collect();
+                prop_assert_eq!(
+                    idx.range(start, limit).unwrap(),
+                    expected,
+                    "{} range({}, {})",
+                    at,
+                    start,
+                    limit
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The failing cases proptest once found for the previous form of
+/// `delta_index_follows_op_sequence` (`op % 3` picks insert / delete /
+/// get, one retrain before op `retrain_at`), read back from the
+/// checked-in regressions file and replayed through the state machine.
+#[test]
+fn delta_index_regression_seeds_replay() {
+    fn numbers(text: &str) -> Vec<u64> {
+        text.split(|c: char| !c.is_ascii_digit())
+            .filter(|s| !s.is_empty())
+            .map(|s| s.parse().unwrap())
+            .collect()
+    }
+    let mut replayed = 0;
+    for line in include_str!("properties.proptest-regressions").lines() {
+        let Some((_, case)) = line.split_once("shrinks to base = [") else {
+            continue;
+        };
+        let (base, rest) = case.split_once("], ops = [").unwrap();
+        let (ops, retrain_at) = rest.split_once("], retrain_at = ").unwrap();
+        let base: Vec<(u64, u64)> = numbers(base).chunks(2).map(|p| (p[0], p[1])).collect();
+        let retrain_at = numbers(retrain_at)[0] as usize;
+        let mut steps = Vec::new();
+        for (i, op) in numbers(ops).chunks(3).enumerate() {
+            if i == retrain_at {
+                steps.push(Step::Retrain);
+            }
+            steps.push(match op[0] % 3 {
+                0 => Step::Insert(op[1], op[2]),
+                1 => Step::Delete(op[1]),
+                _ => Step::Get(op[1]),
+            });
+        }
+        steps.push(Step::Retrain);
+        run_delta_machine::<Rmi>(&base, &steps).unwrap();
+        run_delta_machine::<PgmIndex>(&base, &steps).unwrap();
+        run_delta_machine::<RadixSpline>(&base, &steps).unwrap();
+        replayed += 1;
+    }
+    assert_eq!(replayed, 1, "every checked-in seed is replayed");
 }
 
 proptest! {
@@ -129,33 +293,12 @@ proptest! {
     #[test]
     fn delta_index_follows_op_sequence(
         base in arb_pairs(),
-        ops in prop::collection::vec((any::<u8>(), 0u64..3000, any::<u64>()), 0..200),
-        retrain_at in 0usize..200,
+        draws in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..160),
     ) {
-        let mut model: BTreeMap<u64, u64> = base.iter().copied().collect();
-        let mut idx: DeltaIndex<Rmi> = DeltaIndex::build(&base).unwrap();
-        for (i, &(op, key, value)) in ops.iter().enumerate() {
-            if i == retrain_at {
-                idx.retrain().unwrap();
-            }
-            match op % 3 {
-                0 => {
-                    prop_assert_eq!(idx.insert(key, value).unwrap(), model.insert(key, value));
-                }
-                1 => {
-                    prop_assert_eq!(idx.delete(key).unwrap(), model.remove(&key));
-                }
-                _ => {
-                    prop_assert_eq!(idx.get(key), model.get(&key).copied());
-                }
-            }
-        }
-        prop_assert_eq!(idx.len(), model.len());
-        idx.retrain().unwrap();
-        prop_assert_eq!(idx.len(), model.len());
-        for (&k, &v) in model.iter().take(100) {
-            prop_assert_eq!(idx.get(k), Some(v));
-        }
+        let steps: Vec<Step> = draws.iter().map(|&d| Step::draw(&base, d)).collect();
+        run_delta_machine::<Rmi>(&base, &steps)?;
+        run_delta_machine::<PgmIndex>(&base, &steps)?;
+        run_delta_machine::<RadixSpline>(&base, &steps)?;
     }
 
     #[test]
