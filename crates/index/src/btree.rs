@@ -665,10 +665,7 @@ impl Index for BPlusTree {
     /// across a group the probes are independent, so the misses of a whole
     /// round overlap (memory-level parallelism).
     fn get_many(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
-        /// Probes descended per round. Big enough to cover the memory
-        /// parallelism a core can sustain, small enough to stay in
-        /// registers/L1.
-        const GROUP: usize = 16;
+        use crate::search::GROUP;
         out.reserve(keys.len());
         let mut cur = [0usize; GROUP];
         for chunk in keys.chunks(GROUP) {

@@ -15,9 +15,21 @@
 //!   array, the no-model lower bound on space.
 //!
 //! Learned:
-//! * [`rmi::Rmi`] — a two-level Recursive Model Index (Kraska et al. \[8]).
-//! * [`pgm::PgmIndex`] — an ε-bounded piecewise-geometric-model index.
-//! * [`spline::RadixSpline`] — a radix-table-accelerated spline index.
+//! * [`learned::Learned`] — the sorted array every read-only learned index
+//!   is: `Learned<M>` owns the pairs and puts a [`learned::Model`] in front
+//!   of them. A model owes it a `fit`, a two-step probe (`route`, then
+//!   `window`: key → `[lo, hi)` positions) that never reads the array and
+//!   never panics, and its cost formulas. `Learned` guarantees the rest
+//!   whatever window comes back: it clamps and widens it until it provably
+//!   brackets the key's lower bound, searches it, and answers `get`,
+//!   `get_many` (one staged, prefetching pipeline), `range` and the
+//!   read-only refusals exactly as a sorted array would.
+//! * [`rmi::Rmi`] — a two-level Recursive Model Index (Kraska et al. \[8]),
+//!   `Learned<RmiModel>`.
+//! * [`pgm::PgmIndex`] — an ε-bounded piecewise-geometric-model index,
+//!   `Learned<PgmModel>`.
+//! * [`spline::RadixSpline`] — a radix-table-accelerated spline index,
+//!   `Learned<SplineModel>`.
 //! * [`alex::AlexIndex`] — an updatable, adaptive gapped-array learned
 //!   index in the spirit of ALEX \[33].
 //! * [`delta::DeltaIndex`] — an updatable wrapper that pairs any read-only
@@ -36,6 +48,7 @@ pub mod btree;
 pub mod cache;
 pub mod delta;
 pub mod hash;
+pub mod learned;
 pub mod learned_sort;
 pub mod model;
 pub mod pgm;
@@ -49,6 +62,7 @@ pub use btree::BPlusTree;
 pub use cache::{KeyCache, LearnedCache, LruCache};
 pub use delta::DeltaIndex;
 pub use hash::HashIndex;
+pub use learned::{Learned, Model};
 pub use pgm::PgmIndex;
 pub use rmi::Rmi;
 pub use sorted_array::SortedArray;
@@ -190,7 +204,7 @@ pub trait BulkLoad: Sized {
 
 /// Cost (probes) of a binary search over a window of `w` items.
 pub(crate) fn bsearch_cost(w: u64) -> u64 {
-    (w + 2).ilog2() as u64 + 1
+    w.saturating_add(2).ilog2() as u64 + 1
 }
 
 /// Validates that `pairs` is sorted ascending by key with no duplicates.

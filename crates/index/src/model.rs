@@ -149,7 +149,8 @@ impl Segment {
 ///
 /// Produces segments such that for every key at position `i` within a
 /// segment, `|model.predict(key) − i| ≤ epsilon`. `keys` must be sorted
-/// ascending (duplicates allowed but degrade to per-key segments).
+/// ascending (duplicates allowed but degrade to per-key segments; strictly
+/// increasing keys put at least two in every segment but the last).
 ///
 /// This is the segmentation used by the PGM-index; the greedy cone method
 /// yields the minimal number of segments for a fixed starting point.
@@ -168,10 +169,12 @@ pub fn pla_segments(keys: &[u64], epsilon: f64) -> Vec<Segment> {
         let mut hi_slope = f64::INFINITY;
         let mut end = start + 1;
         while end < n {
-            let dx = keys[end] as f64 - first_key as f64;
+            // The difference is taken before converting: two keys above
+            // 2^53 can be closer than an `f64` ulp, and a zero here must
+            // mean a duplicate, which cannot extend a monotone segment.
+            let dx = (keys[end] - first_key) as f64;
             let dy = (end - start) as f64;
             if dx <= 0.0 {
-                // Duplicate key cannot extend a monotone segment.
                 break;
             }
             let new_lo = (dy - epsilon) / dx;

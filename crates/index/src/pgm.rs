@@ -10,75 +10,32 @@
 //! more memory and build work, faster lookups; large ε → tiny index,
 //! slower last-mile searches.
 
+use crate::learned::{Learned, Model};
 use crate::model::{pla_segments, Segment};
-use crate::{check_sorted, BulkLoad, Index, IndexError, IndexStats, Result};
+use crate::{IndexError, Result};
 
-/// Default ε for bulk loads via the [`BulkLoad`] trait.
+/// Default ε for bulk loads via the [`crate::BulkLoad`] trait.
 pub const DEFAULT_EPSILON: f64 = 32.0;
 
 /// Multi-level ε-PLA learned index.
+pub type PgmIndex = Learned<PgmModel>;
+
+/// The PGM's model: levels of ε-PLA segments.
 #[derive(Debug, Clone)]
-pub struct PgmIndex {
-    keys: Vec<u64>,
-    values: Vec<u64>,
+pub struct PgmModel {
     /// `levels[0]` segments the data; `levels[i + 1]` segments the first
     /// keys of `levels[i]`. The last level has exactly one segment.
     levels: Vec<Vec<Segment>>,
     epsilon: f64,
-    build_work: u64,
 }
 
-impl PgmIndex {
-    /// Builds a PGM-index with the given ε (≥ 1 recommended).
-    pub fn build(pairs: &[(u64, u64)], epsilon: f64) -> Result<Self> {
-        if epsilon.is_nan() || epsilon < 0.0 {
-            return Err(IndexError::Unsupported("epsilon must be non-negative"));
-        }
-        check_sorted(pairs)?;
-        let keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-        let values: Vec<u64> = pairs.iter().map(|p| p.1).collect();
-        let mut levels = Vec::new();
-        let mut work = 0u64;
-        if !keys.is_empty() {
-            let mut current = pla_segments(&keys, epsilon);
-            work += keys.len() as u64;
-            loop {
-                let seg_count = current.len();
-                levels.push(current);
-                if seg_count <= 1 {
-                    break;
-                }
-                let level_keys: Vec<u64> = levels
-                    .last()
-                    .expect("just pushed")
-                    .iter()
-                    .map(|s| s.first_key)
-                    .collect();
-                work += level_keys.len() as u64;
-                current = pla_segments(&level_keys, epsilon);
-            }
-        }
-        Ok(PgmIndex {
-            keys,
-            values,
-            levels,
-            epsilon,
-            build_work: work.max(1),
-        })
+impl PgmModel {
+    /// Half-width of the window searched around a prediction.
+    fn slack(&self) -> usize {
+        (self.epsilon as usize).saturating_add(2)
     }
 
-    /// The ε this index was built with.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Number of levels (1 for small datasets).
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Total segments across all levels.
-    pub fn segment_count(&self) -> usize {
+    fn segment_count(&self) -> usize {
         self.levels.iter().map(|l| l.len()).sum()
     }
 
@@ -89,9 +46,11 @@ impl PgmIndex {
         // The ε guarantee is relative to the level's own key list, so search
         // a ±(ε + 2) window around the prediction, then verify the result
         // and fall back to a full binary search if the window missed.
-        let slack = self.epsilon as usize + 2;
-        let lo = approx.saturating_sub(slack);
-        let hi = (approx + slack + 1).min(level.len());
+        let lo = approx.saturating_sub(self.slack());
+        let hi = approx
+            .saturating_add(self.slack())
+            .saturating_add(1)
+            .min(level.len());
         // The ±ε window is a few cache lines at most, so the branchless
         // scan wins: no mispredicted comparisons on the way down.
         let idx = (lo + crate::search::partition_point_by(&level[lo..hi], |s| s.first_key <= key))
@@ -106,110 +65,59 @@ impl PgmIndex {
                 .saturating_sub(1)
         }
     }
+}
 
-    /// Position of the first data key `>= key`.
-    pub fn lower_bound(&self, key: u64) -> usize {
-        let n = self.keys.len();
-        if n == 0 {
-            return 0;
+impl Model for PgmModel {
+    type Config = f64;
+    type Route = usize;
+    const NAME: &'static str = "pgm";
+    const DEFAULT: f64 = DEFAULT_EPSILON;
+
+    fn fit(keys: &[u64], epsilon: f64) -> Result<(Self, u64)> {
+        if epsilon.is_nan() || epsilon < 0.0 {
+            return Err(IndexError::Unsupported("epsilon must be non-negative"));
         }
-        // Descend from the top level to level 0.
-        let top = self.levels.len() - 1;
-        let mut seg_idx = 0usize;
-        for depth in (0..=top).rev() {
-            let level = &self.levels[depth];
-            let seg = &level[seg_idx.min(level.len() - 1)];
-            if depth == 0 {
-                // Final level: predict a data position and binary search the
-                // ε window.
-                let pred = seg.predict(key);
-                let slack = self.epsilon as usize + 2;
-                let mut lo = pred.saturating_sub(slack);
-                let mut hi = (pred + slack + 1).min(n);
-                if lo > 0 && self.keys[lo - 1] >= key {
-                    lo = 0;
-                }
-                if hi < n && self.keys[hi - 1] < key {
-                    hi = n;
-                }
-                lo = lo.min(hi);
-                // Branchless last mile inside the ε window; if validation
-                // widened the bracket to the whole array (a key the
-                // segments never covered), the speculative stdlib search
-                // handles the memory-bound case better.
-                let w = &self.keys[lo..hi];
-                return lo
-                    + if w.len() <= 2 * slack + 1 {
-                        crate::search::lower_bound(w, key)
-                    } else {
-                        w.partition_point(|&k| k < key)
-                    };
+        let mut levels = Vec::new();
+        let mut work = 0u64;
+        if !keys.is_empty() {
+            let mut level = pla_segments(keys, epsilon);
+            work += keys.len() as u64;
+            while level.len() > 1 {
+                let first_keys: Vec<u64> = level.iter().map(|s| s.first_key).collect();
+                work += first_keys.len() as u64;
+                levels.push(std::mem::replace(
+                    &mut level,
+                    pla_segments(&first_keys, epsilon),
+                ));
+                // Strictly increasing keys put at least two in every segment
+                // but the last, so a level is smaller than the one below it.
+                assert!(level.len() < first_keys.len(), "PLA level did not shrink");
             }
-            // Predict the segment index in the level below.
+            levels.push(level);
+        }
+        Ok((PgmModel { levels, epsilon }, work))
+    }
+
+    /// Descends from the single top segment to the level-0 segment that
+    /// covers `key`: each level predicts a segment of the level below.
+    fn route(&self, key: u64) -> usize {
+        let mut seg = 0usize;
+        for depth in (1..self.levels.len()).rev() {
             let below = &self.levels[depth - 1];
-            let approx = seg.predict(key).min(below.len() - 1);
-            seg_idx = self.refine(below, approx, key);
+            let approx = self.levels[depth][seg].predict(key).min(below.len() - 1);
+            seg = self.refine(below, approx, key);
         }
-        unreachable!("loop always returns at depth 0")
-    }
-}
-
-impl BulkLoad for PgmIndex {
-    fn bulk_load(pairs: &[(u64, u64)]) -> Result<Self> {
-        PgmIndex::build(pairs, DEFAULT_EPSILON)
-    }
-}
-
-impl Index for PgmIndex {
-    fn name(&self) -> &'static str {
-        "pgm"
+        seg
     }
 
-    fn get(&self, key: u64) -> Option<u64> {
-        let pos = self.lower_bound(key);
-        if pos < self.keys.len() && self.keys[pos] == key {
-            Some(self.values[pos])
-        } else {
-            None
-        }
-    }
-
-    fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
-        let from = self.lower_bound(start);
-        let to = from.saturating_add(limit).min(self.keys.len());
-        Ok(self.keys[from..to]
-            .iter()
-            .copied()
-            .zip(self.values[from..to].iter().copied())
-            .collect())
-    }
-
-    fn insert(&mut self, _key: u64, _value: u64) -> Result<Option<u64>> {
-        Err(IndexError::Unsupported(
-            "PGM is read-only; wrap in DeltaIndex for updates",
-        ))
-    }
-
-    fn delete(&mut self, _key: u64) -> Result<Option<u64>> {
-        Err(IndexError::Unsupported(
-            "PGM is read-only; wrap in DeltaIndex for updates",
-        ))
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn build_work(&self) -> u64 {
-        self.build_work
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            size_bytes: self.keys.len() * 16 + self.segment_count() * 48,
-            build_work: self.build_work(),
-            model_count: self.segment_count(),
-        }
+    /// The ±(ε + 2) positions around the level-0 segment's prediction.
+    #[inline]
+    fn window(&self, seg: usize, key: u64) -> (usize, usize) {
+        let pred = self.levels[0][seg].predict(key);
+        (
+            pred.saturating_sub(self.slack()),
+            pred.saturating_add(self.slack()).saturating_add(1),
+        )
     }
 
     fn probe_cost(&self, _key: u64) -> u64 {
@@ -217,12 +125,43 @@ impl Index for PgmIndex {
         let per_level = 1 + crate::bsearch_cost(self.epsilon as u64);
         (self.levels.len() as u64).max(1) * per_level
     }
+
+    fn size_bytes(&self) -> usize {
+        self.segment_count() * 48
+    }
+
+    fn model_count(&self) -> usize {
+        self.segment_count()
+    }
+}
+
+impl PgmIndex {
+    /// Builds a PGM-index with the given ε (≥ 1 recommended).
+    pub fn build(pairs: &[(u64, u64)], epsilon: f64) -> Result<Self> {
+        Learned::with_config(pairs, epsilon)
+    }
+
+    /// The ε this index was built with.
+    pub fn epsilon(&self) -> f64 {
+        self.model().epsilon
+    }
+
+    /// Number of levels (1 for small datasets).
+    pub fn level_count(&self) -> usize {
+        self.model().levels.len()
+    }
+
+    /// Total segments across all levels.
+    pub fn segment_count(&self) -> usize {
+        self.model().segment_count()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_support::{check_point_lookups, check_ranges, test_pairs};
+    use crate::{BulkLoad, Index};
 
     #[test]
     fn conformance_various_sizes() {
@@ -290,6 +229,16 @@ mod tests {
         let pairs: Vec<(u64, u64)> = (0..50u32).map(|i| (1u64 << i, i as u64)).collect();
         let idx = PgmIndex::build(&pairs, 2.0).unwrap();
         check_point_lookups(&idx, &pairs);
+    }
+
+    #[test]
+    fn unbounded_epsilon_is_one_segment() {
+        let pairs: Vec<(u64, u64)> = (0..500u64).map(|i| (i * i, i)).collect();
+        let idx = PgmIndex::build(&pairs, f64::INFINITY).unwrap();
+        assert_eq!(idx.segment_count(), 1);
+        assert!(idx.probe_cost(7) > 0);
+        check_point_lookups(&idx, &pairs);
+        check_ranges(&idx, &pairs);
     }
 
     #[test]

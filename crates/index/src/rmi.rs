@@ -5,7 +5,8 @@
 //! specialized model recursively until the leaf model makes a final
 //! prediction" (§II). This implementation uses a linear root model routing
 //! to a configurable number of linear leaf models, each with exact error
-//! bounds, and a bounded binary search for the last mile.
+//! bounds; [`Learned`] validates the window they predict and runs the
+//! bounded last-mile search.
 //!
 //! Two knobs expose the paper's *training-cost* trade-off (Fig. 1d):
 //!
@@ -15,8 +16,9 @@
 //!   the fit (error bounds are still computed exactly, so lookups remain
 //!   correct, just slower).
 
+use crate::learned::{Learned, Model};
 use crate::model::LinearModel;
-use crate::{check_sorted, BulkLoad, Index, IndexError, IndexStats, Result};
+use crate::{IndexError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for RMI construction.
@@ -30,10 +32,7 @@ pub struct RmiConfig {
 
 impl Default for RmiConfig {
     fn default() -> Self {
-        RmiConfig {
-            leaf_count: 1024,
-            sample_every: 1,
-        }
+        RmiModel::DEFAULT
     }
 }
 
@@ -48,27 +47,41 @@ struct Leaf {
 }
 
 /// Two-level recursive model index over sorted `u64` pairs.
+pub type Rmi = Learned<RmiModel>;
+
+/// The RMI's model: a linear root over `leaves.len()` linear leaves.
 #[derive(Debug, Clone)]
-pub struct Rmi {
-    keys: Vec<u64>,
-    values: Vec<u64>,
+pub struct RmiModel {
     root: LinearModel,
     leaves: Vec<Leaf>,
     config: RmiConfig,
-    build_work: u64,
+    /// Number of keys the model was fitted to.
+    n: usize,
 }
 
-impl Rmi {
-    /// Builds an RMI with an explicit configuration.
-    pub fn build(pairs: &[(u64, u64)], config: RmiConfig) -> Result<Self> {
+/// The leaf the root routes `key` to, among `leaf_count` leaves over `n > 0`
+/// keys. Monotone in `key`, so each leaf covers a contiguous key range.
+#[inline]
+fn leaf_index(root: &LinearModel, n: usize, leaf_count: usize, key: u64) -> usize {
+    let pos = root.predict(key).clamp(0.0, (n - 1) as f64);
+    ((pos / n as f64) * leaf_count as f64) as usize % leaf_count
+}
+
+impl Model for RmiModel {
+    type Config = RmiConfig;
+    type Route = usize;
+    const NAME: &'static str = "rmi";
+    const DEFAULT: RmiConfig = RmiConfig {
+        leaf_count: 1024,
+        sample_every: 1,
+    };
+
+    fn fit(keys: &[u64], config: RmiConfig) -> Result<(Self, u64)> {
         if config.leaf_count == 0 || config.sample_every == 0 {
             return Err(IndexError::Unsupported(
                 "leaf_count and sample_every must be positive",
             ));
         }
-        check_sorted(pairs)?;
-        let keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-        let values: Vec<u64> = pairs.iter().map(|p| p.1).collect();
         let n = keys.len();
         let mut work = 0u64;
 
@@ -79,19 +92,10 @@ impl Rmi {
         work += root_sample.len() as u64;
 
         let leaf_count = config.leaf_count.min(n.max(1));
-        // Partition keys by root routing (routing is monotone in key, so
-        // each leaf covers a contiguous range).
-        let route = |key: u64| -> usize {
-            if n == 0 {
-                return 0;
-            }
-            let pos = root.predict(key).clamp(0.0, (n - 1) as f64);
-            ((pos / n as f64) * leaf_count as f64) as usize % leaf_count
-        };
+        // Partition keys by root routing.
         let mut leaf_bounds = vec![(usize::MAX, 0usize); leaf_count]; // (start, end)
         for (i, &k) in keys.iter().enumerate() {
-            let l = route(k);
-            let b = &mut leaf_bounds[l];
+            let b = &mut leaf_bounds[leaf_index(&root, n, leaf_count, k)];
             if b.0 == usize::MAX {
                 b.0 = i;
             }
@@ -142,24 +146,67 @@ impl Rmi {
             });
         }
 
-        Ok(Rmi {
-            keys,
-            values,
+        let model = RmiModel {
             root,
             leaves,
             config,
-            build_work: work.max(1),
-        })
+            n,
+        };
+        Ok((model, work))
+    }
+
+    #[inline]
+    fn route(&self, key: u64) -> usize {
+        leaf_index(&self.root, self.n, self.leaves.len(), key)
+    }
+
+    /// The leaf's prediction widened by its error bounds. It provably
+    /// brackets the keys the leaf was trained on; a probe far outside them
+    /// saturates at 0 or `usize::MAX` (float-to-integer casts do), which
+    /// [`Learned`] clamps.
+    #[inline]
+    fn window(&self, leaf: usize, key: u64) -> (usize, usize) {
+        let leaf = &self.leaves[leaf];
+        let pred = leaf.model.predict(key);
+        let lo = (pred + leaf.err_lo as f64).floor() as usize;
+        let hi = (pred + leaf.err_hi as f64).ceil() as usize;
+        (lo, hi.saturating_add(1))
+    }
+
+    fn probe_cost(&self, key: u64) -> u64 {
+        if self.n == 0 {
+            return 1;
+        }
+        let leaf = &self.leaves[self.route(key)];
+        let window = (leaf.err_hi - leaf.err_lo).max(0) as u64;
+        // Root model + leaf model + last-mile search of this leaf's window.
+        2 + crate::bsearch_cost(window)
+    }
+
+    fn size_bytes(&self) -> usize {
+        self.leaves.len() * 32 + 32
+    }
+
+    fn model_count(&self) -> usize {
+        self.leaves.len() + 1
+    }
+}
+
+impl Rmi {
+    /// Builds an RMI with an explicit configuration.
+    pub fn build(pairs: &[(u64, u64)], config: RmiConfig) -> Result<Self> {
+        Learned::with_config(pairs, config)
     }
 
     /// The configuration used to build this index.
     pub fn config(&self) -> RmiConfig {
-        self.config
+        self.model().config
     }
 
     /// Average error-window width across non-empty leaves (diagnostic).
     pub fn mean_error_window(&self) -> f64 {
         let widths: Vec<f64> = self
+            .model()
             .leaves
             .iter()
             .filter(|l| l.err_hi >= l.err_lo)
@@ -171,196 +218,13 @@ impl Rmi {
             widths.iter().sum::<f64>() / widths.len() as f64
         }
     }
-
-    #[inline]
-    fn leaf_of(&self, key: u64) -> &Leaf {
-        let n = self.keys.len();
-        debug_assert!(n > 0);
-        let pos = self.root.predict(key).clamp(0.0, (n - 1) as f64);
-        let idx = ((pos / n as f64) * self.leaves.len() as f64) as usize % self.leaves.len();
-        &self.leaves[idx]
-    }
-
-    /// The `[lo, hi)` slice of `keys` guaranteed to bracket `key`'s lower
-    /// bound: the leaf model's prediction widened by its error bounds.
-    ///
-    /// The window provably brackets the boundary for keys the leaf was
-    /// trained on; for other keys it may be off, so it is widened whenever
-    /// the bracket is not demonstrably valid: after the fixups,
-    /// `keys[lo-1] < key` (or `lo == 0`) and `keys[hi-1] >= key`
-    /// (or `hi == n`).
-    #[inline]
-    fn window(&self, key: u64) -> (usize, usize) {
-        let (lo, hi) = self.raw_window(key);
-        self.fixup_window(lo, hi, key)
-    }
-
-    /// The model's predicted `[lo, hi)` bracket, before validation. Only
-    /// evaluates models — never touches the key array.
-    #[inline]
-    fn raw_window(&self, key: u64) -> (usize, usize) {
-        let n = self.keys.len();
-        let leaf = self.leaf_of(key);
-        let pred = leaf.model.predict(key);
-        let lo = (pred + leaf.err_lo as f64).floor().max(0.0) as usize;
-        let hi = ((pred + leaf.err_hi as f64).ceil().max(0.0) as usize + 1).min(n);
-        (lo.min(hi), hi)
-    }
-
-    /// Validates a raw bracket against the key array (two boundary
-    /// reads), widening when the model's bracket does not provably hold.
-    #[inline]
-    fn fixup_window(&self, mut lo: usize, mut hi: usize, key: u64) -> (usize, usize) {
-        let n = self.keys.len();
-        if lo > 0 && self.keys[lo - 1] >= key {
-            lo = 0;
-        }
-        if hi < n && self.keys[hi - 1] < key {
-            hi = n;
-        }
-        (lo.min(hi), hi)
-    }
-
-    /// Position of the first key `>= key` (lower bound), using the model
-    /// plus a bounded binary search.
-    pub fn lower_bound(&self, key: u64) -> usize {
-        if self.keys.is_empty() {
-            return 0;
-        }
-        let (lo, hi) = self.window(key);
-        lo + self.keys[lo..hi].partition_point(|&k| k < key)
-    }
-}
-
-impl BulkLoad for Rmi {
-    fn bulk_load(pairs: &[(u64, u64)]) -> Result<Self> {
-        Rmi::build(pairs, RmiConfig::default())
-    }
-}
-
-impl Index for Rmi {
-    fn name(&self) -> &'static str {
-        "rmi"
-    }
-
-    fn get(&self, key: u64) -> Option<u64> {
-        let pos = self.lower_bound(key);
-        if pos < self.keys.len() && self.keys[pos] == key {
-            Some(self.values[pos])
-        } else {
-            None
-        }
-    }
-
-    fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
-        let from = self.lower_bound(start);
-        let to = from.saturating_add(limit).min(self.keys.len());
-        Ok(self.keys[from..to]
-            .iter()
-            .copied()
-            .zip(self.values[from..to].iter().copied())
-            .collect())
-    }
-
-    fn insert(&mut self, _key: u64, _value: u64) -> Result<Option<u64>> {
-        Err(IndexError::Unsupported(
-            "RMI is read-only; wrap in DeltaIndex for updates",
-        ))
-    }
-
-    fn delete(&mut self, _key: u64) -> Result<Option<u64>> {
-        Err(IndexError::Unsupported(
-            "RMI is read-only; wrap in DeltaIndex for updates",
-        ))
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn build_work(&self) -> u64 {
-        self.build_work
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            // Models only; the sorted data arrays are the dataset itself,
-            // but an index owns copies here, so count them.
-            size_bytes: self.keys.len() * 16 + self.leaves.len() * 32 + 32,
-            build_work: self.build_work(),
-            model_count: self.leaves.len() + 1,
-        }
-    }
-
-    fn probe_cost(&self, key: u64) -> u64 {
-        if self.keys.is_empty() {
-            return 1;
-        }
-        let leaf = self.leaf_of(key);
-        let window = (leaf.err_hi - leaf.err_lo).max(0) as u64;
-        // Root model + leaf model + last-mile search of this leaf's window.
-        2 + crate::bsearch_cost(window)
-    }
-
-    /// Batched probes in two passes: evaluate every model in the group
-    /// first (the models are hot — only the key-array windows miss
-    /// cache), then resolve all the last-mile searches in lockstep with
-    /// [`crate::search::lower_bound_group`], which advances each search
-    /// one halving step per round and prefetches its next probe. A lone
-    /// [`Index::get`] must eat its window misses serially; the group's
-    /// are independent and overlap.
-    fn get_many(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
-        use crate::search::{lower_bound_group, GROUP};
-        out.reserve(keys.len());
-        if self.keys.is_empty() {
-            out.extend(keys.iter().map(|_| None));
-            return;
-        }
-        let n = self.keys.len();
-        let mut windows = [(0usize, 0usize); GROUP];
-        let mut pos = [0usize; GROUP];
-        for chunk in keys.chunks(GROUP) {
-            let g = chunk.len();
-            // Model pass: predict every bracket and start the loads of
-            // the boundary lines the validation pass is about to read.
-            for (w, &key) in windows[..g].iter_mut().zip(chunk) {
-                let (lo, hi) = self.raw_window(key);
-                *w = (lo, hi);
-                if lo > 0 {
-                    crate::prefetch_read(&self.keys[lo - 1]);
-                }
-                if hi < n && hi > 0 {
-                    crate::prefetch_read(&self.keys[hi - 1]);
-                }
-            }
-            // Validation pass: the boundary reads land on lines already
-            // in flight.
-            for (w, &key) in windows[..g].iter_mut().zip(chunk) {
-                *w = self.fixup_window(w.0, w.1, key);
-            }
-            lower_bound_group(&self.keys, chunk, &windows[..g], &mut pos[..g]);
-            // The values array is a separate allocation — overlap the
-            // hits' value misses before reading any of them.
-            for &p in &pos[..g] {
-                if p < n {
-                    crate::prefetch_read(&self.values[p]);
-                }
-            }
-            for (&p, &key) in pos[..g].iter().zip(chunk) {
-                out.push(if p < n && self.keys[p] == key {
-                    Some(self.values[p])
-                } else {
-                    None
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_support::{check_point_lookups, check_ranges, test_pairs};
+    use crate::{BulkLoad, Index};
 
     #[test]
     fn conformance_various_sizes() {

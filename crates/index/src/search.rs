@@ -12,12 +12,13 @@
 //! on random probe keys), but on a memory-bound search the cmov makes
 //! every load's address depend on the previous load, while a branchy
 //! search lets the CPU speculate ahead and overlap the misses. So the
-//! scalar functions serve small ε-bounded windows (PGM), and the real
+//! scalar functions serve short windows ([`crate::learned::Learned`]
+//! picks by the validated window's length), and the real
 //! payoff is [`lower_bound_group`]: the explicit `(base, size)` state —
 //! impossible to express with `partition_point`'s callback — lets up to
 //! [`GROUP`] independent searches advance in lockstep with prefetch,
 //! turning the dependent-load problem into memory-level parallelism.
-//! The RMI and RadixSpline `get_many` paths build on it.
+//! `Learned::get_many`, the batched path of every learned index, ends in it.
 //!
 //! Semantics are pinned to the standard library: [`lower_bound`] equals
 //! `slice::partition_point(|&k| k < key)`, [`upper_bound`] equals
@@ -109,7 +110,10 @@ pub fn partition_point_by<T>(items: &[T], mut pred: impl FnMut(&T) -> bool) -> u
     base + usize::from(pred(unsafe { items.get_unchecked(base) }))
 }
 
-/// Maximum group size [`lower_bound_group`] accepts per call.
+/// Probes advanced per round by every batched path in this crate, and the
+/// most [`lower_bound_group`] accepts per call. Big enough to cover the
+/// memory parallelism a core can sustain, small enough to stay in
+/// registers/L1.
 pub const GROUP: usize = 16;
 
 /// Lockstep batch of lower bounds: `out[i]` becomes the first index in

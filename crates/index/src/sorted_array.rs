@@ -4,7 +4,7 @@
 //! the floor every learned index must beat. Inserts shift elements, so it
 //! also serves as the worst-case "naive updatable" baseline.
 
-use crate::{check_sorted, BulkLoad, Index, IndexError, IndexStats, Result};
+use crate::{check_sorted, BulkLoad, Index, IndexStats, Result};
 
 /// Sorted parallel arrays of keys and values.
 #[derive(Debug, Clone, Default)]
@@ -22,11 +22,6 @@ impl SortedArray {
     /// Position of the first key `>= key`.
     fn lower_bound(&self, key: u64) -> usize {
         self.keys.partition_point(|&k| k < key)
-    }
-
-    /// The sorted keys (used by learned indexes built on top).
-    pub fn keys(&self) -> &[u64] {
-        &self.keys
     }
 }
 
@@ -100,47 +95,11 @@ impl Index for SortedArray {
     }
 }
 
-/// A degenerate read-only view used in tests for unsupported-op behaviour.
-#[derive(Debug, Clone, Default)]
-pub struct FrozenArray(SortedArray);
-
-impl BulkLoad for FrozenArray {
-    fn bulk_load(pairs: &[(u64, u64)]) -> Result<Self> {
-        Ok(FrozenArray(SortedArray::bulk_load(pairs)?))
-    }
-}
-
-impl Index for FrozenArray {
-    fn name(&self) -> &'static str {
-        "frozen-array"
-    }
-    fn get(&self, key: u64) -> Option<u64> {
-        self.0.get(key)
-    }
-    fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
-        self.0.range(start, limit)
-    }
-    fn insert(&mut self, _key: u64, _value: u64) -> Result<Option<u64>> {
-        Err(IndexError::Unsupported("insert on frozen array"))
-    }
-    fn delete(&mut self, _key: u64) -> Result<Option<u64>> {
-        Err(IndexError::Unsupported("delete on frozen array"))
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn build_work(&self) -> u64 {
-        self.0.build_work()
-    }
-    fn stats(&self) -> IndexStats {
-        self.0.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_support::{check_point_lookups, check_ranges, test_pairs};
+    use crate::IndexError;
 
     #[test]
     fn conformance() {
@@ -171,7 +130,7 @@ mod tests {
         assert_eq!(idx.insert(5, 55).unwrap(), Some(50));
         assert_eq!(idx.get(5), Some(55));
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.keys(), &[3, 5]);
+        assert_eq!(idx.range(0, 9).unwrap(), [(3, 30), (5, 55)]);
     }
 
     #[test]
@@ -189,13 +148,5 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.get(1), None);
         assert!(idx.range(0, 10).unwrap().is_empty());
-    }
-
-    #[test]
-    fn frozen_rejects_mutation() {
-        let mut idx = FrozenArray::bulk_load(&[(1, 10)]).unwrap();
-        assert!(matches!(idx.insert(2, 20), Err(IndexError::Unsupported(_))));
-        assert!(matches!(idx.delete(1), Err(IndexError::Unsupported(_))));
-        assert_eq!(idx.get(1), Some(10));
     }
 }

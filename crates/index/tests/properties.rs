@@ -6,6 +6,7 @@ use lsbench_index::alex::AlexIndex;
 use lsbench_index::btree::BPlusTree;
 use lsbench_index::delta::DeltaIndex;
 use lsbench_index::hash::HashIndex;
+use lsbench_index::learned::{Learned, Model};
 use lsbench_index::model::{pla_segments, LinearModel};
 use lsbench_index::pgm::PgmIndex;
 use lsbench_index::rmi::Rmi;
@@ -15,14 +16,30 @@ use lsbench_index::{BulkLoad, Index};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Sorted unique pairs from an arbitrary key set.
+/// Sorted unique pairs in one of three shapes: keys scattered over the
+/// whole key space; a dense run `k, k+1, …` (a slope of exactly 1, under
+/// which any probe far above the run predicts a position past every
+/// integer); keys up against the top of `u64`.
 fn arb_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    prop::collection::btree_set(any::<u64>(), 0..400)
-        .prop_map(|set| set.into_iter().map(|k| (k, k.wrapping_mul(31))).collect())
+    prop_oneof![
+        prop::collection::btree_set(any::<u64>(), 0..400)
+            .prop_map(|set| set.into_iter().collect::<Vec<u64>>()),
+        (0u64..1 << 40, 0u64..400).prop_map(|(k, n)| (k..k + n).collect()),
+        prop::collection::btree_set(0u64..2000, 0..400).prop_map(|set| set
+            .into_iter()
+            .rev()
+            .map(|d| u64::MAX - d)
+            .collect()),
+    ]
+    .prop_map(|keys| keys.into_iter().map(|k| (k, k.wrapping_mul(31))).collect())
 }
 
 fn check_against_model<I: Index>(idx: &I, model: &BTreeMap<u64, u64>, probes: &[u64]) {
     assert_eq!(idx.len(), model.len(), "{} len", idx.name());
+    let mut batch = Vec::new();
+    idx.get_many(probes, &mut batch);
+    let expected: Vec<Option<u64>> = probes.iter().map(|k| model.get(k).copied()).collect();
+    assert_eq!(batch, expected, "{} get_many", idx.name());
     for &k in probes {
         assert_eq!(
             idx.get(k),
@@ -45,6 +62,108 @@ fn check_range_against_model<I: Index>(idx: &I, model: &BTreeMap<u64, u64>, star
             "{} range({s})",
             idx.name()
         );
+    }
+}
+
+/// A model that never looked at the data: the window it returns is a hash
+/// of the key — empty, saturated, inverted, everything, or two arbitrary
+/// positions in either order and on either side of the array's end.
+#[derive(Debug)]
+struct Liar;
+
+impl Model for Liar {
+    type Config = ();
+    type Route = ();
+    const NAME: &'static str = "liar";
+    const DEFAULT: () = ();
+
+    fn fit(_keys: &[u64], _config: ()) -> lsbench_index::Result<(Self, u64)> {
+        Ok((Liar, 0))
+    }
+
+    fn route(&self, _key: u64) {}
+
+    fn window(&self, _route: (), key: u64) -> (usize, usize) {
+        let h = (key ^ key >> 29).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (a, b) = ((h >> 8) as usize % 300, (h >> 24) as usize % 300);
+        match h >> 60 {
+            0 | 1 => (a, a),
+            2 => (usize::MAX, usize::MAX),
+            3 | 4 => (a.max(b) + 1, a.min(b)),
+            5 => (0, usize::MAX),
+            6 => (0, 0),
+            _ => (a, b),
+        }
+    }
+
+    fn probe_cost(&self, _key: u64) -> u64 {
+        1
+    }
+
+    fn size_bytes(&self) -> usize {
+        0
+    }
+
+    fn model_count(&self) -> usize {
+        1
+    }
+}
+
+/// Keys from the bottom of `u64`, anywhere, and its top 64 values.
+fn arb_edge_key() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..64,
+        any::<u64>(),
+        (0u64..64).prop_map(|d| u64::MAX - d)
+    ]
+}
+
+/// Bulk-loads each read-only learned index over `pairs` and compares point,
+/// batched and range reads at `probes` with a `BTreeMap`.
+fn check_learned_indexes(pairs: &[(u64, u64)], probes: &[u64]) {
+    fn check<I: Index + BulkLoad>(pairs: &[(u64, u64)], probes: &[u64]) {
+        let model: BTreeMap<u64, u64> = pairs.iter().copied().collect();
+        let idx = I::bulk_load(pairs).unwrap();
+        check_against_model(&idx, &model, probes);
+        check_range_against_model(&idx, &model, probes);
+    }
+    check::<Rmi>(pairs, probes);
+    check::<PgmIndex>(pairs, probes);
+    check::<RadixSpline>(pairs, probes);
+}
+
+/// A probe far above a dense run predicts a position no integer holds; the
+/// RMI's unchecked `+ 1` on it overflowed (debug) or indexed `keys[-1]`
+/// (release). Its lower bound is the end of the array, not the start.
+#[test]
+fn probes_far_above_dense_keys_find_the_end() {
+    let pairs: Vec<(u64, u64)> = (0..5000).map(|k| (k, k)).collect();
+    check_learned_indexes(&pairs, &[u64::MAX, 3, u64::MAX - 1, 5000, 1 << 63]);
+}
+
+/// Above 2^53 two keys can be closer than an `f64` ulp. Subtracting after
+/// converting made them look like duplicates: one-key PLA segments, levels
+/// that never shrank, and a PGM build that allocated until it was killed.
+#[test]
+fn keys_closer_than_an_f64_ulp_build_and_answer() {
+    let top = [(u64::MAX - 1, 0), (u64::MAX, 1)];
+    check_learned_indexes(&top, &[0, u64::MAX - 2, u64::MAX - 1, u64::MAX]);
+    let ids: Vec<(u64, u64)> = (0..100_000).map(|k| ((1 << 60) + 10 * k, k)).collect();
+    let mut probes: Vec<u64> = ids.iter().step_by(1999).map(|p| p.0).collect();
+    probes.extend(ids.iter().step_by(2999).map(|p| p.0 + 1));
+    probes.extend([0, (1 << 60) - 1, u64::MAX]);
+    check_learned_indexes(&ids, &probes);
+}
+
+#[test]
+fn linear_keys_are_one_segment_at_any_offset() {
+    for offset in [0, 1 << 53, 1 << 60, u64::MAX - 2000] {
+        let pairs: Vec<(u64, u64)> = (0..1000).map(|k| (offset + 2 * k, k)).collect();
+        let keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
+        let segments = pla_segments(&keys, 32.0).len();
+        assert!(segments <= 2, "{segments} PLA segments at offset {offset}");
+        let points = RadixSpline::bulk_load(&pairs).unwrap().spline_points();
+        assert!(points <= 3, "{points} spline points at offset {offset}");
     }
 }
 
@@ -246,6 +365,22 @@ proptest! {
 
         let h = HashIndex::bulk_load(&pairs).unwrap();
         check_against_model(&h, &model, &probes);
+    }
+
+    #[test]
+    fn a_lying_model_cannot_make_the_array_wrong(
+        keys in prop::collection::btree_set(arb_edge_key(), 0..200),
+        probes in prop::collection::vec(arb_edge_key(), 40),
+    ) {
+        let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k.wrapping_mul(31))).collect();
+        let model: BTreeMap<u64, u64> = pairs.iter().copied().collect();
+        let idx = Learned::<Liar>::bulk_load(&pairs).unwrap();
+        // 40 probes: two full groups of the batched path and a part of one.
+        check_against_model(&idx, &model, &probes);
+        check_range_against_model(&idx, &model, &probes);
+        for &p in &probes {
+            prop_assert_eq!(idx.lower_bound(p), model.range(..p).count(), "lower_bound({})", p);
+        }
     }
 
     #[test]

@@ -6,10 +6,6 @@
 //! * [`descriptive`] — exact summaries: moments, quantiles, five-number
 //!   summaries, and the box-plot statistics used by the specialization
 //!   metric (Fig. 1a of the paper).
-//! * [`streaming`] — single-pass estimators: Welford moments, reservoir
-//!   sampling, the P² quantile estimator, and exponential moving averages,
-//!   used by the driver to keep per-phase statistics without retaining all
-//!   samples.
 //! * [`histogram`] — equi-width, equi-depth, and logarithmic latency
 //!   histograms.
 //! * [`ks`] — the two-sample Kolmogorov–Smirnov statistic used as the Φ
@@ -31,7 +27,6 @@ pub mod histogram;
 pub mod jaccard;
 pub mod ks;
 pub mod mmd;
-pub mod streaming;
 pub mod timeseries;
 
 pub use descriptive::{BoxPlot, FiveNumber, Summary};
@@ -39,7 +34,6 @@ pub use histogram::{EquiDepthHistogram, EquiWidthHistogram, LatencyHistogram};
 pub use jaccard::{jaccard_distance, jaccard_similarity};
 pub use ks::{ks_statistic, ks_test, KsResult};
 pub use mmd::{median_heuristic_bandwidth, mmd_rbf};
-pub use streaming::{Ema, OnlineStats, P2Quantile, ReservoirSampler};
 pub use timeseries::{CumulativeCurve, IntervalCounts, TimeSeries};
 
 /// Errors produced by statistical routines.

@@ -4,7 +4,6 @@ use lsbench_stats::descriptive::{quantile, BoxPlot, FiveNumber, Summary};
 use lsbench_stats::histogram::{EquiDepthHistogram, EquiWidthHistogram, LatencyHistogram};
 use lsbench_stats::jaccard::jaccard_similarity;
 use lsbench_stats::ks::ks_statistic;
-use lsbench_stats::streaming::OnlineStats;
 use lsbench_stats::timeseries::{CumulativeCurve, TimeSeries};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -21,29 +20,6 @@ proptest! {
         prop_assert!(s.mean <= s.max + 1e-9);
         prop_assert!(s.variance >= 0.0);
         prop_assert_eq!(s.count, data.len());
-    }
-
-    #[test]
-    fn online_matches_exact(data in finite_vec(200)) {
-        let mut os = OnlineStats::new();
-        for &v in &data { os.push(v); }
-        let s = Summary::of(&data).unwrap();
-        prop_assert!((os.mean() - s.mean).abs() < 1e-6 * (1.0 + s.mean.abs()));
-        prop_assert!((os.variance() - s.variance).abs() < 1e-4 * (1.0 + s.variance));
-    }
-
-    #[test]
-    fn online_merge_associative(a in finite_vec(100), b in finite_vec(100)) {
-        let mut sa = OnlineStats::new();
-        for &v in &a { sa.push(v); }
-        let mut sb = OnlineStats::new();
-        for &v in &b { sb.push(v); }
-        let mut merged = sa;
-        merged.merge(&sb);
-        let mut all = OnlineStats::new();
-        for &v in a.iter().chain(b.iter()) { all.push(v); }
-        prop_assert!((merged.mean() - all.mean()).abs() < 1e-6 * (1.0 + all.mean().abs()));
-        prop_assert_eq!(merged.count(), all.count());
     }
 
     #[test]

@@ -268,174 +268,116 @@ fn execute_read_runs<S: ReadPath>(sut: &mut S, ops: &[Operation]) -> Vec<Result<
     out
 }
 
-/// Macro-free shared implementation for the traditional SUTs.
-macro_rules! traditional_sut {
-    ($sut:ident, $index:ty, $label:expr) => {
-        /// Traditional (non-learned) SUT adapter.
-        #[derive(Debug)]
-        pub struct $sut {
-            index: $index,
-            execution_work: u64,
-            baseline_struct_work: u64,
-        }
-
-        impl $sut {
-            /// Bulk-loads the SUT from a dataset.
-            pub fn build(data: &Dataset) -> Result<Self> {
-                let pairs: Vec<(u64, u64)> = data.pairs().collect();
-                let index = <$index>::bulk_load(&pairs)
-                    .map_err(|e| SutError::Internal(format!("build failed: {e}")))?;
-                let baseline = index.build_work();
-                Ok($sut {
-                    index,
-                    execution_work: 0,
-                    baseline_struct_work: baseline,
-                })
-            }
-
-            /// Access to the wrapped index.
-            pub fn index(&self) -> &$index {
-                &self.index
-            }
-        }
-
-        impl ReadPath for $sut {
-            type Ix = $index;
-            fn read_path(&mut self) -> (&Self::Ix, &mut u64) {
-                (&self.index, &mut self.execution_work)
-            }
-        }
-
-        impl SystemUnderTest<Operation> for $sut {
-            fn name(&self) -> String {
-                $label.to_string()
-            }
-
-            fn train(&mut self, _budget: u64) -> u64 {
-                0 // traditional systems do not train
-            }
-
-            fn execute(&mut self, op: &Operation) -> Result<ExecOutcome> {
-                let read = self.index.probe_cost(op.key());
-                let before = self.index.build_work();
-                let result = apply_op(&mut self.index, op);
-                // Structural maintenance (splits, rehash, shifts) shows up in
-                // the index's own work counter.
-                let structural = self.index.build_work().saturating_sub(before);
-                let work = match *op {
-                    Operation::Scan { len, .. } => read + len as u64,
-                    Operation::Insert { .. }
-                    | Operation::Update { .. }
-                    | Operation::Delete { .. } => read + structural + 1,
-                    Operation::Read { .. } => read,
-                };
-                self.execution_work += work;
-                degrade(result, work)
-            }
-
-            fn execute_many(&mut self, ops: &[Operation]) -> Vec<Result<ExecOutcome>> {
-                // `Index::get` takes `&self`, so a read's structural work is
-                // provably zero and the batched path never reads the counter.
-                execute_read_runs(self, ops)
-            }
-
-            fn metrics(&self) -> SutMetrics {
-                let stats = self.index.stats();
-                SutMetrics {
-                    size_bytes: stats.size_bytes,
-                    training_work: 0,
-                    execution_work: self.execution_work,
-                    model_count: 0,
-                    adaptations: stats.build_work.saturating_sub(self.baseline_struct_work),
-                    label_collection_work: 0,
-                }
-            }
-        }
-    };
+/// What an updatable structure's own restructuring counts as in
+/// [`SutMetrics`] — the one thing the structural adapters differ in.
+pub trait Restructures: Index + BulkLoad {
+    /// `(training_work, adaptations)` for `work` units of restructuring
+    /// since the bulk load. A traditional structure never trains: every
+    /// unit of a split, a rehash or a shift is an adaptation.
+    fn restructuring(&self, work: u64) -> (u64, u64) {
+        (0, work)
+    }
 }
 
-traditional_sut!(BTreeSut, BPlusTree, "btree");
-traditional_sut!(SortedArraySut, SortedArray, "sorted-array");
-traditional_sut!(HashSut, HashIndex, "hash");
+impl Restructures for BPlusTree {}
+impl Restructures for SortedArray {}
+impl Restructures for HashIndex {}
 
-/// ALEX is adaptive *and* updatable, so it gets its own adapter with model
-/// counting.
+impl Restructures for AlexIndex {
+    /// ALEX's online structural retraining *is* training work, and it
+    /// counts its own adaptation events.
+    fn restructuring(&self, work: u64) -> (u64, u64) {
+        (work, self.adapt_events())
+    }
+}
+
+/// SUT adapter over an index that is updated in place — the traditional
+/// structures and ALEX, which trains online, during execution.
 #[derive(Debug)]
-pub struct AlexSut {
-    index: AlexIndex,
+pub struct StructuralSut<I> {
+    index: I,
     execution_work: u64,
     baseline_struct_work: u64,
 }
 
-impl AlexSut {
+impl<I: Restructures> StructuralSut<I> {
     /// Bulk-loads the SUT from a dataset.
     pub fn build(data: &Dataset) -> Result<Self> {
         let pairs: Vec<(u64, u64)> = data.pairs().collect();
-        let index = AlexIndex::bulk_load(&pairs)
-            .map_err(|e| SutError::Internal(format!("build failed: {e}")))?;
+        let index =
+            I::bulk_load(&pairs).map_err(|e| SutError::Internal(format!("build failed: {e}")))?;
         let baseline = index.build_work();
-        Ok(AlexSut {
+        Ok(StructuralSut {
             index,
             execution_work: 0,
             baseline_struct_work: baseline,
         })
     }
-
-    /// Access to the wrapped index.
-    pub fn index(&self) -> &AlexIndex {
-        &self.index
-    }
 }
 
-impl ReadPath for AlexSut {
-    type Ix = AlexIndex;
+impl<I: Restructures> ReadPath for StructuralSut<I> {
+    type Ix = I;
     fn read_path(&mut self) -> (&Self::Ix, &mut u64) {
         (&self.index, &mut self.execution_work)
     }
 }
 
-impl SystemUnderTest<Operation> for AlexSut {
+impl<I: Restructures> SystemUnderTest<Operation> for StructuralSut<I> {
     fn name(&self) -> String {
-        "alex".to_string()
+        self.index.name().to_string()
     }
 
     fn train(&mut self, _budget: u64) -> u64 {
-        0 // ALEX trains online, during execution
+        0 // nothing is trained ahead of execution
     }
 
     fn execute(&mut self, op: &Operation) -> Result<ExecOutcome> {
         let read = self.index.probe_cost(op.key());
         let before = self.index.build_work();
         let result = apply_op(&mut self.index, op);
+        // Structural maintenance (splits, rehash, shifts, node retrains)
+        // shows up in the index's own work counter.
         let structural = self.index.build_work().saturating_sub(before);
         let work = match *op {
             Operation::Scan { len, .. } => read + len as u64,
+            Operation::Insert { .. } | Operation::Update { .. } | Operation::Delete { .. } => {
+                read + structural + 1
+            }
             Operation::Read { .. } => read,
-            _ => read + structural + 1,
         };
         self.execution_work += work;
         degrade(result, work)
     }
 
     fn execute_many(&mut self, ops: &[Operation]) -> Vec<Result<ExecOutcome>> {
-        // Reads can't adapt the structure (`get` takes `&self`), so the
-        // batched path never reads the work counter.
+        // `Index::get` takes `&self`, so a read's structural work is
+        // provably zero and the batched path never reads the counter.
         execute_read_runs(self, ops)
     }
 
     fn metrics(&self) -> SutMetrics {
         let stats = self.index.stats();
+        let restructured = stats.build_work.saturating_sub(self.baseline_struct_work);
+        let (training_work, adaptations) = self.index.restructuring(restructured);
         SutMetrics {
             size_bytes: stats.size_bytes,
-            // ALEX's online structural retraining *is* training work.
-            training_work: stats.build_work.saturating_sub(self.baseline_struct_work),
+            training_work,
             execution_work: self.execution_work,
             model_count: stats.model_count,
-            adaptations: self.index.adapt_events(),
+            adaptations,
             label_collection_work: 0,
         }
     }
 }
+
+/// B+-tree SUT.
+pub type BTreeSut = StructuralSut<BPlusTree>;
+/// Sorted-array SUT.
+pub type SortedArraySut = StructuralSut<SortedArray>;
+/// Hash-index SUT.
+pub type HashSut = StructuralSut<HashIndex>;
+/// ALEX SUT.
+pub type AlexSut = StructuralSut<AlexIndex>;
 
 /// A cache in front of any KV SUT (§II "learning-based caches").
 ///

@@ -33,8 +33,6 @@ pub use sut::{ExecOutcome, SutMetrics, SystemUnderTest, TransportStats};
 /// Errors produced by SUT adapters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SutError {
-    /// The operation is unsupported by this system (counted, not fatal).
-    Unsupported(&'static str),
     /// The SUT failed internally; the run should abort.
     Internal(String),
 }
@@ -42,7 +40,6 @@ pub enum SutError {
 impl std::fmt::Display for SutError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SutError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
             SutError::Internal(msg) => write!(f, "SUT internal error: {msg}"),
         }
     }
