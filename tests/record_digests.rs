@@ -168,6 +168,16 @@ fn pin_outcome(cells: &mut BTreeMap<String, String>, key: &str, outcome: &RunOut
     }
 }
 
+fn pin_traced(cells: &mut BTreeMap<String, String>, key: &str, outcome: &RunOutcome) {
+    let trace = outcome.trace.as_ref().expect("trace requested");
+    cells.insert(format!("{key}/trace"), digest(to_string(trace)));
+    cells.insert(
+        format!("{key}/metrics"),
+        digest(to_string(&outcome.metrics)),
+    );
+    cells.insert(format!("{key}/record"), digest(to_string(&outcome.record)));
+}
+
 fn scenario_cells(cells: &mut BTreeMap<String, String>, scenarios: Vec<(Scenario, u64)>) {
     for (base, max_ops) in scenarios {
         for (plan_name, plan) in [("asis", None), ("chaos-errors", Some("chaos-errors"))] {
@@ -214,17 +224,8 @@ fn traced_cells(cells: &mut BTreeMap<String, String>) {
                     obs: ObsConfig::traced(),
                     ..RunOptions::with_mode(mode)
                 };
-                let outcome = run(&base, sut, opts);
                 let key = format!("traced/{}/{mode_name}/{sut}", base.name);
-                cells.insert(
-                    format!("{key}/trace"),
-                    digest(to_string(outcome.trace.as_ref().expect("trace requested"))),
-                );
-                cells.insert(
-                    format!("{key}/metrics"),
-                    digest(to_string(&outcome.metrics)),
-                );
-                cells.insert(format!("{key}/record"), digest(to_string(&outcome.record)));
+                pin_traced(cells, &key, &run(&base, sut, opts));
             }
         }
     }
@@ -310,9 +311,92 @@ fn query_cells(cells: &mut BTreeMap<String, String>) {
     }
 }
 
-/// The oracle is computed (and checked) in four independent groups so the
+/// What pins the open-loop scheduler's pop order. Every other open-loop
+/// cell is `ycsb-c`, and against a read-only shared SUT any pop order
+/// produces the same record; these mixes mutate the shared SUT (and the
+/// learned SUTs charge a read by the size of the pending delta), so the
+/// order in which the scheduler got around to the clients' ops reaches the
+/// record. One worker: with writes the record is thread-invariant only by
+/// accident. Rates are per client, so "near the knee" is near it at every
+/// population: `wide` leaves every client on time, `knee` leaves a mix,
+/// `late` (10⁹ ops/s) puts every client behind after its first op, and at
+/// `tied` (10³⁰ ops/s) every arrival offset is below an ulp of a trained
+/// SUT's `exec_start`, so all intended starts are equal.
+fn sched_order_cells(cells: &mut BTreeMap<String, String>) {
+    let cfg = SuiteConfig {
+        dataset_size: 2_000,
+        ops_per_phase: 300,
+        ..SuiteConfig::default()
+    };
+    let bases = [
+        lsbench::core::suite::s3_gradual_writes(&cfg).expect("S3 builds"),
+        lsbench::core::suite::s7_ledger_growth(&cfg).expect("S7 builds"),
+    ];
+    let scenario = |base: &Scenario, rate: f64, maintenance_every: u64, plan: Option<&str>| {
+        let mut s = base.clone();
+        s.arrival = Some(ArrivalSpec {
+            process: ArrivalProcess::Poisson { rate },
+            modulation: LoadModulation::Constant,
+            seed: 11,
+        });
+        s.maintenance_every = maintenance_every;
+        if let Some(plan) = plan {
+            s.faults = Some(resolve_fault_plan(plan).expect("builtin plan"));
+        }
+        s.validate().expect("valid scenario");
+        s
+    };
+    let open = |clients: usize| ExecutionMode::OpenLoop {
+        clients,
+        workers: 1,
+    };
+    for base in &bases {
+        for clients in [1usize, 7, 64, 1_000, 5_000] {
+            let per_client = clients as f64;
+            let rates = [
+                ("wide", 2_000.0 * per_client),
+                ("knee", 25_000.0 * per_client),
+                ("late", 1e9),
+                ("tied", 1e30),
+            ];
+            for (rate_name, rate) in rates {
+                for maintenance_every in [256u64, 3] {
+                    for (plan_name, plan) in
+                        [("asis", None), ("chaos-errors", Some("chaos-errors"))]
+                    {
+                        let s = scenario(base, rate, maintenance_every, plan);
+                        for sut in ["btree", "alex", "rmi", "pgm"] {
+                            let opts = RunOptions {
+                                threads: Some(1),
+                                ..RunOptions::with_mode(open(clients))
+                            };
+                            let key = format!(
+                                "sched_order/{}/{plan_name}/c{clients}/{rate_name}/m{maintenance_every}/{sut}",
+                                s.name
+                            );
+                            pin_outcome(cells, &key, &run(&s, sut, opts));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Traced: several ops per client, two phases, a slot every third op.
+    let s = scenario(&bases[0], 25_000.0 * 64.0, 3, None);
+    for sut in ["btree", "rmi"] {
+        let opts = RunOptions {
+            threads: Some(1),
+            obs: ObsConfig::traced(),
+            ..RunOptions::with_mode(open(64))
+        };
+        let key = format!("sched_order/traced/{}/{sut}", s.name);
+        pin_traced(cells, &key, &run(&s, sut, opts));
+    }
+}
+
+/// The oracle is computed (and checked) in five independent groups so the
 /// test harness can run them on parallel threads.
-const GROUPS: [fn(&mut BTreeMap<String, String>); 4] = [
+const GROUPS: [fn(&mut BTreeMap<String, String>); 5] = [
     |cells| scenario_cells(cells, suite_scenarios()),
     |cells| scenario_cells(cells, spec_scenarios()),
     trace_cells,
@@ -320,6 +404,7 @@ const GROUPS: [fn(&mut BTreeMap<String, String>); 4] = [
         traced_cells(cells);
         query_cells(cells);
     },
+    sched_order_cells,
 ];
 
 fn fixture() -> BTreeMap<String, String> {
@@ -372,6 +457,11 @@ fn trace_replay_cells_match_the_frozen_oracle() {
 #[test]
 fn traced_and_query_cells_match_the_frozen_oracle() {
     assert_group_matches(3);
+}
+
+#[test]
+fn sched_order_cells_match_the_frozen_oracle() {
+    assert_group_matches(4);
 }
 
 /// Worker threads never decide results: every thread-invariant cell has the
