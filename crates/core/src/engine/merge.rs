@@ -74,7 +74,8 @@ pub(crate) fn finish_engine(
     // Completion order across lanes: by virtual completion time, with
     // (lane, global index) as a total-order tiebreaker for simultaneous
     // completions.
-    let mut tagged: Vec<(usize, u64, OpRecord)> = Vec::new();
+    let total = results.iter().map(|l| l.sinks.ops.len()).sum();
+    let mut tagged: Vec<(usize, u64, OpRecord)> = Vec::with_capacity(total);
     let mut faults = FaultStats::default();
     // A phase becomes active when the first lane reaches it.
     let mut first_seen: BTreeMap<usize, f64> = BTreeMap::new();

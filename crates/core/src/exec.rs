@@ -13,13 +13,17 @@
 //!    ([`epilogue`]: run-end events → [`RunRecord`] assembly);
 //! 3. one [`step`]: prelude for the first op (phase announcement,
 //!    maintenance slot), then *one* dispatch — up to [`DISPATCH_BATCH`] ops
-//!    through `execute_many` when unfaulted, never across a phase boundary
-//!    or a maintenance slot, or one op through the fault layer when a plan
-//!    is attached — then per-op arrival wait, backlog-aware service,
-//!    coordinated-omission-safe latency and record accounting;
+//!    through `execute_many` when unfaulted, never past an op whose own
+//!    client changes phase or is due a maintenance slot, or one op through
+//!    the fault layer when a plan is attached — then per-op arrival wait,
+//!    backlog-aware service, coordinated-omission-safe latency and record
+//!    accounting, each op on its own client. The ops of a run may all be
+//!    one client's (a lane, the serial policy) or each another's (the
+//!    events a scheduler worker finds due next);
 //! 4. two **drivers** over `step`: [`drive_inline`] (one client run to
-//!    completion on the calling thread) and the event heap in
-//!    [`crate::engine::sched`].
+//!    completion on the calling thread) and the scheduler worker of
+//!    [`crate::engine::sched`] (a population of clients served in due
+//!    order).
 //!
 //! Execution never reads the clock, so batching, lock granularity and
 //! thread placement decide only *when the host gets around to* an op —
@@ -41,11 +45,11 @@ use std::iter::Peekable;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Operations per `execute_many` dispatch. Batches never span a phase
-/// boundary, a maintenance slot or the op cap, so the record is
-/// bit-identical for any value; larger batches amortize dispatch cost (one
-/// wire frame instead of one per op on a remote SUT, one lock per batch on
-/// a shared one).
+/// Operations per `execute_many` dispatch. Batches never span a client's
+/// phase boundary, a client's maintenance slot or the op cap, so the
+/// record is bit-identical for any value; larger batches amortize dispatch
+/// cost (one wire frame instead of one per op on a remote SUT, one lock
+/// per batch on a shared one).
 const DISPATCH_BATCH: usize = 64;
 
 /// Where an operation sits in its run: everything the timing rule needs
@@ -393,9 +397,7 @@ impl WallRecorder {
 
     fn batch(&mut self, elapsed: std::time::Duration, ops: usize) {
         let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        for _ in 0..ops {
-            self.latency.record(ns);
-        }
+        self.latency.record_n(ns, ops as u64);
     }
 
     fn finish(self) -> WallStats {
@@ -436,7 +438,7 @@ impl Sinks {
             obs,
             faults: FaultStats::default(),
             wall: WallRecorder::for_clock(clock),
-            idx: merged.then(Vec::new),
+            idx: merged.then(|| Vec::with_capacity(ops_hint)),
         }
     }
 
@@ -465,8 +467,8 @@ impl Sinks {
 }
 
 /// Reusable dispatch buffers of one driver: the ops of a run, contiguous
-/// for `execute_many`, and their positions.
-pub(crate) type Batch<Op> = (Vec<Op>, Vec<OpMeta>);
+/// for `execute_many`, and for each its client's slot and its position.
+pub(crate) type Batch<Op> = (Vec<Op>, Vec<(usize, OpMeta)>);
 
 /// The per-op prelude: on a phase transition, note when this client first
 /// saw the phase and (if the op announces) let the SUT adapt; then offer
@@ -503,55 +505,66 @@ pub(crate) fn prelude<Op, T: SystemUnderTest<Op> + ?Sized>(
     }
 }
 
-/// Executes the next run of one client's ops: the prelude for `first`,
-/// successors gathered from `rest` while they need none, one dispatch,
-/// then per-op accounting — see the [module docs](self).
+/// Executes the next run of ops: the prelude for `first`, successors
+/// gathered from `rest` while they need none, one dispatch, then per-op
+/// accounting — see the [module docs](self). Every op comes with the slot
+/// of its client in `clients`: the inline driver has one client and slot
+/// 0, a scheduler worker its whole population and whichever clients are
+/// due next.
 pub(crate) fn step<Op, T, I>(
-    client: &mut ClientState,
+    clients: &mut [ClientState],
     sinks: &mut Sinks,
     batch: &mut Batch<Op>,
     sut: &mut T,
-    first: CoreOp<Op>,
+    (slot, first): (usize, CoreOp<Op>),
     rest: &mut Peekable<I>,
     p: &LaneParams,
 ) -> Result<()>
 where
     T: SystemUnderTest<Op> + ?Sized,
-    I: Iterator<Item = CoreOp<Op>>,
+    I: Iterator<Item = (usize, CoreOp<Op>)>,
 {
-    prelude(client, sinks, sut, &first.meta, p);
+    prelude(&mut clients[slot], sinks, sut, &first.meta, p);
     if let Some(session) = &p.faults {
-        return step_faulted(client, sinks, sut, &first, session, p);
+        return step_faulted(&mut clients[slot], sinks, sut, &first, session, p);
     }
-    let (ops, metas) = batch;
+    let now = clients[slot].clock;
+    let (ops, owners) = batch;
     ops.clear();
-    metas.clear();
+    owners.clear();
     ops.push(first.op);
-    metas.push(first.meta);
-    // Successors that stay in this phase and would not hit a maintenance
-    // slot need no prelude call, so batching never reorders what the SUT
-    // sees.
-    while ops.len() < DISPATCH_BATCH && client.since_maintenance + 1 < p.maintenance_every {
-        let Some(next) = rest.next_if(|next| next.meta.phase == client.current_phase) else {
+    owners.push((slot, first.meta));
+    // A successor that stays in its client's phase and would not hit its
+    // client's maintenance slot needs no prelude call: nothing would reach
+    // the SUT or the observer between the two ops, so batching never
+    // reorders what either sees.
+    while ops.len() < DISPATCH_BATCH {
+        let needs_no_prelude = |(slot, next): &(usize, CoreOp<Op>)| {
+            let client = &clients[*slot];
+            next.meta.phase == client.current_phase
+                && client.since_maintenance + 1 < p.maintenance_every
+        };
+        let Some((slot, next)) = rest.next_if(needs_no_prelude) else {
             break;
         };
-        client.since_maintenance += 1;
+        clients[slot].since_maintenance += 1;
         ops.push(next.op);
-        metas.push(next.meta);
+        owners.push((slot, next.meta));
     }
     let watch = Watch::begin(sinks, sut);
-    // A one-op run (every scheduler event is one) goes through `execute`:
-    // same outcome by the trait's contract, without `execute_many`'s
-    // result vector.
+    // A one-op run goes through `execute`: same outcome by the trait's
+    // contract, without `execute_many`'s result vector.
     if let [op] = ops.as_slice() {
         let outcome = sut.execute(op);
-        watch.end(sinks, sut, 1, client.clock);
-        account(client, sinks, &metas[0], outcome, p)
+        watch.end(sinks, sut, 1, now);
+        account(&mut clients[slot], sinks, &owners[0].1, outcome, p)
     } else {
         let outcomes = sut.execute_many(ops);
-        watch.end(sinks, sut, ops.len(), client.clock);
-        let mut each = metas.iter().zip(outcomes);
-        each.try_for_each(|(meta, outcome)| account(client, sinks, meta, outcome, p))
+        watch.end(sinks, sut, ops.len(), now);
+        let mut each = owners.iter().zip(outcomes);
+        each.try_for_each(|((slot, meta), outcome)| {
+            account(&mut clients[*slot], sinks, meta, outcome, p)
+        })
     }
 }
 
@@ -742,9 +755,9 @@ where
     S: SystemUnderTest<Op> + ?Sized,
     I: Iterator<Item = CoreOp<Op>>,
 {
-    let mut client = ClientState::new(p.exec_start);
+    let mut client = [ClientState::new(p.exec_start)];
     let mut batch = Batch::default();
-    let mut source = source.peekable();
+    let mut source = source.map(|op| (0, op)).peekable();
     while let Some(first) = source.next() {
         let rest = &mut source;
         match &mut sut {
@@ -755,6 +768,7 @@ where
             }
         }?;
     }
+    let [mut client] = client;
     Ok(client.finish())
 }
 

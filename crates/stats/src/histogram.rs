@@ -341,12 +341,21 @@ impl LatencyHistogram {
 
     /// Records one latency observation.
     pub fn record(&mut self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` observations of the same value `v`: one bucket lookup,
+    /// whatever `n` is. `n = 0` records nothing.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = self.index_of(v);
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
-        self.counts[idx] += 1;
-        self.total += 1;
+        self.counts[idx] += n;
+        self.total += n;
         self.max_recorded = self.max_recorded.max(v);
     }
 
@@ -575,6 +584,19 @@ mod tests {
         assert_eq!(a.max(), 1_000_000);
         let mismatched = LatencyHistogram::with_sub_buckets(32);
         assert!(a.merge(&mismatched).is_err());
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        let (mut many, mut one_by_one) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for (v, n) in [(0u64, 3u64), (17, 1), (1 << 40, 64), (1_000, 0), (17, 5)] {
+            many.record_n(v, n);
+            (0..n).for_each(|_| one_by_one.record(v));
+            assert_eq!(many, one_by_one, "after {n} × {v}");
+        }
+        let before = many.clone();
+        many.record_n(u64::MAX, 0);
+        assert_eq!(many, before, "n = 0 grows no bucket and moves no maximum");
     }
 
     #[test]

@@ -4,10 +4,17 @@
 //! Work units are the cost model; the host time spent computing them is
 //! not in it, so it may not scale with the size of the index per op or per
 //! maintenance slot (DESIGN §12). A [`DeltaIndex`] over a base that counts
-//! its calls shows how often the bookkeeping touches the base.
+//! its calls shows how often the bookkeeping touches the base. The same
+//! goes for the harness above the SUT: a [`Logged`] SUT shows how many
+//! dispatches the open-loop scheduler makes of a run's ops, and where it
+//! puts the maintenance slots between them.
 
+use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
+use lsbench::core::scenario::Scenario;
+use lsbench::core::suite::{s5_bursty_load, SuiteConfig};
 use lsbench::index::{BulkLoad, DeltaIndex, Index, IndexStats, Result, Rmi};
-use lsbench::sut::kv::{LearnedKvSut, RetrainPolicy};
+use lsbench::sut::kv::{BTreeSut, LearnedKvSut, RetrainPolicy};
+use lsbench::sut::sut::{ExecOutcome, SutMetrics, TransportStats};
 use lsbench::sut::SystemUnderTest;
 use lsbench::workload::dataset::Dataset;
 use lsbench::workload::keygen::KeyDistribution;
@@ -202,4 +209,126 @@ fn maintenance_below_its_threshold_never_touches_the_base() {
         assert_eq!((work, calls), (0, Calls::default()), "slot after op {i}");
     }
     assert!(sut.delta_fraction() > 0.1, "the buffer did grow");
+}
+
+/// What a [`Logged`] SUT was asked for, call by call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Seen {
+    Op(Operation),
+    MaintenanceSlot,
+}
+
+/// A SUT that logs the ops and maintenance slots it is given, in order,
+/// and how they were dispatched.
+struct Logged {
+    inner: BTreeSut,
+    seen: Vec<Seen>,
+    /// `execute` and `execute_many` calls together.
+    dispatches: usize,
+    longest_dispatch: usize,
+}
+
+impl SystemUnderTest<Operation> for Logged {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn train(&mut self, budget: u64) -> u64 {
+        self.inner.train(budget)
+    }
+    fn execute(&mut self, op: &Operation) -> lsbench::sut::Result<ExecOutcome> {
+        self.seen.push(Seen::Op(*op));
+        self.dispatches += 1;
+        self.longest_dispatch = self.longest_dispatch.max(1);
+        self.inner.execute(op)
+    }
+    fn execute_many(&mut self, ops: &[Operation]) -> Vec<lsbench::sut::Result<ExecOutcome>> {
+        self.seen.extend(ops.iter().map(|op| Seen::Op(*op)));
+        self.dispatches += 1;
+        self.longest_dispatch = self.longest_dispatch.max(ops.len());
+        self.inner.execute_many(ops)
+    }
+    fn on_phase_change(&mut self, new_phase: usize) -> u64 {
+        self.inner.on_phase_change(new_phase)
+    }
+    fn maintenance(&mut self) -> u64 {
+        self.seen.push(Seen::MaintenanceSlot);
+        self.inner.maintenance()
+    }
+    fn crash(&mut self) -> u64 {
+        self.inner.crash()
+    }
+    fn metrics(&self) -> SutMetrics {
+        self.inner.metrics()
+    }
+    fn transport_stats(&self) -> TransportStats {
+        self.inner.transport_stats()
+    }
+}
+
+const CLIENTS: usize = 5_000;
+
+/// `ops` read-only ops in one phase (S5: Poisson arrivals with bursts, far
+/// below what 5 000 clients can serve, so no client is ever late and ops
+/// are due in stream order), run open-loop on one worker against a
+/// [`Logged`] B+-tree.
+fn open_loop_log(ops: u64, maintenance_every: u64) -> (Scenario, Logged) {
+    let cfg = SuiteConfig {
+        dataset_size: 2_000,
+        ops_per_phase: ops / 2,
+        ..SuiteConfig::default()
+    };
+    let mut s = s5_bursty_load(&cfg).unwrap();
+    s.maintenance_every = maintenance_every;
+    let mut sut = Logged {
+        inner: BTreeSut::build(&s.dataset.build().unwrap()).unwrap(),
+        seen: Vec::new(),
+        dispatches: 0,
+        longest_dispatch: 0,
+    };
+    let mode = ExecutionMode::OpenLoop {
+        clients: CLIENTS,
+        workers: 1,
+    };
+    let outcome = Runner::new(&mut sut)
+        .config(RunOptions::with_mode(mode))
+        .run(&s)
+        .unwrap();
+    assert_eq!(outcome.record.ops.len() as u64, ops);
+    (s, sut)
+}
+
+#[test]
+fn open_loop_events_are_dispatched_as_runs_across_clients() {
+    let ops = 20_000;
+    let (_, sut) = open_loop_log(ops, 1_000_000);
+    // Full runs would make it `ops / 64`; the last run of each batch of
+    // events is short, and so are the batches at the end of the run.
+    assert!(
+        sut.dispatches <= ops as usize / 32,
+        "{} dispatches for {ops} ops",
+        sut.dispatches
+    );
+    assert!(sut.longest_dispatch <= 64, "{}", sut.longest_dispatch);
+    assert_eq!(sut.seen.len() as u64, ops, "no maintenance slot was due");
+}
+
+#[test]
+fn open_loop_runs_end_where_a_client_is_due_a_maintenance_slot() {
+    // Nine ops per client: one slot each, right before its eighth op.
+    let (s, sut) = open_loop_log(9 * CLIENTS as u64, 8);
+    let mut since_slot = vec![0u64; CLIENTS];
+    let mut expected = Vec::new();
+    for (i, labeled) in s.workload.stream().unwrap().enumerate() {
+        let since_slot = &mut since_slot[i % CLIENTS];
+        *since_slot += 1;
+        if *since_slot >= 8 {
+            *since_slot = 0;
+            expected.push(Seen::MaintenanceSlot);
+        }
+        expected.push(Seen::Op(labeled.op));
+    }
+    assert_eq!(sut.seen.len(), 9 * CLIENTS + CLIENTS);
+    let first_difference = sut.seen.iter().zip(&expected).position(|(a, b)| a != b);
+    assert_eq!(first_difference, None, "of {} calls", expected.len());
+    assert!(sut.longest_dispatch <= 64 && sut.dispatches < expected.len() / 4);
 }
