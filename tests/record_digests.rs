@@ -14,10 +14,10 @@
 //! and review which cells moved.
 
 use lsbench::core::driver::{run_kv_trace, run_kv_trace_open_loop, run_query_workload};
-use lsbench::core::faults::resolve_fault_plan;
+use lsbench::core::faults::{resolve_fault_plan, FaultPlan, FaultSpec, RetryPolicy};
 use lsbench::core::obs::ObsConfig;
 use lsbench::core::runner::{ExecutionMode, RunOptions, RunOutcome, Runner};
-use lsbench::core::scenario::{ArrivalSpec, Scenario};
+use lsbench::core::scenario::{ArrivalSpec, OnlineTrainMode, Scenario};
 use lsbench::core::spec::parse_scenario;
 use lsbench::core::suite::{standard_scenarios, SuiteConfig};
 use lsbench::core::sut_registry::SutRegistry;
@@ -394,9 +394,116 @@ fn sched_order_cells(cells: &mut BTreeMap<String, String>) {
     }
 }
 
-/// The oracle is computed (and checked) in five independent groups so the
+/// What pins the fault layer's arithmetic against SUTs whose state a crash
+/// position can reach. Every other chaos cell is `ycsb-c` under one fault
+/// kind; here one plan holds all four kinds over write-bearing mixes — two
+/// error coins, two latency spikes, a stall window that straddles a 64-op
+/// dispatch boundary, crashes on adjacent indices, on the first op of a
+/// phase and mid-phase — under three retry policies, both training modes
+/// and a maintenance slot every third op, and each cell pins the traced
+/// event order and the metrics registry beside the record.
+fn fault_order_cells(cells: &mut BTreeMap<String, String>) {
+    let cfg = SuiteConfig {
+        dataset_size: 2_000,
+        ops_per_phase: 300,
+        ..SuiteConfig::default()
+    };
+    let bases = [
+        lsbench::core::suite::s3_gradual_writes(&cfg).expect("S3 builds"),
+        lsbench::core::suite::s7_ledger_growth(&cfg).expect("S7 builds"),
+    ];
+    let policy = |timeout, max_retries| RetryPolicy {
+        timeout,
+        max_retries,
+        backoff_base: 5e-4,
+        backoff_multiplier: 2.0,
+    };
+    let policies = [
+        ("t2ms-r2", policy(Some(2e-3), 2)),
+        ("never-r8", policy(None, 8)),
+        ("t500us-r0", policy(Some(5e-4), 0)),
+    ];
+    let trains = [
+        ("fg", OnlineTrainMode::Foreground),
+        ("bg30", OnlineTrainMode::Background { fraction: 0.3 }),
+    ];
+    let open = |clients| ExecutionMode::OpenLoop {
+        clients,
+        workers: 1,
+    };
+    let modes = [
+        ("serial", ExecutionMode::Serial),
+        ("shared4", ExecutionMode::SharedLock { workers: 4 }),
+        ("sharded4", ExecutionMode::Sharded { workers: 4 }),
+        ("open1", open(1)),
+        ("open64", open(64)),
+        ("open5000", open(5_000)),
+    ];
+    for base in &bases {
+        let last = base.workload.phases().len() - 1;
+        let errors = |phase, rate| FaultSpec::TransientErrors { phase, rate };
+        let spike = |phase, add_work, factor| FaultSpec::LatencySpike {
+            phase,
+            add_work,
+            factor,
+        };
+        let crash = |phase, at_op| FaultSpec::Crash { phase, at_op };
+        let faults = vec![
+            errors(None, 0.05),
+            errors(Some(0), 0.2),
+            spike(Some(last), 7, 3.0),
+            spike(None, 1, 1.1),
+            FaultSpec::Stall {
+                phase: 0,
+                from_op: 50,
+                ops: 100,
+                duration: 0.15,
+            },
+            crash(0, 37),
+            crash(0, 38),
+            crash(last, 0),
+            crash(last, 130),
+        ];
+        for (policy_name, policy) in policies {
+            for (train_name, online_train) in trains {
+                for maintenance_every in [256u64, 3] {
+                    let mut s = base.clone();
+                    s.arrival = Some(ArrivalSpec {
+                        process: ArrivalProcess::Poisson { rate: 30_000.0 },
+                        modulation: LoadModulation::Constant,
+                        seed: 11,
+                    });
+                    s.maintenance_every = maintenance_every;
+                    s.online_train = online_train;
+                    s.faults = Some(FaultPlan {
+                        seed: 0xFA17,
+                        policy,
+                        faults: faults.clone(),
+                    });
+                    s.validate().expect("valid scenario");
+                    for (mode_name, mode) in modes {
+                        for sut in ["btree", "alex", "rmi", "pgm", "hash"] {
+                            let opts = RunOptions {
+                                threads: Some(1),
+                                obs: ObsConfig::traced(),
+                                ..RunOptions::with_mode(mode)
+                            };
+                            let key = format!(
+                                "fault_order/{}/{policy_name}/{train_name}/m{maintenance_every}/{mode_name}/{sut}",
+                                s.name
+                            );
+                            pin_traced(cells, &key, &run(&s, sut, opts));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The oracle is computed (and checked) in six independent groups so the
 /// test harness can run them on parallel threads.
-const GROUPS: [fn(&mut BTreeMap<String, String>); 5] = [
+const GROUPS: [fn(&mut BTreeMap<String, String>); 6] = [
     |cells| scenario_cells(cells, suite_scenarios()),
     |cells| scenario_cells(cells, spec_scenarios()),
     trace_cells,
@@ -405,6 +512,7 @@ const GROUPS: [fn(&mut BTreeMap<String, String>); 5] = [
         query_cells(cells);
     },
     sched_order_cells,
+    fault_order_cells,
 ];
 
 fn fixture() -> BTreeMap<String, String> {
@@ -462,6 +570,11 @@ fn traced_and_query_cells_match_the_frozen_oracle() {
 #[test]
 fn sched_order_cells_match_the_frozen_oracle() {
     assert_group_matches(4);
+}
+
+#[test]
+fn fault_order_cells_match_the_frozen_oracle() {
+    assert_group_matches(5);
 }
 
 /// Worker threads never decide results: every thread-invariant cell has the
