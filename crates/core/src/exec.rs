@@ -12,14 +12,16 @@
 //!    → train / phase-0 events → [`LaneParams`]) and an **epilogue**
 //!    ([`epilogue`]: run-end events → [`RunRecord`] assembly);
 //! 3. one [`step`]: prelude for the first op (phase announcement,
-//!    maintenance slot), then *one* dispatch — up to [`DISPATCH_BATCH`] ops
-//!    through `execute_many` when unfaulted, never past an op whose own
-//!    client changes phase or is due a maintenance slot, or one op through
-//!    the fault layer when a plan is attached — then per-op arrival wait,
-//!    backlog-aware service, coordinated-omission-safe latency and record
-//!    accounting, each op on its own client. The ops of a run may all be
-//!    one client's (a lane, the serial policy) or each another's (the
-//!    events a scheduler worker finds due next);
+//!    maintenance slot, then a due crash-restart), then *one* dispatch —
+//!    up to [`DISPATCH_BATCH`] ops through `execute_many`, whether or not
+//!    a fault plan is attached, never past an op whose own client changes
+//!    phase or is due a maintenance slot, or on which a crash fires — then
+//!    per-op arrival wait, backlog-aware service (settled by the plan when
+//!    there is one: inflation, error coins, timeout, retries),
+//!    coordinated-omission-safe latency and record accounting, each op on
+//!    its own client. The ops of a run may all be one client's (a lane,
+//!    the serial policy) or each another's (the events a scheduler worker
+//!    finds due next);
 //! 4. two **drivers** over `step`: [`drive_inline`] (one client run to
 //!    completion on the calling thread) and the scheduler worker of
 //!    [`crate::engine::sched`] (a population of clients served in due
@@ -31,7 +33,7 @@
 //! recorder are always-present parameters that are inert when off; they
 //! watch the loop and never feed it.
 
-use crate::faults::{execute_faulted, FaultOpCtx, FaultSession, FaultStats};
+use crate::faults::{FaultKind, FaultSession, FaultStats};
 use crate::obs::{LaneObs, RunObserver};
 use crate::record::{OpRecord, RunRecord, TrainInfo};
 use crate::runner::WallStats;
@@ -46,7 +48,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Operations per `execute_many` dispatch. Batches never span a client's
-/// phase boundary, a client's maintenance slot or the op cap, so the
+/// phase boundary, a client's maintenance slot, a crash or the op cap, so the
 /// record is bit-identical for any value; larger batches amortize dispatch
 /// cost (one wire frame instead of one per op on a remote SUT, one lock
 /// per batch on a shared one).
@@ -133,9 +135,9 @@ pub(crate) struct LaneParams {
     /// Virtual time execution starts (0 until the prologue has paid for
     /// training).
     pub exec_start: f64,
-    /// The compiled fault plan; `None` takes the exact unfaulted path.
-    /// Shared by reference across workers: every decision is a pure
-    /// function of the plan seed and `OpMeta::idx`.
+    /// The compiled fault plan, if any: where crashes fire and what each
+    /// outcome settles to. Shared by reference across workers: every
+    /// decision is a pure function of the plan seed and `OpMeta::idx`.
     pub faults: Option<FaultSession>,
 }
 
@@ -525,8 +527,11 @@ where
     I: Iterator<Item = (usize, CoreOp<Op>)>,
 {
     prelude(&mut clients[slot], sinks, sut, &first.meta, p);
-    if let Some(session) = &p.faults {
-        return step_faulted(&mut clients[slot], sinks, sut, &first, session, p);
+    // A crash-restart drops the SUT's learned state immediately before the
+    // op it hits; queries stall behind the recovery like a retrain burst.
+    let crashes_at = |idx| p.faults.as_ref().is_some_and(|f| f.crashes_at(idx));
+    if crashes_at(first.meta.idx) {
+        clients[slot].backlog += sut.crash() as f64 / p.rate;
     }
     let now = clients[slot].clock;
     let (ops, owners) = batch;
@@ -534,15 +539,16 @@ where
     owners.clear();
     ops.push(first.op);
     owners.push((slot, first.meta));
-    // A successor that stays in its client's phase and would not hit its
-    // client's maintenance slot needs no prelude call: nothing would reach
-    // the SUT or the observer between the two ops, so batching never
-    // reorders what either sees.
+    // A successor that stays in its client's phase, would not hit its
+    // client's maintenance slot and is not hit by a crash needs no prelude
+    // call: nothing would reach the SUT or the observer between the two
+    // ops, so batching never reorders what either sees.
     while ops.len() < DISPATCH_BATCH {
         let needs_no_prelude = |(slot, next): &(usize, CoreOp<Op>)| {
             let client = &clients[*slot];
             next.meta.phase == client.current_phase
                 && client.since_maintenance + 1 < p.maintenance_every
+                && !crashes_at(next.meta.idx)
         };
         let Some((slot, next)) = rest.next_if(needs_no_prelude) else {
             break;
@@ -568,8 +574,9 @@ where
     }
 }
 
-/// Per-op accounting of an unfaulted outcome: arrival wait, backlog-aware
-/// service, latency, record.
+/// Per-op accounting of an outcome: arrival wait, backlog-aware service,
+/// latency, record — and, under a fault plan, what the plan made of the
+/// outcome: the fault ledger and events.
 #[inline]
 fn account(
     client: &mut ClientState,
@@ -580,54 +587,51 @@ fn account(
 ) -> Result<()> {
     let outcome = outcome.map_err(|e| BenchError::Sut(e.to_string()))?;
     let intended = client.arrive(meta, p);
-    let service = client.serve(outcome.work, p);
-    client.clock += service;
-    // Closed loop: latency = service. Open loop: queueing included.
-    let latency = intended.map_or(service, |t| client.clock - t);
-    sinks.complete(client.clock, latency, outcome.ok, meta, p.exec_start);
-    Ok(())
-}
-
-/// [`step`] with a fault plan attached: one op through the
-/// fault/timeout/retry layer, then the same accounting plus the fault
-/// ledger and events.
-fn step_faulted<Op, T: SystemUnderTest<Op> + ?Sized>(
-    client: &mut ClientState,
-    sinks: &mut Sinks,
-    sut: &mut T,
-    op: &CoreOp<Op>,
-    session: &FaultSession,
-    p: &LaneParams,
-) -> Result<()> {
-    let meta = &op.meta;
-    let intended = client.arrive(meta, p);
-    let watch = Watch::begin(sinks, sut);
-    let ctx = FaultOpCtx {
-        phase: meta.phase,
-        idx: meta.idx,
-        rate: p.rate,
-        mode: p.online_train,
+    let Some(session) = &p.faults else {
+        let service = client.serve(outcome.work, p);
+        client.clock += service;
+        // Closed loop: latency = service. Open loop: queueing included.
+        let latency = intended.map_or(service, |t| client.clock - t);
+        sinks.complete(client.clock, latency, outcome.ok, meta, p.exec_start);
+        return Ok(());
     };
-    let fr = execute_faulted(sut, &op.op, ctx, session, &mut client.backlog)?;
-    watch.end(sinks, sut, 1, client.clock);
+    let settled = session.settle(
+        outcome,
+        meta.phase,
+        meta.idx,
+        p.rate,
+        p.online_train,
+        &mut client.backlog,
+    );
     // The server stays busy for the full service time of every attempt,
     // but the client observes timed-out attempts only up to the timeout.
-    client.clock += fr.service;
+    client.clock += settled.service;
     let latency = match intended {
-        Some(t) => client.clock - t - (fr.service - fr.observed),
-        None => fr.observed,
+        Some(t) => client.clock - t - (settled.service - settled.observed),
+        None => settled.observed,
     };
-    for kind in &fr.injected {
-        sinks.obs.fault_injected(client.clock, *kind);
+    let crashed = session.crashes_at(meta.idx) as u32;
+    for (kind, times) in [
+        (FaultKind::Crash, crashed),
+        (FaultKind::Latency, settled.spikes),
+        (FaultKind::Stall, settled.stalled),
+        (FaultKind::Error, settled.errors),
+    ] {
+        for _ in 0..times {
+            sinks.obs.fault_injected(client.clock, kind);
+        }
+        sinks.faults.injected += times as u64;
     }
-    for attempt in 0..fr.retries {
+    for attempt in 0..settled.retries {
         sinks.obs.query_retried(client.clock, attempt + 1);
     }
-    for _ in 0..fr.timeouts {
+    for _ in 0..settled.timeouts {
         sinks.obs.query_timed_out(client.clock, latency);
     }
-    fr.fold_into(&mut sinks.faults);
-    sinks.complete(client.clock, latency, fr.ok, meta, p.exec_start);
+    sinks.faults.retries += settled.retries as u64;
+    sinks.faults.timeouts += settled.timeouts as u64;
+    sinks.faults.crashes += crashed as u64;
+    sinks.complete(client.clock, latency, settled.ok, meta, p.exec_start);
     Ok(())
 }
 

@@ -15,12 +15,18 @@
 //! (per-query timeout, bounded retry with exponential backoff). Plans
 //! attach to a [`Scenario`](crate::scenario::Scenario#structfield.faults) (`faults` field,
 //! `[[fault]]` spec blocks, or the `--faults` CLI flag) and are compiled
-//! once per run into a [`FaultSession`]. The serial driver and every
-//! engine lane route each operation through [`execute_faulted`], which
-//! returns both the *server-busy* time (advances the lane clock) and the
-//! *client-observed* time (feeds the latency metrics) — under a timeout
-//! the two differ: the server stays busy for the full service time while
-//! the client gives up at the timeout.
+//! once per run into a [`FaultSession`]. A plan never dispatches anything:
+//! the one execution core (`exec::step`) gathers and executes a faulted
+//! run's operations exactly as it does an unfaulted run's, delivers a due
+//! crash-restart between two operations, and hands each outcome the SUT
+//! returned to the session's `settle`, which is arithmetic on that outcome
+//! — inflation, stall share, error coins, timeout, bounded retries with
+//! backoff — and yields both the *server-busy* time (advances the client's
+//! clock) and the *client-observed* time (feeds the latency metrics).
+//! Under a timeout the two differ: the server stays busy for the full
+//! service time while the client gives up at the timeout. That the SUT
+//! executes **once** per logical operation, however often the operation is
+//! retried, holds by construction: this module has no SUT to execute with.
 //!
 //! Error accounting flows into [`RunRecord::faults`]
 //! (\[[`FaultStats`]\]), the SLA bands (a failed or timed-out query is an
@@ -32,7 +38,7 @@
 use crate::exec::service_with_backlog;
 use crate::scenario::{OnlineTrainMode, Scenario};
 use crate::{BenchError, Result};
-use lsbench_sut::sut::SystemUnderTest;
+use lsbench_sut::sut::ExecOutcome;
 use lsbench_workload::phases::WorkloadPhase;
 use serde::{Deserialize, Serialize};
 
@@ -125,6 +131,8 @@ pub enum FaultSpec {
     /// work is charged to the backlog — subsequent queries stall behind
     /// the rebuild exactly like a retrain burst. In sharded runs only the
     /// shard owning that operation crashes.
+    ///
+    /// [`SystemUnderTest::crash`]: lsbench_sut::SystemUnderTest::crash
     Crash {
         /// Phase the crash happens in.
         phase: usize,
@@ -300,11 +308,13 @@ impl FaultStats {
     }
 }
 
-/// What [`execute_faulted`] did to one logical operation.
-#[derive(Debug, Clone, Default)]
-pub struct FaultResult {
+/// What a plan made of one executed operation ([`FaultSession::settle`]).
+/// Fault kinds are reported in the fixed order crash, latency × `spikes`,
+/// stall, error × `errors`, so three counts say which were injected.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Settled {
     /// Server-busy virtual seconds: full service of every attempt plus
-    /// backoff gaps. Advances the lane clock.
+    /// backoff gaps. Advances the client's clock.
     pub service: f64,
     /// Client-observed virtual seconds: timed-out attempts are capped at
     /// the timeout. Feeds the latency metrics.
@@ -315,22 +325,12 @@ pub struct FaultResult {
     pub retries: u32,
     /// Attempts abandoned at the timeout.
     pub timeouts: u32,
-    /// Fault kinds injected into this operation, in deterministic order.
-    pub injected: Vec<FaultKind>,
-    /// Whether a crash-restart fired immediately before this operation.
-    pub crashed: bool,
-}
-
-impl FaultResult {
-    /// Folds this result into per-run accounting.
-    pub fn fold_into(&self, stats: &mut FaultStats) {
-        stats.injected += self.injected.len() as u64;
-        stats.retries += self.retries as u64;
-        stats.timeouts += self.timeouts as u64;
-        if self.crashed {
-            stats.crashes += 1;
-        }
-    }
+    /// Latency spikes that inflated the service time.
+    pub spikes: u32,
+    /// 1 if the operation fell inside a stall window.
+    pub stalled: u32,
+    /// Transient-error coins that fired, over all attempts.
+    pub errors: u32,
 }
 
 /// A [`FaultPlan`] compiled against one scenario: phase boundaries are
@@ -347,8 +347,8 @@ pub struct FaultSession {
 }
 
 impl FaultSession {
-    /// Compiles the scenario's fault plan, if any. `None` means the run
-    /// takes the exact unfaulted code path (zero-cost passthrough).
+    /// Compiles the scenario's fault plan, if any. `None` means every
+    /// outcome is accounted as the SUT returned it.
     pub fn from_scenario(scenario: &Scenario) -> Option<FaultSession> {
         scenario
             .faults
@@ -390,7 +390,7 @@ impl FaultSession {
 
     /// Whether a crash-restart fires immediately before global index
     /// `idx`.
-    fn crashes_at(&self, idx: u64) -> bool {
+    pub(crate) fn crashes_at(&self, idx: u64) -> bool {
         self.crash_at.contains(&idx)
     }
 
@@ -415,6 +415,90 @@ impl FaultSession {
         }
         extra
     }
+
+    /// Settles the outcome the SUT returned for the operation at global
+    /// index `idx` of phase `phase`: applies latency and stall inflation,
+    /// draws transient-error coins, enforces the timeout, and drives the
+    /// bounded-backoff retry loop — all in virtual time.
+    ///
+    /// Retries re-charge the (inflated) service time and re-draw the error
+    /// coin; nothing is executed again, so retried inserts are never
+    /// double-applied and shared-SUT runs stay deterministic. Permanent SUT
+    /// failures (`ExecOutcome::failed`) are not retried. Whichever attempt
+    /// runs while `backlog` remains absorbs it, exactly like an unfaulted
+    /// operation (foreground: prepended; background: processor-shared).
+    pub(crate) fn settle(
+        &self,
+        outcome: ExecOutcome,
+        phase: usize,
+        idx: u64,
+        rate: f64,
+        mode: OnlineTrainMode,
+        backlog: &mut f64,
+    ) -> Settled {
+        let mut res = Settled::default();
+        // Per-attempt base service: the SUT's own work, inflated by
+        // matching latency spikes, plus the operation's stall share.
+        let mut base = outcome.work as f64 / rate;
+        for f in &self.plan.faults {
+            if let FaultSpec::LatencySpike {
+                phase: fphase,
+                add_work,
+                factor,
+            } = f
+            {
+                if fphase.is_none_or(|p| p == phase) {
+                    base = base * factor + *add_work as f64 / rate;
+                    res.spikes += 1;
+                }
+            }
+        }
+        let stall = self.stall_extra(idx);
+        if stall > 0.0 {
+            base += stall;
+            res.stalled = 1;
+        }
+
+        let policy = self.plan.policy;
+        let max_attempts = policy.max_retries.saturating_add(1);
+        let mut attempt = 0u32;
+        loop {
+            let service = service_with_backlog(base, backlog, mode);
+            res.service += service;
+
+            let mut transient = false;
+            if outcome.ok {
+                for (fi, f) in self.plan.faults.iter().enumerate() {
+                    if let FaultSpec::TransientErrors {
+                        phase: fphase,
+                        rate: frate,
+                    } = f
+                    {
+                        if fphase.is_none_or(|p| p == phase)
+                            && fault_coin(self.plan.seed, fi, idx, attempt) < *frate
+                        {
+                            transient = true;
+                            res.errors += 1;
+                        }
+                    }
+                }
+            }
+            let timed_out = policy.timeout.filter(|&t| service > t);
+            res.timeouts += timed_out.is_some() as u32;
+            res.observed += timed_out.unwrap_or(service);
+
+            res.ok = outcome.ok && !transient && timed_out.is_none();
+            attempt += 1;
+            // A permanent failure is outside the retry policy.
+            if res.ok || !outcome.ok || attempt >= max_attempts {
+                return res;
+            }
+            res.retries += 1;
+            let backoff = policy.backoff_base * policy.backoff_multiplier.powi(attempt as i32 - 1);
+            res.service += backoff;
+            res.observed += backoff;
+        }
+    }
 }
 
 /// splitmix64: the standard 64-bit finalizer, used to derive independent
@@ -434,134 +518,6 @@ fn fault_coin(seed: u64, fault_idx: usize, op_idx: u64, attempt: u32) -> f64 {
         seed ^ splitmix64(op_idx.wrapping_add((fault_idx as u64) << 40)) ^ ((attempt as u64) << 56),
     );
     (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Position and pacing context for one logical operation fed to
-/// [`execute_faulted`]: everything a fault decision may depend on besides
-/// the plan itself. All of it is derived from the operation stream, never
-/// from threads or wall time.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultOpCtx {
-    /// Phase the operation belongs to.
-    pub phase: usize,
-    /// Global (merged-stream) index of the operation.
-    pub idx: u64,
-    /// Work units per virtual second (converts SUT work to seconds).
-    pub rate: f64,
-    /// How training backlog is absorbed into service time.
-    pub mode: OnlineTrainMode,
-}
-
-/// Executes one logical operation under a fault session: applies latency
-/// and stall inflation, draws transient-error coins, enforces the timeout,
-/// and drives the bounded-backoff retry loop — all in virtual time.
-///
-/// The SUT executes **once** per logical operation; retries re-charge the
-/// (inflated) service time and re-draw the error coin without re-mutating
-/// the SUT, so retried inserts are never double-applied and shared-SUT
-/// runs stay deterministic. Permanent SUT failures (`ExecOutcome::failed`)
-/// are not retried. The first attempt absorbs the training/maintenance
-/// backlog exactly like the unfaulted path.
-pub fn execute_faulted<Op, S: SystemUnderTest<Op> + ?Sized>(
-    sut: &mut S,
-    op: &Op,
-    ctx: FaultOpCtx,
-    session: &FaultSession,
-    backlog: &mut f64,
-) -> Result<FaultResult> {
-    let FaultOpCtx {
-        phase,
-        idx,
-        rate,
-        mode,
-    } = ctx;
-    let mut res = FaultResult::default();
-    if session.crashes_at(idx) {
-        let recovery = sut.crash();
-        *backlog += recovery as f64 / rate;
-        res.crashed = true;
-        res.injected.push(FaultKind::Crash);
-    }
-    let outcome = sut
-        .execute(op)
-        .map_err(|e| BenchError::Sut(e.to_string()))?;
-
-    // Per-attempt base service: the SUT's own work, inflated by matching
-    // latency spikes, plus the operation's stall share.
-    let mut base = outcome.work as f64 / rate;
-    for f in &session.plan.faults {
-        if let FaultSpec::LatencySpike {
-            phase: fphase,
-            add_work,
-            factor,
-        } = f
-        {
-            if fphase.is_none_or(|p| p == phase) {
-                base = base * factor + *add_work as f64 / rate;
-                res.injected.push(FaultKind::Latency);
-            }
-        }
-    }
-    let stall = session.stall_extra(idx);
-    if stall > 0.0 {
-        base += stall;
-        res.injected.push(FaultKind::Stall);
-    }
-
-    let policy = session.plan.policy;
-    let max_attempts = policy.max_retries.saturating_add(1);
-    let mut attempt = 0u32;
-    loop {
-        // Whichever attempt runs while backlog remains absorbs it, exactly
-        // like the unfaulted hot path (foreground: prepended; background:
-        // processor-shared).
-        let service = service_with_backlog(base, backlog, mode);
-        res.service += service;
-
-        let mut transient = false;
-        if outcome.ok {
-            for (fi, f) in session.plan.faults.iter().enumerate() {
-                if let FaultSpec::TransientErrors {
-                    phase: fphase,
-                    rate: frate,
-                } = f
-                {
-                    if fphase.is_none_or(|p| p == phase)
-                        && fault_coin(session.plan.seed, fi, idx, attempt) < *frate
-                    {
-                        transient = true;
-                        res.injected.push(FaultKind::Error);
-                    }
-                }
-            }
-        }
-        let timed_out = matches!(policy.timeout, Some(t) if service > t);
-        if timed_out {
-            res.timeouts += 1;
-            res.observed += policy.timeout.expect("checked by matches!");
-        } else {
-            res.observed += service;
-        }
-
-        if outcome.ok && !transient && !timed_out {
-            res.ok = true;
-            return Ok(res);
-        }
-        if !outcome.ok {
-            // Permanent failure: the retry policy does not apply.
-            res.ok = false;
-            return Ok(res);
-        }
-        attempt += 1;
-        if attempt >= max_attempts {
-            res.ok = false;
-            return Ok(res);
-        }
-        res.retries += 1;
-        let backoff = policy.backoff_base * policy.backoff_multiplier.powi(attempt as i32 - 1);
-        res.service += backoff;
-        res.observed += backoff;
-    }
 }
 
 /// A built-in chaos plan: `(name, description, constructor)` — resolvable
@@ -747,6 +703,75 @@ mod tests {
         assert!(session.crashes_at(105));
         assert!(!session.crashes_at(104));
         assert!(!session.crashes_at(5));
+    }
+
+    /// A one-phase session under `policy`, every op failing with `rate`.
+    fn erring(rate: f64, policy: RetryPolicy) -> FaultSession {
+        let plan = FaultPlan {
+            seed: 9,
+            policy,
+            faults: vec![FaultSpec::TransientErrors { phase: None, rate }],
+        };
+        FaultSession::new(plan, &phases(&[100]))
+    }
+
+    fn settle(session: &FaultSession, outcome: ExecOutcome, idx: u64) -> Settled {
+        let mut backlog = 0.0;
+        session.settle(
+            outcome,
+            0,
+            idx,
+            1e6,
+            OnlineTrainMode::Foreground,
+            &mut backlog,
+        )
+    }
+
+    #[test]
+    fn a_permanent_failure_draws_no_coin_and_is_not_retried() {
+        let policy = RetryPolicy {
+            max_retries: 5,
+            ..RetryPolicy::default()
+        };
+        let session = erring(1.0, policy);
+        for idx in 0..100 {
+            let expected = Settled {
+                service: 40e-6,
+                observed: 40e-6,
+                ..Settled::default()
+            };
+            assert_eq!(settle(&session, ExecOutcome::failed(40), idx), expected);
+        }
+    }
+
+    #[test]
+    fn without_a_retry_budget_every_errored_op_fails_at_once() {
+        let session = erring(1.0, RetryPolicy::default());
+        for idx in 0..100 {
+            let s = settle(&session, ExecOutcome::ok(40), idx);
+            assert_eq!((s.ok, s.retries, s.errors), (false, 0, 1), "op {idx}");
+            assert_eq!((s.service, s.observed), (40e-6, 40e-6), "op {idx}");
+        }
+    }
+
+    #[test]
+    fn a_timed_out_attempt_is_observed_up_to_the_timeout() {
+        let policy = RetryPolicy {
+            timeout: Some(25e-6),
+            max_retries: 2,
+            backoff_base: 1e-3,
+            backoff_multiplier: 2.0,
+        };
+        // No coin fires: the timeout alone fails all three attempts.
+        let s = settle(&erring(0.0, policy), ExecOutcome::ok(40), 3);
+        assert_eq!((s.ok, s.retries, s.timeouts, s.errors), (false, 2, 3, 0));
+        // The server was busy for every attempt in full, the client gave
+        // up on each at the timeout; both sat out the two backoffs.
+        assert_eq!(s.service, 40e-6 + 1e-3 + 40e-6 + 2e-3 + 40e-6);
+        assert_eq!(s.observed, 25e-6 + 1e-3 + 25e-6 + 2e-3 + 25e-6);
+        // Under the timeout the two agree.
+        let s = settle(&erring(0.0, policy), ExecOutcome::ok(20), 3);
+        assert_eq!((s.ok, s.service, s.observed), (true, 20e-6, 20e-6));
     }
 
     #[test]

@@ -122,11 +122,11 @@ impl<M: Model> Learned<M> {
     /// then searched.
     ///
     /// The last mile of a lone probe is `slice::partition_point` whatever
-    /// the model and however long the window. The scalar conditional-move
-    /// loop of [`crate::search::lower_bound`] was measured against it on
-    /// windows of 2 to 4096 keys, cache-resident and not, and lost at every
-    /// length (the standard search is itself branch-free), so the window's
-    /// length has nothing to select between.
+    /// the model and however long the window. A scalar conditional-move
+    /// loop (the shape of [`crate::search::partition_point_by`]) was
+    /// measured against it on windows of 2 to 4096 keys, cache-resident and
+    /// not, and lost at every length (the standard search is itself
+    /// branch-free), so the window's length has nothing to select between.
     pub fn lower_bound(&self, key: u64) -> usize {
         if self.keys.is_empty() {
             return 0;

@@ -1,84 +1,32 @@
-//! Branchless last-mile search.
+//! Branchless search with explicit state.
 //!
-//! Every learned index in this crate ends its probe with a short sorted
-//! scan: the RMI error window, the PGM/spline predicted window. The
-//! loops here keep the classic "halve the size, conditionally move the
-//! base" shape (Alexandrescu-style branchless lower bound) which LLVM
-//! lowers to a conditional move instead of a data-dependent branch.
+//! Two loops in the classic "halve the size, conditionally move the base"
+//! shape, which LLVM lowers to a conditional move instead of a
+//! data-dependent branch:
 //!
-//! The trade-off, as first measured (ISSUE 9; `perf/` tracks
-//! `index.*.get_ns` and `index.*.get_many_ns` now): on *resident* data
-//! the cmov loop beats `slice::partition_point` (no mispredict flushes
-//! on random probe keys), but on a memory-bound search the cmov makes
-//! every load's address depend on the previous load, while a branchy
-//! search lets the CPU speculate ahead and overlap the misses. So the
-//! scalar functions serve short windows ([`crate::learned::Learned`]
-//! picks by the validated window's length), and the real
-//! payoff is [`lower_bound_group`]: the explicit `(base, size)` state —
-//! impossible to express with `partition_point`'s callback — lets up to
-//! [`GROUP`] independent searches advance in lockstep with prefetch,
-//! turning the dependent-load problem into memory-level parallelism.
-//! `Learned::get_many`, the batched path of every learned index, ends in it.
+//! * [`partition_point_by`] searches where the probed element is not a
+//!   bare key (PGM's segment directories);
+//! * [`lower_bound_group`] is the payoff of the formulation: the explicit
+//!   `(base, size)` state — impossible to express with
+//!   `partition_point`'s callback — lets up to [`GROUP`] independent
+//!   searches advance in lockstep with prefetch, turning one search's
+//!   chain of dependent loads into memory-level parallelism across the
+//!   group. `Learned::get_many`, the batched path of every learned index,
+//!   ends in it.
 //!
-//! Semantics are pinned to the standard library: [`lower_bound`] equals
-//! `slice::partition_point(|&k| k < key)`, [`upper_bound`] equals
-//! `slice::partition_point(|&k| k <= key)`, and [`binary_search`]
-//! matches `slice::binary_search` on `Ok`/`Err` (on slices with
-//! duplicates the stdlib may return *any* matching index; this one
-//! always returns the first — both are valid `Ok` answers).
-//! `tests/properties.rs` holds the property tests.
-
-/// First index `i` such that `keys[i] >= key` (i.e. the insertion point
-/// keeping the slice sorted, before any run of equal keys).
-///
-/// Equivalent to `keys.partition_point(|&k| k < key)`.
-#[inline]
-pub fn lower_bound(keys: &[u64], key: u64) -> usize {
-    let mut size = keys.len();
-    if size == 0 {
-        return 0;
-    }
-    let mut base = 0usize;
-    while size > 1 {
-        let half = size / 2;
-        let mid = base + half;
-        // SAFETY: `base + size <= keys.len()` is a loop invariant (it
-        // holds on entry and both updates preserve it), and `size >= 2`
-        // here, so `mid - 1 = base + half - 1 < base + size <= len`.
-        // Unchecked access keeps the panic path out of the loop so the
-        // comparison compiles to a conditional move, not a branch.
-        let probe = unsafe { *keys.get_unchecked(mid - 1) };
-        base = if probe < key { mid } else { base };
-        size -= half;
-    }
-    // SAFETY: `base < keys.len()` — `base` only ever takes values
-    // `mid <= len - 1` and started at 0 on a non-empty slice.
-    base + usize::from(unsafe { *keys.get_unchecked(base) } < key)
-}
-
-/// First index `i` such that `keys[i] > key` (insertion point after any
-/// run of equal keys).
-///
-/// Equivalent to `keys.partition_point(|&k| k <= key)`.
-#[inline]
-pub fn upper_bound(keys: &[u64], key: u64) -> usize {
-    let mut size = keys.len();
-    if size == 0 {
-        return 0;
-    }
-    let mut base = 0usize;
-    while size > 1 {
-        let half = size / 2;
-        let mid = base + half;
-        // SAFETY: same invariant as `lower_bound` — `mid - 1` is in
-        // bounds while `size >= 2` and `base + size <= keys.len()`.
-        let probe = unsafe { *keys.get_unchecked(mid - 1) };
-        base = if probe <= key { mid } else { base };
-        size -= half;
-    }
-    // SAFETY: `base < keys.len()`, as in `lower_bound`.
-    base + usize::from(unsafe { *keys.get_unchecked(base) } <= key)
-}
+//! A *lone* probe over bare keys does not come here: its last mile is
+//! `slice::partition_point` whatever the model and however long the window
+//! (see [`crate::learned::Learned::lower_bound`]). The scalar `lower_bound`
+//! / `upper_bound` / `binary_search` this module once offered for that
+//! were measured against the standard search on windows of 2 to 4096 keys,
+//! cache-resident and not, lost at every length (the standard search is
+//! itself branch-free), and are gone.
+//!
+//! Semantics are pinned to the standard library: [`partition_point_by`]
+//! equals `slice::partition_point`, and every lane of
+//! [`lower_bound_group`] equals
+//! `lo + keys[lo..hi].partition_point(|&k| k < query)`;
+//! `tests/properties.rs` holds the property test.
 
 /// Branchless generalization of `slice::partition_point`: first index at
 /// which `pred` turns false, assuming the slice is partitioned (all
@@ -97,8 +45,11 @@ pub fn partition_point_by<T>(items: &[T], mut pred: impl FnMut(&T) -> bool) -> u
     while size > 1 {
         let half = size / 2;
         let mid = base + half;
-        // SAFETY: same invariant as `lower_bound` — `mid - 1` is in
-        // bounds while `size >= 2` and `base + size <= items.len()`.
+        // SAFETY: `base + size <= items.len()` is a loop invariant (it
+        // holds on entry and both updates preserve it), and `size >= 2`
+        // here, so `mid - 1 = base + half - 1 < base + size <= len`.
+        // Unchecked access keeps the panic path out of the loop so the
+        // comparison compiles to a conditional move, not a branch.
         base = if pred(unsafe { items.get_unchecked(mid - 1) }) {
             mid
         } else {
@@ -106,7 +57,8 @@ pub fn partition_point_by<T>(items: &[T], mut pred: impl FnMut(&T) -> bool) -> u
         };
         size -= half;
     }
-    // SAFETY: `base < items.len()`, as in `lower_bound`.
+    // SAFETY: `base < items.len()` — `base` only ever takes values
+    // `mid <= len - 1` and started at 0 on a non-empty slice.
     base + usize::from(pred(unsafe { items.get_unchecked(base) }))
 }
 
@@ -162,8 +114,8 @@ pub fn lower_bound_group(
                 let half = size[i] / 2;
                 let mid = base[i] + half;
                 // SAFETY: the `base + size <= hi <= keys.len()` invariant
-                // from `lower_bound` holds per lane (asserted on entry,
-                // preserved by both updates), and `size >= 2` here.
+                // of `partition_point_by` holds per lane (asserted on
+                // entry, preserved by both updates), and `size >= 2` here.
                 let probe = unsafe { *keys.get_unchecked(mid - 1) };
                 base[i] = if probe < queries[i] { mid } else { base[i] };
                 size[i] -= half;
@@ -183,70 +135,44 @@ pub fn lower_bound_group(
     }
 }
 
-/// Branchless `slice::binary_search`: `Ok(i)` with `keys[i] == key`
-/// (first match) or `Err(i)` with the insertion point.
-#[inline]
-pub fn binary_search(keys: &[u64], key: u64) -> Result<usize, usize> {
-    let i = lower_bound(keys, key);
-    if i < keys.len() && keys[i] == key {
-        Ok(i)
-    } else {
-        Err(i)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One window over all of `keys`, through the group search.
+    fn group_lower_bound(keys: &[u64], key: u64) -> usize {
+        let mut out = [0];
+        lower_bound_group(keys, &[key], &[(0, keys.len())], &mut out);
+        out[0]
+    }
+
     #[test]
     fn empty_slice() {
-        assert_eq!(lower_bound(&[], 5), 0);
-        assert_eq!(upper_bound(&[], 5), 0);
-        assert_eq!(binary_search(&[], 5), Err(0));
         assert_eq!(partition_point_by::<u64>(&[], |_| true), 0);
+        assert_eq!(group_lower_bound(&[], 5), 0);
     }
 
     #[test]
     fn single_element() {
-        assert_eq!(lower_bound(&[7], 6), 0);
-        assert_eq!(lower_bound(&[7], 7), 0);
-        assert_eq!(lower_bound(&[7], 8), 1);
-        assert_eq!(upper_bound(&[7], 6), 0);
-        assert_eq!(upper_bound(&[7], 7), 1);
-        assert_eq!(upper_bound(&[7], 8), 1);
-        assert_eq!(binary_search(&[7], 7), Ok(0));
-        assert_eq!(binary_search(&[7], 8), Err(1));
+        for (key, lower, upper) in [(6, 0, 0), (7, 0, 1), (8, 1, 1)] {
+            assert_eq!(partition_point_by(&[7u64], |&k| k < key), lower);
+            assert_eq!(partition_point_by(&[7u64], |&k| k <= key), upper);
+            assert_eq!(group_lower_bound(&[7], key), lower);
+        }
     }
 
     #[test]
     fn matches_partition_point_on_duplicates() {
         let keys = [1u64, 3, 3, 3, 9, 9, 12];
         for key in 0..15u64 {
+            let lower = keys.partition_point(|&k| k < key);
+            assert_eq!(partition_point_by(&keys, |&k| k < key), lower, "< {key}");
+            assert_eq!(group_lower_bound(&keys, key), lower, "group {key}");
             assert_eq!(
-                lower_bound(&keys, key),
-                keys.partition_point(|&k| k < key),
-                "lower_bound({key})"
-            );
-            assert_eq!(
-                upper_bound(&keys, key),
+                partition_point_by(&keys, |&k| k <= key),
                 keys.partition_point(|&k| k <= key),
-                "upper_bound({key})"
+                "<= {key}"
             );
-        }
-    }
-
-    #[test]
-    fn binary_search_err_matches_std() {
-        let keys = [2u64, 4, 8, 16, 32];
-        for key in 0..40u64 {
-            match (binary_search(&keys, key), keys.binary_search(&key)) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a, b, "unique keys must agree on Ok index for {key}")
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "Err index for {key}"),
-                (a, b) => panic!("Ok/Err disagreement for {key}: {a:?} vs {b:?}"),
-            }
         }
     }
 

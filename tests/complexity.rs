@@ -6,12 +6,14 @@
 //! maintenance slot (DESIGN §12). A [`DeltaIndex`] over a base that counts
 //! its calls shows how often the bookkeeping touches the base. The same
 //! goes for the harness above the SUT: a [`Logged`] SUT shows how many
-//! dispatches the open-loop scheduler makes of a run's ops, and where it
-//! puts the maintenance slots between them.
+//! dispatches a driver makes of a run's ops — the same ones whether or not
+//! a fault plan is attached — and where it puts the maintenance slots and
+//! crash-restarts between them.
 
-use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
+use lsbench::core::faults::{resolve_fault_plan, FaultPlan, FaultSpec};
+use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::Scenario;
-use lsbench::core::suite::{s5_bursty_load, SuiteConfig};
+use lsbench::core::suite::{s3_gradual_writes, s5_bursty_load, SuiteConfig};
 use lsbench::index::{BulkLoad, DeltaIndex, Index, IndexStats, Result, Rmi};
 use lsbench::sut::kv::{BTreeSut, LearnedKvSut, RetrainPolicy};
 use lsbench::sut::sut::{ExecOutcome, SutMetrics, TransportStats};
@@ -19,7 +21,9 @@ use lsbench::sut::SystemUnderTest;
 use lsbench::workload::dataset::Dataset;
 use lsbench::workload::keygen::KeyDistribution;
 use lsbench::workload::ops::Operation;
+use lsbench::workload::phases::{PhasedWorkload, TransitionKind};
 use std::cell::Cell;
+use std::sync::{Arc, Mutex};
 
 /// What a base index was asked for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -211,21 +215,48 @@ fn maintenance_below_its_threshold_never_touches_the_base() {
     assert!(sut.delta_fraction() > 0.1, "the buffer did grow");
 }
 
-/// What a [`Logged`] SUT was asked for, call by call.
+/// One call a [`Logged`] SUT received.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Seen {
     Op(Operation),
     MaintenanceSlot,
+    PhaseChange(usize),
+    Crash,
 }
 
-/// A SUT that logs the ops and maintenance slots it is given, in order,
-/// and how they were dispatched.
+/// What a [`Logged`] SUT was asked for.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Log {
+    /// Every call, in order (the ops of an `execute_many` one by one).
+    seen: Vec<Seen>,
+    /// How the ops were dispatched: the length of every `execute` (1) and
+    /// `execute_many` slice, in order.
+    slices: Vec<usize>,
+}
+
+impl Log {
+    fn ops(&self) -> usize {
+        self.slices.iter().sum()
+    }
+}
+
+/// A B+-tree SUT that logs what it is given.
 struct Logged {
     inner: BTreeSut,
-    seen: Vec<Seen>,
-    /// `execute` and `execute_many` calls together.
-    dispatches: usize,
-    longest_dispatch: usize,
+    log: Arc<Mutex<Log>>,
+}
+
+impl Logged {
+    fn log(&self, call: Seen) {
+        self.log.lock().unwrap().seen.push(call);
+    }
+
+    /// One `execute` or `execute_many` call over `ops`.
+    fn log_dispatch(&self, ops: &[Operation]) {
+        let mut log = self.log.lock().unwrap();
+        log.seen.extend(ops.iter().map(|op| Seen::Op(*op)));
+        log.slices.push(ops.len());
+    }
 }
 
 impl SystemUnderTest<Operation> for Logged {
@@ -236,25 +267,23 @@ impl SystemUnderTest<Operation> for Logged {
         self.inner.train(budget)
     }
     fn execute(&mut self, op: &Operation) -> lsbench::sut::Result<ExecOutcome> {
-        self.seen.push(Seen::Op(*op));
-        self.dispatches += 1;
-        self.longest_dispatch = self.longest_dispatch.max(1);
+        self.log_dispatch(std::slice::from_ref(op));
         self.inner.execute(op)
     }
     fn execute_many(&mut self, ops: &[Operation]) -> Vec<lsbench::sut::Result<ExecOutcome>> {
-        self.seen.extend(ops.iter().map(|op| Seen::Op(*op)));
-        self.dispatches += 1;
-        self.longest_dispatch = self.longest_dispatch.max(ops.len());
+        self.log_dispatch(ops);
         self.inner.execute_many(ops)
     }
     fn on_phase_change(&mut self, new_phase: usize) -> u64 {
+        self.log(Seen::PhaseChange(new_phase));
         self.inner.on_phase_change(new_phase)
     }
     fn maintenance(&mut self) -> u64 {
-        self.seen.push(Seen::MaintenanceSlot);
+        self.log(Seen::MaintenanceSlot);
         self.inner.maintenance()
     }
     fn crash(&mut self) -> u64 {
+        self.log(Seen::Crash);
         self.inner.crash()
     }
     fn metrics(&self) -> SutMetrics {
@@ -265,13 +294,32 @@ impl SystemUnderTest<Operation> for Logged {
     }
 }
 
+/// Runs `s` in `mode` against [`Logged`] B+-trees and returns their logs:
+/// one per shard in `Sharded` mode, one otherwise.
+fn logged_run(s: &Scenario, mode: ExecutionMode) -> Vec<Log> {
+    let mut logs: Vec<Arc<Mutex<Log>>> = Vec::new();
+    let factory = |data: &Dataset| {
+        let inner = BTreeSut::build(data).unwrap();
+        let log = Arc::default();
+        logs.push(Arc::clone(&log));
+        Ok(Box::new(Logged { inner, log }) as BoxedKvSut)
+    };
+    let outcome = Runner::from_factory(factory)
+        .config(RunOptions::with_mode(mode))
+        .run(s)
+        .unwrap();
+    let logs: Vec<Log> = logs.iter().map(|log| log.lock().unwrap().clone()).collect();
+    let dispatched: usize = logs.iter().map(Log::ops).sum();
+    assert_eq!(dispatched, outcome.record.ops.len());
+    logs
+}
+
 const CLIENTS: usize = 5_000;
 
 /// `ops` read-only ops in one phase (S5: Poisson arrivals with bursts, far
 /// below what 5 000 clients can serve, so no client is ever late and ops
-/// are due in stream order), run open-loop on one worker against a
-/// [`Logged`] B+-tree.
-fn open_loop_log(ops: u64, maintenance_every: u64) -> (Scenario, Logged) {
+/// are due in stream order).
+fn read_only(ops: u64, maintenance_every: u64) -> Scenario {
     let cfg = SuiteConfig {
         dataset_size: 2_000,
         ops_per_phase: ops / 2,
@@ -279,43 +327,40 @@ fn open_loop_log(ops: u64, maintenance_every: u64) -> (Scenario, Logged) {
     };
     let mut s = s5_bursty_load(&cfg).unwrap();
     s.maintenance_every = maintenance_every;
-    let mut sut = Logged {
-        inner: BTreeSut::build(&s.dataset.build().unwrap()).unwrap(),
-        seen: Vec::new(),
-        dispatches: 0,
-        longest_dispatch: 0,
-    };
+    s
+}
+
+/// [`read_only`], run open-loop on one worker.
+fn open_loop_log(ops: u64, maintenance_every: u64) -> (Scenario, Log) {
+    let s = read_only(ops, maintenance_every);
     let mode = ExecutionMode::OpenLoop {
         clients: CLIENTS,
         workers: 1,
     };
-    let outcome = Runner::new(&mut sut)
-        .config(RunOptions::with_mode(mode))
-        .run(&s)
-        .unwrap();
-    assert_eq!(outcome.record.ops.len() as u64, ops);
-    (s, sut)
+    let log = logged_run(&s, mode).remove(0);
+    assert_eq!(log.ops() as u64, ops);
+    (s, log)
 }
 
 #[test]
 fn open_loop_events_are_dispatched_as_runs_across_clients() {
     let ops = 20_000;
-    let (_, sut) = open_loop_log(ops, 1_000_000);
+    let (_, log) = open_loop_log(ops, 1_000_000);
     // Full runs would make it `ops / 64`; the last run of each batch of
     // events is short, and so are the batches at the end of the run.
     assert!(
-        sut.dispatches <= ops as usize / 32,
+        log.slices.len() <= ops as usize / 32,
         "{} dispatches for {ops} ops",
-        sut.dispatches
+        log.slices.len()
     );
-    assert!(sut.longest_dispatch <= 64, "{}", sut.longest_dispatch);
-    assert_eq!(sut.seen.len() as u64, ops, "no maintenance slot was due");
+    assert!(log.slices.iter().all(|&len| len <= 64));
+    assert_eq!(log.seen.len() as u64, ops, "no maintenance slot was due");
 }
 
 #[test]
 fn open_loop_runs_end_where_a_client_is_due_a_maintenance_slot() {
     // Nine ops per client: one slot each, right before its eighth op.
-    let (s, sut) = open_loop_log(9 * CLIENTS as u64, 8);
+    let (s, log) = open_loop_log(9 * CLIENTS as u64, 8);
     let mut since_slot = vec![0u64; CLIENTS];
     let mut expected = Vec::new();
     for (i, labeled) in s.workload.stream().unwrap().enumerate() {
@@ -327,8 +372,101 @@ fn open_loop_runs_end_where_a_client_is_due_a_maintenance_slot() {
         }
         expected.push(Seen::Op(labeled.op));
     }
-    assert_eq!(sut.seen.len(), 9 * CLIENTS + CLIENTS);
-    let first_difference = sut.seen.iter().zip(&expected).position(|(a, b)| a != b);
+    assert_eq!(log.seen.len(), 9 * CLIENTS + CLIENTS);
+    let first_difference = log.seen.iter().zip(&expected).position(|(a, b)| a != b);
     assert_eq!(first_difference, None, "of {} calls", expected.len());
-    assert!(sut.longest_dispatch <= 64 && sut.dispatches < expected.len() / 4);
+    assert!(log.slices.iter().all(|&len| len <= 64) && log.slices.len() < expected.len() / 4);
+}
+
+/// A fault plan settles outcomes; it dispatches nothing. With a plan of
+/// error coins and retries attached, every driver hands the SUT the same
+/// slices, call for call, as without it.
+#[test]
+fn a_fault_plan_never_changes_what_is_dispatched() {
+    let ops = 20_000;
+    let plain = read_only(ops, 1_000_000);
+    let mut faulted = plain.clone();
+    faulted.faults = Some(resolve_fault_plan("chaos-errors").unwrap());
+    let open = ExecutionMode::OpenLoop {
+        clients: CLIENTS,
+        workers: 1,
+    };
+    for mode in [
+        ExecutionMode::Serial,
+        ExecutionMode::Sharded { workers: 2 },
+        open,
+    ] {
+        let logs = logged_run(&faulted, mode);
+        let dispatches: usize = logs.iter().map(|log| log.slices.len()).sum();
+        // (Not `assert_eq!`: a failure would print 40 000 ops.)
+        assert!(
+            logs == logged_run(&plain, mode),
+            "{mode:?}: {dispatches} dispatches under the plan"
+        );
+        assert!(
+            dispatches <= ops as usize / 32,
+            "{mode:?}: {dispatches} dispatches for {ops} ops"
+        );
+        let longest = logs.iter().flat_map(|log| &log.slices).max();
+        assert!(longest <= Some(&64), "{mode:?}: {longest:?}");
+    }
+}
+
+/// Crashes aside, a faulted run makes exactly the SUT calls of the
+/// unfaulted run: each crash-restart is delivered once, immediately before
+/// the op it hits and after that op's maintenance slot or phase
+/// announcement, and everything else the SUT sees is unchanged.
+#[test]
+fn a_crash_is_delivered_between_the_same_two_ops() {
+    let cfg = SuiteConfig {
+        dataset_size: 2_000,
+        ops_per_phase: 3 * 64,
+        ..SuiteConfig::default()
+    };
+    // Reads, then reads and inserts, switched abruptly at op 3·64; a
+    // maintenance slot before every 19th op, op 37 among them.
+    let mut plain = s3_gradual_writes(&cfg).unwrap();
+    let phases = plain.workload.phases().to_vec();
+    plain.workload = PhasedWorkload::new(phases, vec![TransitionKind::Abrupt], 5).unwrap();
+    plain.maintenance_every = 19;
+    plain.arrival = read_only(2, 19).arrival;
+    let crash = |phase, at_op| FaultSpec::Crash { phase, at_op };
+    let mut faulted = plain.clone();
+    faulted.faults = Some(FaultPlan {
+        faults: vec![crash(0, 0), crash(0, 37), crash(0, 38), crash(1, 0)],
+        ..FaultPlan::default()
+    });
+    faulted.validate().unwrap();
+
+    for mode in [
+        ExecutionMode::Serial,
+        ExecutionMode::OpenLoop {
+            clients: 1,
+            workers: 1,
+        },
+    ] {
+        let unfaulted = logged_run(&plain, mode).remove(0);
+        let mut expected = Vec::new();
+        let mut idx = 0;
+        for &call in &unfaulted.seen {
+            if let Seen::Op(_) = call {
+                if [0, 37, 38, 3 * 64].contains(&idx) {
+                    expected.push(Seen::Crash);
+                }
+                idx += 1;
+            }
+            expected.push(call);
+        }
+        let crashes: Vec<usize> = (0..expected.len())
+            .filter(|&i| expected[i] == Seen::Crash)
+            .collect();
+        assert_eq!(crashes.len(), 4);
+        assert_eq!(expected[crashes[1] - 1], Seen::MaintenanceSlot);
+        assert_eq!(expected[crashes[3] - 1], Seen::PhaseChange(1));
+        assert_eq!(
+            logged_run(&faulted, mode).remove(0).seen,
+            expected,
+            "{mode:?}"
+        );
+    }
 }

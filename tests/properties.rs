@@ -243,44 +243,33 @@ proptest! {
         prop_assert_eq!(ab.faults.failed_ops, -ba.faults.failed_ops);
     }
 
-    /// The branchless last-mile search behind every learned index's probe
-    /// is pinned to the standard library, element by element: on arbitrary
-    /// sorted slices (duplicates included) `lower_bound`/`upper_bound`
-    /// equal `slice::partition_point`, and `binary_search` matches
-    /// `slice::binary_search` on `Err` exactly and on `Ok` up to which
-    /// duplicate is reported (ours is always the *first* match).
+    /// The two branchless searches the learned indexes use are pinned to
+    /// the standard library, element by element, on arbitrary sorted
+    /// slices (duplicates included): `partition_point_by` equals
+    /// `slice::partition_point` under both `<` and `<=`, and every lane of
+    /// `lower_bound_group` equals `partition_point` over its window.
     #[test]
-    fn branchless_search_matches_std_on_arbitrary_slices(
+    fn partition_point_by_and_lower_bound_group_match_std_on_arbitrary_slices(
         mut keys in proptest::collection::vec(0u64..2_000, 0..400),
         probes in proptest::collection::vec(0u64..2_100, 1..60),
     ) {
-        use lsbench::index::search::{binary_search, lower_bound, partition_point_by, upper_bound};
+        use lsbench::index::search::partition_point_by;
         keys.sort_unstable();
         for &key in &probes {
-            let lo = lower_bound(&keys, key);
-            let hi = upper_bound(&keys, key);
-            prop_assert_eq!(lo, keys.partition_point(|&k| k < key), "lower_bound({})", key);
-            prop_assert_eq!(hi, keys.partition_point(|&k| k <= key), "upper_bound({})", key);
             prop_assert_eq!(
                 partition_point_by(&keys, |&k| k < key),
-                lo,
-                "partition_point_by must agree with lower_bound at {}",
+                keys.partition_point(|&k| k < key),
+                "partition_point_by(< {})",
                 key
             );
-            match (binary_search(&keys, key), keys.binary_search(&key)) {
-                (Ok(a), Ok(_)) => {
-                    // First-match contract: keys[a] == key and nothing
-                    // equal precedes it. (std may return any duplicate.)
-                    prop_assert_eq!(keys[a], key);
-                    prop_assert_eq!(a, lo, "Ok index must be the first match");
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b, "Err insertion point for {}", key),
-                (a, b) => return Err(TestCaseError::fail(
-                    format!("Ok/Err disagreement for {key}: {a:?} vs {b:?}"),
-                )),
-            }
+            prop_assert_eq!(
+                partition_point_by(&keys, |&k| k <= key),
+                keys.partition_point(|&k| k <= key),
+                "partition_point_by(<= {})",
+                key
+            );
         }
-        // The lockstep batch resolves every lane exactly like the scalar
+        // The lockstep batch resolves every lane exactly like the standard
         // search over the same window — including empty, full, and
         // partial windows.
         use lsbench::index::search::{lower_bound_group, GROUP};

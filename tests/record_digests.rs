@@ -85,13 +85,37 @@ fn arrival_probe(name: &str, rate: f64, seed: u64) -> Scenario {
     s
 }
 
-/// The standard suite S1–S7 at reduced size (no op cap).
-fn suite_scenarios() -> Vec<(Scenario, u64)> {
-    let cfg = SuiteConfig {
+/// The size every suite-derived cell runs at.
+fn reduced_suite() -> SuiteConfig {
+    SuiteConfig {
         dataset_size: 2_000,
         ops_per_phase: 300,
         ..SuiteConfig::default()
-    };
+    }
+}
+
+/// S3 and S7 at the reduced size: the two suite scenarios whose mixes
+/// mutate the SUT.
+fn write_bearing_bases() -> [Scenario; 2] {
+    let cfg = reduced_suite();
+    [
+        lsbench::core::suite::s3_gradual_writes(&cfg).expect("S3 builds"),
+        lsbench::core::suite::s7_ledger_growth(&cfg).expect("S7 builds"),
+    ]
+}
+
+/// Unmodulated Poisson arrivals at `rate`, to run them open-loop.
+fn poisson(rate: f64) -> Option<ArrivalSpec> {
+    Some(ArrivalSpec {
+        process: ArrivalProcess::Poisson { rate },
+        modulation: LoadModulation::Constant,
+        seed: 11,
+    })
+}
+
+/// The standard suite S1–S7 at reduced size (no op cap).
+fn suite_scenarios() -> Vec<(Scenario, u64)> {
+    let cfg = reduced_suite();
     let suite = standard_scenarios(&cfg).expect("standard suite builds");
     suite.into_iter().map(|s| (s, u64::MAX)).collect()
 }
@@ -248,11 +272,7 @@ fn trace_cells(cells: &mut BTreeMap<String, String>) {
             .collect(),
     );
     // … and a recorded closed-loop trace with writes and a phase change.
-    let cfg = SuiteConfig {
-        dataset_size: 2_000,
-        ops_per_phase: 300,
-        ..SuiteConfig::default()
-    };
+    let cfg = reduced_suite();
     let s3 = lsbench::core::suite::s3_gradual_writes(&cfg).expect("S3 builds");
     let recorded = Trace::record(&s3.workload).expect("records");
     let recorded_data = s3.dataset.build().expect("dataset");
@@ -323,22 +343,10 @@ fn query_cells(cells: &mut BTreeMap<String, String>) {
 /// `tied` (10³⁰ ops/s) every arrival offset is below an ulp of a trained
 /// SUT's `exec_start`, so all intended starts are equal.
 fn sched_order_cells(cells: &mut BTreeMap<String, String>) {
-    let cfg = SuiteConfig {
-        dataset_size: 2_000,
-        ops_per_phase: 300,
-        ..SuiteConfig::default()
-    };
-    let bases = [
-        lsbench::core::suite::s3_gradual_writes(&cfg).expect("S3 builds"),
-        lsbench::core::suite::s7_ledger_growth(&cfg).expect("S7 builds"),
-    ];
+    let bases = write_bearing_bases();
     let scenario = |base: &Scenario, rate: f64, maintenance_every: u64, plan: Option<&str>| {
         let mut s = base.clone();
-        s.arrival = Some(ArrivalSpec {
-            process: ArrivalProcess::Poisson { rate },
-            modulation: LoadModulation::Constant,
-            seed: 11,
-        });
+        s.arrival = poisson(rate);
         s.maintenance_every = maintenance_every;
         if let Some(plan) = plan {
             s.faults = Some(resolve_fault_plan(plan).expect("builtin plan"));
@@ -403,15 +411,7 @@ fn sched_order_cells(cells: &mut BTreeMap<String, String>) {
 /// and a maintenance slot every third op, and each cell pins the traced
 /// event order and the metrics registry beside the record.
 fn fault_order_cells(cells: &mut BTreeMap<String, String>) {
-    let cfg = SuiteConfig {
-        dataset_size: 2_000,
-        ops_per_phase: 300,
-        ..SuiteConfig::default()
-    };
-    let bases = [
-        lsbench::core::suite::s3_gradual_writes(&cfg).expect("S3 builds"),
-        lsbench::core::suite::s7_ledger_growth(&cfg).expect("S7 builds"),
-    ];
+    let bases = write_bearing_bases();
     let policy = |timeout, max_retries| RetryPolicy {
         timeout,
         max_retries,
@@ -468,11 +468,7 @@ fn fault_order_cells(cells: &mut BTreeMap<String, String>) {
             for (train_name, online_train) in trains {
                 for maintenance_every in [256u64, 3] {
                     let mut s = base.clone();
-                    s.arrival = Some(ArrivalSpec {
-                        process: ArrivalProcess::Poisson { rate: 30_000.0 },
-                        modulation: LoadModulation::Constant,
-                        seed: 11,
-                    });
+                    s.arrival = poisson(30_000.0);
                     s.maintenance_every = maintenance_every;
                     s.online_train = online_train;
                     s.faults = Some(FaultPlan {
