@@ -1,13 +1,15 @@
 //! Offline shim for `serde_derive`.
 //!
-//! Derives the value-tree `Serialize`/`Deserialize` traits of the sibling
-//! `serde` shim. Instead of `syn`/`quote` (unavailable offline) it walks the
-//! raw token stream — enough for the shapes this workspace derives on:
-//! non-generic braced/tuple/unit structs and enums with unit, newtype, tuple,
-//! and struct variants (externally-tagged encoding, matching real serde's
-//! JSON output). The only recognized field attribute is `#[serde(skip)]`,
-//! which omits the field on serialize and fills it with `Default::default()`
-//! on deserialize.
+//! Derives the streaming `Serialize`/`Deserialize` traits of the sibling
+//! `serde` shim: `write` is straight-line calls on its `Writer`, one per
+//! field, and `read` is one loop over the keys of its `Reader` that matches
+//! each against the field names. Instead of `syn`/`quote` (unavailable
+//! offline) it walks the raw token stream — enough for the shapes this
+//! workspace derives on: non-generic braced/tuple/unit structs and enums
+//! with unit, newtype, tuple, and struct variants (externally-tagged
+//! encoding, matching real serde's JSON output). The only recognized field
+//! attribute is `#[serde(skip)]`, which omits the field on serialize and
+//! fills it with `Default::default()` on deserialize.
 
 use proc_macro::{Delimiter, Group, Spacing, TokenStream, TokenTree};
 
@@ -213,126 +215,123 @@ fn parse_item(input: TokenStream) -> Item {
 const IMPL_ATTRS: &str =
     "#[automatically_derived]\n#[allow(unused_mut, unused_variables, clippy::all)]\n";
 
-fn named_to_entries(fields: &[(String, bool)], accessor: &dyn Fn(&str) -> String) -> String {
-    let mut s = String::from(
-        "let mut entries: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-    );
-    for (f, skip) in fields {
-        if *skip {
-            continue;
-        }
+/// `{ "a": …, "b": … }` from the named fields `accessor` reaches.
+fn write_named(fields: &[(String, bool)], accessor: &dyn Fn(&str) -> String) -> String {
+    let mut s = String::from("w.open('{');\n");
+    for (f, _) in fields.iter().filter(|(_, skip)| !skip) {
         s.push_str(&format!(
-            "entries.push((\"{f}\".to_string(), ::serde::Serialize::to_value({})));\n",
+            "w.key(\"{f}\"); ::serde::Serialize::write({}, w);\n",
             accessor(f)
         ));
     }
-    s
+    s + "w.close('}');\n"
 }
 
-fn tuple_values(n: usize, prefix: &str) -> String {
-    (0..n)
-        .map(|k| format!("::serde::Serialize::to_value({prefix}{k})"))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// One value for a newtype, `[…]` for any other tuple arity.
+fn write_tuple(n: usize, accessor: &dyn Fn(usize) -> String) -> String {
+    if n == 1 {
+        return format!("::serde::Serialize::write({}, w);\n", accessor(0));
+    }
+    let mut s = String::from("w.open('[');\n");
+    for k in 0..n {
+        s.push_str(&format!(
+            "w.item(); ::serde::Serialize::write({}, w);\n",
+            accessor(k)
+        ));
+    }
+    s + "w.close(']');\n"
 }
 
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Unit => "::serde::Value::Null".to_string(),
-                Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-                Fields::Tuple(n) => format!(
-                    "::serde::Value::Array(vec![{}])",
-                    (0..*n)
-                        .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-                Fields::Named(fs) => format!(
-                    "{}::serde::Value::Object(entries)",
-                    named_to_entries(fs, &|f| format!("&self.{f}"))
-                ),
+                Fields::Unit => "w.null();\n".to_string(),
+                Fields::Tuple(n) => write_tuple(*n, &|k| format!("&self.{k}")),
+                Fields::Named(fs) => write_named(fs, &|f| format!("&self.{f}")),
             };
             (name, body)
         }
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             for (v, fields) in variants {
-                let arm = match fields {
+                let (binds, payload) = match fields {
                     Fields::Unit => {
-                        format!("{name}::{v} => ::serde::Value::Str(\"{v}\".to_string()),\n")
+                        arms.push_str(&format!("{name}::{v} => w.string(\"{v}\"),\n"));
+                        continue;
                     }
-                    Fields::Tuple(1) => format!(
-                        "{name}::{v}(f0) => ::serde::Value::Object(vec![(\"{v}\".to_string(), \
-                         ::serde::Serialize::to_value(f0))]),\n"
-                    ),
                     Fields::Tuple(n) => {
-                        let binds = (0..*n)
-                            .map(|k| format!("f{k}"))
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        format!(
-                            "{name}::{v}({binds}) => ::serde::Value::Object(vec![(\"{v}\".to_string(), \
-                             ::serde::Value::Array(vec![{}]))]),\n",
-                            tuple_values(*n, "f")
+                        let binds: Vec<String> = (0..*n).map(|k| format!("f{k}")).collect();
+                        (
+                            format!("({})", binds.join(", ")),
+                            write_tuple(*n, &|k| format!("f{k}")),
                         )
                     }
                     Fields::Named(fs) => {
-                        let binds = fs
+                        let binds: String = fs
                             .iter()
                             .filter(|(_, skip)| !skip)
-                            .map(|(f, _)| f.clone())
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        let binds = if binds.is_empty() {
-                            "..".to_string()
-                        } else {
-                            format!("{binds}, ..")
-                        };
-                        format!(
-                            "{name}::{v} {{ {binds} }} => {{\n{}\
-                             ::serde::Value::Object(vec![(\"{v}\".to_string(), \
-                             ::serde::Value::Object(entries))])\n}}\n",
-                            named_to_entries(fs, &|f| f.to_string())
+                            .map(|(f, _)| format!("{f}: f_{f}, "))
+                            .collect();
+                        (
+                            format!(" {{ {binds}.. }}"),
+                            write_named(fs, &|f| format!("f_{f}")),
                         )
                     }
                 };
-                arms.push_str(&arm);
+                arms.push_str(&format!(
+                    "{name}::{v}{binds} => {{\nw.open('{{');\nw.key(\"{v}\");\n{payload}w.close('}}');\n}}\n"
+                ));
             }
             (name, format!("match self {{\n{arms}}}"))
         }
     };
     format!(
         "{IMPL_ATTRS}impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         fn write(&self, w: &mut ::serde::Writer) {{\n{body}\n}}\n}}\n"
     )
 }
 
-fn named_from_entries(name_path: &str, fields: &[(String, bool)], entries: &str) -> String {
-    let inits = fields
-        .iter()
-        .map(|(f, skip)| {
-            if *skip {
-                format!("{f}: ::std::default::Default::default()")
-            } else {
-                format!("{f}: ::serde::field({entries}, \"{f}\")?")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("Ok({name_path} {{ {inits} }})")
+/// Reads `{ … }` into `name_path { … }`: one pass over the keys, the first
+/// of duplicates kept, unknown ones skipped, absent fields read as `null`.
+fn read_named(name_path: &str, fields: &[(String, bool)], ctx: &str) -> String {
+    let (mut slots, mut arms, mut inits) = (String::new(), String::new(), String::new());
+    for (f, skip) in fields {
+        if *skip {
+            inits.push_str(&format!("{f}: ::std::default::Default::default(),\n"));
+            continue;
+        }
+        slots.push_str(&format!("let mut f_{f} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "\"{f}\" if f_{f}.is_none() => f_{f} = ::std::option::Option::Some(r.field(\"{f}\")?),\n"
+        ));
+        inits.push_str(&format!(
+            "{f}: match f_{f} {{ ::std::option::Option::Some(v) => v, \
+             ::std::option::Option::None => ::serde::Reader::missing(\"{f}\")? }},\n"
+        ));
+    }
+    format!(
+        "if !r.begin(b'{{')? {{\n\
+         return Err(r.refuse(::serde::DeError::custom(\"expected object for {ctx}\")));\n}}\n\
+         {slots}while let Some(key) = r.next_key()? {{\nmatch &*key {{\n{arms}_ => r.skip()?,\n}}\n}}\n\
+         Ok({name_path} {{\n{inits}}})"
+    )
 }
 
-fn tuple_from_items(name_path: &str, n: usize, src: &str, ctx: &str) -> String {
-    let inits = (0..n)
-        .map(|k| format!("::serde::Deserialize::from_value(&items[{k}])?"))
-        .collect::<Vec<_>>()
-        .join(", ");
+/// Reads a newtype's one value, or `[…]` of exactly `n` items.
+fn read_tuple(name_path: &str, n: usize, ctx: &str) -> String {
+    if n == 1 {
+        return format!("Ok({name_path}(::serde::Deserialize::read(r)?))");
+    }
+    let items: String = (0..n)
+        .map(|k| format!("r.tuple_item({k}, &wrong)?, "))
+        .collect();
     format!(
-        "match {src} {{\n\
-         ::serde::Value::Array(items) if items.len() == {n} => Ok({name_path}({inits})),\n\
-         _ => Err(::serde::DeError::custom(\"expected {n}-element array for {ctx}\")),\n}}"
+        "let wrong = |_: usize| ::serde::DeError::custom(\"expected {n}-element array for {ctx}\");\n\
+         if !r.begin(b'[')? {{\nreturn Err(r.refuse(wrong(0)));\n}}\n\
+         let value = {name_path}({items});\n\
+         r.tuple_end({n}, &wrong)?;\n\
+         Ok(value)"
     )
 }
 
@@ -340,63 +339,40 @@ fn gen_deserialize(item: &Item) -> String {
     let (name, body) = match item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Unit => format!("Ok({name})"),
-                Fields::Tuple(1) => {
-                    format!("Ok({name}(::serde::Deserialize::from_value(v)?))")
-                }
-                Fields::Tuple(n) => tuple_from_items(name, *n, "v", name),
-                Fields::Named(fs) => format!(
-                    "let entries = v.as_object().ok_or_else(|| \
-                     ::serde::DeError::custom(\"expected object for {name}\"))?;\n{}",
-                    named_from_entries(name, fs, "entries")
-                ),
+                // Any value at all reads as a unit struct.
+                Fields::Unit => format!("r.skip()?;\nOk({name})"),
+                Fields::Tuple(n) => read_tuple(name, *n, name),
+                Fields::Named(fs) => read_named(name, fs, name),
             };
             (name, body)
         }
         Item::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut tagged_arms = String::new();
+            let mut arms = String::new();
             for (v, fields) in variants {
-                match fields {
-                    Fields::Unit => unit_arms.push_str(&format!("\"{v}\" => Ok({name}::{v}),\n")),
-                    Fields::Tuple(1) => tagged_arms.push_str(&format!(
-                        "\"{v}\" => Ok({name}::{v}(::serde::Deserialize::from_value(inner)?)),\n"
-                    )),
-                    Fields::Tuple(n) => tagged_arms.push_str(&format!(
-                        "\"{v}\" => {},\n",
-                        tuple_from_items(
-                            &format!("{name}::{v}"),
-                            *n,
-                            "inner",
-                            &format!("variant {v}")
-                        )
-                    )),
-                    Fields::Named(fs) => tagged_arms.push_str(&format!(
-                        "\"{v}\" => {{\nlet fe = inner.as_object().ok_or_else(|| \
-                         ::serde::DeError::custom(\"expected object for variant {v}\"))?;\n{}\n}}\n",
-                        named_from_entries(&format!("{name}::{v}"), fs, "fe")
-                    )),
-                }
+                let (path, ctx) = (format!("{name}::{v}"), format!("variant {v}"));
+                let payload = match fields {
+                    Fields::Unit => {
+                        arms.push_str(&format!("(\"{v}\", true) => Ok({path}),\n"));
+                        continue;
+                    }
+                    Fields::Tuple(n) => read_tuple(&path, *n, &ctx),
+                    Fields::Named(fs) => read_named(&path, fs, &ctx),
+                };
+                arms.push_str(&format!("(\"{v}\", false) => {{\n{payload}\n}}\n"));
             }
             let body = format!(
-                "match v {{\n\
-                 ::serde::Value::Str(s) => match s.as_str() {{\n{unit_arms}\
-                 other => Err(::serde::DeError::custom(::std::format!(\
-                 \"unknown unit variant `{{other}}` for {name}\"))),\n}},\n\
-                 ::serde::Value::Object(entries) if entries.len() == 1 => {{\n\
-                 let (tag, inner) = &entries[0];\n\
-                 match tag.as_str() {{\n{tagged_arms}\
-                 other => Err(::serde::DeError::custom(::std::format!(\
-                 \"unknown variant `{{other}}` for {name}\"))),\n}}\n}}\n\
-                 _ => Err(::serde::DeError::custom(\
-                 \"expected string or single-key object for {name}\")),\n}}"
+                "r.variant(\"{name}\", |r, tag, unit| match (tag, unit) {{\n{arms}\
+                 (other, true) => Err(::serde::DeError::custom(::std::format!(\
+                 \"unknown unit variant `{{other}}` for {name}\"))),\n\
+                 (other, false) => Err(::serde::DeError::custom(::std::format!(\
+                 \"unknown variant `{{other}}` for {name}\"))),\n}})"
             );
             (name, body)
         }
     };
     format!(
         "{IMPL_ATTRS}impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n}}\n"
+         fn read(r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n}}\n"
     )
 }
 

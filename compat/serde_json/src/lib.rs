@@ -1,12 +1,14 @@
 //! Offline shim for `serde_json`.
 //!
-//! Serializes the `serde` shim's [`Value`] tree to JSON text and parses it
-//! back. Covers the workspace's usage: [`to_string`], [`to_string_pretty`],
-//! and [`from_str`]. Floats are written via Rust's shortest-roundtrip
-//! `Display` (the `float_roundtrip` feature is therefore a no-op), with a
-//! trailing `.0` added to integral floats so they re-parse as floats.
+//! The three entry points the workspace uses — [`to_string`],
+//! [`to_string_pretty`] and [`from_str`] — over the `serde` shim's
+//! `Writer` and `Reader`, which do the work: a value is written straight
+//! into the output text and read straight off the input, with no tree in
+//! between. Floats are written via Rust's shortest-roundtrip `Display` (the
+//! `float_roundtrip` feature is therefore a no-op), with a trailing `.0`
+//! added to integral floats so they re-parse as floats.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,345 +31,27 @@ impl From<serde::DeError> for Error {
 /// Result alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-// ------------------------------------------------------------------- writing
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_float(out: &mut String, f: f64) {
-    if f.is_finite() {
-        let s = format!("{f}");
-        let integral = !s.contains(['.', 'e', 'E']);
-        out.push_str(&s);
-        if integral {
-            out.push_str(".0");
-        }
-    } else {
-        // serde_json writes non-finite floats as null.
-        out.push_str("null");
-    }
-}
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => write_float(out, *f),
-        Value::Str(s) => write_escaped(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(level) = indent {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(level + 1));
-                }
-                write_value(out, item, indent.map(|l| l + 1));
-            }
-            if let Some(level) = indent {
-                out.push('\n');
-                out.push_str(&"  ".repeat(level));
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(level) = indent {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(level + 1));
-                }
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent.map(|l| l + 1));
-            }
-            if let Some(level) = indent {
-                out.push('\n');
-                out.push_str(&"  ".repeat(level));
-            }
-            out.push('}');
-        }
-    }
-}
-
 /// Compact JSON for any [`Serialize`] value.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None);
-    Ok(out)
+    let mut w = Writer::new(false);
+    value.write(&mut w);
+    Ok(w.finish())
 }
 
 /// Two-space-indented JSON for any [`Serialize`] value.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(0));
-    Ok(out)
+    let mut w = Writer::new(true);
+    value.write(&mut w);
+    Ok(w.finish())
 }
 
-// ------------------------------------------------------------------- parsing
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<()> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{kw}`")))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => {
-                self.expect_keyword("null")?;
-                Ok(Value::Null)
-            }
-            Some(b't') => {
-                self.expect_keyword("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.expect_keyword("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are unsupported (never produced
-                            // by this shim's writer).
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume a run of plain characters in one chunk. UTF-8
-                    // continuation bytes are >= 0x80, so scanning for the
-                    // next quote or backslash byte never splits a character.
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b != b'"' && b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err("invalid float"))
-        } else if let Some(digits) = text.strip_prefix('-') {
-            let u: u64 = digits.parse().map_err(|_| self.err("invalid integer"))?;
-            0i64.checked_sub_unsigned(u)
-                .map(Value::Int)
-                .ok_or_else(|| self.err("invalid integer"))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| self.err("invalid integer"))
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-}
-
-/// Parses JSON text into any [`Deserialize`] type.
+/// Parses JSON text into any [`Deserialize`] type; anything but whitespace
+/// after the value is refused.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let mut p = Parser::new(s);
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(T::from_value(&value)?)
+    let mut r = Reader::new(s);
+    let value = T::read(&mut r)?;
+    r.end()?;
+    Ok(value)
 }
 
 #[cfg(test)]

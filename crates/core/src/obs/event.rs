@@ -180,19 +180,40 @@ impl TraceLog {
     /// `[("sut", "rmi"), ("scenario", "S1")]`) prepended to every line, so
     /// multiple runs can share one artifact file.
     pub fn to_jsonl_tagged(&self, tags: &[(&str, &str)]) -> crate::Result<String> {
-        use serde::{Serialize as _, Value};
+        /// One line: the tags, the event's kind, then the event's own fields.
+        struct Line<'a>(&'a [(&'a str, &'a str)], &'a TraceEvent);
+        impl Serialize for Line<'_> {
+            fn write(&self, w: &mut serde::Writer) {
+                let Line(
+                    tags,
+                    TraceEvent {
+                        t,
+                        lane,
+                        seq,
+                        event,
+                    },
+                ) = self;
+                w.open('{');
+                for (key, value) in *tags {
+                    w.key(key);
+                    w.string(value);
+                }
+                w.key("kind");
+                w.string(event.kind());
+                w.key("t");
+                t.write(w);
+                w.key("lane");
+                lane.write(w);
+                w.key("seq");
+                seq.write(w);
+                w.key("event");
+                event.write(w);
+                w.close('}');
+            }
+        }
         let mut out = String::new();
         for e in &self.events {
-            let mut entries: Vec<(String, Value)> = tags
-                .iter()
-                .map(|(k, v)| (k.to_string(), Value::Str(v.to_string())))
-                .collect();
-            entries.push(("kind".to_string(), Value::Str(e.event.kind().to_string())));
-            match e.to_value() {
-                Value::Object(fields) => entries.extend(fields),
-                other => entries.push(("event".to_string(), other)),
-            }
-            let line = serde_json::to_string(&Value::Object(entries))
+            let line = serde_json::to_string(&Line(tags, e))
                 .map_err(|err| crate::BenchError::Serialization(err.to_string()))?;
             out.push_str(&line);
             out.push('\n');

@@ -642,28 +642,39 @@ fn decode<A: Artifact>(text: &str) -> Result<A, StoreError> {
     Ok(artifact)
 }
 
-/// Parses `text` once, reads `schema_version` without interpreting
-/// anything else — so version drift is reported as such rather than as a
-/// confusing field-level parse error — and only then builds the `T`.
+/// Finds the first top-level `schema_version` without interpreting (or
+/// building) anything else — so version drift is reported as such rather
+/// than as a confusing field-level parse error — and only then reads the
+/// `T`, in one typed pass over the text.
 fn decode_versioned<T: Deserialize>(text: &str, expected: u32) -> Result<T, StoreError> {
-    let value: serde::Value =
-        serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))?;
-    let entries = value
-        .as_object()
-        .ok_or_else(|| StoreError::Parse("artifact is not a JSON object".to_string()))?;
-    let found = match serde::Value::get(entries, "schema_version") {
-        serde::Value::UInt(v) if *v <= u32::MAX as u64 => Some(*v as u32),
-        serde::Value::Null => None,
-        other => {
-            return Err(StoreError::Parse(format!(
-                "schema_version must be an integer, got {other:?}"
-            )))
-        }
-    };
+    let found = stored_schema_version(text).map_err(|e| StoreError::Parse(e.to_string()))?;
     if found != Some(expected) {
         return Err(StoreError::Schema { found, expected });
     }
-    T::from_value(&value).map_err(|e| StoreError::Parse(e.to_string()))
+    serde_json::from_str(text).map_err(|e| StoreError::Parse(e.to_string()))
+}
+
+/// The value of the first `schema_version` key of the object `text` holds
+/// (`None`: no such key, or `null`).
+fn stored_schema_version(text: &str) -> Result<Option<u32>, serde::DeError> {
+    let mut r = serde::Reader::new(text);
+    if !r.begin(b'{')? {
+        return Err(r.refuse(serde::DeError::custom("artifact is not a JSON object")));
+    }
+    while let Some(key) = r.next_key()? {
+        if key != "schema_version" {
+            r.skip()?;
+            continue;
+        }
+        return match serde::Value::read(&mut r)? {
+            serde::Value::UInt(v) if v <= u32::MAX as u64 => Ok(Some(v as u32)),
+            serde::Value::Null => Ok(None),
+            other => Err(serde::DeError(format!(
+                "schema_version must be an integer, got {other:?}"
+            ))),
+        };
+    }
+    Ok(None)
 }
 
 /// Lowercases and maps every non-alphanumeric run to a single `-` so SUT
@@ -1315,6 +1326,37 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A save goes through a temporary sibling and a rename: one that
+    /// fails midway leaves the artifact that was there, and one that
+    /// succeeds leaves nothing beside it.
+    #[test]
+    fn a_failed_save_keeps_the_old_artifact_and_a_good_one_leaves_no_temp() {
+        let (store, dir) = temp_store("atomic");
+        let artifact = RunArtifact::new(manifest("btree"), tiny_record("btree"));
+        let path = store.save(&artifact).unwrap();
+        let path_again = store.save(&artifact).unwrap();
+        assert_eq!(path, path_again);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![path.file_name().unwrap()]);
+        assert_eq!(store.paths::<RunArtifact>().unwrap(), vec![path]);
+
+        // The longest file name there is: the temporary sibling's is longer
+        // still, so it cannot be created and the write fails before the
+        // rename.
+        let name = format!("{}.json", "a".repeat(250));
+        std::fs::write(dir.join(&name), "old bytes").unwrap();
+        assert!(write_artifact_to(&dir, &name, "new bytes").is_err());
+        assert_eq!(
+            std::fs::read_to_string(dir.join(&name)).unwrap(),
+            "old bytes"
+        );
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     /// What a decoder made of a text, reduced to what the hostile-input
     /// properties compare: the artifact re-encoded.
     type Decoded = Result<String, StoreError>;
@@ -1399,6 +1441,33 @@ mod tests {
                     ..
                 })
             ));
+        }
+    }
+
+    /// `archive show|compare` read files anyone can edit, and the reader
+    /// recurses once per level of nesting: past its fixed depth a document
+    /// is a parse error wherever the nesting sits — in place of the
+    /// object, under a key the version peek skips, as the version, or
+    /// under a key the typed pass skips — not a stack overflow.
+    #[test]
+    fn a_million_levels_of_nesting_are_a_parse_error() {
+        let deep = "[".repeat(1_000_000);
+        for (json, decoder) in specimens() {
+            let version = json.lines().nth(1).unwrap();
+            assert!(version.starts_with("  \"schema_version\": "), "{version}");
+            for text in [
+                deep.clone(),
+                json.replacen(version, &format!("  \"junk\": {deep},\n{version}"), 1),
+                json.replacen(version, &format!("  \"schema_version\": {deep}"), 1),
+                json.replacen(version, &format!("{version}\n  \"junk\": {deep},"), 1),
+            ] {
+                match decoder(&text) {
+                    Err(StoreError::Parse(e)) => {
+                        assert!(e.starts_with("recursion limit exceeded at byte "), "{e}")
+                    }
+                    other => panic!("expected a parse error, got {other:?}"),
+                }
+            }
         }
     }
 

@@ -265,8 +265,8 @@ struct StoredLatencyHistogram {
 /// slot beyond the one `u64::MAX` maps to, and `total` the sum of the
 /// counts.
 impl Deserialize for LatencyHistogram {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let stored = StoredLatencyHistogram::from_value(v)?;
+    fn read(r: &mut serde::Reader<'_>) -> std::result::Result<Self, serde::DeError> {
+        let stored = StoredLatencyHistogram::read(r)?;
         let refuse = |what| serde::DeError::custom(StatsError::InvalidParameter(what).to_string());
         if !stored.sub_buckets.is_power_of_two() {
             return Err(refuse("histogram sub_buckets must be a power of two"));

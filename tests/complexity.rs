@@ -8,7 +8,9 @@
 //! goes for the harness above the SUT: a [`Logged`] SUT shows how many
 //! dispatches a driver makes of a run's ops — the same ones whether or not
 //! a fault plan is attached — and where it puts the maintenance slots and
-//! crash-restarts between them.
+//! crash-restarts between them. And for the archive below it: an allocator
+//! that counts shows that encoding and decoding an artifact allocate for
+//! the buffers they fill, not for each op.
 
 use lsbench::core::faults::{resolve_fault_plan, FaultPlan, FaultSpec};
 use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, Runner};
@@ -469,4 +471,77 @@ fn a_crash_is_delivered_between_the_same_two_ops() {
             "{mode:?}"
         );
     }
+}
+
+/// The system allocator, counting the calls each thread makes of it.
+struct CountingAllocator;
+
+thread_local! {
+    /// Every test runs on a thread of its own, so this is per test.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a plain thread-local integer with
+// no destructor, reached without allocating (`try_with` so that a thread
+// tearing down is not counted rather than panicked in).
+unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are `System`'s own.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`, with the caller's `realloc` obligations.
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Runs `f` and returns how often it (this thread) went to the allocator.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// `RunRecord.ops` is the part of an artifact that grows with the run. The
+/// encoder writes each op straight into the output text and the decoder
+/// reads each straight into the `Vec`, so four times the ops costs the few
+/// extra doublings of those two buffers — not a tree node, a key `String`
+/// or a formatted number per op.
+#[test]
+fn archive_encoding_allocates_per_buffer_not_per_op() {
+    use lsbench::core::results::{RunArtifact, RunManifest};
+    let scenario = read_only(4_000, 1_000);
+    let record = Runner::from_factory(|data: &Dataset| {
+        Ok(Box::new(BTreeSut::build(data).unwrap()) as BoxedKvSut)
+    })
+    .run(&scenario)
+    .expect("runs")
+    .record;
+    assert_eq!(record.ops.len(), 4_000);
+    let measure = |ops: usize| {
+        let mut record = record.clone();
+        record.ops.truncate(ops);
+        let artifact = RunArtifact::new(RunManifest::for_run(&scenario, "btree", 1), record);
+        let (json, encoding) = allocations_during(|| artifact.to_json().expect("encodes"));
+        let (back, decoding) = allocations_during(|| RunArtifact::from_json(&json));
+        assert_eq!(back.expect("decodes"), artifact);
+        (encoding, decoding)
+    };
+    let (small, large) = (measure(1_000), measure(4_000));
+    assert!(
+        large.0 < small.0 + 64 && large.1 < small.1 + 64,
+        "(to_json, from_json) allocations: {small:?} for 1000 ops, {large:?} for 4000"
+    );
 }

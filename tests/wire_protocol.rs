@@ -247,6 +247,52 @@ fn server_survives_garbage_and_version_mismatch() {
     server.shutdown();
 }
 
+/// One frame under the size limit can nest a million arrays deep. The JSON
+/// reader recurses once per level on every path (typed, skipped, value
+/// tree), so it refuses at a fixed depth rather than run the connection's
+/// thread — and with it the process — out of stack.
+#[test]
+fn server_answers_the_next_connection_after_a_million_deep_frame() {
+    let server = WireServer::bind("127.0.0.1:0", SutRegistry::default(), "btree")
+        .expect("binds")
+        .spawn()
+        .expect("spawns");
+    let deep = "[".repeat(1_000_000);
+    for payload in [
+        deep.clone(),
+        format!("{{\"id\":0,\"req\":{deep}"),
+        format!("{{\"id\":0,\"unknown\":{deep}"),
+    ] {
+        assert!(payload.len() < MAX_FRAME_LEN as usize);
+        match decode_request(payload.as_bytes(), 0, 0) {
+            Err(WireError::Malformed { reason, .. }) => {
+                assert!(
+                    reason.starts_with("recursion limit exceeded at byte "),
+                    "{reason}"
+                )
+            }
+            other => panic!("expected malformed, got {other:?}"),
+        }
+        let mut frame = Vec::new();
+        write_frame(&mut frame, payload.as_bytes()).expect("encodes");
+        let mut s = TcpStream::connect(server.addr()).expect("connects");
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.write_all(&frame).expect("writes");
+        let mut reply = Vec::new();
+        let _ = s.read_to_end(&mut reply); // an Error frame, then the server closes
+    }
+    {
+        let mut s = TcpStream::connect(server.addr()).expect("connects");
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.write_all(&hello_frame(0, PROTOCOL_VERSION)).unwrap();
+        match read_one_response(&mut s) {
+            Response::HelloOk { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
+            other => panic!("expected HelloOk, got {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
 /// Skipping the handshake is a protocol violation: the server reports an
 /// error frame (or closes) instead of executing anything.
 #[test]
