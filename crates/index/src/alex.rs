@@ -14,9 +14,35 @@
 //! internal level is a sorted array of leaf boundary keys with binary-search
 //! routing (ALEX uses model-based routing internally), and cost-model-driven
 //! split policies are replaced by density/size thresholds.
+//!
+//! **The staged probe.** A lookup chains three dependent loads: the leaf's
+//! header (its model and the pointer to its slots), the slot the model
+//! predicts, the walk from there to the key. `get` takes them one after
+//! another; `get_many` and `probe_many` take them a stage at a time for
+//! [`GROUP`] keys — route every key and prefetch its leaf, predict every
+//! slot and prefetch its line, then one `locate` per key — so a stage's
+//! misses overlap across the group. That one `locate` yields the hit *and*
+//! the distance walked, which is the key-dependent part of
+//! [`Index::probe_cost`]: a batched read's work units come out of the probe
+//! that answered it, and `get` / `probe_cost` stay as the scalar
+//! definitions `tests/properties.rs` holds the batch to.
+//!
+//! **`locate` stays a linear walk.** ALEX's own rule is an exponential
+//! search outward from the prediction; it pays when predictions are far
+//! off. Here they are not: on the benchmark's `point_reads` workload a read
+//! costs 14.4 work units, 12 of them routing and 1 the model, so the walk
+//! is 1.4 slots on average and usually ends in the line the prefetch
+//! fetched.
 
 use crate::model::LinearModel;
-use crate::{check_sorted, BulkLoad, Index, IndexStats, Result};
+use crate::search::GROUP;
+use crate::{bsearch_cost, check_sorted, prefetch_read, BulkLoad, Index, IndexStats, Result};
+
+#[cfg(test)]
+thread_local! {
+    /// [`GappedLeaf::locate_from`] calls made on this thread.
+    static LOCATES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Target slot occupancy after a (re)build.
 const TARGET_DENSITY: f64 = 0.7;
@@ -94,11 +120,23 @@ impl GappedLeaf {
     /// such that every occupied slot before it holds a smaller key and every
     /// occupied slot from it onward holds a larger key.
     fn locate(&self, key: u64) -> std::result::Result<usize, usize> {
+        self.locate_from(self.predict(key), key)
+    }
+
+    /// The slot the model predicts for `key`: where [`Self::locate`] starts.
+    #[inline]
+    fn predict(&self, key: u64) -> usize {
+        self.model.predict_clamped(key, self.slots.len())
+    }
+
+    /// [`Self::locate`] from an already computed `start = predict(key)`.
+    fn locate_from(&self, start: usize, key: u64) -> std::result::Result<usize, usize> {
+        #[cfg(test)]
+        LOCATES.with(|n| n.set(n.get() + 1));
         let cap = self.slots.len();
         if cap == 0 || self.count == 0 {
             return Err(0);
         }
-        let start = self.model.predict_clamped(key, cap);
         // Anchor on an occupied slot.
         let mut i = start;
         if self.slots[i].is_none() {
@@ -200,13 +238,6 @@ impl GappedLeaf {
         let right_gap = self.slots[slot..].iter().position(|s| s.is_none());
         let left_gap = self.slots[..slot].iter().rposition(|s| s.is_none());
         match (left_gap, right_gap.map(|off| slot + off)) {
-            (_, Some(g)) if right_gap == Some(0) => {
-                // slot itself is the gap (can't happen: checked above), keep
-                // for completeness.
-                self.slots[g] = Some((key, value));
-                self.count += 1;
-                true
-            }
             (Some(l), Some(r)) => {
                 if slot - l <= r - slot {
                     self.shift_left_into(l, slot, key, value)
@@ -297,6 +328,46 @@ impl AlexIndex {
             .saturating_sub(1)
     }
 
+    /// Work units of routing a key to its leaf: a binary search of the
+    /// boundary keys.
+    fn routing_cost(&self) -> u64 {
+        bsearch_cost(self.boundaries.len() as u64)
+    }
+
+    /// The staged probe behind [`Index::get_many`] and
+    /// [`Index::probe_many`]: `answer(hit, walked)` for every key in order,
+    /// `hit` what [`Index::get`] returns and `walked` the slots between the
+    /// predicted slot and the one [`GappedLeaf::locate`] lands on — the
+    /// key-dependent part of [`Index::probe_cost`], out of the same
+    /// `locate` that found the hit. Each stage runs for a whole group and
+    /// starts the loads the next one reads (see the module doc).
+    #[inline]
+    fn probe_staged(&self, keys: &[u64], mut answer: impl FnMut(Option<u64>, u64)) {
+        let mut leaf_of = [0usize; GROUP];
+        let mut predicted = [0usize; GROUP];
+        for chunk in keys.chunks(GROUP) {
+            let g = chunk.len();
+            for (li, &key) in leaf_of[..g].iter_mut().zip(chunk) {
+                *li = self.leaf_for(key);
+                prefetch_read(&self.leaves[*li]);
+            }
+            for ((p, &li), &key) in predicted[..g].iter_mut().zip(&leaf_of[..g]).zip(chunk) {
+                let leaf = &self.leaves[li];
+                *p = leaf.predict(key);
+                prefetch_read(leaf.slots.as_ptr().wrapping_add(*p));
+            }
+            for ((&p, &li), &key) in predicted[..g].iter().zip(&leaf_of[..g]).zip(chunk) {
+                let leaf = &self.leaves[li];
+                let (hit, slot) = match leaf.locate_from(p, key) {
+                    Ok(slot) => (leaf.slots[slot].map(|(_, v)| v), slot),
+                    Err(slot) => (None, slot),
+                };
+                let landed = slot.min(leaf.slots.len().saturating_sub(1));
+                answer(hit, p.abs_diff(landed) as u64);
+            }
+        }
+    }
+
     /// Expands and retrains leaf `i`.
     fn retrain_leaf(&mut self, i: usize) {
         let pairs = self.leaves[i].pairs();
@@ -372,15 +443,13 @@ impl Index for AlexIndex {
     fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
         let mut out = Vec::with_capacity(limit.min(1024));
         let mut li = self.leaf_for(start);
+        // `locate`'s slot, found or not, has every smaller key before it:
+        // the first leaf is read from there, the later ones from slot 0.
+        let (Ok(mut from) | Err(mut from)) = self.leaves[li].locate(start);
         while li < self.leaves.len() && out.len() < limit {
-            for pair in self.leaves[li].slots.iter().flatten() {
-                if pair.0 >= start {
-                    out.push(*pair);
-                    if out.len() >= limit {
-                        break;
-                    }
-                }
-            }
+            let rows = self.leaves[li].slots[from..].iter().flatten();
+            out.extend(rows.take(limit - out.len()));
+            from = 0;
             li += 1;
         }
         Ok(out)
@@ -456,7 +525,7 @@ impl Index for AlexIndex {
     fn probe_cost(&self, key: u64) -> u64 {
         // Leaf routing + model evaluation + distance between the predicted
         // slot and the slot the scan actually lands on.
-        let routing = (self.boundaries.len() as u64 + 2).ilog2() as u64 + 1;
+        let routing = self.routing_cost();
         let leaf = &self.leaves[self.leaf_for(key)];
         if leaf.slots.is_empty() {
             return routing + 1;
@@ -466,6 +535,21 @@ impl Index for AlexIndex {
             Ok(slot) | Err(slot) => slot.min(leaf.slots.len() - 1),
         };
         routing + 1 + predicted.abs_diff(actual) as u64
+    }
+
+    fn get_many(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
+        out.reserve(keys.len());
+        self.probe_staged(keys, |hit, _| out.push(hit));
+    }
+
+    fn probe_many(&self, keys: &[u64], hits: &mut Vec<Option<u64>>, costs: &mut Vec<u64>) {
+        hits.reserve(keys.len());
+        costs.reserve(keys.len());
+        let routing = self.routing_cost();
+        self.probe_staged(keys, |hit, walked| {
+            hits.push(hit);
+            costs.push(routing + 1 + walked);
+        });
     }
 }
 
@@ -581,6 +665,118 @@ mod tests {
         // Final range comparison.
         let expected: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
         assert_eq!(idx.range(0, usize::MAX >> 1).unwrap(), expected);
+    }
+
+    #[test]
+    fn batched_probes_locate_once_per_key() {
+        let pairs = test_pairs(3000);
+        let idx = AlexIndex::bulk_load(&pairs).unwrap();
+        // Hits and misses, 100 keys: six full groups and a part of one.
+        let keys: Vec<u64> = (0..100).map(|i| pairs[i * 7].0 + (i as u64 % 2)).collect();
+        let located = || LOCATES.with(|n| n.get());
+        let (mut hits, mut costs, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let before = located();
+        idx.probe_many(&keys, &mut hits, &mut costs);
+        assert_eq!(located() - before, keys.len(), "probe_many");
+        idx.get_many(&keys, &mut out);
+        assert_eq!(located() - before, 2 * keys.len(), "get_many");
+        // The scalar definitions they replace: one `locate` for the hit and
+        // one more for its cost.
+        let before = located();
+        for &k in &keys {
+            let _ = (idx.get(k), idx.probe_cost(k));
+        }
+        assert_eq!(located() - before, 2 * keys.len(), "get + probe_cost");
+        assert_eq!(hits, keys.iter().map(|&k| idx.get(k)).collect::<Vec<_>>());
+        assert_eq!(out, hits);
+        let expected: Vec<u64> = keys.iter().map(|&k| idx.probe_cost(k)).collect();
+        assert_eq!(costs, expected);
+    }
+
+    #[test]
+    fn range_starts_anywhere_after_splits_and_contractions() {
+        use std::collections::BTreeMap;
+        let mut model: BTreeMap<u64, u64> = (0..1500u64).map(|i| (1000 + i * 100, i)).collect();
+        let pairs: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut idx = AlexIndex::bulk_load(&pairs).unwrap();
+        let leaves_loaded = idx.leaf_count();
+        // Interleaved: a burst of inserts into one leaf's key span until it
+        // splits, with every third step deleting a key of another leaf until
+        // that one contracts.
+        let contracting = 3;
+        let cap_loaded = idx.leaves[contracting].slots.len();
+        let mut victims = pairs[contracting * TARGET_LEAF_SIZE..][..TARGET_LEAF_SIZE].iter();
+        for i in 0..1200u64 {
+            let key = 30_001 + i * 7;
+            assert_eq!(idx.insert(key, i).unwrap(), model.insert(key, i));
+            if i % 3 == 0 {
+                if let Some(&(k, _)) = victims.next() {
+                    assert_eq!(idx.delete(k).unwrap(), model.remove(&k));
+                }
+            }
+        }
+        assert!(idx.leaf_count() > leaves_loaded, "no split");
+        let shrunk = idx.leaf_for(pairs[contracting * TARGET_LEAF_SIZE].0);
+        assert!(
+            idx.leaves[shrunk].slots.len() < cap_loaded,
+            "no contraction"
+        );
+        // And one leaf with nothing left in it.
+        for &(k, _) in &pairs[TARGET_LEAF_SIZE..2 * TARGET_LEAF_SIZE] {
+            assert_eq!(idx.delete(k).unwrap(), model.remove(&k));
+        }
+        assert!(idx.leaves.iter().any(|l| l.count == 0), "no emptied leaf");
+        for leaf in &idx.leaves {
+            leaf.check_sorted_invariant();
+        }
+
+        let max = *model.keys().next_back().unwrap();
+        let mut starts = vec![0, 1, max, max + 1, u64::MAX];
+        for (leaf, &boundary) in idx.leaves.iter().zip(&idx.boundaries) {
+            // Around the leaf's routing boundary, below its first key and
+            // above its last one (the scan starts past every row of the leaf
+            // and crosses into the next).
+            starts.extend([boundary.saturating_sub(1), boundary, boundary + 1]);
+            let keys: Vec<u64> = leaf.slots.iter().flatten().map(|p| p.0).collect();
+            if let (Some(&first), Some(&last)) = (keys.first(), keys.last()) {
+                starts.extend([first - 1, first, first + 1, last - 1, last, last + 1]);
+            }
+            // An absent key whose predicted slot sits in a run of gaps:
+            // between the rows on either side of the leaf's longest run.
+            let mut run = (0, 0);
+            let mut open = 0;
+            for (i, slot) in leaf.slots.iter().enumerate() {
+                if slot.is_some() {
+                    if i - open > run.1 - run.0 {
+                        run = (open, i);
+                    }
+                    open = i + 1;
+                }
+            }
+            if run.0 > 0 && run.1 - run.0 >= 2 {
+                let (lo, hi) = (
+                    leaf.slots[run.0 - 1].unwrap().0,
+                    leaf.slots[run.1].unwrap().0,
+                );
+                starts.extend([lo + 1, lo + (hi - lo) / 2, hi - 1]);
+            }
+        }
+        // Present keys and their absent neighbours, all over the key space.
+        starts.extend(model.keys().step_by(37).flat_map(|&k| [k, k + 1]));
+        for &start in &starts {
+            for limit in [0, 1, 3, 300, model.len() + 5] {
+                let expected: Vec<(u64, u64)> = model
+                    .range(start..)
+                    .take(limit)
+                    .map(|(&k, &v)| (k, v))
+                    .collect();
+                assert_eq!(
+                    idx.range(start, limit).unwrap(),
+                    expected,
+                    "range({start}, {limit})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! * [`spline::RadixSpline`] — a radix-table-accelerated spline index,
 //!   `Learned<SplineModel>`.
 //! * [`alex::AlexIndex`] — an updatable, adaptive gapped-array learned
-//!   index in the spirit of ALEX \[33].
+//!   index in the spirit of ALEX \[33]; its batched reads are one staged
+//!   probe that yields each read's work units with its answer
+//!   ([`Index::probe_many`]).
 //! * [`delta::DeltaIndex`] — an updatable wrapper that pairs any read-only
 //!   learned index with a delta buffer and explicit retraining, the
 //!   mechanism the benchmark's adaptability metrics exercise.
@@ -176,6 +178,22 @@ pub trait Index: Send {
     fn get_many(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         out.reserve(keys.len());
         out.extend(keys.iter().map(|&k| self.get(k)));
+    }
+
+    /// Batched point lookups with their work units: appends what
+    /// [`Index::get_many`] appends to `hits` and, to `costs`,
+    /// [`Index::probe_cost`] of every key in order — on the state at call
+    /// time, `hits[i] == get(keys[i])` and `costs[i] == probe_cost(keys[i])`
+    /// (offset by what the vectors held before).
+    ///
+    /// This is what a harness that charges a read its work units calls: the
+    /// default asks twice, a structure whose `probe_cost` repeats the probe
+    /// itself ([`alex::AlexIndex`]: the distance its search walks is only
+    /// known by walking it) overrides this to read both off one probe.
+    fn probe_many(&self, keys: &[u64], hits: &mut Vec<Option<u64>>, costs: &mut Vec<u64>) {
+        self.get_many(keys, hits);
+        costs.reserve(keys.len());
+        costs.extend(keys.iter().map(|&k| self.probe_cost(k)));
     }
 }
 

@@ -65,6 +65,135 @@ fn check_range_against_model<I: Index>(idx: &I, model: &BTreeMap<u64, u64>, star
     }
 }
 
+/// The keys worth probing around `live`: every key in it, the absent
+/// neighbours on both sides of each (the gaps), below its minimum and above
+/// its maximum, both ends of `u64`, and `touched` — keys a caller wrote or
+/// deleted, wherever they are now.
+fn probe_pool(live: &BTreeMap<u64, u64>, touched: &[u64]) -> Vec<u64> {
+    let mut pool = vec![0, u64::MAX];
+    pool.extend_from_slice(touched);
+    for &k in live.keys() {
+        pool.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
+    }
+    if let (Some(&min), Some(&max)) = (live.keys().next(), live.keys().next_back()) {
+        pool.extend([min / 2, max / 2 + u64::MAX / 2]);
+    }
+    pool
+}
+
+/// The batched reads of `idx` are its scalar reads, slot for slot:
+/// `get_many` appends `get` of every key, `probe_many` that and
+/// `probe_cost` of every key, and neither disturbs what the vectors held —
+/// on batches of every length around the group size of the staged
+/// pipelines, `picks` choosing the keys from `pool`.
+fn check_batched_equals_scalar<I: Index>(
+    idx: &I,
+    live: &BTreeMap<u64, u64>,
+    pool: &[u64],
+    picks: &[u64],
+) {
+    let who = idx.name();
+    for len in [0usize, 1, 15, 16, 17, 64, 100] {
+        let keys: Vec<u64> = (0..len)
+            .map(|j| pool[picks[(j + len) % picks.len()] as usize % pool.len()])
+            .collect();
+        let gets: Vec<Option<u64>> = keys.iter().map(|&k| idx.get(k)).collect();
+        let expected: Vec<Option<u64>> = keys.iter().map(|k| live.get(k).copied()).collect();
+        assert_eq!(gets, expected, "{who} get, {len} keys");
+        let probe_costs: Vec<u64> = keys.iter().map(|&k| idx.probe_cost(k)).collect();
+
+        let (held_hits, held_costs) = ([Some(7), None, Some(9)], [u64::MAX, 3]);
+        let mut out = held_hits.to_vec();
+        idx.get_many(&keys, &mut out);
+        assert_eq!(out[..3], held_hits, "{who} get_many kept, {len} keys");
+        assert_eq!(out[3..], gets, "{who} get_many, {len} keys {keys:?}");
+
+        let (mut hits, mut costs) = (held_hits.to_vec(), held_costs.to_vec());
+        idx.probe_many(&keys, &mut hits, &mut costs);
+        assert_eq!(hits[..3], held_hits, "{who} probe_many kept hits");
+        assert_eq!(costs[..2], held_costs, "{who} probe_many kept costs");
+        assert_eq!(
+            hits[3..],
+            gets,
+            "{who} probe_many hits, {len} keys {keys:?}"
+        );
+        assert_eq!(
+            costs[2..],
+            probe_costs,
+            "{who} probe_many costs, {len} keys {keys:?}"
+        );
+    }
+}
+
+/// Bulk-loads the four indexes that are only ever loaded and the three that
+/// are updated in place, applies `writes` (`Some(value)` inserts, `None`
+/// deletes) to the latter, and holds all seven to
+/// [`check_batched_equals_scalar`].
+fn check_batched_reads_everywhere(
+    base: &[(u64, u64)],
+    writes: &[(u64, Option<u64>)],
+    picks: &[u64],
+) {
+    fn loaded<I: Index + BulkLoad>(base: &[(u64, u64)], live: &BTreeMap<u64, u64>, picks: &[u64]) {
+        let pool = probe_pool(live, &[]);
+        check_batched_equals_scalar(&I::bulk_load(base).unwrap(), live, &pool, picks);
+    }
+    let loaded_pairs: BTreeMap<u64, u64> = base.iter().copied().collect();
+    loaded::<Rmi>(base, &loaded_pairs, picks);
+    loaded::<PgmIndex>(base, &loaded_pairs, picks);
+    loaded::<RadixSpline>(base, &loaded_pairs, picks);
+    loaded::<SortedArray>(base, &loaded_pairs, picks);
+
+    let mut live = loaded_pairs;
+    let mut bt = BPlusTree::with_fanout(6);
+    for &(k, v) in base {
+        bt.insert(k, v).unwrap();
+    }
+    let mut al = AlexIndex::bulk_load(base).unwrap();
+    let mut h = HashIndex::bulk_load(base).unwrap();
+    for &(key, write) in writes {
+        let expect = match write {
+            Some(value) => live.insert(key, value),
+            None => live.remove(&key),
+        };
+        for idx in [&mut bt as &mut dyn Index, &mut al, &mut h] {
+            let got = match write {
+                Some(value) => idx.insert(key, value),
+                None => idx.delete(key),
+            };
+            assert_eq!(got.unwrap(), expect, "{} write {key}", idx.name());
+        }
+    }
+    let touched: Vec<u64> = writes.iter().map(|w| w.0).collect();
+    let pool = probe_pool(&live, &touched);
+    check_batched_equals_scalar(&bt, &live, &pool, picks);
+    check_batched_equals_scalar(&al, &live, &pool, picks);
+    check_batched_equals_scalar(&h, &live, &pool, picks);
+}
+
+/// Leaves emptied by deletes, a leaf split by a burst of inserts, and
+/// batches that cross both: two whole bulk-loaded ALEX leaves (256 keys
+/// each) lose every key, and 1200 fresh keys land inside a third.
+#[test]
+fn batched_reads_cross_emptied_and_split_leaves() {
+    let base: Vec<(u64, u64)> = (0..2000u64).map(|i| (500 + i * 100, i)).collect();
+    let mut writes: Vec<(u64, Option<u64>)> = base[256..768].iter().map(|p| (p.0, None)).collect();
+    writes.extend((0..1200u64).map(|i| (120_001 + i * 7, Some(i))));
+    // Keys of the emptied leaves, of the split one and of untouched ones.
+    let picks: Vec<u64> = (0..100u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20)
+        .collect();
+    check_batched_reads_everywhere(&base, &writes, &picks);
+    // The same with the pool narrowed to the emptied leaves alone.
+    let live: BTreeMap<u64, u64> = base[..256].iter().chain(&base[768..]).copied().collect();
+    let mut al = AlexIndex::bulk_load(&base).unwrap();
+    for &(k, _) in &base[256..768] {
+        al.delete(k).unwrap();
+    }
+    let emptied: Vec<u64> = base[250..775].iter().flat_map(|p| [p.0, p.0 + 1]).collect();
+    check_batched_equals_scalar(&al, &live, &emptied, &picks);
+}
+
 /// A model that never looked at the data: the window it returns is a hash
 /// of the key — empty, saturated, inverted, everything, or two arbitrary
 /// positions in either order and on either side of the array's end.
@@ -423,6 +552,26 @@ proptest! {
         let all: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
         prop_assert_eq!(bt.range(0, usize::MAX >> 1).unwrap(), all.clone());
         prop_assert_eq!(al.range(0, usize::MAX >> 1).unwrap(), all);
+    }
+
+    #[test]
+    fn batched_reads_equal_scalar_reads(
+        base in arb_pairs(),
+        draws in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..300),
+        picks in prop::collection::vec(any::<u64>(), 100),
+    ) {
+        // The write steps of the `DeltaIndex` machine: keys of the base, a
+        // few fresh low ones written and deleted again and again, the top
+        // of `u64`.
+        let writes: Vec<(u64, Option<u64>)> = draws
+            .iter()
+            .filter_map(|&d| match Step::draw(&base, d) {
+                Step::Insert(key, value) => Some((key, Some(value))),
+                Step::Delete(key) => Some((key, None)),
+                Step::Get(_) | Step::Retrain => None,
+            })
+            .collect();
+        check_batched_reads_everywhere(&base, &writes, &picks);
     }
 
     #[test]

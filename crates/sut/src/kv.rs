@@ -18,8 +18,10 @@
 //! them is bookkeeping the model never charges for, so per op and per
 //! maintenance slot it is O(1): the work counter is read through
 //! [`Index::build_work`], a [`DeltaIndex`] knows its own length and pending
-//! count, and [`Index::stats`] — which may walk the whole structure to
-//! size it — is called from `metrics()` only, once per run.
+//! count, [`Index::stats`] — which may walk the whole structure to size
+//! it — is called from `metrics()` only, once per run, and a batched read
+//! is charged from the probe that answered it ([`Index::probe_many`]), not
+//! from a second one.
 
 use crate::sut::{ExecOutcome, SutMetrics, SystemUnderTest};
 use crate::{Result, SutError};
@@ -64,6 +66,7 @@ pub struct LearnedKvSut<I: Index + BulkLoad> {
     training_work: u64,
     execution_work: u64,
     adaptations: u64,
+    scratch: ReadScratch,
 }
 
 impl<I: Index + BulkLoad> LearnedKvSut<I> {
@@ -81,6 +84,7 @@ impl<I: Index + BulkLoad> LearnedKvSut<I> {
             training_work: 0,
             execution_work: 0,
             adaptations: 0,
+            scratch: ReadScratch::default(),
         })
     }
 
@@ -96,6 +100,7 @@ impl<I: Index + BulkLoad> LearnedKvSut<I> {
             training_work: 0,
             execution_work: 0,
             adaptations: 0,
+            scratch: ReadScratch::default(),
         }
     }
 
@@ -131,8 +136,8 @@ impl<I: Index + BulkLoad> LearnedKvSut<I> {
 
 impl<I: Index + BulkLoad> ReadPath for LearnedKvSut<I> {
     type Ix = DeltaIndex<I>;
-    fn read_path(&mut self) -> (&Self::Ix, &mut u64) {
-        (&self.index, &mut self.execution_work)
+    fn read_path(&mut self) -> (&Self::Ix, &mut u64, &mut ReadScratch) {
+        (&self.index, &mut self.execution_work, &mut self.scratch)
     }
 }
 
@@ -225,23 +230,32 @@ fn degrade(result: lsbench_index::Result<()>, work: u64) -> Result<ExecOutcome> 
     }
 }
 
-/// What the batched read path needs from an adapter: its index and its
-/// execution-work counter, borrowed together.
+/// The buffers one run of reads is gathered into and answered from, kept
+/// by the adapter so a dispatch allocates nothing but its outcomes.
+#[derive(Debug, Default)]
+struct ReadScratch {
+    keys: Vec<u64>,
+    hits: Vec<Option<u64>>,
+    costs: Vec<u64>,
+}
+
+/// What the batched read path needs from an adapter: its index, its
+/// execution-work counter and its scratch buffers, borrowed together.
 trait ReadPath: SystemUnderTest<Operation> {
     type Ix: Index;
-    fn read_path(&mut self) -> (&Self::Ix, &mut u64);
+    fn read_path(&mut self) -> (&Self::Ix, &mut u64, &mut ReadScratch);
 }
 
 /// Batched dispatch shared by every index adapter: each run of consecutive
-/// reads goes through `Index::get_many` in one call, so the index can
+/// reads goes through `Index::probe_many` in one call, so the index can
 /// overlap the probes' cache misses (the B+-tree's group descent, the
-/// learned indexes' last-mile searches); everything else takes the
-/// adapter's own `execute`. The work charged per read is `probe_cost(key)`
-/// either way — batching never changes the record.
+/// learned indexes' last-mile searches, ALEX's staged leaf probe) and
+/// hand back each read's work units from the probe that answered it;
+/// everything else takes the adapter's own `execute`. The work charged per
+/// read is what `execute` charges either way — batching never changes the
+/// record.
 fn execute_read_runs<S: ReadPath>(sut: &mut S, ops: &[Operation]) -> Vec<Result<ExecOutcome>> {
     let mut out = Vec::with_capacity(ops.len());
-    let mut keys: Vec<u64> = Vec::new();
-    let mut hits: Vec<Option<u64>> = Vec::new();
     let mut i = 0;
     while i < ops.len() {
         let Operation::Read { key } = ops[i] else {
@@ -249,20 +263,18 @@ fn execute_read_runs<S: ReadPath>(sut: &mut S, ops: &[Operation]) -> Vec<Result<
             i += 1;
             continue;
         };
+        let (index, execution_work, ReadScratch { keys, hits, costs }) = sut.read_path();
         keys.clear();
         keys.push(key);
         while let Some(&Operation::Read { key }) = ops.get(i + keys.len()) {
             keys.push(key);
         }
         hits.clear();
-        let (index, execution_work) = sut.read_path();
-        index.get_many(&keys, &mut hits);
-        debug_assert_eq!(hits.len(), keys.len());
-        for &key in &keys {
-            let work = index.probe_cost(key);
-            *execution_work += work;
-            out.push(Ok(ExecOutcome::ok(work)));
-        }
+        costs.clear();
+        index.probe_many(keys, hits, costs);
+        debug_assert_eq!(costs.len(), keys.len());
+        *execution_work += costs.iter().sum::<u64>();
+        out.extend(costs.iter().map(|&work| Ok(ExecOutcome::ok(work))));
         i += keys.len();
     }
     out
@@ -298,6 +310,7 @@ pub struct StructuralSut<I> {
     index: I,
     execution_work: u64,
     baseline_struct_work: u64,
+    scratch: ReadScratch,
 }
 
 impl<I: Restructures> StructuralSut<I> {
@@ -311,14 +324,15 @@ impl<I: Restructures> StructuralSut<I> {
             index,
             execution_work: 0,
             baseline_struct_work: baseline,
+            scratch: ReadScratch::default(),
         })
     }
 }
 
 impl<I: Restructures> ReadPath for StructuralSut<I> {
     type Ix = I;
-    fn read_path(&mut self) -> (&Self::Ix, &mut u64) {
-        (&self.index, &mut self.execution_work)
+    fn read_path(&mut self) -> (&Self::Ix, &mut u64, &mut ReadScratch) {
+        (&self.index, &mut self.execution_work, &mut self.scratch)
     }
 }
 
