@@ -13,7 +13,8 @@
 
 use crate::record::RunRecord;
 use crate::{BenchError, Result};
-use lsbench_stats::timeseries::TimeSeries;
+use lsbench_stats::timeseries::{area_between, Cursor, TimeSeries};
+use lsbench_stats::StatsError;
 use serde::{Deserialize, Serialize};
 
 /// The full Fig. 1b report for one SUT.
@@ -45,49 +46,51 @@ const RECOVERY_WINDOW: usize = 50;
 /// Fraction of steady-state throughput that counts as "recovered".
 const RECOVERY_LEVEL: f64 = 0.8;
 
+fn metric(e: StatsError) -> BenchError {
+    BenchError::Metric(e.to_string())
+}
+
 impl AdaptabilityReport {
     /// Builds the report from a run record.
+    ///
+    /// A handful of passes over `record.ops` where they lie: the record is
+    /// never copied, and nothing allocated here grows with it (only a record
+    /// edited out of time order is sorted into a copy first). The ideal
+    /// system is the two-point curve `(exec_start, 0) → (exec_end, ops)`;
+    /// the area against it and the plotted samples come off a [`Cursor`] on
+    /// the completion curve, the phase figures off a table with one entry
+    /// per phase.
     pub fn from_record(record: &RunRecord) -> Result<Self> {
         if record.ops.is_empty() {
             return Err(BenchError::Metric("empty run record".to_string()));
         }
-        let curve_full = record.cumulative_curve();
-        let area = curve_full
-            .area_vs_ideal(record.exec_start, record.exec_end)
-            .map_err(|e| BenchError::Metric(e.to_string()))?;
+        let (start, end) = (record.exec_start, record.exec_end);
+        if end <= start {
+            return Err(metric(StatsError::InvalidParameter(
+                "end must exceed start",
+            )));
+        }
+        let completed = record.cumulative_curve()?;
+        let ideal = [(start, 0.0), (end, record.ops.len() as f64)];
+        let area = area_between(&completed, &ideal[..]).map_err(metric)?;
         let duration = record.exec_duration().max(f64::MIN_POSITIVE);
         let normalized = area / (record.ops.len() as f64 * duration);
 
         // Downsample the curve for plotting.
-        let series = curve_full.to_series(record.exec_start);
-        let mut curve = Vec::with_capacity(CURVE_POINTS + 1);
-        for i in 0..=CURVE_POINTS {
-            let t = record.exec_start + duration * i as f64 / CURVE_POINTS as f64;
-            let v = series
-                .value_at(t)
-                .map_err(|e| BenchError::Metric(e.to_string()))?;
-            curve.push((t, v));
-        }
+        let mut at = Cursor::new(&completed).map_err(metric)?;
+        let curve = (0..=CURVE_POINTS)
+            .map(|i| {
+                let t = start + duration * i as f64 / CURVE_POINTS as f64;
+                (t, at.value_at(t))
+            })
+            .collect();
 
-        let phase_count = record.phase_names.len();
-        let mut phase_throughput = Vec::with_capacity(phase_count);
-        for p in 0..phase_count {
-            let lats: Vec<&crate::record::OpRecord> = record
-                .ops
-                .iter()
-                .filter(|o| o.phase as usize == p)
-                .collect();
-            if lats.len() < 2 {
-                phase_throughput.push(0.0);
-                continue;
-            }
-            let span = lats[lats.len() - 1].t_end - lats[0].t_end;
-            phase_throughput.push(if span > 0.0 {
-                (lats.len() - 1) as f64 / span
-            } else {
-                0.0
-            });
-        }
+        let spans = phase_spans(record);
+        // A phase no op names has an empty span.
+        let span_of = |phase: usize| spans.get(phase).copied().unwrap_or_default();
+        let phase_throughput = (0..record.phase_names.len())
+            .map(|p| span_of(p).throughput())
+            .collect();
 
         // Recovery times per phase change (skip the initial phase 0 entry).
         let mut recovery_times = Vec::new();
@@ -95,11 +98,17 @@ impl AdaptabilityReport {
             if phase == 0 {
                 continue;
             }
-            let steady = phase_steady_throughput(record, phase);
+            let span = span_of(phase);
+            let times = || span.times(record, phase);
+            let steady = span.steady_throughput(times());
             if steady <= 0.0 {
                 continue;
             }
-            let recovery = recovery_time(record, phase, start_t, steady);
+            let recovery = match span.recovered_at(times(), steady) {
+                Some(t) => (t - start_t).max(0.0),
+                // Never recovered within the phase.
+                None => record.exec_end - start_t,
+            };
             recovery_times.push((phase, recovery));
         }
 
@@ -117,12 +126,9 @@ impl AdaptabilityReport {
     /// curve and another's over the overlapping span (positive = `self`
     /// completed more work earlier).
     pub fn area_vs(&self, other: &AdaptabilityReport) -> Result<f64> {
-        let a = TimeSeries::from_points(self.curve.clone())
-            .map_err(|e| BenchError::Metric(e.to_string()))?;
-        let b = TimeSeries::from_points(other.curve.clone())
-            .map_err(|e| BenchError::Metric(e.to_string()))?;
-        a.area_difference(&b)
-            .map_err(|e| BenchError::Metric(e.to_string()))
+        let a = TimeSeries::from_points(self.curve.clone()).map_err(metric)?;
+        let b = TimeSeries::from_points(other.curve.clone()).map_err(metric)?;
+        a.area_difference(&b).map_err(metric)
     }
 }
 
@@ -135,60 +141,105 @@ impl AdaptabilityReport {
 /// plotting curves, this works on every completion timestamp, so the value
 /// is a pure function of the two records — a record saved to the results
 /// store ([`crate::results`]) and reloaded reproduces it bit-identically.
-/// Exactly antisymmetric: swapping the arguments negates the result.
+/// Exactly antisymmetric: swapping the arguments negates the result. One
+/// merge of the two records' completions where they lie, in time order.
 pub fn paired_area_difference(baseline: &RunRecord, candidate: &RunRecord) -> Result<f64> {
     if baseline.ops.is_empty() || candidate.ops.is_empty() {
         return Err(BenchError::Metric("empty run record".to_string()));
     }
-    let b = baseline.cumulative_curve().to_series(baseline.exec_start);
-    let c = candidate.cumulative_curve().to_series(candidate.exec_start);
-    c.area_difference(&b)
-        .map_err(|e| BenchError::Metric(e.to_string()))
+    let b = baseline.cumulative_curve()?;
+    let c = candidate.cumulative_curve()?;
+    area_between(&c, &b).map_err(metric)
 }
 
-/// Steady-state throughput of a phase: measured over its second half (the
-/// first half may include the adaptation transient).
-fn phase_steady_throughput(record: &RunRecord, phase: usize) -> f64 {
-    let times: Vec<f64> = record
-        .ops
-        .iter()
-        .filter(|o| o.phase as usize == phase)
-        .map(|o| o.t_end)
-        .collect();
-    if times.len() < 4 {
-        return 0.0;
-    }
-    let half = times.len() / 2;
-    let span = times[times.len() - 1] - times[half];
-    if span > 0.0 {
-        (times.len() - half - 1) as f64 / span
-    } else {
-        0.0
-    }
+/// Where one phase's completions sit in `record.ops` (in recorded order,
+/// which is what "first" and "last" mean here).
+#[derive(Debug, Clone, Copy, Default)]
+struct PhaseSpan {
+    count: usize,
+    /// Index of the phase's first op in `record.ops`.
+    first_op: usize,
+    first_t: f64,
+    last_t: f64,
 }
 
-/// Seconds after `start_t` until windowed throughput reaches
-/// `RECOVERY_LEVEL × steady`.
-fn recovery_time(record: &RunRecord, phase: usize, start_t: f64, steady: f64) -> f64 {
-    let times: Vec<f64> = record
-        .ops
-        .iter()
-        .filter(|o| o.phase as usize == phase)
-        .map(|o| o.t_end)
-        .collect();
-    let window = RECOVERY_WINDOW.min(times.len().saturating_sub(1)).max(1);
-    for i in window..times.len() {
-        let span = times[i] - times[i - window];
-        if span <= 0.0 {
-            continue;
+/// The span of every phase an op names, by phase, from one pass over the ops.
+fn phase_spans(record: &RunRecord) -> Vec<PhaseSpan> {
+    let mut spans = vec![PhaseSpan::default(); record.phase_names.len()];
+    for (i, op) in record.ops.iter().enumerate() {
+        let phase = op.phase as usize;
+        if phase >= spans.len() {
+            spans.resize(phase + 1, PhaseSpan::default());
         }
-        let tput = window as f64 / span;
-        if tput >= RECOVERY_LEVEL * steady {
-            return (times[i] - start_t).max(0.0);
+        let span = &mut spans[phase];
+        if span.count == 0 {
+            span.first_op = i;
+            span.first_t = op.t_end;
+        }
+        span.count += 1;
+        span.last_t = op.t_end;
+    }
+    spans
+}
+
+impl PhaseSpan {
+    /// Mean throughput from the phase's first completion to its last.
+    fn throughput(&self) -> f64 {
+        if self.count < 2 {
+            return 0.0;
+        }
+        let span = self.last_t - self.first_t;
+        if span > 0.0 {
+            (self.count - 1) as f64 / span
+        } else {
+            0.0
         }
     }
-    // Never recovered within the phase.
-    record.exec_end - start_t
+
+    /// The completion times of `phase`, whose span this is, in recorded order.
+    fn times<'a>(&self, record: &'a RunRecord, phase: usize) -> impl Iterator<Item = f64> + 'a {
+        record.ops[self.first_op..]
+            .iter()
+            .filter(move |o| o.phase as usize == phase)
+            .map(|o| o.t_end)
+            .take(self.count)
+    }
+
+    /// Steady-state throughput of the phase: measured over the second half
+    /// of its `times` (the first half may include the adaptation transient).
+    fn steady_throughput(&self, mut times: impl Iterator<Item = f64>) -> f64 {
+        if self.count < 4 {
+            return 0.0;
+        }
+        let half = self.count / 2;
+        let middle = times.nth(half).expect("half < count");
+        let span = self.last_t - middle;
+        if span > 0.0 {
+            (self.count - half - 1) as f64 / span
+        } else {
+            0.0
+        }
+    }
+
+    /// The first of the phase's `times` at which throughput over the last
+    /// `RECOVERY_WINDOW` completions reaches `RECOVERY_LEVEL × steady`.
+    fn recovered_at(&self, times: impl Iterator<Item = f64>, steady: f64) -> Option<f64> {
+        let window = RECOVERY_WINDOW.min(self.count.saturating_sub(1)).max(1);
+        // `ring[i % window]` holds the time of completion `i - window` until
+        // completion `i` overwrites it.
+        let mut ring = [0.0; RECOVERY_WINDOW];
+        for (i, t) in times.enumerate() {
+            let behind = std::mem::replace(&mut ring[i % window], t);
+            if i < window {
+                continue;
+            }
+            let span = t - behind;
+            if span > 0.0 && window as f64 / span >= RECOVERY_LEVEL * steady {
+                return Some(t);
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]

@@ -8,9 +8,11 @@
 //! single average (Lesson 2).
 
 use crate::faults::FaultStats;
-use lsbench_stats::timeseries::CumulativeCurve;
+use crate::{BenchError, Result};
+use lsbench_stats::timeseries::Curve;
 use lsbench_sut::sut::SutMetrics;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One completed operation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -103,10 +105,35 @@ impl RunRecord {
         self.ops.iter().map(|o| o.latency).collect()
     }
 
-    /// Completion-time curve of the execution portion.
-    pub fn cumulative_curve(&self) -> CumulativeCurve {
-        CumulativeCurve::from_timestamps(self.ops.iter().map(|o| o.t_end).collect())
-            .expect("timestamps are finite and ordered")
+    /// Cumulative completions over time (Fig. 1b), read off `ops` in place.
+    ///
+    /// A run records its completions in time order, and then this costs one
+    /// pass and no memory. Only an edited artifact can step back in time;
+    /// its completions are sorted into a copy first, so the curve is the
+    /// same function of the set of completion times either way.
+    pub fn cumulative_curve(&self) -> Result<CompletionCurve<'_>> {
+        let mut prev = f64::NEG_INFINITY;
+        let in_order = self.ops.iter().all(|o| {
+            let ordered = o.t_end >= prev;
+            prev = o.t_end;
+            ordered
+        });
+        let ops = if in_order {
+            Cow::Borrowed(&self.ops[..])
+        } else {
+            if self.ops.iter().any(|o| o.t_end.is_nan()) {
+                return Err(BenchError::Metric(
+                    "completion time is not a number".to_string(),
+                ));
+            }
+            let mut sorted = self.ops.clone();
+            sorted.sort_by(|a, b| a.t_end.partial_cmp(&b.t_end).expect("checked for NaN"));
+            Cow::Owned(sorted)
+        };
+        Ok(CompletionCurve {
+            start: self.exec_start,
+            ops,
+        })
     }
 
     /// Throughput measured over consecutive windows of `ops_per_window`
@@ -137,6 +164,31 @@ impl RunRecord {
             .iter()
             .find(|&&(phase, _)| phase == p)
             .map(|&(_, t)| t)
+    }
+}
+
+/// A run's cumulative-completion curve as a [`Curve`]: it starts at
+/// `(exec_start, 0)`, and its `i`-th point after that is the `i`-th
+/// completion in time order, `(t_end, i)`, a completion stamped before
+/// `exec_start` counting from `exec_start`.
+#[derive(Debug, Clone)]
+pub struct CompletionCurve<'a> {
+    start: f64,
+    /// In `t_end` order.
+    ops: Cow<'a, [OpRecord]>,
+}
+
+impl Curve for CompletionCurve<'_> {
+    fn len(&self) -> usize {
+        self.ops.len() + 1
+    }
+
+    #[inline]
+    fn point(&self, i: usize) -> (f64, f64) {
+        match i.checked_sub(1) {
+            None => (self.start, 0.0),
+            Some(op) => (self.ops[op].t_end.max(self.start), i as f64),
+        }
     }
 }
 
@@ -216,9 +268,26 @@ mod tests {
     #[test]
     fn cumulative_curve_total() {
         let r = synthetic();
-        let c = r.cumulative_curve();
-        assert_eq!(c.total(), 60);
-        assert_eq!(c.completed_by(10.0), 10);
+        let c = r.cumulative_curve().unwrap();
+        assert_eq!(c.len(), 61);
+        assert_eq!(c.point(0), (0.0, 0.0));
+        assert_eq!(c.point(10), (10.0, 10.0));
+        assert_eq!(c.point(60), (20.0, 60.0));
+    }
+
+    #[test]
+    fn cumulative_curve_sorts_what_an_edit_left_out_of_order() {
+        let mut r = synthetic();
+        r.exec_start = 2.5;
+        r.ops.swap(0, 59);
+        let c = r.cumulative_curve().unwrap();
+        let times: Vec<f64> = (0..c.len()).map(|i| c.point(i).0).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
+        // Completions from before the window count from its start.
+        assert_eq!(times[..4], [2.5, 2.5, 2.5, 3.0]);
+        assert_eq!(c.point(60), (20.0, 60.0));
+        r.ops[7].t_end = f64::NAN;
+        assert!(r.cumulative_curve().is_err());
     }
 
     /// A saved record must round-trip *completely*: `final_metrics` used

@@ -68,7 +68,9 @@ impl TimeSeries {
 
     /// Linear interpolation of the value at time `t`.
     ///
-    /// Clamps to the first/last value outside the covered range.
+    /// Clamps to the first/last value outside the covered range. One binary
+    /// search per call: for look-ups at non-decreasing times use a
+    /// [`Cursor`], which finds the same values by stepping.
     pub fn value_at(&self, t: f64) -> Result<f64> {
         if self.points.is_empty() {
             return Err(StatsError::Empty);
@@ -83,12 +85,7 @@ impl TimeSeries {
         }
         // Binary search for the segment containing t.
         let idx = self.points.partition_point(|&(pt, _)| pt <= t);
-        let (t0, v0) = self.points[idx - 1];
-        let (t1, v1) = self.points[idx];
-        if t1 == t0 {
-            return Ok(v1);
-        }
-        Ok(v0 + (v1 - v0) * (t - t0) / (t1 - t0))
+        Ok(interpolate(self.points[idx - 1], self.points[idx], t))
     }
 
     /// Trapezoidal area under the curve over its full time span.
@@ -110,40 +107,14 @@ impl TimeSeries {
     ///
     /// This is the paper's *area difference* single-value adaptability score.
     /// A positive result means `self` stays above `other` on balance.
+    /// Evaluated by [`area_between`] in one pass over both series.
     pub fn area_difference(&self, other: &TimeSeries) -> Result<f64> {
-        if self.points.is_empty() || other.points.is_empty() {
-            return Err(StatsError::Empty);
+        // `Deserialize` validates nothing, so a NaN can get this far.
+        let nan = |&(t, v): &(f64, f64)| t.is_nan() || v.is_nan();
+        if self.points.iter().chain(&other.points).any(nan) {
+            return Err(StatsError::NanInput);
         }
-        let lo = self.points[0].0.max(other.points[0].0);
-        let hi = self.points[self.points.len() - 1]
-            .0
-            .min(other.points[other.points.len() - 1].0);
-        if hi <= lo {
-            return Ok(0.0);
-        }
-        // Merge the breakpoints of both series inside [lo, hi].
-        let mut ts: Vec<f64> = std::iter::once(lo)
-            .chain(
-                self.points
-                    .iter()
-                    .chain(other.points.iter())
-                    .map(|&(t, _)| t)
-                    .filter(|&t| t > lo && t < hi),
-            )
-            .chain(std::iter::once(hi))
-            .collect();
-        ts.sort_by(|a, b| a.partial_cmp(b).expect("times are not NaN"));
-        ts.dedup();
-        let mut area = 0.0;
-        let mut prev_t = ts[0];
-        let mut prev_d = self.value_at(prev_t)? - other.value_at(prev_t)?;
-        for &t in &ts[1..] {
-            let d = self.value_at(t)? - other.value_at(t)?;
-            area += (t - prev_t) * (prev_d + d) / 2.0;
-            prev_t = t;
-            prev_d = d;
-        }
-        Ok(area)
+        area_between(&self.points[..], &other.points[..])
     }
 
     /// Average slope over the full span (`Δvalue / Δtime`).
@@ -161,6 +132,165 @@ impl TimeSeries {
         }
         Ok((v1 - v0) / (t1 - t0))
     }
+}
+
+/// The value at `t` on the segment from `(t0, v0)` to `(t1, v1)`.
+#[inline]
+fn interpolate((t0, v0): (f64, f64), (t1, v1): (f64, f64), t: f64) -> f64 {
+    if t1 == t0 {
+        return v1;
+    }
+    v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+}
+
+/// A piecewise-linear curve read in place, point by point.
+///
+/// What [`area_between`] and [`Cursor`] need of a curve, so that one whose
+/// points are implied by other data — a run's completions, say, where point
+/// `i` is `(i-th completion time, i)` — is measured without first being
+/// copied into a [`TimeSeries`]. Times must be non-decreasing in `i` and
+/// nothing may be NaN.
+pub trait Curve {
+    /// Number of points.
+    fn len(&self) -> usize;
+
+    /// Whether the curve has no points.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th `(time, value)` point, `i < len()`.
+    fn point(&self, i: usize) -> (f64, f64);
+}
+
+impl Curve for [(f64, f64)] {
+    fn len(&self) -> usize {
+        <[(f64, f64)]>::len(self)
+    }
+
+    #[inline]
+    fn point(&self, i: usize) -> (f64, f64) {
+        self[i]
+    }
+}
+
+/// A place on a [`Curve`] that only moves forward.
+///
+/// [`Cursor::value_at`] returns what [`TimeSeries::value_at`] returns —
+/// the same segment by the same rule, the same expression over it, hence
+/// the same bits — provided the times asked for never decrease; it then
+/// finds the segment by stepping from the previous one, where `value_at`
+/// searches the whole series every time.
+#[derive(Debug)]
+pub struct Cursor<'a, C: ?Sized> {
+    curve: &'a C,
+    first: (f64, f64),
+    last: (f64, f64),
+    /// Points whose time is `<=` the latest time asked for: what
+    /// `partition_point(|pt| pt <= t)` would say.
+    idx: usize,
+    /// `point(idx - 1)` once a point is behind the cursor.
+    behind: (f64, f64),
+    /// `point(idx)` while one is ahead.
+    ahead: (f64, f64),
+}
+
+impl<'a, C: Curve + ?Sized> Cursor<'a, C> {
+    /// A cursor before the first point of `curve`, which must have one.
+    pub fn new(curve: &'a C) -> Result<Self> {
+        if curve.is_empty() {
+            return Err(StatsError::Empty);
+        }
+        let (first, last) = (curve.point(0), curve.point(curve.len() - 1));
+        if first.0.is_nan() || last.0.is_nan() {
+            return Err(StatsError::NanInput);
+        }
+        Ok(Cursor {
+            curve,
+            first,
+            last,
+            idx: 0,
+            behind: first,
+            ahead: first,
+        })
+    }
+
+    /// Linear interpolation of the curve at `t`, clamped to the first/last
+    /// value outside the covered range; among points of equal time the last
+    /// one counts. `t` must not be less than on the previous call.
+    #[inline]
+    pub fn value_at(&mut self, t: f64) -> f64 {
+        while self.idx < self.curve.len() && self.ahead.0 <= t {
+            self.behind = self.ahead;
+            self.idx += 1;
+            if self.idx < self.curve.len() {
+                self.ahead = self.curve.point(self.idx);
+            }
+        }
+        if t <= self.first.0 {
+            return self.first.1;
+        }
+        if t >= self.last.0 {
+            return self.last.1;
+        }
+        if t.is_nan() {
+            return t;
+        }
+        // The first time is below `t`, so a point is behind the cursor, and
+        // the last time — which the cursor passes only once a `t` has
+        // reached it — is above, so one is ahead.
+        interpolate(self.behind, self.ahead, t)
+    }
+
+    /// Time of the first point later than every time asked for so far;
+    /// infinite once there is none.
+    #[inline]
+    fn next_time(&self) -> f64 {
+        if self.idx < self.curve.len() {
+            self.ahead.0
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// Signed area between two curves over their overlapping span,
+/// `∫ (a(t) - b(t)) dt` — Fig. 1b's *area difference*.
+///
+/// The difference of two piecewise-linear curves is linear between
+/// consecutive breakpoints of either, so the integral is a sum of
+/// trapezoids over the distinct breakpoint times inside the span. Both
+/// curves are in time order: one cursor on each yields those times by
+/// merging, in order, and the curve's value there, so the area costs one
+/// pass over each curve and no memory. The trapezoids, the values and the
+/// order they are summed in are those of evaluating [`TimeSeries::value_at`]
+/// on both curves at every breakpoint of their sorted union — the result is
+/// the same to the bit — and swapping the arguments negates it exactly.
+pub fn area_between<A, B>(a: &A, b: &B) -> Result<f64>
+where
+    A: Curve + ?Sized,
+    B: Curve + ?Sized,
+{
+    let (mut a, mut b) = (Cursor::new(a)?, Cursor::new(b)?);
+    let lo = a.first.0.max(b.first.0);
+    let hi = a.last.0.min(b.last.0);
+    if hi <= lo {
+        return Ok(0.0);
+    }
+    let mut area = 0.0;
+    let mut prev_t = lo;
+    let mut prev_d = a.value_at(lo) - b.value_at(lo);
+    while prev_t < hi {
+        // Each cursor now rests on its first point later than `prev_t`.
+        let (ta, tb) = (a.next_time(), b.next_time());
+        let next = if tb < ta { tb } else { ta };
+        let t = if next < hi { next } else { hi };
+        let d = a.value_at(t) - b.value_at(t);
+        area += (t - prev_t) * (prev_d + d) / 2.0;
+        prev_t = t;
+        prev_d = d;
+    }
+    Ok(area)
 }
 
 /// Cumulative-completion curve: completions counted against timestamps.
@@ -445,6 +575,56 @@ mod tests {
         let a = TimeSeries::from_points(vec![(0.0, 1.0), (1.0, 1.0)]).unwrap();
         let b = TimeSeries::from_points(vec![(5.0, 1.0), (6.0, 1.0)]).unwrap();
         assert!(close(a.area_difference(&b).unwrap(), 0.0));
+    }
+
+    #[test]
+    fn area_difference_refuses_nan() {
+        // `from_points` and `push` refuse NaN; a derived `Deserialize`
+        // checks nothing, so build the series the way it would.
+        let clean = TimeSeries::from_points(vec![(0.0, 1.0), (2.0, 3.0), (4.0, 0.0)]).unwrap();
+        for points in [
+            vec![(f64::NAN, 1.0), (2.0, 3.0), (4.0, 0.0)],
+            vec![(0.0, 1.0), (f64::NAN, 3.0), (4.0, 0.0)],
+            vec![(0.0, 1.0), (2.0, f64::NAN), (4.0, 0.0)],
+            vec![(f64::NAN, f64::NAN)],
+        ] {
+            let dirty = TimeSeries { points };
+            assert_eq!(dirty.area_difference(&clean), Err(StatsError::NanInput));
+            assert_eq!(clean.area_difference(&dirty), Err(StatsError::NanInput));
+            assert_eq!(dirty.area_difference(&dirty), Err(StatsError::NanInput));
+        }
+        assert_eq!(
+            clean.area_difference(&TimeSeries::new()),
+            Err(StatsError::Empty)
+        );
+    }
+
+    #[test]
+    fn cursor_steps_to_what_value_at_searches_for() {
+        let s = TimeSeries::from_points(vec![
+            (0.0, 0.0),
+            (0.0, 1.0),
+            (1.0, 1.0),
+            (1.0, 5.0),
+            (1.0, 6.0),
+            (2.5, 2.0),
+            (4.0, 2.0),
+            (4.0, 9.0),
+        ])
+        .unwrap();
+        let mut cursor = Cursor::new(s.points()).unwrap();
+        for i in -8..48 {
+            let t = i as f64 / 8.0;
+            let (stepped, searched) = (cursor.value_at(t), s.value_at(t).unwrap());
+            assert_eq!(stepped.to_bits(), searched.to_bits(), "t = {t}");
+            // Asking again for the same time changes nothing.
+            assert_eq!(cursor.value_at(t).to_bits(), searched.to_bits());
+        }
+        assert!(cursor.value_at(f64::NAN).is_nan());
+        assert_eq!(
+            Cursor::new(TimeSeries::new().points()).err(),
+            Some(StatsError::Empty)
+        );
     }
 
     #[test]

@@ -27,17 +27,11 @@ impl Dataset {
     pub fn generate(dist: KeyDistribution, lo: u64, hi: u64, n: usize, seed: u64) -> Result<Self> {
         let mut gen = KeyGenerator::new(dist, lo, hi, seed)?;
         let capacity = ((hi - lo) as usize).min(n);
-        let mut set = std::collections::HashSet::with_capacity(capacity);
         // Bound the rejection loop: heavily skewed distributions may not be
         // able to produce n unique keys in reasonable time.
         let max_draws = (n as u64).saturating_mul(50).max(1000);
-        let mut draws = 0u64;
-        while set.len() < capacity && draws < max_draws {
-            set.insert(gen.next_key());
-            draws += 1;
-        }
-        let mut keys: Vec<u64> = set.into_iter().collect();
-        keys.sort_unstable();
+        let mut keys = Vec::new();
+        draw_distinct(&mut gen, &mut keys, capacity, max_draws);
         let values = keys.iter().map(|k| k.wrapping_mul(31)).collect();
         Ok(Dataset { keys, values })
     }
@@ -166,18 +160,46 @@ impl Dataset {
             .collect();
         if from_target > 0 {
             let mut gen = KeyGenerator::new(target, lo, hi, seed)?;
-            let mut seen: std::collections::HashSet<u64> = keys.iter().copied().collect();
-            let mut draws = 0u64;
             let max_draws = (from_target as u64).saturating_mul(50).max(1000);
-            while seen.len() < from_self + from_target && draws < max_draws {
-                let k = gen.next_key();
-                if seen.insert(k) {
-                    keys.push(k);
-                }
-                draws += 1;
-            }
+            draw_distinct(&mut gen, &mut keys, from_self + from_target, max_draws);
         }
         Ok(Dataset::from_keys(keys))
+    }
+}
+
+/// Draws from `gen` until the sorted, duplicate-free `keys` hold `want` keys
+/// or `max_draws` draws are spent.
+///
+/// The keys end up the ones a draw-by-draw insertion into a set would have
+/// collected, after the same number of draws: a batch of `want - len` draws
+/// adds at most that many keys, so the draw that completes the set is the
+/// last of its batch, never one before. Sorting each batch and merging it
+/// costs a fraction of hashing every draw.
+fn draw_distinct(gen: &mut KeyGenerator, keys: &mut Vec<u64>, want: usize, max_draws: u64) {
+    let mut draws = 0u64;
+    let mut batch = Vec::new();
+    while keys.len() < want && draws < max_draws {
+        let n = ((want - keys.len()) as u64).min(max_draws - draws);
+        draws += n;
+        batch.clear();
+        batch.extend((0..n).map(|_| gen.next_key()));
+        batch.sort_unstable();
+        batch.dedup();
+        batch.retain(|k| keys.binary_search(k).is_err());
+        // Merge from the back, in place: `batch` is sorted and new to `keys`.
+        // The keys outlive the run they are built for: no spare capacity.
+        let (mut i, mut j) = (keys.len(), batch.len());
+        keys.reserve_exact(j);
+        keys.resize(i + j, 0);
+        while j > 0 {
+            if i > 0 && keys[i - 1] > batch[j - 1] {
+                keys[i + j - 1] = keys[i - 1];
+                i -= 1;
+            } else {
+                keys[i + j - 1] = batch[j - 1];
+                j -= 1;
+            }
+        }
     }
 }
 
@@ -207,6 +229,49 @@ mod tests {
         let d =
             Dataset::generate(KeyDistribution::Zipf { theta: 2.0 }, 0, 10_000, 5_000, 1).unwrap();
         assert!(!d.is_empty());
+    }
+
+    /// `Dataset::generate` as it was before batches: one hash-set insertion
+    /// per draw.
+    fn generate_draw_by_draw(dist: KeyDistribution, hi: u64, n: usize, seed: u64) -> Vec<u64> {
+        let mut gen = KeyGenerator::new(dist, 0, hi, seed).unwrap();
+        let capacity = (hi as usize).min(n);
+        let mut set = std::collections::HashSet::with_capacity(capacity);
+        let max_draws = (n as u64).saturating_mul(50).max(1000);
+        let mut draws = 0u64;
+        while set.len() < capacity && draws < max_draws {
+            set.insert(gen.next_key());
+            draws += 1;
+        }
+        let mut keys: Vec<u64> = set.into_iter().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn batched_draws_collect_the_keys_of_single_draws() {
+        let lognormal = KeyDistribution::LogNormal {
+            mu: 0.0,
+            sigma: 1.2,
+        };
+        let cases = [
+            // The benchmark's datasets, then a domain smaller than the
+            // request, a distribution that hits the draw cap far short of
+            // it, and one that needs many shrinking batches.
+            (lognormal.clone(), 1_000_000_000, 1_000_000, 42),
+            (lognormal.clone(), 1_000_000_000, 250_000, 43),
+            (lognormal, 1_000_000_000, 100_000, 44),
+            (KeyDistribution::Uniform, 1_000_000_000, 1_000_000, 45),
+            (KeyDistribution::Uniform, 100, 10_000, 1),
+            (KeyDistribution::Zipf { theta: 2.0 }, 10_000, 5_000, 1),
+            (KeyDistribution::Zipf { theta: 0.99 }, 1_000_000, 100_000, 2),
+        ];
+        for (dist, hi, n, seed) in cases {
+            let d = Dataset::generate(dist.clone(), 0, hi, n, seed).unwrap();
+            let expected = generate_draw_by_draw(dist.clone(), hi, n, seed);
+            assert!(d.keys() == expected, "{dist:?} {n} of {hi}");
+            assert!(d.pairs().all(|(k, v)| v == k.wrapping_mul(31)));
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! a fault plan is attached — and where it puts the maintenance slots and
 //! crash-restarts between them. And for the archive below it: an allocator
 //! that counts shows that encoding and decoding an artifact allocate for
-//! the buffers they fill, not for each op.
+//! the buffers they fill, not for each op. And for the analysis beside it:
+//! the same allocator shows that the Fig. 1b report reads a record where it
+//! lies instead of copying it.
 
 use lsbench::core::faults::{resolve_fault_plan, FaultPlan, FaultSpec};
 use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, Runner};
@@ -473,21 +475,29 @@ fn a_crash_is_delivered_between_the_same_two_ops() {
     }
 }
 
-/// The system allocator, counting the calls each thread makes of it.
+/// The system allocator, counting the calls each thread makes of it and
+/// the bytes they ask for.
 struct CountingAllocator;
 
 thread_local! {
-    /// Every test runs on a thread of its own, so this is per test.
+    /// Every test runs on a thread of its own, so these are per test.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// One more call, for `bytes` (a `realloc` counts its whole new size).
+fn count_allocation(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a plain thread-local integer with
+// `GlobalAlloc` contract; the counters are plain thread-local integers with
 // no destructor, reached without allocating (`try_with` so that a thread
 // tearing down is not counted rather than panicked in).
 unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count_allocation(layout.size());
         // SAFETY: the caller's obligations for `alloc` are `System`'s own.
         unsafe { std::alloc::System.alloc(layout) }
     }
@@ -498,7 +508,7 @@ unsafe impl std::alloc::GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count_allocation(new_size);
         // SAFETY: as for `dealloc`, with the caller's `realloc` obligations.
         unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
     }
@@ -512,6 +522,13 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns how many bytes it (this thread) asked the allocator for.
+fn bytes_allocated_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATED_BYTES.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED_BYTES.with(Cell::get) - before)
 }
 
 /// `RunRecord.ops` is the part of an artifact that grows with the run. The
@@ -543,5 +560,55 @@ fn archive_encoding_allocates_per_buffer_not_per_op() {
     assert!(
         large.0 < small.0 + 64 && large.1 < small.1 + 64,
         "(to_json, from_json) allocations: {small:?} for 1000 ops, {large:?} for 4000"
+    );
+}
+
+/// The Fig. 1b report walks `record.ops` where they lie: the area against
+/// the ideal system, the plotted samples, the phase figures and the
+/// recovery windows keep cursors, a table per phase and a 50-slot ring, so
+/// a 10⁵-op record (2.4 MB of ops) is analysed, and two of them compared,
+/// in a few KiB — the 257 plotted points and the phase table — where
+/// copies of the completion times used to cost several MB.
+#[test]
+fn adaptability_reads_the_record_in_place() {
+    use lsbench::core::faults::FaultStats;
+    use lsbench::core::metrics::adaptability::{paired_area_difference, AdaptabilityReport};
+    use lsbench::core::record::{OpRecord, RunRecord, TrainInfo};
+    let record = |step: f64| {
+        // In time order, faster after the first 40 000 ops.
+        let ops: Vec<OpRecord> = (1..=100_000usize)
+            .map(|i| OpRecord {
+                t_end: step * (i.min(40_000) as f64 + 0.9 * i.saturating_sub(40_000) as f64),
+                latency: step,
+                phase: (i / 33_334) as u16,
+                ok: true,
+                in_transition: false,
+            })
+            .collect();
+        RunRecord {
+            sut_name: "in-place".to_string(),
+            scenario_name: "complexity".to_string(),
+            phase_names: vec!["a".to_string(), "b".to_string(), "c".to_string()],
+            phase_change_times: (0..3).map(|p| (p, ops[p * 33_334].t_end)).collect(),
+            exec_start: 0.0,
+            exec_end: ops[ops.len() - 1].t_end,
+            ops,
+            train: TrainInfo::default(),
+            final_metrics: SutMetrics::default(),
+            work_units_per_second: 1e6,
+            faults: FaultStats::default(),
+        }
+    };
+    let (a, b) = (record(1e-5), record(1.3e-5));
+    let (report, bytes) = bytes_allocated_during(|| AdaptabilityReport::from_record(&a));
+    let report = report.expect("reports");
+    assert_eq!(report.phase_throughput.len(), 3);
+    assert_eq!(report.recovery_times.len(), 2);
+    assert!(bytes < 64 << 10, "from_record allocated {bytes} bytes");
+    let (area, bytes) = bytes_allocated_during(|| paired_area_difference(&a, &b));
+    assert!(area.expect("compares") < 0.0, "`b` is the slower run");
+    assert!(
+        bytes < 64 << 10,
+        "paired_area_difference allocated {bytes} bytes"
     );
 }
