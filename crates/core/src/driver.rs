@@ -18,8 +18,8 @@
 //! query workload.
 
 use crate::exec::{
-    epilogue, prelude, prologue, run_inline, scenario_ops, ClientState, CoreOp, Merged, Pacing,
-    RunPlan, Sinks,
+    epilogue, made_ahead, prelude, prologue, run_inline, scenario_ops, ClientState, CoreOp, Merged,
+    Pacing, RunPlan, Sinks,
 };
 use crate::obs::{LaneObs, RunObserver};
 use crate::record::RunRecord;
@@ -31,9 +31,10 @@ use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
 use lsbench_workload::trace::Trace;
 
-/// The serial policy: one client on the calling thread, the stream pulled
-/// lazily. The SUT must already be loaded with the scenario's dataset (SUT
-/// constructors take the dataset so each system can bulk-load natively).
+/// The serial policy: one client on the calling thread, its op stream
+/// [`made_ahead`] on one helper thread. The SUT must already be loaded with
+/// the scenario's dataset (SUT constructors take the dataset so each system
+/// can bulk-load natively).
 ///
 /// Neither the observer nor the wall recorder ever advances or reads the
 /// virtual clock, so the record is bit-identical whether they are on or
@@ -46,7 +47,7 @@ pub(crate) fn run_serial<S: SystemUnderTest<Operation> + ?Sized>(
 ) -> Result<Executed> {
     let plan = RunPlan::from_scenario(scenario)?;
     let source = scenario_ops(scenario, opts.max_ops)?;
-    let (record, wall) = run_inline(sut, plan, source, opts.clock, obs)?;
+    let (record, wall) = made_ahead(source, |ops| run_inline(sut, plan, ops, opts.clock, obs))?;
     Ok((record, None, wall))
 }
 
@@ -173,9 +174,13 @@ pub fn run_query_workload<S: SystemUnderTest<QueryOp> + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{CHUNK, CHUNKS};
     use crate::runner::Runner;
     use lsbench_sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
+    use lsbench_sut::sut::{ExecOutcome, SutMetrics};
+    use lsbench_sut::SutError;
     use lsbench_workload::keygen::KeyDistribution;
+    use std::sync::mpsc::{channel, Receiver};
 
     fn scenario() -> Scenario {
         Scenario::two_phase_shift(
@@ -459,6 +464,157 @@ mod tests {
         let mut other = RmiSut::build("rmi", &data, RetrainPolicy::Never).unwrap();
         let r2 = run_kv_trace(&mut other, &trace).unwrap();
         assert_eq!(r2.completed(), trace.len());
+    }
+
+    /// A SUT whose work depends on the key: it remembers every op it is
+    /// handed, and fails — or panics — when handed its `fail_at`-th, once
+    /// `gate` (if any) has opened.
+    #[derive(Default)]
+    struct Probe {
+        seen: Vec<Operation>,
+        fail_at: Option<usize>,
+        panics: bool,
+        gate: Option<Receiver<()>>,
+    }
+
+    impl SystemUnderTest<Operation> for Probe {
+        fn name(&self) -> String {
+            "probe".to_string()
+        }
+        fn train(&mut self, _budget: u64) -> u64 {
+            0
+        }
+        fn execute(&mut self, op: &Operation) -> lsbench_sut::Result<ExecOutcome> {
+            let at = self.seen.len();
+            self.seen.push(*op);
+            if self.fail_at != Some(at) {
+                return Ok(ExecOutcome::ok(op.key() % 97 + 1));
+            }
+            if let Some(gate) = &self.gate {
+                gate.recv().expect("the gate opens");
+            }
+            if self.panics {
+                panic!("probe panics at op {at}");
+            }
+            Err(SutError::Internal(format!("probe fails at op {at}")))
+        }
+        fn metrics(&self) -> SutMetrics {
+            SutMetrics::default()
+        }
+    }
+
+    /// A scenario of exactly `ops` operations, writes included: two phases
+    /// joined by a gradual transition (one phase for a single op).
+    fn sized(ops: u64) -> Scenario {
+        use lsbench_workload::ops::OperationMix;
+        use lsbench_workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase};
+        let range = (0, 1_000_000);
+        let phase =
+            |name: &str, dist, n| WorkloadPhase::new(name, dist, range, OperationMix::ycsb_a(), n);
+        let uniform = KeyDistribution::Uniform;
+        let workload = if ops == 1 {
+            PhasedWorkload::single(phase("only", uniform.clone(), 1), 5)
+        } else {
+            let zipf = KeyDistribution::Zipf { theta: 1.1 };
+            let phases = vec![
+                phase("a", uniform.clone(), ops / 2),
+                phase("b", zipf, ops - ops / 2),
+            ];
+            PhasedWorkload::new(phases, vec![TransitionKind::Gradual { window: 0.5 }], 5)
+        };
+        Scenario::builder("made-ahead")
+            .dataset(uniform, range, 1_000, 3)
+            .workload(workload.unwrap())
+            .maintenance_every(100)
+            .build()
+            .unwrap()
+    }
+
+    /// The serial policy's record and SUT calls under an op cap, then the
+    /// same run pulling the stream inline on the calling thread.
+    fn both_ways(s: &Scenario, max_ops: u64) -> [(RunRecord, Vec<Operation>); 2] {
+        let opts = RunOptions {
+            max_ops,
+            ..RunOptions::default()
+        };
+        let obs = &mut RunObserver::disabled();
+        let mut ahead = Probe::default();
+        let (record, _, _) = run_serial(&mut ahead, s, &opts, obs).unwrap();
+        let mut inline = Probe::default();
+        let plan = RunPlan::from_scenario(s).unwrap();
+        let source = scenario_ops(s, max_ops).unwrap();
+        let (inline_record, _) =
+            run_inline(&mut inline, plan, source, ClockMode::Sim, obs).unwrap();
+        [(record, ahead.seen), (inline_record, inline.seen)]
+    }
+
+    #[test]
+    fn made_ahead_equals_the_inline_stream_at_chunk_edges() {
+        for ops in [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+            let [ahead, inline] = both_ways(&sized(ops as u64), u64::MAX);
+            assert_eq!(ahead.0.ops.len(), ops);
+            assert!(ahead == inline, "{ops} ops: the made-ahead run differs");
+        }
+    }
+
+    #[test]
+    fn made_ahead_equals_the_inline_stream_under_op_caps() {
+        let s = sized(3 * CHUNK as u64);
+        for cap in [0, CHUNK + CHUNK / 2] {
+            let [ahead, inline] = both_ways(&s, cap as u64);
+            assert_eq!(ahead.0.ops.len(), cap);
+            assert!(ahead == inline, "cap {cap}: the made-ahead run differs");
+        }
+    }
+
+    /// Failing in the first chunk's first op, inside it, and chunks in.
+    const FAIL_AT: [usize; 3] = [0, 5, 2 * CHUNK + 3];
+
+    /// A run of 8 chunks made ahead, as the serial policy runs, whose SUT
+    /// fails (or panics) at op `fail_at` only once the helper has filled
+    /// every buffer it can get: it then waits for one back, which is where
+    /// a helper that outlived its driver would hang the run.
+    fn run_failing(fail_at: usize, panics: bool) -> Result<RunRecord> {
+        let s = sized(8 * CHUNK as u64);
+        let (filled, gate) = channel();
+        let last = ((fail_at / CHUNK + CHUNKS) * CHUNK - 1) as u64;
+        let source = scenario_ops(&s, u64::MAX)?.inspect(move |op| {
+            if op.meta.idx == last {
+                filled.send(()).expect("the SUT waits at the gate");
+            }
+        });
+        let mut sut = Probe {
+            fail_at: Some(fail_at),
+            panics,
+            gate: Some(gate),
+            ..Probe::default()
+        };
+        let plan = RunPlan::from_scenario(&s)?;
+        let obs = &mut RunObserver::disabled();
+        made_ahead(source, |ops| {
+            run_inline(&mut sut, plan, ops, ClockMode::Sim, obs)
+        })
+        .map(|(record, _)| record)
+    }
+
+    #[test]
+    fn made_ahead_returns_the_sut_s_error() {
+        for fail_at in FAIL_AT {
+            let err = run_failing(fail_at, false).unwrap_err();
+            let expected = format!("probe fails at op {fail_at}");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
+    }
+
+    #[test]
+    fn made_ahead_propagates_the_sut_s_panic() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for fail_at in FAIL_AT {
+            let run = catch_unwind(AssertUnwindSafe(|| run_failing(fail_at, true)));
+            let payload = run.expect_err("the SUT's panic reaches the caller");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(*message, format!("probe panics at op {fail_at}"));
+        }
     }
 
     #[test]

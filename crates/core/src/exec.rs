@@ -7,7 +7,10 @@
 //! 1. an **op source**: any iterator of [`CoreOp`]s (the scenario stream,
 //!    the stream plus pre-computed arrivals, trace entries, per-phase query
 //!    batches). The core is generic over `Op`, as
-//!    [`SystemUnderTest<Op>`] already is;
+//!    [`SystemUnderTest<Op>`] already is. The serial policy reads the
+//!    scenario stream [`made_ahead`] by one helper thread, so drawing keys
+//!    costs the SUT's thread nothing, as it would with a driver on another
+//!    machine;
 //! 2. a **prologue** ([`prologue`]: train one or many SUTs → `exec_start`
 //!    → train / phase-0 events → [`LaneParams`]) and an **epilogue**
 //!    ([`epilogue`]: run-end events → [`RunRecord`] assembly);
@@ -44,6 +47,7 @@ use lsbench_sut::sut::{ExecOutcome, SutMetrics, SystemUnderTest, TransportStats}
 use lsbench_workload::arrival::ArrivalGenerator;
 use lsbench_workload::ops::Operation;
 use std::iter::Peekable;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -53,6 +57,15 @@ use std::time::Instant;
 /// cost (one wire frame instead of one per op on a remote SUT, one lock
 /// per batch on a shared one).
 const DISPATCH_BATCH: usize = 64;
+
+/// Operations per chunk of a stream [`made_ahead`]: the two threads meet
+/// once per chunk, and a chunk (64 KiB of `CoreOp<Operation>`) stays in
+/// cache between them. Any value gives the same ops in the same order.
+pub(crate) const CHUNK: usize = 1024;
+
+/// Chunk buffers of a stream [`made_ahead`]: the one the driver reads, and
+/// the ones the helper fills or has filled.
+pub(crate) const CHUNKS: usize = 4;
 
 /// Where an operation sits in its run: everything the timing rule needs
 /// besides the operation itself.
@@ -121,6 +134,78 @@ pub(crate) fn scenario_ops(
         op.meta.in_transition = labeled.in_transition;
         op
     }))
+}
+
+/// Runs `consume` on the calling thread over the ops of `source`, which one
+/// scoped helper thread generates ahead of it, [`CHUNK`] ops at a time.
+///
+/// The ops arrive in `source`'s order, so whatever `consume` records is
+/// what it would record pulling `source` itself. Every chunk buffer is
+/// allocated here, once, and circulates between the threads through two
+/// bounded channels: the helper only fills buffers it is handed, so it
+/// never allocates. When `consume` stops early — an error, a panic —
+/// dropping its [`MadeAhead`] disconnects both channels, which ends the
+/// helper, and the scope joins it before returning (or unwinding).
+pub(crate) fn made_ahead<Op, I, R>(source: I, consume: impl FnOnce(MadeAhead<Op>) -> R) -> R
+where
+    Op: Copy + Send,
+    I: Iterator<Item = CoreOp<Op>> + Send,
+{
+    let (filled_tx, filled) = sync_channel(CHUNKS);
+    let (empty, empty_rx) = sync_channel::<Vec<CoreOp<Op>>>(CHUNKS);
+    // One buffer starts with the driver, the others with the helper.
+    for _ in 1..CHUNKS {
+        empty
+            .send(Vec::with_capacity(CHUNK))
+            .expect("the channel has room for every buffer");
+    }
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let mut source = source;
+            while let Ok(mut chunk) = empty_rx.recv() {
+                chunk.clear();
+                chunk.extend(source.by_ref().take(CHUNK));
+                if chunk.is_empty() || filled_tx.send(chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        consume(MadeAhead {
+            chunk: Vec::with_capacity(CHUNK),
+            at: 0,
+            filled,
+            empty,
+        })
+    })
+}
+
+/// The driver's end of a stream [`made_ahead`]: an iterator over the chunks
+/// the helper fills, handing each buffer back once it is read.
+pub(crate) struct MadeAhead<Op> {
+    chunk: Vec<CoreOp<Op>>,
+    /// Next op to yield from `chunk`.
+    at: usize,
+    filled: Receiver<Vec<CoreOp<Op>>>,
+    empty: SyncSender<Vec<CoreOp<Op>>>,
+}
+
+impl<Op: Copy> Iterator for MadeAhead<Op> {
+    type Item = CoreOp<Op>;
+
+    #[inline]
+    fn next(&mut self) -> Option<CoreOp<Op>> {
+        loop {
+            if let Some(&op) = self.chunk.get(self.at) {
+                self.at += 1;
+                return Some(op);
+            }
+            // A helper that has finished needs no buffer back; the channel
+            // holds every buffer, so handing one back never blocks.
+            let _ = self.empty.send(std::mem::take(&mut self.chunk));
+            self.chunk = self.filled.recv().ok()?;
+            self.at = 0;
+        }
+    }
 }
 
 /// Run constants every client shares.

@@ -121,15 +121,16 @@ impl<I: Index + BulkLoad> LearnedKvSut<I> {
     }
 
     fn op_cost(&self, op: &Operation) -> u64 {
-        // Per-key probe cost: the base's model/search cost at this key plus
-        // a binary search of the pending delta (see DeltaIndex::probe_cost).
-        let read = self.index.probe_cost(op.key());
-        let delta_write = search_cost(self.index.pending() as u64);
-        match op {
-            Operation::Read { .. } => read,
-            Operation::Insert { .. } | Operation::Update { .. } => delta_write + 2,
-            Operation::Delete { .. } => read,
-            Operation::Scan { len, .. } => read + *len as u64,
+        // A read, delete or scan pays the per-key probe cost: the base's
+        // model/search cost at this key plus a binary search of the pending
+        // delta (see DeltaIndex::probe_cost). A buffered write pays only
+        // the delta search.
+        match *op {
+            Operation::Read { key } | Operation::Delete { key } => self.index.probe_cost(key),
+            Operation::Insert { .. } | Operation::Update { .. } => {
+                search_cost(self.index.pending() as u64) + 2
+            }
+            Operation::Scan { start, len } => self.index.probe_cost(start) + len as u64,
         }
     }
 }

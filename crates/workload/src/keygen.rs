@@ -285,6 +285,9 @@ pub struct KeyGenerator {
     scatter: u64,
     /// Monotone counter for sequential generation.
     seq: u64,
+    /// Log-normal: `e^(mu + 3 sigma)`, the value that maps near the top of
+    /// the range (1 for every other distribution).
+    lognormal_top: f64,
 }
 
 impl KeyGenerator {
@@ -298,6 +301,10 @@ impl KeyGenerator {
             KeyDistribution::Zipf { theta } => Some(ZipfSampler::new(hi - lo, theta)),
             _ => None,
         };
+        let lognormal_top = match dist {
+            KeyDistribution::LogNormal { mu, sigma } => (mu + 3.0 * sigma).exp(),
+            _ => 1.0,
+        };
         Ok(KeyGenerator {
             dist,
             lo,
@@ -306,6 +313,7 @@ impl KeyGenerator {
             zipf,
             scatter: 0x9E37_79B9_7F4A_7C15, // odd golden-ratio constant
             seq: 0,
+            lognormal_top,
         })
     }
 
@@ -358,9 +366,7 @@ impl KeyGenerator {
             KeyDistribution::LogNormal { mu, sigma } => {
                 let z = self.std_normal();
                 let v = (mu + sigma * z).exp();
-                // Scale so that e^(mu+3sigma) maps near the top of the range.
-                let max = (mu + 3.0 * sigma).exp();
-                self.pos_to_key(v / max)
+                self.pos_to_key(v / self.lognormal_top)
             }
             KeyDistribution::Hotspot {
                 hot_span,

@@ -226,12 +226,19 @@ impl PhasedWorkload {
                 self.seed.wrapping_add(0xBEEF + i as u64),
             )?);
         }
-        Ok(PhasedStream {
+        let mut stream = PhasedStream {
             workload: self.clone(),
             generators,
             rng: StdRng::seed_from_u64(self.seed ^ 0x5EED),
             produced: 0,
-        })
+            total: self.total_ops(),
+            phase: 0,
+            phase_start: 0,
+            phase_end: 0,
+            window_ops: 0,
+        };
+        stream.enter(0, 0);
+        Ok(stream)
     }
 }
 
@@ -242,12 +249,22 @@ pub struct PhasedStream {
     generators: Vec<OperationGenerator>,
     rng: StdRng,
     produced: u64,
+    /// `workload.total_ops()`.
+    total: u64,
+    /// The phase the next operation falls into, and the operation counters
+    /// at which it starts and ends.
+    phase: usize,
+    phase_start: u64,
+    phase_end: u64,
+    /// Operations of the gradual-transition window that opens `phase` (0
+    /// after an abrupt transition, and for phase 0).
+    window_ops: u64,
 }
 
 impl PhasedStream {
     /// Total operations this stream will produce.
     pub fn total_ops(&self) -> u64 {
-        self.workload.total_ops()
+        self.total
     }
 
     /// Operations produced so far.
@@ -255,16 +272,17 @@ impl PhasedStream {
         self.produced
     }
 
-    /// Which phase the operation counter `idx` falls into.
-    fn phase_of(&self, idx: u64) -> usize {
-        let mut acc = 0u64;
-        for (i, p) in self.workload.phases.iter().enumerate() {
-            acc += p.ops;
-            if idx < acc {
-                return i;
-            }
-        }
-        self.workload.phases.len() - 1
+    /// Moves the phase cursor to phase `i`, which starts at operation
+    /// counter `start`.
+    fn enter(&mut self, i: usize, start: u64) {
+        let ops = self.workload.phases[i].ops;
+        self.phase = i;
+        self.phase_start = start;
+        self.phase_end = start + ops;
+        self.window_ops = match i.checked_sub(1).map(|t| self.workload.transitions[t]) {
+            Some(TransitionKind::Gradual { window }) => (ops as f64 * window).max(1.0) as u64,
+            _ => 0,
+        };
     }
 }
 
@@ -272,35 +290,29 @@ impl Iterator for PhasedStream {
     type Item = LabeledOp;
 
     fn next(&mut self) -> Option<LabeledOp> {
-        if self.produced >= self.workload.total_ops() {
+        if self.produced >= self.total {
             return None;
         }
         let idx = self.produced;
         self.produced += 1;
-        let phase = self.phase_of(idx);
-        let within = idx - self.workload.phase_start(phase);
-        let (drawn_from, in_transition) = if phase == 0 {
-            (phase, false)
-        } else {
-            match self.workload.transitions[phase - 1] {
-                TransitionKind::Abrupt => (phase, false),
-                TransitionKind::Gradual { window } => {
-                    let window_ops =
-                        (self.workload.phases[phase].ops as f64 * window).max(1.0) as u64;
-                    if within < window_ops {
-                        // Probability of drawing from the NEW phase ramps
-                        // linearly from 0 to 1 across the window.
-                        let p_new = (within as f64 + 0.5) / window_ops as f64;
-                        if self.rng.gen::<f64>() < p_new {
-                            (phase, true)
-                        } else {
-                            (phase - 1, true)
-                        }
-                    } else {
-                        (phase, false)
-                    }
-                }
+        // Every phase has at least one operation, so the counter meets each
+        // phase's end exactly once.
+        if idx == self.phase_end {
+            self.enter(self.phase + 1, idx);
+        }
+        let phase = self.phase;
+        let within = idx - self.phase_start;
+        let (drawn_from, in_transition) = if within < self.window_ops {
+            // Probability of drawing from the NEW phase ramps linearly
+            // from 0 to 1 across the window.
+            let p_new = (within as f64 + 0.5) / self.window_ops as f64;
+            if self.rng.gen::<f64>() < p_new {
+                (phase, true)
+            } else {
+                (phase - 1, true)
             }
+        } else {
+            (phase, false)
         };
         let op = self.generators[drawn_from].next_op();
         Some(LabeledOp {
@@ -314,7 +326,7 @@ impl Iterator for PhasedStream {
     /// Exact: a stream knows how many operations are left, so collecting
     /// one allocates once.
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.workload.total_ops() - self.produced) as usize;
+        let left = (self.total - self.produced) as usize;
         (left, Some(left))
     }
 }
