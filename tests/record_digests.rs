@@ -30,6 +30,8 @@ use lsbench::sut::query_sut::{
 use lsbench::sut::sut::SystemUnderTest;
 use lsbench::workload::arrival::{ArrivalProcess, LoadModulation};
 use lsbench::workload::keygen::KeyDistribution;
+use lsbench::workload::ops::OperationMix;
+use lsbench::workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase};
 use lsbench::workload::trace::Trace;
 use lsbench::workload::Dataset;
 use serde_json::to_string;
@@ -497,9 +499,134 @@ fn fault_order_cells(cells: &mut BTreeMap<String, String>) {
     }
 }
 
-/// The oracle is computed (and checked) in six independent groups so the
+/// Operations per chunk of a stream made ahead (`exec::CHUNK`), and the
+/// chunks a bounded queue holds (`exec::CHUNKS`): the edges the cells of
+/// [`made_ahead_cells`] sit on.
+const CHUNK: u64 = 1024;
+const CHUNKS: u64 = 4;
+
+/// Exactly `ops` operations of `mix` (one phase for one op): a uniform
+/// phase, then a zipfian one that bursts ×2 (the lanes scale its arrival
+/// gaps), joined by a gradual transition, under Poisson arrivals.
+fn chunk_edge(ops: u64, mix: &OperationMix, rate: f64) -> Scenario {
+    let range = (0, 1_000_000);
+    let phase = |name: &str, dist, n| WorkloadPhase::new(name, dist, range, mix.clone(), n);
+    let workload = if ops == 1 {
+        PhasedWorkload::single(phase("only", KeyDistribution::Uniform, 1), 5)
+    } else {
+        let zipf = KeyDistribution::Zipf { theta: 1.1 };
+        let phases = vec![
+            phase("a", KeyDistribution::Uniform, ops / 2),
+            phase("b", zipf, ops - ops / 2).with_concurrency_burst(2.0),
+        ];
+        PhasedWorkload::new(phases, vec![TransitionKind::Gradual { window: 0.5 }], 5)
+    };
+    Scenario::builder("chunk-edge")
+        .dataset(KeyDistribution::Uniform, range, 1_000, 3)
+        .workload(workload.expect("valid workload"))
+        .arrival(poisson(rate).expect("an arrival process"))
+        .maintenance_every(100)
+        .build()
+        .expect("valid scenario")
+}
+
+/// What pins the op streams made ahead for the engine: every lane and
+/// every scheduler worker reads its ops from chunks a helper thread fills,
+/// so the cells sit where chunks and queues begin and end — one op, a
+/// chunk less one, one, and one more, several chunks and a partial one;
+/// caps of nothing and of a chunk and a half; fewer threads than lanes
+/// with writes; one shard that gets nearly every op; more clients than
+/// ops; and a stall that leaves a client more than `CHUNKS` chunks behind
+/// the scheduler's arrival cursor. Read-only cells run at several thread
+/// counts, which must not reach the record.
+fn made_ahead_cells(cells: &mut BTreeMap<String, String>) {
+    let reads = OperationMix::ycsb_c();
+    let writes = OperationMix {
+        read: 0.5,
+        insert: 0.3,
+        update: 0.1,
+        scan: 0.0,
+        delete: 0.1,
+        max_scan_len: 0,
+    };
+    let sharded = |workers| ExecutionMode::Sharded { workers };
+    let shared4 = ExecutionMode::SharedLock { workers: 4 };
+    let open = |clients| ExecutionMode::OpenLoop {
+        clients,
+        workers: 2,
+    };
+    let mut pin = |key: &str, s: &Scenario, mode: ExecutionMode, threads: &[usize], max_ops| {
+        for sut in ["btree", "rmi"] {
+            for &threads in threads {
+                let opts = RunOptions {
+                    threads: Some(threads),
+                    max_ops,
+                    ..RunOptions::with_mode(mode)
+                };
+                let key = format!("made_ahead/{key}/{sut}/t{threads}");
+                pin_outcome(cells, &key, &run(s, sut, opts));
+            }
+        }
+    };
+    let edges = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7];
+    let sized = edges.map(|ops| (format!("ops{ops}"), ops, u64::MAX));
+    let capped = [0, CHUNK + CHUNK / 2].map(|cap| (format!("cap{cap}"), 3 * CHUNK + 7, cap));
+    for (name, ops, max_ops) in sized.into_iter().chain(capped) {
+        let s = chunk_edge(ops, &reads, 1e6);
+        pin(
+            &format!("{name}/sharded4"),
+            &s,
+            sharded(4),
+            &[1, 2, 4],
+            max_ops,
+        );
+        pin(&format!("{name}/shared4"), &s, shared4, &[1, 2, 4], max_ops);
+        pin(&format!("{name}/open64x2"), &s, open(64), &[1, 2], max_ops);
+    }
+    let s = chunk_edge(3 * CHUNK + 7, &writes, 1e6);
+    pin("writes/sharded4", &s, sharded(4), &[1, 2, 3, 4], u64::MAX);
+    pin("writes/shared4", &s, shared4, &[1], u64::MAX);
+    pin("writes/open64x2", &s, open(64), &[1], u64::MAX);
+
+    let mut skewed = chunk_edge(3 * CHUNK + 7, &reads, 1e6);
+    let hot = KeyDistribution::Hotspot {
+        hot_span: 0.05,
+        hot_fraction: 0.99,
+    };
+    let phase = WorkloadPhase::new("hot", hot, (0, 1_000_000), reads.clone(), 3 * CHUNK + 7);
+    skewed.workload = PhasedWorkload::single(phase, 9).expect("valid workload");
+    pin("skewed/sharded2", &skewed, sharded(2), &[1, 2], u64::MAX);
+
+    let s = chunk_edge(CHUNK + 1, &reads, 1e6);
+    pin("crowd/open5000x2", &s, open(5_000), &[1, 2], u64::MAX);
+
+    // Op 100 stalls its client for a second. A batch holds the 1 024
+    // events due first, so with more clients than that on a worker the
+    // client's next op (4 196, due at 0.42 s) waits until the cursor has
+    // passed the arrivals of the next 0.6 s: ~6 000 indices at 10⁴ a second.
+    let mut stalled = chunk_edge(4 * CHUNKS * CHUNK, &reads, 1e4);
+    stalled.faults = Some(FaultPlan {
+        faults: vec![FaultSpec::Stall {
+            phase: 0,
+            from_op: 100,
+            ops: 1,
+            duration: 1.0,
+        }],
+        ..FaultPlan::default()
+    });
+    stalled.validate().expect("valid scenario");
+    pin(
+        "stalled/open4096x2",
+        &stalled,
+        open(4_096),
+        &[1, 2],
+        u64::MAX,
+    );
+}
+
+/// The oracle is computed (and checked) in seven independent groups so the
 /// test harness can run them on parallel threads.
-const GROUPS: [fn(&mut BTreeMap<String, String>); 6] = [
+const GROUPS: [fn(&mut BTreeMap<String, String>); 7] = [
     |cells| scenario_cells(cells, suite_scenarios()),
     |cells| scenario_cells(cells, spec_scenarios()),
     trace_cells,
@@ -509,6 +636,7 @@ const GROUPS: [fn(&mut BTreeMap<String, String>); 6] = [
     },
     sched_order_cells,
     fault_order_cells,
+    made_ahead_cells,
 ];
 
 fn fixture() -> BTreeMap<String, String> {
@@ -571,6 +699,11 @@ fn sched_order_cells_match_the_frozen_oracle() {
 #[test]
 fn fault_order_cells_match_the_frozen_oracle() {
     assert_group_matches(5);
+}
+
+#[test]
+fn made_ahead_cells_match_the_frozen_oracle() {
+    assert_group_matches(6);
 }
 
 /// Worker threads never decide results: every thread-invariant cell has the
