@@ -29,6 +29,7 @@ use crate::{BenchError, Result};
 use lsbench_sut::query_sut::QueryOp;
 use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
+use lsbench_workload::phases::MAX_PHASES;
 use lsbench_workload::trace::Trace;
 
 /// The serial policy: one client on the calling thread, its op stream
@@ -61,9 +62,21 @@ fn trace_ops(trace: &Trace) -> impl Iterator<Item = CoreOp<Operation>> + '_ {
     })
 }
 
+/// Refuses a source with more phases than a record tells apart.
+fn check_phases(phases: usize) -> Result<()> {
+    if phases > MAX_PHASES {
+        return Err(BenchError::InvalidScenario(format!(
+            "{phases} phases exceed the limit of {MAX_PHASES}"
+        )));
+    }
+    Ok(())
+}
+
 /// Every replay is paced alike, so two SUTs replaying one trace differ in
 /// nothing but themselves.
 fn replay_plan(trace: &Trace) -> Result<RunPlan> {
+    let last_phase = trace.entries().iter().map(|e| e.phase).max();
+    check_phases(last_phase.map_or(0, |phase| phase.saturating_add(1)))?;
     let pacing = Pacing {
         work_units_per_second: 1_000_000.0,
         maintenance_every: 256,
@@ -154,6 +167,7 @@ pub fn run_query_workload<S: SystemUnderTest<QueryOp> + ?Sized>(
     work_units_per_second: f64,
     train_budget: u64,
 ) -> Result<RunRecord> {
+    check_phases(phases.len())?;
     let pacing = Pacing {
         work_units_per_second,
         maintenance_every: u64::MAX,
@@ -615,6 +629,25 @@ mod tests {
             let message = payload.downcast_ref::<String>().expect("a formatted panic");
             assert_eq!(*message, format!("probe panics at op {fail_at}"));
         }
+    }
+
+    #[test]
+    fn the_last_of_max_phases_is_recorded_as_itself() {
+        use lsbench_workload::ops::OperationMix;
+        use lsbench_workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase};
+        let range = (0, 1_000_000);
+        let mix = OperationMix::ycsb_c();
+        let phase = WorkloadPhase::new("p", KeyDistribution::Uniform, range, mix, 1);
+        let joins = vec![TransitionKind::Abrupt; MAX_PHASES - 1];
+        let workload = PhasedWorkload::new(vec![phase; MAX_PHASES], joins, 5).unwrap();
+        let s = Scenario::builder("one-op-phases")
+            .dataset(KeyDistribution::Uniform, range, 1_000, 3)
+            .workload(workload)
+            .build()
+            .unwrap();
+        let r = Runner::new(&mut Probe::default()).run(&s).unwrap().record;
+        assert_eq!(r.ops.len(), MAX_PHASES);
+        assert_eq!(r.ops.last().unwrap().phase, u16::MAX);
     }
 
     #[test]

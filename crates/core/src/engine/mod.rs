@@ -8,19 +8,20 @@
 //! * **Closed loop** — each lane issues its next operation as soon as the
 //!   previous one completes; latency is pure service time.
 //! * **Open loop** — operations arrive on their own schedule, taken from
-//!   the scenario's [`ArrivalSpec`](crate::scenario::ArrivalSpec). The
-//!   engine pre-computes every operation's *intended* start time from the
-//!   seeded arrival process and measures latency as *completion −
-//!   intended start*. A lane that falls behind does not slow the arrival
-//!   schedule down, so queueing delay is fully charged to the operations
-//!   that queued — the measurement is **coordinated-omission-safe**.
+//!   the scenario's [`ArrivalSpec`](crate::scenario::ArrivalSpec). Every
+//!   operation's *intended* start time comes from the seeded arrival
+//!   process, and latency is *completion − intended start*. A lane that
+//!   falls behind does not slow the arrival schedule down, so queueing
+//!   delay is fully charged to the operations that queued — the
+//!   measurement is **coordinated-omission-safe**.
 //!
 //! Lanes — not threads — determine results: every lane is one client of
 //! the core on its own virtual clock over its own operation subsequence,
 //! so a run with 4 lanes produces bit-identical merged output whether it
-//! used 1, 2, or 4 worker threads. The partition is complete before any
-//! worker starts (lane → worker by `lane % threads`), so workers share
-//! nothing but the SUT.
+//! used 1, 2, or 4 worker threads. The partition is a pure function of the
+//! stream (index or key): one helper thread deals it while the workers run
+//! (lane → worker by `lane % threads`), so workers share nothing but the
+//! SUT and the helper's queues.
 //!
 //! The module is crate-private: an
 //! [`ExecutionMode`](crate::runner::ExecutionMode) of the
@@ -40,7 +41,9 @@ mod worker;
 
 pub(crate) use shard::{shard_dataset, KeyRouter};
 
-use crate::exec::{lock, prologue, scenario_ops, CoreOp, RunPlan, Sinks, SutRef};
+use crate::exec::{
+    lock, made_ahead_dealt, op_count, prologue, scenario_ops, Chunk, CoreOp, RunPlan, Sinks, SutRef,
+};
 use crate::obs::RunObserver;
 use crate::runner::{BoxedKvSut, Executed, RunOptions};
 use crate::scenario::{ClockMode, Scenario};
@@ -48,6 +51,7 @@ use crate::{BenchError, Result};
 use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
 use merge::{finish_engine, sum_metrics, EngineShape};
+use std::sync::mpsc::Receiver;
 use std::sync::Mutex;
 use worker::LaneJob;
 
@@ -87,27 +91,52 @@ impl Tuning {
     }
 }
 
-/// Turns the raw arrival schedule of `stream` into the lane modes' one:
-/// per-phase [`concurrency_burst`](lsbench_workload::phases::WorkloadPhase::concurrency_burst)
+/// Turns the raw arrival schedule of a stream into the lane modes' one, op
+/// by op, in stream order: per-phase
+/// [`concurrency_burst`](lsbench_workload::phases::WorkloadPhase::concurrency_burst)
 /// factors divide the inter-arrival gaps while their phase is active, so a
 /// burst of 2.0 doubles the offered load for that stretch of the stream.
 /// (The serial policy and the open-loop scheduler keep the raw process:
 /// there the arrival process *is* the offered load.) A no-op on a
 /// closed-loop stream.
-pub(crate) fn scale_bursts(scenario: &Scenario, stream: &mut [CoreOp<Operation>]) {
+pub(crate) fn scale_bursts(scenario: &Scenario) -> impl FnMut(&mut CoreOp<Operation>) + '_ {
     let phases = scenario.workload.phases();
     let (mut raw_prev, mut scaled) = (0.0f64, 0.0f64);
-    for op in stream {
+    move |op| {
         let Some(raw) = op.meta.arrival else { return };
         let gap = raw - raw_prev;
         raw_prev = raw;
-        let burst = phases
-            .get(op.meta.phase)
-            .map(|p| p.concurrency_burst)
-            .unwrap_or(1.0);
-        scaled += gap / burst;
+        let phase = phases.get(usize::from(op.meta.phase));
+        scaled += gap / phase.map_or(1.0, |p| p.concurrency_burst);
         op.meta.arrival = Some(scaled);
     }
+}
+
+/// The lane modes' op source: `ops` with [`scale_bursts`] applied, each op
+/// dealt to its lane — op `i` to lane `i mod lanes` over one shared SUT, to
+/// the shard owning its key under a `router` — and announcing its phase
+/// if it is the first op of that phase the SUT gets: the globally first on
+/// a shared SUT, its shard's first on a shard.
+fn deal<'a>(
+    scenario: &'a Scenario,
+    router: Option<&'a KeyRouter>,
+    lanes: usize,
+    ops: impl Iterator<Item = CoreOp<Operation>> + 'a,
+) -> impl Iterator<Item = (usize, CoreOp<Operation>)> + 'a {
+    let mut scale = scale_bursts(scenario);
+    let mut seen_phase = vec![0u16; lanes];
+    ops.map(move |mut op| {
+        scale(&mut op);
+        let (lane, seen) = match router {
+            None => (op.meta.idx as usize % lanes, &mut seen_phase[0]),
+            Some(router) => {
+                let lane = router.route(&op.op);
+                (lane, &mut seen_phase[lane])
+            }
+        };
+        op.meta.announce = op.meta.phase != std::mem::replace(seen, op.meta.phase);
+        (lane, op)
+    })
 }
 
 /// The SUT(s) a lane run executes against.
@@ -120,8 +149,9 @@ pub(crate) enum LaneSuts<'a, S: ?Sized> {
     Shards(&'a mut [BoxedKvSut], &'a KeyRouter),
 }
 
-/// The lane engine: partitions the stream into lanes, runs every lane as
-/// one inline client of the core on a scoped worker, merges.
+/// The lane engine: one helper thread deals the stream to the lanes while
+/// every lane runs as one inline client of the core on a scoped worker;
+/// then the lanes merge.
 pub(crate) fn run_lanes<S>(
     suts: &mut LaneSuts<'_, S>,
     scenario: &Scenario,
@@ -132,11 +162,30 @@ pub(crate) fn run_lanes<S>(
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
+    let ops = || scenario_ops(scenario, opts.max_ops);
+    lanes_over(suts, scenario, opts, tuning, obs, ops)
+}
+
+/// [`run_lanes`] over the op source `ops` makes once the run is checked.
+fn lanes_over<S, I>(
+    suts: &mut LaneSuts<'_, S>,
+    scenario: &Scenario,
+    opts: &RunOptions,
+    tuning: Tuning,
+    obs: &mut RunObserver,
+    ops: impl FnOnce() -> Result<I>,
+) -> Result<Executed>
+where
+    S: SystemUnderTest<Operation> + Send + ?Sized,
+    I: Iterator<Item = CoreOp<Operation>> + Send,
+{
     let plan = RunPlan::from_scenario(scenario)?;
     tuning.validate()?;
-    let lanes = match suts {
-        LaneSuts::Shared(_) => opts.mode.lanes(),
-        LaneSuts::Shards(shards, router) if shards.len() == router.shards() => shards.len(),
+    let (lanes, router) = match suts {
+        LaneSuts::Shared(_) => (opts.mode.lanes(), None),
+        LaneSuts::Shards(shards, router) if shards.len() == router.shards() => {
+            (shards.len(), Some(*router))
+        }
         LaneSuts::Shards(shards, router) => {
             return Err(BenchError::InvalidScenario(format!(
                 "router splits {} ways but {} shard SUTs were given",
@@ -145,30 +194,7 @@ where
             )))
         }
     };
-    let mut stream: Vec<CoreOp<Operation>> = scenario_ops(scenario, opts.max_ops)?.collect();
-    scale_bursts(scenario, &mut stream);
-    let started = match suts {
-        LaneSuts::Shared(sut) => prologue(plan, [&mut **sut], obs),
-        LaneSuts::Shards(shards, _) => prologue(plan, shards.iter_mut().map(|s| s.as_mut()), obs),
-    };
-    let params = &started.plan.params;
-
-    // Partition. On a shared SUT only the globally first op of a phase
-    // announces it; a shard hears about a phase from its own first op.
-    let mut lane_ops: Vec<Vec<CoreOp<Operation>>> = vec![Vec::new(); lanes];
-    let mut seen_phase = vec![0usize; lanes];
-    for (i, mut op) in stream.into_iter().enumerate() {
-        let (lane, seen) = match suts {
-            LaneSuts::Shared(_) => (i % lanes, &mut seen_phase[0]),
-            LaneSuts::Shards(_, router) => {
-                let lane = router.route(&op.op);
-                (lane, &mut seen_phase[lane])
-            }
-        };
-        op.meta.announce = op.meta.phase != std::mem::replace(seen, op.meta.phase);
-        lane_ops[lane].push(op);
-    }
-
+    let dealt = deal(scenario, router, lanes, ops()?);
     let threads = opts.worker_threads().min(lanes);
     let shape = EngineShape {
         lanes,
@@ -176,52 +202,71 @@ where
         interval: tuning.completion_interval,
         stable_lanes: true,
     };
-    let inputs = lane_ops.into_iter().enumerate().map(|(lane, ops)| {
-        let sinks = Sinks::new(obs.lane_obs(lane), ClockMode::Sim, ops.len(), true);
-        (lane, ops, sinks)
-    });
-    let (results, final_metrics) = match suts {
-        LaneSuts::Shared(sut) => {
-            let mutex = Mutex::new(&mut **sut);
-            let jobs = inputs.map(|(lane, ops, sinks)| LaneJob {
-                lane,
-                ops,
-                sinks,
-                sut: SutRef::Shared(&mutex),
-            });
-            let results = worker::run_lane_jobs(jobs.collect(), threads, params)?;
-            let final_metrics = lock(&mutex)?.metrics();
-            (results, final_metrics)
-        }
-        LaneSuts::Shards(shards, _) => {
-            let jobs = inputs
-                .zip(shards.iter_mut())
-                .map(|((lane, ops, sinks), shard)| LaneJob {
+    // Room for every op in each lane's sinks: a lane that gets nearly every
+    // op (a skewed shard) never regrows them, and what a lane does not
+    // write is never touched.
+    let ops_hint = plan.ops_hint.min(op_count(scenario, opts.max_ops));
+    // A worker's first lane reads its queue at once; the lanes behind it
+    // take theirs unbounded.
+    let bounded = |lane| lane < threads;
+    let run = |queues: Vec<Receiver<Chunk<Operation>>>| {
+        let started = match suts {
+            LaneSuts::Shared(sut) => prologue(plan, [&mut **sut], obs),
+            LaneSuts::Shards(shards, _) => {
+                prologue(plan, shards.iter_mut().map(|s| s.as_mut()), obs)
+            }
+        };
+        let params = &started.plan.params;
+        let inputs = queues.into_iter().enumerate().map(|(lane, ops)| {
+            let sinks = Sinks::new(obs.lane_obs(lane), ClockMode::Sim, ops_hint, true);
+            (lane, ops, sinks)
+        });
+        let (results, final_metrics) = match suts {
+            LaneSuts::Shared(sut) => {
+                let mutex = Mutex::new(&mut **sut);
+                let jobs = inputs.map(|(lane, ops, sinks)| LaneJob {
                     lane,
                     ops,
                     sinks,
-                    sut: SutRef::Owned(shard.as_mut()),
+                    sut: SutRef::Shared(&mutex),
                 });
-            let results = worker::run_lane_jobs(jobs.collect(), threads, params)?;
-            (results, sum_metrics(shards.iter().map(|s| s.metrics())))
-        }
+                let results = worker::run_lane_jobs(jobs.collect(), threads, params)?;
+                let final_metrics = lock(&mutex)?.metrics();
+                (results, final_metrics)
+            }
+            LaneSuts::Shards(shards, _) => {
+                let jobs = inputs
+                    .zip(shards.iter_mut())
+                    .map(|((lane, ops, sinks), shard)| LaneJob {
+                        lane,
+                        ops,
+                        sinks,
+                        sut: SutRef::Owned(shard.as_mut()),
+                    });
+                let results = worker::run_lane_jobs(jobs.collect(), threads, params)?;
+                (results, sum_metrics(shards.iter().map(|s| s.metrics())))
+            }
+        };
+        finish_engine(started, results, final_metrics, shape, obs)
     };
-    finish_engine(started, results, final_metrics, shape, obs)
+    made_ahead_dealt(dealt, lanes, bounded, run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{unpaced_ops, CHUNK, CHUNKS};
     use crate::runner::{EngineStats, ExecutionMode, RunOutcome, Runner};
     use crate::scenario::ArrivalSpec;
     use lsbench_sut::kv::BTreeSut;
     use lsbench_sut::sut::{ExecOutcome, SutMetrics};
-    use lsbench_sut::Result as SutResult;
+    use lsbench_sut::{Result as SutResult, SutError};
     use lsbench_workload::arrival::{ArrivalProcess, LoadModulation};
     use lsbench_workload::dataset::Dataset;
     use lsbench_workload::keygen::KeyDistribution;
     use lsbench_workload::ops::OperationMix;
     use lsbench_workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase};
+    use std::sync::{Arc, Condvar};
 
     fn shift_scenario() -> Scenario {
         Scenario::two_phase_shift(
@@ -240,9 +285,13 @@ mod tests {
 
     /// The lane modes' intended arrivals (offsets from `exec_start`).
     fn lane_arrivals(s: &Scenario) -> Vec<f64> {
-        let mut stream: Vec<_> = scenario_ops(s, u64::MAX).unwrap().collect();
-        scale_bursts(s, &mut stream);
-        stream.iter().map(|op| op.meta.arrival.unwrap()).collect()
+        let mut scale = scale_bursts(s);
+        let ops = scenario_ops(s, u64::MAX).unwrap();
+        ops.map(|mut op| {
+            scale(&mut op);
+            op.meta.arrival.unwrap()
+        })
+        .collect()
     }
 
     fn btree(data: &Dataset) -> Result<BoxedKvSut> {
@@ -542,5 +591,202 @@ mod tests {
         };
         let report = Runner::new(&mut sut).config(opts).run(&s).unwrap();
         assert_eq!(report.record.completed(), 100);
+    }
+
+    /// Opens once, for every waiter.
+    #[derive(Default)]
+    struct Gate(Mutex<bool>, Condvar);
+
+    impl Gate {
+        fn open(&self) {
+            *self.0.lock().unwrap() = true;
+            self.1.notify_all();
+        }
+
+        fn wait(&self) {
+            let open = self.0.lock().unwrap();
+            drop(self.1.wait_while(open, |open| !*open).unwrap());
+        }
+    }
+
+    /// A SUT whose work depends on the key, and which fails — or panics —
+    /// when handed its `fail_at`-th op, once `gate` has opened.
+    struct Probe {
+        seen: usize,
+        fail_at: usize,
+        panics: bool,
+        gate: Arc<Gate>,
+    }
+
+    impl SystemUnderTest<Operation> for Probe {
+        fn name(&self) -> String {
+            "probe".to_string()
+        }
+        fn train(&mut self, _budget: u64) -> u64 {
+            0
+        }
+        fn execute(&mut self, op: &Operation) -> SutResult<ExecOutcome> {
+            let at = self.seen;
+            self.seen += 1;
+            if at != self.fail_at {
+                return Ok(ExecOutcome::ok(op.key() % 97 + 1));
+            }
+            self.gate.wait();
+            if self.panics {
+                panic!("probe panics at op {at}");
+            }
+            Err(SutError::Internal(format!("probe fails at op {at}")))
+        }
+        fn metrics(&self) -> SutMetrics {
+            SutMetrics::default()
+        }
+    }
+
+    /// Failing in the first chunk's first op, inside it, and chunks in.
+    const FAIL_AT: [usize; 3] = [0, 5, 2 * CHUNK + 3];
+
+    /// Chunks of ops per lane of an early stop (of 4 lanes).
+    const STOP_CHUNKS: usize = 12;
+
+    /// Every kind of reader of a stream made ahead for the engine: sharded
+    /// lanes on one thread (one bounded queue, three unbounded) and on two
+    /// (two of each), shared-lock lanes on one, and two scheduler workers.
+    const READERS: [(ExecutionMode, usize); 4] = [
+        (ExecutionMode::Sharded { workers: 4 }, 1),
+        (ExecutionMode::Sharded { workers: 4 }, 2),
+        (ExecutionMode::SharedLock { workers: 4 }, 1),
+        (
+            ExecutionMode::OpenLoop {
+                clients: 64,
+                workers: 2,
+            },
+            2,
+        ),
+    ];
+
+    /// `ops` uniform reads, arriving a millisecond apart: no open-loop
+    /// client of 64 is ever late, so each scheduler batch reads 64
+    /// consecutive ops.
+    fn early_stop_scenario(ops: usize) -> Scenario {
+        let range = (0, 1_000_000);
+        let mix = OperationMix::ycsb_c();
+        let phase = WorkloadPhase::new("reads", KeyDistribution::Uniform, range, mix, ops as u64);
+        Scenario::builder("early-stop")
+            .dataset(KeyDistribution::Uniform, range, 1_000, 3)
+            .workload(PhasedWorkload::single(phase, 5).unwrap())
+            .arrival(ArrivalSpec {
+                process: ArrivalProcess::Uniform { rate: 1_000.0 },
+                modulation: LoadModulation::Constant,
+                seed: 1,
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// A run of `mode` on `threads` threads whose SUT (each shard's) fails
+    /// (or panics) at its op `fail_at`, but only once the helper has made
+    /// every op it can get rid of: it then waits to hand over a chunk,
+    /// which is where a reader that kept its queue, or a run that ended
+    /// without joining the helper, would hang.
+    ///
+    /// A lane stopped in its chunk `c` holds chunks up to `c`, its bounded
+    /// queue `CHUNKS` more, and the helper one more it waits to hand over:
+    /// the gate opens when the helper has dealt a worker's first lane
+    /// `(c + CHUNKS + 2) · CHUNK` ops. A scheduler worker has fetched at
+    /// least chunk 0 before it locks the SUT, so the helper gets at least
+    /// `(1 + CHUNKS + 1) · CHUNK` ops out — no more if the stopped worker
+    /// is in its first batch and the other waits for the lock, and fewer if
+    /// the other fetched its bodies under the lock.
+    fn failing(mode: ExecutionMode, threads: usize, fail_at: usize, panics: bool) -> Result<()> {
+        let s = early_stop_scenario(4 * STOP_CHUNKS * CHUNK);
+        let gate = Arc::new(Gate::default());
+        let probe = || Probe {
+            seen: 0,
+            fail_at,
+            panics,
+            gate: Arc::clone(&gate),
+        };
+        let opts = RunOptions {
+            threads: Some(threads),
+            ..RunOptions::with_mode(mode)
+        };
+        let obs = &mut RunObserver::disabled();
+        let opener = Arc::clone(&gate);
+        if let ExecutionMode::OpenLoop { .. } = mode {
+            let full = (CHUNKS + 2) * CHUNK;
+            let ops = || {
+                let ops = unpaced_ops(&s, u64::MAX)?;
+                Ok(ops.inspect(move |op| {
+                    if op.meta.idx + 1 == full as u64 {
+                        opener.open();
+                    }
+                }))
+            };
+            return sched::heap_over(&mut probe(), &s, &opts, Tuning::default(), obs, ops)
+                .map(drop);
+        }
+        let lanes = mode.lanes();
+        let (router, _) = shard_dataset(&s.dataset.build()?, lanes)?;
+        let sharded = matches!(mode, ExecutionMode::Sharded { .. });
+        let lane_of = |op: &CoreOp<Operation>| match sharded {
+            true => router.route(&op.op),
+            false => op.meta.idx as usize % lanes,
+        };
+        let full = (fail_at / CHUNK + CHUNKS + 2) * CHUNK;
+        let mut dealt = vec![0; lanes];
+        let ops = || {
+            let ops = scenario_ops(&s, u64::MAX)?;
+            Ok(ops.inspect(move |op| {
+                let lane = lane_of(op);
+                dealt[lane] += 1;
+                if lane < threads && dealt[lane] == full {
+                    opener.open();
+                }
+            }))
+        };
+        let tuning = Tuning::default();
+        if sharded {
+            let mut shards: Vec<BoxedKvSut> = (0..lanes).map(|_| Box::new(probe()) as _).collect();
+            let mut suts: LaneSuts<'_, Probe> = LaneSuts::Shards(&mut shards, &router);
+            lanes_over(&mut suts, &s, &opts, tuning, obs, ops).map(drop)
+        } else {
+            let mut probe = probe();
+            lanes_over(
+                &mut LaneSuts::Shared(&mut probe),
+                &s,
+                &opts,
+                tuning,
+                obs,
+                ops,
+            )
+            .map(drop)
+        }
+    }
+
+    #[test]
+    fn made_ahead_engine_runs_return_the_sut_s_error() {
+        for (mode, threads) in READERS {
+            for fail_at in FAIL_AT {
+                let err = failing(mode, threads, fail_at, false).unwrap_err();
+                let expected = format!("probe fails at op {fail_at}");
+                assert!(
+                    err.to_string().contains(&expected),
+                    "{mode:?} on {threads}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn made_ahead_engine_runs_propagate_the_sut_s_panic() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for (mode, threads) in READERS {
+            for fail_at in FAIL_AT {
+                let run = catch_unwind(AssertUnwindSafe(|| failing(mode, threads, fail_at, true)));
+                let payload = run.expect_err("the SUT's panic reaches the caller");
+                let message = payload.downcast_ref::<String>().expect("a formatted panic");
+                assert_eq!(*message, format!("probe panics at op {fail_at}"));
+            }
+        }
     }
 }

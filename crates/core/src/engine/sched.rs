@@ -12,6 +12,9 @@
 //!   (`exec::scenario_ops`), so a one-client run is bit-identical to a
 //!   serial run. (Per-phase `concurrency_burst` factors are ignored here,
 //!   as they are serially: the arrival process *is* the offered load.)
+//!   The schedule is drawn on the calling thread before training, into a
+//!   dense array ([`arrival_offsets`]); the ops themselves are made ahead
+//!   on one helper thread (see below).
 //! * Clients are assigned to workers by `client mod workers`. A worker has
 //!   one pending event per active client — the client's next op, due at
 //!   `max(client clock, intended start)` — and serves them in `(deadline,
@@ -30,7 +33,7 @@
 //! owned-clients) per event and drags the whole population through the
 //! cache between two probes of the SUT — to re-derive, whenever no client
 //! is behind, an order the arrival schedule already has: arrivals are
-//! non-decreasing in stream index ([`open_loop_stream`] refuses a schedule
+//! non-decreasing in stream index ([`arrival_offsets`] refuses a schedule
 //! that is not), so on-time events are due in index order. [`ReadyQueue`]
 //! therefore merges two sorted sources:
 //!
@@ -56,6 +59,17 @@
 //! they are left to the heap. An under-loaded run never touches the heap;
 //! a fully overloaded one is the plain heap plus one comparison per op.
 //!
+//! # Op bodies are made ahead
+//!
+//! The ready queue needs only arrivals; an op's body is needed when its
+//! event is served. One helper thread runs the unchanged generators
+//! (`exec::made_ahead_to_all`) and hands every worker every 1024-op chunk
+//! over a bounded queue. A worker reads the bodies of a batch by global
+//! index from its [`OpWindow`] *before* it locks the SUT, so it never
+//! waits for the helper while it holds the lock, and drops a chunk from its
+//! window once it has fetched every op of its own in it. A client that
+//! falls behind keeps its chunk in the window for as long as it lags.
+//!
 //! # Determinism
 //!
 //! Every op's timing is a function of *its client's* state only — the
@@ -76,7 +90,8 @@ use super::merge::{finish_engine, EngineShape};
 use super::worker::{on_workers, LaneResult};
 use super::Tuning;
 use crate::exec::{
-    lock, prologue, scenario_ops, step, Batch, ClientState, CoreOp, LaneParams, RunPlan, Sinks,
+    arrival_process, lock, made_ahead_to_all, op_count, prologue, step, unpaced_ops, Batch, Chunk,
+    ClientState, CoreOp, LaneParams, RunPlan, Sinks, CHUNK,
 };
 use crate::obs::RunObserver;
 use crate::runner::{Executed, RunOptions};
@@ -86,7 +101,8 @@ use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Mutex};
 
 /// One pending client event: the client's next op and when it is due.
 #[derive(Debug, Clone, Copy)]
@@ -270,33 +286,107 @@ impl<'a> ReadyQueue<'a> {
     }
 }
 
-/// The open-loop op source: the scenario stream, capped, with the
-/// announcement rule of one shared SUT (only the globally first op of each
-/// phase announces the change, as in shared-lanes mode), and every op's
-/// arrival offset in a dense array of its own — the ready queue reads an
-/// op's arrival when it *schedules* the op, long before it executes it,
-/// and next to its neighbours'. Refuses a schedule that ever steps back:
-/// the arrival cursor relies on stream order being due order.
-fn open_loop_stream(
-    scenario: &Scenario,
-    max_ops: u64,
-) -> Result<(Vec<CoreOp<Operation>>, Vec<f64>)> {
-    let mut stream: Vec<CoreOp<Operation>> = scenario_ops(scenario, max_ops)?.collect();
-    let (mut seen_phase, mut latest) = (0usize, 0.0f64);
-    let mut arrivals = Vec::with_capacity(stream.len());
-    for op in &mut stream {
-        op.meta.announce = op.meta.phase != std::mem::replace(&mut seen_phase, op.meta.phase);
-        let arrival = op.meta.arrival.unwrap_or(0.0);
+/// The open-loop arrival schedule: every op's arrival offset in a dense
+/// array — the ready queue reads an op's arrival when it *schedules* the
+/// op, long before it executes it, and next to its neighbours'. Refuses a
+/// closed-loop scenario, and a schedule that ever steps back: the arrival
+/// cursor relies on stream order being due order.
+fn arrival_offsets(scenario: &Scenario, max_ops: u64) -> Result<Vec<f64>> {
+    let Some(mut process) = arrival_process(scenario)? else {
+        return Err(BenchError::InvalidScenario(
+            "open-loop execution requires an [arrival] section: without an arrival \
+             process an open loop is just a closed loop"
+                .to_string(),
+        ));
+    };
+    let count = op_count(scenario, max_ops);
+    let (mut arrivals, mut latest) = (Vec::with_capacity(count), 0.0f64);
+    for i in 0..count {
+        let arrival = process.next_arrival();
         if arrival < latest || arrival.is_nan() {
             return Err(BenchError::InvalidScenario(format!(
-                "arrival schedule steps back at op {}: {arrival} s after {latest} s",
-                op.meta.idx
+                "arrival schedule steps back at op {i}: {arrival} s after {latest} s"
             )));
         }
         latest = arrival;
         arrivals.push(arrival);
     }
-    Ok((stream, arrivals))
+    Ok(arrivals)
+}
+
+/// `ops` under the announcement rule of one shared SUT: only the globally
+/// first op of each phase announces the change, as with shared lanes.
+fn announced(
+    ops: impl Iterator<Item = CoreOp<Operation>>,
+) -> impl Iterator<Item = CoreOp<Operation>> {
+    let mut seen_phase = 0;
+    ops.map(move |mut op| {
+        op.meta.announce = op.meta.phase != std::mem::replace(&mut seen_phase, op.meta.phase);
+        op
+    })
+}
+
+/// A worker's window on the op stream made ahead, read by global index:
+/// every chunk received so far, each kept until the worker has fetched
+/// every op of its own in it.
+struct OpWindow<'a> {
+    worker: usize,
+    shape: EngineShape,
+    /// Every op's arrival offset (the helper makes the ops without them).
+    arrivals: &'a [f64],
+    chunks: Receiver<Arc<Chunk<Operation>>>,
+    /// By chunk number: the chunk while this worker has ops in it not yet
+    /// fetched, and how many.
+    window: Vec<(Option<Arc<Chunk<Operation>>>, usize)>,
+}
+
+impl<'a> OpWindow<'a> {
+    fn new(
+        worker: usize,
+        shape: EngineShape,
+        chunks: Receiver<Arc<Chunk<Operation>>>,
+        arrivals: &'a [f64],
+    ) -> Self {
+        OpWindow {
+            worker,
+            shape,
+            arrivals,
+            chunks,
+            window: Vec::new(),
+        }
+    }
+
+    /// The op at global index `i`, which this worker owns and has not
+    /// fetched before. Waits for the helper while its chunk is still to
+    /// come.
+    #[inline]
+    fn fetch(&mut self, i: usize) -> Result<CoreOp<Operation>> {
+        let k = i / CHUNK;
+        while self.window.len() <= k {
+            self.receive()?;
+        }
+        let (chunk, left) = &mut self.window[k];
+        let mut op = chunk.as_ref().expect("an op is fetched once")[i % CHUNK];
+        op.meta.arrival = Some(self.arrivals[i]);
+        *left -= 1;
+        if *left == 0 {
+            *chunk = None;
+        }
+        Ok(op)
+    }
+
+    /// Waits for the next chunk.
+    #[cold]
+    fn receive(&mut self) -> Result<()> {
+        let chunk = self.chunks.recv().map_err(|_| {
+            BenchError::Workload("the op stream ended before its arrival schedule".to_string())
+        })?;
+        let start = self.window.len() * CHUNK;
+        let own = |end| owned_ops(self.worker, self.shape, end);
+        let left = own(start + chunk.len()) - own(start);
+        self.window.push(((left > 0).then_some(chunk), left));
+        Ok(())
+    }
 }
 
 /// The event-heap driver: runs a scenario as `opts.mode.lanes()`
@@ -319,19 +409,27 @@ pub(crate) fn run_heap<S>(
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
+    let ops = || unpaced_ops(scenario, opts.max_ops);
+    heap_over(sut, scenario, opts, tuning, obs, ops)
+}
+
+/// [`run_heap`] over the op source `ops` makes once the run is checked.
+pub(super) fn heap_over<S, I>(
+    sut: &mut S,
+    scenario: &Scenario,
+    opts: &RunOptions,
+    tuning: Tuning,
+    obs: &mut RunObserver,
+    ops: impl FnOnce() -> Result<I>,
+) -> Result<Executed>
+where
+    S: SystemUnderTest<Operation> + Send + ?Sized,
+    I: Iterator<Item = CoreOp<Operation>> + Send,
+{
     let plan = RunPlan::from_scenario(scenario)?;
     tuning.validate()?;
-    if scenario.arrival.is_none() {
-        return Err(BenchError::InvalidScenario(
-            "open-loop execution requires an [arrival] section: without an arrival \
-             process an open loop is just a closed loop"
-                .to_string(),
-        ));
-    }
-    let (stream, arrivals) = open_loop_stream(scenario, opts.max_ops)?;
-    let started = prologue(plan, [&mut *sut], obs);
-    let params = &started.plan.params;
-
+    let arrivals = arrival_offsets(scenario, opts.max_ops)?;
+    let ops = announced(ops()?);
     let clients = opts.mode.lanes();
     let threads = opts.worker_threads().min(clients);
     let shape = EngineShape {
@@ -340,22 +438,26 @@ where
         interval: tuning.completion_interval,
         stable_lanes: false,
     };
-    let workers = (0..threads)
-        .map(|worker| {
-            let ops = owned_ops(worker, shape, stream.len());
-            let sinks = Sinks::new(obs.lane_obs(worker), ClockMode::Sim, ops, true);
-            (worker, sinks)
-        })
-        .collect();
-    let mutex = Mutex::new(sut);
-    let results = on_workers(workers, |(worker, sinks)| {
-        let stream = (stream.as_slice(), arrivals.as_slice());
-        let batch_size = tuning.batch_size;
-        run_sched_worker(worker, sinks, shape, stream, &mutex, params, batch_size)
-            .map(|(result, _)| result)
-    })?;
-    let final_metrics = lock(&mutex)?.metrics();
-    finish_engine(started, results, final_metrics, shape, obs)
+    made_ahead_to_all(ops, threads, |queues| {
+        let started = prologue(plan, [&mut *sut], obs);
+        let params = &started.plan.params;
+        let workers = queues
+            .into_iter()
+            .enumerate()
+            .map(|(worker, chunks)| {
+                let owned = owned_ops(worker, shape, arrivals.len());
+                let sinks = Sinks::new(obs.lane_obs(worker), ClockMode::Sim, owned, true);
+                (OpWindow::new(worker, shape, chunks, &arrivals), sinks)
+            })
+            .collect();
+        let mutex = Mutex::new(&mut *sut);
+        let results = on_workers(workers, |(window, sinks)| {
+            run_sched_worker(window, sinks, &mutex, params, tuning.batch_size)
+                .map(|(result, _)| result)
+        })?;
+        let final_metrics = lock(&mutex)?.metrics();
+        finish_engine(started, results, final_metrics, shape, obs)
+    })
 }
 
 /// One scheduler worker: owns every client with `client % threads ==
@@ -363,10 +465,8 @@ where
 /// one [`LaneResult`] whose `lane` is the worker index, with the number of
 /// events that went through the heap.
 fn run_sched_worker<S>(
-    worker: usize,
+    mut window: OpWindow<'_>,
     mut sinks: Sinks,
-    shape: EngineShape,
-    (stream, arrivals): (&[CoreOp<Operation>], &[f64]),
     mutex: &Mutex<&mut S>,
     params: &LaneParams,
     batch_size: usize,
@@ -374,28 +474,32 @@ fn run_sched_worker<S>(
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
+    let (worker, shape) = (window.worker, window.shape);
     // Client `c` owns global indices c, c + clients, c + 2·clients, …
     // Local slot for client `c` on this worker: (c - worker) / threads.
-    let mut ready = ReadyQueue::new(worker, shape, arrivals, params.exec_start);
+    let mut ready = ReadyQueue::new(worker, shape, window.arrivals, params.exec_start);
     let mut states = vec![ClientState::new(params.exec_start); ready.waiting.len()];
     let mut final_clock = params.exec_start;
 
-    let mut events: Vec<Event> = Vec::with_capacity(batch_size);
+    // The events due first, each with its client's slot and its op.
+    let mut due: Vec<(usize, CoreOp<Operation>)> = Vec::with_capacity(batch_size);
     let mut dispatch = Batch::default();
     loop {
-        events.clear();
-        events.extend(std::iter::from_fn(|| ready.pop()).take(batch_size));
-        if events.is_empty() {
+        // The batch's ops are fetched before the SUT is locked: a worker
+        // never waits for the helper while it holds the lock.
+        due.clear();
+        while due.len() < batch_size {
+            let Some(event) = ready.pop() else { break };
+            due.push((event.slot, window.fetch(event.next)?));
+        }
+        if due.is_empty() {
             break;
         }
         {
             // One lock per batch, not per op: the scheduler's throughput
             // lever.
             let mut guard = lock(mutex)?;
-            let mut due = events
-                .iter()
-                .map(|event| (event.slot, stream[event.next]))
-                .peekable();
+            let mut due = due.iter().copied().peekable();
             while let Some(first) = due.next() {
                 let (sut, rest) = (&mut **guard, &mut due);
                 step(
@@ -411,11 +515,11 @@ where
         }
         // Only now do the clients just served become pending again: a
         // batch is the events that were due first when it was gathered.
-        for event in &events {
-            let state = &mut states[event.slot];
-            let next = event.next + shape.lanes;
-            if next < stream.len() {
-                ready.admit(event.slot, next, state.clock);
+        for &(slot, CoreOp { meta, .. }) in &due {
+            let state = &mut states[slot];
+            let next = meta.idx as usize + shape.lanes;
+            if next < window.arrivals.len() {
+                ready.admit(slot, next, state.clock);
             } else {
                 // The client's last op: pay any remaining adaptation
                 // backlog (conservation of adaptation work).
@@ -549,15 +653,16 @@ mod tests {
     fn heap_pushes(s: &Scenario, sut: &str, clients: usize) -> (usize, usize) {
         let data = s.dataset.build().unwrap();
         let mut sut = SutRegistry::default().build(sut, &data).unwrap();
-        let (stream, arrivals) = open_loop_stream(s, u64::MAX).unwrap();
+        let arrivals = arrival_offsets(s, u64::MAX).unwrap();
         let plan = RunPlan::from_scenario(s).unwrap();
         let started = prologue(plan, [sut.as_mut()], &mut RunObserver::disabled());
-        let shape = shape(clients, 1);
-        let sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, stream.len(), true);
+        let sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, arrivals.len(), true);
         let mutex = Mutex::new(sut.as_mut());
-        let (stream, params) = ((&stream[..], &arrivals[..]), &started.plan.params);
-        let (result, pushed) =
-            run_sched_worker(0, sinks, shape, stream, &mutex, params, 1024).unwrap();
+        let ops = announced(unpaced_ops(s, u64::MAX).unwrap());
+        let (result, pushed) = made_ahead_to_all(ops, 1, |mut queues| {
+            let window = OpWindow::new(0, shape(clients, 1), queues.remove(0), &arrivals);
+            run_sched_worker(window, sinks, &mutex, &started.plan.params, 1024).unwrap()
+        });
         assert_eq!(result.sinks.ops.len(), arrivals.len());
         (pushed, arrivals.len())
     }

@@ -1,27 +1,30 @@
 //! Worker threads: where lanes physically run.
 //!
-//! The engine partitions the operation stream into *lanes* (logical
-//! concurrency) before any thread exists, and maps lanes onto *workers*
+//! The engine deals the operation stream to *lanes* (logical concurrency)
+//! on one helper thread while the lanes run, and maps lanes onto *workers*
 //! (physical threads) by `lane % threads`. A worker simply runs each of
 //! its lanes to completion, in lane order, with the inline driver
 //! ([`drive_inline`]) — the same loop the serial policy runs on the
-//! caller's thread. Nothing is communicated while workers run, so there is
-//! no channel: a lane's input is its op vector, its output its sinks.
+//! caller's thread. A lane's input is the queue of chunks the helper deals
+//! it, its output its sinks. The first lane of each worker reads a bounded
+//! queue; a lane waiting behind another on its worker takes its ops
+//! unbounded, since nobody reads them until the lanes before it are done.
 //! Because each lane's virtual timeline depends only on its operation
 //! subsequence (never on thread scheduling), results are reproducible for
 //! any worker count.
 
-use crate::exec::{drive_inline, CoreOp, LaneParams, Sinks, SutRef};
-use crate::{BenchError, Result};
+use crate::exec::{drive_inline, Chunk, LaneParams, Sinks, SutRef};
+use crate::Result;
 use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
+use std::sync::mpsc::Receiver;
 
-/// One lane, ready to run: its op subsequence, sinks and SUT access.
+/// One lane, ready to run: its op queue, sinks and SUT access.
 pub(crate) struct LaneJob<'env, 'sut, S: ?Sized> {
     /// Lane index.
     pub lane: usize,
-    /// The lane's operations, in stream order.
-    pub ops: Vec<CoreOp<Operation>>,
+    /// The lane's operations, in stream order, chunk by chunk.
+    pub ops: Receiver<Chunk<Operation>>,
     /// The lane's result sinks.
     pub sinks: Sinks,
     /// The shared SUT, or the shard this lane owns.
@@ -39,8 +42,9 @@ pub(crate) struct LaneResult {
     pub final_clock: f64,
 }
 
-/// Runs `work` over each input on its own scoped thread and joins them in
-/// order, surfacing the first error or panic.
+/// Runs `work` over each input on its own scoped thread and joins them all.
+/// A worker's panic — a SUT's — resumes on the caller; otherwise the first
+/// error in input order is the result.
 pub(crate) fn on_workers<T: Send, R: Send>(
     inputs: Vec<T>,
     work: impl Fn(T) -> Result<R> + Sync,
@@ -53,14 +57,12 @@ pub(crate) fn on_workers<T: Send, R: Send>(
                 scope.spawn(move || work(input))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .map_err(|_| BenchError::Sut("engine worker panicked".to_string()))?
-            })
-            .collect()
+        let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
+        let mut done = Vec::with_capacity(joined.len());
+        for result in joined {
+            done.push(result.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        done.into_iter().collect()
     })
 }
 
@@ -81,8 +83,7 @@ where
     let done = on_workers(per_worker, |jobs| {
         jobs.into_iter()
             .map(|mut job| {
-                let final_clock =
-                    drive_inline(job.sut, job.ops.into_iter(), &mut job.sinks, params)?;
+                let final_clock = drive_inline(job.sut, job.ops, &mut job.sinks, params)?;
                 Ok(LaneResult {
                     lane: job.lane,
                     sinks: job.sinks,

@@ -5,12 +5,13 @@
 //! each written once:
 //!
 //! 1. an **op source**: any iterator of [`CoreOp`]s (the scenario stream,
-//!    the stream plus pre-computed arrivals, trace entries, per-phase query
-//!    batches). The core is generic over `Op`, as
-//!    [`SystemUnderTest<Op>`] already is. The serial policy reads the
-//!    scenario stream [`made_ahead`] by one helper thread, so drawing keys
-//!    costs the SUT's thread nothing, as it would with a driver on another
-//!    machine;
+//!    trace entries, per-phase query batches). The core is generic over
+//!    `Op`, as [`SystemUnderTest<Op>`] already is. Every scenario run
+//!    reads the scenario stream made ahead by one helper thread, so drawing
+//!    keys costs no driver's thread anything, as it would with a driver on
+//!    another machine: the serial policy through [`made_ahead`], the lanes
+//!    through [`made_ahead_dealt`] (each lane its own ops), the scheduler
+//!    workers through [`made_ahead_to_all`] (every worker every chunk);
 //! 2. a **prologue** ([`prologue`]: train one or many SUTs → `exec_start`
 //!    → train / phase-0 events → [`LaneParams`]) and an **epilogue**
 //!    ([`epilogue`]: run-end events → [`RunRecord`] assembly);
@@ -47,8 +48,8 @@ use lsbench_sut::sut::{ExecOutcome, SutMetrics, SystemUnderTest, TransportStats}
 use lsbench_workload::arrival::ArrivalGenerator;
 use lsbench_workload::ops::Operation;
 use std::iter::Peekable;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Operations per `execute_many` dispatch. Batches never span a client's
@@ -58,21 +59,28 @@ use std::time::Instant;
 /// per batch on a shared one).
 const DISPATCH_BATCH: usize = 64;
 
-/// Operations per chunk of a stream [`made_ahead`]: the two threads meet
-/// once per chunk, and a chunk (64 KiB of `CoreOp<Operation>`) stays in
-/// cache between them. Any value gives the same ops in the same order.
+/// Operations per chunk of a stream made ahead: the helper and a reader
+/// meet once per chunk, and a chunk (64 KiB of `CoreOp<Operation>`) stays
+/// in cache between them. Any value gives the same ops in the same order.
 pub(crate) const CHUNK: usize = 1024;
 
 /// Chunk buffers of a stream [`made_ahead`]: the one the driver reads, and
-/// the ones the helper fills or has filled.
+/// the ones the helper fills or has filled. Also the most chunks a bounded
+/// queue of [`made_ahead_dealt`] or [`made_ahead_to_all`] holds.
 pub(crate) const CHUNKS: usize = 4;
 
 /// Where an operation sits in its run: everything the timing rule needs
 /// besides the operation itself.
+///
+/// Laid out in declaration order: the default layout packs `phase` and
+/// both flags into one word, and with it the serial driver measured about
+/// a tenth slower per op (`point_reads`, null SUT).
 #[derive(Debug, Clone, Copy)]
+#[repr(C)]
 pub(crate) struct OpMeta {
-    /// Scheduled phase of the operation.
-    pub phase: usize,
+    /// Scheduled phase of the operation (`PhasedWorkload::new` refuses
+    /// more phases than a `u16` tells apart).
+    pub phase: u16,
     /// True inside a gradual-transition window.
     pub in_transition: bool,
     /// Global stream index (fault coins and the merge tiebreaker).
@@ -97,10 +105,11 @@ pub(crate) struct CoreOp<Op> {
 
 impl<Op> CoreOp<Op> {
     /// The `idx`-th op of a plain source: it announces its own phase and
-    /// sits outside any transition window.
+    /// sits outside any transition window. Its source has at most
+    /// [`MAX_PHASES`](lsbench_workload::phases::MAX_PHASES) phases.
     pub(crate) fn new(op: Op, phase: usize, idx: usize, arrival: Option<f64>) -> Self {
         let meta = OpMeta {
-            phase,
+            phase: u16::try_from(phase).expect("a source has at most MAX_PHASES phases"),
             in_transition: false,
             idx: idx as u64,
             arrival,
@@ -108,6 +117,24 @@ impl<Op> CoreOp<Op> {
         };
         CoreOp { op, meta }
     }
+}
+
+fn workload_error(e: lsbench_workload::WorkloadError) -> BenchError {
+    BenchError::Workload(e.to_string())
+}
+
+/// How many ops a run of `scenario` capped at `max_ops` executes.
+pub(crate) fn op_count(scenario: &Scenario, max_ops: u64) -> usize {
+    scenario.workload.total_ops().min(max_ops) as usize
+}
+
+/// The scenario's seeded arrival process (`None` in closed loop).
+pub(crate) fn arrival_process(scenario: &Scenario) -> Result<Option<ArrivalGenerator>> {
+    let Some(spec) = &scenario.arrival else {
+        return Ok(None);
+    };
+    let process = ArrivalGenerator::new(spec.process, spec.modulation, spec.seed);
+    process.map(Some).map_err(workload_error)
 }
 
 /// The scenario stream as a lazily pulled op source, capped at `max_ops`:
@@ -119,18 +146,24 @@ pub(crate) fn scenario_ops(
     scenario: &Scenario,
     max_ops: u64,
 ) -> Result<impl Iterator<Item = CoreOp<Operation>>> {
-    let workload = |e: lsbench_workload::WorkloadError| BenchError::Workload(e.to_string());
-    let stream = scenario.workload.stream().map_err(workload)?;
-    let mut arrivals = match &scenario.arrival {
-        Some(spec) => Some(
-            ArrivalGenerator::new(spec.process, spec.modulation, spec.seed).map_err(workload)?,
-        ),
-        None => None,
-    };
-    let cap = scenario.workload.total_ops().min(max_ops) as usize;
-    Ok(stream.take(cap).enumerate().map(move |(i, labeled)| {
-        let arrival = arrivals.as_mut().map(|g| g.next_arrival());
-        let mut op = CoreOp::new(labeled.op, labeled.phase, i, arrival);
+    let ops = unpaced_ops(scenario, max_ops)?;
+    let mut arrivals = arrival_process(scenario)?;
+    Ok(ops.map(move |mut op| {
+        op.meta.arrival = arrivals.as_mut().map(|g| g.next_arrival());
+        op
+    }))
+}
+
+/// [`scenario_ops`] without the arrival schedule, for a driver that holds
+/// the schedule already (the open-loop scheduler).
+pub(crate) fn unpaced_ops(
+    scenario: &Scenario,
+    max_ops: u64,
+) -> Result<impl Iterator<Item = CoreOp<Operation>>> {
+    let stream = scenario.workload.stream().map_err(workload_error)?;
+    let ops = stream.take(op_count(scenario, max_ops)).enumerate();
+    Ok(ops.map(|(i, labeled)| {
+        let mut op = CoreOp::new(labeled.op, labeled.phase, i, None);
         op.meta.in_transition = labeled.in_transition;
         op
     }))
@@ -199,13 +232,157 @@ impl<Op: Copy> Iterator for MadeAhead<Op> {
                 self.at += 1;
                 return Some(op);
             }
-            // A helper that has finished needs no buffer back; the channel
-            // holds every buffer, so handing one back never blocks.
-            let _ = self.empty.send(std::mem::take(&mut self.chunk));
-            self.chunk = self.filled.recv().ok()?;
-            self.at = 0;
+            self.refill()?;
         }
     }
+}
+
+impl<Op> MadeAhead<Op> {
+    /// Hands the chunk read back and waits for the next one: out of line,
+    /// so that the per-op path the driver inlines stays small.
+    #[cold]
+    fn refill(&mut self) -> Option<()> {
+        // A helper that has finished needs no buffer back; the channel
+        // holds every buffer, so handing one back never blocks.
+        let _ = self.empty.send(std::mem::take(&mut self.chunk));
+        self.chunk = self.filled.recv().ok()?;
+        self.at = 0;
+        Some(())
+    }
+}
+
+/// A chunk of a stream made ahead for several owners, as its owners
+/// receive it.
+pub(crate) type Chunk<Op> = Vec<CoreOp<Op>>;
+
+/// The helper's end of one owner's queue.
+enum Outlet<T> {
+    Bounded(SyncSender<T>),
+    Unbounded(Sender<T>),
+}
+
+/// The helper's ends of every owner's queue; an owner that has stopped
+/// listening is forgotten.
+struct Outlets<T>(Vec<Option<Outlet<T>>>);
+
+impl<T> Outlets<T> {
+    /// Hands `chunk` to `owner` (waiting while a bounded queue is full) and
+    /// says whether any owner still listens.
+    fn hand(&mut self, owner: usize, chunk: T) -> bool {
+        if let Some(outlet) = &self.0[owner] {
+            let sent = match outlet {
+                Outlet::Bounded(queue) => queue.send(chunk).is_ok(),
+                Outlet::Unbounded(queue) => queue.send(chunk).is_ok(),
+            };
+            if !sent {
+                self.0[owner] = None;
+            }
+        }
+        self.0.iter().any(Option::is_some)
+    }
+}
+
+/// Runs `consume` on the calling thread over the receiving ends of one
+/// queue per owner while `fill` runs on one scoped helper thread with the
+/// sending ends. Owner `i`'s queue holds at most [`CHUNKS`] chunks if
+/// `bounded(i)`, any number otherwise. When `consume` returns or unwinds,
+/// every receiving end it has not passed on is dropped, and those it passed
+/// to its own threads are dropped when they end, so a helper waiting on a
+/// full queue wakes to a send that fails, stops once nobody listens, and
+/// the scope joins it.
+fn ahead<T: Send, R>(
+    owners: usize,
+    bounded: impl Fn(usize) -> bool,
+    fill: impl FnOnce(Outlets<T>) + Send,
+    consume: impl FnOnce(Vec<Receiver<T>>) -> R,
+) -> R {
+    let (outlets, queues) = (0..owners)
+        .map(|owner| {
+            if bounded(owner) {
+                let (queue, receiver) = sync_channel(CHUNKS);
+                (Some(Outlet::Bounded(queue)), receiver)
+            } else {
+                let (queue, receiver) = channel();
+                (Some(Outlet::Unbounded(queue)), receiver)
+            }
+        })
+        .unzip();
+    std::thread::scope(|scope| {
+        scope.spawn(move || fill(Outlets(outlets)));
+        consume(queues)
+    })
+}
+
+/// Runs `consume` over one queue per owner while one scoped helper thread
+/// deals the ops of `source` — `(owner, op)` pairs — into chunks of up to
+/// [`CHUNK`] ops per owner: each owner receives its own ops, in `source`'s
+/// order, and sees its queue end once `source` has. Every queue is bounded
+/// but those for which `bounded` says otherwise (see [`ahead`]). The helper
+/// allocates each chunk; its owner frees it.
+pub(crate) fn made_ahead_dealt<Op, I, R>(
+    source: I,
+    owners: usize,
+    bounded: impl Fn(usize) -> bool,
+    consume: impl FnOnce(Vec<Receiver<Chunk<Op>>>) -> R,
+) -> R
+where
+    Op: Send,
+    I: Iterator<Item = (usize, CoreOp<Op>)> + Send,
+{
+    let fill = move |mut outlets: Outlets<Chunk<Op>>| {
+        let mut filling: Vec<Chunk<Op>> = (0..owners).map(|_| Vec::with_capacity(CHUNK)).collect();
+        for (owner, op) in source {
+            let chunk = &mut filling[owner];
+            chunk.push(op);
+            if chunk.len() == CHUNK {
+                let full = std::mem::replace(chunk, Vec::with_capacity(CHUNK));
+                if !outlets.hand(owner, full) {
+                    return;
+                }
+            }
+        }
+        for (owner, chunk) in filling.into_iter().enumerate() {
+            if !chunk.is_empty() {
+                outlets.hand(owner, chunk);
+            }
+        }
+    };
+    ahead(owners, bounded, fill, consume)
+}
+
+/// Runs `consume` over one bounded queue per owner while one scoped helper
+/// thread fills chunks of [`CHUNK`] consecutive ops of `source` and hands
+/// every chunk to every owner: chunk `k` holds the ops `k · CHUNK ..`, so an
+/// owner finds any op by its position in `source`. A chunk is freed when
+/// the last owner drops it.
+pub(crate) fn made_ahead_to_all<Op, I, R>(
+    source: I,
+    owners: usize,
+    consume: impl FnOnce(Vec<Receiver<Arc<Chunk<Op>>>>) -> R,
+) -> R
+where
+    Op: Send + Sync,
+    I: Iterator<Item = CoreOp<Op>> + Send,
+{
+    let fill = move |mut outlets: Outlets<Arc<Chunk<Op>>>| {
+        let mut source = source;
+        loop {
+            let mut chunk = Vec::with_capacity(CHUNK);
+            chunk.extend(source.by_ref().take(CHUNK));
+            if chunk.is_empty() {
+                return;
+            }
+            let chunk = Arc::new(chunk);
+            let mut listened = false;
+            for owner in 0..owners {
+                listened = outlets.hand(owner, Arc::clone(&chunk));
+            }
+            if !listened {
+                return;
+            }
+        }
+    };
+    ahead(owners, |_| true, fill, consume)
 }
 
 /// Run constants every client shares.
@@ -418,7 +595,7 @@ pub(crate) struct ClientState {
     /// Client-local operations since the last maintenance slot.
     pub since_maintenance: u64,
     /// Last phase this client saw (phase changes fire on transition).
-    pub current_phase: usize,
+    pub current_phase: u16,
 }
 
 impl ClientState {
@@ -546,7 +723,7 @@ impl Sinks {
         self.ops.push(OpRecord {
             t_end,
             latency,
-            phase: meta.phase as u16,
+            phase: meta.phase,
             ok,
             in_transition: meta.in_transition,
         });
@@ -571,14 +748,13 @@ pub(crate) fn prelude<Op, T: SystemUnderTest<Op> + ?Sized>(
 ) {
     if meta.phase != client.current_phase {
         client.current_phase = meta.phase;
-        sinks.phase_first.push((meta.phase, client.clock));
-        sinks.obs.phase_change(client.clock, meta.phase);
+        let phase = usize::from(meta.phase);
+        sinks.phase_first.push((phase, client.clock));
+        sinks.obs.phase_change(client.clock, phase);
         if meta.announce {
-            let adapt_work = sut.on_phase_change(meta.phase);
+            let adapt_work = sut.on_phase_change(phase);
             client.backlog += adapt_work as f64 / p.rate;
-            sinks
-                .obs
-                .retrain_burst(client.clock, meta.phase, adapt_work);
+            sinks.obs.retrain_burst(client.clock, phase, adapt_work);
             sinks.obs.backlog(client.clock, client.backlog);
         }
     }
@@ -682,7 +858,7 @@ fn account(
     };
     let settled = session.settle(
         outcome,
-        meta.phase,
+        usize::from(meta.phase),
         meta.idx,
         p.rate,
         p.online_train,
@@ -832,30 +1008,38 @@ pub(crate) fn lock<'a, T: ?Sized>(mutex: &'a Mutex<T>) -> Result<MutexGuard<'a, 
         .map_err(|_| BenchError::Sut("shared SUT mutex poisoned".to_string()))
 }
 
-/// The inline driver: one client owning the whole `source`, run to
-/// completion on the calling thread. Returns the client's final clock.
-pub(crate) fn drive_inline<Op, S, I>(
+/// The inline driver: one client owning the ops of every chunk, in order,
+/// run to completion on the calling thread. Returns the client's final
+/// clock. A chunk is taken before the shared SUT is locked, and a dispatch
+/// gathers only from the chunk at hand, so the driver never waits for a
+/// chunk while it holds the lock (a dispatch ends with its chunk, which
+/// the record cannot tell).
+pub(crate) fn drive_inline<Op, S, C>(
     mut sut: SutRef<'_, '_, S>,
-    source: I,
+    chunks: impl IntoIterator<Item = C>,
     sinks: &mut Sinks,
     p: &LaneParams,
 ) -> Result<f64>
 where
     S: SystemUnderTest<Op> + ?Sized,
-    I: Iterator<Item = CoreOp<Op>>,
+    C: IntoIterator<Item = CoreOp<Op>>,
 {
     let mut client = [ClientState::new(p.exec_start)];
     let mut batch = Batch::default();
-    let mut source = source.map(|op| (0, op)).peekable();
-    while let Some(first) = source.next() {
-        let rest = &mut source;
-        match &mut sut {
-            SutRef::Owned(sut) => step(&mut client, sinks, &mut batch, &mut **sut, first, rest, p),
-            SutRef::Shared(mutex) => {
-                let mut guard = lock(mutex)?;
-                step(&mut client, sinks, &mut batch, &mut **guard, first, rest, p)
-            }
-        }?;
+    for chunk in chunks {
+        let mut source = chunk.into_iter().map(|op| (0, op)).peekable();
+        while let Some(first) = source.next() {
+            let rest = &mut source;
+            match &mut sut {
+                SutRef::Owned(sut) => {
+                    step(&mut client, sinks, &mut batch, &mut **sut, first, rest, p)
+                }
+                SutRef::Shared(mutex) => {
+                    let mut guard = lock(mutex)?;
+                    step(&mut client, sinks, &mut batch, &mut **guard, first, rest, p)
+                }
+            }?;
+        }
     }
     let [mut client] = client;
     Ok(client.finish())
@@ -881,7 +1065,7 @@ where
     // The single client emits on the coordinator's own lane.
     let root = std::mem::replace(&mut obs.root, LaneObs::inert());
     let mut sinks = Sinks::new(root, clock, started.plan.ops_hint, false);
-    let driven = drive_inline(SutRef::Owned(&mut *sut), source, &mut sinks, p);
+    let driven = drive_inline(SutRef::Owned(&mut *sut), [source], &mut sinks, p);
     obs.root = std::mem::replace(&mut sinks.obs, LaneObs::inert());
     let exec_end = driven?;
     let merged = Merged::inline(&mut sinks, p.exec_start, exec_end);

@@ -33,7 +33,7 @@ use lsbench_workload::arrival::{ArrivalProcess, LoadModulation};
 use lsbench_workload::families::{LedgerGrowth, Steps, TemplatedRepetition};
 use lsbench_workload::keygen::{KeyDistribution, CANONICAL_DISTRIBUTIONS};
 use lsbench_workload::ops::OperationMix;
-use lsbench_workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase};
+use lsbench_workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase, MAX_PHASES};
 
 pub(crate) type SResult<T> = Result<T, SpecError>;
 
@@ -679,6 +679,12 @@ impl Chain {
         } else if join.is_some() {
             let reason = "the first block of a workload cannot have a transition";
             return Err(f.bad("transition", reason));
+        }
+        let total = self.phases.len() + phases.len();
+        if total > MAX_PHASES {
+            let reason =
+                format!("expands the workload to {total} phases, past the limit of {MAX_PHASES}");
+            return Err(f.at_header(f.name, reason));
         }
         self.phases.extend(phases);
         self.transitions.extend(internal);

@@ -17,6 +17,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// The most phases a workload may have: a run records each operation's
+/// phase in 16 bits.
+pub const MAX_PHASES: usize = 1 << 16;
+
 /// One stretch of workload with a fixed key distribution and operation mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadPhase {
@@ -132,6 +136,12 @@ impl PhasedWorkload {
             return Err(crate::WorkloadError::InvalidParameter(
                 "at least one phase is required".to_string(),
             ));
+        }
+        if phases.len() > MAX_PHASES {
+            return Err(crate::WorkloadError::InvalidParameter(format!(
+                "{} phases exceed the limit of {MAX_PHASES}",
+                phases.len()
+            )));
         }
         if transitions.len() + 1 != phases.len() {
             return Err(crate::WorkloadError::InvalidParameter(format!(
@@ -426,6 +436,21 @@ mod tests {
             1
         )
         .is_err());
+    }
+
+    #[test]
+    fn at_most_max_phases() {
+        let phases = |n| vec![phase("p", KeyDistribution::Uniform, 1); n];
+        let joins = |n| vec![TransitionKind::Abrupt; n - 1];
+        let w = PhasedWorkload::new(phases(MAX_PHASES), joins(MAX_PHASES), 1).unwrap();
+        let last = w.stream().unwrap().last().unwrap();
+        assert_eq!(last.phase, MAX_PHASES - 1);
+        let err = PhasedWorkload::new(phases(MAX_PHASES + 1), joins(MAX_PHASES + 1), 1);
+        let err = err.unwrap_err().to_string();
+        assert!(
+            err.contains("65537 phases exceed the limit of 65536"),
+            "{err}"
+        );
     }
 
     #[test]

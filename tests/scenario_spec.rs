@@ -122,6 +122,13 @@ const BAD_FIXTURES: &[(&str, &str, usize, &str, &str)] = &[
         "ops",
         "overlapping phase boundary",
     ),
+    (
+        "too_many_phases",
+        include_str!("spec_fixtures/bad/too_many_phases.spec"),
+        16,
+        "diurnal",
+        "expands the workload to 65537 phases, past the limit of 65536",
+    ),
 ];
 
 #[test]
