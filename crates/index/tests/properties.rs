@@ -54,15 +54,23 @@ fn check_against_model<I: Index>(idx: &I, model: &BTreeMap<u64, u64>, probes: &[
     }
 }
 
+/// Scans from each of `starts`, and from both ends of `u64`, return what
+/// `model` holds there, for no row, one, some and every row there is.
 fn check_range_against_model<I: Index>(idx: &I, model: &BTreeMap<u64, u64>, starts: &[u64]) {
-    for &s in starts {
-        let expected: Vec<(u64, u64)> = model.range(s..).take(20).map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(
-            idx.range(s, 20).unwrap(),
-            expected,
-            "{} range({s})",
-            idx.name()
-        );
+    for &s in starts.iter().chain(&[0, u64::MAX]) {
+        for limit in [0, 1, 20, usize::MAX] {
+            let expected: Vec<(u64, u64)> = model
+                .range(s..)
+                .take(limit)
+                .map(|(&k, &v)| (k, v))
+                .collect();
+            assert_eq!(
+                idx.range(s, limit).unwrap(),
+                expected,
+                "{} range({s}, {limit})",
+                idx.name()
+            );
+        }
     }
 }
 
@@ -419,6 +427,13 @@ fn run_delta_machine<I: Index + BulkLoad>(
         };
         prop_assert_eq!(idx.len(), live.len(), "{} len", at);
         prop_assert_eq!(idx.pending(), written.len() + dead.len(), "{} pending", at);
+        // The modelled footprint: 16 bytes per buffered pair, 8 per tombstone.
+        prop_assert_eq!(
+            idx.stats().size_bytes,
+            idx.base().stats().size_bytes + written.len() * 16 + dead.len() * 8,
+            "{} size_bytes",
+            at
+        );
 
         probes.push(touched);
         let mut batch = Vec::new();
@@ -435,7 +450,7 @@ fn run_delta_machine<I: Index + BulkLoad>(
         starts.extend(live.keys().nth(live.len() / 2));
         starts.extend(live.keys().next_back().and_then(|k| k.checked_add(1)));
         for &start in &starts {
-            for limit in [0, 1, 20, live.len() + 5] {
+            for limit in [0, 1, 20, live.len() + 5, usize::MAX] {
                 let expected: Vec<(u64, u64)> = live
                     .range(start..)
                     .take(limit)
@@ -584,10 +599,11 @@ proptest! {
         }
         prop_assert_eq!(bt.len(), model.len());
         prop_assert_eq!(al.len(), model.len());
-        // Full scans agree.
-        let all: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-        prop_assert_eq!(bt.range(0, usize::MAX >> 1).unwrap(), all.clone());
-        prop_assert_eq!(al.range(0, usize::MAX >> 1).unwrap(), all);
+        // Scans agree, from below, inside and above the keys written.
+        let starts: Vec<u64> = ops.iter().take(8).map(|op| op.1).collect();
+        check_range_against_model(&bt, &model, &starts);
+        check_range_against_model(&al, &model, &starts);
+        check_range_against_model(&sa, &model, &starts);
     }
 
     #[test]
