@@ -440,19 +440,19 @@ impl Index for AlexIndex {
         }
     }
 
-    fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
-        let mut out = Vec::with_capacity(limit.min(1024));
+    fn range_into(&self, start: u64, limit: usize, out: &mut Vec<(u64, u64)>) -> Result<()> {
+        let held = out.len();
         let mut li = self.leaf_for(start);
         // `locate`'s slot, found or not, has every smaller key before it:
         // the first leaf is read from there, the later ones from slot 0.
         let (Ok(mut from) | Err(mut from)) = self.leaves[li].locate(start);
-        while li < self.leaves.len() && out.len() < limit {
+        while li < self.leaves.len() && out.len() - held < limit {
             let rows = self.leaves[li].slots[from..].iter().flatten();
-            out.extend(rows.take(limit - out.len()));
+            out.extend(rows.take(limit - (out.len() - held)));
             from = 0;
             li += 1;
         }
-        Ok(out)
+        Ok(())
     }
 
     fn insert(&mut self, key: u64, value: u64) -> Result<Option<u64>> {

@@ -580,25 +580,27 @@ impl Index for BPlusTree {
         }
     }
 
-    fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
-        let mut out = Vec::with_capacity(limit.min(1024));
+    fn range_into(&self, start: u64, limit: usize, out: &mut Vec<(u64, u64)>) -> Result<()> {
+        let mut left = limit;
         let mut leaf = Some(self.find_leaf(start));
-        while let Some(l) = leaf {
+        while let Some(l) = leaf.filter(|_| left > 0) {
             match &self.nodes[l] {
                 Node::Leaf { keys, values, next } => {
                     let from = keys.partition_point(|&k| k < start);
-                    for i in from..keys.len() {
-                        if out.len() >= limit {
-                            return Ok(out);
-                        }
-                        out.push((keys[i], values[i]));
-                    }
+                    let to = from + (keys.len() - from).min(left);
+                    out.extend(
+                        keys[from..to]
+                            .iter()
+                            .copied()
+                            .zip(values[from..to].iter().copied()),
+                    );
+                    left -= to - from;
                     leaf = *next;
                 }
                 _ => unreachable!("leaf chain hit non-leaf"),
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn insert(&mut self, key: u64, value: u64) -> Result<Option<u64>> {

@@ -9,8 +9,8 @@
 //! in exchange for restored lookup speed.
 //!
 //! [`DeltaIndex`] wraps any `Index + BulkLoad` with:
-//! * an ordered buffer of pending inserts/updates,
-//! * an ordered set of tombstones for deleted base keys,
+//! * one ordered map of pending writes, where `Some(value)` is an insert or
+//!   an update and `None` a tombstone of a base key,
 //! * a live-key count kept up to date by every write,
 //! * an explicit [`DeltaIndex::retrain`] that merges and rebuilds,
 //! * [`DeltaIndex::delta_fraction`] so a policy can decide *when* to retrain.
@@ -18,25 +18,31 @@
 //! What the benchmark charges for a probe ([`Index::probe_cost`]) and what
 //! it reports as footprint ([`IndexStats::size_bytes`]) are *modelled*
 //! quantities: functions of the base and of the number of pending writes,
-//! not of how the buffer happens to be stored. The bookkeeping around them
+//! not of how the delta happens to be stored. The bookkeeping around them
 //! is kept off the base: [`Index::len`], [`DeltaIndex::pending`] and
 //! [`DeltaIndex::delta_fraction`] never touch it, a write probes it at most
 //! once, a scan reads only the base rows it returns or has to skip.
+//!
+//! A scan appends the base's rows straight into the caller's buffer and
+//! patches the pending writes over them where they lie, so it allocates
+//! nothing of its own: a chunk of base rows no pending key falls into is
+//! left as the base wrote it.
 
 use crate::{BulkLoad, Index, IndexStats, Result};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::{self, BTreeMap, Entry};
 
 /// An updatable wrapper around a read-only (bulk-loaded) index.
 ///
-/// Between retrains three things hold: a key is never both buffered and
-/// tombstoned, every tombstone is a key of the base, and `live` counts the
-/// base keys that are not tombstoned plus the buffered keys the base does
-/// not have.
+/// Between retrains two things hold: every tombstone (`None` in `delta`)
+/// is a key of the base, and `live` counts the base keys that are not
+/// tombstoned plus the buffered keys the base does not have.
 #[derive(Debug)]
 pub struct DeltaIndex<I> {
     base: I,
-    buffer: BTreeMap<u64, u64>,
-    tombstones: BTreeSet<u64>,
+    /// Pending writes: `Some(value)` buffered, `None` tombstoned.
+    delta: BTreeMap<u64, Option<u64>>,
+    /// How many entries of `delta` are tombstones.
+    tombstones: usize,
     live: usize,
     /// Work spent on retrains (cumulative build work of rebuilt bases).
     retrain_work: u64,
@@ -57,8 +63,8 @@ impl<I: Index + BulkLoad> DeltaIndex<I> {
         DeltaIndex {
             live: base.len(),
             base,
-            buffer: BTreeMap::new(),
-            tombstones: BTreeSet::new(),
+            delta: BTreeMap::new(),
+            tombstones: 0,
             retrain_work: 0,
             retrain_count: 0,
         }
@@ -71,7 +77,7 @@ impl<I: Index + BulkLoad> DeltaIndex<I> {
 
     /// Pending (unmerged) writes: delta entries plus tombstones.
     pub fn pending(&self) -> usize {
-        self.buffer.len() + self.tombstones.len()
+        self.delta.len()
     }
 
     /// Pending writes as a fraction of total live keys; retrain policies
@@ -99,16 +105,76 @@ impl<I: Index + BulkLoad> DeltaIndex<I> {
     /// Returns the build work of the rebuilt base (the cost the benchmark's
     /// training metrics attribute to this adaptation).
     pub fn retrain(&mut self) -> Result<u64> {
-        // base ∪ buffer − tombstones, in one pass over the base.
-        let pairs = self.range(0, usize::MAX)?;
+        // base ∪ buffer − tombstones, in one pass over the base. The scan
+        // holds every base row before it patches them, so the buffer is
+        // sized for whichever of the two is larger.
+        let mut pairs = Vec::with_capacity(self.live.max(self.base.len()));
+        self.range_into(0, usize::MAX, &mut pairs)?;
         self.base = I::bulk_load(&pairs)?;
-        self.buffer.clear();
-        self.tombstones.clear();
+        self.delta.clear();
+        self.tombstones = 0;
         self.live = self.base.len();
         let work = self.base.build_work();
         self.retrain_work += work;
         self.retrain_count += 1;
         Ok(work)
+    }
+}
+
+/// Applies the pending writes of `window` to the base rows `out[from..]`,
+/// in place. The rows are ascending and hold every base key of the
+/// window's key span; every tombstone in the window is one of them.
+///
+/// A forward pass overwrites updated rows and closes up tombstoned ones;
+/// only if the window holds fresh keys does a backward pass open a gap for
+/// them at the end and close it from the top down. Rows below the first
+/// pending key never move, and no row moves more than twice.
+fn patch(out: &mut Vec<(u64, u64)>, from: usize, window: btree_map::Range<'_, u64, Option<u64>>) {
+    let rows = &mut out[from..];
+    let (mut read, mut kept, mut fresh) = (0, 0, 0);
+    for (&key, &write) in window.clone() {
+        let below = rows[read..].partition_point(|r| r.0 < key);
+        if kept < read {
+            rows.copy_within(read..read + below, kept);
+        }
+        (read, kept) = (read + below, kept + below);
+        let in_base = rows.get(read).is_some_and(|r| r.0 == key);
+        match write {
+            Some(value) if in_base => {
+                rows[kept] = (key, value);
+                (read, kept) = (read + 1, kept + 1);
+            }
+            Some(_) => fresh += 1,
+            None => {
+                debug_assert!(in_base, "tombstone {key} is not a base row");
+                read += 1;
+            }
+        }
+    }
+    if kept < read {
+        rows.copy_within(read.., kept);
+    }
+    kept += rows.len() - read;
+    out.truncate(from + kept);
+    if fresh == 0 {
+        return;
+    }
+    out.resize(from + kept + fresh, (0, 0));
+    let rows = &mut out[from..];
+    let (mut read, mut write) = (kept, kept + fresh);
+    for (&key, &value) in window.rev() {
+        let Some(value) = value else { continue };
+        let above = rows[..read].partition_point(|r| r.0 <= key);
+        rows.copy_within(above..read, write - (read - above));
+        (write, read) = (write - (read - above), above);
+        if read > 0 && rows[read - 1].0 == key {
+            continue; // an update, made by the forward pass
+        }
+        write -= 1;
+        rows[write] = (key, value);
+        if write == read {
+            break;
+        }
     }
 }
 
@@ -119,110 +185,101 @@ impl<I: Index + BulkLoad> Index for DeltaIndex<I> {
     }
 
     fn get(&self, key: u64) -> Option<u64> {
-        if let Some(&v) = self.buffer.get(&key) {
-            return Some(v);
+        match self.delta.get(&key) {
+            Some(&write) => write,
+            None => self.base.get(key),
         }
-        if self.tombstones.contains(&key) {
-            return None;
-        }
-        self.base.get(key)
     }
 
     fn get_many(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         // Let the base overlap its probe misses across the batch, then
-        // patch the (usually empty) delta and tombstones over the results
-        // in the same precedence order as [`DeltaIndex::get`].
+        // patch the (usually empty) delta over the results.
         let start = out.len();
         self.base.get_many(keys, out);
-        if self.tombstones.is_empty() && self.buffer.is_empty() {
+        if self.delta.is_empty() {
             return;
         }
-        for (slot, &key) in out[start..].iter_mut().zip(keys) {
-            if let Some(&v) = self.buffer.get(&key) {
-                *slot = Some(v);
-            } else if self.tombstones.contains(&key) {
-                *slot = None;
+        for (slot, key) in out[start..].iter_mut().zip(keys) {
+            if let Some(&write) = self.delta.get(key) {
+                *slot = write;
             }
         }
     }
 
-    fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
-        // A three-way ordered merge of base rows, buffered writes and
-        // tombstones. The base is read in chunks of what the result still
-        // lacks, so it hands over `limit` rows plus one for every row a
-        // tombstone or a buffered overwrite made it skip — however many
-        // tombstones sit elsewhere in the key space. The price is one base
-        // call per chunk: a stretch of skipped rows longer than what is
-        // still missing takes several.
-        let mut out = Vec::with_capacity(limit.min(self.live));
-        let mut buffered = self.buffer.range(start..).map(|(&k, &v)| (k, v)).peekable();
-        let mut dead = self.tombstones.range(start..).copied().peekable();
+    fn range_into(&self, start: u64, limit: usize, out: &mut Vec<(u64, u64)>) -> Result<()> {
+        // The base is read in chunks of what the result still lacks, so it
+        // hands over `limit` rows plus one for every row a tombstone made
+        // it skip — however many tombstones sit elsewhere in the key space.
+        // The price is one base call per chunk: a stretch of skipped rows
+        // longer than what is still missing takes several.
+        let mut left = limit;
         // Where the next chunk starts; `None` once the base is exhausted.
         let mut from = Some(start);
-        while out.len() < limit {
+        while left > 0 {
             let Some(at) = from else { break };
-            let want = limit - out.len();
-            let chunk = self.base.range(at, want)?;
-            from = match chunk.last() {
-                Some(&(last, _)) if chunk.len() == want => last.checked_add(1),
-                _ => None,
+            let chunk = out.len();
+            self.base.range_into(at, left, out)?;
+            // A full chunk holds every base row up to its last key, and the
+            // pending keys up to it are patched in now; a short one holds
+            // the rest of the base, and every pending key above `at` is.
+            let (to, next) = match out.last() {
+                Some(&(last, _)) if out.len() - chunk == left => (last, last.checked_add(1)),
+                _ => (u64::MAX, None),
             };
-            for (key, value) in chunk {
-                // Every tombstone is a base key, so they come up in step
-                // with the base rows; buffered writes up to this key go
-                // first, and one *at* this key replaces the base row.
-                let mut shadowed = dead.next_if_eq(&key).is_some();
-                while out.len() < limit {
-                    let Some(write) = buffered.next_if(|w| w.0 <= key) else {
-                        break;
-                    };
-                    shadowed |= write.0 == key;
-                    out.push(write);
-                }
-                if out.len() == limit {
-                    break;
-                }
-                if !shadowed {
-                    out.push((key, value));
-                }
-            }
+            patch(out, chunk, self.delta.range(at..=to));
+            let got = out.len() - chunk;
+            out.truncate(chunk + got.min(left));
+            left -= got.min(left);
+            from = next;
         }
-        if from.is_none() {
-            out.extend(buffered.take(limit - out.len()));
-        }
-        Ok(out)
+        Ok(())
     }
 
     fn insert(&mut self, key: u64, value: u64) -> Result<Option<u64>> {
-        // A tombstoned key is logically absent: reinserting it returns None,
-        // not the stale base value.
-        if self.tombstones.remove(&key) {
-            let buffered = self.buffer.insert(key, value);
-            debug_assert!(buffered.is_none(), "tombstone and delta entry coexisted");
-            self.live += 1;
-            return Ok(None);
+        match self.delta.entry(key) {
+            Entry::Occupied(mut pending) => match pending.insert(Some(value)) {
+                Some(buffered) => Ok(Some(buffered)),
+                // A tombstoned key is logically absent: reinserting it
+                // returns None, not the stale base value.
+                None => {
+                    self.tombstones -= 1;
+                    self.live += 1;
+                    Ok(None)
+                }
+            },
+            Entry::Vacant(slot) => {
+                slot.insert(Some(value));
+                let in_base = self.base.get(key);
+                if in_base.is_none() {
+                    self.live += 1;
+                }
+                Ok(in_base)
+            }
         }
-        if let Some(buffered) = self.buffer.insert(key, value) {
-            return Ok(Some(buffered));
-        }
-        let in_base = self.base.get(key);
-        if in_base.is_none() {
-            self.live += 1;
-        }
-        Ok(in_base)
     }
 
     fn delete(&mut self, key: u64) -> Result<Option<u64>> {
-        let buffered = self.buffer.remove(&key);
-        if buffered.is_none() && self.tombstones.contains(&key) {
+        let removed = match self.delta.entry(key) {
             // Already logically deleted.
-            return Ok(None);
-        }
-        let in_base = self.base.get(key);
-        if in_base.is_some() {
-            self.tombstones.insert(key);
-        }
-        let removed = buffered.or(in_base);
+            Entry::Occupied(pending) if pending.get().is_none() => return Ok(None),
+            Entry::Occupied(mut pending) => {
+                // A buffered key the base also has becomes its tombstone.
+                if self.base.get(key).is_some() {
+                    self.tombstones += 1;
+                    pending.insert(None)
+                } else {
+                    pending.remove()
+                }
+            }
+            Entry::Vacant(slot) => {
+                let in_base = self.base.get(key);
+                if in_base.is_some() {
+                    self.tombstones += 1;
+                    slot.insert(None);
+                }
+                in_base
+            }
+        };
         if removed.is_some() {
             self.live -= 1;
         }
@@ -239,10 +296,11 @@ impl<I: Index + BulkLoad> Index for DeltaIndex<I> {
 
     fn stats(&self) -> IndexStats {
         let base = self.base.stats();
+        let buffered = self.delta.len() - self.tombstones;
         IndexStats {
             // The modelled footprint: 16 bytes per buffered pair, 8 per
-            // tombstone, whatever the containers holding them weigh.
-            size_bytes: base.size_bytes + self.buffer.len() * 16 + self.tombstones.len() * 8,
+            // tombstone, whatever the map holding them weighs.
+            size_bytes: base.size_bytes + buffered * 16 + self.tombstones * 8,
             build_work: self.build_work(),
             model_count: base.model_count,
         }
@@ -338,6 +396,17 @@ mod tests {
         assert_eq!(got, vec![(10, 1), (15, 150), (30, 3), (40, 4)]);
     }
 
+    /// `range_into(start, limit)` after two held rows: it keeps them and
+    /// appends what `range` returns.
+    fn scan_after_held(idx: &DeltaRmi, start: u64, limit: usize) -> Vec<(u64, u64)> {
+        let held = [(3, 3), (u64::MAX, 0)];
+        let mut out = held.to_vec();
+        idx.range_into(start, limit, &mut out).unwrap();
+        assert_eq!(out[..2], held);
+        assert_eq!(out[2..], idx.range(start, limit).unwrap());
+        out.split_off(2)
+    }
+
     #[test]
     fn range_up_to_the_largest_key_does_not_wrap() {
         // A scan that wants more rows than exist and ends on a live
@@ -345,25 +414,26 @@ mod tests {
         // panic (debug) or wrap to 0 and return every pair twice (release).
         let pairs = [(1, 10), (5, 50), (u64::MAX, 7)];
         let mut idx = DeltaRmi::build(&pairs).unwrap();
-        assert_eq!(idx.range(0, 10).unwrap(), pairs);
+        assert_eq!(scan_after_held(&idx, 0, 10), pairs);
         // The same edge reached by a full chunk that ends on `u64::MAX`.
         idx.delete(1).unwrap();
         idx.delete(5).unwrap();
-        assert_eq!(idx.range(0, 1).unwrap(), [(u64::MAX, 7)]);
-        assert_eq!(idx.range(0, 2).unwrap(), [(u64::MAX, 7)]);
+        assert_eq!(scan_after_held(&idx, 0, 1), [(u64::MAX, 7)]);
+        assert_eq!(scan_after_held(&idx, 0, 2), [(u64::MAX, 7)]);
     }
 
     #[test]
     fn unbounded_range_with_a_tombstone_returns_every_live_pair() {
         // Nothing may be added to `limit`: `usize::MAX` plus one tombstone
-        // panics in debug and asks the base for 0 rows in release.
+        // panics in debug and asks the base for 0 rows in release. Nor to
+        // the rows `out` already holds.
         let pairs: Vec<(u64, u64)> = (0..50u64).map(|i| (i * 10, i)).collect();
         let mut idx = DeltaRmi::build(&pairs).unwrap();
         idx.delete(200).unwrap();
         let live: Vec<(u64, u64)> = pairs.iter().copied().filter(|p| p.0 != 200).collect();
-        assert_eq!(idx.range(0, usize::MAX).unwrap(), live);
+        assert_eq!(scan_after_held(&idx, 0, usize::MAX), live);
         // From inside the key span the base adds its own offset to the limit.
-        assert_eq!(idx.range(100, usize::MAX).unwrap(), live[10..]);
+        assert_eq!(scan_after_held(&idx, 100, usize::MAX), live[10..]);
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl Index for HashIndex {
             .map(|&(_, v)| v)
     }
 
-    fn range(&self, _start: u64, _limit: usize) -> Result<Vec<(u64, u64)>> {
+    fn range_into(&self, _start: u64, _limit: usize, _out: &mut Vec<(u64, u64)>) -> Result<()> {
         Err(IndexError::Unsupported("range scan on hash index"))
     }
 

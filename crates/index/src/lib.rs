@@ -22,7 +22,7 @@
 //!   never panics, and its cost formulas. `Learned` guarantees the rest
 //!   whatever window comes back: it clamps and widens it until it provably
 //!   brackets the key's lower bound, searches it, and answers `get`,
-//!   `get_many` (one staged, prefetching pipeline), `range` and the
+//!   `get_many` (one staged, prefetching pipeline), `range_into` and the
 //!   read-only refusals exactly as a sorted array would.
 //! * [`rmi::Rmi`] — a two-level Recursive Model Index (Kraska et al. \[8]),
 //!   `Learned<RmiModel>`.
@@ -121,11 +121,22 @@ pub trait Index: Send {
     /// Point lookup.
     fn get(&self, key: u64) -> Option<u64>;
 
-    /// Range scan: up to `limit` pairs with `key >= start`, ascending.
+    /// Range scan: appends to `out` up to `limit` pairs with `key >= start`,
+    /// ascending, after whatever `out` already holds.
+    ///
+    /// This is the one scan every index implements. A caller that scans
+    /// again and again keeps one `out` and clears it between scans, so a
+    /// scan allocates nothing once the buffer has grown.
     ///
     /// Returns [`IndexError::Unsupported`] for structures without order
-    /// (hash indexes).
-    fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>>;
+    /// (hash indexes), appending nothing.
+    fn range_into(&self, start: u64, limit: usize, out: &mut Vec<(u64, u64)>) -> Result<()>;
+
+    /// [`Index::range_into`] into a fresh `Vec`.
+    fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
+        let mut out = Vec::new();
+        self.range_into(start, limit, &mut out).map(|()| out)
+    }
 
     /// Inserts or overwrites; returns the previous value if the key existed.
     ///

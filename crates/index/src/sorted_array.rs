@@ -47,14 +47,16 @@ impl Index for SortedArray {
             .map(|idx| self.values[idx])
     }
 
-    fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
+    fn range_into(&self, start: u64, limit: usize, out: &mut Vec<(u64, u64)>) -> Result<()> {
         let from = self.lower_bound(start);
         let to = from.saturating_add(limit).min(self.keys.len());
-        Ok(self.keys[from..to]
-            .iter()
-            .copied()
-            .zip(self.values[from..to].iter().copied())
-            .collect())
+        out.extend(
+            self.keys[from..to]
+                .iter()
+                .copied()
+                .zip(self.values[from..to].iter().copied()),
+        );
+        Ok(())
     }
 
     fn insert(&mut self, key: u64, value: u64) -> Result<Option<u64>> {

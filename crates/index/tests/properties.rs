@@ -54,8 +54,26 @@ fn check_against_model<I: Index>(idx: &I, model: &BTreeMap<u64, u64>, probes: &[
     }
 }
 
+/// What `idx.range_into(start, limit, out)` appends to an `out` that
+/// already holds rows, having checked that it kept them.
+fn appended<I: Index>(idx: &I, start: u64, limit: usize) -> Vec<(u64, u64)> {
+    // Out of order and ending on the largest key, so that a scan that read
+    // them as its own rows would stop or skip.
+    let held = [(9, 1), (u64::MAX, 2)];
+    let mut out = held.to_vec();
+    idx.range_into(start, limit, &mut out).unwrap();
+    assert_eq!(
+        out[..2],
+        held,
+        "{} range_into({start}, {limit}) kept",
+        idx.name()
+    );
+    out.split_off(2)
+}
+
 /// Scans from each of `starts`, and from both ends of `u64`, return what
-/// `model` holds there, for no row, one, some and every row there is.
+/// `model` holds there, for no row, one, some and every row there is, and
+/// `range_into` appends the same rows after what its buffer held.
 fn check_range_against_model<I: Index>(idx: &I, model: &BTreeMap<u64, u64>, starts: &[u64]) {
     for &s in starts.iter().chain(&[0, u64::MAX]) {
         for limit in [0, 1, 20, usize::MAX] {
@@ -68,6 +86,12 @@ fn check_range_against_model<I: Index>(idx: &I, model: &BTreeMap<u64, u64>, star
                 idx.range(s, limit).unwrap(),
                 expected,
                 "{} range({s}, {limit})",
+                idx.name()
+            );
+            assert_eq!(
+                appended(idx, s, limit),
+                expected,
+                "{} range_into({s}, {limit})",
                 idx.name()
             );
         }
@@ -458,8 +482,16 @@ fn run_delta_machine<I: Index + BulkLoad>(
                     .collect();
                 prop_assert_eq!(
                     idx.range(start, limit).unwrap(),
-                    expected,
+                    expected.clone(),
                     "{} range({}, {})",
+                    at,
+                    start,
+                    limit
+                );
+                prop_assert_eq!(
+                    appended(&idx, start, limit),
+                    expected,
+                    "{} range_into({}, {})",
                     at,
                     start,
                     limit
@@ -545,6 +577,9 @@ proptest! {
 
         let h = HashIndex::bulk_load(&pairs).unwrap();
         check_against_model(&h, &model, &probes);
+        let mut out = vec![(1, 2)];
+        prop_assert!(h.range_into(0, 5, &mut out).is_err(), "hash scans");
+        prop_assert_eq!(out, vec![(1, 2)], "a refused scan appends nothing");
     }
 
     #[test]

@@ -157,7 +157,7 @@ impl<I: Index + BulkLoad> SystemUnderTest<Operation> for LearnedKvSut<I> {
     fn execute(&mut self, op: &Operation) -> Result<ExecOutcome> {
         let work = self.op_cost(op);
         self.execution_work += work;
-        degrade(apply_op(&mut self.index, op), work)
+        degrade(apply_op(&mut self.index, op, &mut self.scratch.rows), work)
     }
 
     fn execute_many(&mut self, ops: &[Operation]) -> Vec<Result<ExecOutcome>> {
@@ -204,8 +204,13 @@ impl<I: Index + BulkLoad> SystemUnderTest<Operation> for LearnedKvSut<I> {
     }
 }
 
-/// Applies one operation to any index, normalizing outcomes.
-fn apply_op<Ix: Index>(index: &mut Ix, op: &Operation) -> lsbench_index::Result<()> {
+/// Applies one operation to any index, normalizing outcomes. A scan's rows
+/// are materialised into `rows`, the adapter's one scan buffer.
+fn apply_op<Ix: Index>(
+    index: &mut Ix,
+    op: &Operation,
+    rows: &mut Vec<(u64, u64)>,
+) -> lsbench_index::Result<()> {
     match *op {
         Operation::Read { key } => {
             let _ = index.get(key);
@@ -214,7 +219,10 @@ fn apply_op<Ix: Index>(index: &mut Ix, op: &Operation) -> lsbench_index::Result<
         Operation::Insert { key, value } | Operation::Update { key, value } => {
             index.insert(key, value).map(|_| ())
         }
-        Operation::Scan { start, len } => index.range(start, len as usize).map(|_| ()),
+        Operation::Scan { start, len } => {
+            rows.clear();
+            index.range_into(start, len as usize, rows)
+        }
         Operation::Delete { key } => index.delete(key).map(|_| ()),
     }
 }
@@ -231,13 +239,15 @@ fn degrade(result: lsbench_index::Result<()>, work: u64) -> Result<ExecOutcome> 
     }
 }
 
-/// The buffers one run of reads is gathered into and answered from, kept
-/// by the adapter so a dispatch allocates nothing but its outcomes.
+/// The buffers one run of reads is gathered into and answered from, and
+/// the one a scan's rows land in, kept by the adapter so a dispatch
+/// allocates nothing but its outcomes.
 #[derive(Debug, Default)]
 struct ReadScratch {
     keys: Vec<u64>,
     hits: Vec<Option<u64>>,
     costs: Vec<u64>,
+    rows: Vec<(u64, u64)>,
 }
 
 /// What the batched read path needs from an adapter: its index, its
@@ -264,7 +274,13 @@ fn execute_read_runs<S: ReadPath>(sut: &mut S, ops: &[Operation]) -> Vec<Result<
             i += 1;
             continue;
         };
-        let (index, execution_work, ReadScratch { keys, hits, costs }) = sut.read_path();
+        let (
+            index,
+            execution_work,
+            ReadScratch {
+                keys, hits, costs, ..
+            },
+        ) = sut.read_path();
         keys.clear();
         keys.push(key);
         while let Some(&Operation::Read { key }) = ops.get(i + keys.len()) {
@@ -349,7 +365,7 @@ impl<I: Restructures> SystemUnderTest<Operation> for StructuralSut<I> {
     fn execute(&mut self, op: &Operation) -> Result<ExecOutcome> {
         let read = self.index.probe_cost(op.key());
         let before = self.index.build_work();
-        let result = apply_op(&mut self.index, op);
+        let result = apply_op(&mut self.index, op, &mut self.scratch.rows);
         // Structural maintenance (splits, rehash, shifts, node retrains)
         // shows up in the index's own work counter.
         let structural = self.index.build_work().saturating_sub(before);

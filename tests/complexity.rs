@@ -19,7 +19,7 @@ use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::Scenario;
 use lsbench::core::suite::{s3_gradual_writes, s5_bursty_load, SuiteConfig};
 use lsbench::index::{BulkLoad, DeltaIndex, Index, IndexStats, Result, Rmi};
-use lsbench::sut::kv::{BTreeSut, LearnedKvSut, RetrainPolicy};
+use lsbench::sut::kv::{AlexSut, BTreeSut, LearnedKvSut, RetrainPolicy};
 use lsbench::sut::sut::{ExecOutcome, SutMetrics, TransportStats};
 use lsbench::sut::SystemUnderTest;
 use lsbench::workload::dataset::Dataset;
@@ -34,9 +34,9 @@ use std::sync::{Arc, Mutex};
 struct Calls {
     /// Keys looked up, through `get` or `get_many`.
     gets: usize,
-    /// `range` calls.
+    /// `range_into` calls.
     ranges: usize,
-    /// Rows those `range` calls returned.
+    /// Rows those `range_into` calls appended.
     rows: usize,
 }
 
@@ -82,13 +82,14 @@ impl<I: Index> Index for Counting<I> {
         count(|c| c.gets += keys.len());
         self.0.get_many(keys, out)
     }
-    fn range(&self, start: u64, limit: usize) -> Result<Vec<(u64, u64)>> {
-        let rows = self.0.range(start, limit)?;
+    fn range_into(&self, start: u64, limit: usize, out: &mut Vec<(u64, u64)>) -> Result<()> {
+        let held = out.len();
+        self.0.range_into(start, limit, out)?;
         count(|c| {
             c.ranges += 1;
-            c.rows += rows.len();
+            c.rows += out.len() - held;
         });
-        Ok(rows)
+        Ok(())
     }
     fn insert(&mut self, key: u64, value: u64) -> Result<Option<u64>> {
         self.0.insert(key, value)
@@ -217,6 +218,60 @@ fn maintenance_below_its_threshold_never_touches_the_base() {
         assert_eq!((work, calls), (0, Calls::default()), "slot after op {i}");
     }
     assert!(sut.delta_fraction() > 0.1, "the buffer did grow");
+}
+
+/// A scan materialises its rows into the adapter's one buffer. With writes
+/// pending — in a learned SUT's delta, in the B+-tree's and ALEX's leaves —
+/// scanning again once a first round has grown that buffer allocates
+/// nothing: not a `Vec` per scan, nor one per base chunk of the delta's
+/// merge.
+#[test]
+fn scans_allocate_nothing_once_the_buffer_has_grown() {
+    let data = Dataset::generate(KeyDistribution::Uniform, 0, 1_000_000, 4000, 1).unwrap();
+    let keys = data.keys();
+    // Fresh keys between base keys, updates and deletes of base keys.
+    let writes: Vec<Operation> = (0..400usize)
+        .flat_map(|i| {
+            let at = |j: usize| keys[i * 10 + j];
+            [
+                Operation::Insert {
+                    key: at(0) + 1,
+                    value: 1,
+                },
+                Operation::Update {
+                    key: at(3),
+                    value: 2,
+                },
+                Operation::Delete { key: at(5) },
+            ]
+        })
+        .collect();
+    let scans: Vec<Operation> = (0..200)
+        .map(|i| Operation::Scan {
+            start: keys[i * 19].saturating_sub(1),
+            len: 1 + (i % 100) as u32,
+        })
+        .collect();
+    let policy = RetrainPolicy::Never;
+    let mut rmi: LearnedKvSut<Rmi> = LearnedKvSut::build("rmi", &data, policy).unwrap();
+    let mut btree = BTreeSut::build(&data).unwrap();
+    let mut alex = AlexSut::build(&data).unwrap();
+    for sut in [
+        &mut rmi as &mut dyn SystemUnderTest<Operation>,
+        &mut btree,
+        &mut alex,
+    ] {
+        for op in writes.iter().chain(&scans) {
+            assert!(sut.execute(op).unwrap().ok, "{} {op:?}", sut.name());
+        }
+        let (_, allocations) = allocations_during(|| {
+            for op in &scans {
+                sut.execute(op).unwrap();
+            }
+        });
+        assert_eq!(allocations, 0, "{}: 200 scans", sut.name());
+    }
+    assert!(rmi.delta_fraction() > 0.25, "the writes are pending");
 }
 
 /// One call a [`Logged`] SUT received.
