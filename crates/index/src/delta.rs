@@ -24,9 +24,9 @@
 //! once, a scan reads only the base rows it returns or has to skip.
 //!
 //! A scan appends the base's rows straight into the caller's buffer and
-//! patches the pending writes over them where they lie, so it allocates
-//! nothing of its own: a chunk of base rows no pending key falls into is
-//! left as the base wrote it.
+//! merges the pending writes into them there, so it allocates nothing of
+//! its own: a chunk of base rows no pending key falls into is left as the
+//! base wrote it.
 
 use crate::{BulkLoad, Index, IndexStats, Result};
 use std::collections::btree_map::{self, BTreeMap, Entry};
@@ -95,6 +95,11 @@ impl<I: Index + BulkLoad> DeltaIndex<I> {
         }
     }
 
+    /// Buffered inserts and updates: pending writes that are not tombstones.
+    fn buffered(&self) -> usize {
+        self.delta.len() - self.tombstones
+    }
+
     /// Number of retrains performed.
     pub fn retrain_count(&self) -> u64 {
         self.retrain_count
@@ -106,9 +111,9 @@ impl<I: Index + BulkLoad> DeltaIndex<I> {
     /// training metrics attribute to this adaptation).
     pub fn retrain(&mut self) -> Result<u64> {
         // base ∪ buffer − tombstones, in one pass over the base. The scan
-        // holds every base row before it patches them, so the buffer is
-        // sized for whichever of the two is larger.
-        let mut pairs = Vec::with_capacity(self.live.max(self.base.len()));
+        // holds every base row and room for every buffered key before it
+        // merges them.
+        let mut pairs = Vec::with_capacity(self.base.len() + self.buffered());
         self.range_into(0, usize::MAX, &mut pairs)?;
         self.base = I::bulk_load(&pairs)?;
         self.delta.clear();
@@ -121,61 +126,59 @@ impl<I: Index + BulkLoad> DeltaIndex<I> {
     }
 }
 
-/// Applies the pending writes of `window` to the base rows `out[from..]`,
-/// in place. The rows are ascending and hold every base key of the
-/// window's key span; every tombstone in the window is one of them.
+/// Merges the pending writes of `window` into the base rows `out[from..]`
+/// in place and keeps at most `want` rows of the result. The rows are
+/// ascending and hold every base key of the window's key span; every
+/// tombstone in the window is one of them, and at most `fresh` of its
+/// writes are keys the base does not have.
 ///
-/// A forward pass overwrites updated rows and closes up tombstoned ones;
-/// only if the window holds fresh keys does a backward pass open a gap for
-/// them at the end and close it from the top down. Rows below the first
-/// pending key never move, and no row moves more than twice.
-fn patch(out: &mut Vec<(u64, u64)>, from: usize, window: btree_map::Range<'_, u64, Option<u64>>) {
-    let rows = &mut out[from..];
-    let (mut read, mut kept, mut fresh) = (0, 0, 0);
-    for (&key, &write) in window.clone() {
-        let below = rows[read..].partition_point(|r| r.0 < key);
-        if kept < read {
-            rows.copy_within(read..read + below, kept);
-        }
-        (read, kept) = (read + below, kept + below);
-        let in_base = rows.get(read).is_some_and(|r| r.0 == key);
-        match write {
-            Some(value) if in_base => {
-                rows[kept] = (key, value);
-                (read, kept) = (read + 1, kept + 1);
-            }
-            Some(_) => fresh += 1,
-            None => {
-                debug_assert!(in_base, "tombstone {key} is not a base row");
-                read += 1;
-            }
-        }
-    }
-    if kept < read {
-        rows.copy_within(read.., kept);
-    }
-    kept += rows.len() - read;
-    out.truncate(from + kept);
-    if fresh == 0 {
+/// The base rows from the first pending key on first move up by as many
+/// fresh keys as the result can take, so the merge can write it upwards
+/// without overtaking the rows it has yet to read. A run of rows between
+/// two pending keys is copied in one move, and the merge stops once the
+/// result is full, so a window dense with pending keys costs what the
+/// result takes from it.
+fn merge(
+    out: &mut Vec<(u64, u64)>,
+    from: usize,
+    want: usize,
+    fresh: usize,
+    window: btree_map::Range<'_, u64, Option<u64>>,
+) {
+    let stop = from.saturating_add(want);
+    let mut window = window.peekable();
+    let Some(&(&first, _)) = window.peek() else {
         return;
-    }
-    out.resize(from + kept + fresh, (0, 0));
-    let rows = &mut out[from..];
-    let (mut read, mut write) = (kept, kept + fresh);
-    for (&key, &value) in window.rev() {
-        let Some(value) = value else { continue };
-        let above = rows[..read].partition_point(|r| r.0 <= key);
-        rows.copy_within(above..read, write - (read - above));
-        (write, read) = (write - (read - above), above);
-        if read > 0 && rows[read - 1].0 == key {
-            continue; // an update, made by the forward pass
+    };
+    // Rows below the first pending key stay where the base wrote them.
+    let from = from + out[from..].partition_point(|r| r.0 < first);
+    let (rows, room) = (out.len() - from, fresh.min(stop - from));
+    out.resize(out.len() + room, (0, 0));
+    out.copy_within(from..from + rows, from + room);
+    let (mut read, mut write) = (from + room, from);
+    for (&key, &pending) in window {
+        if out.get(read).is_some_and(|r| r.0 < key) {
+            let run = out[read..].partition_point(|r| r.0 < key).min(stop - write);
+            out.copy_within(read..read + run, write);
+            (read, write) = (read + run, write + run);
         }
-        write -= 1;
-        rows[write] = (key, value);
-        if write == read {
+        if write == stop {
             break;
         }
+        // The base row this write replaces or deletes, if any.
+        if out.get(read).is_some_and(|r| r.0 == key) {
+            read += 1;
+        } else {
+            debug_assert!(pending.is_some(), "tombstone {key} is not a base row");
+        }
+        if let Some(value) = pending {
+            out[write] = (key, value);
+            write += 1;
+        }
     }
+    let run = (out.len() - read).min(stop - write);
+    out.copy_within(read..read + run, write);
+    out.truncate(write + run);
 }
 
 impl<I: Index + BulkLoad> Index for DeltaIndex<I> {
@@ -193,7 +196,7 @@ impl<I: Index + BulkLoad> Index for DeltaIndex<I> {
 
     fn get_many(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         // Let the base overlap its probe misses across the batch, then
-        // patch the (usually empty) delta over the results.
+        // lay the (usually empty) delta over the results.
         let start = out.len();
         self.base.get_many(keys, out);
         if self.delta.is_empty() {
@@ -220,16 +223,14 @@ impl<I: Index + BulkLoad> Index for DeltaIndex<I> {
             let chunk = out.len();
             self.base.range_into(at, left, out)?;
             // A full chunk holds every base row up to its last key, and the
-            // pending keys up to it are patched in now; a short one holds
+            // pending keys up to it are merged in now; a short one holds
             // the rest of the base, and every pending key above `at` is.
             let (to, next) = match out.last() {
                 Some(&(last, _)) if out.len() - chunk == left => (last, last.checked_add(1)),
                 _ => (u64::MAX, None),
             };
-            patch(out, chunk, self.delta.range(at..=to));
-            let got = out.len() - chunk;
-            out.truncate(chunk + got.min(left));
-            left -= got.min(left);
+            merge(out, chunk, left, self.buffered(), self.delta.range(at..=to));
+            left -= out.len() - chunk;
             from = next;
         }
         Ok(())
@@ -296,11 +297,10 @@ impl<I: Index + BulkLoad> Index for DeltaIndex<I> {
 
     fn stats(&self) -> IndexStats {
         let base = self.base.stats();
-        let buffered = self.delta.len() - self.tombstones;
         IndexStats {
             // The modelled footprint: 16 bytes per buffered pair, 8 per
             // tombstone, whatever the map holding them weighs.
-            size_bytes: base.size_bytes + buffered * 16 + self.tombstones * 8,
+            size_bytes: base.size_bytes + self.buffered() * 16 + self.tombstones * 8,
             build_work: self.build_work(),
             model_count: base.model_count,
         }
