@@ -91,7 +91,7 @@ use super::worker::{on_workers, LaneResult};
 use super::Tuning;
 use crate::exec::{
     arrival_process, lock, made_ahead_to_all, op_count, prologue, step, unpaced_ops, Batch, Chunk,
-    ClientState, CoreOp, LaneParams, RunPlan, Sinks, CHUNK,
+    ClientState, CoreOp, LaneParams, Lookahead, RunPlan, Sinks, CHUNK,
 };
 use crate::obs::RunObserver;
 use crate::runner::{Executed, RunOptions};
@@ -499,7 +499,7 @@ where
             // One lock per batch, not per op: the scheduler's throughput
             // lever.
             let mut guard = lock(mutex)?;
-            let mut due = due.iter().copied().peekable();
+            let mut due = Lookahead::new(due.iter().copied());
             while let Some(first) = due.next() {
                 let (sut, rest) = (&mut **guard, &mut due);
                 step(

@@ -47,7 +47,6 @@ use lsbench_stats::LatencyHistogram;
 use lsbench_sut::sut::{ExecOutcome, SutMetrics, SystemUnderTest, TransportStats};
 use lsbench_workload::arrival::ArrivalGenerator;
 use lsbench_workload::ops::Operation;
-use std::iter::Peekable;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -768,6 +767,48 @@ pub(crate) fn prelude<Op, T: SystemUnderTest<Op> + ?Sized>(
     }
 }
 
+/// An iterator with one item of look-ahead: [`std::iter::Peekable`]'s
+/// `next` and `next_if`, line for line, marked `#[inline]`. The standard
+/// library's `next_if` is not, so its instance sits in one codegen unit of
+/// the crate, and where the partitioning of unrelated code puts it out of
+/// reach of [`step`]'s, `step` calls it once per op instead of inlining it.
+pub(crate) struct Lookahead<I: Iterator> {
+    iter: I,
+    /// `Some(None)` once the iterator has been seen to end.
+    peeked: Option<Option<I::Item>>,
+}
+
+impl<I: Iterator> Lookahead<I> {
+    #[inline]
+    pub(crate) fn new(iter: I) -> Self {
+        Lookahead { iter, peeked: None }
+    }
+
+    /// The next item if `func` accepts it; otherwise it stays next.
+    #[inline]
+    fn next_if(&mut self, func: impl FnOnce(&I::Item) -> bool) -> Option<I::Item> {
+        match self.next() {
+            Some(matched) if func(&matched) => Some(matched),
+            other => {
+                self.peeked = Some(other);
+                None
+            }
+        }
+    }
+}
+
+impl<I: Iterator> Iterator for Lookahead<I> {
+    type Item = I::Item;
+
+    #[inline]
+    fn next(&mut self) -> Option<I::Item> {
+        match self.peeked.take() {
+            Some(v) => v,
+            None => self.iter.next(),
+        }
+    }
+}
+
 /// Executes the next run of ops: the prelude for `first`, successors
 /// gathered from `rest` while they need none, one dispatch, then per-op
 /// accounting — see the [module docs](self). Every op comes with the slot
@@ -780,7 +821,7 @@ pub(crate) fn step<Op, T, I>(
     batch: &mut Batch<Op>,
     sut: &mut T,
     (slot, first): (usize, CoreOp<Op>),
-    rest: &mut Peekable<I>,
+    rest: &mut Lookahead<I>,
     p: &LaneParams,
 ) -> Result<()>
 where
@@ -1027,7 +1068,7 @@ where
     let mut client = [ClientState::new(p.exec_start)];
     let mut batch = Batch::default();
     for chunk in chunks {
-        let mut source = chunk.into_iter().map(|op| (0, op)).peekable();
+        let mut source = Lookahead::new(chunk.into_iter().map(|op| (0, op)));
         while let Some(first) = source.next() {
             let rest = &mut source;
             match &mut sut {
