@@ -95,9 +95,9 @@ impl<I: Index + BulkLoad> DeltaIndex<I> {
         }
     }
 
-    /// Buffered inserts and updates: pending writes that are not tombstones.
-    fn buffered(&self) -> usize {
-        self.delta.len() - self.tombstones
+    /// Buffered keys the base does not have.
+    fn fresh(&self) -> usize {
+        self.live + self.tombstones - self.base.len()
     }
 
     /// Number of retrains performed.
@@ -111,9 +111,9 @@ impl<I: Index + BulkLoad> DeltaIndex<I> {
     /// training metrics attribute to this adaptation).
     pub fn retrain(&mut self) -> Result<u64> {
         // base ∪ buffer − tombstones, in one pass over the base. The scan
-        // holds every base row and room for every buffered key before it
+        // holds every base row and room for every fresh key before it
         // merges them.
-        let mut pairs = Vec::with_capacity(self.base.len() + self.buffered());
+        let mut pairs = Vec::with_capacity(self.base.len() + self.fresh());
         self.range_into(0, usize::MAX, &mut pairs)?;
         self.base = I::bulk_load(&pairs)?;
         self.delta.clear();
@@ -229,7 +229,7 @@ impl<I: Index + BulkLoad> Index for DeltaIndex<I> {
                 Some(&(last, _)) if out.len() - chunk == left => (last, last.checked_add(1)),
                 _ => (u64::MAX, None),
             };
-            merge(out, chunk, left, self.buffered(), self.delta.range(at..=to));
+            merge(out, chunk, left, self.fresh(), self.delta.range(at..=to));
             left -= out.len() - chunk;
             from = next;
         }
@@ -297,10 +297,11 @@ impl<I: Index + BulkLoad> Index for DeltaIndex<I> {
 
     fn stats(&self) -> IndexStats {
         let base = self.base.stats();
+        let buffered = self.delta.len() - self.tombstones;
         IndexStats {
             // The modelled footprint: 16 bytes per buffered pair, 8 per
             // tombstone, whatever the map holding them weighs.
-            size_bytes: base.size_bytes + self.buffered() * 16 + self.tombstones * 8,
+            size_bytes: base.size_bytes + buffered * 16 + self.tombstones * 8,
             build_work: self.build_work(),
             model_count: base.model_count,
         }
