@@ -1,16 +1,15 @@
 //! **Concurrency scaling**: the concurrent engine's throughput as lanes
 //! and worker threads grow.
 //!
-//! Two readings per point:
+//! Two readings per point, emitted as one small table:
 //!
-//! * criterion's wall-clock time for the whole sharded run, dataset build
+//! * the merged *virtual* mean throughput (does the modeled parallelism
+//!   scale as N lanes should?), and
+//! * the fastest wall-clock time of the whole sharded run, dataset build
 //!   and shard loading included (does the physical fan-out pay for
-//!   itself?), and
-//! * the merged *virtual* mean throughput, emitted as a small table (does
-//!   the modeled parallelism scale as N lanes should?).
+//!   itself?).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lsbench_bench::emit;
+use lsbench_bench::{emit, fastest_of};
 use lsbench_core::record::RunRecord;
 use lsbench_core::runner::{ExecutionMode, RunOptions, Runner};
 use lsbench_core::scenario::Scenario;
@@ -43,26 +42,22 @@ fn run_sharded(registry: &SutRegistry, s: &Scenario, n: usize) -> RunRecord {
     outcome.expect("run").record
 }
 
-fn bench_scaling(c: &mut Criterion) {
+fn main() {
     let registry = SutRegistry::default();
     let s = scenario();
-    let mut group = c.benchmark_group("sharded_btree_scaling");
-    group.sample_size(10);
-    let mut table = String::from("threads  virtual-ops/s  speedup\n");
+    let mut table = String::from("threads  virtual-ops/s  speedup  wall-ms\n");
     let mut base = 0.0f64;
     for n in CONCURRENCY {
         let tput = run_sharded(&registry, &s, n).mean_throughput();
         if n == 1 {
             base = tput;
         }
-        table.push_str(&format!("{n:>7}  {tput:>13.0}  {:>7.2}\n", tput / base));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| run_sharded(&registry, &s, n))
-        });
+        let wall = fastest_of(|| run_sharded(&registry, &s, n));
+        table.push_str(&format!(
+            "{n:>7}  {tput:>13.0}  {:>7.2}  {:>7.1}\n",
+            tput / base,
+            wall.as_secs_f64() * 1e3
+        ));
     }
-    group.finish();
     emit("fig_concurrency_scaling.txt", &table);
 }
-
-criterion_group!(benches, bench_scaling);
-criterion_main!(benches);

@@ -1,84 +1,43 @@
-//! **M1 (cont.) — microbenches**: cost of the benchmark's own machinery —
-//! metric computations (KS, MMD, box plots) and workload generation — to
-//! show the framework overhead is negligible relative to the systems it
-//! measures.
+//! **M1 (cont.) — microbenches**: wall-clock cost of the metric computations
+//! `perf/` does not time — KS, MMD and box plots — to show the framework's
+//! overhead is negligible relative to the systems it measures. The key
+//! generators, the histogram record and the phased stream are timed by
+//! `perf/` (`workload.keygen_ns_per_key.*`, `stats.histogram_record_ns`,
+//! `workload.opgen_ns_per_op`).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use lsbench_bench::fastest_of;
 use lsbench_stats::descriptive::BoxPlot;
-use lsbench_stats::histogram::LatencyHistogram;
 use lsbench_stats::ks::ks_statistic;
 use lsbench_stats::mmd::mmd_rbf;
 use lsbench_workload::keygen::{KeyDistribution, KeyGenerator};
-use lsbench_workload::ops::OperationMix;
-use lsbench_workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase};
+use std::hint::black_box;
 
-fn bench_metrics(c: &mut Criterion) {
+fn main() {
     let mut g =
         KeyGenerator::new(KeyDistribution::Uniform, 0, 1_000_000, 1).expect("valid generator");
     let a = g.sample_f64(4096);
     let b = g.sample_f64(4096);
-    let small_a: Vec<f64> = a.iter().take(256).copied().collect();
-    let small_b: Vec<f64> = b.iter().take(256).copied().collect();
+    let (small_a, small_b) = (&a[..256], &b[..256]);
 
-    let mut group = c.benchmark_group("metrics");
-    group.bench_function("ks_4096", |bch| {
-        bch.iter(|| black_box(ks_statistic(&a, &b).expect("valid input")))
-    });
-    group.bench_function("mmd_256", |bch| {
-        bch.iter(|| black_box(mmd_rbf(&small_a, &small_b, Some(1000.0)).expect("valid input")))
-    });
-    group.bench_function("boxplot_4096", |bch| {
-        bch.iter(|| black_box(BoxPlot::of(&a).expect("valid input")))
-    });
-    group.bench_function("latency_histogram_record", |bch| {
-        let mut h = LatencyHistogram::new();
-        let mut i = 0u64;
-        bch.iter(|| {
-            i = i.wrapping_add(2654435761);
-            h.record(black_box(i % 1_000_000));
-        })
-    });
-    group.finish();
+    let rows = [
+        (
+            "ks_4096",
+            fastest_of(|| ks_statistic(black_box(&a), black_box(&b)).expect("valid input")),
+        ),
+        (
+            "mmd_256",
+            fastest_of(|| {
+                mmd_rbf(black_box(small_a), black_box(small_b), Some(1000.0)).expect("valid input")
+            }),
+        ),
+        (
+            "boxplot_4096",
+            fastest_of(|| BoxPlot::of(black_box(&a)).expect("valid input")),
+        ),
+    ];
+    let mut table = String::from("metric        fastest µs/call\n");
+    for (name, t) in rows {
+        table.push_str(&format!("{name:<12}  {:>15.3}\n", t.as_secs_f64() * 1e6));
+    }
+    print!("{table}");
 }
-
-fn bench_generation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("workload_generation");
-    let mut zipf = KeyGenerator::new(KeyDistribution::Zipf { theta: 0.99 }, 0, 10_000_000, 2)
-        .expect("valid generator");
-    group.bench_function("zipf_key", |b| b.iter(|| black_box(zipf.next_key())));
-    let mut uniform =
-        KeyGenerator::new(KeyDistribution::Uniform, 0, 10_000_000, 3).expect("valid generator");
-    group.bench_function("uniform_key", |b| b.iter(|| black_box(uniform.next_key())));
-
-    group.bench_function("phased_stream_10k_ops", |b| {
-        let workload = PhasedWorkload::new(
-            vec![
-                WorkloadPhase::new(
-                    "a",
-                    KeyDistribution::Uniform,
-                    (0, 1_000_000),
-                    OperationMix::ycsb_a(),
-                    5_000,
-                ),
-                WorkloadPhase::new(
-                    "b",
-                    KeyDistribution::Zipf { theta: 1.1 },
-                    (0, 1_000_000),
-                    OperationMix::ycsb_e(),
-                    5_000,
-                ),
-            ],
-            vec![TransitionKind::Gradual { window: 0.3 }],
-            4,
-        )
-        .expect("valid workload");
-        b.iter(|| {
-            let stream = workload.stream().expect("stream builds");
-            black_box(stream.count())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_metrics, bench_generation);
-criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Name → constructor registry for systems under test.
 //!
-//! The CLI, the standard suite, and the criterion benches all need to turn
+//! The CLI, the standard suite, and the figure benches all need to turn
 //! a SUT name (`"btree"`, `"rmi"`, …) into a boxed
 //! [`SystemUnderTest`](lsbench_sut::sut::SystemUnderTest)
 //! built over a dataset. Before this registry each of them carried its own

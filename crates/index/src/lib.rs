@@ -37,8 +37,6 @@
 //! * [`delta::DeltaIndex`] — an updatable wrapper that pairs any read-only
 //!   learned index with a delta buffer and explicit retraining, the
 //!   mechanism the benchmark's adaptability metrics exercise.
-//! * [`learned_sort::learned_sort`] — the CDF-model sort of \[31], included
-//!   as the §II "query execution" example.
 //!
 //! Every structure reports its memory footprint and the *work units* spent
 //! building/training, which the cost metrics (Fig. 1d) convert to dollars.
@@ -51,7 +49,6 @@ pub mod cache;
 pub mod delta;
 pub mod hash;
 pub mod learned;
-pub mod learned_sort;
 pub mod model;
 pub mod pgm;
 pub mod rmi;

@@ -25,18 +25,6 @@ pub fn jaccard_distance<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
     1.0 - jaccard_similarity(a, b)
 }
 
-/// Jaccard similarity computed from iterators of items (deduplicated here).
-pub fn jaccard_of_items<T, I, J>(a: I, b: J) -> f64
-where
-    T: Eq + Hash,
-    I: IntoIterator<Item = T>,
-    J: IntoIterator<Item = T>,
-{
-    let sa: HashSet<T> = a.into_iter().collect();
-    let sb: HashSet<T> = b.into_iter().collect();
-    jaccard_similarity(&sa, &sb)
-}
-
 /// Weighted (multiset) Jaccard similarity from item counts:
 /// `Σ min(w_a, w_b) / Σ max(w_a, w_b)`.
 ///
@@ -110,12 +98,6 @@ mod tests {
         let a = set(&[1]);
         let b: HashSet<u32> = HashSet::new();
         assert_eq!(jaccard_similarity(&a, &b), 0.0);
-    }
-
-    #[test]
-    fn of_items_dedups() {
-        let sim = jaccard_of_items(vec![1, 1, 2, 2], vec![2, 2, 3, 3]);
-        assert!((sim - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

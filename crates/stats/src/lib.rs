@@ -34,7 +34,7 @@ pub use histogram::{EquiDepthHistogram, EquiWidthHistogram, LatencyHistogram};
 pub use jaccard::{jaccard_distance, jaccard_similarity};
 pub use ks::{ks_statistic, ks_test, KsResult};
 pub use mmd::{median_heuristic_bandwidth, mmd_rbf};
-pub use timeseries::{area_between, CumulativeCurve, Cursor, Curve, IntervalCounts, TimeSeries};
+pub use timeseries::{area_between, Cursor, Curve, IntervalCounts, TimeSeries};
 
 /// Errors produced by statistical routines.
 #[derive(Debug, Clone, PartialEq, Eq)]

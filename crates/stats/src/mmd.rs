@@ -61,7 +61,7 @@ pub fn median_heuristic_bandwidth(a: &[f64], b: &[f64]) -> Result<f64> {
 ///
 /// Requires at least two samples on each side. The unbiased estimator can be
 /// slightly negative for identical distributions; callers using it as a
-/// distance should clamp at zero (see [`mmd_distance`]).
+/// distance should clamp at zero.
 pub fn mmd_rbf(a: &[f64], b: &[f64], sigma: Option<f64>) -> Result<f64> {
     if a.len() < 2 || b.len() < 2 {
         return Err(StatsError::InsufficientSamples {
@@ -106,11 +106,6 @@ pub fn mmd_rbf(a: &[f64], b: &[f64], sigma: Option<f64>) -> Result<f64> {
     Ok(k_xx / (m * (m - 1.0)) + k_yy / (n * (n - 1.0)) - 2.0 * k_xy / (m * n))
 }
 
-/// MMD as a non-negative distance: `sqrt(max(0, MMD²_u))`.
-pub fn mmd_distance(a: &[f64], b: &[f64], sigma: Option<f64>) -> Result<f64> {
-    Ok(mmd_rbf(a, b, sigma)?.max(0.0).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,21 +137,14 @@ mod tests {
 
     #[test]
     fn distance_orders_by_shift() {
-        // Larger mean shift => larger MMD distance (with a fixed bandwidth so
-        // the distances are comparable).
+        // Larger mean shift => larger MMD² (with a fixed bandwidth so the
+        // estimates are comparable).
         let a = uniform_sample(0.0, 1.0, 150, 5);
         let near = uniform_sample(0.3, 1.3, 150, 6);
         let far = uniform_sample(3.0, 4.0, 150, 7);
-        let d_near = mmd_distance(&a, &near, Some(1.0)).unwrap();
-        let d_far = mmd_distance(&a, &far, Some(1.0)).unwrap();
+        let d_near = mmd_rbf(&a, &near, Some(1.0)).unwrap();
+        let d_far = mmd_rbf(&a, &far, Some(1.0)).unwrap();
         assert!(d_near < d_far, "{d_near} !< {d_far}");
-    }
-
-    #[test]
-    fn identical_samples_distance_zero() {
-        let a = uniform_sample(0.0, 1.0, 100, 8);
-        let d = mmd_distance(&a, &a, None).unwrap();
-        assert!(d < 1e-6);
     }
 
     #[test]

@@ -116,22 +116,6 @@ impl TimeSeries {
         }
         area_between(&self.points[..], &other.points[..])
     }
-
-    /// Average slope over the full span (`Δvalue / Δtime`).
-    pub fn mean_slope(&self) -> Result<f64> {
-        if self.points.len() < 2 {
-            return Err(StatsError::InsufficientSamples {
-                needed: 2,
-                got: self.points.len(),
-            });
-        }
-        let (t0, v0) = self.points[0];
-        let (t1, v1) = self.points[self.points.len() - 1];
-        if t1 == t0 {
-            return Err(StatsError::InvalidParameter("zero time span"));
-        }
-        Ok((v1 - v0) / (t1 - t0))
-    }
 }
 
 /// The value at `t` on the segment from `(t0, v0)` to `(t1, v1)`.
@@ -293,133 +277,11 @@ where
     Ok(area)
 }
 
-/// Cumulative-completion curve: completions counted against timestamps.
-///
-/// Built from raw completion timestamps; renders as a [`TimeSeries`]
-/// (`time → completed count`) and derives the Fig. 1b metrics.
-#[derive(Debug, Clone, Default)]
-pub struct CumulativeCurve {
-    /// Completion timestamps, required non-decreasing.
-    timestamps: Vec<f64>,
-}
-
-impl CumulativeCurve {
-    /// Creates an empty curve.
-    pub fn new() -> Self {
-        CumulativeCurve {
-            timestamps: Vec::new(),
-        }
-    }
-
-    /// Records a completion at time `t` (must be non-decreasing).
-    pub fn record(&mut self, t: f64) -> Result<()> {
-        if t.is_nan() {
-            return Err(StatsError::NanInput);
-        }
-        if let Some(&last) = self.timestamps.last() {
-            if t < last {
-                return Err(StatsError::InvalidParameter(
-                    "completion times must be non-decreasing",
-                ));
-            }
-        }
-        self.timestamps.push(t);
-        Ok(())
-    }
-
-    /// Builds a curve from timestamps (sorted internally).
-    pub fn from_timestamps(mut ts: Vec<f64>) -> Result<Self> {
-        if ts.iter().any(|t| t.is_nan()) {
-            return Err(StatsError::NanInput);
-        }
-        ts.sort_by(|a, b| a.partial_cmp(b).expect("checked for NaN"));
-        Ok(CumulativeCurve { timestamps: ts })
-    }
-
-    /// Total completions recorded.
-    pub fn total(&self) -> usize {
-        self.timestamps.len()
-    }
-
-    /// Completions at or before time `t`.
-    pub fn completed_by(&self, t: f64) -> usize {
-        self.timestamps.partition_point(|&x| x <= t)
-    }
-
-    /// Completions strictly before time `t`.
-    pub fn completed_before(&self, t: f64) -> usize {
-        self.timestamps.partition_point(|&x| x < t)
-    }
-
-    /// Converts to a step-accurate piecewise-linear [`TimeSeries`] starting
-    /// at `(start, 0)`.
-    pub fn to_series(&self, start: f64) -> TimeSeries {
-        let mut pts = Vec::with_capacity(self.timestamps.len() + 1);
-        pts.push((start, 0.0));
-        for (i, &t) in self.timestamps.iter().enumerate() {
-            pts.push((t.max(start), (i + 1) as f64));
-        }
-        TimeSeries { points: pts }
-    }
-
-    /// The paper's single-value adaptability score: area between this curve
-    /// and an *ideal* system completing the same total at constant
-    /// throughput over `[start, end]`.
-    ///
-    /// Negative values mean the system lagged the ideal (e.g. a slow start
-    /// while models train, as in Fig. 1b); zero means perfectly constant
-    /// throughput.
-    pub fn area_vs_ideal(&self, start: f64, end: f64) -> Result<f64> {
-        if self.timestamps.is_empty() {
-            return Err(StatsError::Empty);
-        }
-        if end <= start {
-            return Err(StatsError::InvalidParameter("end must exceed start"));
-        }
-        let actual = self.to_series(start);
-        let ideal = TimeSeries {
-            points: vec![(start, 0.0), (end, self.total() as f64)],
-        };
-        actual.area_difference(&ideal)
-    }
-
-    /// Throughput (completions per unit time) within `[t0, t1)`.
-    pub fn throughput_in(&self, t0: f64, t1: f64) -> Result<f64> {
-        if t1 <= t0 {
-            return Err(StatsError::InvalidParameter("t1 must exceed t0"));
-        }
-        let count = self.completed_before(t1) - self.completed_before(t0);
-        Ok(count as f64 / (t1 - t0))
-    }
-
-    /// Per-interval completion counts over `[start, end)` with the given
-    /// interval width; the last interval may be shorter.
-    pub fn interval_counts(&self, start: f64, end: f64, width: f64) -> Result<Vec<usize>> {
-        if width <= 0.0 {
-            return Err(StatsError::InvalidParameter("width must be positive"));
-        }
-        if end <= start {
-            return Err(StatsError::InvalidParameter("end must exceed start"));
-        }
-        let n = ((end - start) / width).ceil() as usize;
-        let mut counts = vec![0usize; n];
-        for &t in &self.timestamps {
-            if t < start || t >= end {
-                continue;
-            }
-            let idx = (((t - start) / width) as usize).min(n - 1);
-            counts[idx] += 1;
-        }
-        Ok(counts)
-    }
-}
-
 /// Mergeable fixed-width per-interval completion counters.
 ///
-/// Unlike [`CumulativeCurve::interval_counts`], which needs the full run
-/// span up front, this accumulates counts online into fixed-width buckets
-/// anchored at `origin`, and two recorders with the same geometry merge by
-/// element-wise addition. This is what lets concurrent driver lanes record
+/// Counts accumulate online, with no need to know the run's span up front,
+/// into fixed-width buckets anchored at `origin`, and two recorders with
+/// the same geometry merge by element-wise addition. This is what lets concurrent driver lanes record
 /// completions independently and still produce one deterministic
 /// throughput-over-time series regardless of worker count or merge order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -625,82 +487,6 @@ mod tests {
             Cursor::new(TimeSeries::new().points()).err(),
             Some(StatsError::Empty)
         );
-    }
-
-    #[test]
-    fn mean_slope() {
-        let s = TimeSeries::from_points(vec![(0.0, 0.0), (4.0, 8.0)]).unwrap();
-        assert!(close(s.mean_slope().unwrap(), 2.0));
-        let single = TimeSeries::from_points(vec![(0.0, 0.0)]).unwrap();
-        assert!(single.mean_slope().is_err());
-    }
-
-    #[test]
-    fn curve_counts() {
-        let c = CumulativeCurve::from_timestamps(vec![1.0, 2.0, 2.0, 3.0]).unwrap();
-        assert_eq!(c.total(), 4);
-        assert_eq!(c.completed_by(2.0), 3);
-        assert_eq!(c.completed_by(0.5), 0);
-        assert_eq!(c.completed_by(10.0), 4);
-    }
-
-    #[test]
-    fn curve_record_enforces_order() {
-        let mut c = CumulativeCurve::new();
-        c.record(1.0).unwrap();
-        assert!(c.record(0.5).is_err());
-    }
-
-    #[test]
-    fn constant_throughput_has_near_zero_area_vs_ideal() {
-        // One completion per unit time: matches the ideal closely.
-        let ts: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let c = CumulativeCurve::from_timestamps(ts).unwrap();
-        let area = c.area_vs_ideal(0.0, 100.0).unwrap();
-        // Discretization gives at most ~0.5 per step.
-        assert!(area.abs() < 100.0 * 0.51, "area = {area}");
-    }
-
-    #[test]
-    fn slow_start_has_negative_area() {
-        // All completions in the second half: lags the ideal.
-        let ts: Vec<f64> = (0..100).map(|i| 50.0 + i as f64 * 0.5).collect();
-        let c = CumulativeCurve::from_timestamps(ts).unwrap();
-        let area = c.area_vs_ideal(0.0, 100.0).unwrap();
-        assert!(area < -1000.0, "area = {area}");
-    }
-
-    #[test]
-    fn fast_start_has_positive_area() {
-        let ts: Vec<f64> = (0..100).map(|i| i as f64 * 0.5).collect();
-        let c = CumulativeCurve::from_timestamps(ts).unwrap();
-        let area = c.area_vs_ideal(0.0, 100.0).unwrap();
-        assert!(area > 1000.0, "area = {area}");
-    }
-
-    #[test]
-    fn throughput_in_window() {
-        let ts: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let c = CumulativeCurve::from_timestamps(ts).unwrap();
-        let tput = c.throughput_in(0.0, 5.0).unwrap();
-        assert!(close(tput, 1.0), "tput = {tput}");
-        assert!(c.throughput_in(5.0, 5.0).is_err());
-    }
-
-    #[test]
-    fn interval_counts_conservation() {
-        let ts: Vec<f64> = (0..97).map(|i| i as f64 * 0.97).collect();
-        let c = CumulativeCurve::from_timestamps(ts.clone()).unwrap();
-        let counts = c.interval_counts(0.0, 100.0, 10.0).unwrap();
-        assert_eq!(counts.len(), 10);
-        assert_eq!(counts.iter().sum::<usize>(), 97);
-    }
-
-    #[test]
-    fn interval_counts_excludes_out_of_range() {
-        let c = CumulativeCurve::from_timestamps(vec![-5.0, 1.0, 99.0, 150.0]).unwrap();
-        let counts = c.interval_counts(0.0, 100.0, 50.0).unwrap();
-        assert_eq!(counts.iter().sum::<usize>(), 2);
     }
 
     #[test]

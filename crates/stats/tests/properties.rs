@@ -4,7 +4,7 @@ use lsbench_stats::descriptive::{quantile, BoxPlot, FiveNumber, Summary};
 use lsbench_stats::histogram::{EquiDepthHistogram, EquiWidthHistogram, LatencyHistogram};
 use lsbench_stats::jaccard::jaccard_similarity;
 use lsbench_stats::ks::ks_statistic;
-use lsbench_stats::timeseries::{area_between, CumulativeCurve, IntervalCounts, TimeSeries};
+use lsbench_stats::timeseries::{area_between, IntervalCounts, TimeSeries};
 use lsbench_stats::StatsError;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -327,21 +327,5 @@ proptest! {
         // `a` spans at most [4, 23/3]; `b` slides from wholly below it,
         // through touching, overlapping and nested, to wholly above.
         assert_walk_equals_search(&grid_series(a, 12), &grid_series(b, shift));
-    }
-
-    #[test]
-    fn curve_interval_counts_conserve(ts in prop::collection::vec(0.0f64..100.0, 1..300)) {
-        let c = CumulativeCurve::from_timestamps(ts.clone()).unwrap();
-        let counts = c.interval_counts(0.0, 100.0 + 1e-9, 7.0).unwrap();
-        prop_assert_eq!(counts.iter().sum::<usize>(), ts.len());
-        prop_assert_eq!(c.total(), ts.len());
-    }
-
-    #[test]
-    fn curve_completed_by_monotone(ts in prop::collection::vec(0.0f64..100.0, 1..100), t1 in 0.0f64..100.0, t2 in 0.0f64..100.0) {
-        let c = CumulativeCurve::from_timestamps(ts).unwrap();
-        let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-        prop_assert!(c.completed_by(lo) <= c.completed_by(hi));
-        prop_assert!(c.completed_before(lo) <= c.completed_by(lo));
     }
 }

@@ -8,20 +8,18 @@
 //! (hardware profiles, DBA step function) behind the Fig. 1d metrics.
 //!
 //! Work and time: every SUT operation reports abstract **work units**
-//! (memory probes / rows touched / model updates). A [`clock::SimClock`]
-//! plus a work→seconds rate turns those into deterministic virtual time, so
-//! benchmark runs and figures are exactly reproducible; the criterion
-//! microbenches measure the same structures in wall-clock time.
+//! (memory probes / rows touched / model updates). The benchmark's
+//! execution core turns those into deterministic virtual time at a
+//! work→seconds rate, so benchmark runs and figures are exactly
+//! reproducible; `perf/` times the same structures in wall-clock time.
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod cost;
 pub mod kv;
 pub mod query_sut;
 pub mod sut;
 
-pub use clock::{Clock, SimClock, WallClock};
 pub use cost::{DbaCostModel, HardwareProfile, TrainingCost};
 pub use kv::{
     AlexSut, BTreeSut, CachedSut, HashSut, LearnedKvSut, PgmSut, RetrainPolicy, RmiSut,

@@ -1,11 +1,10 @@
-//! Dataset construction, growth, and drift.
+//! Dataset construction and growth.
 //!
 //! A [`Dataset`] is the database the system under test indexes: a sorted set
 //! of unique `u64` keys with associated values. §III-A calls out "changing
 //! data distributions and dataset size" as real-world behaviours benchmarks
 //! miss, so datasets here support *growth batches* (new keys arriving over
-//! time) and *drift* (interpolation between a source and a target
-//! distribution).
+//! time).
 
 use crate::keygen::{KeyDistribution, KeyGenerator};
 use crate::Result;
@@ -131,39 +130,6 @@ impl Dataset {
         self.keys = merged_keys;
         self.values = merged_vals;
         self.keys.len() - before
-    }
-
-    /// Generates a *drifted* variant: a mixture of this dataset's
-    /// distribution and a target distribution, with mixing weight
-    /// `drift` in `[0, 1]` (0 = original keys, 1 = fully target).
-    ///
-    /// Used to build scenarios where the database slowly morphs, which
-    /// § III-A notes "classical benchmarks rarely capture".
-    pub fn drift_towards(
-        &self,
-        target: KeyDistribution,
-        lo: u64,
-        hi: u64,
-        drift: f64,
-        seed: u64,
-    ) -> Result<Dataset> {
-        let drift = drift.clamp(0.0, 1.0);
-        let n = self.len();
-        let from_target = (n as f64 * drift) as usize;
-        let from_self = n - from_target;
-        let mut keys: Vec<u64> = self
-            .keys
-            .iter()
-            .copied()
-            .step_by((n / from_self.max(1)).max(1))
-            .take(from_self)
-            .collect();
-        if from_target > 0 {
-            let mut gen = KeyGenerator::new(target, lo, hi, seed)?;
-            let max_draws = (from_target as u64).saturating_mul(50).max(1000);
-            draw_distinct(&mut gen, &mut keys, from_self + from_target, max_draws);
-        }
-        Ok(Dataset::from_keys(keys))
     }
 }
 
@@ -320,60 +286,5 @@ mod tests {
         assert!(d.sample_f64(10).is_empty());
         let d = Dataset::from_keys(vec![5]);
         assert_eq!(d.sample_f64(10), vec![5.0]);
-    }
-
-    #[test]
-    fn drift_zero_keeps_distribution() {
-        let d = Dataset::generate(KeyDistribution::Uniform, 0, 100_000, 1000, 3).unwrap();
-        let drifted = d
-            .drift_towards(KeyDistribution::Zipf { theta: 1.5 }, 0, 100_000, 0.0, 4)
-            .unwrap();
-        assert_eq!(drifted.len(), d.len());
-        assert_eq!(drifted.keys(), d.keys());
-    }
-
-    #[test]
-    fn drift_full_changes_distribution() {
-        let d = Dataset::generate(KeyDistribution::Uniform, 0, 1_000_000, 2000, 5).unwrap();
-        let drifted = d
-            .drift_towards(
-                KeyDistribution::Normal {
-                    center: 0.1,
-                    std_frac: 0.02,
-                },
-                0,
-                1_000_000,
-                1.0,
-                6,
-            )
-            .unwrap();
-        // Nearly all drifted keys should sit near 10% of the range.
-        let near = drifted.keys().iter().filter(|&&k| k < 200_000).count();
-        assert!(
-            near as f64 / drifted.len() as f64 > 0.95,
-            "near = {near}/{}",
-            drifted.len()
-        );
-    }
-
-    #[test]
-    fn drift_half_is_a_mixture() {
-        let d = Dataset::generate(KeyDistribution::Uniform, 0, 1_000_000, 2000, 7).unwrap();
-        let drifted = d
-            .drift_towards(
-                KeyDistribution::Normal {
-                    center: 0.9,
-                    std_frac: 0.01,
-                },
-                0,
-                1_000_000,
-                0.5,
-                8,
-            )
-            .unwrap();
-        let high = drifted.keys().iter().filter(|&&k| k > 800_000).count();
-        let frac = high as f64 / drifted.len() as f64;
-        // ~50% target mass near 0.9 plus ~10% of the uniform half.
-        assert!((0.4..0.75).contains(&frac), "frac = {frac}");
     }
 }

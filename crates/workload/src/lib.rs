@@ -10,7 +10,7 @@
 //!   lognormal, hotspot, clustered, sequential) over a 64-bit key space.
 //! * [`stringkey`] — the synthetic email-address generator the paper uses as
 //!   its example of privacy-preserving data substitution (§V-C).
-//! * [`dataset`] — dataset construction, growth, and skew drift.
+//! * [`dataset`] — dataset construction and growth.
 //! * [`ops`] — operation types and mixes (YCSB-style presets plus custom).
 //! * [`arrival`] — open/closed-loop arrival processes with diurnal and burst
 //!   load modulation.

@@ -257,18 +257,6 @@ impl OperationGenerator {
         &self.mix
     }
 
-    /// Replaces the key generator (used during phase transitions).
-    pub fn set_keygen(&mut self, keygen: KeyGenerator) {
-        self.keygen = keygen;
-    }
-
-    /// Replaces the mix (used during phase transitions).
-    pub fn set_mix(&mut self, mix: OperationMix) -> Result<()> {
-        mix.validate()?;
-        self.mix = mix;
-        Ok(())
-    }
-
     /// Produces the next operation.
     pub fn next_op(&mut self) -> Operation {
         let kind = self.mix.sample_kind(&mut self.rng);
@@ -402,18 +390,5 @@ mod tests {
         let op = Operation::Delete { key: 7 };
         assert!(op.is_write());
         assert_eq!(op.kind(), OpKind::Delete);
-    }
-
-    #[test]
-    fn set_mix_validates() {
-        let mut g = gen_with_mix(OperationMix::ycsb_c());
-        assert!(g
-            .set_mix(OperationMix {
-                read: -0.5,
-                ..OperationMix::ycsb_c()
-            })
-            .is_err());
-        assert!(g.set_mix(OperationMix::ycsb_a()).is_ok());
-        assert_eq!(g.mix(), &OperationMix::ycsb_a());
     }
 }

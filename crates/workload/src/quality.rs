@@ -73,8 +73,8 @@ pub fn score_dataset(keys: &[f64]) -> QualityReport {
 
 /// Scores a full workload: key distribution *plus* temporal load variation.
 ///
-/// `interval_loads` are operation counts per fixed time interval (e.g. from
-/// [`lsbench_stats::CumulativeCurve::interval_counts`]); a diurnal or bursty
+/// `interval_loads` are operation counts per fixed time interval (e.g. the
+/// buckets of an [`lsbench_stats::IntervalCounts`]); a diurnal or bursty
 /// load earns a high `load_variation_score`, a constant load earns zero.
 pub fn score_workload(keys: &[f64], interval_loads: &[usize]) -> QualityReport {
     let mut report = score_dataset(keys);

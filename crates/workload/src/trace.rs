@@ -79,16 +79,6 @@ impl Trace {
         &self.phase_names
     }
 
-    /// Entries belonging to phase `i`.
-    pub fn phase_entries(&self, i: usize) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter().filter(move |e| e.phase == i)
-    }
-
-    /// Keys accessed in phase `i`, as `f64` (for distribution distances).
-    pub fn phase_keys_f64(&self, i: usize) -> Vec<f64> {
-        self.phase_entries(i).map(|e| e.op.key() as f64).collect()
-    }
-
     /// Iterator over the operations only.
     pub fn operations(&self) -> impl Iterator<Item = Operation> + '_ {
         self.entries.iter().map(|e| e.op)
@@ -132,8 +122,8 @@ mod tests {
         let t = Trace::record(&w).unwrap();
         assert_eq!(t.len(), 120);
         assert_eq!(t.phase_names(), &["a".to_string(), "b".to_string()]);
-        assert_eq!(t.phase_entries(0).count(), 50);
-        assert_eq!(t.phase_entries(1).count(), 70);
+        let in_phase = |i| t.entries().iter().filter(|e| e.phase == i).count();
+        assert_eq!((in_phase(0), in_phase(1)), (50, 70));
     }
 
     #[test]
@@ -154,18 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn phase_keys_extracted() {
-        let w = two_phase_workload();
-        let t = Trace::record(&w).unwrap();
-        let keys = t.phase_keys_f64(0);
-        assert_eq!(keys.len(), 50);
-        assert!(keys.iter().all(|&k| k < 1000.0));
-    }
-
-    #[test]
     fn empty_trace() {
         let t = Trace::new(vec!["x".to_string()]);
         assert!(t.is_empty());
-        assert_eq!(t.phase_entries(0).count(), 0);
+        assert_eq!(t.operations().count(), 0);
     }
 }

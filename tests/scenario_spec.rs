@@ -5,11 +5,13 @@
 
 use lsbench::core::faults::{FaultPlan, FaultSpec, RetryPolicy};
 use lsbench::core::metrics::sla::SlaPolicy;
+use lsbench::core::results::parse_regression_policy;
 use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::{ArrivalSpec, ClockMode, OnlineTrainMode, Scenario};
-use lsbench::core::spec::{parse_scenario, render_scenario, ScenarioRegistry};
+use lsbench::core::spec::{parse_fault_plan, parse_scenario, render_scenario, ScenarioRegistry};
 use lsbench::core::suite::{SuiteConfig, STANDARD_SCENARIOS};
 use lsbench::core::sut_registry::SutRegistry;
+use lsbench::core::sweep::parse_axis;
 use lsbench::workload::arrival::{ArrivalProcess, LoadModulation};
 use lsbench::workload::keygen::KeyDistribution;
 use lsbench::workload::ops::OperationMix;
@@ -716,10 +718,45 @@ proptest! {
         }
     }
 
-    /// Fully random text never panics the parser either.
+    /// Fully random text never panics the parser either, nor the other
+    /// parsers of outside text: fault plans, regression policies and
+    /// `--drift` axes.
     #[test]
     fn arbitrary_text_never_panics(text in "[ -~\n\"#=\\[\\]]{0,200}") {
         let _ = parse_scenario(&text);
+        let _ = parse_fault_plan(&text);
+        let _ = parse_regression_policy(&text);
+        let _ = parse_axis(&text);
+    }
+
+    /// A `lo..hixN` axis with both ends in [0, 1] and 2..=1000 rungs parses
+    /// to N strictly ascending rungs, the first `lo` and the last `hi` to
+    /// the bit; an end outside [0, 1] or a rung count outside 2..=1000 is
+    /// refused with a message.
+    #[test]
+    fn drift_axes_hit_their_ends_and_refuse_the_rest(
+        // Weighted towards the edges of the accepted ranges.
+        lo in prop_oneof![0.0f64..0.5, -0.5f64..0.0, 0.5f64..1.5],
+        gap in 0.001f64..0.6,
+        n in prop_oneof![0usize..4, 2usize..1_000, 998usize..1_003],
+    ) {
+        let hi = lo + gap;
+        let axis = format!("{lo}..{hi}x{n}");
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
+        let well_formed = unit(lo) && unit(hi) && (2..=1_000).contains(&n);
+        match parse_axis(&axis) {
+            Ok(rungs) => {
+                prop_assert!(well_formed, "{axis} accepted");
+                prop_assert_eq!(rungs.len(), n);
+                prop_assert!(rungs.windows(2).all(|w| w[0] < w[1]), "{axis}: {rungs:?}");
+                prop_assert_eq!(rungs[0].to_bits(), lo.to_bits());
+                prop_assert_eq!(rungs[n - 1].to_bits(), hi.to_bits());
+            }
+            Err(msg) => {
+                prop_assert!(!well_formed, "{axis} refused: {msg}");
+                prop_assert!(!msg.is_empty());
+            }
+        }
     }
 
     /// `[[drift]]` blocks never panic the parser, across in-range and
