@@ -1113,3 +1113,72 @@ where
     let record = epilogue(started, merged, sut.metrics(), None, obs);
     Ok((record, sinks.wall.map(WallRecorder::finish)))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The enum-form body `service_with_backlog` had before the training
+    /// mode was resolved into a share, kept as the reference it must match
+    /// to the bit.
+    fn reference(base_service: f64, backlog: &mut f64, mode: OnlineTrainMode) -> f64 {
+        match mode {
+            OnlineTrainMode::Foreground => {
+                let service = *backlog + base_service;
+                *backlog = 0.0;
+                service
+            }
+            OnlineTrainMode::Background { fraction } => {
+                if *backlog <= 0.0 {
+                    return base_service;
+                }
+                let query_share = 1.0 - fraction;
+                let drain_wall = *backlog / fraction;
+                let query_done = drain_wall * query_share;
+                if query_done >= base_service {
+                    let wall = base_service / query_share;
+                    *backlog -= fraction * wall;
+                    wall
+                } else {
+                    *backlog = 0.0;
+                    drain_wall + (base_service - query_done)
+                }
+            }
+        }
+    }
+
+    fn modes() -> impl Strategy<Value = OnlineTrainMode> {
+        let background = |fraction| OnlineTrainMode::Background { fraction };
+        prop_oneof![
+            Just(OnlineTrainMode::Foreground),
+            Just(background(0.3)),
+            (f64::MIN_POSITIVE..1e-3).prop_map(background),
+            (1e-3f64..1.0).prop_map(background),
+        ]
+    }
+
+    /// No backlog, one that drains within an op, and one that outlasts many.
+    fn backlogs() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), 1e-9f64..1e-5, 1e-3f64..10.0]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn service_with_backlog_matches_the_enum_form_to_the_bit(
+            mode in modes(),
+            backlog in backlogs(),
+            bases in prop::collection::vec(prop_oneof![Just(0.0), 0.0f64..1e-3], 1..16),
+        ) {
+            let (mut got, mut want) = (backlog, backlog);
+            for (i, &base) in bases.iter().enumerate() {
+                let service = service_with_backlog(base, &mut got, mode);
+                let expected = reference(base, &mut want, mode);
+                prop_assert_eq!(service.to_bits(), expected.to_bits(), "service of op {}", i);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "backlog after op {}", i);
+            }
+        }
+    }
+}
