@@ -384,15 +384,19 @@ where
     ahead(owners, |_| true, fill, consume)
 }
 
-/// Run constants every client shares.
+/// Run constants every client shares. Per-op arithmetic reads them as
+/// plain numbers: the training mode arrives resolved into `train_share`, so
+/// no op computes on an enum payload its variant may not have.
 #[derive(Debug)]
 pub(crate) struct LaneParams {
     /// Work units per virtual second.
     pub rate: f64,
     /// Offer a maintenance slot every this many client-local operations.
     pub maintenance_every: u64,
-    /// Online-training scheduling mode.
-    pub online_train: OnlineTrainMode,
+    /// Share of the resources online training takes while backlog remains:
+    /// `0.0` for foreground training, the validated `fraction` in (0, 1)
+    /// for background training ([`train_share`]).
+    pub train_share: f64,
     /// Virtual time execution starts (0 until the prologue has paid for
     /// training).
     pub exec_start: f64,
@@ -432,7 +436,7 @@ impl RunPlan {
             params: LaneParams {
                 rate: scenario.work_units_per_second,
                 maintenance_every: scenario.maintenance_every,
-                online_train: scenario.online_train,
+                train_share: train_share(scenario.online_train),
                 exec_start: 0.0,
                 faults: FaultSession::from_scenario(scenario),
             },
@@ -460,7 +464,7 @@ impl RunPlan {
             params: LaneParams {
                 rate: pacing.work_units_per_second,
                 maintenance_every: pacing.maintenance_every,
-                online_train: OnlineTrainMode::Foreground,
+                train_share: 0.0,
                 exec_start: 0.0,
                 faults: None,
             },
@@ -623,7 +627,7 @@ impl ClientState {
     /// Service time of `work` units issued now, absorbing pending backlog.
     #[inline]
     pub(crate) fn serve(&mut self, work: u64, p: &LaneParams) -> f64 {
-        service_with_backlog(work as f64 / p.rate, &mut self.backlog, p.online_train)
+        service_with_backlog(work as f64 / p.rate, &mut self.backlog, p.train_share)
     }
 
     /// Pays any remaining adaptation backlog (conservation of adaptation
@@ -902,7 +906,7 @@ fn account(
         usize::from(meta.phase),
         meta.idx,
         p.rate,
-        p.online_train,
+        p.train_share,
         &mut client.backlog,
     );
     // The server stays busy for the full service time of every attempt,
@@ -985,47 +989,54 @@ impl Watch {
     }
 }
 
-/// Computes one operation's service time given pending adaptation backlog
-/// (both in seconds of full-rate work).
-///
-/// * [`OnlineTrainMode::Foreground`]: the entire backlog is prepended to
-///   this operation's service time (a single latency spike).
-/// * [`OnlineTrainMode::Background`]: processor sharing — while backlog
-///   remains, training gets `fraction` of the resources and the query runs
-///   at `1 − fraction` speed; the backlog drains by `fraction ×` the shared
-///   wall time. The dip is shallower but lasts longer.
-#[inline]
-pub(crate) fn service_with_backlog(
-    base_service: f64,
-    backlog: &mut f64,
-    mode: OnlineTrainMode,
-) -> f64 {
+/// The share of the resources `mode` gives online training while backlog
+/// remains: `0.0` in the foreground, the validated `fraction` in the
+/// background. A run resolves it once, into [`LaneParams::train_share`].
+pub(crate) fn train_share(mode: OnlineTrainMode) -> f64 {
     match mode {
-        OnlineTrainMode::Foreground => {
-            let service = *backlog + base_service;
-            *backlog = 0.0;
-            service
-        }
-        OnlineTrainMode::Background { fraction } => {
-            if *backlog <= 0.0 {
-                return base_service;
-            }
-            let query_share = 1.0 - fraction;
-            // Wall time until the backlog would drain under sharing.
-            let drain_wall = *backlog / fraction;
-            // Query work that would complete during that window.
-            let query_done = drain_wall * query_share;
-            if query_done >= base_service {
-                // Query finishes while training still runs in background.
-                let wall = base_service / query_share;
-                *backlog -= fraction * wall;
-                wall
-            } else {
-                // Backlog drains mid-query; the rest runs at full speed.
-                *backlog = 0.0;
-                drain_wall + (base_service - query_done)
-            }
-        }
+        OnlineTrainMode::Foreground => 0.0,
+        OnlineTrainMode::Background { fraction } => fraction,
+    }
+}
+
+/// Computes one operation's service time given pending adaptation backlog
+/// (both in seconds of full-rate work) and the share of the resources
+/// training takes while backlog remains ([`LaneParams::train_share`]).
+///
+/// * `share == 0.0` (foreground): the entire backlog is prepended to this
+///   operation's service time (a single latency spike).
+/// * `share` in (0, 1) (background): processor sharing — while backlog
+///   remains, training gets `share` of the resources and the query runs at
+///   `1 − share` speed; the backlog drains by `share ×` the shared wall
+///   time. The dip is shallower but lasts longer.
+///
+/// In either mode every operand is a defined number, so arithmetic the
+/// optimiser computes ahead of the `share == 0.0` test never reads an
+/// absent enum payload.
+#[inline]
+pub(crate) fn service_with_backlog(base_service: f64, backlog: &mut f64, share: f64) -> f64 {
+    if share == 0.0 {
+        let service = *backlog + base_service;
+        *backlog = 0.0;
+        return service;
+    }
+    if *backlog <= 0.0 {
+        return base_service;
+    }
+    let query_share = 1.0 - share;
+    // Wall time until the backlog would drain under sharing.
+    let drain_wall = *backlog / share;
+    // Query work that would complete during that window.
+    let query_done = drain_wall * query_share;
+    if query_done >= base_service {
+        // Query finishes while training still runs in background.
+        let wall = base_service / query_share;
+        *backlog -= share * wall;
+        wall
+    } else {
+        // Backlog drains mid-query; the rest runs at full speed.
+        *backlog = 0.0;
+        drain_wall + (base_service - query_done)
     }
 }
 
@@ -1119,9 +1130,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The enum-form body `service_with_backlog` had before the training
-    /// mode was resolved into a share, kept as the reference it must match
-    /// to the bit.
+    /// `service_with_backlog` as a match on the training mode: the
+    /// reference the share form must equal to the bit.
     fn reference(base_service: f64, backlog: &mut f64, mode: OnlineTrainMode) -> f64 {
         match mode {
             OnlineTrainMode::Foreground => {
@@ -1174,7 +1184,7 @@ mod tests {
         ) {
             let (mut got, mut want) = (backlog, backlog);
             for (i, &base) in bases.iter().enumerate() {
-                let service = service_with_backlog(base, &mut got, mode);
+                let service = service_with_backlog(base, &mut got, train_share(mode));
                 let expected = reference(base, &mut want, mode);
                 prop_assert_eq!(service.to_bits(), expected.to_bits(), "service of op {}", i);
                 prop_assert_eq!(got.to_bits(), want.to_bits(), "backlog after op {}", i);

@@ -36,7 +36,7 @@
 //! [`RunRecord::faults`]: crate::record::RunRecord::faults
 
 use crate::exec::service_with_backlog;
-use crate::scenario::{OnlineTrainMode, Scenario};
+use crate::scenario::Scenario;
 use crate::{BenchError, Result};
 use lsbench_sut::sut::ExecOutcome;
 use lsbench_workload::phases::WorkloadPhase;
@@ -426,14 +426,18 @@ impl FaultSession {
     /// double-applied and shared-SUT runs stay deterministic. Permanent SUT
     /// failures (`ExecOutcome::failed`) are not retried. Whichever attempt
     /// runs while `backlog` remains absorbs it, exactly like an unfaulted
-    /// operation (foreground: prepended; background: processor-shared).
+    /// operation: [`service_with_backlog`] with the run's `train_share`
+    /// (`0.0`, foreground: prepended; a background fraction:
+    /// processor-shared). `rate` and `train_share` are plain numbers the
+    /// run resolved before its first op, so whatever arithmetic the
+    /// optimiser hoists above the share test reads defined operands.
     pub(crate) fn settle(
         &self,
         outcome: ExecOutcome,
         phase: usize,
         idx: u64,
         rate: f64,
-        mode: OnlineTrainMode,
+        train_share: f64,
         backlog: &mut f64,
     ) -> Settled {
         let mut res = Settled::default();
@@ -463,7 +467,7 @@ impl FaultSession {
         let max_attempts = policy.max_retries.saturating_add(1);
         let mut attempt = 0u32;
         loop {
-            let service = service_with_backlog(base, backlog, mode);
+            let service = service_with_backlog(base, backlog, train_share);
             res.service += service;
 
             let mut transient = false;
@@ -717,14 +721,7 @@ mod tests {
 
     fn settle(session: &FaultSession, outcome: ExecOutcome, idx: u64) -> Settled {
         let mut backlog = 0.0;
-        session.settle(
-            outcome,
-            0,
-            idx,
-            1e6,
-            OnlineTrainMode::Foreground,
-            &mut backlog,
-        )
+        session.settle(outcome, 0, idx, 1e6, 0.0, &mut backlog)
     }
 
     #[test]
