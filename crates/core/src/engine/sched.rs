@@ -648,6 +648,30 @@ mod tests {
         }
     }
 
+    /// A worker's own ops, in stream order, are every round's `owned`
+    /// clients in slot order: the op at global index `i` of client
+    /// `worker + slot · threads` is the worker's `i / clients · owned +
+    /// slot`-th, exactly as many as it owns below `i`.
+    #[test]
+    fn an_owned_index_sits_at_its_count_of_owned_indices_below_it() {
+        for clients in 1..=12 {
+            for threads in 1..=clients.min(4) {
+                let shape = shape(clients, threads);
+                for worker in 0..threads {
+                    let owned = owned_below(worker, threads, clients);
+                    for i in (0..5 * clients + 3).filter(|i| i % clients % threads == worker) {
+                        let slot = (i % clients - worker) / threads;
+                        assert_eq!(
+                            i / clients * owned + slot,
+                            owned_ops(worker, shape, i),
+                            "index {i} of worker {worker}/{threads}, {clients} clients"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Events pushed onto the heap, and ops served, by the one worker of a
     /// `clients`-client run of `s` against `sut`.
     fn heap_pushes(s: &Scenario, sut: &str, clients: usize) -> (usize, usize) {
