@@ -130,7 +130,8 @@ impl SlaReport {
         }
         let start = record.exec_start;
         let end = record.exec_end.max(start + interval);
-        let n_intervals = ((end - start) / interval).ceil() as usize;
+        // A span below one ulp of `start` is one interval, not none.
+        let n_intervals = (((end - start) / interval).ceil() as usize).max(1);
         let mut bands = vec![
             Band {
                 within: 0,
@@ -387,6 +388,24 @@ mod tests {
             50
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_span_below_an_ulp_of_its_start_is_one_band() {
+        let mut r = spike_record();
+        r.ops.truncate(3);
+        for op in &mut r.ops {
+            op.t_end = 1.0;
+        }
+        (r.exec_start, r.exec_end) = (1.0, 1.0);
+        let report = SlaReport::from_record(&r, 0.1, f64::MIN_POSITIVE, 10).unwrap();
+        assert_eq!(report.bands.len(), 1);
+        assert_eq!(report.bands[0].total(), 3);
+        assert_eq!(report.color_bands.len(), 1);
+        let policy = SlaPolicy::Fixed { threshold: 0.1 };
+        let (b, c) = paired_sla_reports(&r, &r, &policy, 10.0, 10).unwrap();
+        assert_eq!((b.bands.len(), c.bands.len()), (1, 1));
+        assert_eq!(c.bands[0].total(), 3);
     }
 
     #[test]
