@@ -18,8 +18,8 @@
 //! query workload.
 
 use crate::exec::{
-    epilogue, made_ahead, prelude, prologue, run_inline, scenario_ops, ClientState, CoreOp, Merged,
-    Pacing, RunPlan, Sinks,
+    epilogue, prelude, prologue, run_inline, scenario_ops, ClientState, CoreOp, Merged, Pacing,
+    RunPlan, Sinks,
 };
 use crate::obs::{LaneObs, RunObserver};
 use crate::record::RunRecord;
@@ -32,10 +32,10 @@ use lsbench_workload::ops::Operation;
 use lsbench_workload::phases::MAX_PHASES;
 use lsbench_workload::trace::Trace;
 
-/// The serial policy: one client on the calling thread, its op stream
-/// [`made_ahead`] on one helper thread. The SUT must already be loaded with
-/// the scenario's dataset (SUT constructors take the dataset so each system
-/// can bulk-load natively).
+/// The serial policy: one client on the calling thread, its op stream made
+/// ahead on one helper thread ([`run_inline`]). The SUT must already be
+/// loaded with the scenario's dataset (SUT constructors take the dataset so
+/// each system can bulk-load natively).
 ///
 /// Neither the observer nor the wall recorder ever advances or reads the
 /// virtual clock, so the record is bit-identical whether they are on or
@@ -48,7 +48,7 @@ pub(crate) fn run_serial<S: SystemUnderTest<Operation> + ?Sized>(
 ) -> Result<Executed> {
     let plan = RunPlan::from_scenario(scenario)?;
     let source = scenario_ops(scenario, opts.max_ops)?;
-    let (record, wall) = made_ahead(source, |ops| run_inline(sut, plan, ops, opts.clock, obs))?;
+    let (record, wall) = run_inline(sut, plan, source, opts.clock, obs)?;
     Ok((record, None, wall))
 }
 
@@ -545,7 +545,7 @@ mod tests {
     }
 
     /// The serial policy's record and SUT calls under an op cap, then the
-    /// same run pulling the stream inline on the calling thread.
+    /// same run over the stream drawn whole on the calling thread first.
     fn both_ways(s: &Scenario, max_ops: u64) -> [(RunRecord, Vec<Operation>); 2] {
         let opts = RunOptions {
             max_ops,
@@ -556,9 +556,9 @@ mod tests {
         let (record, _, _) = run_serial(&mut ahead, s, &opts, obs).unwrap();
         let mut inline = Probe::default();
         let plan = RunPlan::from_scenario(s).unwrap();
-        let source = scenario_ops(s, max_ops).unwrap();
+        let drawn: Vec<_> = scenario_ops(s, max_ops).unwrap().collect();
         let (inline_record, _) =
-            run_inline(&mut inline, plan, source, ClockMode::Sim, obs).unwrap();
+            run_inline(&mut inline, plan, drawn.into_iter(), ClockMode::Sim, obs).unwrap();
         [(record, ahead.seen), (inline_record, inline.seen)]
     }
 
@@ -585,13 +585,15 @@ mod tests {
     const FAIL_AT: [usize; 3] = [0, 5, 2 * CHUNK + 3];
 
     /// A run of 8 chunks made ahead, as the serial policy runs, whose SUT
-    /// fails (or panics) at op `fail_at` only once the helper has filled
-    /// every buffer it can get: it then waits for one back, which is where
-    /// a helper that outlived its driver would hang the run.
+    /// fails (or panics) at op `fail_at` only once the helper has made every
+    /// op it can get rid of: the driver holds the chunk of `fail_at`, its
+    /// queue `CHUNKS` more, and the helper fills one more and waits to hand
+    /// it over, which is where a helper that outlived its driver would hang
+    /// the run.
     fn run_failing(fail_at: usize, panics: bool) -> Result<RunRecord> {
         let s = sized(8 * CHUNK as u64);
         let (filled, gate) = channel();
-        let last = ((fail_at / CHUNK + CHUNKS) * CHUNK - 1) as u64;
+        let last = ((fail_at / CHUNK + CHUNKS + 2) * CHUNK - 1) as u64;
         let source = scenario_ops(&s, u64::MAX)?.inspect(move |op| {
             if op.meta.idx == last {
                 filled.send(()).expect("the SUT waits at the gate");
@@ -605,10 +607,7 @@ mod tests {
         };
         let plan = RunPlan::from_scenario(&s)?;
         let obs = &mut RunObserver::disabled();
-        made_ahead(source, |ops| {
-            run_inline(&mut sut, plan, ops, ClockMode::Sim, obs)
-        })
-        .map(|(record, _)| record)
+        run_inline(&mut sut, plan, source, ClockMode::Sim, obs).map(|(record, _)| record)
     }
 
     #[test]

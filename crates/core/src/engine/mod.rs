@@ -42,7 +42,7 @@ mod worker;
 pub(crate) use shard::{shard_dataset, KeyRouter};
 
 use crate::exec::{
-    lock, made_ahead_dealt, op_count, prologue, scenario_ops, Chunk, CoreOp, RunPlan, Sinks, SutRef,
+    lock, made_ahead, op_count, prologue, scenario_ops, CoreOp, Dealt, RunPlan, Sinks, SutRef,
 };
 use crate::obs::RunObserver;
 use crate::runner::{BoxedKvSut, Executed, RunOptions};
@@ -51,7 +51,6 @@ use crate::{BenchError, Result};
 use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
 use merge::{finish_engine, sum_metrics, EngineShape};
-use std::sync::mpsc::Receiver;
 use std::sync::Mutex;
 use worker::LaneJob;
 
@@ -209,7 +208,7 @@ where
     // A worker's first lane reads its queue at once; the lanes behind it
     // take theirs unbounded.
     let bounded = |lane| lane < threads;
-    let run = |queues: Vec<Receiver<Chunk<Operation>>>| {
+    let run = |queues: Vec<Dealt<Operation>>| {
         let started = match suts {
             LaneSuts::Shared(sut) => prologue(plan, [&mut **sut], obs),
             LaneSuts::Shards(shards, _) => {
@@ -249,7 +248,7 @@ where
         };
         finish_engine(started, results, final_metrics, shape, obs)
     };
-    made_ahead_dealt(dealt, lanes, bounded, run)
+    made_ahead(dealt, lanes, bounded, run)
 }
 
 #[cfg(test)]
@@ -692,11 +691,14 @@ mod tests {
     /// A lane stopped in its chunk `c` holds chunks up to `c`, its bounded
     /// queue `CHUNKS` more, and the helper one more it waits to hand over:
     /// the gate opens when the helper has dealt a worker's first lane
-    /// `(c + CHUNKS + 2) · CHUNK` ops. A scheduler worker has fetched at
-    /// least chunk 0 before it locks the SUT, so the helper gets at least
-    /// `(1 + CHUNKS + 1) · CHUNK` ops out — no more if the stopped worker
-    /// is in its first batch and the other waits for the lock, and fewer if
-    /// the other fetched its bodies under the lock.
+    /// `(c + CHUNKS + 2) · CHUNK` ops. The two scheduler workers are dealt
+    /// the even and the odd stream indices, and each has fetched at least
+    /// its chunk 0 before it locks the SUT, so the helper deals each at
+    /// least `1 + CHUNKS + 1` chunks: it waits to hand over worker 0's last
+    /// of them once it has made the op at index `2 · (CHUNKS + 2) · CHUNK −
+    /// 2` — no further if the stopped worker is in its first batch and the
+    /// other waits for the lock, and not as far if either fetched its
+    /// bodies under the lock.
     fn failing(mode: ExecutionMode, threads: usize, fail_at: usize, panics: bool) -> Result<()> {
         let s = early_stop_scenario(4 * STOP_CHUNKS * CHUNK);
         let gate = Arc::new(Gate::default());
@@ -713,11 +715,11 @@ mod tests {
         let obs = &mut RunObserver::disabled();
         let opener = Arc::clone(&gate);
         if let ExecutionMode::OpenLoop { .. } = mode {
-            let full = (CHUNKS + 2) * CHUNK;
+            let last = 2 * (CHUNKS + 2) * CHUNK - 2;
             let ops = || {
                 let ops = unpaced_ops(&s, u64::MAX)?;
                 Ok(ops.inspect(move |op| {
-                    if op.meta.idx + 1 == full as u64 {
+                    if op.meta.idx == last as u64 {
                         opener.open();
                     }
                 }))

@@ -63,12 +63,16 @@
 //!
 //! The ready queue needs only arrivals; an op's body is needed when its
 //! event is served. One helper thread runs the unchanged generators
-//! (`exec::made_ahead_to_all`) and hands every worker every 1024-op chunk
-//! over a bounded queue. A worker reads the bodies of a batch by global
-//! index from its [`OpWindow`] *before* it locks the SUT, so it never
-//! waits for the helper while it holds the lock, and drops a chunk from its
-//! window once it has fetched every op of its own in it. A client that
-//! falls behind keeps its chunk in the window for as long as it lags.
+//! (`exec::made_ahead`) and deals each worker its own clients' ops
+//! (`stream index mod clients mod workers`), in 1024-op chunks over a
+//! bounded queue. A worker's own ops come in rounds of its `owned` clients
+//! in slot order, so the op at global index `i` of the client in `slot` is
+//! its `i / clients · owned + slot`-th: that is where its [`OpWindow`]
+//! finds it. A worker reads the bodies of a batch *before* it locks the
+//! SUT, so it never waits for the helper while it holds the lock, and hands
+//! a chunk's buffer back to the helper once it has fetched every op in it.
+//! A client that falls behind keeps its chunk in the window for as long as
+//! it lags.
 //!
 //! # Determinism
 //!
@@ -90,8 +94,8 @@ use super::merge::{finish_engine, EngineShape};
 use super::worker::{on_workers, LaneResult};
 use super::Tuning;
 use crate::exec::{
-    arrival_process, lock, made_ahead_to_all, op_count, prologue, step, unpaced_ops, Batch, Chunk,
-    ClientState, CoreOp, LaneParams, Lookahead, RunPlan, Sinks, CHUNK,
+    arrival_process, lock, made_ahead, op_count, prologue, step, unpaced_ops, Batch, Chunk,
+    ClientState, CoreOp, Dealt, LaneParams, Lookahead, RunPlan, Sinks, CHUNK,
 };
 use crate::obs::RunObserver;
 use crate::runner::{Executed, RunOptions};
@@ -101,8 +105,7 @@ use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// One pending client event: the client's next op and when it is due.
 #[derive(Debug, Clone, Copy)]
@@ -326,51 +329,57 @@ fn announced(
     })
 }
 
-/// A worker's window on the op stream made ahead, read by global index:
-/// every chunk received so far, each kept until the worker has fetched
-/// every op of its own in it.
+/// A worker's window on its own ops made ahead, read by global index: every
+/// chunk received so far, each kept until the worker has fetched every op
+/// in it.
 struct OpWindow<'a> {
     worker: usize,
     shape: EngineShape,
+    /// The clients this worker owns: its ops in every round of the stream.
+    owned: usize,
     /// Every op's arrival offset (the helper makes the ops without them).
     arrivals: &'a [f64],
-    chunks: Receiver<Arc<Chunk<Operation>>>,
-    /// By chunk number: the chunk while this worker has ops in it not yet
-    /// fetched, and how many.
-    window: Vec<(Option<Arc<Chunk<Operation>>>, usize)>,
+    chunks: Dealt<Operation>,
+    /// By chunk number: the chunk until every op in it is fetched, and how
+    /// many are.
+    window: Vec<(Chunk<Operation>, usize)>,
 }
 
 impl<'a> OpWindow<'a> {
     fn new(
         worker: usize,
         shape: EngineShape,
-        chunks: Receiver<Arc<Chunk<Operation>>>,
+        chunks: Dealt<Operation>,
         arrivals: &'a [f64],
     ) -> Self {
         OpWindow {
             worker,
             shape,
+            owned: owned_below(worker, shape.threads, shape.lanes),
             arrivals,
             chunks,
             window: Vec::new(),
         }
     }
 
-    /// The op at global index `i`, which this worker owns and has not
-    /// fetched before. Waits for the helper while its chunk is still to
+    /// The op at global index `i`, which the client in `slot` of this worker
+    /// owns and has not fetched before: the worker's `i / clients · owned +
+    /// slot`-th own op. Waits for the helper while its chunk is still to
     /// come.
     #[inline]
-    fn fetch(&mut self, i: usize) -> Result<CoreOp<Operation>> {
-        let k = i / CHUNK;
+    fn fetch(&mut self, i: usize, slot: usize) -> Result<CoreOp<Operation>> {
+        let own = i / self.shape.lanes * self.owned + slot;
+        let k = own / CHUNK;
         while self.window.len() <= k {
             self.receive()?;
         }
-        let (chunk, left) = &mut self.window[k];
-        let mut op = chunk.as_ref().expect("an op is fetched once")[i % CHUNK];
+        let (chunk, fetched) = &mut self.window[k];
+        let mut op = chunk[own % CHUNK];
+        debug_assert_eq!(op.meta.idx, i as u64);
         op.meta.arrival = Some(self.arrivals[i]);
-        *left -= 1;
-        if *left == 0 {
-            *chunk = None;
+        *fetched += 1;
+        if *fetched == chunk.len() {
+            self.chunks.hand_back(std::mem::take(chunk));
         }
         Ok(op)
     }
@@ -378,13 +387,10 @@ impl<'a> OpWindow<'a> {
     /// Waits for the next chunk.
     #[cold]
     fn receive(&mut self) -> Result<()> {
-        let chunk = self.chunks.recv().map_err(|_| {
+        let chunk = self.chunks.recv().ok_or_else(|| {
             BenchError::Workload("the op stream ended before its arrival schedule".to_string())
         })?;
-        let start = self.window.len() * CHUNK;
-        let own = |end| owned_ops(self.worker, self.shape, end);
-        let left = own(start + chunk.len()) - own(start);
-        self.window.push(((left > 0).then_some(chunk), left));
+        self.window.push((chunk, 0));
         Ok(())
     }
 }
@@ -429,16 +435,18 @@ where
     let plan = RunPlan::from_scenario(scenario)?;
     tuning.validate()?;
     let arrivals = arrival_offsets(scenario, opts.max_ops)?;
-    let ops = announced(ops()?);
     let clients = opts.mode.lanes();
     let threads = opts.worker_threads().min(clients);
+    // Client `c` is served by worker `c % threads`, and each worker is dealt
+    // its own clients' ops only.
+    let ops = announced(ops()?).map(|op| (op.meta.idx as usize % clients % threads, op));
     let shape = EngineShape {
         lanes: clients,
         threads,
         interval: tuning.completion_interval,
         stable_lanes: false,
     };
-    made_ahead_to_all(ops, threads, |queues| {
+    let run = |queues: Vec<Dealt<Operation>>| {
         let started = prologue(plan, [&mut *sut], obs);
         let params = &started.plan.params;
         let workers = queues
@@ -457,7 +465,8 @@ where
         })?;
         let final_metrics = lock(&mutex)?.metrics();
         finish_engine(started, results, final_metrics, shape, obs)
-    })
+    };
+    made_ahead(ops, threads, |_| true, run)
 }
 
 /// One scheduler worker: owns every client with `client % threads ==
@@ -490,7 +499,7 @@ where
         due.clear();
         while due.len() < batch_size {
             let Some(event) = ready.pop() else { break };
-            due.push((event.slot, window.fetch(event.next)?));
+            due.push((event.slot, window.fetch(event.next, event.slot)?));
         }
         if due.is_empty() {
             break;
@@ -682,11 +691,12 @@ mod tests {
         let started = prologue(plan, [sut.as_mut()], &mut RunObserver::disabled());
         let sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, arrivals.len(), true);
         let mutex = Mutex::new(sut.as_mut());
-        let ops = announced(unpaced_ops(s, u64::MAX).unwrap());
-        let (result, pushed) = made_ahead_to_all(ops, 1, |mut queues| {
+        let ops = announced(unpaced_ops(s, u64::MAX).unwrap()).map(|op| (0, op));
+        let run = |mut queues: Vec<Dealt<Operation>>| {
             let window = OpWindow::new(0, shape(clients, 1), queues.remove(0), &arrivals);
             run_sched_worker(window, sinks, &mutex, &started.plan.params, 1024).unwrap()
-        });
+        };
+        let (result, pushed) = made_ahead(ops, 1, |_| true, run);
         assert_eq!(result.sinks.ops.len(), arrivals.len());
         (pushed, arrivals.len())
     }

@@ -6,25 +6,24 @@
 //! its lanes to completion, in lane order, with the inline driver
 //! ([`drive_inline`]) — the same loop the serial policy runs on the
 //! caller's thread. A lane's input is the queue of chunks the helper deals
-//! it, its output its sinks. The first lane of each worker reads a bounded
+//! it (each buffer handed back once read), its output its sinks. The first lane of each worker reads a bounded
 //! queue; a lane waiting behind another on its worker takes its ops
 //! unbounded, since nobody reads them until the lanes before it are done.
 //! Because each lane's virtual timeline depends only on its operation
 //! subsequence (never on thread scheduling), results are reproducible for
 //! any worker count.
 
-use crate::exec::{drive_inline, Chunk, LaneParams, Sinks, SutRef};
+use crate::exec::{drive_inline, Dealt, LaneParams, Sinks, SutRef};
 use crate::Result;
 use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::ops::Operation;
-use std::sync::mpsc::Receiver;
 
 /// One lane, ready to run: its op queue, sinks and SUT access.
 pub(crate) struct LaneJob<'env, 'sut, S: ?Sized> {
     /// Lane index.
     pub lane: usize,
     /// The lane's operations, in stream order, chunk by chunk.
-    pub ops: Receiver<Chunk<Operation>>,
+    pub ops: Dealt<Operation>,
     /// The lane's result sinks.
     pub sinks: Sinks,
     /// The shared SUT, or the shard this lane owns.
@@ -83,7 +82,7 @@ where
     let done = on_workers(per_worker, |jobs| {
         jobs.into_iter()
             .map(|mut job| {
-                let final_clock = drive_inline(job.sut, job.ops, &mut job.sinks, params)?;
+                let final_clock = drive_inline(job.sut, &job.ops, &mut job.sinks, params)?;
                 Ok(LaneResult {
                     lane: job.lane,
                     sinks: job.sinks,

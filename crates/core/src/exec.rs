@@ -6,12 +6,13 @@
 //!
 //! 1. an **op source**: any iterator of [`CoreOp`]s (the scenario stream,
 //!    trace entries, per-phase query batches). The core is generic over
-//!    `Op`, as [`SystemUnderTest<Op>`] already is. Every scenario run
-//!    reads the scenario stream made ahead by one helper thread, so drawing
-//!    keys costs no driver's thread anything, as it would with a driver on
-//!    another machine: the serial policy through [`made_ahead`], the lanes
-//!    through [`made_ahead_dealt`] (each lane its own ops), the scheduler
-//!    workers through [`made_ahead_to_all`] (every worker every chunk);
+//!    `Op`, as [`SystemUnderTest<Op>`] already is. Every run reads its
+//!    source made ahead by one helper thread, so drawing keys costs no
+//!    driver's thread anything, as it would with a driver on another
+//!    machine: [`made_ahead`] deals the ops to their readers — the one
+//!    inline client of the serial policy, a trace replay or the query
+//!    workload, each lane, each scheduler worker — as chunks of that
+//!    reader's own ops, and every reader hands each buffer back once read;
 //! 2. a **prologue** ([`prologue`]: train one or many SUTs → `exec_start`
 //!    → train / phase-0 events → [`LaneParams`]) and an **epilogue**
 //!    ([`epilogue`]: run-end events → [`RunRecord`] assembly);
@@ -48,7 +49,7 @@ use lsbench_sut::sut::{ExecOutcome, SutMetrics, SystemUnderTest, TransportStats}
 use lsbench_workload::arrival::ArrivalGenerator;
 use lsbench_workload::ops::Operation;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Operations per `execute_many` dispatch. Batches never span a client's
@@ -63,9 +64,9 @@ const DISPATCH_BATCH: usize = 64;
 /// in cache between them. Any value gives the same ops in the same order.
 pub(crate) const CHUNK: usize = 1024;
 
-/// Chunk buffers of a stream [`made_ahead`]: the one the driver reads, and
-/// the ones the helper fills or has filled. Also the most chunks a bounded
-/// queue of [`made_ahead_dealt`] or [`made_ahead_to_all`] holds.
+/// The most chunks a bounded queue of a stream [`made_ahead`] holds: with
+/// the one its reader reads and the one the helper fills, the buffers that
+/// circulate between a reader and the helper.
 pub(crate) const CHUNKS: usize = 4;
 
 /// Where an operation sits in its run: everything the timing rule needs
@@ -168,220 +169,125 @@ pub(crate) fn unpaced_ops(
     }))
 }
 
-/// Runs `consume` on the calling thread over the ops of `source`, which one
-/// scoped helper thread generates ahead of it, [`CHUNK`] ops at a time.
-///
-/// The ops arrive in `source`'s order, so whatever `consume` records is
-/// what it would record pulling `source` itself. Every chunk buffer is
-/// allocated here, once, and circulates between the threads through two
-/// bounded channels: the helper only fills buffers it is handed, so it
-/// never allocates. When `consume` stops early — an error, a panic —
-/// dropping its [`MadeAhead`] disconnects both channels, which ends the
-/// helper, and the scope joins it before returning (or unwinding).
-pub(crate) fn made_ahead<Op, I, R>(source: I, consume: impl FnOnce(MadeAhead<Op>) -> R) -> R
-where
-    Op: Copy + Send,
-    I: Iterator<Item = CoreOp<Op>> + Send,
-{
-    let (filled_tx, filled) = sync_channel(CHUNKS);
-    let (empty, empty_rx) = sync_channel::<Vec<CoreOp<Op>>>(CHUNKS);
-    // One buffer starts with the driver, the others with the helper.
-    for _ in 1..CHUNKS {
-        empty
-            .send(Vec::with_capacity(CHUNK))
-            .expect("the channel has room for every buffer");
-    }
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            let mut source = source;
-            while let Ok(mut chunk) = empty_rx.recv() {
-                chunk.clear();
-                chunk.extend(source.by_ref().take(CHUNK));
-                if chunk.is_empty() || filled_tx.send(chunk).is_err() {
-                    break;
-                }
-            }
-        });
-        consume(MadeAhead {
-            chunk: Vec::with_capacity(CHUNK),
-            at: 0,
-            filled,
-            empty,
-        })
-    })
-}
-
-/// The driver's end of a stream [`made_ahead`]: an iterator over the chunks
-/// the helper fills, handing each buffer back once it is read.
-pub(crate) struct MadeAhead<Op> {
-    chunk: Vec<CoreOp<Op>>,
-    /// Next op to yield from `chunk`.
-    at: usize,
-    filled: Receiver<Vec<CoreOp<Op>>>,
-    empty: SyncSender<Vec<CoreOp<Op>>>,
-}
-
-impl<Op: Copy> Iterator for MadeAhead<Op> {
-    type Item = CoreOp<Op>;
-
-    #[inline]
-    fn next(&mut self) -> Option<CoreOp<Op>> {
-        loop {
-            if let Some(&op) = self.chunk.get(self.at) {
-                self.at += 1;
-                return Some(op);
-            }
-            self.refill()?;
-        }
-    }
-}
-
-impl<Op> MadeAhead<Op> {
-    /// Hands the chunk read back and waits for the next one: out of line,
-    /// so that the per-op path the driver inlines stays small.
-    #[cold]
-    fn refill(&mut self) -> Option<()> {
-        // A helper that has finished needs no buffer back; the channel
-        // holds every buffer, so handing one back never blocks.
-        let _ = self.empty.send(std::mem::take(&mut self.chunk));
-        self.chunk = self.filled.recv().ok()?;
-        self.at = 0;
-        Some(())
-    }
-}
-
-/// A chunk of a stream made ahead for several owners, as its owners
-/// receive it.
+/// A chunk of a stream made ahead, as its reader receives it.
 pub(crate) type Chunk<Op> = Vec<CoreOp<Op>>;
 
-/// The helper's end of one owner's queue.
+/// The helper's end of one reader's queue: bounded for a reader that reads
+/// at once, unbounded for one that waits its turn behind another, so that
+/// the helper never stalls on it.
 enum Outlet<T> {
     Bounded(SyncSender<T>),
     Unbounded(Sender<T>),
 }
 
-/// The helper's ends of every owner's queue; an owner that has stopped
-/// listening is forgotten.
-struct Outlets<T>(Vec<Option<Outlet<T>>>);
-
-impl<T> Outlets<T> {
-    /// Hands `chunk` to `owner` (waiting while a bounded queue is full) and
-    /// says whether any owner still listens.
-    fn hand(&mut self, owner: usize, chunk: T) -> bool {
-        if let Some(outlet) = &self.0[owner] {
-            let sent = match outlet {
-                Outlet::Bounded(queue) => queue.send(chunk).is_ok(),
-                Outlet::Unbounded(queue) => queue.send(chunk).is_ok(),
-            };
-            if !sent {
-                self.0[owner] = None;
-            }
+impl<T> Outlet<T> {
+    /// Hands `chunk` over, waiting while a bounded queue is full; false once
+    /// the reader has stopped listening.
+    fn hand(&self, chunk: T) -> bool {
+        match self {
+            Outlet::Bounded(queue) => queue.send(chunk).is_ok(),
+            Outlet::Unbounded(queue) => queue.send(chunk).is_ok(),
         }
-        self.0.iter().any(Option::is_some)
     }
 }
 
-/// Runs `consume` on the calling thread over the receiving ends of one
-/// queue per owner while `fill` runs on one scoped helper thread with the
-/// sending ends. Owner `i`'s queue holds at most [`CHUNKS`] chunks if
-/// `bounded(i)`, any number otherwise. When `consume` returns or unwinds,
-/// every receiving end it has not passed on is dropped, and those it passed
-/// to its own threads are dropped when they end, so a helper waiting on a
-/// full queue wakes to a send that fails, stops once nobody listens, and
-/// the scope joins it.
-fn ahead<T: Send, R>(
-    owners: usize,
-    bounded: impl Fn(usize) -> bool,
-    fill: impl FnOnce(Outlets<T>) + Send,
-    consume: impl FnOnce(Vec<Receiver<T>>) -> R,
-) -> R {
-    let (outlets, queues) = (0..owners)
-        .map(|owner| {
-            if bounded(owner) {
-                let (queue, receiver) = sync_channel(CHUNKS);
-                (Some(Outlet::Bounded(queue)), receiver)
-            } else {
-                let (queue, receiver) = channel();
-                (Some(Outlet::Unbounded(queue)), receiver)
-            }
-        })
-        .unzip();
-    std::thread::scope(|scope| {
-        scope.spawn(move || fill(Outlets(outlets)));
-        consume(queues)
-    })
+/// A reader's end of a stream [`made_ahead`]: the chunks of its own ops, in
+/// order, and the way back for every buffer it has read.
+pub(crate) struct Dealt<Op> {
+    chunks: Receiver<Chunk<Op>>,
+    spent: SyncSender<Chunk<Op>>,
 }
 
-/// Runs `consume` over one queue per owner while one scoped helper thread
-/// deals the ops of `source` — `(owner, op)` pairs — into chunks of up to
-/// [`CHUNK`] ops per owner: each owner receives its own ops, in `source`'s
-/// order, and sees its queue end once `source` has. Every queue is bounded
-/// but those for which `bounded` says otherwise (see [`ahead`]). The helper
-/// allocates each chunk; its owner frees it.
-pub(crate) fn made_ahead_dealt<Op, I, R>(
+impl<Op> Dealt<Op> {
+    /// The next chunk, or `None` once the stream has ended.
+    pub(crate) fn recv(&self) -> Option<Chunk<Op>> {
+        self.chunks.recv().ok()
+    }
+
+    /// Hands a chunk's buffer back to the helper, read or not, to be
+    /// cleared and filled again; never waits. A buffer the helper has no
+    /// room for, or no more use for, is freed.
+    pub(crate) fn hand_back(&self, chunk: Chunk<Op>) {
+        let _ = self.spent.try_send(chunk);
+    }
+}
+
+/// Runs `consume` on the calling thread over one [`Dealt`] queue per reader
+/// while one scoped helper thread deals the ops of `source` — `(reader, op)`
+/// pairs — into chunks of up to [`CHUNK`] ops per reader: each reader
+/// receives its own ops, in `source`'s order, and sees its queue end once
+/// `source` has. Reader `i`'s queue holds at most [`CHUNKS`] chunks if
+/// `bounded(i)`, any number otherwise.
+///
+/// Buffers circulate: every reader hands each one back once read, through
+/// one bounded return channel, and the helper fills a returned buffer before
+/// it allocates a new one, so once the queues are full it allocates
+/// nothing. The channel has room for every buffer a bounded reader keeps in
+/// circulation — its queue's, the one it reads, the one the helper fills
+/// for it — so only what an unbounded queue once held is ever freed.
+/// When `consume` returns or unwinds, every queue it has not passed on is
+/// dropped, and those it passed to its own threads are dropped when they
+/// end, so a helper waiting on a full queue wakes to a send that fails,
+/// stops once nobody listens, and the scope joins it.
+pub(crate) fn made_ahead<Op, I, R>(
     source: I,
-    owners: usize,
+    readers: usize,
     bounded: impl Fn(usize) -> bool,
-    consume: impl FnOnce(Vec<Receiver<Chunk<Op>>>) -> R,
+    consume: impl FnOnce(Vec<Dealt<Op>>) -> R,
 ) -> R
 where
     Op: Send,
     I: Iterator<Item = (usize, CoreOp<Op>)> + Send,
 {
-    let fill = move |mut outlets: Outlets<Chunk<Op>>| {
-        let mut filling: Vec<Chunk<Op>> = (0..owners).map(|_| Vec::with_capacity(CHUNK)).collect();
-        for (owner, op) in source {
-            let chunk = &mut filling[owner];
+    let (spent, returned) = sync_channel::<Chunk<Op>>(readers * (CHUNKS + 2));
+    let (mut outlets, queues): (Vec<_>, Vec<_>) = (0..readers)
+        .map(|reader| {
+            let (outlet, chunks) = if bounded(reader) {
+                let (queue, chunks) = sync_channel(CHUNKS);
+                (Outlet::Bounded(queue), chunks)
+            } else {
+                let (queue, chunks) = channel();
+                (Outlet::Unbounded(queue), chunks)
+            };
+            let spent = spent.clone();
+            (Some(outlet), Dealt { chunks, spent })
+        })
+        .unzip();
+    drop(spent);
+    let deal = move || {
+        // Hands `chunk` to `reader`, forgetting a reader that has stopped
+        // listening, and says whether any reader still listens.
+        let mut hand = |reader: usize, chunk| {
+            let outlet = &mut outlets[reader];
+            if outlet.as_ref().is_some_and(|outlet| !outlet.hand(chunk)) {
+                *outlet = None;
+            }
+            outlets.iter().any(Option::is_some)
+        };
+        let mut filling: Vec<Chunk<Op>> = (0..readers).map(|_| Vec::new()).collect();
+        for (reader, op) in source {
+            let chunk = &mut filling[reader];
+            if chunk.capacity() == 0 {
+                *chunk = returned
+                    .try_recv()
+                    .unwrap_or_else(|_| Vec::with_capacity(CHUNK));
+                chunk.clear();
+            }
             chunk.push(op);
-            if chunk.len() == CHUNK {
-                let full = std::mem::replace(chunk, Vec::with_capacity(CHUNK));
-                if !outlets.hand(owner, full) {
-                    return;
-                }
+            if chunk.len() == CHUNK && !hand(reader, std::mem::take(chunk)) {
+                return;
             }
         }
-        for (owner, chunk) in filling.into_iter().enumerate() {
+        for (reader, chunk) in filling.into_iter().enumerate() {
             if !chunk.is_empty() {
-                outlets.hand(owner, chunk);
+                hand(reader, chunk);
             }
         }
     };
-    ahead(owners, bounded, fill, consume)
-}
-
-/// Runs `consume` over one bounded queue per owner while one scoped helper
-/// thread fills chunks of [`CHUNK`] consecutive ops of `source` and hands
-/// every chunk to every owner: chunk `k` holds the ops `k · CHUNK ..`, so an
-/// owner finds any op by its position in `source`. A chunk is freed when
-/// the last owner drops it.
-pub(crate) fn made_ahead_to_all<Op, I, R>(
-    source: I,
-    owners: usize,
-    consume: impl FnOnce(Vec<Receiver<Arc<Chunk<Op>>>>) -> R,
-) -> R
-where
-    Op: Send + Sync,
-    I: Iterator<Item = CoreOp<Op>> + Send,
-{
-    let fill = move |mut outlets: Outlets<Arc<Chunk<Op>>>| {
-        let mut source = source;
-        loop {
-            let mut chunk = Vec::with_capacity(CHUNK);
-            chunk.extend(source.by_ref().take(CHUNK));
-            if chunk.is_empty() {
-                return;
-            }
-            let chunk = Arc::new(chunk);
-            let mut listened = false;
-            for owner in 0..owners {
-                listened = outlets.hand(owner, Arc::clone(&chunk));
-            }
-            if !listened {
-                return;
-            }
-        }
-    };
-    ahead(owners, |_| true, fill, consume)
+    std::thread::scope(|scope| {
+        scope.spawn(deal);
+        consume(queues)
+    })
 }
 
 /// Run constants every client shares. Per-op arithmetic reads them as
@@ -1060,26 +966,26 @@ pub(crate) fn lock<'a, T: ?Sized>(mutex: &'a Mutex<T>) -> Result<MutexGuard<'a, 
         .map_err(|_| BenchError::Sut("shared SUT mutex poisoned".to_string()))
 }
 
-/// The inline driver: one client owning the ops of every chunk, in order,
-/// run to completion on the calling thread. Returns the client's final
-/// clock. A chunk is taken before the shared SUT is locked, and a dispatch
-/// gathers only from the chunk at hand, so the driver never waits for a
-/// chunk while it holds the lock (a dispatch ends with its chunk, which
-/// the record cannot tell).
-pub(crate) fn drive_inline<Op, S, C>(
+/// The inline driver: one client owning the ops of every chunk it is
+/// dealt, in order, run to completion on the calling thread. Returns the
+/// client's final clock. Each chunk is drained and its buffer handed back
+/// before the next is taken; a chunk is taken before the shared SUT is
+/// locked, and a dispatch gathers only from the chunk at hand, so the
+/// driver never waits for a chunk while it holds the lock (a dispatch ends
+/// with its chunk, which the record cannot tell).
+pub(crate) fn drive_inline<Op, S>(
     mut sut: SutRef<'_, '_, S>,
-    chunks: impl IntoIterator<Item = C>,
+    ops: &Dealt<Op>,
     sinks: &mut Sinks,
     p: &LaneParams,
 ) -> Result<f64>
 where
     S: SystemUnderTest<Op> + ?Sized,
-    C: IntoIterator<Item = CoreOp<Op>>,
 {
     let mut client = [ClientState::new(p.exec_start)];
     let mut batch = Batch::default();
-    for chunk in chunks {
-        let mut source = Lookahead::new(chunk.into_iter().map(|op| (0, op)));
+    while let Some(mut chunk) = ops.recv() {
+        let mut source = Lookahead::new(chunk.drain(..).map(|op| (0, op)));
         while let Some(first) = source.next() {
             let rest = &mut source;
             match &mut sut {
@@ -1092,15 +998,17 @@ where
                 }
             }?;
         }
+        drop(source);
+        ops.hand_back(chunk);
     }
     let [mut client] = client;
     Ok(client.finish())
 }
 
 /// A whole run of one inline client over one SUT on the calling thread:
-/// prologue, [`drive_inline`], epilogue. The serial policy, the hold-out
-/// pass, closed-loop trace replay and the query workload are this call
-/// with different plans and op sources.
+/// prologue, [`drive_inline`] over `source` [`made_ahead`], epilogue. The
+/// serial policy, the hold-out pass, closed-loop trace replay and the query
+/// workload are this call with different plans and op sources.
 pub(crate) fn run_inline<Op, S, I>(
     sut: &mut S,
     plan: RunPlan,
@@ -1109,20 +1017,24 @@ pub(crate) fn run_inline<Op, S, I>(
     obs: &mut RunObserver,
 ) -> Result<(RunRecord, Option<WallStats>)>
 where
+    Op: Send,
     S: SystemUnderTest<Op> + ?Sized,
-    I: Iterator<Item = CoreOp<Op>>,
+    I: Iterator<Item = CoreOp<Op>> + Send,
 {
-    let started = prologue(plan, [&mut *sut], obs);
-    let p = &started.plan.params;
-    // The single client emits on the coordinator's own lane.
-    let root = std::mem::replace(&mut obs.root, LaneObs::inert());
-    let mut sinks = Sinks::new(root, clock, started.plan.ops_hint, false);
-    let driven = drive_inline(SutRef::Owned(&mut *sut), [source], &mut sinks, p);
-    obs.root = std::mem::replace(&mut sinks.obs, LaneObs::inert());
-    let exec_end = driven?;
-    let merged = Merged::inline(&mut sinks, p.exec_start, exec_end);
-    let record = epilogue(started, merged, sut.metrics(), None, obs);
-    Ok((record, sinks.wall.map(WallRecorder::finish)))
+    let run = |queues: Vec<Dealt<Op>>| {
+        let started = prologue(plan, [&mut *sut], obs);
+        let p = &started.plan.params;
+        // The single client emits on the coordinator's own lane.
+        let root = std::mem::replace(&mut obs.root, LaneObs::inert());
+        let mut sinks = Sinks::new(root, clock, started.plan.ops_hint, false);
+        let driven = drive_inline(SutRef::Owned(&mut *sut), &queues[0], &mut sinks, p);
+        obs.root = std::mem::replace(&mut sinks.obs, LaneObs::inert());
+        let exec_end = driven?;
+        let merged = Merged::inline(&mut sinks, p.exec_start, exec_end);
+        let record = epilogue(started, merged, sut.metrics(), None, obs);
+        Ok((record, sinks.wall.map(WallRecorder::finish)))
+    };
+    made_ahead(source.map(|op| (0, op)), 1, |_| true, run)
 }
 
 #[cfg(test)]
@@ -1171,6 +1083,40 @@ mod tests {
     /// No backlog, one that drains within an op, and one that outlasts many.
     fn backlogs() -> impl Strategy<Value = f64> {
         prop_oneof![Just(0.0), 1e-9f64..1e-5, 1e-3f64..10.0]
+    }
+
+    /// A reader that hands back every buffer, each grown to a marker
+    /// capacity first, gets buffers without the marker only while the
+    /// helper fills the first ones: never more than the queue holds, plus
+    /// the one the reader holds and the one the helper fills.
+    #[test]
+    fn made_ahead_recycles_every_buffer_handed_back() {
+        const MARKER: usize = 3 * CHUNK;
+        let total = 64 * CHUNK + 5;
+        let source = (0..total).map(|i| (0, CoreOp::new(i, 0, i, None)));
+        let (chunks, unmarked) = made_ahead(
+            source,
+            1,
+            |_| true,
+            |queues| {
+                let (mut chunks, mut unmarked) = (0, 0);
+                while let Some(mut chunk) = queues[0].recv() {
+                    assert_eq!(chunk[0].op, chunks * CHUNK, "chunk {chunks} in order");
+                    chunks += 1;
+                    if chunk.capacity() < MARKER {
+                        unmarked += 1;
+                        chunk.reserve_exact(MARKER - chunk.len());
+                    }
+                    queues[0].hand_back(chunk);
+                }
+                (chunks, unmarked)
+            },
+        );
+        assert_eq!(chunks, 65);
+        assert!(
+            unmarked <= CHUNKS + 2,
+            "{unmarked} of {chunks} chunks in new buffers"
+        );
     }
 
     proptest! {
