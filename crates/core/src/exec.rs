@@ -172,9 +172,8 @@ pub(crate) fn unpaced_ops(
 /// A chunk of a stream made ahead, as its reader receives it.
 pub(crate) type Chunk<Op> = Vec<CoreOp<Op>>;
 
-/// The helper's end of one reader's queue: bounded for a reader that reads
-/// at once, unbounded for one that waits its turn behind another, so that
-/// the helper never stalls on it.
+/// The helper's end of one reader's queue; an unbounded one never stalls
+/// the helper on a reader that waits its turn behind another.
 enum Outlet<T> {
     Bounded(SyncSender<T>),
     Unbounded(Sender<T>),
@@ -204,31 +203,23 @@ impl<Op> Dealt<Op> {
         self.chunks.recv().ok()
     }
 
-    /// Hands a chunk's buffer back to the helper, read or not, to be
-    /// cleared and filled again; never waits. A buffer the helper has no
-    /// room for, or no more use for, is freed.
+    /// Hands a chunk's buffer back to the helper without waiting; one it has
+    /// no room or use for is freed.
     pub(crate) fn hand_back(&self, chunk: Chunk<Op>) {
         let _ = self.spent.try_send(chunk);
     }
 }
 
 /// Runs `consume` on the calling thread over one [`Dealt`] queue per reader
-/// while one scoped helper thread deals the ops of `source` — `(reader, op)`
-/// pairs — into chunks of up to [`CHUNK`] ops per reader: each reader
-/// receives its own ops, in `source`'s order, and sees its queue end once
-/// `source` has. Reader `i`'s queue holds at most [`CHUNKS`] chunks if
-/// `bounded(i)`, any number otherwise.
-///
-/// Buffers circulate: every reader hands each one back once read, through
-/// one bounded return channel, and the helper fills a returned buffer before
-/// it allocates a new one, so once the queues are full it allocates
-/// nothing. The channel has room for every buffer a bounded reader keeps in
-/// circulation — its queue's, the one it reads, the one the helper fills
-/// for it — so only what an unbounded queue once held is ever freed.
-/// When `consume` returns or unwinds, every queue it has not passed on is
-/// dropped, and those it passed to its own threads are dropped when they
-/// end, so a helper waiting on a full queue wakes to a send that fails,
-/// stops once nobody listens, and the scope joins it.
+/// while one scoped helper thread deals `source`'s `(reader, op)` pairs into
+/// chunks of up to [`CHUNK`] ops per reader, in `source`'s order. Reader
+/// `i`'s queue holds at most [`CHUNKS`] chunks if `bounded(i)`, any number
+/// otherwise. Readers hand every buffer back through one return channel,
+/// with room for all a bounded reader keeps in circulation, and the helper
+/// fills a returned buffer before it allocates one. When `consume` returns
+/// or unwinds, the queues it holds, or its threads held, are dropped, so a
+/// helper waiting on a full queue wakes to a failed send, stops once nobody
+/// listens, and the scope joins it.
 pub(crate) fn made_ahead<Op, I, R>(
     source: I,
     readers: usize,
