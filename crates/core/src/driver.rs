@@ -188,7 +188,7 @@ pub fn run_query_workload<S: SystemUnderTest<QueryOp> + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{CHUNK, CHUNKS};
+    use crate::exec::{step, Batch, Lookahead, CHUNK, CHUNKS};
     use crate::runner::Runner;
     use lsbench_sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
     use lsbench_sut::sut::{ExecOutcome, SutMetrics};
@@ -544,8 +544,31 @@ mod tests {
             .unwrap()
     }
 
+    /// The serial policy's run with no chunks: the stream pulled on the
+    /// calling thread through one look-ahead, stepped from start to end,
+    /// between the prologue and epilogue `run_inline` puts around it.
+    fn unchunked(sut: &mut Probe, s: &Scenario, max_ops: u64) -> RunRecord {
+        let obs = &mut RunObserver::disabled();
+        let started = prologue(RunPlan::from_scenario(s).unwrap(), [&mut *sut], obs);
+        let p = &started.plan.params;
+        let hint = started.plan.ops_hint;
+        let mut sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, hint, false);
+        let mut client = [ClientState::new(p.exec_start)];
+        let mut batch = Batch::default();
+        let ops = scenario_ops(s, max_ops).unwrap().map(|op| (0, op));
+        let mut source = Lookahead::new(ops);
+        while let Some(first) = source.next() {
+            let rest = &mut source;
+            step(&mut client, &mut sinks, &mut batch, sut, first, rest, p).unwrap();
+        }
+        let [mut client] = client;
+        let exec_end = client.finish();
+        let merged = Merged::inline(&mut sinks, p.exec_start, exec_end);
+        epilogue(started, merged, sut.metrics(), None, obs)
+    }
+
     /// The serial policy's record and SUT calls under an op cap, then the
-    /// same run over the stream drawn whole on the calling thread first.
+    /// same run [`unchunked`].
     fn both_ways(s: &Scenario, max_ops: u64) -> [(RunRecord, Vec<Operation>); 2] {
         let opts = RunOptions {
             max_ops,
@@ -554,12 +577,9 @@ mod tests {
         let obs = &mut RunObserver::disabled();
         let mut ahead = Probe::default();
         let (record, _, _) = run_serial(&mut ahead, s, &opts, obs).unwrap();
-        let mut inline = Probe::default();
-        let plan = RunPlan::from_scenario(s).unwrap();
-        let drawn: Vec<_> = scenario_ops(s, max_ops).unwrap().collect();
-        let (inline_record, _) =
-            run_inline(&mut inline, plan, drawn.into_iter(), ClockMode::Sim, obs).unwrap();
-        [(record, ahead.seen), (inline_record, inline.seen)]
+        let mut whole = Probe::default();
+        let whole_record = unchunked(&mut whole, s, max_ops);
+        [(record, ahead.seen), (whole_record, whole.seen)]
     }
 
     #[test]
