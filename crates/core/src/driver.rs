@@ -544,26 +544,20 @@ mod tests {
             .unwrap()
     }
 
-    /// The serial policy's run with no chunks: the stream pulled on the
-    /// calling thread through one look-ahead, stepped from start to end,
-    /// between the prologue and epilogue `run_inline` puts around it.
+    /// The serial policy's run with no chunks: the whole stream stepped
+    /// through one look-ahead on the calling thread, between the prologue
+    /// and epilogue `run_inline` puts around its driver.
     fn unchunked(sut: &mut Probe, s: &Scenario, max_ops: u64) -> RunRecord {
         let obs = &mut RunObserver::disabled();
         let started = prologue(RunPlan::from_scenario(s).unwrap(), [&mut *sut], obs);
         let p = &started.plan.params;
-        let hint = started.plan.ops_hint;
-        let mut sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, hint, false);
-        let mut client = [ClientState::new(p.exec_start)];
-        let mut batch = Batch::default();
-        let ops = scenario_ops(s, max_ops).unwrap().map(|op| (0, op));
-        let mut source = Lookahead::new(ops);
-        while let Some(first) = source.next() {
-            let rest = &mut source;
-            step(&mut client, &mut sinks, &mut batch, sut, first, rest, p).unwrap();
+        let mut sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, 0, false);
+        let (mut client, mut batch) = ([ClientState::new(p.exec_start)], Batch::default());
+        let mut ops = Lookahead::new(scenario_ops(s, max_ops).unwrap().map(|op| (0, op)));
+        while let Some(first) = ops.next() {
+            step(&mut client, &mut sinks, &mut batch, sut, first, &mut ops, p).unwrap();
         }
-        let [mut client] = client;
-        let exec_end = client.finish();
-        let merged = Merged::inline(&mut sinks, p.exec_start, exec_end);
+        let merged = Merged::inline(&mut sinks, p.exec_start, client[0].finish());
         epilogue(started, merged, sut.metrics(), None, obs)
     }
 

@@ -6,10 +6,9 @@
 //! its lanes to completion, in lane order, with the inline driver
 //! ([`drive_inline`]) — the same loop the serial policy runs on the
 //! caller's thread. A lane's input is the queue of chunks the helper deals
-//! it (each buffer handed back once read), its output its sinks. The first
-//! lane of each worker reads a bounded queue; a lane waiting behind another
-//! on its worker takes its ops unbounded, since nobody reads them until the
-//! lanes before it are done.
+//! it, its output its sinks. The first lane of each worker reads a bounded
+//! queue; a lane waiting behind another on its worker takes its ops
+//! unbounded, since nobody reads them until the lanes before it are done.
 //! Because each lane's virtual timeline depends only on its operation
 //! subsequence (never on thread scheduling), results are reproducible for
 //! any worker count.
