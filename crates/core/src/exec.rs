@@ -715,9 +715,8 @@ impl<I: Iterator> Iterator for Lookahead<I> {
 /// accounting — see the [module docs](self). Every op comes with the slot
 /// of its client in `clients`: the inline driver has one client and slot
 /// 0, a scheduler worker its whole population and whichever clients are
-/// due next. Always inlined: one inline driver serves the serial policy and
-/// the lanes, and called out of line from it, the serial policy's per-op
-/// loop would no longer see its one client at slot 0.
+/// due next. Always inlined, so that the serial policy's loop, which shares
+/// its driver with the lanes, still sees its one client at slot 0.
 #[inline(always)]
 pub(crate) fn step<Op, T, I>(
     clients: &mut [ClientState],
