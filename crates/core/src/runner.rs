@@ -544,6 +544,25 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_run_has_an_empty_latency_histogram_and_no_op_counters() {
+        for mode in [ExecutionMode::Serial, ExecutionMode::Sharded { workers: 2 }] {
+            let opts = RunOptions {
+                max_ops: 0,
+                ..RunOptions::with_mode(mode)
+            };
+            let outcome = Runner::from_factory(factory).config(opts).run(&scenario());
+            let metrics = outcome.unwrap().metrics;
+            let latency = &metrics.histograms["latency"];
+            assert_eq!(latency.total.total(), 0, "{mode:?}");
+            assert!(latency.slices.is_empty(), "{mode:?}");
+            // Only the phase-0 anchor is counted: no op completed or failed.
+            let counters: Vec<&str> = metrics.counters.keys().map(String::as_str).collect();
+            assert_eq!(counters, ["phase_changes"], "{mode:?}");
+            assert!(metrics.gauges.is_empty(), "{mode:?}");
+        }
+    }
+
+    #[test]
     fn traced_run_produces_trace_and_spans() {
         let s = scenario();
         let opts = RunOptions {

@@ -2,8 +2,8 @@
 //!
 //! Every cell below runs one (scenario, SUT, execution mode, fault plan,
 //! worker count) combination through the public entry points and pins an
-//! FNV-1a digest of the serialized [`RunRecord`] (plus the engine
-//! statistics and the hold-out pass where they exist) in
+//! FNV-1a digest of the serialized [`RunRecord`] and metrics registry
+//! (plus the engine statistics and the hold-out pass where they exist) in
 //! `tests/fixtures/record_digests_v1.json`. The fixture is the contract a
 //! harness refactor must not bend: the virtual-clock record is a function
 //! of the scenario and the SUT, never of which loop, lock granularity,
@@ -186,6 +186,10 @@ fn run(s: &Scenario, sut: &str, opts: RunOptions) -> RunOutcome {
 
 fn pin_outcome(cells: &mut BTreeMap<String, String>, key: &str, outcome: &RunOutcome) {
     cells.insert(format!("{key}/record"), digest(to_string(&outcome.record)));
+    cells.insert(
+        format!("{key}/metrics"),
+        digest(to_string(&outcome.metrics)),
+    );
     if let Some(engine) = &outcome.engine {
         cells.insert(format!("{key}/engine"), digest(to_string(engine)));
     }
