@@ -151,7 +151,7 @@ pub fn run_kv_trace_open_loop<S: SystemUnderTest<Operation> + ?Sized>(
         };
         *free = start + service;
         server.clock = server.clock.max(*free);
-        sinks.complete(*free, *free - basis, outcome.ok, &meta, p.exec_start);
+        sinks.complete(*free, *free - basis, outcome.ok, &meta);
     }
     let merged = Merged::inline(&mut sinks, p.exec_start, server.finish());
     Ok(epilogue(started, merged, sut.metrics(), None, obs))

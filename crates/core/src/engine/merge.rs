@@ -7,15 +7,12 @@
 //! per phase, sums), so the output is identical for any worker count and
 //! any lane-arrival order.
 
-use super::latency::latency_to_ns;
 use super::worker::LaneResult;
 use crate::exec::{epilogue, Merged, Started};
 use crate::faults::FaultStats;
 use crate::obs::{LaneObs, RunObserver};
 use crate::record::OpRecord;
-use crate::runner::{EngineStats, Executed};
-use crate::{BenchError, Result};
-use lsbench_stats::{IntervalCounts, LatencyHistogram};
+use crate::runner::Executed;
 use lsbench_sut::sut::SutMetrics;
 use std::collections::BTreeMap;
 
@@ -41,8 +38,6 @@ pub(crate) struct EngineShape {
     pub lanes: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Width of the per-interval completion counters.
-    pub interval: f64,
     /// Whether `LaneResult::lane` is a stable identity (one lane = one op
     /// stream) and so may break completion ties before the global index.
     /// Scheduler results are per *worker* — an index that changes with the
@@ -59,7 +54,7 @@ pub(crate) fn finish_engine(
     final_metrics: SutMetrics,
     shape: EngineShape,
     obs: &mut RunObserver,
-) -> Result<Executed> {
+) -> Executed {
     if obs.is_active() {
         let lane_obs = results
             .iter_mut()
@@ -103,16 +98,6 @@ pub(crate) fn finish_engine(
     let mut phase_change_times: Vec<(usize, f64)> = first_seen.into_iter().collect();
     phase_change_times.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 
-    // The engine's own statistics are sums over the merged record, so they
-    // are taken from it once rather than kept (and merged) per lane.
-    let metric = |e: lsbench_stats::StatsError| BenchError::Metric(e.to_string());
-    let mut latency = LatencyHistogram::new();
-    let mut completions = IntervalCounts::new(exec_start, shape.interval).map_err(metric)?;
-    for (_, _, op) in &tagged {
-        latency.record(latency_to_ns(op.latency));
-        completions.record(op.t_end).map_err(metric)?;
-    }
-
     let merged = Merged {
         ops: tagged.into_iter().map(|(_, _, rec)| rec).collect(),
         phase_change_times,
@@ -121,13 +106,7 @@ pub(crate) fn finish_engine(
     };
     let engine = Some((shape.lanes, shape.threads));
     let record = epilogue(started, merged, final_metrics, engine, obs);
-    let stats = EngineStats {
-        latency,
-        completions,
-        threads: shape.threads,
-        lanes: shape.lanes,
-    };
-    Ok((record, Some(stats), None))
+    (record, engine, None)
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@
 //! for `SharedLock` and `Sharded`, [`sched::run_heap`] for `OpenLoop`.
 //! Either returns a [`RunRecord`](crate::record::RunRecord) of the exact
 //! shape the serial policy produces, so adaptability, SLA-band, and
-//! specialization metrics work on concurrent runs unchanged, plus the
-//! merged [`EngineStats`](crate::runner::EngineStats).
+//! specialization metrics work on concurrent runs unchanged; the runner
+//! restates the [`EngineStats`](crate::runner::EngineStats) from it.
 
 pub(crate) mod latency;
 mod merge;
@@ -61,16 +61,11 @@ use worker::LaneJob;
 pub(crate) struct Tuning {
     /// Scheduler events popped (and executed) per SUT lock.
     pub batch_size: usize,
-    /// Width of the per-interval completion counters, in virtual seconds.
-    pub completion_interval: f64,
 }
 
 impl Default for Tuning {
     fn default() -> Self {
-        Tuning {
-            batch_size: 1024,
-            completion_interval: 0.01,
-        }
+        Tuning { batch_size: 1024 }
     }
 }
 
@@ -79,11 +74,6 @@ impl Tuning {
         if self.batch_size == 0 {
             return Err(BenchError::InvalidScenario(
                 "engine batch_size must be at least 1".to_string(),
-            ));
-        }
-        if !(self.completion_interval > 0.0 && self.completion_interval.is_finite()) {
-            return Err(BenchError::InvalidScenario(
-                "engine completion_interval must be positive and finite".to_string(),
             ));
         }
         Ok(())
@@ -198,7 +188,6 @@ where
     let shape = EngineShape {
         lanes,
         threads,
-        interval: tuning.completion_interval,
         stable_lanes: true,
     };
     // Room for every op in each lane's sinks: a lane that gets nearly every
@@ -246,7 +235,7 @@ where
                 (results, sum_metrics(shards.iter().map(|s| s.metrics())))
             }
         };
-        finish_engine(started, results, final_metrics, shape, obs)
+        Ok(finish_engine(started, results, final_metrics, shape, obs))
     };
     made_ahead(dealt, lanes, bounded, run)
 }
@@ -553,22 +542,7 @@ mod tests {
             let obs = &mut RunObserver::disabled();
             run_lanes(&mut LaneSuts::Shared(sut), &s, &shared(1), tuning, obs)
         };
-        for bad in [
-            Tuning {
-                batch_size: 0,
-                ..Tuning::default()
-            },
-            Tuning {
-                completion_interval: 0.0,
-                ..Tuning::default()
-            },
-            Tuning {
-                completion_interval: f64::NAN,
-                ..Tuning::default()
-            },
-        ] {
-            assert!(run(bad, &mut sut).is_err());
-        }
+        assert!(run(Tuning { batch_size: 0 }, &mut sut).is_err());
         // Shard-count mismatch is rejected too.
         let (router, datasets) = shard_dataset(&data, 3).unwrap();
         let mut suts: Vec<BoxedKvSut> = datasets[..2].iter().map(|d| btree(d).unwrap()).collect();

@@ -79,8 +79,8 @@
 //! Every op's timing is a function of *its client's* state only — the
 //! queue decides *when a worker gets around to* an op — and every sink
 //! merges order-insensitively: op records re-sort on `(completion time,
-//! global index)`, phase first-seen times min-fold, histograms and
-//! counters add. Against a read-only shared SUT the record is therefore
+//! global index)`, phase first-seen times min-fold, counters add.
+//! Against a read-only shared SUT the record is therefore
 //! bit-identical at any worker count and any [`Tuning::batch_size`] (the
 //! same contract, and the same caveat, as the shared-lock lanes of
 //! [`super::run_lanes`]). Against a SUT the ops mutate, what an op
@@ -443,7 +443,6 @@ where
     let shape = EngineShape {
         lanes: clients,
         threads,
-        interval: tuning.completion_interval,
         stable_lanes: false,
     };
     let run = |queues: Vec<Dealt<Operation>>| {
@@ -464,7 +463,7 @@ where
                 .map(|(result, _)| result)
         })?;
         let final_metrics = lock(&mutex)?.metrics();
-        finish_engine(started, results, final_metrics, shape, obs)
+        Ok(finish_engine(started, results, final_metrics, shape, obs))
     };
     made_ahead(ops, threads, |_| true, run)
 }
@@ -637,10 +636,7 @@ mod tests {
         let big = run(&mut big_sut, &s, open_loop(64, 4));
         for batch_size in [1, 7] {
             let mut small_sut = BTreeSut::build(&data).unwrap();
-            let tiny = Tuning {
-                batch_size,
-                ..Tuning::default()
-            };
+            let tiny = Tuning { batch_size };
             let obs = &mut RunObserver::disabled();
             let (small, _, _) = run_heap(&mut small_sut, &s, &open_loop(64, 4), tiny, obs).unwrap();
             assert_eq!(small.ops, big.record.ops, "batch_size={batch_size}");
@@ -652,7 +648,6 @@ mod tests {
         EngineShape {
             lanes: clients,
             threads,
-            interval: Tuning::default().completion_interval,
             stable_lanes: false,
         }
     }

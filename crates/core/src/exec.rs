@@ -579,7 +579,7 @@ pub(crate) struct Sinks {
     pub ops: Vec<OpRecord>,
     /// Virtual time a client first saw each phase (phase 0 excluded).
     pub phase_first: Vec<(usize, f64)>,
-    /// Observability state (events, counters, histogram); inert when off.
+    /// Observability state (events, counters); inert when off.
     pub obs: LaneObs,
     /// Fault-injection accounting.
     pub faults: FaultStats,
@@ -608,18 +608,10 @@ impl Sinks {
 
     /// Records one completed operation.
     #[inline]
-    pub(crate) fn complete(
-        &mut self,
-        t_end: f64,
-        latency: f64,
-        ok: bool,
-        meta: &OpMeta,
-        exec_start: f64,
-    ) {
+    pub(crate) fn complete(&mut self, t_end: f64, latency: f64, ok: bool, meta: &OpMeta) {
         if let Some(idx) = &mut self.idx {
             idx.push(meta.idx);
         }
-        self.obs.op_done(t_end, t_end - exec_start, latency, ok);
         self.ops.push(OpRecord {
             t_end,
             latency,
@@ -797,7 +789,7 @@ fn account(
         client.clock += service;
         // Closed loop: latency = service. Open loop: queueing included.
         let latency = intended.map_or(service, |t| client.clock - t);
-        sinks.complete(client.clock, latency, outcome.ok, meta, p.exec_start);
+        sinks.complete(client.clock, latency, outcome.ok, meta);
         return Ok(());
     };
     let settled = session.settle(
@@ -836,7 +828,7 @@ fn account(
     sinks.faults.retries += settled.retries as u64;
     sinks.faults.timeouts += settled.timeouts as u64;
     sinks.faults.crashes += crashed as u64;
-    sinks.complete(client.clock, latency, settled.ok, meta, p.exec_start);
+    sinks.complete(client.clock, latency, settled.ok, meta);
     Ok(())
 }
 

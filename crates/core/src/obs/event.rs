@@ -1,8 +1,8 @@
 //! Run events: the structured trace vocabulary.
 //!
 //! Every notable thing that happens inside a benchmark run — a phase
-//! boundary, a retraining burst, a maintenance slot that did work, an SLA
-//! violation, a backlog high-water mark — is captured as a [`RunEvent`]
+//! boundary, a retraining burst, a maintenance slot that did work, an
+//! injected fault, a backlog high-water mark — is captured as a [`RunEvent`]
 //! stamped with the **virtual clock**. Because the clock is deterministic,
 //! traces are deterministic too: the same scenario, seed, and lane count
 //! produce the same event stream for any worker-thread count, which is
@@ -46,14 +46,6 @@ pub enum RunEvent {
         /// Backlog depth in virtual seconds of full-rate work.
         seconds: f64,
     },
-    /// A completed operation's latency exceeded the configured SLA
-    /// threshold (only emitted when [`ObsConfig::sla_threshold`] is set).
-    ///
-    /// [`ObsConfig::sla_threshold`]: crate::obs::ObsConfig::sla_threshold
-    SlaViolation {
-        /// The violating latency in virtual seconds.
-        latency: f64,
-    },
     /// The fault layer injected a fault into a completing operation.
     FaultInjected {
         /// What was injected.
@@ -94,7 +86,6 @@ impl RunEvent {
             RunEvent::RetrainBurst { .. } => "retrain_burst",
             RunEvent::MaintenanceSlot { .. } => "maintenance_slot",
             RunEvent::BacklogHighWater { .. } => "backlog_high_water",
-            RunEvent::SlaViolation { .. } => "sla_violation",
             RunEvent::FaultInjected { .. } => "fault_injected",
             RunEvent::QueryRetried { .. } => "query_retried",
             RunEvent::QueryTimedOut { .. } => "query_timed_out",

@@ -3,13 +3,15 @@
 //! Three layers, all optional and all zero-cost when disabled:
 //!
 //! 1. **Event tracing** — [`RunEvent`]s (phase changes, train start/end,
-//!    retraining bursts, maintenance slots, SLA violations, backlog
+//!    retraining bursts, maintenance slots, injected faults, backlog
 //!    high-water marks, shard merges) stamped with the **virtual clock**,
 //!    merged into a deterministic [`TraceLog`] that renders as tagged
 //!    JSON lines ([`TraceLog::to_jsonl_tagged`]).
 //! 2. **Metrics** — a [`MetricsRegistry`] of counters, high-water gauges,
-//!    and per-interval latency histograms, accumulated lane-locally and
-//!    merged at join; exposed per scenario in
+//!    and per-interval latency histograms: what the record cannot tell
+//!    (phase, maintenance and retraining counts, backlog high-water marks)
+//!    accumulated lane-locally and merged at join, the per-op entries
+//!    restated from the finished record; exposed per scenario in
 //!    [`ScenarioSummary`](crate::suite::ScenarioSummary).
 //! 3. **Profiling spans** — wall-clock scope timers around bulk-load,
 //!    the run, and the hold-out pass, rendered as a span tree by

@@ -8,45 +8,36 @@
 //! sequence number, the merged [`TraceLog`] is identical for any worker
 //! thread count.
 //!
+//! The observer sees only what the run record cannot tell: phase changes,
+//! maintenance slots, retraining bursts, backlog high-water marks and
+//! trace events. Per-op statistics (op counts, the `latency` histogram,
+//! fault counts) are restated from the finished record by the runner.
+//!
 //! Observation must **never** advance or read the virtual clock as a side
 //! effect — that is the structural guarantee behind the bit-identical
 //! `RunRecord` requirement, enforced by `tests/observability.rs`.
 
 use super::event::{RunEvent, TraceEvent, TraceLog};
-use super::registry::{IntervalHistogram, MetricsRegistry, DEFAULT_INTERVAL_WIDTH};
+use super::registry::MetricsRegistry;
 use super::span::{SpanCollector, SpanNode};
-use crate::engine::latency::latency_to_ns;
 
 /// Per-emitter event buffer capacity; overflow increments
 /// [`TraceLog::dropped`].
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
-/// What to observe during a run. Counters, gauges and the `latency`
-/// interval histogram (slices [`DEFAULT_INTERVAL_WIDTH`] virtual seconds
-/// wide) are always collected.
+/// What to observe during a run. The metrics registry is always filled:
+/// counters and gauges by the observer, the per-op entries from the record.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ObsConfig {
     /// Buffer [`TraceEvent`]s into a merged [`TraceLog`] and collect the
     /// wall-clock span tree.
     pub trace: bool,
-    /// Latency threshold (virtual seconds) above which completed ops emit
-    /// [`RunEvent::SlaViolation`] and bump the `sla_violations` counter.
-    pub sla_threshold: Option<f64>,
 }
 
 impl ObsConfig {
     /// Full observation: event trace and spans on top of the metrics.
     pub fn traced() -> Self {
-        ObsConfig {
-            trace: true,
-            ..ObsConfig::default()
-        }
-    }
-
-    /// Sets the SLA threshold (virtual seconds) for violation events.
-    pub fn with_sla(mut self, threshold: f64) -> Self {
-        self.sla_threshold = Some(threshold);
-        self
+        ObsConfig { trace: true }
     }
 }
 
@@ -54,17 +45,11 @@ impl ObsConfig {
 /// folded into the [`MetricsRegistry`] once at run end.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct CoreCounters {
-    completed: u64,
-    failed: u64,
     phase_changes: u64,
     maintenance_slots: u64,
     maintenance_work: u64,
     retrain_bursts: u64,
     retrain_work: u64,
-    sla_violations: u64,
-    faults_injected: u64,
-    query_retries: u64,
-    query_timeouts: u64,
 }
 
 /// Per-emitter observation state: one per engine lane, plus one owned by
@@ -80,7 +65,6 @@ pub(crate) struct LaneObs {
     dropped: u64,
     counters: CoreCounters,
     backlog_high_water: f64,
-    latency: Option<IntervalHistogram>,
 }
 
 impl LaneObs {
@@ -94,7 +78,6 @@ impl LaneObs {
             dropped: 0,
             counters: CoreCounters::default(),
             backlog_high_water: 0.0,
-            latency: active.then(|| IntervalHistogram::new(DEFAULT_INTERVAL_WIDTH)),
         }
     }
 
@@ -157,39 +140,10 @@ impl LaneObs {
         }
     }
 
-    /// An operation completed at virtual time `t_end` (`t_rel` seconds after
-    /// execution start) with the given latency and success flag.
-    #[inline]
-    pub fn op_done(&mut self, t_end: f64, t_rel: f64, latency: f64, ok: bool) {
-        if !self.active {
-            return;
-        }
-        if ok {
-            self.counters.completed += 1;
-        } else {
-            self.counters.failed += 1;
-        }
-        if let Some(thr) = self.cfg.sla_threshold {
-            // A failed (or timed-out) operation violates the SLA no matter
-            // how fast it failed — mirrors SlaReport's attribution.
-            if latency > thr || !ok {
-                self.counters.sla_violations += 1;
-                self.push(t_end, RunEvent::SlaViolation { latency });
-            }
-        }
-        if let Some(hist) = self.latency.as_mut() {
-            hist.record(t_rel, latency_to_ns(latency));
-        }
-    }
-
     /// The fault layer injected `fault` into the operation completing at
-    /// `t`.
+    /// `t`. The fault hooks only trace: the record's fault ledger counts.
     #[inline]
     pub fn fault_injected(&mut self, t: f64, fault: crate::faults::FaultKind) {
-        if !self.active {
-            return;
-        }
-        self.counters.faults_injected += 1;
         self.push(t, RunEvent::FaultInjected { fault });
     }
 
@@ -197,10 +151,6 @@ impl LaneObs {
     /// operation completing at `t`.
     #[inline]
     pub fn query_retried(&mut self, t: f64, attempt: u32) {
-        if !self.active {
-            return;
-        }
-        self.counters.query_retries += 1;
         self.push(t, RunEvent::QueryRetried { attempt });
     }
 
@@ -208,10 +158,6 @@ impl LaneObs {
     /// operation completed at `t` with client-observed `latency`.
     #[inline]
     pub fn query_timed_out(&mut self, t: f64, latency: f64) {
-        if !self.active {
-            return;
-        }
-        self.counters.query_timeouts += 1;
         self.push(t, RunEvent::QueryTimedOut { latency });
     }
 
@@ -231,17 +177,11 @@ impl LaneObs {
     fn fold_into(&self, reg: &mut MetricsRegistry) {
         let c = &self.counters;
         for (name, v) in [
-            ("ops_completed", c.completed),
-            ("ops_failed", c.failed),
             ("phase_changes", c.phase_changes),
             ("maintenance_slots", c.maintenance_slots),
             ("maintenance_work_units", c.maintenance_work),
             ("retrain_bursts", c.retrain_bursts),
             ("retrain_work_units", c.retrain_work),
-            ("sla_violations", c.sla_violations),
-            ("faults_injected", c.faults_injected),
-            ("query_retries", c.query_retries),
-            ("query_timeouts", c.query_timeouts),
         ] {
             if v > 0 {
                 reg.inc(name, v);
@@ -258,7 +198,7 @@ impl LaneObs {
 pub(crate) struct ObsReport {
     /// Merged, time-ordered event trace (when tracing was on).
     pub trace: Option<TraceLog>,
-    /// Counters, gauges, and histograms merged across lanes.
+    /// Counters and gauges merged across lanes.
     pub metrics: MetricsRegistry,
     /// Completed wall-clock spans (when span collection was on).
     pub spans: Vec<SpanNode>,
@@ -349,8 +289,8 @@ impl RunObserver {
 
     /// Merges all emitters into the final report: events sorted by
     /// `(t, coordinator-before-lanes, lane, seq)`, counters summed, gauges
-    /// maxed, histograms merged.
-    pub fn finish(self) -> crate::Result<ObsReport> {
+    /// maxed.
+    pub fn finish(self) -> ObsReport {
         let RunObserver {
             cfg,
             active,
@@ -364,24 +304,13 @@ impl RunObserver {
             spans: spans.finish(),
         };
         if !active {
-            return Ok(report);
+            return report;
         }
         let mut emitters: Vec<&LaneObs> = Vec::with_capacity(lanes.len() + 1);
         emitters.push(&root);
         emitters.extend(lanes.iter());
         for e in &emitters {
             e.fold_into(&mut report.metrics);
-            if let Some(hist) = &e.latency {
-                match report.metrics.histograms.get_mut("latency") {
-                    Some(mine) => mine.merge(hist)?,
-                    None => {
-                        report
-                            .metrics
-                            .histograms
-                            .insert("latency".to_string(), hist.clone());
-                    }
-                }
-            }
         }
         if cfg.trace {
             let mut events: Vec<TraceEvent> = emitters
@@ -392,7 +321,7 @@ impl RunObserver {
             let dropped = emitters.iter().map(|e| e.dropped).sum();
             report.trace = Some(TraceLog { events, dropped });
         }
-        Ok(report)
+        report
     }
 }
 
@@ -405,10 +334,9 @@ mod tests {
         let mut obs = RunObserver::disabled();
         obs.train_start(0.0, 100);
         obs.root.phase_change(0.0, 0);
-        obs.root.op_done(1.0, 1.0, 0.5, true);
         obs.root.backlog(1.0, 3.0);
         obs.run_end(2.0, 1);
-        let report = obs.finish().unwrap();
+        let report = obs.finish();
         assert!(report.trace.is_none());
         assert!(report.metrics.is_empty());
         assert!(report.spans.is_empty());
@@ -432,7 +360,7 @@ mod tests {
             }
             obs.absorb(v);
             obs.run_end(3.0, 4);
-            obs.finish().unwrap().trace.unwrap()
+            obs.finish().trace.unwrap()
         };
         let a = build([0, 1]);
         let b = build([1, 0]);
@@ -443,46 +371,37 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_fold_across_lanes() {
-        let mut obs = RunObserver::new(ObsConfig::default().with_sla(0.1));
+        let mut obs = RunObserver::new(ObsConfig::default());
         let mut l0 = obs.lane_obs(0);
         let mut l1 = obs.lane_obs(1);
-        l0.op_done(1.0, 1.0, 0.05, true);
-        l0.op_done(1.1, 1.1, 0.2, true); // SLA violation: over threshold
-        l1.op_done(1.2, 1.2, 0.01, false); // SLA violation: failed op
         l0.maintenance(1.3, 0);
         l1.maintenance(1.4, 7);
         l0.retrain_burst(1.5, 1, 3);
         l1.backlog(1.6, 0.4);
         l1.backlog(1.7, 0.2); // not a new high-water mark
         obs.absorb(vec![l0, l1]);
-        let report = obs.finish().unwrap();
+        let report = obs.finish();
         let m = &report.metrics;
-        assert_eq!(m.counter("ops_completed"), 2);
-        assert_eq!(m.counter("ops_failed"), 1);
-        assert_eq!(m.counter("sla_violations"), 2);
         assert_eq!(m.counter("maintenance_slots"), 2);
         assert_eq!(m.counter("maintenance_work_units"), 7);
         assert_eq!(m.counter("retrain_bursts"), 1);
         assert_eq!(m.counter("retrain_work_units"), 3);
         assert_eq!(m.gauge("backlog_high_water_s"), Some(0.4));
-        let lat = &m.histograms["latency"];
-        assert_eq!(lat.total.total(), 3);
         // No trace requested.
         assert!(report.trace.is_none());
     }
 
     #[test]
-    fn fault_hooks_count_and_trace() {
+    fn fault_hooks_only_trace() {
         use crate::faults::FaultKind;
         let mut obs = RunObserver::new(ObsConfig::traced());
         obs.root.fault_injected(1.0, FaultKind::Error);
         obs.root.fault_injected(1.0, FaultKind::Crash);
         obs.root.query_retried(1.0, 1);
         obs.root.query_timed_out(1.1, 0.5);
-        let report = obs.finish().unwrap();
-        assert_eq!(report.metrics.counter("faults_injected"), 2);
-        assert_eq!(report.metrics.counter("query_retries"), 1);
-        assert_eq!(report.metrics.counter("query_timeouts"), 1);
+        let report = obs.finish();
+        // The record's fault ledger counts; the registry restates it.
+        assert!(report.metrics.is_empty());
         let t = report.trace.unwrap();
         assert_eq!(t.count_kind("fault_injected"), 2);
         assert_eq!(t.count_kind("query_retried"), 1);
@@ -495,7 +414,7 @@ mod tests {
         for i in 0..DEFAULT_RING_CAPACITY + 3 {
             obs.root.phase_change(i as f64, i);
         }
-        let trace = obs.finish().unwrap().trace.unwrap();
+        let trace = obs.finish().trace.unwrap();
         assert_eq!(trace.events.len(), DEFAULT_RING_CAPACITY);
         assert_eq!(trace.dropped, 3);
     }

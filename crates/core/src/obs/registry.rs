@@ -1,10 +1,11 @@
 //! Metrics registry: named counters, gauges, and per-interval histograms.
 //!
-//! Workers (and the serial driver) accumulate into plain local structs on
-//! the hot path — a handful of integer adds, no map lookups — and the
-//! registry is materialised once at run end by [`merge`](MetricsRegistry::merge)-ing
-//! per-lane contributions. Everything is keyed by `BTreeMap`, so iteration
-//! order (and therefore serialized output) is deterministic.
+//! The registry is materialised once at run end: the observer folds in the
+//! counters and gauges its lanes kept in plain local structs, and the
+//! runner restates the per-op entries (op counts, the `latency` histogram,
+//! fault counts) from the finished record. Everything is keyed by
+//! `BTreeMap`, so iteration order (and therefore serialized output) is
+//! deterministic.
 
 use crate::Result;
 use lsbench_stats::LatencyHistogram;

@@ -46,10 +46,14 @@
 //! comparison, and whatever the observability layer collected.
 
 use crate::driver::run_serial;
+use crate::engine::latency::latency_to_ns;
 use crate::engine::sched::run_heap;
 use crate::engine::{run_lanes, shard_dataset, LaneSuts, Tuning};
 use crate::holdout::{one_shot_scenario, HoldoutReport};
-use crate::obs::{MetricsRegistry, ObsConfig, RunObserver, SpanNode, TraceLog};
+use crate::obs::{
+    IntervalHistogram, MetricsRegistry, ObsConfig, RunObserver, SpanNode, TraceLog,
+    DEFAULT_INTERVAL_WIDTH,
+};
 use crate::record::RunRecord;
 use crate::scenario::{ClockMode, Scenario};
 use crate::{BenchError, Result};
@@ -204,9 +208,61 @@ impl RunOptions {
     }
 }
 
-/// One pass through the execution core: the record, engine statistics for
+/// One pass through the execution core: the record, `(lanes, threads)` for
 /// lane and scheduler runs, wall statistics for a serial wall-clock run.
-pub(crate) type Executed = (RunRecord, Option<EngineStats>, Option<WallStats>);
+pub(crate) type Executed = (RunRecord, Option<(usize, usize)>, Option<WallStats>);
+
+/// Width of the intervals of [`EngineStats::completions`], in virtual
+/// seconds.
+const COMPLETION_INTERVAL: f64 = 0.01;
+
+/// The per-op statistics of a run, restated from its record in one walk:
+/// the registry's `ops_completed` and `ops_failed` counters, its `latency`
+/// histogram (present, if empty, for an empty run) and its fault counters,
+/// which the record's fault ledger already sums, and for an engine run of
+/// `(lanes, threads)` its [`EngineStats`]. Histogram buckets are counts and
+/// a maximum, so they hold the same whatever order the ops were recorded
+/// in.
+fn restate(
+    record: &RunRecord,
+    engine: Option<(usize, usize)>,
+    metrics: &mut MetricsRegistry,
+) -> Result<Option<EngineStats>> {
+    let metric = |e: lsbench_stats::StatsError| BenchError::Metric(e.to_string());
+    let mut latency = IntervalHistogram::new(DEFAULT_INTERVAL_WIDTH);
+    let from_start = |_| IntervalCounts::new(record.exec_start, COMPLETION_INTERVAL);
+    let mut completions = engine.map(from_start).transpose().map_err(metric)?;
+    let mut failed = 0u64;
+    for op in &record.ops {
+        failed += u64::from(!op.ok);
+        latency.record(op.t_end - record.exec_start, latency_to_ns(op.latency));
+        if let Some(completions) = &mut completions {
+            completions.record(op.t_end).map_err(metric)?;
+        }
+    }
+    let faults = &record.faults;
+    for (name, v) in [
+        ("ops_completed", record.ops.len() as u64 - failed),
+        ("ops_failed", failed),
+        ("faults_injected", faults.injected),
+        ("query_retries", faults.retries),
+        ("query_timeouts", faults.timeouts),
+    ] {
+        if v > 0 {
+            metrics.inc(name, v);
+        }
+    }
+    let stats = engine
+        .zip(completions)
+        .map(|((lanes, threads), completions)| EngineStats {
+            latency: latency.total.clone(),
+            completions,
+            threads,
+            lanes,
+        });
+    metrics.histograms.insert("latency".to_string(), latency);
+    Ok(stats)
+}
 
 /// Concurrent-engine statistics carried through [`RunOutcome`] when the
 /// run went through the engine, and stamped into archived
@@ -214,9 +270,10 @@ pub(crate) type Executed = (RunRecord, Option<EngineStats>, Option<WallStats>);
 /// runs can report scheduler occupancy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Merged log-bucketed latency histogram (nanoseconds, virtual).
+    /// Log-bucketed latency histogram of every op in the record
+    /// (nanoseconds, virtual).
     pub latency: LatencyHistogram,
-    /// Completions per fixed-width interval.
+    /// Completions per interval of 0.01 virtual seconds.
     pub completions: IntervalCounts,
     /// Worker threads used.
     pub threads: usize,
@@ -401,7 +458,8 @@ impl<'a> Runner<'a> {
         } else {
             None
         };
-        let report = obs.finish()?;
+        let mut report = obs.finish();
+        let engine = restate(&record, engine, &mut report.metrics)?;
         Ok(RunOutcome {
             record,
             engine,
@@ -491,13 +549,14 @@ mod tests {
         let opts = RunOptions::with_mode(ExecutionMode::Sharded { workers: 4 });
         let mut shards: LaneSuts<'_, DynKvSut> = LaneSuts::Shards(&mut suts, &router);
         let unobserved = &mut RunObserver::disabled();
-        let (direct, direct_stats, _) =
+        let (direct, shape, _) =
             run_lanes(&mut shards, &s, &opts, Tuning::default(), unobserved).unwrap();
         let outcome = Runner::from_factory(factory).config(opts).run(&s).unwrap();
         assert_eq!(outcome.record.ops, direct.ops);
         let stats = outcome.engine.expect("engine stats for concurrent run");
         assert_eq!(stats.lanes, 4);
-        assert_eq!(stats.latency, direct_stats.unwrap().latency);
+        let direct_stats = restate(&direct, shape, &mut MetricsRegistry::new()).unwrap();
+        assert_eq!(Some(stats), direct_stats);
     }
 
     #[test]

@@ -173,9 +173,9 @@ fn mix_failures_accounted() {
 
 #[test]
 fn registry_restates_the_record_in_every_mode() {
-    // The same facts are kept three times — op records, `EngineStats`, the
-    // metrics registry — and must agree, failures and injected faults
-    // included: a hash SUT fails every scan, chaos-errors fails more.
+    // The op records are the facts; the metrics registry and `EngineStats`
+    // restate them and must agree, failures and injected faults included:
+    // a hash SUT fails every scan, chaos-errors fails more.
     let mut plain = Scenario::specialization_sweep(
         "restated",
         vec![KeyDistribution::Uniform],

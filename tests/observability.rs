@@ -134,7 +134,7 @@ fn tracing_never_changes_results() {
     let borrowed = Runner::new(&mut sut).run(&s).unwrap().record;
     let untraced = run_with(RunOptions::default());
     let traced = run_with(RunOptions {
-        obs: ObsConfig::traced().with_sla(1e-4),
+        obs: ObsConfig::traced(),
         ..RunOptions::default()
     });
     assert_records_identical(&borrowed, &untraced.record);
