@@ -140,7 +140,7 @@ impl CapacityPoint {
     }
 }
 
-/// Tuning for [`capacity_search`]. `Default` is a sensible CLI setting:
+/// Settings of [`capacity_search`]. `Default` is a sensible CLI setting:
 /// start at 1000 ops/s, at most 12 probes, stop when the bracket is
 /// within 5% of the knee.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -54,32 +54,6 @@ use merge::{finish_engine, sum_metrics, EngineShape};
 use std::sync::Mutex;
 use worker::LaneJob;
 
-/// Engine constants that never reach the record. One value is in use;
-/// they stay a (crate-private) parameter only so the tests can prove the
-/// record does not depend on them.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Tuning {
-    /// Scheduler events popped (and executed) per SUT lock.
-    pub batch_size: usize,
-}
-
-impl Default for Tuning {
-    fn default() -> Self {
-        Tuning { batch_size: 1024 }
-    }
-}
-
-impl Tuning {
-    pub(crate) fn validate(&self) -> Result<()> {
-        if self.batch_size == 0 {
-            return Err(BenchError::InvalidScenario(
-                "engine batch_size must be at least 1".to_string(),
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Turns the raw arrival schedule of a stream into the lane modes' one, op
 /// by op, in stream order: per-phase
 /// [`concurrency_burst`](lsbench_workload::phases::WorkloadPhase::concurrency_burst)
@@ -145,14 +119,13 @@ pub(crate) fn run_lanes<S>(
     suts: &mut LaneSuts<'_, S>,
     scenario: &Scenario,
     opts: &RunOptions,
-    tuning: Tuning,
     obs: &mut RunObserver,
 ) -> Result<Executed>
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
     let ops = || scenario_ops(scenario, opts.max_ops);
-    lanes_over(suts, scenario, opts, tuning, obs, ops)
+    lanes_over(suts, scenario, opts, obs, ops)
 }
 
 /// [`run_lanes`] over the op source `ops` makes once the run is checked.
@@ -160,7 +133,6 @@ fn lanes_over<S, I>(
     suts: &mut LaneSuts<'_, S>,
     scenario: &Scenario,
     opts: &RunOptions,
-    tuning: Tuning,
     obs: &mut RunObserver,
     ops: impl FnOnce() -> Result<I>,
 ) -> Result<Executed>
@@ -169,7 +141,6 @@ where
     I: Iterator<Item = CoreOp<Operation>> + Send,
 {
     let plan = RunPlan::from_scenario(scenario)?;
-    tuning.validate()?;
     let (lanes, router) = match suts {
         LaneSuts::Shared(_) => (opts.mode.lanes(), None),
         LaneSuts::Shards(shards, router) if shards.len() == router.shards() => {
@@ -538,11 +509,6 @@ mod tests {
             let opts = RunOptions::with_mode(bad);
             assert!(Runner::new(&mut sut).config(opts).run(&s).is_err());
         }
-        let run = |tuning: Tuning, sut: &mut BTreeSut| {
-            let obs = &mut RunObserver::disabled();
-            run_lanes(&mut LaneSuts::Shared(sut), &s, &shared(1), tuning, obs)
-        };
-        assert!(run(Tuning { batch_size: 0 }, &mut sut).is_err());
         // Shard-count mismatch is rejected too.
         let (router, datasets) = shard_dataset(&data, 3).unwrap();
         let mut suts: Vec<BoxedKvSut> = datasets[..2].iter().map(|d| btree(d).unwrap()).collect();
@@ -550,7 +516,7 @@ mod tests {
             LaneSuts::Shards(&mut suts, &router);
         let obs = &mut RunObserver::disabled();
         let opts = RunOptions::with_mode(ExecutionMode::Sharded { workers: 3 });
-        assert!(run_lanes(&mut shards, &s, &opts, Tuning::default(), obs).is_err());
+        assert!(run_lanes(&mut shards, &s, &opts, obs).is_err());
     }
 
     #[test]
@@ -698,8 +664,8 @@ mod tests {
                     }
                 }))
             };
-            return sched::heap_over(&mut probe(), &s, &opts, Tuning::default(), obs, ops)
-                .map(drop);
+            let batch_size = sched::BATCH_SIZE;
+            return sched::heap_over(&mut probe(), &s, &opts, batch_size, obs, ops).map(drop);
         }
         let lanes = mode.lanes();
         let (router, _) = shard_dataset(&s.dataset.build()?, lanes)?;
@@ -720,22 +686,13 @@ mod tests {
                 }
             }))
         };
-        let tuning = Tuning::default();
         if sharded {
             let mut shards: Vec<BoxedKvSut> = (0..lanes).map(|_| Box::new(probe()) as _).collect();
             let mut suts: LaneSuts<'_, Probe> = LaneSuts::Shards(&mut shards, &router);
-            lanes_over(&mut suts, &s, &opts, tuning, obs, ops).map(drop)
+            lanes_over(&mut suts, &s, &opts, obs, ops).map(drop)
         } else {
             let mut probe = probe();
-            lanes_over(
-                &mut LaneSuts::Shared(&mut probe),
-                &s,
-                &opts,
-                tuning,
-                obs,
-                ops,
-            )
-            .map(drop)
+            lanes_over(&mut LaneSuts::Shared(&mut probe), &s, &opts, obs, ops).map(drop)
         }
     }
 

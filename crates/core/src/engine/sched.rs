@@ -18,7 +18,7 @@
 //! * Clients are assigned to workers by `client mod workers`. A worker has
 //!   one pending event per active client — the client's next op, due at
 //!   `max(client clock, intended start)` — and serves them in `(deadline,
-//!   client id)` order, in batches: gather the [`Tuning::batch_size`]
+//!   client id)` order, in batches: gather the [`BATCH_SIZE`]
 //!   events due first, hand them in that order to the execution core's one
 //!   `step` under one lock of the shared SUT (which dispatches them as
 //!   `execute_many` runs across clients, `exec.rs`), and only then admit
@@ -81,18 +81,17 @@
 //! merges order-insensitively: op records re-sort on `(completion time,
 //! global index)`, phase first-seen times min-fold, counters add.
 //! Against a read-only shared SUT the record is therefore
-//! bit-identical at any worker count and any [`Tuning::batch_size`] (the
+//! bit-identical at any worker count and any batch size (the
 //! same contract, and the same caveat, as the shared-lock lanes of
 //! [`super::run_lanes`]). Against a SUT the ops mutate, what an op
 //! *computes* depends on the ops served before it, so the pop order
 //! reaches the record: one worker's order is fixed by the rule above
-//! (`tests/record_digests.rs`, `sched_order`), and `batch_size` — which
+//! (`tests/record_digests.rs`, `sched_order`), and [`BATCH_SIZE`] — which
 //! decides how long a served client's successor is held back — is part of
 //! that rule. That is why it is a constant and not an option.
 
 use super::merge::{finish_engine, EngineShape};
 use super::worker::{on_workers, LaneResult};
-use super::Tuning;
 use crate::exec::{
     arrival_process, lock, made_ahead, op_count, prologue, step, unpaced_ops, Batch, Chunk,
     ClientState, CoreOp, Dealt, LaneParams, Lookahead, RunPlan, Sinks, CHUNK,
@@ -106,6 +105,10 @@ use lsbench_workload::ops::Operation;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Mutex;
+
+/// Scheduler events popped (and executed) per SUT lock: part of the pop
+/// order, so a constant (see the [module docs](self)).
+pub(super) const BATCH_SIZE: usize = 1024;
 
 /// One pending client event: the client's next op and when it is due.
 #[derive(Debug, Clone, Copy)]
@@ -409,22 +412,22 @@ pub(crate) fn run_heap<S>(
     sut: &mut S,
     scenario: &Scenario,
     opts: &RunOptions,
-    tuning: Tuning,
     obs: &mut RunObserver,
 ) -> Result<Executed>
 where
     S: SystemUnderTest<Operation> + Send + ?Sized,
 {
     let ops = || unpaced_ops(scenario, opts.max_ops);
-    heap_over(sut, scenario, opts, tuning, obs, ops)
+    heap_over(sut, scenario, opts, BATCH_SIZE, obs, ops)
 }
 
-/// [`run_heap`] over the op source `ops` makes once the run is checked.
+/// [`run_heap`] over the op source `ops` makes once the run is checked,
+/// with `batch_size` events popped per SUT lock.
 pub(super) fn heap_over<S, I>(
     sut: &mut S,
     scenario: &Scenario,
     opts: &RunOptions,
-    tuning: Tuning,
+    batch_size: usize,
     obs: &mut RunObserver,
     ops: impl FnOnce() -> Result<I>,
 ) -> Result<Executed>
@@ -433,7 +436,6 @@ where
     I: Iterator<Item = CoreOp<Operation>> + Send,
 {
     let plan = RunPlan::from_scenario(scenario)?;
-    tuning.validate()?;
     let arrivals = arrival_offsets(scenario, opts.max_ops)?;
     let clients = opts.mode.lanes();
     let threads = opts.worker_threads().min(clients);
@@ -459,8 +461,7 @@ where
             .collect();
         let mutex = Mutex::new(&mut *sut);
         let results = on_workers(workers, |(window, sinks)| {
-            run_sched_worker(window, sinks, &mutex, params, tuning.batch_size)
-                .map(|(result, _)| result)
+            run_sched_worker(window, sinks, &mutex, params, batch_size).map(|(result, _)| result)
         })?;
         let final_metrics = lock(&mutex)?.metrics();
         Ok(finish_engine(started, results, final_metrics, shape, obs))
@@ -636,9 +637,11 @@ mod tests {
         let big = run(&mut big_sut, &s, open_loop(64, 4));
         for batch_size in [1, 7] {
             let mut small_sut = BTreeSut::build(&data).unwrap();
-            let tiny = Tuning { batch_size };
+            let opts = open_loop(64, 4);
             let obs = &mut RunObserver::disabled();
-            let (small, _, _) = run_heap(&mut small_sut, &s, &open_loop(64, 4), tiny, obs).unwrap();
+            let ops = || unpaced_ops(&s, u64::MAX);
+            let small = heap_over(&mut small_sut, &s, &opts, batch_size, obs, ops);
+            let (small, _, _) = small.unwrap();
             assert_eq!(small.ops, big.record.ops, "batch_size={batch_size}");
             assert_eq!(small.exec_end, big.record.exec_end);
         }

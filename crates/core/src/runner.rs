@@ -48,7 +48,7 @@
 use crate::driver::run_serial;
 use crate::engine::latency::latency_to_ns;
 use crate::engine::sched::run_heap;
-use crate::engine::{run_lanes, shard_dataset, LaneSuts, Tuning};
+use crate::engine::{run_lanes, shard_dataset, LaneSuts};
 use crate::holdout::{one_shot_scenario, HoldoutReport};
 use crate::obs::{
     IntervalHistogram, MetricsRegistry, ObsConfig, RunObserver, SpanNode, TraceLog,
@@ -484,9 +484,9 @@ fn execute(
             run_serial(&mut **sut, scenario, opts, obs)
         }
         (ExecutionMode::OpenLoop { .. }, LaneSuts::Shared(sut)) => {
-            run_heap(&mut **sut, scenario, opts, Tuning::default(), obs)
+            run_heap(&mut **sut, scenario, opts, obs)
         }
-        (_, suts) => run_lanes(suts, scenario, opts, Tuning::default(), obs),
+        (_, suts) => run_lanes(suts, scenario, opts, obs),
     }
 }
 
@@ -549,8 +549,7 @@ mod tests {
         let opts = RunOptions::with_mode(ExecutionMode::Sharded { workers: 4 });
         let mut shards: LaneSuts<'_, DynKvSut> = LaneSuts::Shards(&mut suts, &router);
         let unobserved = &mut RunObserver::disabled();
-        let (direct, shape, _) =
-            run_lanes(&mut shards, &s, &opts, Tuning::default(), unobserved).unwrap();
+        let (direct, shape, _) = run_lanes(&mut shards, &s, &opts, unobserved).unwrap();
         let outcome = Runner::from_factory(factory).config(opts).run(&s).unwrap();
         assert_eq!(outcome.record.ops, direct.ops);
         let stats = outcome.engine.expect("engine stats for concurrent run");
