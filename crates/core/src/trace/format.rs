@@ -334,7 +334,14 @@ pub fn parse_jsonl(text: &str) -> TResult<Vec<RawEntry>> {
         };
         let len = match serde::Value::get(obj, "len") {
             serde::Value::Null => None,
-            v => Some(json_u64(line, "len", v)? as u32),
+            v => {
+                let len = json_u64(line, "len", v)?;
+                let too_long = |_| {
+                    let reason = format!("scan length {len} exceeds {}", u32::MAX);
+                    TraceError::new(line, "len", reason)
+                };
+                Some(u32::try_from(len).map_err(too_long)?)
+            }
         };
         let ts = match serde::Value::get(obj, "ts") {
             serde::Value::Null => None,

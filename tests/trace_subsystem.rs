@@ -140,6 +140,14 @@ fn jsonl_rejections_are_positioned() {
     assert_eq!((err.line, err.field.as_str()), (2, "bogus"));
     let err = import_str("not json\n", TraceFormat::Jsonl).unwrap_err();
     assert_eq!((err.line, err.field.as_str()), (1, "json"));
+    // A scan length past `u32::MAX` is refused, as the CSV reader does,
+    // not truncated to its low bits.
+    let err = import_str(
+        "{\"op\":\"scan\",\"key\":1,\"len\":4294967297}\n",
+        TraceFormat::Jsonl,
+    )
+    .unwrap_err();
+    assert_eq!((err.line, err.field.as_str()), (1, "len"));
 }
 
 // ---------------------------------------------------------------------------
