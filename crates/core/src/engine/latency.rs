@@ -1,5 +1,5 @@
-//! Latency unit conversion shared by the engine statistics and the
-//! observability histograms.
+//! Latency unit conversion for the histograms the runner restates from
+//! the run record (the registry's `latency`, the engine statistics').
 
 /// Converts a latency in virtual seconds to integer nanoseconds for the
 /// log-bucketed histograms. Negative inputs (impossible for well-formed

@@ -18,9 +18,9 @@
 //! * Clients are assigned to workers by `client mod workers`. A worker has
 //!   one pending event per active client — the client's next op, due at
 //!   `max(client clock, intended start)` — and serves them in `(deadline,
-//!   client id)` order, in batches: gather the [`BATCH_SIZE`]
-//!   events due first, hand them in that order to the execution core's one
-//!   `step` under one lock of the shared SUT (which dispatches them as
+//!   client id)` order, in batches: gather the [`BATCH_SIZE`] events due
+//!   first, hand them in that order to the execution core's one `step`
+//!   under one lock of the shared SUT (which dispatches them as
 //!   `execute_many` runs across clients, `exec.rs`), and only then admit
 //!   the successors of the clients served. Per-client state is four
 //!   scalars (`ClientState`) plus one index, and all result sinks are
@@ -79,11 +79,10 @@
 //! Every op's timing is a function of *its client's* state only — the
 //! queue decides *when a worker gets around to* an op — and every sink
 //! merges order-insensitively: op records re-sort on `(completion time,
-//! global index)`, phase first-seen times min-fold, counters add.
-//! Against a read-only shared SUT the record is therefore
-//! bit-identical at any worker count and any batch size (the
-//! same contract, and the same caveat, as the shared-lock lanes of
-//! [`super::run_lanes`]). Against a SUT the ops mutate, what an op
+//! global index)`, phase first-seen times min-fold, counters add. Against
+//! a read-only shared SUT the record is therefore bit-identical at any
+//! worker count and any batch size (the same contract, and the same
+//! caveat, as the shared-lock lanes of [`super::run_lanes`]). Against a SUT the ops mutate, what an op
 //! *computes* depends on the ops served before it, so the pop order
 //! reaches the record: one worker's order is fixed by the rule above
 //! (`tests/record_digests.rs`, `sched_order`), and [`BATCH_SIZE`] — which

@@ -52,16 +52,46 @@ impl IntervalHistogram {
     /// Records a latency (nanoseconds) completed at `t` seconds after
     /// execution start.
     pub fn record(&mut self, t_rel: f64, latency_ns: u64) {
-        self.total.record(latency_ns);
-        let idx = if t_rel <= 0.0 {
+        self.record_n(self.slice_of(t_rel), latency_ns, 1);
+    }
+
+    /// The slice of a sample completed `t_rel` seconds after execution
+    /// start.
+    pub(crate) fn slice_of(&self, t_rel: f64) -> usize {
+        if t_rel <= 0.0 {
             0
         } else {
             ((t_rel / self.width) as usize).min(MAX_INTERVAL_SLICES - 1)
-        };
-        if self.slices.len() <= idx {
-            self.slices.resize_with(idx + 1, LatencyHistogram::new);
         }
-        self.slices[idx].record(latency_ns);
+    }
+
+    /// The smallest `t_rel` [`slice_of`](Self::slice_of) puts past `slice`
+    /// (infinite for the last slice): every `t_rel` from one in `slice` up
+    /// to it is in `slice` too.
+    pub(crate) fn slice_end(&self, slice: usize) -> f64 {
+        if slice + 1 >= MAX_INTERVAL_SLICES {
+            return f64::INFINITY;
+        }
+        // The quotient is rounded, so the edge is within a few ulps of here.
+        let mut t = (slice + 1) as f64 * self.width;
+        while self.slice_of(t) > slice {
+            t = t.next_down();
+        }
+        while t < f64::INFINITY && self.slice_of(t) <= slice {
+            t = t.next_up();
+        }
+        t
+    }
+
+    /// Records `n` samples of one latency (nanoseconds) in slice `slice`
+    /// ([`slice_of`](Self::slice_of)): one bucket update per histogram,
+    /// whatever `n` is.
+    pub(crate) fn record_n(&mut self, slice: usize, latency_ns: u64, n: u64) {
+        self.total.record_n(latency_ns, n);
+        if self.slices.len() <= slice {
+            self.slices.resize_with(slice + 1, LatencyHistogram::new);
+        }
+        self.slices[slice].record_n(latency_ns, n);
     }
 
     /// Merges another interval histogram (same width required) into `self`.
@@ -205,6 +235,37 @@ mod tests {
         assert_eq!(h.total.total(), 4);
         assert_eq!(h.slices.len(), 3);
         assert!(h.merge(&IntervalHistogram::new(2.0)).is_err());
+    }
+
+    #[test]
+    fn a_slice_ends_where_the_next_begins() {
+        for width in [DEFAULT_INTERVAL_WIDTH, 0.001, 0.3, 1.0 / 3.0, 1e-9, 7.0] {
+            let h = IntervalHistogram::new(width);
+            for slice in 0..MAX_INTERVAL_SLICES - 1 {
+                let end = h.slice_end(slice);
+                assert_eq!(h.slice_of(end), slice + 1, "width {width}, slice {slice}");
+                assert_eq!(h.slice_of(end.next_down()), slice, "width {width}");
+            }
+            assert_eq!(h.slice_end(MAX_INTERVAL_SLICES - 1), f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn n_samples_at_once_equal_n_one_by_one() {
+        let (mut one_by_one, mut at_once) =
+            (IntervalHistogram::new(1.0), IntervalHistogram::new(1.0));
+        for (t_rel, ns, n) in [
+            (0.5, 100, 3),
+            (2.5, 7, 1),
+            (0.25, 100, 2),
+            (9.0, 1 << 40, 4),
+        ] {
+            for _ in 0..n {
+                one_by_one.record(t_rel, ns);
+            }
+            at_once.record_n(at_once.slice_of(t_rel), ns, n);
+        }
+        assert_eq!(one_by_one, at_once);
     }
 
     #[test]

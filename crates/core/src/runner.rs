@@ -222,7 +222,7 @@ const COMPLETION_INTERVAL: f64 = 0.01;
 /// which the record's fault ledger already sums, and for an engine run of
 /// `(lanes, threads)` its [`EngineStats`]. Histogram buckets are counts and
 /// a maximum, so they hold the same whatever order the ops were recorded
-/// in.
+/// in, and however many of them were recorded at once.
 fn restate(
     record: &RunRecord,
     engine: Option<(usize, usize)>,
@@ -233,12 +233,37 @@ fn restate(
     let from_start = |_| IntervalCounts::new(record.exec_start, COMPLETION_INTERVAL);
     let mut completions = engine.map(from_start).transpose().map_err(metric)?;
     let mut failed = 0u64;
+    // Completion times ascend, so the walk looks a slice up only when an op
+    // leaves the last one, `[from, end)`. Latencies repeat (work units are
+    // integers), so a run of ops of one latency in one slice is recorded at
+    // once: `(latency bits, slice, ops)`.
+    let (mut from, mut end, mut slice) = (f64::NAN, f64::NAN, 0);
+    let mut run = None;
+    let flush = |latency: &mut IntervalHistogram, (bits, slice, n)| {
+        latency.record_n(slice, latency_to_ns(f64::from_bits(bits)), n);
+    };
     for op in &record.ops {
         failed += u64::from(!op.ok);
-        latency.record(op.t_end - record.exec_start, latency_to_ns(op.latency));
+        let t_rel = op.t_end - record.exec_start;
+        if !(from <= t_rel && t_rel < end) {
+            slice = latency.slice_of(t_rel);
+            (from, end) = (t_rel, latency.slice_end(slice));
+        }
+        let key = (op.latency.to_bits(), slice);
+        match &mut run {
+            Some((bits, in_slice, n)) if (*bits, *in_slice) == key => *n += 1,
+            _ => {
+                if let Some(done) = run.replace((key.0, key.1, 1)) {
+                    flush(&mut latency, done);
+                }
+            }
+        }
         if let Some(completions) = &mut completions {
             completions.record(op.t_end).map_err(metric)?;
         }
+    }
+    if let Some(done) = run {
+        flush(&mut latency, done);
     }
     let faults = &record.faults;
     for (name, v) in [
