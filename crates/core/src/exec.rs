@@ -57,7 +57,7 @@ use std::time::Instant;
 /// record is bit-identical for any value; larger batches amortize dispatch
 /// cost (one wire frame instead of one per op on a remote SUT, one lock
 /// per batch on a shared one).
-const DISPATCH_BATCH: usize = 64;
+pub(crate) const DISPATCH_BATCH: usize = 64;
 
 /// Operations per chunk of a stream made ahead: the helper and a reader
 /// meet once per chunk, and a chunk (64 KiB of `CoreOp<Operation>`) stays

@@ -34,7 +34,7 @@
 //!   that brackets the maximum sustainable arrival rate under a latency
 //!   SLA and emits a throughput–latency knee curve per SUT.
 //! * [`obs`] — structured observability: deterministic run-event tracing
-//!   on the virtual clock, a mergeable metrics registry, and wall-clock
+//!   on the virtual clock, a deterministic metrics registry, and wall-clock
 //!   profiling spans; zero-cost when disabled.
 //! * [`faults`] — deterministic fault injection: transient errors, latency
 //!   spikes, stalls, and crash-restarts driven by a seeded [`FaultPlan`]
@@ -60,7 +60,7 @@
 //!   regression gate ([`results::regress`]).
 //! * [`wire`] — out-of-process SUTs: a versioned length-prefixed frame
 //!   protocol over TCP, the `lsbench serve` server loop hosting any
-//!   registered SUT, and the [`wire::RemoteSut`] pipelined client-pool
+//!   registered SUT, and the [`wire::RemoteSut`] one-connection client
 //!   adapter — with the in-process mode as the conformance oracle.
 //! * [`trace`] — the real-workload bridge: CSV/JSON-lines trace import
 //!   with positioned errors, open/closed-loop replay at any speed, and
@@ -117,7 +117,7 @@ pub use suite::{
 pub use sut_registry::SutRegistry;
 pub use sweep::{render_sweep_report, rung_scenario, DriftAxis, DriftLadder, SweepCurve};
 pub use trace::{fit_scenario, import_str, FitReport, ImportedTrace, TraceError, TraceFormat};
-pub use wire::{RemoteOptions, RemoteSut, ServerHandle, WireError, WireServer, PROTOCOL_VERSION};
+pub use wire::{RemoteSut, ServerHandle, WireError, WireServer, PROTOCOL_VERSION};
 
 /// Errors produced by the benchmark framework.
 #[derive(Debug, Clone, PartialEq)]

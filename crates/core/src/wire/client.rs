@@ -1,23 +1,23 @@
 //! `RemoteSut` — the driver-side adapter for an out-of-process SUT.
 //!
-//! Implements [`SystemUnderTest`] over a pool of TCP connections speaking
-//! the frame protocol. Batches submitted through
-//! [`SystemUnderTest::execute_many`] are split into chunk frames and kept
-//! in flight up to a pipelining window; all chunks of one call travel on
-//! **one** connection so the (stateful) server applies them in order,
-//! while successive calls round-robin across the pool.
+//! Implements [`SystemUnderTest`] over one TCP connection speaking the
+//! frame protocol. An [`SystemUnderTest::execute_many`] call travels as
+//! `ExecuteMany` frames of at most `DISPATCH_BATCH` ops, one round trip
+//! at a time, so the (stateful) server applies them in order. The
+//! driver never gathers more than `DISPATCH_BATCH` ops into one call and
+//! its calls never overlap (the SUT is `&mut`, or held under the run's
+//! mutex), so a call is one frame on the wire.
 //!
 //! **Timeout accounting.** The socket read deadline and the
-//! retry/backoff schedule come from the same PR-4
-//! [`RetryPolicy`] type the fault injector
-//! uses — with `timeout` read as *wall* seconds here, since a real
-//! network has no virtual clock. Every expired deadline bumps
+//! retry/backoff schedule come from the same [`RetryPolicy`] type the
+//! fault injector uses — with `timeout` read as *wall* seconds here,
+//! since a real network has no virtual clock. Every expired deadline bumps
 //! `timeouts`, every reconnect-and-resend bumps `retries`, and the
 //! driver folds those [`TransportStats`] deltas into the run's
 //! [`FaultStats`](crate::faults::FaultStats) — one ledger for injected
 //! and real failures (pinned by `tests/remote_conformance.rs`).
 //! Semantics under retry are at-least-once: the server may have executed
-//! a chunk whose response the deadline discarded. Conformance runs
+//! a frame whose response the deadline discarded. Conformance runs
 //! therefore use no socket timeout; deadlines are for production runs
 //! against flaky SUTs, where the record flags the affected ops as failed.
 
@@ -26,45 +26,18 @@ use super::proto::{
     decode_response, encode_request, ExecReply, Request, RequestFrame, Response, PROTOCOL_VERSION,
 };
 use super::{WireError, WireResult};
+use crate::exec::DISPATCH_BATCH;
 use crate::faults::RetryPolicy;
 use crate::{BenchError, Result};
 use lsbench_sut::sut::{ExecOutcome, SutMetrics, SystemUnderTest, TransportStats};
 use lsbench_sut::SutError;
 use lsbench_workload::ops::Operation;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Client pool configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RemoteOptions {
-    /// Connections in the pool. Successive `execute_many` calls
-    /// round-robin across them; one call never spans connections.
-    pub connections: usize,
-    /// Operations per chunk frame (an oversized driver batch is split).
-    pub batch: usize,
-    /// Chunk frames kept in flight per call before reading responses.
-    pub pipeline: usize,
-    /// Socket deadline and reconnect-retry schedule. `timeout` is wall
-    /// seconds (applied as the socket read deadline on execute traffic);
-    /// `None` waits forever — the right choice for conformance runs.
-    pub retry: RetryPolicy,
-}
-
-impl Default for RemoteOptions {
-    fn default() -> Self {
-        RemoteOptions {
-            connections: 2,
-            batch: 64,
-            pipeline: 4,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
-
-/// One pooled connection, already past the handshake.
+/// The connection, already past the handshake.
 struct Conn {
     /// Raw handle for deadline control; reader/writer hold clones.
     stream: TcpStream,
@@ -112,23 +85,15 @@ impl Conn {
         }
     }
 
-    /// Queues one request (no flush); returns its id.
-    fn send(&mut self, req: Request) -> WireResult<u64> {
+    /// Sends one request and reads its response; the response must
+    /// carry the request's id, or the connection is out of step.
+    fn round_trip(&mut self, req: Request) -> WireResult<Response> {
         let id = self.next_id;
         self.next_id += 1;
         write_frame(&mut self.writer, &encode_request(&RequestFrame { id, req }))?;
-        Ok(id)
-    }
-
-    fn flush(&mut self) -> WireResult<()> {
         self.writer.flush().map_err(|e| WireError::Io {
             context: format!("flushing requests: {e}"),
-        })
-    }
-
-    /// Reads the response for request `id`; pipelined responses arrive in
-    /// request order, so any other id is a protocol violation.
-    fn read_response(&mut self, id: u64) -> WireResult<Response> {
+        })?;
         let ordinal = self.reader.frame_ordinal();
         let payload = self.reader.read_frame()?.ok_or(WireError::Truncated {
             frame: ordinal,
@@ -150,40 +115,27 @@ impl Conn {
         }
     }
 
-    fn round_trip(&mut self, req: Request) -> WireResult<Response> {
-        let id = self.send(req)?;
-        self.flush()?;
-        self.read_response(id)
-    }
-
     /// Sets (or clears) the socket read deadline.
     fn set_deadline(&mut self, deadline: Option<Duration>) {
         let _ = self.stream.set_read_timeout(deadline);
     }
 }
 
-/// Pool state behind the adapter's `RefCell` (needed because the trait
-/// reads metrics through `&self`).
+/// Connection state behind the adapter's `RefCell` (needed because the
+/// trait reads metrics through `&self`).
 struct Inner {
     endpoint: String,
-    opts: RemoteOptions,
-    conns: Vec<Conn>,
-    next_conn: usize,
+    /// Socket deadline and reconnect-retry schedule. `timeout` is wall
+    /// seconds (applied as the socket read deadline on execute traffic);
+    /// `None` waits forever — the right choice for conformance runs.
+    retry: RetryPolicy,
+    conn: Conn,
     stats: TransportStats,
     /// First fatal wire error; once set, every operation fails fast.
     dead: Option<String>,
 }
 
 impl Inner {
-    /// Replaces connection `idx` after a transport failure. The server's
-    /// SUT state lives outside the connection, so a reconnect resumes
-    /// against the same state.
-    fn reconnect(&mut self, idx: usize) -> WireResult<()> {
-        let (conn, _) = Conn::open(&self.endpoint)?;
-        self.conns[idx] = conn;
-        Ok(())
-    }
-
     /// One control round trip (no socket deadline — control requests may
     /// legitimately take long, e.g. a server-side dataset build on Load).
     fn control(&mut self, req: Request) -> WireResult<Response> {
@@ -192,12 +144,12 @@ impl Inner {
                 reason: reason.clone(),
             });
         }
-        self.conns[0].set_deadline(None);
-        self.conns[0].round_trip(req)
+        self.conn.set_deadline(None);
+        self.conn.round_trip(req)
     }
 
     /// Control round trip expecting `Response::Work`; transport failures
-    /// mark the pool dead and report zero work (the next `execute`
+    /// mark the connection dead and report zero work (the next `execute`
     /// surfaces the error fatally).
     fn work(&mut self, req: Request) -> u64 {
         match self.control(req) {
@@ -213,70 +165,54 @@ impl Inner {
         }
     }
 
-    /// The pipelined batch path. See the module docs for the retry and
-    /// at-least-once semantics.
+    /// The batch path: one frame per `DISPATCH_BATCH` ops. See the module
+    /// docs for the retry and at-least-once semantics.
     fn execute_many(&mut self, ops: &[Operation]) -> Vec<lsbench_sut::Result<ExecOutcome>> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        if let Some(reason) = self.dead.clone() {
-            return ops
-                .iter()
-                .map(|_| Err(SutError::Internal(reason.clone())))
-                .collect();
-        }
-        let idx = self.next_conn % self.conns.len();
-        self.next_conn = self.next_conn.wrapping_add(1);
-        let chunks: Vec<&[Operation]> = ops.chunks(self.opts.batch.max(1)).collect();
-        let pipeline = self.opts.pipeline.max(1);
-        let deadline = self.opts.retry.timeout.map(Duration::from_secs_f64);
-        self.conns[idx].set_deadline(deadline);
-
         let mut results: Vec<lsbench_sut::Result<ExecOutcome>> = Vec::with_capacity(ops.len());
-        let mut pending: VecDeque<u64> = VecDeque::new();
-        let mut next_send = 0usize;
-        let mut next_read = 0usize;
-        // Reconnect attempts already spent on the chunk at `next_read`.
-        let mut attempts = 0u32;
-        while next_read < chunks.len() {
-            // Fill the in-flight window, then wait for the oldest chunk.
-            let step: WireResult<Response> = (|| {
-                while next_send < chunks.len() && next_send - next_read < pipeline {
-                    let req = Request::ExecuteMany {
-                        ops: chunks[next_send].to_vec(),
-                    };
-                    pending.push_back(self.conns[idx].send(req)?);
-                    next_send += 1;
-                }
-                self.conns[idx].flush()?;
-                let id = *pending.front().expect("window is non-empty");
-                self.conns[idx].read_response(id)
-            })();
-            match step {
-                Ok(Response::ExecMany { results: replies })
-                    if replies.len() == chunks[next_read].len() =>
-                {
-                    results.extend(replies.into_iter().map(ExecReply::into_result));
-                    pending.pop_front();
-                    next_read += 1;
-                    attempts = 0;
-                }
-                Ok(other) => {
-                    let reason = format!("unexpected execute response: {other:?}");
-                    self.dead = Some(reason.clone());
+        if self.dead.is_none() {
+            let deadline = self.retry.timeout.map(Duration::from_secs_f64);
+            self.conn.set_deadline(deadline);
+            for frame in ops.chunks(DISPATCH_BATCH) {
+                if let Err(reason) = self.execute_frame(frame, deadline, &mut results) {
+                    self.dead = Some(reason);
                     break;
                 }
+            }
+            self.conn.set_deadline(None);
+        }
+        if let Some(reason) = &self.dead {
+            results.resize_with(ops.len(), || Err(SutError::Internal(reason.clone())));
+        }
+        results
+    }
+
+    /// Sends one frame until it is answered or out of retries, appending
+    /// its replies (or, out of retries, one failed outcome per op) to
+    /// `results`. An `Err` is fatal: the connection is dead.
+    fn execute_frame(
+        &mut self,
+        ops: &[Operation],
+        deadline: Option<Duration>,
+        results: &mut Vec<lsbench_sut::Result<ExecOutcome>>,
+    ) -> std::result::Result<(), String> {
+        // Reconnect attempts already spent on this frame.
+        let mut attempts = 0u32;
+        loop {
+            let req = Request::ExecuteMany { ops: ops.to_vec() };
+            match self.conn.round_trip(req) {
+                Ok(Response::ExecMany { results: replies }) if replies.len() == ops.len() => {
+                    results.extend(replies.into_iter().map(ExecReply::into_result));
+                    return Ok(());
+                }
+                Ok(other) => return Err(format!("unexpected execute response: {other:?}")),
                 Err(WireError::Timeout { .. }) => {
                     self.stats.timeouts += 1;
-                    let policy = self.opts.retry;
+                    let policy = self.retry;
                     let give_up = attempts >= policy.max_retries;
                     if give_up {
-                        // Out of retries: flag this chunk's ops as failed
+                        // Out of retries: flag this frame's ops as failed
                         // and move on (at-least-once; see module docs).
-                        results
-                            .extend(chunks[next_read].iter().map(|_| Ok(ExecOutcome::failed(0))));
-                        next_read += 1;
-                        attempts = 0;
+                        results.extend(ops.iter().map(|_| Ok(ExecOutcome::failed(0))));
                     } else {
                         attempts += 1;
                         self.stats.retries += 1;
@@ -286,30 +222,19 @@ impl Inner {
                             std::thread::sleep(Duration::from_secs_f64(backoff));
                         }
                     }
-                    // The old connection may still deliver stale frames;
-                    // resynchronize on a fresh one and re-send everything
-                    // not yet acknowledged.
-                    pending.clear();
-                    next_send = next_read;
-                    if let Err(e) = self.reconnect(idx) {
-                        self.dead = Some(e.to_string());
-                        break;
+                    // The old connection may still deliver a stale frame;
+                    // resynchronize on a fresh one. The server's SUT state
+                    // lives outside the connection, so a reconnect resumes
+                    // against the same state.
+                    self.conn = Conn::open(&self.endpoint).map_err(|e| e.to_string())?.0;
+                    self.conn.set_deadline(deadline);
+                    if give_up {
+                        return Ok(());
                     }
-                    self.conns[idx].set_deadline(deadline);
                 }
-                Err(e) => {
-                    self.dead = Some(e.to_string());
-                    break;
-                }
+                Err(e) => return Err(e.to_string()),
             }
         }
-        if let Some(reason) = &self.dead {
-            while results.len() < ops.len() {
-                results.push(Err(SutError::Internal(reason.clone())));
-            }
-        }
-        self.conns[idx].set_deadline(None);
-        results
     }
 }
 
@@ -324,23 +249,17 @@ pub struct RemoteSut {
 }
 
 impl RemoteSut {
-    /// Connects the pool and runs the handshake on every connection.
-    pub fn connect(endpoint: &str, opts: RemoteOptions) -> Result<RemoteSut> {
-        let count = opts.connections.max(1);
-        let mut conns = Vec::with_capacity(count);
-        let mut name = String::new();
-        for _ in 0..count {
-            let (conn, sut) = Conn::open(endpoint).map_err(|e| BenchError::Sut(e.to_string()))?;
-            conns.push(conn);
-            name = sut;
-        }
+    /// Connects and runs the handshake. `retry` sets the socket deadline
+    /// on execute traffic and the reconnect-retry schedule; its default
+    /// waits forever.
+    pub fn connect(endpoint: &str, retry: RetryPolicy) -> Result<RemoteSut> {
+        let (conn, name) = Conn::open(endpoint).map_err(|e| BenchError::Sut(e.to_string()))?;
         Ok(RemoteSut {
             name,
             inner: RefCell::new(Inner {
                 endpoint: endpoint.to_string(),
-                opts,
-                conns,
-                next_conn: 0,
+                retry,
+                conn,
                 stats: TransportStats::default(),
                 dead: None,
             }),

@@ -10,8 +10,8 @@
 use super::{WireError, WireResult};
 use std::io::{Read, Write};
 
-/// Hard cap on a single frame's payload. Large enough for any batch the
-/// client pool will ever send (thousands of operations), small enough
+/// Hard cap on a single frame's payload. Large enough for thousands of
+/// operations (a client sends at most `DISPATCH_BATCH`), small enough
 /// that a garbage length prefix cannot make the server try to allocate
 /// gigabytes.
 pub const MAX_FRAME_LEN: u64 = 16 * 1024 * 1024;

@@ -5,10 +5,9 @@
 //! that deviation back piece by piece, and this module closes the gap: a
 //! [`WireServer`] hosts any registered SUT behind a TCP socket speaking a
 //! small versioned frame protocol, and a [`RemoteSut`] adapter implements
-//! [`SystemUnderTest`](lsbench_sut::sut::SystemUnderTest) over a
-//! multi-connection client pool with request batching and in-flight
-//! pipelining — so the driver never learns whether its SUT crossed a
-//! process boundary.
+//! [`SystemUnderTest`](lsbench_sut::sut::SystemUnderTest) over one
+//! connection, one batch frame per `execute_many` call — so the driver
+//! never learns whether its SUT crossed a process boundary.
 //!
 //! The protocol is deliberately primitive so SUTs in any language can
 //! implement it: each frame is a 4-byte big-endian payload length followed
@@ -32,7 +31,7 @@ pub mod frame;
 pub mod proto;
 pub mod server;
 
-pub use client::{RemoteOptions, RemoteSut};
+pub use client::RemoteSut;
 pub use frame::{FrameReader, MAX_FRAME_LEN};
 pub use proto::{ExecReply, Request, RequestFrame, Response, ResponseFrame, PROTOCOL_VERSION};
 pub use server::{ServerHandle, WireServer};
@@ -92,7 +91,7 @@ pub enum WireError {
         theirs: u32,
     },
     /// A well-formed frame that is illegal at this point in the exchange
-    /// (e.g. an `Execute` before `Load`, or a response id mismatch).
+    /// (e.g. an `ExecuteMany` before `Load`, or a response id mismatch).
     Protocol {
         /// Frame ordinal on the connection (0-based).
         frame: u64,

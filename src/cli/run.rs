@@ -9,7 +9,7 @@ use lsbench::core::capacity::{
     capacity_search, render_capacity_report, with_arrival_rate, CapacityConfig, CapacityPoint,
     SlaTarget,
 };
-use lsbench::core::faults::{resolve_fault_plan, FaultPlan};
+use lsbench::core::faults::{resolve_fault_plan, FaultPlan, RetryPolicy};
 use lsbench::core::metrics::adaptability::AdaptabilityReport;
 use lsbench::core::obs::{render_spans, ObsConfig};
 use lsbench::core::report::{render_adaptability, to_json, write_artifact};
@@ -25,7 +25,7 @@ use lsbench::core::suite::{
 };
 use lsbench::core::sut_registry::SutRegistry;
 use lsbench::core::sweep::{render_sweep_report, sweep_curve, DriftLadder};
-use lsbench::core::wire::{RemoteOptions, RemoteSut, WireServer, PROTOCOL_VERSION};
+use lsbench::core::wire::{RemoteSut, WireServer, PROTOCOL_VERSION};
 use lsbench::core::BenchError;
 use lsbench::stats::LatencyHistogram;
 use lsbench::sut::sut::SystemUnderTest;
@@ -203,10 +203,10 @@ impl<'a> RunArgs<'a> {
                 .context("run failed")?;
             return Ok((outcome, sut.to_string()));
         };
-        // Connect the pipelined client pool, ship the canonical rendered
-        // spec in the Load request (the server builds the dataset and its
-        // configured SUT), and drive the run through the same `Runner`.
-        let mut remote = RemoteSut::connect(endpoint, RemoteOptions::default())
+        // Connect, ship the canonical rendered spec in the Load request
+        // (the server builds the dataset and its configured SUT), and
+        // drive the run through the same `Runner`.
+        let mut remote = RemoteSut::connect(endpoint, RetryPolicy::default())
             .map_err(|e| CliError::usage(format!("cannot connect to {endpoint}: {e}")))?;
         if !quiet {
             eprintln!(

@@ -15,7 +15,7 @@ use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, RunOutcome, R
 use lsbench::core::scenario::Scenario;
 use lsbench::core::spec::render_scenario;
 use lsbench::core::sut_registry::SutRegistry;
-use lsbench::core::wire::{RemoteOptions, RemoteSut, ServerHandle, WireServer};
+use lsbench::core::wire::{RemoteSut, ServerHandle, WireServer};
 use lsbench::sut::sut::{ExecOutcome, SutMetrics, SystemUnderTest};
 use lsbench::workload::keygen::KeyDistribution;
 use lsbench::workload::ops::Operation;
@@ -66,16 +66,16 @@ fn run_local(scenario: &Scenario, sut: &str, threads: usize) -> RunOutcome {
     outcome
 }
 
-fn run_remote(
-    scenario: &Scenario,
-    server: &ServerHandle,
-    threads: usize,
-    opts: RemoteOptions,
-) -> RunOutcome {
-    let mut remote = RemoteSut::connect(&server.addr().to_string(), opts).expect("connects");
+fn connect(server: &ServerHandle, scenario: &Scenario, retry: RetryPolicy) -> RemoteSut {
+    let mut remote = RemoteSut::connect(&server.addr().to_string(), retry).expect("connects");
     remote
         .load(&render_scenario(scenario))
         .expect("remote load");
+    remote
+}
+
+fn run_remote(scenario: &Scenario, server: &ServerHandle, threads: usize) -> RunOutcome {
+    let mut remote = connect(server, scenario, RetryPolicy::default());
     let outcome = Runner::new(&mut remote)
         .config(RunOptions::with_mode(threads_mode(threads)))
         .run(scenario)
@@ -91,7 +91,7 @@ fn remote_record_is_identical_to_local_at_1_and_4_workers() {
     let server = spawn_server("btree");
     for threads in [1usize, 4] {
         let local = run_local(&scenario, "btree", threads);
-        let remote = run_remote(&scenario, &server, threads, RemoteOptions::default());
+        let remote = run_remote(&scenario, &server, threads);
         assert_eq!(
             remote.record, local.record,
             "remote and local records must be bit-identical (threads={threads})"
@@ -100,27 +100,49 @@ fn remote_record_is_identical_to_local_at_1_and_4_workers() {
     server.shutdown();
 }
 
-/// Conformance is independent of the client pool's batching geometry:
-/// tiny chunks with deep pipelining over several connections produce the
-/// same record as the defaults.
+/// The driver never sends a call longer than one frame (64 ops), so this
+/// sends them by hand: calls of 0, 1, 64, 65 and 3·64 + 5 ops answer slot
+/// for slot what the same SUT answers locally. Each call reads back keys
+/// the op before inserted and deletes keys later calls read, so a frame
+/// applied out of order, twice or not at all changes some answer.
 #[test]
-fn record_is_invariant_under_client_pool_geometry() {
+fn calls_spanning_several_frames_answer_like_local_calls() {
     let scenario = shift_scenario();
-    let server = spawn_server("rmi");
-    let local = run_local(&scenario, "rmi", 1);
-    for (connections, batch, pipeline) in [(1, 3, 1), (3, 7, 4), (2, 64, 2)] {
-        let opts = RemoteOptions {
-            connections,
-            batch,
-            pipeline,
-            ..RemoteOptions::default()
-        };
-        let remote = run_remote(&scenario, &server, 1, opts);
-        assert_eq!(
-            remote.record, local.record,
-            "geometry ({connections} conns, batch {batch}, pipeline {pipeline})"
-        );
+    let data = scenario.dataset.build().expect("dataset builds");
+    let mut local = SutRegistry::default()
+        .build("btree", &data)
+        .expect("builds");
+    let server = spawn_server("btree");
+    let mut remote = connect(&server, &scenario, RetryPolicy::default());
+    let keys = data.keys();
+    let mut g = 0u64;
+    for len in [0usize, 1, 64, 65, 3 * 64 + 5] {
+        let ops: Vec<Operation> = (0..len)
+            .map(|_| {
+                g += 1;
+                let key = keys[(g * 7919) as usize % keys.len()];
+                match g % 5 {
+                    0 => Operation::Read { key },
+                    1 => Operation::Insert {
+                        key: u64::MAX - g,
+                        value: g,
+                    },
+                    2 => Operation::Read {
+                        key: u64::MAX - (g - 1),
+                    },
+                    3 => Operation::Scan { start: key, len: 8 },
+                    _ => Operation::Delete { key },
+                }
+            })
+            .collect();
+        let (want, got) = (local.execute_many(&ops), remote.execute_many(&ops));
+        assert_eq!(got.len(), len);
+        for (slot, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(got, want, "call of {len} ops, slot {slot}");
+        }
     }
+    assert_eq!(remote.metrics(), local.metrics());
+    drop(remote);
     server.shutdown();
 }
 
@@ -136,7 +158,7 @@ fn faulted_remote_run_conforms_to_faulted_local_run() {
 
     let server = spawn_server("btree");
     let local = run_local(&scenario, "btree", 1);
-    let remote = run_remote(&scenario, &server, 1, RemoteOptions::default());
+    let remote = run_remote(&scenario, &server, 1);
     assert_eq!(remote.record, local.record);
     assert!(
         local.record.faults.injected > 0,
@@ -152,10 +174,9 @@ fn faulted_remote_run_conforms_to_faulted_local_run() {
 
 /// Wraps a registered SUT and wall-sleeps on chosen execute-call ordinals
 /// (1-based, counted server-side) — long enough to blow the client's
-/// socket deadline. With chunk size 8 and at-least-once resend, sleeping
-/// at calls 3 and 11 times out both the first dispatch of the first chunk
-/// and its retry, while later chunks stay under their deadlines once the
-/// abandoned work drains.
+/// socket deadline. With an 8-op frame and at-least-once resend, sleeping
+/// at calls 3 and 11 times out both the first dispatch of the frame and
+/// its retry.
 struct SleepySut {
     inner: BoxedKvSut,
     calls: u64,
@@ -196,12 +217,12 @@ fn socket_deadline_and_injected_timeout_share_one_ledger() {
     let scenario = shift_scenario();
 
     // Remote side: a server whose SUT wall-sleeps 800ms on execute calls
-    // 3 and 11. The client runs with a 600ms socket deadline, chunk size
-    // 8, and one retry. Timeline: chunk 1 (server calls 1–8) replies at
-    // ~0.8s, past the 0.6s deadline → timeout + resend; the resend (calls
-    // 9–16, behind the abandoned work's mutex hold) replies at ~1.6s,
-    // past its 1.2s deadline → timeout + give up (chunk poisoned). The
-    // run is capped at that one chunk, so: exactly timeouts=2, retries=1.
+    // 3 and 11. The client runs with a 600ms socket deadline and one
+    // retry. Timeline: the frame (server calls 1–8) replies at ~0.8s,
+    // past the 0.6s deadline → timeout + resend; the resend (calls 9–16,
+    // behind the abandoned work's mutex hold) replies at ~1.6s, past its
+    // 1.2s deadline → timeout + give up (frame poisoned). The run is
+    // capped at that one frame, so: exactly timeouts=2, retries=1.
     let mut registry = SutRegistry::default();
     registry.register("sleepy", "btree that naps mid-run", |data| {
         let inner = SutRegistry::default().build("btree", data)?;
@@ -216,23 +237,15 @@ fn socket_deadline_and_injected_timeout_share_one_ledger() {
         .expect("binds")
         .spawn()
         .expect("spawns");
-    let opts = RemoteOptions {
-        connections: 1,
-        batch: 8,
-        pipeline: 1,
-        retry: RetryPolicy {
-            timeout: Some(0.6),
-            max_retries: 1,
-            ..RetryPolicy::default()
-        },
+    let retry = RetryPolicy {
+        timeout: Some(0.6),
+        max_retries: 1,
+        ..RetryPolicy::default()
     };
-    let mut remote = RemoteSut::connect(&server.addr().to_string(), opts).expect("connects");
-    remote
-        .load(&render_scenario(&scenario))
-        .expect("remote load");
-    // Cap the run at exactly one chunk: abandoned server-side work from
-    // the poisoned chunk cannot then cascade deadline expiries into later
-    // chunks, so the ledger is deterministic regardless of scheduling.
+    let mut remote = connect(&server, &scenario, retry);
+    // Cap the run at exactly one frame: abandoned server-side work from
+    // the poisoned frame cannot then cascade deadline expiries into later
+    // frames, so the ledger is deterministic regardless of scheduling.
     let remote_outcome = Runner::new(&mut remote)
         .config(RunOptions {
             obs: ObsConfig::traced(),
@@ -306,7 +319,7 @@ fn socket_deadline_and_injected_timeout_share_one_ledger() {
         lt.count_kind("query_retried")
     );
 
-    // The poisoned chunk surfaces as failed ops in the record — the run
+    // The poisoned frame surfaces as failed ops in the record — the run
     // completes rather than wedging on a slow server.
     assert!(remote_outcome.record.failures() >= 1);
     assert_eq!(
