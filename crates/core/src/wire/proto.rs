@@ -3,8 +3,8 @@
 //!
 //! Every frame carries one `{id, req}` or `{id, resp}` object. Ids are
 //! per-connection, strictly increasing, and echoed verbatim by the
-//! server; the client pool uses them to match pipelined responses to
-//! in-flight requests. The first exchange on a connection must be
+//! server; the client checks each response against the request it
+//! answers. The first exchange on a connection must be
 //! [`Request::Hello`] / [`Response::HelloOk`] — anything else is a
 //! protocol violation and closes the connection.
 //!
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// Version of the wire protocol. Bump on any incompatible change to the
 /// frame format or message shapes; the handshake rejects mismatches
 /// explicitly instead of letting decoding fail somewhere downstream.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// One client→server frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,13 +60,8 @@ pub enum Request {
         /// Offline training work budget.
         budget: u64,
     },
-    /// `SystemUnderTest::execute` for a single operation.
-    Execute {
-        /// The operation.
-        op: Operation,
-    },
-    /// `SystemUnderTest::execute_many` for a batch; the response carries
-    /// one reply per operation, in order.
+    /// `SystemUnderTest::execute_many` for a batch (one operation for
+    /// `execute`); the response carries one reply per operation, in order.
     ExecuteMany {
         /// The batch, in execution order.
         ops: Vec<Operation>,
@@ -82,8 +77,6 @@ pub enum Request {
     Crash,
     /// `SystemUnderTest::metrics`.
     Metrics,
-    /// Close the connection politely.
-    Shutdown,
 }
 
 /// Server→client messages.
@@ -111,11 +104,6 @@ pub enum Response {
         /// Work units.
         work: u64,
     },
-    /// One `Execute` result.
-    Exec {
-        /// The outcome or failure.
-        result: ExecReply,
-    },
     /// One `ExecuteMany` result set, in request order.
     ExecMany {
         /// One reply per operation.
@@ -126,8 +114,6 @@ pub enum Response {
         /// The SUT's metrics.
         metrics: SutMetrics,
     },
-    /// Acknowledges `Shutdown`; the connection closes after this.
-    Bye,
     /// The request was understood but could not be served.
     Error {
         /// What went wrong.

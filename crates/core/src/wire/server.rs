@@ -202,19 +202,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> WireResult<()> {
                 return Err(err);
             }
         };
-        let id = frame.id;
-        if matches!(frame.req, Request::Shutdown) {
-            send(
-                &mut writer,
-                ResponseFrame {
-                    id,
-                    resp: Response::Bye,
-                },
-            )?;
-            return Ok(());
-        }
         let resp = dispatch(frame.req, shared);
-        send(&mut writer, ResponseFrame { id, resp })?;
+        send(&mut writer, ResponseFrame { id: frame.id, resp })?;
     }
 }
 
@@ -302,12 +291,9 @@ fn dispatch(req: Request, shared: &Shared) -> Response {
         Request::Hello { .. } => Response::Error {
             reason: "duplicate Hello".to_string(),
         },
-        Request::Load { .. } | Request::Shutdown => unreachable!("handled above"),
+        Request::Load { .. } => unreachable!("handled above"),
         Request::Train { budget } => Response::Work {
             work: sut.train(budget),
-        },
-        Request::Execute { op } => Response::Exec {
-            result: super::proto::ExecReply::from_result(&sut.execute(&op)),
         },
         Request::ExecuteMany { ops } => Response::ExecMany {
             results: sut

@@ -230,7 +230,34 @@ fn server_survives_garbage_and_version_mismatch() {
         }
     }
 
-    // 3. A well-behaved client still gets a clean handshake afterwards.
+    // 3. After a good handshake, a request the protocol no longer has
+    //    (`Shutdown`, gone in version 2) is answered with an error, then
+    //    the connection closes.
+    {
+        let mut s = TcpStream::connect(addr).expect("connects");
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.write_all(&hello_frame(0, PROTOCOL_VERSION)).unwrap();
+        assert!(matches!(
+            read_one_response(&mut s),
+            Response::HelloOk { .. }
+        ));
+        let known = encode_request(&RequestFrame {
+            id: 1,
+            req: Request::Maintenance,
+        });
+        let removed = String::from_utf8(known)
+            .unwrap()
+            .replace("Maintenance", "Shutdown");
+        let mut frame = Vec::new();
+        write_frame(&mut frame, removed.as_bytes()).expect("encodes");
+        s.write_all(&frame).unwrap();
+        match read_one_response(&mut s) {
+            Response::Error { reason } => assert!(reason.contains("`Shutdown`"), "{reason}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+    }
+
+    // 4. A well-behaved client still gets a clean handshake afterwards.
     {
         let mut s = TcpStream::connect(addr).expect("connects");
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
