@@ -7,7 +7,6 @@
 //! `BTreeMap`, so iteration order (and therefore serialized output) is
 //! deterministic.
 
-use crate::Result;
 use lsbench_stats::LatencyHistogram;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -93,42 +92,20 @@ impl IntervalHistogram {
         }
         self.slices[slice].record_n(latency_ns, n);
     }
-
-    /// Merges another interval histogram (same width required) into `self`.
-    pub fn merge(&mut self, other: &IntervalHistogram) -> Result<()> {
-        if (self.width - other.width).abs() > f64::EPSILON * self.width.max(other.width) {
-            return Err(crate::BenchError::Metric(format!(
-                "cannot merge interval histograms with widths {} and {}",
-                self.width, other.width
-            )));
-        }
-        self.total
-            .merge(&other.total)
-            .map_err(|e| crate::BenchError::Metric(e.to_string()))?;
-        if self.slices.len() < other.slices.len() {
-            self.slices
-                .resize_with(other.slices.len(), LatencyHistogram::new);
-        }
-        for (mine, theirs) in self.slices.iter_mut().zip(other.slices.iter()) {
-            mine.merge(theirs)
-                .map_err(|e| crate::BenchError::Metric(e.to_string()))?;
-        }
-        Ok(())
-    }
 }
 
 /// A deterministic registry of named counters, gauges, and histograms.
 ///
-/// Counters sum on merge, gauges keep the maximum (they record high-water
-/// marks), histograms merge bucket-wise. Exposed per scenario in
+/// Counters accumulate, gauges keep the maximum (high-water marks).
+/// Exposed per scenario in
 /// [`ScenarioSummary::metrics`](crate::suite::ScenarioSummary::metrics).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsRegistry {
-    /// Monotonic event counts (sum on merge).
+    /// Monotonic event counts.
     pub counters: BTreeMap<String, u64>,
-    /// High-water-mark readings (max on merge).
+    /// High-water-mark readings.
     pub gauges: BTreeMap<String, f64>,
-    /// Named per-interval latency histograms (bucket-wise merge).
+    /// Named per-interval latency histograms.
     pub histograms: BTreeMap<String, IntervalHistogram>,
 }
 
@@ -154,14 +131,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records a latency sample into histogram `name`.
-    pub fn record(&mut self, name: &str, width: f64, t_rel: f64, latency_ns: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| IntervalHistogram::new(width))
-            .record(t_rel, latency_ns);
-    }
-
     /// Reads counter `name`, defaulting to zero.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -170,26 +139,6 @@ impl MetricsRegistry {
     /// Reads gauge `name`, if ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
-    }
-
-    /// Merges another registry into `self` (counters sum, gauges max,
-    /// histograms merge).
-    pub fn merge(&mut self, other: &MetricsRegistry) -> Result<()> {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauge_max(k, *v);
-        }
-        for (k, v) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(mine) => mine.merge(v)?,
-                None => {
-                    self.histograms.insert(k.clone(), v.clone());
-                }
-            }
-        }
-        Ok(())
     }
 
     /// True when nothing has been recorded.
@@ -203,22 +152,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_sum_gauges_max_on_merge() {
-        let mut a = MetricsRegistry::new();
-        a.inc("ops", 3);
-        a.gauge_max("backlog", 0.5);
-        let mut b = MetricsRegistry::new();
-        b.inc("ops", 4);
-        b.inc("fails", 1);
-        b.gauge_max("backlog", 0.25);
-        a.merge(&b).unwrap();
-        assert_eq!(a.counter("ops"), 7);
-        assert_eq!(a.counter("fails"), 1);
-        assert_eq!(a.counter("missing"), 0);
-        assert_eq!(a.gauge("backlog"), Some(0.5));
-    }
-
-    #[test]
     fn interval_histogram_slices_by_time() {
         let mut h = IntervalHistogram::new(1.0);
         h.record(0.5, 100);
@@ -228,13 +161,6 @@ mod tests {
         assert_eq!(h.slices.len(), 2);
         assert_eq!(h.slices[0].total(), 1);
         assert_eq!(h.slices[1].total(), 2);
-
-        let mut other = IntervalHistogram::new(1.0);
-        other.record(2.5, 400);
-        h.merge(&other).unwrap();
-        assert_eq!(h.total.total(), 4);
-        assert_eq!(h.slices.len(), 3);
-        assert!(h.merge(&IntervalHistogram::new(2.0)).is_err());
     }
 
     #[test]
@@ -281,7 +207,9 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.inc("z", 1);
         r.inc("a", 2);
-        r.record("lat", 1.0, 0.1, 50);
+        let mut lat = IntervalHistogram::new(1.0);
+        lat.record(0.1, 50);
+        r.histograms.insert("lat".to_string(), lat);
         let json = serde_json::to_string(&r).unwrap();
         let back: MetricsRegistry = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);

@@ -277,13 +277,10 @@ where
     Ok(area)
 }
 
-/// Mergeable fixed-width per-interval completion counters.
+/// Fixed-width per-interval completion counters.
 ///
 /// Counts accumulate online, with no need to know the run's span up front,
-/// into fixed-width buckets anchored at `origin`, and two recorders with
-/// the same geometry merge by element-wise addition. This is what lets concurrent driver lanes record
-/// completions independently and still produce one deterministic
-/// throughput-over-time series regardless of worker count or merge order.
+/// into fixed-width buckets anchored at `origin`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntervalCounts {
     origin: f64,
@@ -344,22 +341,6 @@ impl IntervalCounts {
     /// Total completions recorded.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Merges another recorder with identical origin and width.
-    pub fn merge(&mut self, other: &IntervalCounts) -> Result<()> {
-        if self.origin != other.origin || self.width != other.width {
-            return Err(StatsError::InvalidParameter(
-                "cannot merge interval counts with different geometry",
-            ));
-        }
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        Ok(())
     }
 }
 
@@ -507,28 +488,5 @@ mod tests {
         assert!(IntervalCounts::new(0.0, -1.0).is_err());
         assert!(IntervalCounts::new(f64::NAN, 1.0).is_err());
         assert!(IntervalCounts::new(0.0, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn interval_recorder_merge_is_order_independent() {
-        let record_all = |times: &[f64]| {
-            let mut ic = IntervalCounts::new(0.0, 1.0).unwrap();
-            for &t in times {
-                ic.record(t).unwrap();
-            }
-            ic
-        };
-        let a = record_all(&[0.1, 3.7]);
-        let b = record_all(&[1.1, 1.9, 8.2]);
-        let mut ab = a.clone();
-        ab.merge(&b).unwrap();
-        let mut ba = b.clone();
-        ba.merge(&a).unwrap();
-        assert_eq!(ab, ba);
-        assert_eq!(ab.total(), 5);
-        assert_eq!(ab.counts()[1], 2);
-        // Geometry mismatch is rejected.
-        let mut other = IntervalCounts::new(0.5, 1.0).unwrap();
-        assert!(other.merge(&a).is_err());
     }
 }

@@ -4,7 +4,7 @@ use lsbench_stats::descriptive::{quantile, BoxPlot, FiveNumber, Summary};
 use lsbench_stats::histogram::{EquiDepthHistogram, EquiWidthHistogram, LatencyHistogram};
 use lsbench_stats::jaccard::jaccard_similarity;
 use lsbench_stats::ks::ks_statistic;
-use lsbench_stats::timeseries::{area_between, IntervalCounts, TimeSeries};
+use lsbench_stats::timeseries::{area_between, TimeSeries};
 use lsbench_stats::StatsError;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -141,20 +141,9 @@ fn histogram(sub_bits: u32, values: &[u64]) -> LatencyHistogram {
     h
 }
 
-fn times() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(0.0f64..50.0, 0..60)
-}
-
-/// Completions at `times` after `origin`, in buckets of `width`.
-fn interval_counts(origin: f64, width: f64, times: &[f64]) -> IntervalCounts {
-    let mut c = IntervalCounts::new(origin, width).unwrap();
-    times.iter().for_each(|&t| c.record(origin + t).unwrap());
-    c
-}
-
-/// The engine sums these sinks across lanes in any order and grouping, so
-/// `merge` must be commutative and associative; a merge with a sink of
-/// another geometry (`alien`) is refused and leaves the target as it was.
+/// Histograms sum in any order and grouping, so `merge` must be
+/// commutative and associative; a merge with a histogram of another
+/// resolution (`alien`) is refused and leaves the target as it was.
 fn check_merge<M: Clone + PartialEq + std::fmt::Debug>(
     merge: fn(&mut M, &M) -> Result<(), StatsError>,
     [a, b, c]: [M; 3],
@@ -182,18 +171,6 @@ proptest! {
     ) {
         let alien = histogram((bits + other) % 9, &a);
         check_merge(LatencyHistogram::merge, [a, b, c].map(|v| histogram(bits, &v)), alien);
-    }
-
-    #[test]
-    fn interval_counts_merge_laws(
-        (origin, width, nudge) in (-1e3f64..1e3, 0.01f64..5.0, 0.01f64..5.0),
-        moved in any::<bool>(),
-        (a, b, c) in (times(), times(), times()),
-    ) {
-        let (o, w) = if moved { (origin + nudge, width) } else { (origin, width + nudge) };
-        let alien = interval_counts(o, w, &a);
-        let sinks = [a, b, c].map(|ts| interval_counts(origin, width, &ts));
-        check_merge(IntervalCounts::merge, sinks, alien);
     }
 
     #[test]
