@@ -18,6 +18,12 @@ use crate::{BenchError, Result};
 use lsbench_stats::descriptive::quantile;
 use serde::{Deserialize, Serialize};
 
+/// Equal band intervals a headline report (the suite, the sweep and
+/// `compare`) splits each record's execution span into.
+pub(crate) const SLA_INTERVALS: f64 = 40.0;
+/// N of the headline adjustment-speed metric.
+pub(crate) const ADJUSTMENT_N: usize = 2_000;
+
 /// How the SLA threshold is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SlaPolicy {
@@ -195,6 +201,28 @@ impl SlaReport {
             adjustment_n,
         })
     }
+
+    /// The headline report: `record`'s execution span in
+    /// [`SLA_INTERVALS`] bands, adjustment speed over [`ADJUSTMENT_N`]
+    /// queries.
+    pub(crate) fn headline(record: &RunRecord, threshold: f64) -> Result<Self> {
+        let interval = band_width(record, SLA_INTERVALS);
+        SlaReport::from_record(record, threshold, interval, ADJUSTMENT_N)
+    }
+
+    /// The worst adjustment speed over every phase change (0 without one).
+    pub(crate) fn worst_adjustment(&self) -> f64 {
+        self.adjustment_speed
+            .iter()
+            .map(|&(_, v)| v)
+            .fold(0.0, f64::max)
+    }
+}
+
+/// The band width that splits `record`'s execution span into `intervals`
+/// equal windows.
+fn band_width(record: &RunRecord, intervals: f64) -> f64 {
+    (record.exec_duration() / intervals).max(f64::MIN_POSITIVE)
 }
 
 /// Paired Fig. 1c evaluation: resolves `policy` against the *baseline*
@@ -219,8 +247,12 @@ pub fn paired_sla_reports(
     }
     let threshold = policy.resolve(Some(baseline))?;
     let report = |record: &RunRecord| {
-        let interval = (record.exec_duration() / intervals).max(f64::MIN_POSITIVE);
-        SlaReport::from_record(record, threshold, interval, adjustment_n)
+        SlaReport::from_record(
+            record,
+            threshold,
+            band_width(record, intervals),
+            adjustment_n,
+        )
     };
     Ok((report(baseline)?, report(candidate)?))
 }

@@ -28,7 +28,7 @@
 use crate::faults::FaultStats;
 use crate::metrics::adaptability::paired_area_difference;
 use crate::metrics::cost::cost_per_query;
-use crate::metrics::sla::{paired_sla_reports, SlaPolicy};
+use crate::metrics::sla::{paired_sla_reports, SlaPolicy, ADJUSTMENT_N, SLA_INTERVALS};
 use crate::metrics::specialization::{paired_phase_deltas, PhaseBoxDelta};
 use crate::record::RunRecord;
 use crate::results::SCHEMA_VERSION;
@@ -42,10 +42,6 @@ use serde::{Deserialize, Serialize};
 const OPS_PER_WINDOW: usize = 100;
 /// SLA threshold = this multiplier × the baseline record's p99 latency.
 const SLA_MULTIPLIER: f64 = 2.0;
-/// Number of equal SLA band intervals each record's execution is split into.
-const SLA_INTERVALS: f64 = 40.0;
-/// N of the post-phase-change adjustment-speed metric.
-const ADJUSTMENT_N: usize = 2_000;
 
 /// One scalar compared across the two runs: both values plus their signed
 /// absolute difference (candidate − baseline).
@@ -237,13 +233,6 @@ pub fn compare(baseline: &RunRecord, candidate: &RunRecord) -> Result<Comparison
     };
     let (sla_b, sla_c) =
         paired_sla_reports(baseline, candidate, &policy, SLA_INTERVALS, ADJUSTMENT_N)?;
-    let worst = |r: &crate::metrics::sla::SlaReport| {
-        r.adjustment_speed
-            .iter()
-            .map(|&(_, s)| s)
-            .fold(0.0_f64, f64::max)
-    };
-
     Ok(ComparisonReport {
         schema_version: SCHEMA_VERSION,
         baseline: baseline.sut_name.clone(),
@@ -262,7 +251,10 @@ pub fn compare(baseline: &RunRecord, candidate: &RunRecord) -> Result<Comparison
                 sla_b.violation_fraction,
                 sla_c.violation_fraction,
             ),
-            worst_adjustment: ScalarDelta::between(worst(&sla_b), worst(&sla_c)),
+            worst_adjustment: ScalarDelta::between(
+                sla_b.worst_adjustment(),
+                sla_c.worst_adjustment(),
+            ),
         },
         faults: FaultDeltas::between(baseline, candidate),
         cost: CostComparison::between(baseline, candidate, &HardwareProfile::cpu()),

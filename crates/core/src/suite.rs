@@ -418,11 +418,6 @@ pub struct SuiteResult {
     pub summaries: Vec<ScenarioSummary>,
 }
 
-/// Interval count used for SLA bands inside the suite.
-const SLA_INTERVALS: f64 = 40.0;
-/// N for the adjustment-speed metric inside the suite.
-const ADJUSTMENT_N: usize = 2_000;
-
 /// Observation artifacts from one suite run, beyond the summaries: the
 /// per-scenario event traces and wall-clock span trees requested via the
 /// [`ObsConfig`] handed to [`run_scenarios`]. Both vectors pair each
@@ -553,19 +548,13 @@ fn summarize(
     metrics: MetricsRegistry,
 ) -> Result<ScenarioSummary> {
     let adapt = AdaptabilityReport::from_record(record)?;
-    let interval = (record.exec_duration() / SLA_INTERVALS).max(f64::MIN_POSITIVE);
-    let sla = SlaReport::from_record(record, threshold, interval, ADJUSTMENT_N)?;
-    let adjustment_speed = sla
-        .adjustment_speed
-        .iter()
-        .map(|&(_, v)| v)
-        .fold(0.0, f64::max);
+    let sla = SlaReport::headline(record, threshold)?;
     Ok(ScenarioSummary {
         scenario: record.scenario_name.clone(),
         mean_throughput: record.mean_throughput(),
         normalized_area: adapt.normalized_area,
         violation_fraction: sla.violation_fraction,
-        adjustment_speed,
+        adjustment_speed: sla.worst_adjustment(),
         train_seconds: record.train.seconds,
         failures: record.failures(),
         generalization,

@@ -24,11 +24,6 @@ use crate::sweep::drift::lerp;
 use crate::{BenchError, Result};
 use serde::{Deserialize, Serialize};
 
-/// Interval count used for SLA bands per sweep cell (mirrors the suite).
-const SLA_INTERVALS: f64 = 40.0;
-/// N for the adjustment-speed metric per sweep cell (mirrors the suite).
-const ADJUSTMENT_N: usize = 2_000;
-
 /// One sweep cell: every headline metric at one drift intensity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepPoint {
@@ -91,17 +86,11 @@ pub fn sweep_curve(
     let mut points = Vec::with_capacity(alphas.len());
     for ((&alpha, rung), record) in alphas.iter().zip(rungs).zip(records) {
         let adapt = AdaptabilityReport::from_record(record)?;
-        let interval = (record.exec_duration() / SLA_INTERVALS).max(f64::MIN_POSITIVE);
-        let sla = SlaReport::from_record(record, threshold, interval, ADJUSTMENT_N)?;
-        let adjustment_speed = sla
-            .adjustment_speed
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(0.0, f64::max);
+        let sla = SlaReport::headline(record, threshold)?;
         points.push(SweepPoint {
             alpha,
             adaptability_area: adapt.normalized_area,
-            adjustment_speed,
+            adjustment_speed: sla.worst_adjustment(),
             sla_violation_rate: sla.violation_fraction,
             specialization_spread: specialization_spread(rung, record)?,
         });
