@@ -100,6 +100,44 @@ fn remote_record_is_identical_to_local_at_1_and_4_workers() {
     server.shutdown();
 }
 
+/// Conformance is independent of the geometry of the client pool that
+/// drives the one connection: one serial client, four shared lanes taking
+/// turns on one thread, and three or four key-range shards each produce
+/// the same record remotely as locally.
+#[test]
+fn record_is_invariant_under_client_pool_geometry() {
+    let scenario = shift_scenario();
+    let server = spawn_server("rmi");
+    let geometries = [
+        (ExecutionMode::Serial, None),
+        (ExecutionMode::SharedLock { workers: 4 }, Some(1)),
+        (ExecutionMode::Sharded { workers: 3 }, None),
+        (ExecutionMode::Sharded { workers: 4 }, Some(2)),
+    ];
+    for (mode, threads) in geometries {
+        let opts = RunOptions {
+            threads,
+            ..RunOptions::with_mode(mode)
+        };
+        let data = scenario.dataset.build().expect("dataset builds");
+        let mut local = SutRegistry::default().build("rmi", &data).expect("builds");
+        let local = Runner::new(local.as_mut())
+            .config(opts)
+            .run(&scenario)
+            .expect("local run");
+        let mut remote = connect(&server, &scenario, RetryPolicy::default());
+        let remote = Runner::new(&mut remote)
+            .config(opts)
+            .run(&scenario)
+            .expect("remote run");
+        assert_eq!(
+            remote.record, local.record,
+            "geometry {mode:?}, threads {threads:?}"
+        );
+    }
+    server.shutdown();
+}
+
 /// The driver never sends a call longer than one frame (64 ops), so this
 /// sends them by hand: calls of 0, 1, 64, 65 and 3·64 + 5 ops answer slot
 /// for slot what the same SUT answers locally. Each call reads back keys
