@@ -66,20 +66,13 @@ pub(crate) fn finish_engine(
     // Deterministic fold order regardless of which worker finished first.
     results.sort_by_key(|l| l.lane);
 
-    // Completion order across lanes: by virtual completion time, with
-    // (lane, global index) as a total-order tiebreaker for simultaneous
-    // completions.
-    let total = results.iter().map(|l| l.sinks.ops.len()).sum();
-    let mut tagged: Vec<(usize, u64, OpRecord)> = Vec::with_capacity(total);
+    let ops = completion_order(&results, shape.stable_lanes);
     let mut faults = FaultStats::default();
     // A phase becomes active when the first lane reaches it.
     let mut first_seen: BTreeMap<usize, f64> = BTreeMap::new();
     first_seen.insert(0, exec_start);
     let mut exec_end = exec_start;
     for result in &results {
-        let lane = if shape.stable_lanes { result.lane } else { 0 };
-        let idx = result.sinks.idx.iter().flatten();
-        tagged.extend(idx.zip(&result.sinks.ops).map(|(&i, &rec)| (lane, i, rec)));
         faults.merge(&result.sinks.faults);
         for &(phase, t) in &result.sinks.phase_first {
             first_seen
@@ -89,17 +82,11 @@ pub(crate) fn finish_engine(
         }
         exec_end = exec_end.max(result.final_clock);
     }
-    tagged.sort_by(|a, b| {
-        a.2.t_end
-            .total_cmp(&b.2.t_end)
-            .then(a.0.cmp(&b.0))
-            .then(a.1.cmp(&b.1))
-    });
     let mut phase_change_times: Vec<(usize, f64)> = first_seen.into_iter().collect();
     phase_change_times.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 
     let merged = Merged {
-        ops: tagged.into_iter().map(|(_, _, rec)| rec).collect(),
+        ops,
         phase_change_times,
         exec_end,
         faults,
@@ -109,9 +96,111 @@ pub(crate) fn finish_engine(
     (record, engine, None)
 }
 
+/// Completion order across `results` (in lane order): by virtual
+/// completion time, with (lane, global index) as a total-order tiebreaker
+/// for simultaneous completions.
+fn completion_order(results: &[LaneResult], stable_lanes: bool) -> Vec<OpRecord> {
+    let total = results.iter().map(|l| l.sinks.ops.len()).sum();
+    let mut tagged: Vec<(usize, u64, OpRecord)> = Vec::with_capacity(total);
+    for result in results {
+        let lane = if stable_lanes { result.lane } else { 0 };
+        let idx = result.sinks.idx.iter().flatten();
+        tagged.extend(idx.zip(&result.sinks.ops).map(|(&i, &rec)| (lane, i, rec)));
+    }
+    tagged.sort_by(|a, b| {
+        a.2.t_end
+            .total_cmp(&b.2.t_end)
+            .then(a.0.cmp(&b.0))
+            .then(a.1.cmp(&b.1))
+    });
+    tagged.into_iter().map(|(_, _, rec)| rec).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{CoreOp, Sinks};
+    use crate::scenario::ClockMode;
+    use proptest::prelude::*;
+
+    /// Lane results as the lanes write them — each lane's records in its
+    /// stream order, `t_end` non-decreasing — and beside them every record
+    /// tagged `(lane, global index)`. `lanes[l]` holds lane `l`'s draws:
+    /// a step on a coarse `t_end` grid (0 repeats the previous completion)
+    /// and a key; global indices go to the records in `(key, lane,
+    /// position)` order, so they ascend within a lane and interleave
+    /// across lanes.
+    fn lane_results(lanes: &[Vec<(u8, u16)>]) -> (Vec<LaneResult>, Vec<(usize, u64, OpRecord)>) {
+        let mut slots: Vec<(u16, usize, usize)> = Vec::new();
+        for (lane, draws) in lanes.iter().enumerate() {
+            let mut keys: Vec<u16> = draws.iter().map(|&(_, key)| key).collect();
+            keys.sort_unstable();
+            slots.extend(
+                keys.into_iter()
+                    .enumerate()
+                    .map(|(pos, key)| (key, lane, pos)),
+            );
+        }
+        slots.sort_unstable();
+        let mut idx: Vec<Vec<u64>> = lanes.iter().map(|draws| vec![0; draws.len()]).collect();
+        for (i, &(_, lane, pos)) in slots.iter().enumerate() {
+            idx[lane][pos] = i as u64;
+        }
+        let mut tagged = Vec::new();
+        let results = lanes
+            .iter()
+            .enumerate()
+            .map(|(lane, draws)| {
+                let mut sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, draws.len(), true);
+                let mut t_end = 0.0;
+                for (&(step, _), &i) in draws.iter().zip(&idx[lane]) {
+                    t_end += f64::from(step) * 0.25;
+                    let meta = CoreOp::new((), 0, i as usize, None).meta;
+                    sinks.complete(t_end, i as f64 * 1e-6, true, &meta);
+                    tagged.push((lane, i, *sinks.ops.last().unwrap()));
+                }
+                LaneResult {
+                    lane,
+                    sinks,
+                    final_clock: t_end,
+                }
+            })
+            .collect();
+        (results, tagged)
+    }
+
+    /// The reference lane order: every record sorted on (`t_end`, lane,
+    /// global index).
+    fn tagged_order(mut tagged: Vec<(usize, u64, OpRecord)>) -> Vec<OpRecord> {
+        tagged.sort_by(|a, b| {
+            a.2.t_end
+                .total_cmp(&b.2.t_end)
+                .then(a.0.cmp(&b.0))
+                .then(a.1.cmp(&b.1))
+        });
+        tagged.into_iter().map(|(_, _, rec)| rec).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lane_merge_matches_the_tagged_sort_slot_for_slot(
+            lanes in prop::collection::vec(
+                prop::collection::vec((0u8..3, any::<u16>()), 0..=400),
+                1..=8,
+            ),
+        ) {
+            let (results, tagged) = lane_results(&lanes);
+            let want = tagged_order(tagged);
+            let got = completion_order(&results, true);
+            prop_assert_eq!(got.len(), want.len());
+            for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(g.t_end.to_bits(), w.t_end.to_bits(), "t_end of slot {}", slot);
+                prop_assert_eq!(g.latency.to_bits(), w.latency.to_bits(), "latency of slot {}", slot);
+            }
+        }
+    }
 
     #[test]
     fn metrics_sum_fieldwise() {
