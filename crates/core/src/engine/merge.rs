@@ -2,10 +2,16 @@
 //!
 //! The merged record has the exact shape the serial policy produces, so
 //! every downstream metric family — adaptability curves, SLA bands,
-//! specialization box plots — works on concurrent runs unchanged. All
-//! merge rules are commutative/associative (sorts with total orders, min
-//! per phase, sums), so the output is identical for any worker count and
-//! any lane-arrival order.
+//! specialization box plots — works on concurrent runs unchanged. The
+//! output is identical for any worker count and any lane-arrival order:
+//!
+//! * **Lanes** — one lane is one op stream, and it records its ops in
+//!   stream order. Their sinks, laid end to end in lane order, take one
+//!   stable sort on completion time; ties keep (lane, global index) order.
+//! * **Scheduler workers** — a worker's sink interleaves its clients and
+//!   is not in completion order, and a worker index changes with the
+//!   thread count, so the records sort on (completion, global index).
+//! * Phase first-seen times fold by min, fault ledgers add.
 
 use super::worker::LaneResult;
 use crate::exec::{epilogue, Merged, Started};
@@ -39,10 +45,10 @@ pub(crate) struct EngineShape {
     /// Worker threads used.
     pub threads: usize,
     /// Whether `LaneResult::lane` is a stable identity (one lane = one op
-    /// stream) and so may break completion ties before the global index.
-    /// Scheduler results are per *worker* — an index that changes with the
-    /// thread count — so their ties break on the global index alone
-    /// (globally unique, hence still a total order).
+    /// stream, recorded in stream order), so that completion ties keep
+    /// lane order. Scheduler results are per *worker* — an index that
+    /// changes with the thread count — so their ties break on the global
+    /// index alone (globally unique, hence still a total order).
     pub stable_lanes: bool,
 }
 
@@ -66,7 +72,11 @@ pub(crate) fn finish_engine(
     // Deterministic fold order regardless of which worker finished first.
     results.sort_by_key(|l| l.lane);
 
-    let ops = completion_order(&results, shape.stable_lanes);
+    let ops = if shape.stable_lanes {
+        lane_order(&mut results)
+    } else {
+        worker_order(&results)
+    };
     let mut faults = FaultStats::default();
     // A phase becomes active when the first lane reaches it.
     let mut first_seen: BTreeMap<usize, f64> = BTreeMap::new();
@@ -96,24 +106,34 @@ pub(crate) fn finish_engine(
     (record, engine, None)
 }
 
-/// Completion order across `results` (in lane order): by virtual
-/// completion time, with (lane, global index) as a total-order tiebreaker
-/// for simultaneous completions.
-fn completion_order(results: &[LaneResult], stable_lanes: bool) -> Vec<OpRecord> {
-    let total = results.iter().map(|l| l.sinks.ops.len()).sum();
-    let mut tagged: Vec<(usize, u64, OpRecord)> = Vec::with_capacity(total);
-    for result in results {
-        let lane = if stable_lanes { result.lane } else { 0 };
-        let idx = result.sinks.idx.iter().flatten();
-        tagged.extend(idx.zip(&result.sinks.ops).map(|(&i, &rec)| (lane, i, rec)));
+/// The records of lanes `results` (in lane order) by completion time, ties
+/// in (lane, global index) order: lane 0's sink, reserved for every op,
+/// takes the others' records in lane order, then one stable sort on
+/// `t_end`. A lane records its ops in stream order, so a tie within a lane
+/// is already in index order.
+fn lane_order(results: &mut [LaneResult]) -> Vec<OpRecord> {
+    let Some((first, rest)) = results.split_first_mut() else {
+        return Vec::new();
+    };
+    let mut ops = std::mem::take(&mut first.sinks.ops);
+    for result in rest {
+        ops.extend_from_slice(&result.sinks.ops);
     }
-    tagged.sort_by(|a, b| {
-        a.2.t_end
-            .total_cmp(&b.2.t_end)
-            .then(a.0.cmp(&b.0))
-            .then(a.1.cmp(&b.1))
-    });
-    tagged.into_iter().map(|(_, _, rec)| rec).collect()
+    ops.sort_by(|a, b| a.t_end.total_cmp(&b.t_end));
+    ops
+}
+
+/// The records of scheduler workers `results` by completion time, ties in
+/// global index order.
+fn worker_order(results: &[LaneResult]) -> Vec<OpRecord> {
+    let total = results.iter().map(|l| l.sinks.ops.len()).sum();
+    let mut tagged: Vec<(u64, OpRecord)> = Vec::with_capacity(total);
+    for result in results {
+        let idx = result.sinks.idx.iter().flatten();
+        tagged.extend(idx.zip(&result.sinks.ops).map(|(&i, &rec)| (i, rec)));
+    }
+    tagged.sort_by(|a, b| a.1.t_end.total_cmp(&b.1.t_end).then(a.0.cmp(&b.0)));
+    tagged.into_iter().map(|(_, rec)| rec).collect()
 }
 
 #[cfg(test)]
@@ -151,7 +171,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(lane, draws)| {
-                let mut sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, draws.len(), true);
+                let mut sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, draws.len(), false);
                 let mut t_end = 0.0;
                 for (&(step, _), &i) in draws.iter().zip(&idx[lane]) {
                     t_end += f64::from(step) * 0.25;
@@ -191,9 +211,9 @@ mod tests {
                 1..=8,
             ),
         ) {
-            let (results, tagged) = lane_results(&lanes);
+            let (mut results, tagged) = lane_results(&lanes);
             let want = tagged_order(tagged);
-            let got = completion_order(&results, true);
+            let got = lane_order(&mut results);
             prop_assert_eq!(got.len(), want.len());
             for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
                 prop_assert_eq!(g.t_end.to_bits(), w.t_end.to_bits(), "t_end of slot {}", slot);

@@ -177,7 +177,7 @@ where
         };
         let params = &started.plan.params;
         let inputs = queues.into_iter().enumerate().map(|(lane, ops)| {
-            let sinks = Sinks::new(obs.lane_obs(lane), ClockMode::Sim, ops_hint, true);
+            let sinks = Sinks::new(obs.lane_obs(lane), ClockMode::Sim, ops_hint, false);
             (lane, ops, sinks)
         });
         let (results, final_metrics) = match suts {

@@ -585,24 +585,25 @@ pub(crate) struct Sinks {
     pub faults: FaultStats,
     /// Host wall-clock capture; `None` when off.
     wall: Option<WallRecorder>,
-    /// Each op's global stream index, kept only when this driver's results
-    /// will be merged with others' (the merge key). The serial policy does
-    /// not pay for it.
+    /// Each op's global stream index, kept only by scheduler workers: their
+    /// records merge on (`t_end`, global index). A lane's records need no
+    /// key, since they are in stream order already, and the serial policy
+    /// merges nothing.
     pub idx: Option<Vec<u64>>,
 }
 
 impl Sinks {
-    /// Sinks for one driver. `merged` = one of several (engine lanes,
-    /// scheduler workers) rather than the inline client whose record is
-    /// the run's record.
-    pub(crate) fn new(obs: LaneObs, clock: ClockMode, ops_hint: usize, merged: bool) -> Self {
+    /// Sinks for one driver. `keep_idx` = a scheduler worker's, which keeps
+    /// each op's global index for the merge; a lane's and the inline
+    /// client's do not.
+    pub(crate) fn new(obs: LaneObs, clock: ClockMode, ops_hint: usize, keep_idx: bool) -> Self {
         Sinks {
             ops: Vec::with_capacity(ops_hint),
             phase_first: Vec::new(),
             obs,
             faults: FaultStats::default(),
             wall: WallRecorder::for_clock(clock),
-            idx: merged.then(|| Vec::with_capacity(ops_hint)),
+            idx: keep_idx.then(|| Vec::with_capacity(ops_hint)),
         }
     }
 
