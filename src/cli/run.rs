@@ -45,6 +45,7 @@ pub struct RunArgs<'a> {
     pub suts: Vec<String>,
     pub mode: Option<ModePreference>,
     clock: Option<ClockMode>,
+    /// Worker threads, at least 1: `--threads 0` is refused here.
     pub threads: usize,
     pub clients: Option<usize>,
     faults: Option<FaultPlan>,
@@ -53,12 +54,17 @@ pub struct RunArgs<'a> {
 impl<'a> RunArgs<'a> {
     pub fn parse(args: &'a Args) -> Result<Self, CliError> {
         let modes = "\"serial\", \"shared\", \"sharded\", or \"open-loop\"";
+        // A non-number is refused as "a number" first, like every other
+        // numeric flag; then 0 as "a positive integer", like `--clients 0`.
+        args.num::<usize>(&THREADS, 1)?;
         Ok(RunArgs {
             args,
             suts: args.all(&SUT).map(str::to_string).collect(),
             mode: args.choice(&MODE, ModePreference::parse, "mode", modes)?,
             clock: args.choice(&CLOCK, ClockMode::parse, "clock", "\"sim\" or \"wall\"")?,
-            threads: args.num(&THREADS, 1)?,
+            threads: args
+                .parsed(&THREADS, "a positive integer", |n| *n >= 1)?
+                .unwrap_or(1),
             clients: args.parsed(&CLIENTS, "a positive integer", |n| *n >= 1)?,
             faults: args.get(&FAULTS).map(resolve_fault_plan).transpose()?,
         })
@@ -132,7 +138,7 @@ impl<'a> RunArgs<'a> {
     /// its `[open_loop]` section (or an explicit `--clients`), then
     /// `--threads N > 1` implying sharded, defaulting to serial.
     fn execution_mode(&self, scenario: &Scenario) -> ExecutionMode {
-        let workers = self.threads.max(1);
+        let workers = self.threads;
         let open_loop = || ExecutionMode::OpenLoop {
             clients: self.clients_for(scenario),
             workers,
@@ -434,7 +440,7 @@ pub fn capacity(args: &Args) -> Result<(), CliError> {
     let store = open_store(args)?;
     let scenario = common.scenario()?;
     let clients = common.clients_for(&scenario);
-    let workers = common.threads.max(1);
+    let workers = common.threads;
     let config = CapacityConfig {
         sla,
         initial_rate: args.num(&RATE, 1000.0)?,

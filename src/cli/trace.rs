@@ -154,7 +154,7 @@ pub fn replay(args: &Args) -> Result<(), CliError> {
             "# trace replay\nfile = \"{file}\"\nspeed = \"{}\"\nmode = \"{mode}\"\n",
             args.get(&SPEED).unwrap_or("1"),
         ),
-        concurrency: common.threads.max(1),
+        concurrency: common.threads,
         crate_version: env!("CARGO_PKG_VERSION").to_string(),
         transport: Transport::Local,
         clock: ClockMode::Sim,

@@ -251,6 +251,7 @@ cli_cases!(
     wall_clock_archive,
     errors,
     hostile_arguments,
+    zero_threads,
     damaged_store,
 );
 
@@ -619,6 +620,24 @@ mod cases {
         let after = s.ok("export --size 5000 S2-abrupt-shift", Pin::Code);
         assert_eq!(before.stdout, after.stdout);
         assert!(after.stdout.contains("size = 5000"));
+    }
+
+    /// `--threads 0` is refused where the flag is parsed, as `--clients 0`
+    /// is: no command runs on one thread instead or fails later on it.
+    pub fn zero_threads(s: &mut Session) {
+        for line in [
+            format!("run {S2_SMALL} --sut btree --mode shared --threads 0"),
+            "suite --threads 0 --size 2000 --ops 200".to_string(),
+        ] {
+            let ran = s.run(&line, Pin::Both);
+            assert_eq!(ran.code, 2, "`lsbench {line}` must be refused");
+            assert!(
+                ran.stderr
+                    .contains("--threads must be a positive integer, got '0'"),
+                "`lsbench {line}`: {}",
+                ran.stderr
+            );
+        }
     }
 
     /// A store holding one damaged run: every command that lists the store
