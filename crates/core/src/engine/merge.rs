@@ -107,8 +107,8 @@ pub(crate) fn finish_engine(
 }
 
 /// The records of lanes `results` (in lane order) by completion time, ties
-/// in (lane, global index) order: lane 0's sink, reserved for every op,
-/// takes the others' records in lane order, then one stable sort on
+/// in (lane, global index) order: lane 0's sink, reserved for the run's
+/// ops, takes the others' records in lane order, then one stable sort on
 /// `t_end`. A lane records its ops in stream order, so a tie within a lane
 /// is already in index order.
 fn lane_order(results: &mut [LaneResult]) -> Vec<OpRecord> {
