@@ -10,6 +10,8 @@
 
 #![warn(missing_docs)]
 
+pub mod figures;
+
 use lsbench_core::report::write_artifact;
 use lsbench_core::scenario::DatasetSpec;
 use lsbench_workload::dataset::Dataset;
