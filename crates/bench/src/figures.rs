@@ -5,12 +5,11 @@
 //! is what `cargo bench --bench figures` prints, and each entry's text is
 //! pinned byte for byte by a golden in `crates/bench/tests/figures/`.
 
-use crate::{distribution_ladder, standard_dataset, KEY_RANGE};
 use lsbench_core::driver::run_query_workload;
 use lsbench_core::metrics::adaptability::AdaptabilityReport;
 use lsbench_core::metrics::cost::{CostReport, TrainingTradeoff};
 use lsbench_core::metrics::phi::{distribution_phis, workload_phi, DataPhiMethod};
-use lsbench_core::metrics::sla::{SlaPolicy, SlaReport};
+use lsbench_core::metrics::sla::SlaReport;
 use lsbench_core::metrics::specialization::SpecializationReport;
 use lsbench_core::record::RunRecord;
 use lsbench_core::report::{
@@ -19,6 +18,7 @@ use lsbench_core::report::{
 };
 use lsbench_core::runner::{BoxedKvSut, RunOptions, Runner};
 use lsbench_core::scenario::{OnlineTrainMode, Scenario};
+use lsbench_core::spec::parse_scenario;
 use lsbench_core::sut_registry::SutRegistry;
 use lsbench_index::cache::{KeyCache, LearnedCache, LruCache};
 use lsbench_index::rmi::{Rmi, RmiConfig};
@@ -31,8 +31,8 @@ use lsbench_sut::query_sut::{BanditQuerySut, LearnedCardinalitySut, QueryOp, Tra
 use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::arrival::{ArrivalGenerator, ArrivalProcess, LoadModulation};
 use lsbench_workload::keygen::{KeyDistribution, KeyGenerator};
-use lsbench_workload::ops::{Operation, OperationMix};
-use lsbench_workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase};
+use lsbench_workload::ops::Operation;
+use lsbench_workload::phases::{PhasedWorkload, TransitionKind};
 use lsbench_workload::quality::{score_dataset, score_workload};
 use lsbench_workload::stringkey::{string_key_to_u64, EmailGenerator};
 
@@ -87,26 +87,20 @@ pub const FIGURES: [(&str, FigureFn); 10] = [
     ("lc", lc),
 ];
 
-fn run(sut: &mut (dyn SystemUnderTest<Operation> + Send + 'static), s: &Scenario) -> RunRecord {
-    Runner::new(sut).run(s).expect("run succeeds").record
+/// A figure's scenario, parsed from its spec in `scenarios/figures/`.
+macro_rules! figure_spec {
+    ($name:literal) => {
+        parse_scenario(include_str!(concat!(
+            "../../../scenarios/figures/",
+            $name,
+            ".spec"
+        )))
+        .expect("figure spec is valid")
+    };
 }
 
-fn f1a_scenario() -> Scenario {
-    let mut s = Scenario::specialization_sweep(
-        "fig1a",
-        distribution_ladder(),
-        200_000,
-        20_000,
-        OperationMix::ycsb_c(),
-        7,
-    )
-    .expect("static scenario is valid");
-    // The dataset itself is the shared log-normal database.
-    s.dataset.distribution = KeyDistribution::LogNormal {
-        mu: 0.0,
-        sigma: 1.2,
-    };
-    s
+fn run(sut: &mut (dyn SystemUnderTest<Operation> + Send + 'static), s: &Scenario) -> RunRecord {
+    Runner::new(sut).run(s).expect("run succeeds").record
 }
 
 /// **F1a — Fig. 1a**: throughput per access distribution, as box plots on
@@ -117,11 +111,15 @@ fn f1a_scenario() -> Scenario {
 /// Expected shape: the learned index spreads widely across distributions
 /// (it specializes), while the B+-tree is nearly flat.
 pub fn f1a() -> Figure {
-    let s = f1a_scenario();
+    let s = figure_spec!("f1a");
     let data = s.dataset.build().expect("dataset builds");
+    // Φ is measured over the phases' own distributions, the first being
+    // the uniform baseline.
+    let phases = s.workload.phases();
+    let ladder: Vec<KeyDistribution> = phases.iter().map(|p| p.distribution.clone()).collect();
     let phis = distribution_phis(
-        &distribution_ladder(),
-        KEY_RANGE,
+        &ladder,
+        phases[0].key_range,
         DataPhiMethod::KolmogorovSmirnov,
         11,
     )
@@ -165,69 +163,6 @@ pub fn f1a() -> Figure {
     fig
 }
 
-fn f1b_scenario() -> Scenario {
-    let read_mix = OperationMix::ycsb_c();
-    let write_mix = OperationMix {
-        read: 0.3,
-        insert: 0.7,
-        update: 0.0,
-        scan: 0.0,
-        delete: 0.0,
-        max_scan_len: 0,
-    };
-    let workload = PhasedWorkload::new(
-        vec![
-            WorkloadPhase::new(
-                "reads-lognormal",
-                KeyDistribution::LogNormal {
-                    mu: 0.0,
-                    sigma: 1.2,
-                },
-                KEY_RANGE,
-                read_mix.clone(),
-                80_000,
-            ),
-            WorkloadPhase::new(
-                "insert-burst-new-region",
-                KeyDistribution::Normal {
-                    center: 0.9,
-                    std_frac: 0.02,
-                },
-                KEY_RANGE,
-                write_mix,
-                80_000,
-            ),
-            WorkloadPhase::new(
-                "reads-shifted",
-                KeyDistribution::Normal {
-                    center: 0.9,
-                    std_frac: 0.02,
-                },
-                KEY_RANGE,
-                read_mix,
-                80_000,
-            ),
-        ],
-        vec![TransitionKind::Abrupt, TransitionKind::Abrupt],
-        13,
-    )
-    .expect("static workload is valid");
-    Scenario::builder("fig1b")
-        .dataset(
-            KeyDistribution::LogNormal {
-                mu: 0.0,
-                sigma: 1.2,
-            },
-            KEY_RANGE,
-            200_000,
-            14,
-        )
-        .workload(workload)
-        .maintenance_every(256)
-        .build()
-        .expect("static scenario is valid")
-}
-
 /// **F1b — Fig. 1b**: cumulative queries completed over time, with the
 /// area-difference single values. A read phase, an abrupt insert burst
 /// into a new key region, then reads there: the retraining RMI pays
@@ -237,7 +172,7 @@ fn f1b_scenario() -> Scenario {
 /// Expected shape: the learned curve starts flat, then runs steeper; the
 /// two-system area difference tells who wins overall.
 pub fn f1b() -> Figure {
-    let s = f1b_scenario();
+    let s = figure_spec!("f1b");
     let data = s.dataset.build().expect("dataset builds");
 
     let mut fig = Figure::titled("F1b: cumulative queries over time (adaptability)");
@@ -289,59 +224,6 @@ pub fn f1b() -> Figure {
     fig
 }
 
-fn f1c_scenario() -> Scenario {
-    let write_mix = OperationMix {
-        read: 0.4,
-        insert: 0.6,
-        update: 0.0,
-        scan: 0.0,
-        delete: 0.0,
-        max_scan_len: 0,
-    };
-    let workload = PhasedWorkload::new(
-        vec![
-            WorkloadPhase::new(
-                "steady-reads",
-                KeyDistribution::LogNormal {
-                    mu: 0.0,
-                    sigma: 1.2,
-                },
-                KEY_RANGE,
-                OperationMix::ycsb_c(),
-                25_000,
-            ),
-            WorkloadPhase::new(
-                "shifted-writes",
-                KeyDistribution::Normal {
-                    center: 0.85,
-                    std_frac: 0.03,
-                },
-                KEY_RANGE,
-                write_mix,
-                25_000,
-            ),
-        ],
-        vec![TransitionKind::Abrupt],
-        17,
-    )
-    .expect("static workload is valid");
-    Scenario::builder("fig1c")
-        .dataset(
-            KeyDistribution::LogNormal {
-                mu: 0.0,
-                sigma: 1.2,
-            },
-            KEY_RANGE,
-            200_000,
-            18,
-        )
-        .workload(workload)
-        .sla(SlaPolicy::FromBaselineP99 { multiplier: 2.0 })
-        .maintenance_every(256)
-        .build()
-        .expect("static scenario is valid")
-}
-
 /// **F1c — Fig. 1c**: per-interval latency bands split by SLA compliance,
 /// plus the adjustment speed over the first 5 000 ops after the shift.
 /// The threshold is calibrated from the B+-tree baseline's p99 latency.
@@ -349,7 +231,7 @@ fn f1c_scenario() -> Scenario {
 /// Expected shape: the learned system shows violation bands right after
 /// the shift (delta growth and retraining bursts); the B+-tree none.
 pub fn f1c() -> Figure {
-    let s = f1c_scenario();
+    let s = figure_spec!("f1c");
     let data = s.dataset.build().expect("dataset builds");
 
     let mut fig = Figure::titled("F1c: SLA violation bands");
@@ -380,38 +262,6 @@ pub fn f1c() -> Figure {
     fig
 }
 
-fn f1d_scenario() -> Scenario {
-    let workload = PhasedWorkload::single(
-        WorkloadPhase::new(
-            "reads",
-            KeyDistribution::LogNormal {
-                mu: 0.0,
-                sigma: 1.2,
-            },
-            KEY_RANGE,
-            OperationMix::ycsb_c(),
-            30_000,
-        ),
-        21,
-    )
-    .expect("static workload is valid");
-    Scenario::builder("fig1d")
-        .dataset(
-            KeyDistribution::LogNormal {
-                mu: 0.0,
-                sigma: 1.2,
-            },
-            KEY_RANGE,
-            200_000,
-            22,
-        )
-        .workload(workload)
-        .sla(SlaPolicy::Fixed { threshold: 1.0 })
-        .maintenance_every(u64::MAX)
-        .build()
-        .expect("static scenario is valid")
-}
-
 /// The F1d run stands for a production deployment 10⁶× larger (200k keys →
 /// 200G keys): training work is scaled by this before it becomes dollars.
 /// Per-op cost does not change with scale, so throughput is not scaled.
@@ -427,8 +277,8 @@ const BUDGETS: [(usize, usize); 5] = [(16, 64), (128, 16), (1024, 4), (8192, 1),
 /// Expected shape: learned throughput grows with training spend and
 /// crosses the tuned-traditional level at some budget.
 pub fn f1d() -> Figure {
-    let s = f1d_scenario();
-    let data = standard_dataset(200_000, 22);
+    let s = figure_spec!("f1d");
+    let data = s.dataset.build().expect("dataset builds");
     let pairs: Vec<(u64, u64)> = data.pairs().collect();
 
     let mut fig = Figure::titled("F1d: throughput per training cost vs. DBA step function");
@@ -504,59 +354,6 @@ pub fn f1d() -> Figure {
     fig
 }
 
-fn a1_scenario(kind: TransitionKind) -> Scenario {
-    let write_mix = OperationMix {
-        read: 0.5,
-        insert: 0.5,
-        update: 0.0,
-        scan: 0.0,
-        delete: 0.0,
-        max_scan_len: 0,
-    };
-    let workload = PhasedWorkload::new(
-        vec![
-            WorkloadPhase::new(
-                "head-reads",
-                KeyDistribution::LogNormal {
-                    mu: 0.0,
-                    sigma: 1.2,
-                },
-                KEY_RANGE,
-                OperationMix::ycsb_c(),
-                20_000,
-            ),
-            WorkloadPhase::new(
-                "tail-writes",
-                KeyDistribution::Normal {
-                    center: 0.9,
-                    std_frac: 0.02,
-                },
-                KEY_RANGE,
-                write_mix,
-                20_000,
-            ),
-        ],
-        vec![kind],
-        41,
-    )
-    .expect("static workload is valid");
-    Scenario::builder(format!("ablation-transition-{kind:?}"))
-        .dataset(
-            KeyDistribution::LogNormal {
-                mu: 0.0,
-                sigma: 1.2,
-            },
-            KEY_RANGE,
-            150_000,
-            42,
-        )
-        .workload(workload)
-        .sla(SlaPolicy::Fixed { threshold: 1.0 })
-        .maintenance_every(256)
-        .build()
-        .expect("static scenario is valid")
-}
-
 /// **A1 — ablation**: transition type × adaptability (§V-B: "the type of
 /// transition can impact performance and adaptability in non-obvious
 /// ways"). One shift, abrupt and over two gradual windows, for the
@@ -570,8 +367,12 @@ pub fn a1() -> Figure {
     ];
     let mut text =
         String::from("transition     norm-area   recovery-s   retrains   adjust-speed-s\n");
+    let base = figure_spec!("a1");
     for (name, kind) in kinds {
-        let s = a1_scenario(kind);
+        let mut s = base.clone();
+        let phases = base.workload.phases().to_vec();
+        s.workload = PhasedWorkload::new(phases, vec![kind], base.workload.seed())
+            .expect("a valid transition");
         let data = s.dataset.build().expect("dataset builds");
         let mut sut = RmiSut::build("rmi+retrain", &data, RetrainPolicy::DeltaFraction(0.02))
             .expect("rmi builds");
@@ -592,86 +393,6 @@ pub fn a1() -> Figure {
     fig
 }
 
-fn a2_scenario() -> Scenario {
-    // Main phases mix reads and inserts so the learned system keeps
-    // adapting to what it sees (in-sample specialization).
-    let mix = OperationMix {
-        read: 0.8,
-        insert: 0.2,
-        update: 0.0,
-        scan: 0.0,
-        delete: 0.0,
-        max_scan_len: 0,
-    };
-    let in_sample = [
-        KeyDistribution::LogNormal {
-            mu: 0.0,
-            sigma: 1.2,
-        },
-        KeyDistribution::Zipf { theta: 1.0 },
-        KeyDistribution::Normal {
-            center: 0.2,
-            std_frac: 0.05,
-        },
-        KeyDistribution::Hotspot {
-            hot_span: 0.1,
-            hot_fraction: 0.9,
-        },
-    ];
-    let phases: Vec<WorkloadPhase> = in_sample
-        .iter()
-        .map(|d| WorkloadPhase::new(d.name(), d.clone(), KEY_RANGE, mix.clone(), 15_000))
-        .collect();
-    let transitions = vec![TransitionKind::Abrupt; phases.len() - 1];
-    let workload = PhasedWorkload::new(phases, transitions, 51).expect("static workload is valid");
-
-    // Hold-out: unseen distributions, single pass, read-only.
-    let holdout = PhasedWorkload::new(
-        vec![
-            WorkloadPhase::new(
-                "holdout-clustered",
-                KeyDistribution::Clustered {
-                    clusters: 7,
-                    cluster_std_frac: 0.005,
-                },
-                KEY_RANGE,
-                OperationMix::ycsb_c(),
-                7_500,
-            ),
-            WorkloadPhase::new(
-                "holdout-tail-normal",
-                KeyDistribution::Normal {
-                    center: 0.95,
-                    std_frac: 0.01,
-                },
-                KEY_RANGE,
-                OperationMix::ycsb_c(),
-                7_500,
-            ),
-        ],
-        vec![TransitionKind::Abrupt],
-        53,
-    )
-    .expect("static workload is valid");
-
-    Scenario::builder("ablation-holdout")
-        .dataset(
-            KeyDistribution::LogNormal {
-                mu: 0.0,
-                sigma: 1.2,
-            },
-            KEY_RANGE,
-            150_000,
-            54,
-        )
-        .workload(workload)
-        .sla(SlaPolicy::Fixed { threshold: 1.0 })
-        .maintenance_every(256)
-        .holdout(holdout)
-        .build()
-        .expect("static scenario is valid")
-}
-
 /// **A2 — ablation**: hold-out, out-of-sample evaluation (§V-A). An RMI
 /// that retrains on every phase change runs four in-sample distributions,
 /// then one pass over two unseen ones.
@@ -680,7 +401,7 @@ fn a2_scenario() -> Scenario {
 /// the B+-tree, whose ratio is about 1.0 by construction.
 pub fn a2() -> Figure {
     let mut fig = Figure::titled("A2: hold-out / out-of-sample ablation");
-    let s = a2_scenario();
+    let s = figure_spec!("a2");
     let data = s.dataset.build().expect("dataset builds");
 
     let mut text =
@@ -710,70 +431,6 @@ pub fn a2() -> Figure {
     fig
 }
 
-fn a3_scenario(mode: OnlineTrainMode) -> Scenario {
-    let write_mix = OperationMix {
-        read: 0.3,
-        insert: 0.7,
-        update: 0.0,
-        scan: 0.0,
-        delete: 0.0,
-        max_scan_len: 0,
-    };
-    let workload = PhasedWorkload::new(
-        vec![
-            WorkloadPhase::new(
-                "reads",
-                KeyDistribution::LogNormal {
-                    mu: 0.0,
-                    sigma: 1.2,
-                },
-                KEY_RANGE,
-                OperationMix::ycsb_c(),
-                20_000,
-            ),
-            WorkloadPhase::new(
-                "tail-writes",
-                KeyDistribution::Normal {
-                    center: 0.9,
-                    std_frac: 0.02,
-                },
-                KEY_RANGE,
-                write_mix,
-                10_000,
-            ),
-            WorkloadPhase::new(
-                "drain-reads",
-                KeyDistribution::Normal {
-                    center: 0.9,
-                    std_frac: 0.02,
-                },
-                KEY_RANGE,
-                OperationMix::ycsb_c(),
-                60_000,
-            ),
-        ],
-        vec![TransitionKind::Abrupt, TransitionKind::Abrupt],
-        91,
-    )
-    .expect("static workload is valid");
-    Scenario::builder("ablation-resource-fraction")
-        .dataset(
-            KeyDistribution::LogNormal {
-                mu: 0.0,
-                sigma: 1.2,
-            },
-            KEY_RANGE,
-            150_000,
-            92,
-        )
-        .workload(workload)
-        .sla(SlaPolicy::Fixed { threshold: 1.0 })
-        .maintenance_every(256)
-        .online_train(mode)
-        .build()
-        .expect("static scenario is valid")
-}
-
 /// **A3 — ablation**: the online-training resource fraction (§V-B). One
 /// retrain at the shift, run in the foreground (it stalls one query) and
 /// in the background at three processor shares.
@@ -800,8 +457,12 @@ pub fn a3() -> Figure {
     let mut text = String::from(
         "mode             max-lat-ms  p99-lat-ms  viol%>1ms  mean-ops/s  duration-s\n",
     );
+    let base = figure_spec!("a3");
     for (name, mode) in modes {
-        let s = a3_scenario(mode);
+        let s = Scenario {
+            online_train: mode,
+            ..base.clone()
+        };
         let data = s.dataset.build().expect("dataset builds");
         // Retrain only at phase boundaries so every mode pays the same
         // adaptation work, scheduled differently.
@@ -1083,39 +744,6 @@ pub fn qs() -> Figure {
     fig
 }
 
-fn lc_scenario() -> Scenario {
-    // Narrow hot regions; a small scan share pollutes recency caches.
-    let mix = OperationMix {
-        read: 0.9,
-        insert: 0.0,
-        update: 0.0,
-        scan: 0.1,
-        delete: 0.0,
-        max_scan_len: 32,
-    };
-    // Zipf access over disjoint half-ranges: a heavy-hitter hot set in the
-    // lower half, then an abrupt move to the upper half.
-    let zipf = KeyDistribution::Zipf { theta: 1.2 };
-    let lower = (KEY_RANGE.0, KEY_RANGE.1 / 2);
-    let upper = (KEY_RANGE.1 / 2, KEY_RANGE.1);
-    let workload = PhasedWorkload::new(
-        vec![
-            WorkloadPhase::new("hot-A", zipf.clone(), lower, mix.clone(), 60_000),
-            WorkloadPhase::new("hot-B", zipf, upper, mix, 60_000),
-        ],
-        vec![TransitionKind::Abrupt],
-        101,
-    )
-    .expect("static workload is valid");
-    Scenario::builder("learned-cache")
-        .dataset(KeyDistribution::Uniform, KEY_RANGE, 200_000, 102)
-        .workload(workload)
-        .sla(SlaPolicy::Fixed { threshold: 1.0 })
-        .maintenance_every(u64::MAX)
-        .build()
-        .expect("static scenario is valid")
-}
-
 /// LC's cache capacity, in keys.
 const CACHE_CAPACITY: usize = 4_096;
 
@@ -1152,7 +780,7 @@ fn lc_cached<C: KeyCache + 'static>(
 /// half-life is its specialize-vs-adapt knob.
 pub fn lc() -> Figure {
     let mut fig = Figure::titled("LC: learned cache vs LRU under a hot-set shift");
-    let s = lc_scenario();
+    let s = figure_spec!("lc");
     let mut text = String::new();
 
     // Uncached baseline for context.
@@ -1190,47 +818,4 @@ pub fn lc() -> Figure {
     );
     fig.emit("fig_learned_cache.txt", &text);
     fig
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lsbench_core::spec::parse_scenario;
-
-    #[test]
-    fn figure_specs_parse_to_the_rust_builders() {
-        let spec = |text: &str| parse_scenario(text).expect("figure spec parses");
-        assert_eq!(
-            spec(include_str!("../../../scenarios/figures/f1a.spec")),
-            f1a_scenario()
-        );
-        assert_eq!(
-            spec(include_str!("../../../scenarios/figures/f1b.spec")),
-            f1b_scenario()
-        );
-        assert_eq!(
-            spec(include_str!("../../../scenarios/figures/f1c.spec")),
-            f1c_scenario()
-        );
-        assert_eq!(
-            spec(include_str!("../../../scenarios/figures/f1d.spec")),
-            f1d_scenario()
-        );
-        assert_eq!(
-            spec(include_str!("../../../scenarios/figures/a1.spec")),
-            a1_scenario(TransitionKind::Abrupt)
-        );
-        assert_eq!(
-            spec(include_str!("../../../scenarios/figures/a2.spec")),
-            a2_scenario()
-        );
-        assert_eq!(
-            spec(include_str!("../../../scenarios/figures/a3.spec")),
-            a3_scenario(OnlineTrainMode::Foreground)
-        );
-        assert_eq!(
-            spec(include_str!("../../../scenarios/figures/lc.spec")),
-            lc_scenario()
-        );
-    }
 }
