@@ -303,7 +303,8 @@ fn trace_cells(cells: &mut BTreeMap<String, String>) {
     }
 }
 
-/// The phases of `examples/query_steering.rs` (first 25 queries each).
+/// Two 25-query join phases over a small star schema (a fact table and
+/// two dimensions), through the three query SUTs.
 fn query_cells(cells: &mut BTreeMap<String, String>) {
     let mut cat = Catalog::new();
     cat.add(Table::generate("fact", 20_000, 4, 1));
