@@ -814,7 +814,7 @@ pub fn lc() -> Figure {
         learned_sticky.area_vs(&lru).expect("comparable")
     ));
     text.push_str(
-        "\n(under pure zipf access, frequency ~ recency, so all caches serve ~80%;\n the sticky 256x half-life lags after the hot-set move — negative area vs\n LRU — the specialize/adapt trade-off of §IV. The scan-pollution case\n where learned frequency decisively beats LRU is exercised in\n crates/index/src/cache.rs::learned_keeps_hot_keys_under_scan_pollution.)\n",
+        "\n(under pure zipf access, frequency ~ recency, so all caches serve ~80%;\n the sticky 256x half-life trails LRU after the hot-set move (phase 2)\n but leads it before (phase 1), so over the whole run its area vs LRU\n is positive — the specialize/adapt trade-off of §IV. The scan-pollution\n case where learned frequency decisively beats LRU is exercised in\n crates/index/src/cache.rs::learned_keeps_hot_keys_under_scan_pollution.)\n",
     );
     fig.emit("fig_learned_cache.txt", &text);
     fig
