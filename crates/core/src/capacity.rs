@@ -338,6 +338,8 @@ pub fn render_capacity_report(report: &CapacityReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsbench_stats::histogram::LatencyHistogram;
+    use lsbench_stats::timeseries::IntervalCounts;
 
     fn synthetic_point(rate: f64, capacity: f64) -> CapacityPoint {
         // A queueing-flavored latency curve: flat below capacity, blowing
@@ -354,6 +356,48 @@ mod tests {
             completed: 10_000,
             met: latency <= 0.005,
         }
+    }
+
+    /// DESIGN: `lo` is "the largest rate that *met* the SLA", and a probe
+    /// meets `pNN <= MS` when its quantile latency is at most the
+    /// threshold. A quantile equal to the threshold meets it; one a hair
+    /// above does not.
+    #[test]
+    fn a_quantile_at_the_threshold_meets_the_sla() {
+        // 2^22 ns is the lower bound of its histogram bucket, so the
+        // quantile reads it back exactly.
+        let mut latency = LatencyHistogram::new();
+        latency.record_n(1 << 22, 100);
+        let engine = EngineStats {
+            latency,
+            completions: IntervalCounts::new(0.0, 0.01).unwrap(),
+            threads: 1,
+            lanes: 1,
+        };
+        let record = RunRecord {
+            sut_name: "edge".to_string(),
+            scenario_name: "edge".to_string(),
+            phase_names: vec!["a".to_string()],
+            ops: Vec::new(),
+            phase_change_times: vec![(0, 0.0)],
+            train: crate::record::TrainInfo::default(),
+            exec_start: 0.0,
+            exec_end: 1.0,
+            final_metrics: lsbench_sut::sut::SutMetrics::default(),
+            work_units_per_second: 1.0,
+            faults: crate::faults::FaultStats::default(),
+        };
+        let at = (1u64 << 22) as f64 / 1e9;
+        let sla = |threshold_seconds| SlaTarget {
+            quantile: 0.99,
+            threshold_seconds,
+        };
+        let point = CapacityPoint::from_run(1000.0, &sla(at), &engine, &record).unwrap();
+        assert_eq!(point.latency_seconds, at);
+        assert!(point.met, "a quantile equal to the threshold meets the SLA");
+        let below = at - at * f64::EPSILON;
+        let point = CapacityPoint::from_run(1000.0, &sla(below), &engine, &record).unwrap();
+        assert!(!point.met, "a quantile above the threshold violates it");
     }
 
     #[test]

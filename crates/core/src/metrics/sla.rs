@@ -303,6 +303,71 @@ mod tests {
         }
     }
 
+    /// One op per `(latency, ok)`, back to back in one phase, under an
+    /// SLA of 0.1 s, as one band.
+    fn report_of(ops: &[(f64, bool)]) -> SlaReport {
+        let mut r = spike_record();
+        let mut t = 0.0;
+        r.ops = ops
+            .iter()
+            .map(|&(latency, ok)| {
+                t += latency;
+                OpRecord {
+                    t_end: t,
+                    latency,
+                    phase: 0,
+                    ok,
+                    in_transition: false,
+                }
+            })
+            .collect();
+        r.phase_change_times = vec![(0, 0.0)];
+        r.exec_end = t;
+        SlaReport::from_record(&r, 0.1, 10.0, 10).unwrap()
+    }
+
+    fn bands(report: &SlaReport) -> (Band, ColorBand) {
+        assert_eq!(report.bands.len(), 1);
+        (report.bands[0], report.color_bands[0])
+    }
+
+    /// "Whether the query finished within the allotted SLA time": a query
+    /// whose latency equals the threshold finished within it. It is
+    /// yellow, the 0.5–1× band.
+    #[test]
+    fn latency_at_the_threshold_is_within_and_yellow() {
+        let (band, color) = bands(&report_of(&[(0.1, true)]));
+        assert_eq!((band.within, band.violated), (1, 0));
+        assert_eq!((color.green, color.yellow, color.orange), (0, 1, 0));
+    }
+
+    /// Green is "≤ 0.5× SLA": a query at exactly half the threshold is
+    /// green, not yellow.
+    #[test]
+    fn half_the_threshold_is_green() {
+        let (band, color) = bands(&report_of(&[(0.5 * 0.1, true)]));
+        assert_eq!(band.within, 1);
+        assert_eq!((color.green, color.yellow), (1, 0));
+    }
+
+    /// Orange is "1–2× SLA": a query at exactly twice the threshold is
+    /// orange, not red, and violates the SLA.
+    #[test]
+    fn twice_the_threshold_is_orange() {
+        let (band, color) = bands(&report_of(&[(2.0 * 0.1, true)]));
+        assert_eq!((band.within, band.violated), (0, 1));
+        assert_eq!((color.orange, color.red), (1, 0));
+    }
+
+    /// A failed query cannot satisfy the SLA, however fast it came back:
+    /// at latency 0 it is violated and red.
+    #[test]
+    fn a_failed_op_at_zero_latency_is_violated_and_red() {
+        let (band, color) = bands(&report_of(&[(0.0, false)]));
+        assert_eq!((band.within, band.violated), (0, 1));
+        assert_eq!((color.green, color.red), (0, 1));
+    }
+
     #[test]
     fn failed_ops_violate_the_sla_regardless_of_latency() {
         let mut r = spike_record();
