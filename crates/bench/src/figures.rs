@@ -37,7 +37,7 @@ use lsbench_workload::quality::{score_dataset, score_workload};
 use lsbench_workload::stringkey::{string_key_to_u64, EmailGenerator};
 
 /// What one figure prints, and the artifacts it saves beside it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Figure {
     /// The printed text, in order.
     pub text: String,
