@@ -30,6 +30,7 @@ use lsbench_sut::kv::{BTreeSut, CachedSut, LearnedKvSut, RetrainPolicy, RmiSut};
 use lsbench_sut::query_sut::{BanditQuerySut, LearnedCardinalitySut, QueryOp, TraditionalQuerySut};
 use lsbench_sut::sut::SystemUnderTest;
 use lsbench_workload::arrival::{ArrivalGenerator, ArrivalProcess, LoadModulation};
+use lsbench_workload::dataset::Dataset;
 use lsbench_workload::keygen::{KeyDistribution, KeyGenerator};
 use lsbench_workload::ops::Operation;
 use lsbench_workload::phases::{PhasedWorkload, TransitionKind};
@@ -368,12 +369,12 @@ pub fn a1() -> Figure {
     let mut text =
         String::from("transition     norm-area   recovery-s   retrains   adjust-speed-s\n");
     let base = figure_spec!("a1");
+    let data = base.dataset.build().expect("dataset builds");
     for (name, kind) in kinds {
         let mut s = base.clone();
         let phases = base.workload.phases().to_vec();
         s.workload = PhasedWorkload::new(phases, vec![kind], base.workload.seed())
             .expect("a valid transition");
-        let data = s.dataset.build().expect("dataset builds");
         let mut sut = RmiSut::build("rmi+retrain", &data, RetrainPolicy::DeltaFraction(0.02))
             .expect("rmi builds");
         let record = run(&mut sut, &s);
@@ -458,12 +459,12 @@ pub fn a3() -> Figure {
         "mode             max-lat-ms  p99-lat-ms  viol%>1ms  mean-ops/s  duration-s\n",
     );
     let base = figure_spec!("a3");
+    let data = base.dataset.build().expect("dataset builds");
     for (name, mode) in modes {
         let s = Scenario {
             online_train: mode,
             ..base.clone()
         };
-        let data = s.dataset.build().expect("dataset builds");
         // Retrain only at phase boundaries so every mode pays the same
         // adaptation work, scheduled differently.
         let mut sut =
@@ -751,10 +752,10 @@ fn lc_cached<C: KeyCache + 'static>(
     label: &str,
     cache: C,
     s: &Scenario,
+    data: &Dataset,
     text: &mut String,
 ) -> AdaptabilityReport {
-    let data = s.dataset.build().expect("dataset builds");
-    let mut sut = CachedSut::new(BTreeSut::build(&data).expect("btree"), cache);
+    let mut sut = CachedSut::new(BTreeSut::build(data).expect("btree"), cache);
     let record = run(&mut sut, s);
     let stats = sut.cache_stats();
     let rep = AdaptabilityReport::from_record(&record).expect("report");
@@ -792,17 +793,25 @@ pub fn lc() -> Figure {
         "btree (no cache)",
         record.mean_throughput()
     ));
-    let lru = lc_cached("btree+lru", LruCache::new(CACHE_CAPACITY), &s, &mut text);
+    let lru = lc_cached(
+        "btree+lru",
+        LruCache::new(CACHE_CAPACITY),
+        &s,
+        &data,
+        &mut text,
+    );
     let learned_balanced = lc_cached(
         "btree+learned(16x)",
         LearnedCache::new(CACHE_CAPACITY),
         &s,
+        &data,
         &mut text,
     );
     let learned_sticky = lc_cached(
         "btree+learned(256x)",
         LearnedCache::with_half_life(CACHE_CAPACITY, CACHE_CAPACITY as f64 * 256.0),
         &s,
+        &data,
         &mut text,
     );
     text.push_str(&format!(
