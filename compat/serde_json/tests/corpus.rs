@@ -739,6 +739,69 @@ fn transcript() -> String {
         let as_shapes = serde_json::from_str::<Vec<Shape>>(prefix).map(|_| ());
         writeln!(o, "{prefix:?}\n    Vec<Shape> {as_shapes:?}").unwrap();
     }
+
+    // Number texts read into integer and float fields: what each accepts,
+    // converts and refuses, and at which byte.
+    writeln!(o, "\n# typed numbers").unwrap();
+    typed!(
+        o,
+        u64,
+        [
+            "-0",
+            "01",
+            "-01",
+            "1e2",
+            "2.0",
+            " \t\r\n 7",
+            "7 ",
+            "-",
+            "--1",
+            "1.2.3",
+            "1-2",
+            "1e",
+            ".5",
+            "-x",
+            "0x1",
+            "00000000000000000000018446744073709551615"
+        ]
+    );
+    typed!(
+        o,
+        i64,
+        [
+            "-9223372036854775809",
+            "-01",
+            " -7",
+            "-",
+            "--1",
+            "1.2.3",
+            "-1e2"
+        ]
+    );
+    typed!(o, u8, ["-1", "00255", "-256"]);
+    typed!(o, u16, ["1.5", "1e0", "-1"]);
+    typed!(o, i8, ["-1.5", "-0"]);
+    typed!(
+        o,
+        f64,
+        ["7", "-7", " \n 2.5", "-", "--1", "1.2.3", "1e", "01.5", "1E+2", "-01"]
+    );
+    typed!(o, f32, ["-16777217", "2", "1e-50"]);
+    typed!(
+        o,
+        Inner,
+        [
+            "{\"x\":01,\"y\":-0}",
+            "{\"x\": 7 ,\"y\": -1 }",
+            "{\"x\":1e2}",
+            "{\"x\":-}",
+            "{\"x\":1,\"y\":--1}",
+            "{\"x\":1.2.3}",
+            "{\"x\":7",
+            "{\"x\":7 ",
+            "{\"x\":"
+        ]
+    );
     out
 }
 

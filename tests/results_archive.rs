@@ -187,6 +187,36 @@ fn run_artifact_json_schema_is_pinned_byte_exact() {
     assert_eq!(parsed.schema_version, SCHEMA_VERSION);
 }
 
+/// The fixture with every op's keys in reverse order and an unknown key
+/// among them loads to the same artifact: a reader that takes the declared
+/// order as a shortcut must still accept any order.
+#[test]
+fn run_artifact_loads_with_op_keys_reordered() {
+    let text = std::fs::read_to_string(fixture_path()).expect("fixture exists");
+    let start = text.find("\"ops\": [").expect("fixture has ops");
+    let end = start + text[start..].find(']').expect("ops array closes");
+    let mut ops = String::new();
+    let mut rest = &text[start..end];
+    while let Some(open) = rest.find('{') {
+        let close = open + rest[open..].find('}').expect("op object closes");
+        let mut keys: Vec<&str> = rest[open + 1..close].split(',').map(str::trim).collect();
+        keys.reverse();
+        keys.insert(2, "\"unknown\": {\"t_end\": [1, \"x\"]}");
+        ops.push_str(&rest[..=open]);
+        ops.push_str(&keys.join(", "));
+        ops.push('}');
+        rest = &rest[close + 1..];
+    }
+    ops.push_str(rest);
+    let reordered = format!("{}{ops}{}", &text[..start], &text[end..]);
+    assert!(
+        reordered.contains("{\"in_transition\": false, \"ok\": true, \"unknown\""),
+        "{reordered}"
+    );
+    let artifact = RunArtifact::from_json(&reordered).expect("reordered fixture parses");
+    assert_eq!(artifact, golden_artifact());
+}
+
 /// Regenerates the golden fixture. Deliberately `#[ignore]`d: run it only
 /// when a schema change is intentional, together with a
 /// `SCHEMA_VERSION` bump.
