@@ -14,7 +14,14 @@
 //! What a typed read accepts: unknown keys are skipped (validated, not
 //! interpreted), the first of duplicate keys wins, a missing field reads as
 //! `null` (so `Option` fields default to `None`), and of several defects in
-//! one document the first in document order is reported.
+//! one document the first in document order is reported. Key order does not
+//! matter, but the declared order is the fast one: a derived struct first
+//! checks whether the next key is spelled exactly as its next declared field
+//! ([`Reader::next_key_is`]) and hands over to the general key loop at the
+//! first that is not. An integer or float field lexes its number once,
+//! digits accumulated straight into a `u64` (a float's text goes to
+//! `str::parse`), and converts that to its own type; no [`Value`] is built
+//! unless an error message names one.
 
 pub use serde_derive::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -58,6 +65,25 @@ impl Value {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
             .unwrap_or(&Value::Null)
+    }
+}
+
+/// A number as its text spells it: what [`Value`] holds of it, without the
+/// other variants' strings and containers.
+#[derive(Clone, Copy)]
+enum Number {
+    UInt(u64),
+    Int(i64),
+    Float(f64),
+}
+
+impl From<Number> for Value {
+    fn from(n: Number) -> Value {
+        match n {
+            Number::UInt(u) => Value::UInt(u),
+            Number::Int(i) => Value::Int(i),
+            Number::Float(f) => Value::Float(f),
+        }
     }
 }
 
@@ -105,8 +131,12 @@ pub struct Writer {
     empty: bool,
 }
 
+/// A newline and the widest indentation [`Writer::line`] writes in one push.
+const INDENT: &str = "\n                                                                ";
+
 impl Writer {
     /// A writer of compact or of two-space-indented JSON.
+    #[inline]
     pub fn new(pretty: bool) -> Self {
         Writer {
             out: String::new(),
@@ -117,12 +147,14 @@ impl Writer {
     }
 
     /// The text written.
+    #[inline]
     pub fn finish(self) -> String {
         self.out
     }
 
     /// Opens an array (`[`) or an object (`{`); each entry is announced
     /// with [`Writer::item`] or [`Writer::key`].
+    #[inline]
     pub fn open(&mut self, bracket: char) {
         self.out.push(bracket);
         self.depth += 1;
@@ -130,6 +162,7 @@ impl Writer {
     }
 
     /// Closes the innermost container with its `]` or `}`.
+    #[inline]
     pub fn close(&mut self, bracket: char) {
         self.depth -= 1;
         if !self.empty {
@@ -139,16 +172,20 @@ impl Writer {
         self.empty = false;
     }
 
+    #[inline]
     fn line(&mut self) {
         if self.pretty {
-            self.out.push('\n');
-            for _ in 0..self.depth {
-                self.out.push_str("  ");
+            let spaces = 2 * self.depth;
+            self.out
+                .push_str(&INDENT[..1 + spaces.min(INDENT.len() - 1)]);
+            for _ in INDENT.len() - 1..spaces {
+                self.out.push(' ');
             }
         }
     }
 
     /// The next array element follows.
+    #[inline]
     pub fn item(&mut self) {
         if !self.empty {
             self.out.push(',');
@@ -158,6 +195,7 @@ impl Writer {
     }
 
     /// The value of object key `key` follows.
+    #[inline]
     pub fn key(&mut self, key: &str) {
         self.item();
         self.string(key);
@@ -165,23 +203,44 @@ impl Writer {
     }
 
     /// `null`
+    #[inline]
     pub fn null(&mut self) {
         self.out.push_str("null");
     }
 
     /// `true` / `false`
+    #[inline]
     pub fn bool(&mut self, b: bool) {
         self.out.push_str(if b { "true" } else { "false" });
     }
 
-    /// An integer.
-    pub fn integer(&mut self, i: impl std::fmt::Display) {
-        write!(self.out, "{i}").expect("writing to a String cannot fail");
+    /// An integer, its digits produced here rather than by `core::fmt`.
+    #[inline]
+    pub fn integer(&mut self, i: i128) {
+        let Ok(mut magnitude) = u64::try_from(i.unsigned_abs()) else {
+            return write!(self.out, "{i}").expect("writing to a String cannot fail");
+        };
+        if i < 0 {
+            self.out.push('-');
+        }
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (magnitude % 10) as u8;
+            magnitude /= 10;
+            if magnitude == 0 {
+                break;
+            }
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     }
 
     /// A float, via Rust's shortest-roundtrip `Display`, with a trailing
     /// `.0` on integral values so they re-parse as floats. Non-finite floats
     /// are written as `null`, as serde_json does.
+    #[inline]
     pub fn float(&mut self, f: f64) {
         if !f.is_finite() {
             return self.null();
@@ -196,9 +255,21 @@ impl Writer {
         }
     }
 
-    /// A string, escaped.
+    /// A string, escaped; one that needs no escape is copied in one push.
+    #[inline]
     pub fn string(&mut self, s: &str) {
+        self.out.reserve(s.len() + 2);
         self.out.push('"');
+        if s.bytes().any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f)) {
+            self.escaped(s);
+        } else {
+            self.out.push_str(s);
+        }
+        self.out.push('"');
+    }
+
+    #[cold]
+    fn escaped(&mut self, s: &str) {
         let mut plain = 0;
         for (i, b) in s.bytes().enumerate() {
             let escape = match b {
@@ -220,7 +291,6 @@ impl Writer {
             }
         }
         self.out.push_str(&s[plain..]);
-        self.out.push('"');
     }
 }
 
@@ -230,6 +300,15 @@ impl Writer {
 /// through a document recurses once per level, and the text can come from
 /// a network peer.
 const MAX_DEPTH: usize = 128;
+
+/// Where the run of JSON whitespace at byte `at` of `bytes` ends.
+#[inline]
+fn ws_end(bytes: &[u8], mut at: usize) -> usize {
+    while matches!(bytes.get(at), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        at += 1;
+    }
+    at
+}
 
 /// A cursor over JSON text. Errors carry the byte offset they were found at
 /// (`… at byte N`).
@@ -267,21 +346,23 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[cold]
     fn err(&mut self, msg: &str) -> DeError {
         self.broken = true;
         DeError(format!("{msg} at byte {}", self.pos))
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.pos = ws_end(self.src.as_bytes(), self.pos);
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), DeError> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -302,6 +383,7 @@ impl<'a> Reader<'a> {
 
     /// The error for a value that is not an `expected`: names what is there
     /// instead, or reports the syntax error found while looking.
+    #[cold]
     fn mismatch(&mut self, expected: &str) -> DeError {
         match self.tree(true) {
             Ok(v) => DeError(format!("expected {expected}, got {v:?}")),
@@ -314,10 +396,10 @@ impl<'a> Reader<'a> {
         self.skip().err().unwrap_or(error)
     }
 
-    /// Reads a number as the [`Value::UInt`], [`Value::Int`] or
-    /// [`Value::Float`] its text spells; `expected` names the caller's type
+    /// Reads the number at the cursor; `expected` names the caller's type
     /// if something else is there.
-    fn number(&mut self, expected: &str) -> Result<Value, DeError> {
+    #[inline]
+    fn number(&mut self, expected: &str) -> Result<Number, DeError> {
         self.skip_ws();
         match self.peek() {
             Some(b'-' | b'0'..=b'9') => self.lex_number(),
@@ -325,34 +407,44 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn lex_number(&mut self) -> Result<Value, DeError> {
+    /// Lexes a number in one pass: `-`, then digits accumulated as they
+    /// are read; a `.`, `e`, `E`, `+` or `-` among them makes the whole run
+    /// of such characters a float, parsed as such.
+    #[inline]
+    fn lex_number(&mut self) -> Result<Number, DeError> {
+        let bytes = self.src.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let negative = bytes.get(start) == Some(&b'-');
+        let mut pos = start + usize::from(negative);
+        let mut magnitude = Some(0u64);
+        while let Some(digit @ b'0'..=b'9') = bytes.get(pos).copied() {
+            magnitude = magnitude
+                .and_then(|m| m.checked_mul(10))
+                .and_then(|m| m.checked_add(u64::from(digit - b'0')));
+            pos += 1;
         }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => {}
-                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
-                _ => break,
+        if matches!(bytes.get(pos), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            while matches!(
+                bytes.get(pos),
+                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            ) {
+                pos += 1;
             }
-            self.pos += 1;
+            self.pos = pos;
+            return self.src[start..pos]
+                .parse::<f64>()
+                .map(Number::Float)
+                .map_err(|_| self.err("invalid float"));
         }
-        let text = &self.src[start..self.pos];
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err("invalid float"))
-        } else if let Some(digits) = text.strip_prefix('-') {
-            let u: u64 = digits.parse().map_err(|_| self.err("invalid integer"))?;
-            0i64.checked_sub_unsigned(u)
-                .map(Value::Int)
-                .ok_or_else(|| self.err("invalid integer"))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| self.err("invalid integer"))
+        let digits = pos - start - usize::from(negative);
+        self.pos = pos;
+        match (magnitude, negative) {
+            (Some(u), false) if digits > 0 => Ok(Number::UInt(u)),
+            (Some(u), true) if digits > 0 => match 0i64.checked_sub_unsigned(u) {
+                Some(i) => Ok(Number::Int(i)),
+                None => Err(self.err("invalid integer")),
+            },
+            _ => Err(self.err("invalid integer")),
         }
     }
 
@@ -447,6 +539,7 @@ impl<'a> Reader<'a> {
 
     /// Enters an array (`[`) or an object (`{`) if one is next (`false`:
     /// something else is).
+    #[inline]
     pub fn begin(&mut self, bracket: u8) -> Result<bool, DeError> {
         self.skip_ws();
         if self.peek() != Some(bracket) {
@@ -462,6 +555,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Moves to the next entry of the open container, or past its `close`.
+    #[inline]
     fn next(&mut self, close: u8, expected: &str) -> Result<bool, DeError> {
         self.skip_ws();
         let fresh = std::mem::take(&mut self.fresh);
@@ -481,16 +575,19 @@ impl<'a> Reader<'a> {
 
     /// Whether the open array has another element; if so the cursor is on
     /// it, if not the array is closed.
+    #[inline]
     pub fn next_item(&mut self) -> Result<bool, DeError> {
         self.next(b']', "expected `,` or `]`")
     }
 
     /// The next key of the open object, the cursor on its value; `None`
     /// closes the object.
+    #[inline]
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, DeError> {
         self.entry(true)
     }
 
+    #[inline]
     fn entry(&mut self, keep: bool) -> Result<Option<Cow<'a, str>>, DeError> {
         if !self.next(b'}', "expected `,` or `}`")? {
             return Ok(None);
@@ -500,6 +597,36 @@ impl<'a> Reader<'a> {
         self.skip_ws();
         self.expect(b':')?;
         Ok(Some(key))
+    }
+
+    /// Moves onto the value of the open object's next key if that key is
+    /// spelled exactly `"key"`, without escapes. Anything else leaves the
+    /// cursor where it was (`false`): another key, an escaped spelling, the
+    /// closing `}`, or a defect for [`Reader::next_key`] to report.
+    #[inline]
+    pub fn next_key_is(&mut self, key: &str) -> bool {
+        let bytes = self.src.as_bytes();
+        let mut at = ws_end(bytes, self.pos);
+        if !self.fresh {
+            if bytes.get(at) != Some(&b',') {
+                return false;
+            }
+            at = ws_end(bytes, at + 1);
+        }
+        let close = at + 1 + key.len();
+        if bytes.get(at) != Some(&b'"')
+            || bytes.get(at + 1..close) != Some(key.as_bytes())
+            || bytes.get(close) != Some(&b'"')
+        {
+            return false;
+        }
+        at = ws_end(bytes, close + 1);
+        if bytes.get(at) != Some(&b':') {
+            return false;
+        }
+        self.pos = at + 1;
+        self.fresh = false;
+        true
     }
 
     /// Skips one value of any shape: validated exactly as [`Value`]'s
@@ -542,7 +669,7 @@ impl<'a> Reader<'a> {
                 }
                 Ok(Value::Object(entries))
             }
-            Some(b'-' | b'0'..=b'9') => self.lex_number(),
+            Some(b'-' | b'0'..=b'9') => self.lex_number().map(Value::from),
             _ => Err(self.err("expected a JSON value")),
         }
     }
@@ -550,6 +677,7 @@ impl<'a> Reader<'a> {
     // ------------------------------------------------ derive-macro helpers
 
     /// Reads the value of struct field `key`.
+    #[inline]
     pub fn field<T: Deserialize>(&mut self, key: &str) -> Result<T, DeError> {
         T::read(self).map_err(|e| match self.broken {
             true => e,
@@ -635,18 +763,24 @@ impl<'a> Reader<'a> {
 macro_rules! impl_ser_de_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn write(&self, w: &mut Writer) { w.integer(self) }
+            #[inline]
+            fn write(&self, w: &mut Writer) { w.integer(*self as i128) }
         }
         impl Deserialize for $t {
+            #[inline]
             fn read(r: &mut Reader<'_>) -> Result<Self, DeError> {
-                match r.number(stringify!($t))? {
-                    Value::UInt(u) if <$t>::try_from(u).is_ok() => Ok(u as $t),
-                    Value::Int(i) if <$t>::try_from(i).is_ok() => Ok(i as $t),
-                    Value::Int(i) if <$t>::MIN != 0 => Err(DeError(format!("{i} out of range"))),
-                    v => Err(DeError(format!(
-                        "expected {}, got {v:?}", stringify!($t)
-                    ))),
-                }
+                let n = r.number(stringify!($t))?;
+                let fits = match n {
+                    Number::UInt(u) => <$t>::try_from(u).ok(),
+                    Number::Int(i) => <$t>::try_from(i).ok(),
+                    Number::Float(_) => None,
+                };
+                fits.ok_or_else(|| match n {
+                    Number::Int(i) if <$t>::MIN != 0 => DeError(format!("{i} out of range")),
+                    n => DeError(format!(
+                        "expected {}, got {:?}", stringify!($t), Value::from(n)
+                    )),
+                })
             }
         }
     )*};
@@ -656,17 +790,18 @@ impl_ser_de_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 macro_rules! impl_ser_de_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
+            #[inline]
             fn write(&self, w: &mut Writer) { w.float(*self as f64) }
         }
         impl Deserialize for $t {
+            #[inline]
             fn read(r: &mut Reader<'_>) -> Result<Self, DeError> {
                 // "20" is an integer to the lexer; a float field accepts it.
-                match r.number("float")? {
-                    Value::Float(f) => Ok(f as $t),
-                    Value::UInt(u) => Ok(u as $t),
-                    Value::Int(i) => Ok(i as $t),
-                    v => Err(DeError(format!("expected float, got {v:?}"))),
-                }
+                Ok(match r.number("float")? {
+                    Number::Float(f) => f as $t,
+                    Number::UInt(u) => u as $t,
+                    Number::Int(i) => i as $t,
+                })
             }
         }
     )*};
@@ -680,6 +815,7 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
+    #[inline]
     fn read(r: &mut Reader<'_>) -> Result<Self, DeError> {
         r.skip_ws();
         match r.peek() {
@@ -772,8 +908,8 @@ impl Serialize for Value {
         match self {
             Value::Null => w.null(),
             Value::Bool(b) => w.bool(*b),
-            Value::UInt(u) => w.integer(u),
-            Value::Int(i) => w.integer(i),
+            Value::UInt(u) => w.integer(i128::from(*u)),
+            Value::Int(i) => w.integer(i128::from(*i)),
             Value::Float(f) => w.float(*f),
             Value::Str(s) => w.string(s),
             Value::Array(items) => items.write(w),
@@ -917,6 +1053,44 @@ mod tests {
         let mut w = Writer::new(true);
         nested.write(&mut w);
         assert_eq!(w.finish(), "[\n  [],\n  [\n    1,\n    2\n  ]\n]");
+    }
+
+    #[test]
+    fn integers_are_written_as_display_spells_them() {
+        for i in [
+            0,
+            9,
+            10,
+            -1,
+            -10,
+            i128::from(i64::MIN),
+            i128::from(i64::MAX),
+            i128::from(u64::MAX),
+            -i128::from(u64::MAX),
+            i128::from(u64::MAX) + 1,
+            i128::MIN,
+        ] {
+            let mut w = Writer::new(false);
+            w.integer(i);
+            assert_eq!(w.finish(), i.to_string());
+        }
+    }
+
+    #[test]
+    fn pretty_indentation_past_one_push_width() {
+        let depth = INDENT.len();
+        let mut value = Value::UInt(1);
+        for _ in 0..depth {
+            value = Value::Array(vec![value]);
+        }
+        let mut w = Writer::new(true);
+        value.write(&mut w);
+        let lines: Vec<String> = (0..depth)
+            .map(|d| "  ".repeat(d) + "[")
+            .chain(std::iter::once("  ".repeat(depth) + "1"))
+            .chain((0..depth).rev().map(|d| "  ".repeat(d) + "]"))
+            .collect();
+        assert_eq!(w.finish(), lines.join("\n"));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Derives the streaming `Serialize`/`Deserialize` traits of the sibling
 //! `serde` shim: `write` is straight-line calls on its `Writer`, one per
-//! field, and `read` is one loop over the keys of its `Reader` that matches
-//! each against the field names. Instead of `syn`/`quote` (unavailable
+//! field, and `read` takes the keys of its `Reader` in declared order while
+//! they come in it, then one loop over the rest that matches each against
+//! the field names. Instead of `syn`/`quote` (unavailable
 //! offline) it walks the raw token stream — enough for the shapes this
 //! workspace derives on: non-generic braced/tuple/unit structs and enums
 //! with unit, newtype, tuple, and struct variants (externally-tagged
@@ -292,16 +293,24 @@ fn gen_serialize(item: &Item) -> String {
     )
 }
 
-/// Reads `{ … }` into `name_path { … }`: one pass over the keys, the first
-/// of duplicates kept, unknown ones skipped, absent fields read as `null`.
+/// Reads `{ … }` into `name_path { … }`. The keys are taken in declared
+/// order while they come in it, one exact comparison each; the first that
+/// does not (out of order, unknown, repeated, escaped, or the `}`) hands over
+/// to one loop over the rest, which keeps the first of duplicates, skips
+/// unknown keys, and reads absent fields as `null`.
 fn read_named(name_path: &str, fields: &[(String, bool)], ctx: &str) -> String {
-    let (mut slots, mut arms, mut inits) = (String::new(), String::new(), String::new());
+    let (mut slots, mut in_order, mut arms, mut inits) =
+        (String::new(), String::new(), String::new(), String::new());
     for (f, skip) in fields {
         if *skip {
             inits.push_str(&format!("{f}: ::std::default::Default::default(),\n"));
             continue;
         }
         slots.push_str(&format!("let mut f_{f} = ::std::option::Option::None;\n"));
+        in_order.push_str(&format!(
+            "if !r.next_key_is(\"{f}\") {{ break 'in_order; }}\n\
+             f_{f} = ::std::option::Option::Some(r.field(\"{f}\")?);\n"
+        ));
         arms.push_str(&format!(
             "\"{f}\" if f_{f}.is_none() => f_{f} = ::std::option::Option::Some(r.field(\"{f}\")?),\n"
         ));
@@ -310,10 +319,13 @@ fn read_named(name_path: &str, fields: &[(String, bool)], ctx: &str) -> String {
              ::std::option::Option::None => ::serde::Reader::missing(\"{f}\")? }},\n"
         ));
     }
+    if !in_order.is_empty() {
+        in_order = format!("'in_order: {{\n{in_order}}}\n");
+    }
     format!(
         "if !r.begin(b'{{')? {{\n\
          return Err(r.refuse(::serde::DeError::custom(\"expected object for {ctx}\")));\n}}\n\
-         {slots}while let Some(key) = r.next_key()? {{\nmatch &*key {{\n{arms}_ => r.skip()?,\n}}\n}}\n\
+         {slots}{in_order}while let Some(key) = r.next_key()? {{\nmatch &*key {{\n{arms}_ => r.skip()?,\n}}\n}}\n\
          Ok({name_path} {{\n{inits}}})"
     )
 }
