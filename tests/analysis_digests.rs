@@ -1,9 +1,18 @@
-//! The Fig. 1b analysis, frozen to the bit.
+//! The Fig. 1a–1c analysis, frozen to the bit.
 //!
 //! `tests/record_digests.rs` pins what a run *records*; this file pins what
-//! the adaptability metric *derives* from a record: every field of
-//! [`AdaptabilityReport`] and [`paired_area_difference`] in both argument
-//! orders, as `f64::to_bits`, in `tests/fixtures/analysis_digests_v1.json`.
+//! the paper's reports *derive* from a record, as `f64::to_bits`, in
+//! `tests/fixtures/analysis_digests_v1.json`:
+//! - every field of [`AdaptabilityReport`] and [`paired_area_difference`]
+//!   in both argument orders;
+//! - `sla/…`: the bands, color bands, violation fraction and adjustment
+//!   speeds of [`SlaReport`] under two thresholds, the record's own p99
+//!   (so that its slowest ops sit exactly on the `<=` edge) and half of it
+//!   (so that they sit on the orange edge at twice the threshold);
+//! - `spec/…`: each [`SpecializationReport`] entry's phase, Φ and box
+//!   statistics at two window sizes, and [`paired_phase_deltas`] in both
+//!   argument orders.
+//!
 //! The records come from real runs (serial, four shared lanes, two shards,
 //! open loop; abrupt and gradual shifts; one faulted run) and from
 //! hand-built edge cases a run never produces but an edited artifact can:
@@ -17,11 +26,14 @@
 
 use lsbench::core::faults::{resolve_fault_plan, FaultStats};
 use lsbench::core::metrics::adaptability::{paired_area_difference, AdaptabilityReport};
+use lsbench::core::metrics::sla::{SlaPolicy, SlaReport};
+use lsbench::core::metrics::specialization::{paired_phase_deltas, SpecializationReport};
 use lsbench::core::record::{OpRecord, RunRecord, TrainInfo};
 use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::{ArrivalSpec, Scenario};
 use lsbench::core::suite::{s2_abrupt_shift, s3_gradual_writes, SuiteConfig};
 use lsbench::core::sut_registry::SutRegistry;
+use lsbench::stats::descriptive::BoxPlot;
 use lsbench::sut::sut::SutMetrics;
 use lsbench::workload::arrival::{ArrivalProcess, LoadModulation};
 use std::collections::BTreeMap;
@@ -83,6 +95,157 @@ fn pin_pair(cells: &mut BTreeMap<String, String>, key: &str, a: &RunRecord, b: &
     };
     cells.insert(format!("pair/{key}/ab"), show(paired_area_difference(a, b)));
     cells.insert(format!("pair/{key}/ba"), show(paired_area_difference(b, a)));
+    for window in windows(a) {
+        let key = format!("spec/pair/{key}/w{window}");
+        pin_deltas(cells, &key, a, b, window);
+        pin_deltas(cells, &format!("{key}/swapped"), b, a, window);
+    }
+}
+
+/// The two SLA thresholds a record is banded under: its own p99, resolved
+/// as a baseline's would be, in 40 bands with the headline N; and half of
+/// that in 7 bands with an N shorter than a phase.
+fn pin_sla(cells: &mut BTreeMap<String, String>, key: &str, record: &RunRecord) {
+    let p99 = match (SlaPolicy::FromBaselineP99 { multiplier: 1.0 }).resolve(Some(record)) {
+        Ok(p99) => p99,
+        Err(e) => {
+            cells.insert(format!("sla/{key}/error"), e.to_string());
+            return;
+        }
+    };
+    for (name, threshold, intervals, n) in
+        [("p99", p99, 40.0, 2_000), ("half-p99", p99 / 2.0, 7.0, 37)]
+    {
+        let key = format!("sla/{key}/{name}");
+        let interval = (record.exec_duration() / intervals).max(f64::MIN_POSITIVE);
+        let report = match SlaReport::from_record(record, threshold, interval, n) {
+            Ok(report) => report,
+            Err(e) => {
+                cells.insert(format!("{key}/error"), e.to_string());
+                continue;
+            }
+        };
+        cells.insert(format!("{key}/threshold"), bits(report.threshold));
+        let bands: Vec<String> = report
+            .bands
+            .iter()
+            .map(|b| format!("{}/{}", b.within, b.violated))
+            .collect();
+        cells.insert(format!("{key}/bands"), bands.join(" "));
+        let colors: Vec<String> = report
+            .color_bands
+            .iter()
+            .map(|c| format!("{}/{}/{}/{}", c.green, c.yellow, c.orange, c.red))
+            .collect();
+        cells.insert(format!("{key}/color_bands"), colors.join(" "));
+        cells.insert(
+            format!("{key}/violation_fraction"),
+            bits(report.violation_fraction),
+        );
+        let mut speeds = String::new();
+        for &(phase, seconds) in &report.adjustment_speed {
+            write!(speeds, "{phase}:{} ", bits(seconds)).expect("writes to a String");
+        }
+        cells.insert(format!("{key}/adjustment_speed"), speeds);
+    }
+}
+
+/// Window sizes the specialization cells use: the one `lsbench-perf`
+/// derives from the op count, and a small odd one.
+fn windows(record: &RunRecord) -> [usize; 2] {
+    [(record.ops.len() / 100).clamp(2, 400), 7]
+}
+
+/// Every statistic of a box plot, as bits.
+fn box_bits(b: &BoxPlot) -> String {
+    let f = &b.five;
+    let stats = [
+        f.min,
+        f.q1,
+        f.median,
+        f.q3,
+        f.max,
+        b.whisker_lo,
+        b.whisker_hi,
+        b.mean,
+    ];
+    let mut out: Vec<String> = stats.iter().map(|&x| bits(x)).collect();
+    out.push(format!("n={}", b.count));
+    out.push(format!(
+        "out=[{}]",
+        b.outliers
+            .iter()
+            .map(|&x| bits(x))
+            .collect::<Vec<_>>()
+            .join(",")
+    ));
+    out.join(" ")
+}
+
+fn pin_spec(cells: &mut BTreeMap<String, String>, key: &str, record: &RunRecord) {
+    // Ties among the Φ values, so the sort's stability shows.
+    let phis: Vec<f64> = (0..record.phase_names.len())
+        .map(|p| [0.0, 0.5, 0.25, 0.5][p % 4])
+        .collect();
+    for window in windows(record) {
+        let key = format!("spec/{key}/w{window}");
+        let report = match SpecializationReport::from_record(record, &phis, window, &[1]) {
+            Ok(report) => report,
+            Err(e) => {
+                cells.insert(format!("{key}/error"), e.to_string());
+                continue;
+            }
+        };
+        cells.insert(format!("{key}/entries"), report.entries.len().to_string());
+        for (i, e) in report.entries.iter().enumerate() {
+            cells.insert(
+                format!("{key}/{i}"),
+                format!(
+                    "{} phi={} holdout={} {}",
+                    e.phase,
+                    bits(e.phi),
+                    e.holdout,
+                    box_bits(&e.throughput)
+                ),
+            );
+        }
+    }
+}
+
+fn pin_deltas(
+    cells: &mut BTreeMap<String, String>,
+    key: &str,
+    a: &RunRecord,
+    b: &RunRecord,
+    window: usize,
+) {
+    let text = match paired_phase_deltas(a, b, window) {
+        Ok(deltas) => deltas
+            .iter()
+            .map(|d| {
+                let x = &d.delta;
+                let stats = [x.median, x.q1, x.q3, x.whisker_lo, x.whisker_hi];
+                let stats: Vec<String> = stats.iter().map(|&v| bits(v)).collect();
+                format!(
+                    "{} {} n={}/{}",
+                    d.phase,
+                    stats.join(" "),
+                    d.baseline.count,
+                    d.candidate.count
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(" | "),
+        Err(e) => e.to_string(),
+    };
+    cells.insert(key.to_string(), text);
+}
+
+/// Every report a record is pinned by.
+fn pin_all(cells: &mut BTreeMap<String, String>, key: &str, record: &RunRecord) {
+    pin_report(cells, key, record);
+    pin_sla(cells, key, record);
+    pin_spec(cells, key, record);
 }
 
 /// S2 (abrupt), S3 (gradual: `in_transition` ops, two phases interleaved)
@@ -147,7 +310,7 @@ fn run_cells(cells: &mut BTreeMap<String, String>) {
                     .unwrap_or_else(|e| panic!("{} / {sut} / {mode_name}: {e}", s.name))
                     .record;
                 let key = format!("{}/{mode_name}/{sut}", s.name);
-                pin_report(cells, &format!("run/{key}"), &record);
+                pin_all(cells, &format!("run/{key}"), &record);
                 records.push((key, record));
             }
         }
@@ -163,7 +326,9 @@ fn run_cells(cells: &mut BTreeMap<String, String>) {
     }
 }
 
-/// A record over `phases` phases from `(t_end, phase)` completions.
+/// A record over `phases` phases from `(t_end, phase)` completions. Op `i`
+/// takes `1 + i % 7` milliseconds, and every eleventh op fails: neither
+/// moves the completion curve, both move the SLA bands.
 fn record(name: &str, phases: usize, window: (f64, f64), ops: &[(f64, u16)]) -> RunRecord {
     RunRecord {
         sut_name: name.to_string(),
@@ -171,11 +336,12 @@ fn record(name: &str, phases: usize, window: (f64, f64), ops: &[(f64, u16)]) -> 
         phase_names: (0..phases).map(|p| format!("p{p}")).collect(),
         ops: ops
             .iter()
-            .map(|&(t_end, phase)| OpRecord {
+            .enumerate()
+            .map(|(i, &(t_end, phase))| OpRecord {
                 t_end,
-                latency: 0.001,
+                latency: 0.001 * (1 + i % 7) as f64,
                 phase,
-                ok: true,
+                ok: i % 11 != 10,
                 in_transition: false,
             })
             .collect(),
@@ -267,7 +433,7 @@ fn hand_built() -> Vec<RunRecord> {
 fn hand_built_cells(cells: &mut BTreeMap<String, String>) {
     let records = hand_built();
     for r in &records {
-        pin_report(cells, &format!("hand/{}", r.sut_name), r);
+        pin_all(cells, &format!("hand/{}", r.sut_name), r);
     }
     // Nested, touching, disjoint and equal spans, in both orders.
     for (i, a) in records.iter().enumerate() {
