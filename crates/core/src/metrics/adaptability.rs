@@ -11,9 +11,9 @@
 //! regain its steady-state throughput (§IV: "capture the time a system
 //! takes to adapt to a new workload").
 
-use crate::record::RunRecord;
+use crate::record::{OpRecord, RunRecord};
 use crate::{BenchError, Result};
-use lsbench_stats::timeseries::{area_between, Cursor, TimeSeries};
+use lsbench_stats::timeseries::{area_between, check_points, interpolate};
 use lsbench_stats::StatsError;
 use serde::{Deserialize, Serialize};
 
@@ -53,13 +53,14 @@ fn metric(e: StatsError) -> BenchError {
 impl AdaptabilityReport {
     /// Builds the report from a run record.
     ///
-    /// A handful of passes over `record.ops` where they lie: the record is
-    /// never copied, and nothing allocated here grows with it (only a record
-    /// edited out of time order is sorted into a copy first). The ideal
-    /// system is the two-point curve `(exec_start, 0) → (exec_end, ops)`;
-    /// the area against it and the plotted samples come off a [`Cursor`] on
-    /// the completion curve, the phase figures off a table with one entry
-    /// per phase.
+    /// One walk over `record.ops` where they lie checks that they are in
+    /// time order, builds the table of phase spans (one entry per phase)
+    /// and sums the area against the ideal system, the line
+    /// `(exec_start, 0) → (exec_end, ops)`, in closed form. Only a record
+    /// edited out of time order is sorted into a copy, which the same walk
+    /// then measures. The 257 plotted samples are binary searches of the
+    /// completions, and a phase's steady state and recovery window read its
+    /// ops where they lie. Nothing allocated here grows with the record.
     pub fn from_record(record: &RunRecord) -> Result<Self> {
         if record.ops.is_empty() {
             return Err(BenchError::Metric("empty run record".to_string()));
@@ -70,22 +71,39 @@ impl AdaptabilityReport {
                 "end must exceed start",
             )));
         }
-        let completed = record.cumulative_curve()?;
-        let ideal = [(start, 0.0), (end, record.ops.len() as f64)];
-        let area = area_between(&completed, &ideal[..]).map_err(metric)?;
+        let mut spans = Spans::new(record.phase_names.len());
+        let walked = area_vs_ideal(&record.ops, start, end, |i| spans.add(&record.ops, i));
+        let spans = spans.finish(&record.ops);
+        let sorted;
+        let (ops, area) = match walked {
+            Some(area) => (&record.ops[..], area),
+            None => {
+                if record.ops.iter().any(|o| o.t_end.is_nan()) {
+                    return Err(BenchError::Metric(
+                        "completion time is not a number".to_string(),
+                    ));
+                }
+                let mut copy = record.ops.clone();
+                copy.sort_by(|a, b| a.t_end.partial_cmp(&b.t_end).expect("checked for NaN"));
+                sorted = copy;
+                let area = area_vs_ideal(&sorted, start, end, |_| {});
+                (&sorted[..], area.expect("sorted by time"))
+            }
+        };
+        if start.is_nan() || end.is_nan() {
+            return Err(metric(StatsError::NanInput));
+        }
         let duration = record.exec_duration().max(f64::MIN_POSITIVE);
         let normalized = area / (record.ops.len() as f64 * duration);
 
         // Downsample the curve for plotting.
-        let mut at = Cursor::new(&completed).map_err(metric)?;
         let curve = (0..=CURVE_POINTS)
             .map(|i| {
                 let t = start + duration * i as f64 / CURVE_POINTS as f64;
-                (t, at.value_at(t))
+                (t, completed_at(ops, start, t))
             })
             .collect();
 
-        let spans = phase_spans(record);
         // A phase no op names has an empty span.
         let span_of = |phase: usize| spans.get(phase).copied().unwrap_or_default();
         let phase_throughput = (0..record.phase_names.len())
@@ -99,12 +117,15 @@ impl AdaptabilityReport {
                 continue;
             }
             let span = span_of(phase);
-            let times = || span.times(record, phase);
-            let steady = span.steady_throughput(times());
+            let steady = span.steady_throughput(record, phase);
             if steady <= 0.0 {
                 continue;
             }
-            let recovery = match span.recovered_at(times(), steady) {
+            let recovered = match span.slice(record) {
+                Some(ops) => span.recovered_at(ops.iter().map(|o| o.t_end), steady),
+                None => span.recovered_at(span.times(record, phase), steady),
+            };
+            let recovery = match recovered {
                 Some(t) => (t - start_t).max(0.0),
                 // Never recovered within the phase.
                 None => record.exec_end - start_t,
@@ -126,9 +147,9 @@ impl AdaptabilityReport {
     /// curve and another's over the overlapping span (positive = `self`
     /// completed more work earlier).
     pub fn area_vs(&self, other: &AdaptabilityReport) -> Result<f64> {
-        let a = TimeSeries::from_points(self.curve.clone()).map_err(metric)?;
-        let b = TimeSeries::from_points(other.curve.clone()).map_err(metric)?;
-        a.area_difference(&b).map_err(metric)
+        check_points(&self.curve).map_err(metric)?;
+        check_points(&other.curve).map_err(metric)?;
+        area_between(&self.curve[..], &other.curve[..]).map_err(metric)
     }
 }
 
@@ -152,34 +173,147 @@ pub fn paired_area_difference(baseline: &RunRecord, candidate: &RunRecord) -> Re
     area_between(&c, &b).map_err(metric)
 }
 
+/// Signed area between the completion curve of `ops` (see
+/// [`RunRecord::cumulative_curve`]) and the ideal line from `(start, 0)` to
+/// `(end, n)`, in one walk that also hands every op's index to `each`;
+/// `None` if `ops` are not in time order (NaN is not).
+///
+/// It is what [`area_between`] sums for these two curves, to the bit. The
+/// breakpoints inside the shared span `(start, hi)` are the distinct
+/// completion times there, where the curve's value is the count of
+/// completions so far and the line's is [`interpolate`]d; the last
+/// trapezoid ends at `hi`, where both are evaluated as `area_between`
+/// evaluates them: the line yields `n` at or past `end`.
+fn area_vs_ideal(
+    ops: &[OpRecord],
+    start: f64,
+    end: f64,
+    mut each: impl FnMut(usize),
+) -> Option<f64> {
+    let n = ops.len() as f64;
+    let ideal = |t: f64| {
+        if t >= end {
+            n
+        } else {
+            interpolate((start, 0.0), (end, n), t)
+        }
+    };
+    let hi = ops[ops.len() - 1].t_end.max(start).min(end);
+    let (mut area, mut prev_t, mut prev_d) = (0.0, start, 0.0);
+    let mut in_order = true;
+    let mut prev_end = f64::NEG_INFINITY;
+    // The latest distinct completion time: its count is known once an op
+    // completes later. Past `hi`, infinite.
+    let mut u = start;
+    for (i, op) in ops.iter().enumerate() {
+        each(i);
+        in_order &= op.t_end >= prev_end;
+        prev_end = op.t_end;
+        let t = op.t_end.max(start);
+        if t > u {
+            if u > start {
+                let d = i as f64 - ideal(u);
+                area += (u - prev_t) * (prev_d + d) / 2.0;
+                (prev_t, prev_d) = (u, d);
+            }
+            u = if t < hi { t } else { f64::INFINITY };
+        }
+    }
+    if !in_order {
+        return None;
+    }
+    if hi <= start {
+        return Some(0.0);
+    }
+    let d = completed_at(ops, start, hi) - ideal(hi);
+    Some(area + (hi - prev_t) * (prev_d + d) / 2.0)
+}
+
+/// The completion curve of time-ordered `ops` at `t`, as
+/// [`lsbench_stats::timeseries::TimeSeries::value_at`] reads it: one
+/// binary search, `partition_point(pt <= t)`.
+fn completed_at(ops: &[OpRecord], start: f64, t: f64) -> f64 {
+    let last = ops[ops.len() - 1].t_end.max(start);
+    if t <= start {
+        return 0.0;
+    }
+    if t >= last {
+        return ops.len() as f64;
+    }
+    if t.is_nan() {
+        return t;
+    }
+    // Above `start`, a completion clamped to it is at or before `t` too.
+    let k = ops.partition_point(|o| o.t_end <= t);
+    let behind = match k.checked_sub(1) {
+        None => (start, 0.0),
+        Some(op) => (ops[op].t_end.max(start), k as f64),
+    };
+    interpolate(behind, (ops[k].t_end.max(start), (k + 1) as f64), t)
+}
+
 /// Where one phase's completions sit in `record.ops` (in recorded order,
 /// which is what "first" and "last" mean here).
 #[derive(Debug, Clone, Copy, Default)]
 struct PhaseSpan {
     count: usize,
-    /// Index of the phase's first op in `record.ops`.
+    /// Indexes of the phase's first and last op in `record.ops`.
     first_op: usize,
+    last_op: usize,
     first_t: f64,
     last_t: f64,
 }
 
-/// The span of every phase an op names, by phase, from one pass over the ops.
-fn phase_spans(record: &RunRecord) -> Vec<PhaseSpan> {
-    let mut spans = vec![PhaseSpan::default(); record.phase_names.len()];
-    for (i, op) in record.ops.iter().enumerate() {
-        let phase = op.phase as usize;
-        if phase >= spans.len() {
-            spans.resize(phase + 1, PhaseSpan::default());
+/// The table of phase spans, built a run of same-phase ops at a time.
+struct Spans {
+    spans: Vec<PhaseSpan>,
+    /// The phase of the run being read, and the index of its first op.
+    phase: u16,
+    run: usize,
+}
+
+impl Spans {
+    fn new(phases: usize) -> Self {
+        Spans {
+            spans: vec![PhaseSpan::default(); phases],
+            phase: 0,
+            run: 0,
         }
-        let span = &mut spans[phase];
-        if span.count == 0 {
-            span.first_op = i;
-            span.first_t = op.t_end;
-        }
-        span.count += 1;
-        span.last_t = op.t_end;
     }
-    spans
+
+    /// Reads op `i` of `ops`: a change of phase ends the run before it.
+    #[inline]
+    fn add(&mut self, ops: &[OpRecord], i: usize) {
+        if ops[i].phase != self.phase {
+            self.end_run(ops, i);
+            (self.phase, self.run) = (ops[i].phase, i);
+        }
+    }
+
+    /// Adds the run that ends before op `end` to its phase's span.
+    fn end_run(&mut self, ops: &[OpRecord], end: usize) {
+        if end == self.run {
+            return;
+        }
+        let phase = self.phase as usize;
+        if phase >= self.spans.len() {
+            self.spans.resize(phase + 1, PhaseSpan::default());
+        }
+        let span = &mut self.spans[phase];
+        if span.count == 0 {
+            span.first_op = self.run;
+            span.first_t = ops[self.run].t_end;
+        }
+        span.count += end - self.run;
+        span.last_op = end - 1;
+        span.last_t = ops[end - 1].t_end;
+    }
+
+    /// The span of every phase an op names, by phase.
+    fn finish(mut self, ops: &[OpRecord]) -> Vec<PhaseSpan> {
+        self.end_run(ops, ops.len());
+        self.spans
+    }
 }
 
 impl PhaseSpan {
@@ -196,6 +330,12 @@ impl PhaseSpan {
         }
     }
 
+    /// The phase's ops, if no other phase's op lies between them.
+    fn slice<'a>(&self, record: &'a RunRecord) -> Option<&'a [OpRecord]> {
+        let ops = record.ops.get(self.first_op..=self.last_op)?;
+        (ops.len() == self.count).then_some(ops)
+    }
+
     /// The completion times of `phase`, whose span this is, in recorded order.
     fn times<'a>(&self, record: &'a RunRecord, phase: usize) -> impl Iterator<Item = f64> + 'a {
         record.ops[self.first_op..]
@@ -206,13 +346,17 @@ impl PhaseSpan {
     }
 
     /// Steady-state throughput of the phase: measured over the second half
-    /// of its `times` (the first half may include the adaptation transient).
-    fn steady_throughput(&self, mut times: impl Iterator<Item = f64>) -> f64 {
+    /// of its completions (the first half may include the adaptation
+    /// transient).
+    fn steady_throughput(&self, record: &RunRecord, phase: usize) -> f64 {
         if self.count < 4 {
             return 0.0;
         }
         let half = self.count / 2;
-        let middle = times.nth(half).expect("half < count");
+        let middle = match self.slice(record) {
+            Some(ops) => ops[half].t_end,
+            None => self.times(record, phase).nth(half).expect("half < count"),
+        };
         let span = self.last_t - middle;
         if span > 0.0 {
             (self.count - half - 1) as f64 / span
@@ -225,11 +369,16 @@ impl PhaseSpan {
     /// `RECOVERY_WINDOW` completions reaches `RECOVERY_LEVEL × steady`.
     fn recovered_at(&self, times: impl Iterator<Item = f64>, steady: f64) -> Option<f64> {
         let window = RECOVERY_WINDOW.min(self.count.saturating_sub(1)).max(1);
-        // `ring[i % window]` holds the time of completion `i - window` until
+        // `ring[slot]` holds the time of completion `i - window` until
         // completion `i` overwrites it.
         let mut ring = [0.0; RECOVERY_WINDOW];
+        let mut slot = 0;
         for (i, t) in times.enumerate() {
-            let behind = std::mem::replace(&mut ring[i % window], t);
+            let behind = std::mem::replace(&mut ring[slot], t);
+            slot += 1;
+            if slot == window {
+                slot = 0;
+            }
             if i < window {
                 continue;
             }
@@ -357,6 +506,51 @@ mod tests {
         let report = AdaptabilityReport::from_record(&r).unwrap();
         let (_, recovery) = report.recovery_times[0];
         assert!(recovery < 15.0, "recovery = {recovery}");
+    }
+
+    /// "Recovered" is windowed throughput *reaching* `RECOVERY_LEVEL ×
+    /// steady`: a window exactly at that level counts. Every time here is
+    /// dyadic, so the window that lands on the level does so exactly.
+    #[test]
+    fn a_window_exactly_at_the_recovery_level_has_recovered() {
+        // Phase 1 starts at 2 s: 50 ops 1/32 s apart, 52 ops 1/128 s apart,
+        // then 28 ops 1/64 s and 72 ops 1/128 s apart, so that its second
+        // half (ops 101 to 201) spans exactly 1 s over 100 completions.
+        let steps = [(50, 32.0), (52, 128.0), (28, 64.0), (72, 128.0)];
+        let mut ops: Vec<OpRecord> = (1..=8)
+            .map(|i| OpRecord {
+                t_end: 0.25 * i as f64,
+                latency: 0.25,
+                phase: 0,
+                ok: true,
+                in_transition: false,
+            })
+            .collect();
+        let mut t = 2.0;
+        for (n, per_second) in steps {
+            for _ in 0..n {
+                t += 1.0 / per_second;
+                ops.push(OpRecord {
+                    t_end: t,
+                    latency: 1.0 / per_second,
+                    phase: 1,
+                    ok: true,
+                    in_transition: false,
+                });
+            }
+        }
+        let mut r = two_speed_record(1.0, 0, 1.0, 0);
+        r.exec_end = t;
+        r.ops = ops;
+        r.phase_change_times = vec![(0, 0.0), (1, 2.0)];
+        // Steady state 100 ops/s, so the level is 80 ops/s, exactly.
+        assert_eq!(RECOVERY_LEVEL * 100.0, 80.0);
+        // The window ending at phase-1 op 89 holds 10 slow and 40 fast
+        // gaps: 50 completions over 10/32 + 40/128 = 0.625 s, 80 ops/s.
+        // The one before it is slower (83/128 s) and the one after faster.
+        let at_level = 50.0 / 32.0 + 40.0 / 128.0;
+        let report = AdaptabilityReport::from_record(&r).unwrap();
+        assert_eq!(report.recovery_times, vec![(1, at_level)]);
     }
 
     #[test]

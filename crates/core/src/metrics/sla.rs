@@ -13,7 +13,7 @@
 //!
 //! The multi-band variant ("green-yellow-orange-red") is implemented too.
 
-use crate::record::RunRecord;
+use crate::record::{OpRecord, RunRecord};
 use crate::{BenchError, Result};
 use lsbench_stats::descriptive::quantile;
 use serde::{Deserialize, Serialize};
@@ -120,6 +120,12 @@ pub struct SlaReport {
 impl SlaReport {
     /// Builds the report. `interval` is the band width in virtual seconds;
     /// `adjustment_n` is the N of the adjustment-speed metric.
+    ///
+    /// Once a pass has found the record in time order (a run's always is),
+    /// a binary search finds where each band's ops end, one division-free
+    /// loop counts their colors, and each adjustment window starts where a
+    /// binary search puts the change. A record edited out of order is
+    /// banded op by op and scanned from its first op per change.
     pub fn from_record(
         record: &RunRecord,
         threshold: f64,
@@ -138,39 +144,33 @@ impl SlaReport {
         let end = record.exec_end.max(start + interval);
         // A span below one ulp of `start` is one interval, not none.
         let n_intervals = (((end - start) / interval).ceil() as usize).max(1);
-        let mut bands = vec![
-            Band {
-                within: 0,
-                violated: 0
-            };
-            n_intervals
-        ];
+        // A failed or timed-out query cannot satisfy the SLA no matter how
+        // fast it came back: it is red, and only green and yellow ops
+        // (successful, within the threshold) count as `within`.
         let mut color_bands = vec![ColorBand::default(); n_intervals];
-        let mut violated_total = 0usize;
-        for op in &record.ops {
-            let idx = (((op.t_end - start) / interval) as usize).min(n_intervals - 1);
-            // A failed or timed-out query cannot satisfy the SLA no matter
-            // how fast it came back: only successful, within-threshold
-            // completions count as `within`.
-            if op.ok && op.latency <= threshold {
-                bands[idx].within += 1;
+        let interval_of =
+            |op: &OpRecord| (((op.t_end - start) / interval) as usize).min(n_intervals - 1);
+        let in_order = record.in_time_order();
+        let mut from = 0;
+        while from < record.ops.len() {
+            let idx = interval_of(&record.ops[from]);
+            // In time order, the ops of one interval follow each other.
+            let to = if in_order {
+                from + record.ops[from..].partition_point(|op| interval_of(op) == idx)
             } else {
-                bands[idx].violated += 1;
-                violated_total += 1;
-            }
-            let c = &mut color_bands[idx];
-            if !op.ok {
-                c.red += 1;
-            } else if op.latency <= 0.5 * threshold {
-                c.green += 1;
-            } else if op.latency <= threshold {
-                c.yellow += 1;
-            } else if op.latency <= 2.0 * threshold {
-                c.orange += 1;
-            } else {
-                c.red += 1;
-            }
+                from + 1
+            };
+            add_run(&mut color_bands[idx], &record.ops[from..to], threshold);
+            from = to;
         }
+        let bands: Vec<Band> = color_bands
+            .iter()
+            .map(|c| Band {
+                within: c.green + c.yellow,
+                violated: c.orange + c.red,
+            })
+            .collect();
+        let violated_total: usize = bands.iter().map(|b| b.violated).sum();
 
         // Adjustment speed after each phase change.
         let mut adjustment_speed = Vec::new();
@@ -179,9 +179,14 @@ impl SlaReport {
                 continue;
             }
             // Strictly after the change: a query completing exactly at the
-            // change instant belongs to the old distribution.
-            let over_sla: f64 = record
-                .ops
+            // change instant belongs to the old distribution. In a record in
+            // time order those queries start where a binary search says.
+            let after = if in_order {
+                record.ops.partition_point(|o| o.t_end <= t)
+            } else {
+                0
+            };
+            let over_sla: f64 = record.ops[after..]
                 .iter()
                 .filter(|o| o.t_end > t)
                 .take(adjustment_n)
@@ -217,6 +222,24 @@ impl SlaReport {
             .map(|&(_, v)| v)
             .fold(0.0, f64::max)
     }
+}
+
+/// Adds `ops` to `band`.
+fn add_run(band: &mut ColorBand, ops: &[OpRecord], threshold: f64) {
+    let (half, twice) = (0.5 * threshold, 2.0 * threshold);
+    // How many succeeded within half the threshold, the threshold and twice
+    // it; each count holds the one before.
+    let mut within = [0usize; 3];
+    for op in ops {
+        let under = |bound: f64| usize::from(op.ok && op.latency <= bound);
+        within[0] += under(half);
+        within[1] += under(threshold);
+        within[2] += under(twice);
+    }
+    band.green += within[0];
+    band.yellow += within[1] - within[0];
+    band.orange += within[2] - within[1];
+    band.red += ops.len() - within[2];
 }
 
 /// The band width that splits `record`'s execution span into `intervals`

@@ -40,7 +40,7 @@ impl SpecializationReport {
     /// Builds the report from a run record and the per-phase Φ values
     /// (`phis[i]` is the distance of phase `i` from the baseline; compute
     /// with [`crate::metrics::phi`]). `holdout_phases` flags out-of-sample
-    /// phases.
+    /// phases. One pass over `record.ops` fills every phase's windows.
     pub fn from_record(
         record: &RunRecord,
         phis: &[f64],
@@ -59,14 +59,14 @@ impl SpecializationReport {
                 "ops_per_window must be at least 2".to_string(),
             ));
         }
+        let samples = record.window_samples(ops_per_window);
         let mut entries = Vec::with_capacity(record.phase_names.len());
         for (i, name) in record.phase_names.iter().enumerate() {
-            let samples = record.phase_throughput_samples(i, ops_per_window);
+            let samples = &samples[i];
             if samples.is_empty() {
                 continue; // phase produced too few completions to sample
             }
-            let throughput =
-                BoxPlot::of(&samples).map_err(|e| BenchError::Metric(e.to_string()))?;
+            let throughput = BoxPlot::of(samples).map_err(|e| BenchError::Metric(e.to_string()))?;
             entries.push(PhaseSpecialization {
                 phase: name.clone(),
                 phi: phis[i],
@@ -171,18 +171,21 @@ pub fn paired_phase_deltas(
             "ops_per_window must be at least 2".to_string(),
         ));
     }
+    let (b_all, c_all) = (
+        baseline.window_samples(ops_per_window),
+        candidate.window_samples(ops_per_window),
+    );
     let mut out = Vec::new();
     for (bi, name) in baseline.phase_names.iter().enumerate() {
         let Some(ci) = candidate.phase_names.iter().position(|n| n == name) else {
             continue;
         };
-        let b_samples = baseline.phase_throughput_samples(bi, ops_per_window);
-        let c_samples = candidate.phase_throughput_samples(ci, ops_per_window);
+        let (b_samples, c_samples) = (&b_all[bi], &c_all[ci]);
         if b_samples.is_empty() || c_samples.is_empty() {
             continue;
         }
-        let b = BoxPlot::of(&b_samples).map_err(|e| BenchError::Metric(e.to_string()))?;
-        let c = BoxPlot::of(&c_samples).map_err(|e| BenchError::Metric(e.to_string()))?;
+        let b = BoxPlot::of(b_samples).map_err(|e| BenchError::Metric(e.to_string()))?;
+        let c = BoxPlot::of(c_samples).map_err(|e| BenchError::Metric(e.to_string()))?;
         out.push(PhaseBoxDelta {
             phase: name.clone(),
             delta: BoxStatDelta::between(&b, &c),

@@ -105,6 +105,16 @@ impl RunRecord {
         self.ops.iter().map(|o| o.latency).collect()
     }
 
+    /// Whether `ops` complete in time order (NaN is in no order).
+    pub(crate) fn in_time_order(&self) -> bool {
+        let mut prev = f64::NEG_INFINITY;
+        self.ops.iter().all(|o| {
+            let ordered = o.t_end >= prev;
+            prev = o.t_end;
+            ordered
+        })
+    }
+
     /// Cumulative completions over time (Fig. 1b), read off `ops` in place.
     ///
     /// A run records its completions in time order, and then this costs one
@@ -112,13 +122,7 @@ impl RunRecord {
     /// its completions are sorted into a copy first, so the curve is the
     /// same function of the set of completion times either way.
     pub fn cumulative_curve(&self) -> Result<CompletionCurve<'_>> {
-        let mut prev = f64::NEG_INFINITY;
-        let in_order = self.ops.iter().all(|o| {
-            let ordered = o.t_end >= prev;
-            prev = o.t_end;
-            ordered
-        });
-        let ops = if in_order {
+        let ops = if self.in_time_order() {
             Cow::Borrowed(&self.ops[..])
         } else {
             if self.ops.iter().any(|o| o.t_end.is_nan()) {
@@ -140,22 +144,59 @@ impl RunRecord {
     /// completions within phase `p` (ops/second). Used by the Fig. 1a
     /// box plots: each window contributes one throughput sample.
     pub fn phase_throughput_samples(&self, p: usize, ops_per_window: usize) -> Vec<f64> {
-        let times: Vec<f64> = self
-            .ops
-            .iter()
-            .filter(|o| o.phase as usize == p)
-            .map(|o| o.t_end)
-            .collect();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i + ops_per_window <= times.len() {
-            let span = times[i + ops_per_window - 1] - times[i];
-            if span > 0.0 {
-                out.push((ops_per_window - 1) as f64 / span);
-            }
-            i += ops_per_window;
+        let mut all = self.window_samples(ops_per_window);
+        if p < all.len() {
+            all.swap_remove(p)
+        } else {
+            Vec::new()
         }
-        out
+    }
+
+    /// [`RunRecord::phase_throughput_samples`] of every phase an op names
+    /// or `phase_names` lists, indexed by phase, from one pass over `ops`.
+    /// A window is `ops_per_window` consecutive completions of its phase in
+    /// recorded order; one that takes no time, and the incomplete last one,
+    /// yield no sample.
+    pub(crate) fn window_samples(&self, ops_per_window: usize) -> Vec<Vec<f64>> {
+        /// One phase's open window: its first completion time and how many
+        /// completions it holds.
+        #[derive(Clone, Default)]
+        struct Phase {
+            open: usize,
+            first_t: f64,
+            samples: Vec<f64>,
+        }
+        let mut phases = vec![Phase::default(); self.phase_names.len()];
+        // The phase of the latest op, read out of the table while its run
+        // of ops lasts.
+        let (mut p, mut phase) = (usize::MAX, Phase::default());
+        for op in &self.ops {
+            if op.phase as usize != p {
+                if let Some(left) = phases.get_mut(p) {
+                    *left = std::mem::take(&mut phase);
+                }
+                p = op.phase as usize;
+                if p >= phases.len() {
+                    phases.resize(p + 1, Phase::default());
+                }
+                phase = std::mem::take(&mut phases[p]);
+            }
+            if phase.open == 0 {
+                phase.first_t = op.t_end;
+            }
+            phase.open += 1;
+            if phase.open == ops_per_window {
+                let span = op.t_end - phase.first_t;
+                if span > 0.0 {
+                    phase.samples.push((ops_per_window - 1) as f64 / span);
+                }
+                phase.open = 0;
+            }
+        }
+        if let Some(left) = phases.get_mut(p) {
+            *left = phase;
+        }
+        phases.into_iter().map(|p| p.samples).collect()
     }
 
     /// Time the given phase became active, if it ever did.

@@ -24,16 +24,7 @@ impl TimeSeries {
 
     /// Creates a series from points, validating time monotonicity.
     pub fn from_points(points: Vec<(f64, f64)>) -> Result<Self> {
-        for w in points.windows(2) {
-            if w[1].0 < w[0].0 {
-                return Err(StatsError::InvalidParameter(
-                    "time series must be sorted by time",
-                ));
-            }
-        }
-        if points.iter().any(|(t, v)| t.is_nan() || v.is_nan()) {
-            return Err(StatsError::NanInput);
-        }
+        check_points(&points)?;
         Ok(TimeSeries { points })
     }
 
@@ -118,9 +109,27 @@ impl TimeSeries {
     }
 }
 
-/// The value at `t` on the segment from `(t0, v0)` to `(t1, v1)`.
+/// Whether `points` may form a [`TimeSeries`]: times non-decreasing, then
+/// nothing NaN — the checks, and the errors, of [`TimeSeries::from_points`].
+pub fn check_points(points: &[(f64, f64)]) -> Result<()> {
+    for w in points.windows(2) {
+        if w[1].0 < w[0].0 {
+            return Err(StatsError::InvalidParameter(
+                "time series must be sorted by time",
+            ));
+        }
+    }
+    if points.iter().any(|(t, v)| t.is_nan() || v.is_nan()) {
+        return Err(StatsError::NanInput);
+    }
+    Ok(())
+}
+
+/// The value at `t` on the segment from `(t0, v0)` to `(t1, v1)`: the
+/// expression [`TimeSeries::value_at`] and [`Cursor::value_at`] evaluate
+/// over the segment they find, for a caller that finds it another way.
 #[inline]
-fn interpolate((t0, v0): (f64, f64), (t1, v1): (f64, f64), t: f64) -> f64 {
+pub fn interpolate((t0, v0): (f64, f64), (t1, v1): (f64, f64), t: f64) -> f64 {
     if t1 == t0 {
         return v1;
     }

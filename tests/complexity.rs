@@ -618,16 +618,19 @@ fn archive_encoding_allocates_per_buffer_not_per_op() {
     );
 }
 
-/// The Fig. 1b report walks `record.ops` where they lie: the area against
-/// the ideal system, the plotted samples, the phase figures and the
-/// recovery windows keep cursors, a table per phase and a 50-slot ring, so
-/// a 10⁵-op record (2.4 MB of ops) is analysed, and two of them compared,
-/// in a few KiB — the 257 plotted points and the phase table — where
-/// copies of the completion times used to cost several MB.
+/// The paper's reports walk `record.ops` where they lie. Fig. 1b keeps a
+/// table per phase and a 50-slot ring beside its sums, Fig. 1a one open
+/// window per phase and its samples, Fig. 1c one count per band, so a
+/// 10⁵-op record (2.4 MB of ops) is analysed, and two of them compared, in
+/// a few KiB — the 257 plotted points, the phase tables, 250 samples per
+/// phase, 40 bands — where copies of the completion times used to cost
+/// several MB.
 #[test]
 fn adaptability_reads_the_record_in_place() {
     use lsbench::core::faults::FaultStats;
     use lsbench::core::metrics::adaptability::{paired_area_difference, AdaptabilityReport};
+    use lsbench::core::metrics::sla::SlaReport;
+    use lsbench::core::metrics::specialization::SpecializationReport;
     use lsbench::core::record::{OpRecord, RunRecord, TrainInfo};
     let record = |step: f64| {
         // In time order, faster after the first 40 000 ops.
@@ -666,4 +669,14 @@ fn adaptability_reads_the_record_in_place() {
         bytes < 64 << 10,
         "paired_area_difference allocated {bytes} bytes"
     );
+    let (report, bytes) = bytes_allocated_during(|| {
+        SpecializationReport::from_record(&a, &[0.0, 0.5, 0.25], 400, &[])
+    });
+    assert_eq!(report.expect("reports").entries.len(), 3);
+    assert!(bytes < 64 << 10, "specialization allocated {bytes} bytes");
+    let interval = a.exec_duration() / 40.0;
+    let (report, bytes) =
+        bytes_allocated_during(|| SlaReport::from_record(&a, 2e-5, interval, 2_000));
+    assert_eq!(report.expect("reports").bands.len(), 40);
+    assert!(bytes < 64 << 10, "SLA report allocated {bytes} bytes");
 }
