@@ -74,20 +74,13 @@ impl AdaptabilityReport {
         let mut spans = Spans::new(record.phase_names.len());
         let walked = area_vs_ideal(&record.ops, start, end, |i| spans.add(&record.ops, i));
         let spans = spans.finish(&record.ops);
-        let sorted;
+        let by_time;
         let (ops, area) = match walked {
             Some(area) => (&record.ops[..], area),
             None => {
-                if record.ops.iter().any(|o| o.t_end.is_nan()) {
-                    return Err(BenchError::Metric(
-                        "completion time is not a number".to_string(),
-                    ));
-                }
-                let mut copy = record.ops.clone();
-                copy.sort_by(|a, b| a.t_end.partial_cmp(&b.t_end).expect("checked for NaN"));
-                sorted = copy;
-                let area = area_vs_ideal(&sorted, start, end, |_| {});
-                (&sorted[..], area.expect("sorted by time"))
+                by_time = record.ops_by_time()?;
+                let area = area_vs_ideal(&by_time, start, end, |_| {});
+                (&by_time[..], area.expect("in time order"))
             }
         };
         if start.is_nan() || end.is_nan() {

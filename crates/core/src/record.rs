@@ -122,22 +122,26 @@ impl RunRecord {
     /// its completions are sorted into a copy first, so the curve is the
     /// same function of the set of completion times either way.
     pub fn cumulative_curve(&self) -> Result<CompletionCurve<'_>> {
-        let ops = if self.in_time_order() {
-            Cow::Borrowed(&self.ops[..])
-        } else {
-            if self.ops.iter().any(|o| o.t_end.is_nan()) {
-                return Err(BenchError::Metric(
-                    "completion time is not a number".to_string(),
-                ));
-            }
-            let mut sorted = self.ops.clone();
-            sorted.sort_by(|a, b| a.t_end.partial_cmp(&b.t_end).expect("checked for NaN"));
-            Cow::Owned(sorted)
-        };
         Ok(CompletionCurve {
             start: self.exec_start,
-            ops,
+            ops: self.ops_by_time()?,
         })
+    }
+
+    /// `ops` in time order: where they lie if they are, else sorted into a
+    /// copy. A NaN completion time is refused.
+    pub(crate) fn ops_by_time(&self) -> Result<Cow<'_, [OpRecord]>> {
+        if self.in_time_order() {
+            return Ok(Cow::Borrowed(&self.ops[..]));
+        }
+        if self.ops.iter().any(|o| o.t_end.is_nan()) {
+            return Err(BenchError::Metric(
+                "completion time is not a number".to_string(),
+            ));
+        }
+        let mut sorted = self.ops.clone();
+        sorted.sort_by(|a, b| a.t_end.partial_cmp(&b.t_end).expect("checked for NaN"));
+        Ok(Cow::Owned(sorted))
     }
 
     /// Throughput measured over consecutive windows of `ops_per_window`
@@ -158,45 +162,38 @@ impl RunRecord {
     /// recorded order; one that takes no time, and the incomplete last one,
     /// yield no sample.
     pub(crate) fn window_samples(&self, ops_per_window: usize) -> Vec<Vec<f64>> {
-        /// One phase's open window: its first completion time and how many
-        /// completions it holds.
-        #[derive(Clone, Default)]
-        struct Phase {
-            open: usize,
-            first_t: f64,
-            samples: Vec<f64>,
-        }
-        let mut phases = vec![Phase::default(); self.phase_names.len()];
-        // The phase of the latest op, read out of the table while its run
-        // of ops lasts.
-        let (mut p, mut phase) = (usize::MAX, Phase::default());
+        let phases = self.phase_names.len();
+        let mut samples = vec![Vec::new(); phases];
+        // Per phase, how many completions its open window holds and the
+        // first one's time; those of the latest op's phase are kept apart
+        // while its run of ops lasts.
+        let mut open = vec![(0, 0.0); phases];
+        let (mut p, mut count, mut first_t) = (usize::MAX, 0, 0.0);
         for op in &self.ops {
             if op.phase as usize != p {
-                if let Some(left) = phases.get_mut(p) {
-                    *left = std::mem::take(&mut phase);
+                if let Some(left) = open.get_mut(p) {
+                    *left = (count, first_t);
                 }
                 p = op.phase as usize;
-                if p >= phases.len() {
-                    phases.resize(p + 1, Phase::default());
+                if p >= open.len() {
+                    open.resize(p + 1, (0, 0.0));
+                    samples.resize(p + 1, Vec::new());
                 }
-                phase = std::mem::take(&mut phases[p]);
+                (count, first_t) = open[p];
             }
-            if phase.open == 0 {
-                phase.first_t = op.t_end;
+            if count == 0 {
+                first_t = op.t_end;
             }
-            phase.open += 1;
-            if phase.open == ops_per_window {
-                let span = op.t_end - phase.first_t;
+            count += 1;
+            if count == ops_per_window {
+                let span = op.t_end - first_t;
                 if span > 0.0 {
-                    phase.samples.push((ops_per_window - 1) as f64 / span);
+                    samples[p].push((ops_per_window - 1) as f64 / span);
                 }
-                phase.open = 0;
+                count = 0;
             }
         }
-        if let Some(left) = phases.get_mut(p) {
-            *left = phase;
-        }
-        phases.into_iter().map(|p| p.samples).collect()
+        samples
     }
 
     /// Time the given phase became active, if it ever did.
