@@ -10,6 +10,12 @@
 //! `cargo test -p serde_json --test corpus regenerate_corpus -- --ignored`
 //! and review the diff.
 //!
+//! The `# floats written` section was generated while the writer still
+//! spelled floats with `Display`, and pins that spelling for every writer
+//! after it: ties rounded up, subnormals, the top of the range, the
+//! integers around 2^53 and the powers of ten where `Display` stops
+//! printing digits and starts printing zeros.
+//!
 //! Rejection documents for typed reads have exactly one thing wrong and are
 //! otherwise valid JSON: which of two defects is reported is not pinned.
 
@@ -802,7 +808,53 @@ fn transcript() -> String {
             "{\"x\":"
         ]
     );
+
+    // Floats as the writer spells them: shortest digits that read back to
+    // the same bits, `Display`'s decimal layout, ties rounded up.
+    writeln!(o, "\n# floats written").unwrap();
+    for (name, f) in floats() {
+        let compact = serde_json::to_string(&f).unwrap();
+        let back = serde_json::from_str::<f64>(&compact).map(f64::to_bits);
+        writeln!(
+            o,
+            "{name} {:#018x}\n    compact {compact:?}\n    reads back {}",
+            f.to_bits(),
+            back == Ok(f.to_bits())
+        )
+        .unwrap();
+    }
     out
+}
+
+/// Floats at the edges of the shortest-digits writer, each with a name.
+fn floats() -> Vec<(String, f64)> {
+    let two_53 = 2f64.powi(53);
+    let mut floats = vec![
+        ("tie .25 rounds up", 1658206780088562.0 + 0.25),
+        ("tie .125 rounds up", 233115890514796.0 + 0.125),
+        ("-0", -0.0),
+        ("smallest subnormal", 5e-324),
+        ("MIN_POSITIVE", f64::MIN_POSITIVE),
+        ("MAX", f64::MAX),
+        ("2^53 - 1 ulp", two_53 - 1.0),
+        ("2^53", two_53),
+        ("2^53 + 1 ulp", two_53 + 2.0),
+        ("0.1", 0.1),
+        ("1/3", 1.0 / 3.0),
+        ("0.1f32 widened", f64::from(0.1f32)),
+        ("latency 37 / 1e6", 37.0 / 1e6),
+    ]
+    .into_iter()
+    .map(|(name, f)| (name.to_string(), f))
+    .collect::<Vec<_>>();
+    for k in 15..=23 {
+        let text = format!("1e{k}");
+        floats.push((text.clone(), text.parse().unwrap()));
+    }
+    // A completion time summed op by op, as a run's clock advances.
+    let t_end = (1..=100_000).map(|w| f64::from(w % 97) / 1e6).sum::<f64>();
+    floats.push(("t_end after 100000 ops".to_string(), t_end));
+    floats
 }
 
 fn transcript_path() -> PathBuf {
