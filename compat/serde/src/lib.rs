@@ -22,9 +22,16 @@
 //! digits accumulated straight into a `u64` (a float's text goes to
 //! `str::parse`), and converts that to its own type; no [`Value`] is built
 //! unless an error message names one.
+//!
+//! A float is written by a shortest-digits writer of the shim's own (Ryu's
+//! `d2d` on 128-bit products, Adams, PLDI 2018), in the bytes Rust's
+//! `Display` writes: no exponent, and a tie between the two closest
+//! shortest decimals rounded up, not to even. `Display` is its oracle in the
+//! tests and is not called.
 
 pub use serde_derive::{Deserialize, Serialize};
 use std::borrow::Cow;
+mod float;
 use std::fmt::Write as _;
 
 /// A JSON-shaped value tree.
@@ -237,20 +244,17 @@ impl Writer {
             .push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     }
 
-    /// A float, via Rust's shortest-roundtrip `Display`, with a trailing
-    /// `.0` on integral values so they re-parse as floats. Non-finite floats
-    /// are written as `null`, as serde_json does.
+    /// A float: the shortest digits that read back to the same `f64`,
+    /// spelled byte for byte as Rust's `Display` spells them (ties rounded
+    /// up, no exponent), with a trailing `.0` on integral values so they
+    /// re-parse as floats. Non-finite floats are written as `null`, as
+    /// serde_json does.
     #[inline]
     pub fn float(&mut self, f: f64) {
         if !f.is_finite() {
             return self.null();
         }
-        let start = self.out.len();
-        write!(self.out, "{f}").expect("writing to a String cannot fail");
-        if !self.out.as_bytes()[start..]
-            .iter()
-            .any(|b| matches!(b, b'.' | b'e' | b'E'))
-        {
+        if !float::write(&mut self.out, f) {
             self.out.push_str(".0");
         }
     }

@@ -4,7 +4,8 @@
 //! [`to_string_pretty`] and [`from_str`] — over the `serde` shim's
 //! `Writer` and `Reader`, which do the work: a value is written straight
 //! into the output text and read straight off the input, with no tree in
-//! between. Floats are written via Rust's shortest-roundtrip `Display` (the
+//! between. Floats are written with the shortest digits that read back to
+//! the same `f64`, byte for byte as Rust's `Display` spells them (the
 //! `float_roundtrip` feature is therefore a no-op), with a trailing `.0`
 //! added to integral floats so they re-parse as floats.
 
