@@ -769,6 +769,14 @@ mod tests {
         // Under the timeout the two agree.
         let s = settle(&erring(0.0, policy), ExecOutcome::ok(20), 3);
         assert_eq!((s.ok, s.service, s.observed), (true, 20e-6, 20e-6));
+        // An attempt that takes exactly the timeout has not run over it:
+        // 25 work units at 10^6 per second are 25e-6 s to the bit.
+        assert_eq!(25.0 / 1e6, 25e-6);
+        let s = settle(&erring(0.0, policy), ExecOutcome::ok(25), 3);
+        assert_eq!(
+            (s.ok, s.timeouts, s.service, s.observed),
+            (true, 0, 25e-6, 25e-6)
+        );
     }
 
     #[test]

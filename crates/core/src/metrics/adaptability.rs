@@ -546,6 +546,30 @@ mod tests {
         assert_eq!(report.recovery_times, vec![(1, at_level)]);
     }
 
+    /// The ideal line yields `n` at or past `end`, not `n · (end − start) /
+    /// (end − start)`, which is an ulp off for some spans: 3 · 0.1 / 0.1 is
+    /// not 3. Three ops that all complete at `exec_end` make one trapezoid
+    /// as wide as the run, which ends on the line, so the area is 0 exactly
+    /// and that ulp, had it been taken, would show.
+    #[test]
+    fn the_ideal_line_is_n_at_the_end() {
+        let mut r = two_speed_record(1.0, 0, 1.0, 0);
+        r.exec_end = 0.1;
+        r.ops = vec![
+            OpRecord {
+                t_end: 0.1,
+                latency: 0.1,
+                phase: 1,
+                ok: true,
+                in_transition: false,
+            };
+            3
+        ];
+        assert_ne!(3.0 * r.exec_end / r.exec_end, 3.0);
+        let report = AdaptabilityReport::from_record(&r).unwrap();
+        assert_eq!(report.area_vs_ideal, 0.0);
+    }
+
     #[test]
     fn curve_monotone_and_complete() {
         let r = two_speed_record(0.3, 200, 0.1, 200);

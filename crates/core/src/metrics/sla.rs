@@ -181,17 +181,18 @@ impl SlaReport {
             // Strictly after the change: a query completing exactly at the
             // change instant belongs to the old distribution. In a record in
             // time order those queries start where a binary search says.
-            let after = if in_order {
-                record.ops.partition_point(|o| o.t_end <= t)
+            let over = |o: &OpRecord| (o.latency - threshold).max(0.0);
+            let over_sla: f64 = if in_order {
+                let after = record.ops.partition_point(|o| o.t_end <= t);
+                record.ops[after..]
+                    .iter()
+                    .take(adjustment_n)
+                    .map(over)
+                    .sum()
             } else {
-                0
+                let after = record.ops.iter().filter(|o| o.t_end > t);
+                after.take(adjustment_n).map(over).sum()
             };
-            let over_sla: f64 = record.ops[after..]
-                .iter()
-                .filter(|o| o.t_end > t)
-                .take(adjustment_n)
-                .map(|o| (o.latency - threshold).max(0.0))
-                .sum();
             adjustment_speed.push((phase, over_sla));
         }
 
@@ -456,7 +457,8 @@ mod tests {
     #[test]
     fn adjustment_n_limits_window() {
         let r = spike_record();
-        // With N = 10 only 10 of the slow ops count.
+        // With N = 10 only 10 of the slow ops count. The last fast op
+        // completes exactly at the change instant, so it is not one of them.
         let report = SlaReport::from_record(&r, 0.1, 1.0, 10).unwrap();
         let (_, speed) = report.adjustment_speed[0];
         assert!((speed - 4.0).abs() < 1e-9, "speed = {speed}");
