@@ -645,6 +645,40 @@ mod tests {
         }
     }
 
+    /// Slices are half-open (`slices[i]` holds the ops completed in
+    /// `[i * width, (i + 1) * width)`), so an op that completes exactly at
+    /// `slice_end(k)` belongs to slice `k + 1`, even when it continues a
+    /// run of equal latencies that the walk records at once.
+    #[test]
+    fn an_op_completing_exactly_at_a_slice_end_opens_the_next_slice() {
+        let edge = IntervalHistogram::new(DEFAULT_INTERVAL_WIDTH).slice_end(3);
+        let op = |t_end| crate::record::OpRecord {
+            t_end,
+            latency: 0.001,
+            phase: 0,
+            ok: true,
+            in_transition: false,
+        };
+        let record = RunRecord {
+            sut_name: "edge".to_string(),
+            scenario_name: "slice-edge".to_string(),
+            phase_names: vec!["a".to_string()],
+            ops: vec![op(0.17), op(edge.next_down()), op(edge)],
+            phase_change_times: vec![(0, 0.0)],
+            train: crate::record::TrainInfo::default(),
+            exec_start: 0.0,
+            exec_end: edge,
+            final_metrics: lsbench_sut::sut::SutMetrics::default(),
+            work_units_per_second: 1.0,
+            faults: crate::faults::FaultStats::default(),
+        };
+        let mut metrics = MetricsRegistry::new();
+        assert_eq!(restate(&record, None, &mut metrics).unwrap(), None);
+        let slices = &metrics.histograms["latency"].slices;
+        let counts: Vec<u64> = slices.iter().map(LatencyHistogram::total).collect();
+        assert_eq!(counts, [0, 0, 0, 2, 1]);
+    }
+
     #[test]
     fn traced_run_produces_trace_and_spans() {
         let s = scenario();
