@@ -17,22 +17,30 @@
 //!
 //! **The staged probe.** A lookup chains three dependent loads: the leaf's
 //! header (its model and the pointer to its slots), the slot the model
-//! predicts, the walk from there to the key. `get` takes them one after
+//! predicts, the search from there to the key. `get` takes them one after
 //! another; `get_many` and `probe_many` take them a stage at a time for
 //! [`GROUP`] keys — route every key and prefetch its leaf, predict every
-//! slot and prefetch its line, then one `locate` per key — so a stage's
-//! misses overlap across the group. That one `locate` yields the hit *and*
-//! the distance walked, which is the key-dependent part of
-//! [`Index::probe_cost`]: a batched read's work units come out of the probe
-//! that answered it, and `get` / `probe_cost` stay as the scalar
+//! slot and prefetch its line and its occupancy word, then one `locate` per
+//! key — so a stage's misses overlap across the group. That one `locate`
+//! yields the hit *and* the distance walked, which is the key-dependent part
+//! of [`Index::probe_cost`]: a batched read's work units come out of the
+//! probe that answered it, and `get` / `probe_cost` stay as the scalar
 //! definitions `tests/properties.rs` holds the batch to.
 //!
-//! **`locate` stays a linear walk.** ALEX's own rule is an exponential
-//! search outward from the prediction; it pays when predictions are far
-//! off. Here they are not: on the benchmark's `point_reads` workload a read
-//! costs 14.4 work units, 12 of them routing and 1 the model, so the walk
-//! is 1.4 slots on average and usually ends in the line the prefetch
-//! fetched.
+//! **Gap-filled keys and an occupancy bitmap.** A gap holds the key of the
+//! next occupied slot, or `u64::MAX` past the last one, so a leaf's keys
+//! never decrease, and a bitmap in the leaf marks which slots hold a pair.
+//! `locate` finds the key's lower bound by an exponential search outward
+//! from the predicted slot, as ALEX prescribes, and reads the occupied
+//! slots on either side of it off the bitmap. It returns the slot a linear
+//! walk from the prediction lands on, so the distance `probe_cost` charges
+//! is the walk's: the search changes what a probe costs in time, never in
+//! work units. The walk is short on reads — 1.4 slots on average on the
+//! benchmark's `point_reads` workload, whose reads cost 14.4 work units, 12
+//! of them routing and 1 the model — but 57 slots on `updates_scans`
+//! inserts, which pack runs of keys into a few leaves; there the search
+//! reads `O(log d)` slots instead of `d`, the nearest gap of a shifting
+//! insert is a scan of bitmap words, and the shift is one `copy_within`.
 
 use crate::model::LinearModel;
 use crate::search::GROUP;
@@ -42,6 +50,8 @@ use crate::{bsearch_cost, check_sorted, prefetch_read, BulkLoad, Index, IndexSta
 thread_local! {
     /// [`GappedLeaf::locate_from`] calls made on this thread.
     static LOCATES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Slot keys read by a leaf's search on this thread.
+    static SLOT_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Target slot occupancy after a (re)build.
@@ -56,14 +66,33 @@ const TARGET_LEAF_SIZE: usize = 256;
 const MAX_LEAF_SIZE: usize = 1024;
 /// Minimum slot capacity of a leaf.
 const MIN_CAP: usize = 16;
+/// The most slots a leaf can have. A build gets at most
+/// `MAX_LEAF_SIZE + 1` pairs (a split halves a leaf as soon as it passes
+/// `MAX_LEAF_SIZE`), sizes its array to `ceil(n / TARGET_DENSITY)` and
+/// appends at most one slot for each pair after the first; no write
+/// changes the slot count.
+const MAX_SLOTS: usize = ((MAX_LEAF_SIZE + 1) as f64 / TARGET_DENSITY) as usize + 1 + MAX_LEAF_SIZE;
+/// Words of a leaf's occupancy bitmap.
+const WORDS: usize = MAX_SLOTS.div_ceil(64);
 
 /// A model-indexed gapped array of `(key, value)` pairs.
+///
+/// The occupancy bitmap lives inline, in the leaf's own allocation: a
+/// separate heap block per leaf fragments the heap enough to show in a
+/// run's peak RSS. `repr(C)` keeps the header fields in the line
+/// [`AlexIndex::probe_staged`] prefetches.
 #[derive(Debug, Clone)]
+#[repr(C)]
 struct GappedLeaf {
-    slots: Vec<Option<(u64, u64)>>,
+    /// One `(key, value)` per slot. A gap holds the key of the next
+    /// occupied slot, or `u64::MAX` past the last one (its value is
+    /// meaningless), so the keys never decrease.
+    slots: Vec<(u64, u64)>,
     /// Maps key → slot index.
     model: LinearModel,
     count: usize,
+    /// Bit `i % 64` of word `i / 64` is set when slot `i` holds a pair.
+    occupied: [u64; WORDS],
 }
 
 impl GappedLeaf {
@@ -79,7 +108,8 @@ impl GappedLeaf {
             slope: base.slope * scale,
             intercept: base.intercept * scale,
         };
-        let mut slots = vec![None; cap];
+        let mut slots = vec![(u64::MAX, 0); cap];
+        let mut occupied = [0; WORDS];
         let mut next_free = 0usize;
         for &(k, v) in pairs {
             let mut p = model.predict_clamped(k, slots.len());
@@ -87,9 +117,14 @@ impl GappedLeaf {
                 p = next_free;
             }
             if p >= slots.len() {
-                slots.push(None);
+                slots.push((u64::MAX, 0));
             }
-            slots[p] = Some((k, v));
+            // The gaps since the last pair take this pair's key.
+            for gap in &mut slots[next_free..p] {
+                gap.0 = k;
+            }
+            slots[p] = (k, v);
+            occupied[p / 64] |= 1 << (p % 64);
             next_free = p + 1;
         }
         let work = (n + cap / 8) as u64;
@@ -98,6 +133,7 @@ impl GappedLeaf {
                 slots,
                 model,
                 count: n,
+                occupied,
             },
             work,
         )
@@ -111,9 +147,84 @@ impl GappedLeaf {
         }
     }
 
+    fn is_occupied(&self, i: usize) -> bool {
+        self.occupied[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The key of slot `i`, counted as a slot read in tests.
+    #[inline]
+    fn key(&self, i: usize) -> u64 {
+        #[cfg(test)]
+        SLOT_READS.with(|n| n.set(n.get() + 1));
+        self.slots[i].0
+    }
+
+    /// The first slot at or after `from` that is occupied (`occupied`) or a
+    /// gap (`!occupied`); the slot count when there is none.
+    fn next_slot(&self, from: usize, occupied: bool) -> usize {
+        let cap = self.slots.len();
+        if from >= cap {
+            return cap;
+        }
+        let flip = if occupied { 0 } else { !0 };
+        let mut w = from / 64;
+        let mut bits = (self.occupied[w] ^ flip) & (!0 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            if w * 64 >= cap {
+                return cap;
+            }
+            bits = self.occupied[w] ^ flip;
+        }
+        // Past the last slot a flipped word reads as all gaps.
+        (w * 64 + bits.trailing_zeros() as usize).min(cap)
+    }
+
+    /// The last slot before `before` that is occupied (`occupied`) or a gap
+    /// (`!occupied`).
+    fn prev_slot(&self, before: usize, occupied: bool) -> Option<usize> {
+        let last = before.checked_sub(1)?;
+        let flip = if occupied { 0 } else { !0 };
+        let mut w = last / 64;
+        let mut bits = (self.occupied[w] ^ flip) & (!0 >> (63 - last % 64));
+        while bits == 0 {
+            w = w.checked_sub(1)?;
+            bits = self.occupied[w] ^ flip;
+        }
+        Some(w * 64 + 63 - bits.leading_zeros() as usize)
+    }
+
+    /// Appends the pairs of the first `n` occupied slots from `from` on to
+    /// `out`, in key order, reading the bitmap a word at a time.
+    fn pairs_into(&self, from: usize, mut n: usize, out: &mut Vec<(u64, u64)>) {
+        let words = self.slots.len().div_ceil(64);
+        let mut w = from / 64;
+        if w >= words {
+            return;
+        }
+        let mut bits = self.occupied[w] & (!0 << (from % 64));
+        loop {
+            while bits != 0 {
+                if n == 0 {
+                    return;
+                }
+                out.push(self.slots[w * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+                n -= 1;
+            }
+            w += 1;
+            if w >= words {
+                return;
+            }
+            bits = self.occupied[w];
+        }
+    }
+
     /// All pairs in key order.
     fn pairs(&self) -> Vec<(u64, u64)> {
-        self.slots.iter().flatten().copied().collect()
+        let mut pairs = Vec::with_capacity(self.count);
+        self.pairs_into(0, self.count, &mut pairs);
+        pairs
     }
 
     /// Finds `key`: `Ok(slot)` when present, `Err(slot)` = insertion slot
@@ -130,6 +241,19 @@ impl GappedLeaf {
     }
 
     /// [`Self::locate`] from an already computed `start = predict(key)`.
+    ///
+    /// The answer is the slot a walk from `start` over the occupied slots
+    /// lands on: it anchors on `start`, or when that is a gap on the
+    /// occupied slot beside it toward `key`, and walks toward `key`. With
+    /// `lb` the lower bound of `key` in the gap-filled keys, `L = lb − 1`
+    /// the last occupied slot below `key` and `R` the first occupied slot
+    /// from `lb` on, it returns
+    /// - `Ok(R)` when `R` holds `key`;
+    /// - walking right (`lb > start`, or no `R`), `Err(lb)`: the gap after
+    ///   `L`, or `R` when there is none;
+    /// - `Err(start)` when `start` is a gap strictly between `L` and `R`;
+    /// - walking left, `Err(R − 1)` when there are gaps between `L` and `R`,
+    ///   else `Err(R)`.
     fn locate_from(&self, start: usize, key: u64) -> std::result::Result<usize, usize> {
         #[cfg(test)]
         LOCATES.with(|n| n.set(n.get() + 1));
@@ -137,18 +261,156 @@ impl GappedLeaf {
         if cap == 0 || self.count == 0 {
             return Err(0);
         }
+        let lb = self.lower_bound_from(start, key);
+        let r = self.next_slot(lb, true);
+        if r < cap && self.key(r) == key {
+            Ok(r)
+        } else if lb > start || r == cap {
+            Err(lb)
+        } else if lb > 0 && r > start {
+            Err(start)
+        } else if lb > 0 && r > lb {
+            Err(r - 1)
+        } else {
+            Err(r)
+        }
+    }
+
+    /// The first slot whose (gap-filled) key is at least `key`, or the slot
+    /// count: an exponential search outward from `start`, then a binary
+    /// search of the last step.
+    fn lower_bound_from(&self, start: usize, key: u64) -> usize {
+        let cap = self.slots.len();
+        // The bound lies in `lo..=hi`.
+        let (mut lo, mut hi) = (0, start);
+        let mut step = 1;
+        if self.key(start) < key {
+            (lo, hi) = (start + 1, cap);
+            while start + step < cap {
+                if self.key(start + step) >= key {
+                    hi = start + step;
+                    break;
+                }
+                lo = start + step + 1;
+                step *= 2;
+            }
+        } else {
+            while step <= start {
+                if self.key(start - step) < key {
+                    lo = start - step + 1;
+                    break;
+                }
+                hi = start - step;
+                step *= 2;
+            }
+        }
+        lo + self.slots[lo..hi].partition_point(|s| {
+            #[cfg(test)]
+            SLOT_READS.with(|n| n.set(n.get() + 1));
+            s.0 < key
+        })
+    }
+
+    /// Inserts at `slot` (from a failed [`Self::locate`]), shifting toward the
+    /// nearest gap when the slot is occupied. Returns false when the leaf has
+    /// no gap left (caller must expand first).
+    fn insert_at(&mut self, slot: usize, key: u64, value: u64) -> bool {
+        let cap = self.slots.len();
+        if self.count == cap {
+            return false;
+        }
+        // The gap that fills, and the slot the pair goes to.
+        let (gap, at) = if slot < cap && !self.is_occupied(slot) {
+            (slot, slot)
+        } else {
+            // Shift toward the nearest gap (the left one on a tie; past the
+            // end there is only a left one).
+            let right = self.next_slot(slot, false);
+            match self.prev_slot(slot.min(cap), false) {
+                Some(left) if right == cap || slot - left <= right - slot => {
+                    self.slots.copy_within(left + 1..slot, left);
+                    (left, slot - 1)
+                }
+                _ => {
+                    self.slots.copy_within(slot..right, slot + 1);
+                    (right, slot)
+                }
+            }
+        };
+        self.occupied[gap / 64] |= 1 << (gap % 64);
+        self.slots[at] = (key, value);
+        self.count += 1;
+        self.fill_below(at);
+        true
+    }
+
+    /// Empties occupied slot `slot` and returns its value.
+    fn remove(&mut self, slot: usize) -> u64 {
+        let value = self.slots[slot].1;
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        self.count -= 1;
+        self.slots[slot].0 = self.slots.get(slot + 1).map_or(u64::MAX, |s| s.0);
+        self.fill_below(slot);
+        value
+    }
+
+    /// Gives the gaps just below slot `slot` its key, as the invariant
+    /// wants after a write to the slot.
+    fn fill_below(&mut self, slot: usize) {
+        let from = self.prev_slot(slot, true).map_or(0, |l| l + 1);
+        let key = self.slots[slot].0;
+        for gap in &mut self.slots[from..slot] {
+            gap.0 = key;
+        }
+    }
+
+    #[cfg(test)]
+    fn check_sorted_invariant(&self) {
+        let keys: Vec<u64> = self.pairs().iter().map(|&(k, _)| k).collect();
+        for w in keys.windows(2) {
+            assert!(w[0] < w[1], "gapped leaf keys out of order: {keys:?}");
+        }
+        assert_eq!(keys.len(), self.count);
+        let cap = self.slots.len();
+        assert!(
+            (cap..WORDS * 64).all(|i| !self.is_occupied(i)),
+            "bits past the last slot"
+        );
+        // Every gap holds the key of the next occupied slot, or `u64::MAX`.
+        let mut next = u64::MAX;
+        for i in (0..cap).rev() {
+            if self.is_occupied(i) {
+                next = self.slots[i].0;
+            } else {
+                assert_eq!(self.slots[i].0, next, "gap {i} of {cap}");
+            }
+        }
+    }
+
+    /// Slot `i` as a pair or a gap, counted as a slot read.
+    #[cfg(test)]
+    fn at(&self, i: usize) -> Option<(u64, u64)> {
+        let key = self.key(i);
+        self.is_occupied(i).then_some((key, self.slots[i].1))
+    }
+
+    /// The reference [`Self::locate_from`] answers to: a linear walk from
+    /// `start` over the occupied slots.
+    #[cfg(test)]
+    fn locate_linear(&self, start: usize, key: u64) -> std::result::Result<usize, usize> {
+        let cap = self.slots.len();
+        if cap == 0 || self.count == 0 {
+            return Err(0);
+        }
         // Anchor on an occupied slot.
         let mut i = start;
-        if self.slots[i].is_none() {
-            let left = self.slots[..i].iter().rposition(|s| s.is_some());
-            let right = self.slots[i + 1..]
-                .iter()
-                .position(|s| s.is_some())
-                .map(|off| i + 1 + off);
+        if self.at(i).is_none() {
+            let left = (0..i).rev().find(|&j| self.at(j).is_some());
+            let right = (i + 1..cap).find(|&j| self.at(j).is_some());
             i = match (left, right) {
                 (Some(l), Some(r)) => {
-                    let kl = self.slots[l].expect("occupied").0;
-                    let kr = self.slots[r].expect("occupied").0;
+                    let kl = self.at(l).expect("occupied").0;
+                    let kr = self.at(r).expect("occupied").0;
                     if key <= kl {
                         l
                     } else if key >= kr {
@@ -164,7 +426,7 @@ impl GappedLeaf {
                 (None, None) => return Err(start),
             };
         }
-        let ki = self.slots[i].expect("anchored on occupied slot").0;
+        let ki = self.at(i).expect("anchored on occupied slot").0;
         use std::cmp::Ordering;
         match key.cmp(&ki) {
             Ordering::Equal => Ok(i),
@@ -172,7 +434,7 @@ impl GappedLeaf {
                 // Walk right over occupied slots.
                 let mut last_lt = i; // last occupied slot with key < target
                 for j in i + 1..cap {
-                    if let Some((kj, _)) = self.slots[j] {
+                    if let Some((kj, _)) = self.at(j) {
                         match key.cmp(&kj) {
                             Ordering::Equal => return Ok(j),
                             Ordering::Less => {
@@ -189,7 +451,7 @@ impl GappedLeaf {
                 // Walk left over occupied slots.
                 let mut first_gt = i; // first occupied slot with key > target
                 for j in (0..i).rev() {
-                    if let Some((kj, _)) = self.slots[j] {
+                    if let Some((kj, _)) = self.at(j) {
                         match key.cmp(&kj) {
                             Ordering::Equal => return Ok(j),
                             Ordering::Greater => {
@@ -206,80 +468,6 @@ impl GappedLeaf {
                 Err(first_gt)
             }
         }
-    }
-
-    /// Inserts at `slot` (from a failed [`Self::locate`]), shifting toward the
-    /// nearest gap when the slot is occupied. Returns false when the leaf has
-    /// no gap left (caller must expand first).
-    fn insert_at(&mut self, slot: usize, key: u64, value: u64) -> bool {
-        let cap = self.slots.len();
-        if slot >= cap {
-            if self.count == cap {
-                return false;
-            }
-            // Insertion past the end: shift left using the nearest gap.
-            let gap = match self.slots.iter().rposition(|s| s.is_none()) {
-                Some(g) => g,
-                None => return false,
-            };
-            for j in gap..cap - 1 {
-                self.slots[j] = self.slots[j + 1];
-            }
-            self.slots[cap - 1] = Some((key, value));
-            self.count += 1;
-            return true;
-        }
-        if self.slots[slot].is_none() {
-            self.slots[slot] = Some((key, value));
-            self.count += 1;
-            return true;
-        }
-        // Find nearest gap on either side.
-        let right_gap = self.slots[slot..].iter().position(|s| s.is_none());
-        let left_gap = self.slots[..slot].iter().rposition(|s| s.is_none());
-        match (left_gap, right_gap.map(|off| slot + off)) {
-            (Some(l), Some(r)) => {
-                if slot - l <= r - slot {
-                    self.shift_left_into(l, slot, key, value)
-                } else {
-                    self.shift_right_into(r, slot, key, value)
-                }
-            }
-            (Some(l), None) => self.shift_left_into(l, slot, key, value),
-            (None, Some(r)) => self.shift_right_into(r, slot, key, value),
-            (None, None) => false,
-        }
-    }
-
-    /// Shifts `slots[gap+1..slot]` one left and inserts at `slot - 1`.
-    fn shift_left_into(&mut self, gap: usize, slot: usize, key: u64, value: u64) -> bool {
-        debug_assert!(gap < slot);
-        for j in gap..slot - 1 {
-            self.slots[j] = self.slots[j + 1];
-        }
-        self.slots[slot - 1] = Some((key, value));
-        self.count += 1;
-        true
-    }
-
-    /// Shifts `slots[slot..gap]` one right and inserts at `slot`.
-    fn shift_right_into(&mut self, gap: usize, slot: usize, key: u64, value: u64) -> bool {
-        debug_assert!(slot < gap || self.slots[gap].is_none());
-        for j in (slot..gap).rev() {
-            self.slots[j + 1] = self.slots[j];
-        }
-        self.slots[slot] = Some((key, value));
-        self.count += 1;
-        true
-    }
-
-    #[cfg(test)]
-    fn check_sorted_invariant(&self) {
-        let keys: Vec<u64> = self.slots.iter().flatten().map(|&(k, _)| k).collect();
-        for w in keys.windows(2) {
-            assert!(w[0] < w[1], "gapped leaf keys out of order: {keys:?}");
-        }
-        assert_eq!(keys.len(), self.count);
     }
 }
 
@@ -355,11 +543,12 @@ impl AlexIndex {
                 let leaf = &self.leaves[li];
                 *p = leaf.predict(key);
                 prefetch_read(leaf.slots.as_ptr().wrapping_add(*p));
+                prefetch_read(&leaf.occupied[*p / 64]);
             }
             for ((&p, &li), &key) in predicted[..g].iter().zip(&leaf_of[..g]).zip(chunk) {
                 let leaf = &self.leaves[li];
                 let (hit, slot) = match leaf.locate_from(p, key) {
-                    Ok(slot) => (leaf.slots[slot].map(|(_, v)| v), slot),
+                    Ok(slot) => (Some(leaf.slots[slot].1), slot),
                     Err(slot) => (None, slot),
                 };
                 let landed = slot.min(leaf.slots.len().saturating_sub(1));
@@ -435,7 +624,7 @@ impl Index for AlexIndex {
     fn get(&self, key: u64) -> Option<u64> {
         let leaf = &self.leaves[self.leaf_for(key)];
         match leaf.locate(key) {
-            Ok(slot) => leaf.slots[slot].map(|(_, v)| v),
+            Ok(slot) => Some(leaf.slots[slot].1),
             Err(_) => None,
         }
     }
@@ -447,8 +636,7 @@ impl Index for AlexIndex {
         // the first leaf is read from there, the later ones from slot 0.
         let (Ok(mut from) | Err(mut from)) = self.leaves[li].locate(start);
         while li < self.leaves.len() && out.len() - held < limit {
-            let rows = self.leaves[li].slots[from..].iter().flatten();
-            out.extend(rows.take(limit - (out.len() - held)));
+            self.leaves[li].pairs_into(from, limit - (out.len() - held), out);
             from = 0;
             li += 1;
         }
@@ -459,9 +647,8 @@ impl Index for AlexIndex {
         let li = self.leaf_for(key);
         match self.leaves[li].locate(key) {
             Ok(slot) => {
-                let old = self.leaves[li].slots[slot].map(|(_, v)| v);
-                self.leaves[li].slots[slot] = Some((key, value));
-                Ok(old)
+                let old = std::mem::replace(&mut self.leaves[li].slots[slot].1, value);
+                Ok(Some(old))
             }
             Err(slot) => {
                 if !self.leaves[li].insert_at(slot, key, value) {
@@ -491,15 +678,14 @@ impl Index for AlexIndex {
         let li = self.leaf_for(key);
         match self.leaves[li].locate(key) {
             Ok(slot) => {
-                let old = self.leaves[li].slots[slot].take().map(|(_, v)| v);
-                self.leaves[li].count -= 1;
+                let old = self.leaves[li].remove(slot);
                 self.len -= 1;
                 if self.leaves[li].density() < MIN_DENSITY
                     && self.leaves[li].slots.len() > MIN_CAP * 2
                 {
                     self.retrain_leaf(li);
                 }
-                Ok(old)
+                Ok(Some(old))
             }
             Err(_) => Ok(None),
         }
@@ -513,6 +699,11 @@ impl Index for AlexIndex {
         self.work
     }
 
+    /// `size_bytes` models 24 B a slot (an `Option<(u64, u64)>`), 8 a
+    /// boundary and 48 a leaf header. A slot takes 16 B and a bit of the
+    /// occupancy bitmap now; the model stays so that records and transcripts
+    /// that print the size do not move until the next deliberate
+    /// regeneration of the goldens.
     fn stats(&self) -> IndexStats {
         let slots: usize = self.leaves.iter().map(|l| l.slots.len()).sum();
         IndexStats {
@@ -737,7 +928,7 @@ mod tests {
             // above its last one (the scan starts past every row of the leaf
             // and crosses into the next).
             starts.extend([boundary.saturating_sub(1), boundary, boundary + 1]);
-            let keys: Vec<u64> = leaf.slots.iter().flatten().map(|p| p.0).collect();
+            let keys: Vec<u64> = leaf.pairs().iter().map(|p| p.0).collect();
             if let (Some(&first), Some(&last)) = (keys.first(), keys.last()) {
                 starts.extend([first - 1, first, first + 1, last - 1, last, last + 1]);
             }
@@ -745,8 +936,8 @@ mod tests {
             // between the rows on either side of the leaf's longest run.
             let mut run = (0, 0);
             let mut open = 0;
-            for (i, slot) in leaf.slots.iter().enumerate() {
-                if slot.is_some() {
+            for i in 0..leaf.slots.len() {
+                if leaf.is_occupied(i) {
                     if i - open > run.1 - run.0 {
                         run = (open, i);
                     }
@@ -754,10 +945,7 @@ mod tests {
                 }
             }
             if run.0 > 0 && run.1 - run.0 >= 2 {
-                let (lo, hi) = (
-                    leaf.slots[run.0 - 1].unwrap().0,
-                    leaf.slots[run.1].unwrap().0,
-                );
+                let (lo, hi) = (leaf.slots[run.0 - 1].0, leaf.slots[run.1].0);
                 starts.extend([lo + 1, lo + (hi - lo) / 2, hi - 1]);
             }
         }
@@ -798,5 +986,254 @@ mod tests {
         assert_eq!(s.model_count, idx.leaf_count());
         assert!(s.build_work >= 3000);
         assert!(s.size_bytes > 0);
+    }
+
+    /// A leaf of `cap` gaps whose model spreads `[0, span)` over them.
+    fn empty_leaf(cap: usize, span: u64) -> GappedLeaf {
+        GappedLeaf {
+            slots: vec![(u64::MAX, 0); cap],
+            model: LinearModel {
+                slope: cap as f64 / span as f64,
+                intercept: 0.0,
+            },
+            count: 0,
+            occupied: [0; WORDS],
+        }
+    }
+
+    /// Inserts or overwrites through the leaf alone; false when it is full.
+    fn leaf_insert(leaf: &mut GappedLeaf, key: u64, value: u64) -> bool {
+        match leaf.locate(key) {
+            Ok(slot) => {
+                leaf.slots[slot].1 = value;
+                true
+            }
+            Err(slot) => leaf.insert_at(slot, key, value),
+        }
+    }
+
+    fn leaf_delete(leaf: &mut GappedLeaf, key: u64) -> Option<u64> {
+        leaf.locate(key).ok().map(|slot| leaf.remove(slot))
+    }
+
+    fn shuffle(keys: &mut [u64], rng: &mut rand::rngs::StdRng) {
+        use rand::Rng;
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.gen_range(0..=i));
+        }
+    }
+
+    /// Keys worth probing: each present key and its neighbours (absent when
+    /// keys are spaced out), below the first, above the last, `u64::MAX`.
+    fn probe_keys(leaf: &GappedLeaf) -> Vec<u64> {
+        let mut keys = vec![0, u64::MAX];
+        for (k, _) in leaf.pairs() {
+            keys.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
+        }
+        keys
+    }
+
+    fn assert_same(leaf: &GappedLeaf, start: usize, key: u64) {
+        let cap = leaf.slots.len();
+        assert_eq!(
+            leaf.locate_from(start, key),
+            leaf.locate_linear(start, key),
+            "start {start}, key {key}, {} of {cap} slots",
+            leaf.count
+        );
+    }
+
+    /// Every start slot against every probe key, or when `sample` is given
+    /// every start against a few drawn keys and every key from a few drawn
+    /// starts.
+    fn check_against_walk(leaf: &GappedLeaf, sample: Option<&mut rand::rngs::StdRng>) {
+        use rand::Rng;
+        leaf.check_sorted_invariant();
+        let keys = probe_keys(leaf);
+        let cap = leaf.slots.len();
+        match sample {
+            None => {
+                for start in 0..cap {
+                    for &key in &keys {
+                        assert_same(leaf, start, key);
+                    }
+                }
+            }
+            Some(rng) => {
+                for start in 0..cap {
+                    for _ in 0..2 {
+                        assert_same(leaf, start, keys[rng.gen_range(0..keys.len())]);
+                    }
+                }
+                for &key in &keys {
+                    for _ in 0..2 {
+                        assert_same(leaf, rng.gen_range(0..cap), key);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Random inserts and deletes, then fills to the last slot, then deletes
+    /// down to an empty leaf, checking the search against the walk along
+    /// the way.
+    fn drive_leaf(cap: usize, seed: u64, checks: usize) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let span = 1 << 20;
+        let mut leaf = empty_leaf(cap, span);
+        let mut model = std::collections::BTreeMap::new();
+        let every = (3 * cap / checks).max(1);
+        for step in 0..3 * cap {
+            if rng.gen_bool(0.7) {
+                let key = rng.gen_range(0..span);
+                if leaf_insert(&mut leaf, key, step as u64) {
+                    model.insert(key, step as u64);
+                }
+            } else if let Some(&key) = model.keys().nth(rng.gen_range(0..model.len().max(1))) {
+                assert_eq!(leaf_delete(&mut leaf, key), model.remove(&key));
+            }
+            if step % every == 0 {
+                check_against_walk(&leaf, None);
+            }
+        }
+        while leaf.count < cap {
+            let key = rng.gen_range(0..span);
+            assert!(leaf_insert(&mut leaf, key, 0));
+            model.insert(key, 0);
+        }
+        check_against_walk(&leaf, None);
+        assert!(
+            !leaf_insert(&mut leaf, span, 0),
+            "a full leaf takes no new key"
+        );
+        let mut present: Vec<u64> = model.keys().copied().collect();
+        shuffle(&mut present, &mut rng);
+        for (i, key) in present.into_iter().enumerate() {
+            assert!(leaf_delete(&mut leaf, key).is_some());
+            if i % every == 0 {
+                check_against_walk(&leaf, None);
+            }
+        }
+        assert_eq!(leaf.count, 0);
+        check_against_walk(&leaf, None);
+    }
+
+    /// A leaf with a few keys spread out and `run` more packed into one
+    /// narrow key span, so that they all predict the same slot and shift one
+    /// another into a single run of occupied slots.
+    fn packed_leaf(run: u64, rng: &mut rand::rngs::StdRng) -> (GappedLeaf, Vec<u64>) {
+        use rand::Rng;
+        let span = 1 << 30;
+        let mut leaf = empty_leaf(2 * run as usize, span);
+        for _ in 0..run / 8 {
+            assert!(leaf_insert(&mut leaf, rng.gen_range(0..span), 1));
+        }
+        let mut packed: Vec<u64> = (0..run).map(|i| span / 2 + 2 * i).collect();
+        shuffle(&mut packed, rng);
+        for &key in &packed {
+            assert!(leaf_insert(&mut leaf, key, 2));
+        }
+        packed.sort_unstable();
+        (leaf, packed)
+    }
+
+    #[test]
+    fn locate_matches_the_linear_walk_at_bitmap_word_edges() {
+        for (seed, cap) in [63, 64, 65, 128].into_iter().enumerate() {
+            drive_leaf(cap, seed as u64, 12);
+        }
+    }
+
+    #[test]
+    fn locate_matches_the_linear_walk_in_a_packed_run() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let (mut leaf, packed) = packed_leaf(520, &mut rng);
+        check_against_walk(&leaf, Some(&mut rng));
+        let mut present: Vec<u64> = leaf.pairs().iter().map(|p| p.0).collect();
+        shuffle(&mut present, &mut rng);
+        for (i, key) in present.into_iter().enumerate() {
+            assert!(leaf_delete(&mut leaf, key).is_some());
+            if i % 128 == 0 {
+                check_against_walk(&leaf, Some(&mut rng));
+            }
+        }
+        assert_eq!(leaf.count, 0);
+        check_against_walk(&leaf, None);
+        assert!(packed.len() >= 500);
+    }
+
+    /// The long form, run optimised in CI: a million random probes of leaves
+    /// of random capacity through random insert and delete sequences.
+    #[test]
+    #[ignore]
+    fn locate_matches_the_linear_walk_long() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut probes = 0;
+        while probes < 1_000_000 {
+            let cap = rng.gen_range(1..=MAX_SLOTS);
+            let bits = rng.gen_range(1..40);
+            let span = rng.gen_range(1..=1u64 << bits);
+            let mut leaf = empty_leaf(cap, span);
+            for _ in 0..rng.gen_range(0..3 * cap) {
+                let key = rng.gen_range(0..span);
+                if rng.gen_bool(0.6) {
+                    leaf_insert(&mut leaf, key, 0);
+                } else {
+                    leaf_delete(&mut leaf, key);
+                }
+            }
+            leaf.check_sorted_invariant();
+            let keys = probe_keys(&leaf);
+            for _ in 0..10_000 {
+                let key = if rng.gen_bool(0.2) {
+                    rng.gen()
+                } else {
+                    keys[rng.gen_range(0..keys.len())]
+                };
+                assert_same(&leaf, rng.gen_range(0..cap), key);
+            }
+            probes += 10_000;
+        }
+    }
+
+    /// Slot keys read by `f`.
+    fn slot_reads<T>(f: impl FnOnce() -> T) -> usize {
+        let before = SLOT_READS.with(|n| n.get());
+        let _ = f();
+        SLOT_READS.with(|n| n.get()) - before
+    }
+
+    #[test]
+    fn locate_reads_logarithmically_many_slots_in_a_packed_run() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let run = 600;
+        let (leaf, packed) = packed_leaf(run, &mut rng);
+        let first = leaf.locate(packed[0]).expect("present");
+        let last = leaf.locate(packed[packed.len() - 1]).expect("present");
+        assert_eq!(last - first + 1, run as usize, "one run of occupied slots");
+        let bound = 2 * (run as f64).log2().ceil() as usize + 8;
+        let mut walked = 0;
+        for &key in &packed {
+            for probe in [key, key + 1] {
+                let reads = slot_reads(|| leaf.locate(probe));
+                assert!(
+                    reads <= bound,
+                    "locate({probe}) read {reads} slots, over {bound}"
+                );
+                let start = leaf.predict(probe);
+                walked = walked.max(slot_reads(|| leaf.locate_linear(start, probe)));
+            }
+        }
+        // The walk the search replaced reads far more: the bound has teeth.
+        assert!(
+            walked > 10 * bound,
+            "the linear walk's longest probe read only {walked} slots"
+        );
     }
 }
