@@ -18,7 +18,7 @@ use lsbench::core::faults::{resolve_fault_plan, FaultPlan, FaultSpec, RetryPolic
 use lsbench::core::obs::ObsConfig;
 use lsbench::core::runner::{ExecutionMode, RunOptions, RunOutcome, Runner};
 use lsbench::core::scenario::{ArrivalSpec, OnlineTrainMode, Scenario};
-use lsbench::core::spec::parse_scenario;
+use lsbench::core::spec::{parse_scenario, render_scenario, ScenarioRegistry};
 use lsbench::core::suite::{standard_scenarios, SuiteConfig};
 use lsbench::core::sut_registry::SutRegistry;
 use lsbench::core::trace::{import_str, TraceFormat};
@@ -629,9 +629,44 @@ fn made_ahead_cells(cells: &mut BTreeMap<String, String>) {
     );
 }
 
-/// The oracle is computed (and checked) in seven independent groups so the
+/// Each suite scenario at scales around the default one — the default
+/// itself, small and odd op counts, an empty scale, and extreme seeds — as
+/// the FNV-1a of its rendered spec, or `refused` where it does not build.
+/// The rendering holds every op count, seed and rate the scale sets.
+fn suite_scale_cells(cells: &mut BTreeMap<String, String>) {
+    let scales: [(usize, u64, u64); 10] = [
+        (100_000, 10_000, 0x5EED),
+        (500, 7, 0x5EED),
+        (2_000, 300, 0x5EED),
+        (1_000, 0, 0x5EED),
+        (1_000, 1, 0x5EED),
+        (1_000, 2, 0x5EED),
+        (1_000, 3, 0x5EED),
+        (1_000, 10_001, 0),
+        (1_000, 9_999, u64::MAX),
+        (3, 10_000, 1),
+    ];
+    for (dataset_size, ops_per_phase, seed) in scales {
+        let registry = ScenarioRegistry::with_config(SuiteConfig {
+            dataset_size,
+            ops_per_phase,
+            seed,
+            ..SuiteConfig::default()
+        });
+        for name in registry.names() {
+            let cell = match registry.get(name) {
+                Ok(s) => digest(Ok(render_scenario(&s))),
+                Err(_) => "refused".to_string(),
+            };
+            let key = format!("suite_scale/{name}/{dataset_size}x{ops_per_phase}/seed{seed:x}");
+            cells.insert(key, cell);
+        }
+    }
+}
+
+/// The oracle is computed (and checked) in eight independent groups so the
 /// test harness can run them on parallel threads.
-const GROUPS: [fn(&mut BTreeMap<String, String>); 7] = [
+const GROUPS: [fn(&mut BTreeMap<String, String>); 8] = [
     |cells| scenario_cells(cells, suite_scenarios()),
     |cells| scenario_cells(cells, spec_scenarios()),
     trace_cells,
@@ -642,6 +677,7 @@ const GROUPS: [fn(&mut BTreeMap<String, String>); 7] = [
     sched_order_cells,
     fault_order_cells,
     made_ahead_cells,
+    suite_scale_cells,
 ];
 
 fn fixture() -> BTreeMap<String, String> {
@@ -709,6 +745,11 @@ fn fault_order_cells_match_the_frozen_oracle() {
 #[test]
 fn made_ahead_cells_match_the_frozen_oracle() {
     assert_group_matches(6);
+}
+
+#[test]
+fn suite_scale_cells_match_the_frozen_oracle() {
+    assert_group_matches(7);
 }
 
 /// Worker threads never decide results: every thread-invariant cell has the
