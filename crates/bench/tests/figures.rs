@@ -27,16 +27,15 @@ fn golden(name: &str) -> PathBuf {
 /// SUT through the standard scenarios, each held to the SLA its B+-tree
 /// baseline calibrates.
 fn suite() -> String {
-    let cfg = SuiteConfig::default();
-    let scenarios = standard_scenarios(&cfg).expect("suite scenarios build");
-    let scenarios = calibrate_sla(scenarios, cfg.threads).expect("baselines run");
+    let scenarios = standard_scenarios(&SuiteConfig::default()).expect("suite scenarios build");
+    let scenarios = calibrate_sla(scenarios, 1).expect("baselines run");
     let registry = SutRegistry::default();
     let results: Vec<_> = registry
         .names()
         .iter()
         .map(|name| {
             let factory = registry.factory(name).expect("registered");
-            run_scenarios(factory, &scenarios, cfg.threads, ObsConfig::default())
+            run_scenarios(factory, &scenarios, 1, ObsConfig::default())
                 .expect("suite runs")
                 .0
         })

@@ -555,12 +555,14 @@ mod tests {
 
     #[test]
     fn with_arrival_rate_substitutes_and_synthesizes() {
-        use crate::suite::{s2_abrupt_shift, SuiteConfig};
-        let base = s2_abrupt_shift(&SuiteConfig {
+        use crate::spec::ScenarioRegistry;
+        use crate::suite::SuiteConfig;
+        let base = ScenarioRegistry::with_config(SuiteConfig {
             dataset_size: 1000,
             ops_per_phase: 100,
             ..SuiteConfig::default()
         })
+        .get("S2-abrupt-shift")
         .unwrap();
         assert!(base.arrival.is_none(), "suite scenarios are closed-loop");
         let open = with_arrival_rate(&base, 123.0);

@@ -1,16 +1,12 @@
 //! Name → scenario resolution, mirroring
 //! [`SutRegistry`](crate::sut_registry::SutRegistry).
 //!
-//! A [`ScenarioRegistry`] resolves the built-in standard-suite scenarios
-//! (S1–S7, generated from [`STANDARD_SCENARIOS`] at the registry's
+//! A [`ScenarioRegistry`] resolves the standard-suite scenarios (S1–S7,
+//! the spec files of [`STANDARD_SCENARIOS`] moved to the registry's
 //! [`SuiteConfig`] scale) and user spec files on disk through one
-//! interface: [`ScenarioRegistry::resolve`] takes either a registered
-//! name or a path. `lsbench scenarios` prints the registry;
-//! `lsbench run --scenario` and `lsbench validate` resolve through it.
-//!
-//! Registration is open, like the SUT registry: embedders can
-//! [`ScenarioRegistry::register`] their own generators and they become
-//! resolvable by name everywhere.
+//! interface: [`ScenarioRegistry::resolve`] takes either a suite name or a
+//! path. `lsbench scenarios` prints the registry; `lsbench run --scenario`
+//! and `lsbench validate` resolve through it.
 
 use super::parse::parse_scenario;
 use super::SpecError;
@@ -19,94 +15,48 @@ use crate::suite::{SuiteConfig, STANDARD_SCENARIOS};
 use crate::{BenchError, Result};
 use std::path::Path;
 
-/// A registered scenario generator, parameterized by the registry's
-/// [`SuiteConfig`] so built-ins and the suite can never drift apart.
-type Gen = Box<dyn Fn(&SuiteConfig) -> Result<Scenario> + Send + Sync>;
-
-struct ScenarioEntry {
-    name: String,
-    description: String,
-    gen: Gen,
-}
-
-/// Registry of named scenarios with uniform spec-file fallback. See the
+/// The standard suite by name, with uniform spec-file fallback. See the
 /// [module docs](self).
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioRegistry {
     cfg: SuiteConfig,
-    entries: Vec<ScenarioEntry>,
-}
-
-impl Default for ScenarioRegistry {
-    /// The standard suite (S1–S7) at the default [`SuiteConfig`] scale.
-    fn default() -> Self {
-        Self::with_config(SuiteConfig::default())
-    }
 }
 
 impl ScenarioRegistry {
-    /// The standard suite registered at the given scale.
+    /// The standard suite at the given scale.
     pub fn with_config(cfg: SuiteConfig) -> Self {
-        let mut reg = ScenarioRegistry {
-            cfg,
-            entries: Vec::new(),
-        };
-        for (name, description, build) in STANDARD_SCENARIOS {
-            reg.register(name, description, *build);
-        }
-        reg
+        ScenarioRegistry { cfg }
     }
 
-    /// An empty registry (no built-ins) at the given scale.
-    pub fn empty(cfg: SuiteConfig) -> Self {
-        ScenarioRegistry {
-            cfg,
-            entries: Vec::new(),
-        }
-    }
-
-    /// The scale built-in generators are instantiated at.
+    /// The scale the suite scenarios are built at.
     pub fn config(&self) -> &SuiteConfig {
         &self.cfg
     }
 
-    /// Registers (or replaces) a named generator. Later registrations
-    /// with the same name win, so embedders can shadow built-ins.
-    pub fn register<F>(&mut self, name: &str, description: &str, gen: F)
-    where
-        F: Fn(&SuiteConfig) -> Result<Scenario> + Send + Sync + 'static,
-    {
-        self.entries.retain(|e| e.name != name);
-        self.entries.push(ScenarioEntry {
-            name: name.to_string(),
-            description: description.to_string(),
-            gen: Box::new(gen),
-        });
+    /// The suite's names, in suite order.
+    pub fn names(&self) -> Vec<&'static str> {
+        STANDARD_SCENARIOS.iter().map(|(name, ..)| *name).collect()
     }
 
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
-    }
-
-    /// Whether `name` is registered.
+    /// Whether `name` is a suite scenario.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.iter().any(|e| e.name == name)
+        self.names().contains(&name)
     }
 
-    /// `(name, description)` pairs in registration order, for `lsbench
+    /// `(name, description)` pairs in suite order, for `lsbench
     /// scenarios` and similar displays.
-    pub fn descriptions(&self) -> Vec<(&str, &str)> {
-        self.entries
+    pub fn descriptions(&self) -> Vec<(&'static str, &'static str)> {
+        STANDARD_SCENARIOS
             .iter()
-            .map(|e| (e.name.as_str(), e.description.as_str()))
+            .map(|(name, description, _)| (*name, *description))
             .collect()
     }
 
     /// Builds the named scenario at the registry's scale. Unknown names
-    /// report the registered alternatives.
+    /// report the suite's names.
     pub fn get(&self, name: &str) -> Result<Scenario> {
-        match self.entries.iter().find(|e| e.name == name) {
-            Some(entry) => (entry.gen)(&self.cfg),
+        match STANDARD_SCENARIOS.iter().find(|(n, ..)| *n == name) {
+            Some((_, _, spec)) => self.cfg.build(spec),
             None => Err(BenchError::InvalidScenario(format!(
                 "unknown scenario '{name}' (registered: {})",
                 self.names().join(", ")
@@ -180,16 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_scenarios_match_suite() {
-        let cfg = tiny_cfg();
-        let reg = ScenarioRegistry::with_config(cfg);
-        let suite = crate::suite::standard_scenarios(&cfg).unwrap();
-        for expected in &suite {
-            assert_eq!(&reg.get(&expected.name).unwrap(), expected);
-        }
-    }
-
-    #[test]
     fn unknown_name_lists_alternatives() {
         let reg = ScenarioRegistry::default();
         let msg = reg.get("S9-imaginary").unwrap_err().to_string();
@@ -197,21 +137,6 @@ mod tests {
         assert!(msg.contains("S1-specialization"));
         let msg = reg.resolve("no/such/file.spec").unwrap_err().to_string();
         assert!(msg.contains(".spec"));
-    }
-
-    #[test]
-    fn registration_shadows_and_extends() {
-        let mut reg = ScenarioRegistry::with_config(tiny_cfg());
-        let count = reg.names().len();
-        reg.register(
-            "S1-specialization",
-            "shadowed",
-            crate::suite::s2_abrupt_shift,
-        );
-        assert_eq!(reg.names().len(), count, "shadowing does not duplicate");
-        reg.register("custom", "embedder-provided", crate::suite::s4_scans);
-        assert!(reg.contains("custom"));
-        assert_eq!(reg.resolve("custom").unwrap().name, "S4-scans");
     }
 
     #[test]

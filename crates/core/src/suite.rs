@@ -6,15 +6,17 @@
 //! that suite: seven standard scenarios covering the paper's dynamism axes
 //! — specialization, abrupt and gradual shifts, write bursts, bursty
 //! open-loop load, templated repetition, and ledger growth — plus a
-//! hold-out pass. The SLA threshold of each scenario is calibrated once
-//! from a B+-tree baseline run (as §V-D.2 recommends, [`calibrate_sla`])
-//! and shared by every SUT; running a SUT through the calibrated scenarios
-//! ([`run_scenarios`]) yields one [`SuiteResult`] combining every metric
-//! family:
+//! hold-out pass. The scenarios are the spec files `scenarios/s1…s7.spec`,
+//! written at the default [`SuiteConfig`] scale and moved to any other by
+//! [`SuiteConfig::rescale`]. The SLA threshold of each scenario is
+//! calibrated once from a B+-tree baseline run (as §V-D.2 recommends,
+//! [`calibrate_sla`]) and shared by every SUT; running a SUT through the
+//! calibrated scenarios ([`run_scenarios`]) yields one [`SuiteResult`]
+//! combining every metric family:
 //!
 //! ```text
-//! let calibrated = calibrate_sla(standard_scenarios(&cfg)?, cfg.threads)?;
-//! let (result, _) = run_scenarios(factory, &calibrated, cfg.threads, ObsConfig::default())?;
+//! let calibrated = calibrate_sla(standard_scenarios(&cfg)?, threads)?;
+//! let (result, _) = run_scenarios(factory, &calibrated, threads, ObsConfig::default())?;
 //! ```
 
 use crate::metrics::adaptability::AdaptabilityReport;
@@ -22,32 +24,25 @@ use crate::metrics::sla::SlaReport;
 use crate::obs::{MetricsRegistry, ObsConfig, SpanNode, TraceLog};
 use crate::record::RunRecord;
 use crate::runner::{BoxedKvSut, ExecutionMode, RunOptions, Runner};
-use crate::scenario::{ArrivalSpec, DatasetSpec, Scenario};
+use crate::scenario::Scenario;
+use crate::spec::parse_scenario;
 use crate::{BenchError, Result};
 use lsbench_sut::kv::BTreeSut;
-use lsbench_workload::arrival::{ArrivalProcess, LoadModulation};
 use lsbench_workload::dataset::Dataset;
-use lsbench_workload::families::{LedgerGrowth, Steps, TemplatedRepetition};
-use lsbench_workload::keygen::KeyDistribution;
-use lsbench_workload::ops::OperationMix;
-use lsbench_workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase};
+use lsbench_workload::phases::{PhasedWorkload, WorkloadPhase};
 use serde::{Deserialize, Serialize};
 
-/// Scale configuration for the standard suite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The scale the standard suite runs at. Its spec files are written at
+/// the default one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuiteConfig {
     /// Keys in each scenario's dataset.
     pub dataset_size: usize,
-    /// Operations per workload phase.
+    /// Operations in a phase the files write as 10 000.
     pub ops_per_phase: u64,
-    /// Master seed; every scenario derives its own seeds from it.
+    /// Master seed; every seed in the files is the default master seed
+    /// xor a per-scenario salt.
     pub seed: u64,
-    /// Virtual work units per second.
-    pub work_units_per_second: f64,
-    /// Concurrency: `1` runs serially; larger values split each scenario's
-    /// key space into that many shards
-    /// ([`ExecutionMode::Sharded`]) on as many worker threads.
-    pub threads: usize,
 }
 
 impl Default for SuiteConfig {
@@ -56,331 +51,105 @@ impl Default for SuiteConfig {
             dataset_size: 100_000,
             ops_per_phase: 10_000,
             seed: 0x5EED,
-            work_units_per_second: 1_000_000.0,
-            threads: 1,
         }
     }
 }
 
-const KEY_RANGE: (u64, u64) = (0, 10_000_000);
+impl SuiteConfig {
+    /// Moves a scenario written at the default scale to this one: the
+    /// dataset holds `dataset_size` keys, every phase and hold-out phase
+    /// runs `max(1, ops · ops_per_phase / 10 000)` operations, and every
+    /// seed (workload, dataset, hold-out, arrival) becomes
+    /// `seed ^ 0x5EED ^ self.seed`. Refuses `ops_per_phase = 0` and a
+    /// phase whose operations do not fit in 64 bits.
+    pub fn rescale(&self, mut s: Scenario) -> Result<Scenario> {
+        let base = SuiteConfig::default();
+        if self.ops_per_phase == 0 {
+            return Err(BenchError::InvalidScenario(
+                "suite ops per phase must be at least 1".to_string(),
+            ));
+        }
+        let reseed = base.seed ^ self.seed;
+        let scale = |w: &PhasedWorkload| -> Result<PhasedWorkload> {
+            let phases = w.phases().iter().map(|p| {
+                let ops = u128::from(p.ops) * u128::from(self.ops_per_phase)
+                    / u128::from(base.ops_per_phase);
+                let ops = u64::try_from(ops.max(1)).map_err(|_| {
+                    BenchError::InvalidScenario(format!(
+                        "phase '{}' has more than 2^64 - 1 ops at {} ops per phase",
+                        p.name, self.ops_per_phase
+                    ))
+                })?;
+                Ok(WorkloadPhase { ops, ..p.clone() })
+            });
+            let phases = phases.collect::<Result<_>>()?;
+            PhasedWorkload::new(phases, w.transitions().to_vec(), w.seed() ^ reseed)
+                .map_err(|e| BenchError::Workload(e.to_string()))
+        };
+        s.dataset.size = self.dataset_size;
+        s.dataset.seed ^= reseed;
+        s.workload = scale(&s.workload)?;
+        s.holdout = s.holdout.as_ref().map(scale).transpose()?;
+        if let Some(arrival) = &mut s.arrival {
+            arrival.seed ^= reseed;
+        }
+        s.validate()?;
+        Ok(s)
+    }
 
-fn base_dataset(cfg: &SuiteConfig, salt: u64) -> DatasetSpec {
-    DatasetSpec {
-        distribution: KeyDistribution::LogNormal {
-            mu: 0.0,
-            sigma: 1.2,
-        },
-        key_range: KEY_RANGE,
-        size: cfg.dataset_size,
-        seed: cfg.seed ^ salt,
+    /// Parses one of the suite's spec files and moves it to this scale.
+    pub(crate) fn build(&self, spec: &str) -> Result<Scenario> {
+        self.rescale(parse_scenario(spec)?)
     }
 }
 
-fn phase(name: &str, d: KeyDistribution, mix: OperationMix, ops: u64) -> WorkloadPhase {
-    WorkloadPhase::new(name, d, KEY_RANGE, mix, ops)
-}
-
-fn wrap(e: lsbench_workload::WorkloadError) -> BenchError {
-    BenchError::Workload(e.to_string())
-}
-
-/// Shared suite defaults on top of [`Scenario::builder`]: the per-config
-/// work rate and the suite's maintenance cadence.
-fn suite_builder(name: &str, cfg: &SuiteConfig, salt: u64) -> crate::scenario::ScenarioBuilder {
-    Scenario::builder(name)
-        .dataset_spec(base_dataset(cfg, salt))
-        .work_units_per_second(cfg.work_units_per_second)
-        .maintenance_every(256)
-}
-
-/// S1: specialization sweep over four read distributions + hold-out.
-pub fn s1_specialization(cfg: &SuiteConfig) -> Result<Scenario> {
-    let ops = cfg.ops_per_phase;
-    let workload = PhasedWorkload::new(
-        vec![
-            phase(
-                "uniform",
-                KeyDistribution::Uniform,
-                OperationMix::ycsb_c(),
-                ops,
-            ),
-            phase(
-                "zipf",
-                KeyDistribution::Zipf { theta: 1.1 },
-                OperationMix::ycsb_c(),
-                ops,
-            ),
-            phase(
-                "hotspot",
-                KeyDistribution::Hotspot {
-                    hot_span: 0.05,
-                    hot_fraction: 0.9,
-                },
-                OperationMix::ycsb_c(),
-                ops,
-            ),
-            phase(
-                "clustered",
-                KeyDistribution::Clustered {
-                    clusters: 4,
-                    cluster_std_frac: 0.01,
-                },
-                OperationMix::ycsb_c(),
-                ops,
-            ),
-        ],
-        vec![TransitionKind::Abrupt; 3],
-        cfg.seed ^ 0x51,
-    )
-    .map_err(wrap)?;
-    let holdout = PhasedWorkload::single(
-        phase(
-            "holdout-tail",
-            KeyDistribution::Normal {
-                center: 0.92,
-                std_frac: 0.02,
-            },
-            OperationMix::ycsb_c(),
-            ops / 2,
-        ),
-        cfg.seed ^ 0x52,
-    )
-    .map_err(wrap)?;
-    suite_builder("S1-specialization", cfg, 0x11)
-        .workload(workload)
-        .holdout(holdout)
-        .build()
-}
-
-/// S2: abrupt distribution shift (reads).
-pub fn s2_abrupt_shift(cfg: &SuiteConfig) -> Result<Scenario> {
-    let ops = cfg.ops_per_phase;
-    let workload = PhasedWorkload::new(
-        vec![
-            phase(
-                "head",
-                KeyDistribution::LogNormal {
-                    mu: 0.0,
-                    sigma: 1.2,
-                },
-                OperationMix::ycsb_c(),
-                ops,
-            ),
-            phase(
-                "tail",
-                KeyDistribution::Normal {
-                    center: 0.9,
-                    std_frac: 0.03,
-                },
-                OperationMix::ycsb_c(),
-                ops,
-            ),
-        ],
-        vec![TransitionKind::Abrupt],
-        cfg.seed ^ 0x53,
-    )
-    .map_err(wrap)?;
-    suite_builder("S2-abrupt-shift", cfg, 0x22)
-        .workload(workload)
-        .build()
-}
-
-/// S3: gradual shift into a write-heavy phase (adaptation pressure).
-pub fn s3_gradual_writes(cfg: &SuiteConfig) -> Result<Scenario> {
-    let ops = cfg.ops_per_phase;
-    let workload = PhasedWorkload::new(
-        vec![
-            phase(
-                "reads",
-                KeyDistribution::LogNormal {
-                    mu: 0.0,
-                    sigma: 1.2,
-                },
-                OperationMix::ycsb_c(),
-                ops,
-            ),
-            phase(
-                "mixed-writes",
-                KeyDistribution::Normal {
-                    center: 0.85,
-                    std_frac: 0.04,
-                },
-                OperationMix {
-                    read: 0.5,
-                    insert: 0.5,
-                    update: 0.0,
-                    scan: 0.0,
-                    delete: 0.0,
-                    max_scan_len: 0,
-                },
-                ops,
-            ),
-        ],
-        vec![TransitionKind::Gradual { window: 0.3 }],
-        cfg.seed ^ 0x54,
-    )
-    .map_err(wrap)?;
-    suite_builder("S3-gradual-writes", cfg, 0x33)
-        .workload(workload)
-        .build()
-}
-
-/// S4: scan-bearing mixed workload (YCSB-E flavour).
-pub fn s4_scans(cfg: &SuiteConfig) -> Result<Scenario> {
-    let ops = cfg.ops_per_phase;
-    let workload = PhasedWorkload::new(
-        vec![
-            phase(
-                "points",
-                KeyDistribution::Zipf { theta: 0.99 },
-                OperationMix::ycsb_b(),
-                ops,
-            ),
-            phase(
-                "scans",
-                KeyDistribution::Zipf { theta: 0.99 },
-                OperationMix::ycsb_e(),
-                ops,
-            ),
-        ],
-        vec![TransitionKind::Abrupt],
-        cfg.seed ^ 0x55,
-    )
-    .map_err(wrap)?;
-    suite_builder("S4-scans", cfg, 0x44)
-        .workload(workload)
-        .build()
-}
-
-/// S5: bursty open-loop load (diurnal + burst dynamics of §III-A).
-pub fn s5_bursty_load(cfg: &SuiteConfig) -> Result<Scenario> {
-    let ops = cfg.ops_per_phase;
-    let workload = PhasedWorkload::single(
-        phase(
-            "steady-reads",
-            KeyDistribution::LogNormal {
-                mu: 0.0,
-                sigma: 1.2,
-            },
-            OperationMix::ycsb_c(),
-            ops * 2,
-        ),
-        cfg.seed ^ 0x56,
-    )
-    .map_err(wrap)?;
-    suite_builder("S5-bursty-load", cfg, 0x66)
-        .workload(workload)
-        .arrival(ArrivalSpec {
-            process: ArrivalProcess::Poisson {
-                // ~60% of the slowest SUT's service rate, so the baseline
-                // keeps up at steady state but every system queues during
-                // the ×4 bursts.
-                rate: cfg.work_units_per_second / 33.0,
-            },
-            modulation: LoadModulation::Burst {
-                period: 0.2,
-                burst_len: 0.04,
-                multiplier: 4.0,
-            },
-            seed: cfg.seed ^ 0x57,
-        })
-        .build()
-}
-
-/// S6: templated query repetition with churn (Redbench dynamics).
-pub fn s6_templated_repetition(cfg: &SuiteConfig) -> Result<Scenario> {
-    let family = TemplatedRepetition {
-        steps: Steps {
-            name: "templ".to_string(),
-            steps: 4,
-            ops_per_step: (cfg.ops_per_phase / 2).max(1),
-            key_range: KEY_RANGE,
-        },
-        mix: OperationMix::ycsb_c(),
-        templates: 1_000,
-        hot_templates: 50,
-        theta: 1.1,
-        churn: 0.5,
-    };
-    let (phases, transitions) = family
-        .expand()
-        .map_err(|e| BenchError::Workload(format!("templated_repetition: {e}")))?;
-    let workload = PhasedWorkload::new(phases, transitions, cfg.seed ^ 0x58).map_err(wrap)?;
-    suite_builder("S6-templated-repetition", cfg, 0x77)
-        .workload(workload)
-        .build()
-}
-
-/// S7: append-mostly ledger whose key distribution drifts as it grows
-/// (CrypQ dynamics).
-pub fn s7_ledger_growth(cfg: &SuiteConfig) -> Result<Scenario> {
-    let family = LedgerGrowth {
-        steps: Steps {
-            name: "ledger".to_string(),
-            steps: 4,
-            ops_per_step: (cfg.ops_per_phase / 2).max(1),
-            key_range: KEY_RANGE,
-        },
-        start_frac: 0.25,
-        append_fraction: 0.3,
-        recency: 0.1,
-    };
-    let (phases, transitions) = family
-        .expand()
-        .map_err(|e| BenchError::Workload(format!("ledger: {e}")))?;
-    let workload = PhasedWorkload::new(phases, transitions, cfg.seed ^ 0x59).map_err(wrap)?;
-    suite_builder("S7-ledger-growth", cfg, 0x88)
-        .workload(workload)
-        .build()
-}
-
-/// A built-in scenario generator: builds a [`Scenario`] at the given
-/// [`SuiteConfig`] scale.
-pub type ScenarioGen = fn(&SuiteConfig) -> Result<Scenario>;
-
-/// The standard scenario builders with their registry names and one-line
-/// descriptions, in suite order. [`standard_scenarios`] and the
-/// [`ScenarioRegistry`](crate::spec::ScenarioRegistry) both derive from
-/// this table, so the suite and name resolution can never drift apart.
-pub const STANDARD_SCENARIOS: &[(&str, &str, ScenarioGen)] = &[
+/// The standard scenarios — registry name, one-line description, spec
+/// text — in suite order. [`standard_scenarios`] and the
+/// [`ScenarioRegistry`](crate::spec::ScenarioRegistry) both read this
+/// table, so the suite and name resolution can never drift apart.
+pub const STANDARD_SCENARIOS: &[(&str, &str, &str)] = &[
     (
         "S1-specialization",
         "specialization sweep over four read distributions + hold-out",
-        s1_specialization,
+        include_str!("../../../scenarios/s1-specialization.spec"),
     ),
     (
         "S2-abrupt-shift",
         "abrupt distribution shift (reads)",
-        s2_abrupt_shift,
+        include_str!("../../../scenarios/s2-abrupt-shift.spec"),
     ),
     (
         "S3-gradual-writes",
         "gradual shift into a write-heavy phase",
-        s3_gradual_writes,
+        include_str!("../../../scenarios/s3-gradual-writes.spec"),
     ),
-    ("S4-scans", "scan-bearing mixed workload (YCSB-E)", s4_scans),
+    (
+        "S4-scans",
+        "scan-bearing mixed workload (YCSB-E)",
+        include_str!("../../../scenarios/s4-scans.spec"),
+    ),
     (
         "S5-bursty-load",
         "bursty open-loop load (Poisson + burst modulation)",
-        s5_bursty_load,
+        include_str!("../../../scenarios/s5-bursty-load.spec"),
     ),
     (
         "S6-templated-repetition",
         "hot query templates with Zipf popularity and churn (Redbench)",
-        s6_templated_repetition,
+        include_str!("../../../scenarios/s6-templated-repetition.spec"),
     ),
     (
         "S7-ledger-growth",
         "append-mostly ledger with drifting key distribution (CrypQ)",
-        s7_ledger_growth,
+        include_str!("../../../scenarios/s7-ledger-growth.spec"),
     ),
 ];
 
-/// Builds the seven standard scenarios.
+/// Builds the seven standard scenarios at `cfg`'s scale.
 pub fn standard_scenarios(cfg: &SuiteConfig) -> Result<Vec<Scenario>> {
     STANDARD_SCENARIOS
         .iter()
-        .map(|(_, _, build)| build(cfg))
+        .map(|(_, _, spec)| cfg.build(spec))
         .collect()
 }
 
@@ -601,13 +370,13 @@ mod tests {
     use super::*;
     use lsbench_sut::kv::{BTreeSut, RetrainPolicy, RmiSut};
 
-    /// One SUT through the standard suite at `cfg`.
-    fn run_suite<F>(factory: F, cfg: &SuiteConfig) -> Result<SuiteResult>
+    /// One SUT through the standard suite at `cfg` on `threads` lanes.
+    fn run_suite<F>(factory: F, cfg: &SuiteConfig, threads: usize) -> Result<SuiteResult>
     where
         F: FnMut(&Dataset) -> Result<BoxedKvSut>,
     {
-        let calibrated = calibrate_sla(standard_scenarios(cfg)?, cfg.threads)?;
-        run_scenarios(factory, &calibrated, cfg.threads, ObsConfig::default()).map(|(r, _)| r)
+        let calibrated = calibrate_sla(standard_scenarios(cfg)?, threads)?;
+        run_scenarios(factory, &calibrated, threads, ObsConfig::default()).map(|(r, _)| r)
     }
 
     fn tiny() -> SuiteConfig {
@@ -615,8 +384,6 @@ mod tests {
             dataset_size: 4_000,
             ops_per_phase: 600,
             seed: 1,
-            work_units_per_second: 1_000_000.0,
-            threads: 1,
         }
     }
 
@@ -633,6 +400,26 @@ mod tests {
     }
 
     #[test]
+    fn rescale_refuses_zero_ops_and_ops_past_64_bits() {
+        for ops_per_phase in [0, u64::MAX] {
+            let registry = crate::spec::ScenarioRegistry::with_config(SuiteConfig {
+                ops_per_phase,
+                ..SuiteConfig::default()
+            });
+            for name in registry.names() {
+                assert!(registry.get(name).is_err(), "{name} at {ops_per_phase}");
+            }
+        }
+        // S5's one phase is written as 20 000 ops: twice the scale.
+        let cfg = SuiteConfig {
+            ops_per_phase: u64::MAX / 2 + 1,
+            ..SuiteConfig::default()
+        };
+        let err = cfg.build(STANDARD_SCENARIOS[4].2).unwrap_err();
+        assert!(err.to_string().contains("more than 2^64 - 1 ops"), "{err}");
+    }
+
+    #[test]
     fn suite_runs_for_learned_and_traditional() {
         let cfg = tiny();
         let rmi = run_suite(
@@ -643,6 +430,7 @@ mod tests {
                 ))
             },
             &cfg,
+            1,
         )
         .unwrap();
         let btree = run_suite(
@@ -652,6 +440,7 @@ mod tests {
                 ))
             },
             &cfg,
+            1,
         )
         .unwrap();
         assert_eq!(rmi.summaries.len(), 7);
@@ -676,19 +465,15 @@ mod tests {
 
     #[test]
     fn concurrent_suite_matches_schema_and_scales() {
-        let serial = tiny();
-        let sharded = SuiteConfig {
-            threads: 4,
-            ..serial
-        };
+        let cfg = tiny();
         let factory = |data: &Dataset| {
             Ok(
                 Box::new(BTreeSut::build(data).map_err(|e| crate::BenchError::Sut(e.to_string()))?)
                     as BoxedKvSut,
             )
         };
-        let one = run_suite(factory, &serial).unwrap();
-        let four = run_suite(factory, &sharded).unwrap();
+        let one = run_suite(factory, &cfg, 1).unwrap();
+        let four = run_suite(factory, &cfg, 4).unwrap();
         // Identical result schema: same scenarios, same metric families.
         assert_eq!(one.summaries.len(), four.summaries.len());
         for (a, b) in one.summaries.iter().zip(&four.summaries) {
@@ -704,14 +489,7 @@ mod tests {
             one.summaries[1].mean_throughput
         );
         // Degenerate thread count is rejected.
-        assert!(run_suite(
-            factory,
-            &SuiteConfig {
-                threads: 0,
-                ..serial
-            }
-        )
-        .is_err());
+        assert!(run_suite(factory, &cfg, 0).is_err());
     }
 
     #[test]
@@ -723,9 +501,9 @@ mod tests {
                     as BoxedKvSut,
             )
         };
-        let calibrated = calibrate_sla(standard_scenarios(&cfg).unwrap(), cfg.threads).unwrap();
+        let calibrated = calibrate_sla(standard_scenarios(&cfg).unwrap(), 1).unwrap();
         let (result, observation) =
-            run_scenarios(factory, &calibrated, cfg.threads, ObsConfig::traced()).unwrap();
+            run_scenarios(factory, &calibrated, 1, ObsConfig::traced()).unwrap();
         assert_eq!(observation.traces.len(), result.summaries.len());
         assert_eq!(observation.spans.len(), result.summaries.len());
         for (summary, (name, trace)) in result.summaries.iter().zip(&observation.traces) {
@@ -735,7 +513,7 @@ mod tests {
         }
         // Tracing never alters results: summaries (metrics included) match
         // an untraced suite run exactly.
-        let untraced = run_suite(factory, &cfg).unwrap();
+        let untraced = run_suite(factory, &cfg, 1).unwrap();
         assert_eq!(untraced, result);
     }
 
@@ -748,7 +526,7 @@ mod tests {
             btree_baseline(data)
         };
         let scenarios = standard_scenarios(&cfg).unwrap();
-        let calibrated = calibrate_with(counting, scenarios, cfg.threads).unwrap();
+        let calibrated = calibrate_with(counting, scenarios, 1).unwrap();
         // Two SUTs share the thresholds; neither run calibrates again.
         let (first, _) =
             run_scenarios(btree_baseline, &calibrated, 1, ObsConfig::default()).unwrap();
@@ -770,6 +548,7 @@ mod tests {
                     ))
                 },
                 &cfg,
+                1,
             )
             .unwrap()
         };

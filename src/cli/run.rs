@@ -238,11 +238,19 @@ impl<'a> RunArgs<'a> {
 /// unless `--size`/`--ops`/`--seed` say otherwise.
 pub fn scale(args: &Args) -> Result<SuiteConfig, CliError> {
     let default = SuiteConfig::default();
+    // A non-number is refused as "a number" first, then 0 as "a positive
+    // integer", as `RunArgs::parse` refuses `--threads 0`.
+    args.num::<usize>(&SIZE, 1)?;
+    args.num::<u64>(&OPS, 1)?;
+    let positive = "a positive integer";
     Ok(SuiteConfig {
-        dataset_size: args.num(&SIZE, default.dataset_size)?,
-        ops_per_phase: args.num(&OPS, default.ops_per_phase)?,
+        dataset_size: args
+            .parsed(&SIZE, positive, |n| *n >= 1)?
+            .unwrap_or(default.dataset_size),
+        ops_per_phase: args
+            .parsed(&OPS, positive, |n| *n >= 1)?
+            .unwrap_or(default.ops_per_phase),
         seed: args.num(&SEED, default.seed)?,
-        ..default
     })
 }
 
@@ -317,10 +325,7 @@ fn report_outcome(outcome: &RunOutcome, sut_name: &str, scenario: &Scenario, tra
 pub fn suite(args: &Args) -> Result<(), CliError> {
     let common = RunArgs::parse(args)?;
     let registry = SutRegistry::default();
-    let cfg = SuiteConfig {
-        threads: common.threads,
-        ..scale(args)?
-    };
+    let cfg = scale(args)?;
     let chosen: Vec<String> = if common.suts.is_empty() {
         registry.names().iter().map(|s| s.to_string()).collect()
     } else {
@@ -332,7 +337,7 @@ pub fn suite(args: &Args) -> Result<(), CliError> {
     }
     // One B+-tree baseline per scenario sets the SLA threshold every SUT
     // is judged against.
-    let scenarios = calibrate_sla(scenarios, cfg.threads).context("SLA calibration failed")?;
+    let scenarios = calibrate_sla(scenarios, common.threads).context("SLA calibration failed")?;
     let store = args.has(&SAVE).then(|| open_store(args)).transpose()?;
     let mut results: Vec<SuiteResult> = Vec::new();
     let mut trace_lines = String::new();
@@ -340,7 +345,7 @@ pub fn suite(args: &Args) -> Result<(), CliError> {
         let factory = registry.factory(name)?;
         eprint!("running {name} ... ");
         let (result, observation) =
-            run_scenarios(factory, &scenarios, cfg.threads, common.obs()).context("failed")?;
+            run_scenarios(factory, &scenarios, common.threads, common.obs()).context("failed")?;
         eprintln!("done");
         for (scenario, trace) in &observation.traces {
             match trace.to_jsonl_tagged(&[("sut", name), ("scenario", scenario)]) {
@@ -358,7 +363,7 @@ pub fn suite(args: &Args) -> Result<(), CliError> {
                 else {
                     continue;
                 };
-                let manifest = RunManifest::for_run(scenario, name, cfg.threads);
+                let manifest = RunManifest::for_run(scenario, name, common.threads);
                 let path = store
                     .save(&RunArtifact::new(manifest, record.clone()))
                     .context("archive failed")?;

@@ -31,7 +31,8 @@ use lsbench::core::metrics::specialization::{paired_phase_deltas, Specialization
 use lsbench::core::record::{OpRecord, RunRecord, TrainInfo};
 use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::{ArrivalSpec, Scenario};
-use lsbench::core::suite::{s2_abrupt_shift, s3_gradual_writes, SuiteConfig};
+use lsbench::core::spec::ScenarioRegistry;
+use lsbench::core::suite::SuiteConfig;
 use lsbench::core::sut_registry::SutRegistry;
 use lsbench::stats::descriptive::BoxPlot;
 use lsbench::sut::sut::SutMetrics;
@@ -251,11 +252,11 @@ fn pin_all(cells: &mut BTreeMap<String, String>, key: &str, record: &RunRecord) 
 /// S2 (abrupt), S3 (gradual: `in_transition` ops, two phases interleaved)
 /// and S2 under `chaos-errors`, each with arrivals so it can run open-loop.
 fn scenarios() -> Vec<Scenario> {
-    let cfg = SuiteConfig {
+    let suite = ScenarioRegistry::with_config(SuiteConfig {
         dataset_size: 2_000,
         ops_per_phase: 400,
         ..SuiteConfig::default()
-    };
+    });
     let arrival = Some(ArrivalSpec {
         process: ArrivalProcess::Poisson { rate: 30_000.0 },
         modulation: LoadModulation::Constant,
@@ -263,10 +264,10 @@ fn scenarios() -> Vec<Scenario> {
     });
     let mut out = Vec::new();
     for (mut s, plan) in [
-        (s2_abrupt_shift(&cfg).expect("S2 builds"), None),
-        (s3_gradual_writes(&cfg).expect("S3 builds"), None),
+        (suite.get("S2-abrupt-shift").expect("S2 builds"), None),
+        (suite.get("S3-gradual-writes").expect("S3 builds"), None),
         (
-            s2_abrupt_shift(&cfg).expect("S2 builds"),
+            suite.get("S2-abrupt-shift").expect("S2 builds"),
             Some("chaos-errors"),
         ),
     ] {

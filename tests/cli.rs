@@ -252,6 +252,7 @@ cli_cases!(
     errors,
     hostile_arguments,
     zero_threads,
+    zero_scale,
     damaged_store,
 );
 
@@ -634,6 +635,32 @@ mod cases {
             assert!(
                 ran.stderr
                     .contains("--threads must be a positive integer, got '0'"),
+                "`lsbench {line}`: {}",
+                ran.stderr
+            );
+        }
+    }
+
+    /// `--size 0` and `--ops 0` are refused where the scale is read, as
+    /// `--threads 0` is: no suite scenario is built at an empty scale, and
+    /// S6 and S7 do not round it up to one-op steps.
+    pub fn zero_scale(s: &mut Session) {
+        for (line, flag) in [
+            ("export S6-templated-repetition --ops 0", "--ops"),
+            ("export S2-abrupt-shift --ops 0", "--ops"),
+            ("export S2-abrupt-shift --size 0", "--size"),
+            (
+                "run --scenario S2-abrupt-shift --sut btree --size 0 --ops 300",
+                "--size",
+            ),
+            ("suite --size 2000 --ops 0", "--ops"),
+        ] {
+            let ran = s.run(line, Pin::Both);
+            assert_eq!(ran.code, 2, "`lsbench {line}` must be refused");
+            assert_eq!(ran.stdout, "", "`lsbench {line}` must not start working");
+            assert!(
+                ran.stderr
+                    .contains(&format!("{flag} must be a positive integer, got '0'")),
                 "`lsbench {line}`: {}",
                 ran.stderr
             );

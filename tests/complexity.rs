@@ -17,7 +17,8 @@
 use lsbench::core::faults::{resolve_fault_plan, FaultPlan, FaultSpec};
 use lsbench::core::runner::{BoxedKvSut, ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::Scenario;
-use lsbench::core::suite::{s3_gradual_writes, s5_bursty_load, SuiteConfig};
+use lsbench::core::spec::ScenarioRegistry;
+use lsbench::core::suite::SuiteConfig;
 use lsbench::index::{BulkLoad, DeltaIndex, Index, IndexStats, Result, Rmi};
 use lsbench::sut::kv::{AlexSut, BTreeSut, LearnedKvSut, RetrainPolicy};
 use lsbench::sut::sut::{ExecOutcome, SutMetrics, TransportStats};
@@ -379,12 +380,12 @@ const CLIENTS: usize = 5_000;
 /// below what 5 000 clients can serve, so no client is ever late and ops
 /// are due in stream order).
 fn read_only(ops: u64, maintenance_every: u64) -> Scenario {
-    let cfg = SuiteConfig {
+    let suite = ScenarioRegistry::with_config(SuiteConfig {
         dataset_size: 2_000,
         ops_per_phase: ops / 2,
         ..SuiteConfig::default()
-    };
-    let mut s = s5_bursty_load(&cfg).unwrap();
+    });
+    let mut s = suite.get("S5-bursty-load").unwrap();
     s.maintenance_every = maintenance_every;
     s
 }
@@ -477,14 +478,14 @@ fn a_fault_plan_never_changes_what_is_dispatched() {
 /// announcement, and everything else the SUT sees is unchanged.
 #[test]
 fn a_crash_is_delivered_between_the_same_two_ops() {
-    let cfg = SuiteConfig {
+    let suite = ScenarioRegistry::with_config(SuiteConfig {
         dataset_size: 2_000,
         ops_per_phase: 3 * 64,
         ..SuiteConfig::default()
-    };
+    });
     // Reads, then reads and inserts, switched abruptly at op 3·64; a
     // maintenance slot before every 19th op, op 37 among them.
-    let mut plain = s3_gradual_writes(&cfg).unwrap();
+    let mut plain = suite.get("S3-gradual-writes").unwrap();
     let phases = plain.workload.phases().to_vec();
     plain.workload = PhasedWorkload::new(phases, vec![TransitionKind::Abrupt], 5).unwrap();
     plain.maintenance_every = 19;

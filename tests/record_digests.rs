@@ -96,14 +96,16 @@ fn reduced_suite() -> SuiteConfig {
     }
 }
 
+/// The named suite scenario at the reduced size.
+fn reduced(name: &str) -> Scenario {
+    let registry = ScenarioRegistry::with_config(reduced_suite());
+    registry.get(name).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
 /// S3 and S7 at the reduced size: the two suite scenarios whose mixes
 /// mutate the SUT.
 fn write_bearing_bases() -> [Scenario; 2] {
-    let cfg = reduced_suite();
-    [
-        lsbench::core::suite::s3_gradual_writes(&cfg).expect("S3 builds"),
-        lsbench::core::suite::s7_ledger_growth(&cfg).expect("S7 builds"),
-    ]
+    [reduced("S3-gradual-writes"), reduced("S7-ledger-growth")]
 }
 
 /// Unmodulated Poisson arrivals at `rate`, to run them open-loop.
@@ -278,8 +280,7 @@ fn trace_cells(cells: &mut BTreeMap<String, String>) {
             .collect(),
     );
     // … and a recorded closed-loop trace with writes and a phase change.
-    let cfg = reduced_suite();
-    let s3 = lsbench::core::suite::s3_gradual_writes(&cfg).expect("S3 builds");
+    let s3 = reduced("S3-gradual-writes");
     let recorded = Trace::record(&s3.workload).expect("records");
     let recorded_data = s3.dataset.build().expect("dataset");
     for (name, trace, data) in [
@@ -651,7 +652,6 @@ fn suite_scale_cells(cells: &mut BTreeMap<String, String>) {
             dataset_size,
             ops_per_phase,
             seed,
-            ..SuiteConfig::default()
         });
         for name in registry.names() {
             let cell = match registry.get(name) {

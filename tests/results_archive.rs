@@ -11,7 +11,8 @@ use lsbench::core::results::{
 };
 use lsbench::core::runner::{ExecutionMode, RunOptions, Runner, WallStats};
 use lsbench::core::scenario::{ClockMode, Scenario};
-use lsbench::core::suite::{s2_abrupt_shift, SuiteConfig, SuiteResult};
+use lsbench::core::spec::ScenarioRegistry;
+use lsbench::core::suite::{SuiteConfig, SuiteResult};
 use lsbench::core::sut_registry::SutRegistry;
 use lsbench::sut::sut::SutMetrics;
 use std::path::PathBuf;
@@ -23,11 +24,12 @@ fn temp_store(tag: &str) -> (ResultStore, PathBuf) {
 }
 
 fn small_shift_scenario() -> Scenario {
-    s2_abrupt_shift(&SuiteConfig {
+    ScenarioRegistry::with_config(SuiteConfig {
         dataset_size: 8_000,
         ops_per_phase: 1_500,
         ..SuiteConfig::default()
     })
+    .get("S2-abrupt-shift")
     .expect("valid scenario")
 }
 

@@ -9,7 +9,7 @@ use lsbench::core::results::parse_regression_policy;
 use lsbench::core::runner::{ExecutionMode, RunOptions, Runner};
 use lsbench::core::scenario::{ArrivalSpec, ClockMode, OnlineTrainMode, Scenario};
 use lsbench::core::spec::{parse_fault_plan, parse_scenario, render_scenario, ScenarioRegistry};
-use lsbench::core::suite::{SuiteConfig, STANDARD_SCENARIOS};
+use lsbench::core::suite::{standard_scenarios, SuiteConfig};
 use lsbench::core::sut_registry::SutRegistry;
 use lsbench::core::sweep::parse_axis;
 use lsbench::workload::arrival::{ArrivalProcess, LoadModulation};
@@ -152,29 +152,13 @@ fn every_bad_fixture_is_rejected_with_position() {
 }
 
 // ---------------------------------------------------------------------------
-// Shipped files: the s*.spec suite equals the registry built-ins, and the
+// Shipped files: the suite round-trips through render at any scale, and the
 // exemplars parse clean.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn shipped_suite_specs_equal_registry_builtins() {
-    let reg = ScenarioRegistry::default();
-    for (file, name) in [
-        ("scenarios/s1-specialization.spec", "S1-specialization"),
-        ("scenarios/s2-abrupt-shift.spec", "S2-abrupt-shift"),
-        ("scenarios/s3-gradual-writes.spec", "S3-gradual-writes"),
-        ("scenarios/s4-scans.spec", "S4-scans"),
-        ("scenarios/s5-bursty-load.spec", "S5-bursty-load"),
-    ] {
-        let from_file = ScenarioRegistry::load_file(file).unwrap_or_else(|e| panic!("{file}:{e}"));
-        let built_in = reg.get(name).expect("registered");
-        assert_eq!(from_file, built_in, "{file} drifted from built-in {name}");
-    }
-}
-
-/// Every built-in — the two composer families S6/S7 included, which ship
-/// as exemplar specs rather than exported suite files — survives
-/// `parse ∘ render` unchanged, and a second render is byte-identical.
+/// Every suite scenario — the composer-built S6/S7 included — survives
+/// `parse ∘ render` unchanged at the default and at a small scale, and a
+/// second render is byte-identical.
 #[test]
 fn every_built_in_round_trips_through_render() {
     let small = SuiteConfig {
@@ -183,8 +167,10 @@ fn every_built_in_round_trips_through_render() {
         ..SuiteConfig::default()
     };
     for cfg in [SuiteConfig::default(), small] {
-        for (name, _, build) in STANDARD_SCENARIOS {
-            let built_in = build(&cfg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let suite = standard_scenarios(&cfg).expect("the suite builds");
+        assert_eq!(suite.len(), 7);
+        for built_in in suite {
+            let name = &built_in.name;
             let text = render_scenario(&built_in);
             let back = parse_scenario(&text).unwrap_or_else(|e| panic!("{name}: {e}\n{text}"));
             assert_eq!(back, built_in, "{name} changed on the way through a file");
@@ -195,7 +181,6 @@ fn every_built_in_round_trips_through_render() {
             );
         }
     }
-    assert_eq!(STANDARD_SCENARIOS.len(), 7);
 }
 
 #[test]
