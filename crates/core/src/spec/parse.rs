@@ -597,7 +597,13 @@ fn take_mix(f: &mut Fields) -> SResult<OperationMix> {
         update: weight(f, "update")?,
         scan: weight(f, "scan")?,
         delete: weight(f, "delete")?,
-        max_scan_len: f.opt::<u64>("max_scan_len")?.unwrap_or(0) as u32,
+        max_scan_len: f
+            .opt_if(
+                "max_scan_len",
+                |v| *v <= u32::MAX as u64,
+                "scan length does not fit in 32 bits",
+            )?
+            .map_or(0, |v: u64| v as u32),
     };
     if !any {
         let reason = format!(
