@@ -127,6 +127,9 @@ impl GappedLeaf {
             occupied[p / 64] |= 1 << (p % 64);
             next_free = p + 1;
         }
+        // A push past `cap` doubles the capacity, and a leaf never grows
+        // after its build: it is rebuilt instead.
+        slots.shrink_to_fit();
         let work = (n + cap / 8) as u64;
         (
             GappedLeaf {
@@ -977,6 +980,20 @@ mod tests {
         assert_eq!(idx.get(4999), Some(9998));
         let scan = idx.range(4990, 20).unwrap();
         assert_eq!(scan.len(), 10);
+    }
+
+    /// A build that places pairs past its planned array keeps no spare
+    /// capacity: a leaf is rebuilt, never grown, so it would go unused.
+    #[test]
+    fn built_leaves_keep_no_spare_slots() {
+        let pairs: Vec<(u64, u64)> = (0..4000u64).map(|i| (i * i, i)).collect();
+        let mut idx = AlexIndex::bulk_load(&pairs).unwrap();
+        for k in 0..3000u64 {
+            idx.insert(5_000_000 + k, k).unwrap();
+        }
+        for leaf in &idx.leaves {
+            assert_eq!(leaf.slots.capacity(), leaf.slots.len());
+        }
     }
 
     #[test]
