@@ -44,7 +44,7 @@
 //!   language with positioned errors, the seven parse-time drift
 //!   composers (see the canonical table in the [`spec`] module docs), a
 //!   canonical renderer, and the [`spec::ScenarioRegistry`] resolving
-//!   built-in and file-based scenarios uniformly.
+//!   suite names and spec files uniformly.
 //! * [`sweep`] — the drift-sweep subsystem: the endpoint-exact
 //!   [`sweep::DriftAxis`] α ∈ [0, 1] primitive the distribution-drift
 //!   composers sample, scenario ladders over an α grid, per-SUT metric-vs-α

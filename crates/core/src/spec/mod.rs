@@ -26,7 +26,8 @@
 //!   doc comments reference it rather than re-listing the set.
 //! * [`render`] — the canonical renderer: [`render_scenario`] emits spec
 //!   text that parses back to an equal scenario (`parse ∘ render = id`),
-//!   which is how the built-in suite ships as `scenarios/*.spec`.
+//!   which is how `lsbench export` prints any scenario, a rescaled suite
+//!   scenario among them.
 //! * [`registry`] — [`ScenarioRegistry`]: name → scenario resolution
 //!   mirroring [`SutRegistry`](crate::sut_registry::SutRegistry), with
 //!   uniform fallback to spec files on disk.

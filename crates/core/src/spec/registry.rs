@@ -17,7 +17,7 @@ use std::path::Path;
 
 /// The standard suite by name, with uniform spec-file fallback. See the
 /// [module docs](self).
-#[derive(Debug, Clone, Default)]
+#[derive(Default)]
 pub struct ScenarioRegistry {
     cfg: SuiteConfig,
 }
@@ -26,11 +26,6 @@ impl ScenarioRegistry {
     /// The standard suite at the given scale.
     pub fn with_config(cfg: SuiteConfig) -> Self {
         ScenarioRegistry { cfg }
-    }
-
-    /// The scale the suite scenarios are built at.
-    pub fn config(&self) -> &SuiteConfig {
-        &self.cfg
     }
 
     /// The suite's names, in suite order.
