@@ -6,9 +6,9 @@
 //! value tree between the struct and the text) and is the oracle for the
 //! streaming rewrite: every line must survive it except the ones the
 //! rewrite changes on purpose (nesting deeper than 128, escaped surrogate
-//! pairs). After a deliberate change run
-//! `cargo test -p serde_json --test corpus regenerate_corpus -- --ignored`
-//! and review the diff.
+//! pairs). After a deliberate change, `LSBENCH_BLESS=1` rewrites the moved
+//! lines (see `tests/support/oracle.rs` at the workspace root); review the
+//! diff.
 //!
 //! The `# floats written` section was generated while the writer still
 //! spelled floats with `Display`, and pins that spelling for every writer
@@ -23,6 +23,9 @@ use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt::{Debug, Write as _};
 use std::path::PathBuf;
+
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
 
 // ---------------------------------------------------------------- derive zoo
 
@@ -857,34 +860,10 @@ fn floats() -> Vec<(String, f64)> {
     floats
 }
 
-fn transcript_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus.txt")
-}
-
 #[test]
 fn corpus_transcript_is_pinned_byte_exact() {
-    let expected = std::fs::read_to_string(transcript_path())
-        .expect("tests/corpus.txt exists (see regenerate_corpus)");
-    let actual = transcript();
-    if actual != expected {
-        let line = actual
-            .lines()
-            .zip(expected.lines())
-            .position(|(a, e)| a != e)
-            .unwrap_or_else(|| actual.lines().count().min(expected.lines().count()));
-        panic!(
-            "transcript differs from tests/corpus.txt first at line {}:\n  now: {:?}\n  was: {:?}",
-            line + 1,
-            actual.lines().nth(line),
-            expected.lines().nth(line)
-        );
-    }
-}
-
-#[test]
-#[ignore = "writes tests/corpus.txt; run explicitly after a deliberate change to the shim"]
-fn regenerate_corpus() {
-    std::fs::write(transcript_path(), transcript()).unwrap();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus.txt");
+    oracle::check_or_bless(path, &transcript());
 }
 
 /// What used to abort the process (`thread 'main' has overflowed its

@@ -6,10 +6,9 @@
 //! so they are ignored here; CI runs the whole file in release with
 //! `--include-ignored`.
 //!
-//! A deliberate change to what a figure prints regenerates the goldens
-//! with
-//! `cargo test --release -p lsbench-bench --test figures regenerate_figure_goldens -- --ignored`,
-//! and every moved line is reviewed in the diff.
+//! After a deliberate change to what a figure prints, `LSBENCH_BLESS=1`
+//! rewrites the moved lines of its golden (see `tests/support/oracle.rs` at
+//! the workspace root); review every one in the diff.
 
 use lsbench_bench::figures::FIGURES;
 use lsbench_core::obs::ObsConfig;
@@ -17,11 +16,9 @@ use lsbench_core::suite::{
     calibrate_sla, render_comparison, run_scenarios, standard_scenarios, SuiteConfig,
 };
 use lsbench_core::sut_registry::SutRegistry;
-use std::path::PathBuf;
 
-fn golden(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/figures/{name}.txt"))
-}
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
 
 /// What `lsbench suite` prints on stdout at its defaults: every registered
 /// SUT through the standard scenarios, each held to the SLA its B+-tree
@@ -60,8 +57,8 @@ macro_rules! pinned {
         $(#[$attr])*
         fn $name() {
             let name = stringify!($name);
-            let want = std::fs::read_to_string(golden(name)).expect("golden exists");
-            assert_eq!(printed(name), want, "figure {name} moved from its golden");
+            let golden = format!("{}/tests/figures/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+            oracle::check_or_bless(golden, &printed(name));
         }
     )*};
 }
@@ -82,13 +79,3 @@ pinned!(
     #[ignore = "minutes in debug: full size in release, CI"]
     su,
 );
-
-/// Regenerates every golden. Deliberately `#[ignore]`d, and skipped by CI:
-/// run it only after a deliberate change, and review every moved line.
-#[test]
-#[ignore = "writes the goldens; run explicitly and review every moved line"]
-fn regenerate_figure_goldens() {
-    for name in FIGURES.iter().map(|(name, _)| *name).chain(["su"]) {
-        std::fs::write(golden(name), printed(name)).expect("writes golden");
-    }
-}

@@ -20,9 +20,8 @@
 //! never recovers, a single op, completions out of order or outside the
 //! execution window. How the area is evaluated may change; its bits may not.
 //!
-//! Regenerate only deliberately, with
-//! `cargo test --test analysis_digests regenerate_analysis_digests -- --ignored`,
-//! and review which cells moved.
+//! `LSBENCH_BLESS=1` rewrites the moved cells (see
+//! `tests/support/oracle.rs`); review which ones moved.
 
 use lsbench::core::faults::{resolve_fault_plan, FaultStats};
 use lsbench::core::metrics::adaptability::{paired_area_difference, AdaptabilityReport};
@@ -39,6 +38,9 @@ use lsbench::sut::sut::SutMetrics;
 use lsbench::workload::arrival::{ArrivalProcess, LoadModulation};
 use std::collections::BTreeMap;
 use std::fmt::Write;
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/analysis_digests_v1.json")
@@ -453,22 +455,8 @@ fn all_cells() -> BTreeMap<String, String> {
 
 #[test]
 fn analysis_matches_the_frozen_bits() {
-    let text = std::fs::read_to_string(fixture_path())
-        .expect("tests/fixtures/analysis_digests_v1.json exists (see regenerate test)");
-    let expected: BTreeMap<String, String> = serde_json::from_str(&text).expect("fixture parses");
-    let actual = all_cells();
-    let moved: Vec<&String> = actual
-        .iter()
-        .filter(|(k, v)| expected.get(*k) != Some(v))
-        .map(|(k, _)| k)
-        .chain(expected.keys().filter(|k| !actual.contains_key(*k)))
-        .collect();
-    assert!(
-        moved.is_empty(),
-        "{} of {} cells left the oracle: {moved:#?}",
-        moved.len(),
-        actual.len()
-    );
+    let json = serde_json::to_string_pretty(&all_cells()).expect("serializes");
+    oracle::check_or_bless(fixture_path(), &(json + "\n"));
 }
 
 /// The fixture is worth something only if its cells differ where they
@@ -505,15 +493,4 @@ fn the_frozen_bits_obey_the_metric_s_laws() {
         .map(|(_, v)| v)
         .collect();
     assert!(distinct.len() >= 20, "only {} areas", distinct.len());
-}
-
-/// Regenerates the fixture. Deliberately `#[ignore]`d: the bits are the
-/// oracle, so a regeneration is a reviewed event, never a side effect.
-#[test]
-#[ignore = "writes the oracle fixture; run explicitly and review every moved cell"]
-fn regenerate_analysis_digests() {
-    let path = fixture_path();
-    std::fs::create_dir_all(path.parent().expect("has parent")).expect("fixtures dir");
-    let json = serde_json::to_string_pretty(&all_cells()).expect("serializes");
-    std::fs::write(&path, json + "\n").expect("writes fixture");
 }

@@ -11,14 +11,16 @@
 //! relative, so printed paths are stable; the sandbox's own absolute path
 //! is rewritten to `$CWD`.
 //!
-//! Regenerate only deliberately, with
-//! `cargo test --test cli regenerate_cli_fixtures -- --ignored`, and review
-//! which transcript lines moved.
+//! `LSBENCH_BLESS=1` rewrites the moved transcript lines (see
+//! `tests/support/oracle.rs`); review every one.
 
 use lsbench::core::results::{RunArtifact, SweepArtifact};
 use lsbench::core::scenario::ClockMode;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 fn repo() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -177,66 +179,20 @@ impl Drop for Session {
     }
 }
 
-fn fixture(case: &str) -> PathBuf {
-    repo()
-        .join("tests/cli_fixtures")
-        .join(format!("{case}.txt"))
-}
-
-fn transcript_of(case: &str, body: fn(&mut Session)) -> String {
+fn check(case: &str, body: fn(&mut Session)) {
     let mut session = Session::new(case);
     body(&mut session);
-    std::mem::take(&mut session.transcript)
-}
-
-fn check(case: &str, body: fn(&mut Session)) {
-    let got = transcript_of(case, body);
-    let path = fixture(case);
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden {}: {e}", path.display()));
-    if got != want {
-        let line = got
-            .lines()
-            .zip(want.lines())
-            .position(|(g, w)| g != w)
-            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
-        panic!(
-            "transcript of `{case}` differs from {} at line {}:\n  got:  {:?}\n  want: {:?}\n\
-             --- full transcript ---\n{got}",
-            path.display(),
-            line + 1,
-            got.lines().nth(line),
-            want.lines().nth(line),
-        );
-    }
+    let golden = repo().join(format!("tests/cli_fixtures/{case}.txt"));
+    oracle::check_or_bless(golden, &session.transcript);
 }
 
 macro_rules! cli_cases {
-    ($($case:ident),* $(,)?) => {
-        $(
-            #[test]
-            fn $case() {
-                check(stringify!($case), cases::$case);
-            }
-        )*
-
-        /// Rewrites every golden transcript. Deliberately `#[ignore]`d: the
-        /// transcripts are the CLI's contract, so a regeneration is a
-        /// reviewed event, never a side effect.
+    ($($case:ident),* $(,)?) => {$(
         #[test]
-        #[ignore = "writes the CLI goldens; run explicitly and review every moved line"]
-        fn regenerate_cli_fixtures() {
-            std::fs::create_dir_all(fixture("x").parent().expect("has parent"))
-                .expect("fixtures dir");
-            $(
-                std::fs::write(
-                    fixture(stringify!($case)),
-                    transcript_of(stringify!($case), cases::$case),
-                )
-                .expect("writes golden");
-            )*
+        fn $case() {
+            check(stringify!($case), cases::$case);
         }
-    };
+    )*};
 }
 
 cli_cases!(
@@ -712,5 +668,86 @@ mod cases {
         }
         // Addressed by its path, the damaged file is the only one looked at.
         s.run(&format!("archive show {victim}"), Pin::Both);
+    }
+}
+
+/// The oracle helper itself, checked once here rather than in every test
+/// file that includes it. The switch is passed in, so no test sets a
+/// process-wide environment variable.
+mod oracle_helper {
+    use super::oracle::check_or_bless_with as check;
+    use std::fs::{read_to_string, remove_dir_all};
+    use std::path::{Path, PathBuf};
+
+    /// `oracle.txt` in a fresh directory of its own, holding `text` if any.
+    fn oracle(test: &str, text: Option<&str>) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("lsbench-oracle-{}-{test}", std::process::id()));
+        let _ = remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("creates scratch dir");
+        let path = dir.join("oracle.txt");
+        if let Some(text) = text {
+            std::fs::write(&path, text).expect("writes oracle");
+        }
+        path
+    }
+
+    fn failure(path: &Path, actual: &str) -> String {
+        let panic = std::panic::catch_unwind(|| check(path, actual, false)).expect_err("fails");
+        panic.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn a_mismatch_fails_naming_the_first_moved_line_and_leaves_the_file() {
+        let path = oracle("mismatch", Some("a\nb\nc\nd\n"));
+        let message = failure(&path, "a\nB\nc\nD\ne\n");
+        let first = r#"first moved line 2: was "b\n", now "B\n"; moved lines: 2 gone, 3 new"#;
+        assert!(message.contains(first), "{message}");
+        assert!(
+            message.ends_with("rerun with LSBENCH_BLESS=1."),
+            "{message}"
+        );
+        assert_eq!(read_to_string(&path).unwrap(), "a\nb\nc\nd\n");
+        let _ = remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn blessing_rewrites_the_file_and_the_next_check_passes() {
+        let path = oracle("bless", Some("a\nb\nc\n"));
+        let report = check(&path, "a\nB\nc\n", true).expect("a bless reports what moved");
+        let moved = "1 gone, 1 new\n-     2: b\n+     2: B";
+        assert!(report.ends_with(moved), "{report}");
+        assert_eq!(read_to_string(&path).unwrap(), "a\nB\nc\n");
+        assert_eq!(check(&path, "a\nB\nc\n", false), None);
+        // The temporary file was renamed onto the oracle, not left beside it.
+        assert_eq!(path.parent().unwrap().read_dir().unwrap().count(), 1);
+        let _ = remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn a_missing_oracle_fails_without_bless_and_is_created_with_it() {
+        let path = oracle("missing", None);
+        let message = failure(&path, "new\n");
+        assert!(
+            message.ends_with("create it with LSBENCH_BLESS=1"),
+            "{message}"
+        );
+        assert!(!path.exists());
+        let report = check(&path, "new\n", true);
+        assert_eq!(report.as_deref(), Some("created; lines: 1"));
+        assert_eq!(read_to_string(&path).unwrap(), "new\n");
+        let _ = remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn a_trailing_newline_survives_a_round_trip() {
+        for (text, other) in [("x\ny\n", "x\ny"), ("x\ny", "x\ny\n")] {
+            let path = oracle("newline", None);
+            check(&path, text, true);
+            assert_eq!(read_to_string(&path).unwrap(), text);
+            assert_eq!(check(&path, text, false), None);
+            assert!(failure(&path, other).contains("first moved line 2"));
+            let _ = remove_dir_all(path.parent().unwrap());
+        }
     }
 }

@@ -17,6 +17,9 @@ use lsbench::core::sut_registry::SutRegistry;
 use lsbench::sut::sut::SutMetrics;
 use std::path::PathBuf;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 fn temp_store(tag: &str) -> (ResultStore, PathBuf) {
     let dir = std::env::temp_dir().join(format!("lsbench-results-it-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -161,30 +164,21 @@ fn golden_artifact() -> RunArtifact {
 }
 
 fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("run_artifact_v4.json")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/run_artifact_v4.json")
 }
 
 /// Byte-exact golden pin of the `RunArtifact` v4 JSON schema. If this
 /// fails, the serialized shape changed: bump
-/// [`lsbench::core::results::SCHEMA_VERSION`], regenerate the fixture with
-/// `cargo test regenerate_golden_artifact_fixture -- --ignored`, and
-/// review the diff deliberately — stored artifacts from before the change
-/// must be *refused*, not misread.
+/// [`lsbench::core::results::SCHEMA_VERSION`], rewrite the fixture with
+/// `LSBENCH_BLESS=1`, and review the diff deliberately — stored artifacts
+/// from before the change must be *refused*, not misread.
 #[test]
 fn run_artifact_json_schema_is_pinned_byte_exact() {
     let artifact = golden_artifact();
-    let expected = std::fs::read_to_string(fixture_path())
-        .expect("tests/fixtures/run_artifact_v4.json exists (see regenerate test)");
-    let actual = artifact.to_json().expect("serializes");
-    assert_eq!(
-        actual, expected,
-        "RunArtifact JSON changed shape — bump SCHEMA_VERSION and regenerate the fixture"
-    );
-    // The committed fixture also parses back to the identical artifact.
-    let parsed = RunArtifact::from_json(&expected).expect("fixture parses strictly");
+    let json = artifact.to_json().expect("serializes");
+    oracle::check_or_bless(fixture_path(), &json);
+    // The fixture also parses back to the identical artifact.
+    let parsed = RunArtifact::from_json(&json).expect("fixture parses strictly");
     assert_eq!(parsed, artifact);
     assert_eq!(parsed.schema_version, SCHEMA_VERSION);
 }
@@ -217,17 +211,6 @@ fn run_artifact_loads_with_op_keys_reordered() {
     );
     let artifact = RunArtifact::from_json(&reordered).expect("reordered fixture parses");
     assert_eq!(artifact, golden_artifact());
-}
-
-/// Regenerates the golden fixture. Deliberately `#[ignore]`d: run it only
-/// when a schema change is intentional, together with a
-/// `SCHEMA_VERSION` bump.
-#[test]
-#[ignore = "writes the golden fixture; run explicitly after a deliberate schema change"]
-fn regenerate_golden_artifact_fixture() {
-    let path = fixture_path();
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(&path, golden_artifact().to_json().unwrap()).unwrap();
 }
 
 /// The digest covers the manifest only, so an edited histogram would load

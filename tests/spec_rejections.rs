@@ -16,13 +16,15 @@
 //! cannot move a line number, a field name, a message or the choice of
 //! which error wins when a file has several.
 //!
-//! Regenerate only deliberately, with
-//! `cargo test --test spec_rejections regenerate_rejections -- --ignored`,
-//! and review every line that moved.
+//! `LSBENCH_BLESS=1` rewrites the moved lines (see
+//! `tests/support/oracle.rs`); review every one.
 
 use lsbench::core::results::parse_regression_policy;
 use lsbench::core::spec::{parse_fault_plan, parse_scenario, render_scenario};
 use std::fmt::Write as _;
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 // ---------------------------------------------------------------------------
 // Base texts.
@@ -1118,17 +1120,17 @@ fn fixture_path() -> std::path::PathBuf {
 
 #[test]
 fn every_rejection_matches_the_frozen_transcript() {
-    let expected = std::fs::read_to_string(fixture_path())
-        .expect("tests/spec_fixtures/rejections.txt exists (see regenerate_rejections)");
     let actual = transcript();
-    // Case by case first, so a failure names the case and not a byte offset.
-    let split = |t: &str| -> Vec<String> { t.split("== ").skip(1).map(str::to_string).collect() };
-    let (want, got) = (split(&expected), split(&actual));
-    for (w, g) in want.iter().zip(&got) {
-        assert_eq!(g, w, "a transcript moved");
+    // The oracle's report names a line; name the case it belongs to as well.
+    let expected = std::fs::read_to_string(fixture_path()).unwrap_or_default();
+    let moved = actual
+        .split("== ")
+        .zip(expected.split("== "))
+        .find(|(a, e)| a != e);
+    if let Some(case) = moved.and_then(|(a, _)| a.lines().next()) {
+        eprintln!("first moved case: == {case}");
     }
-    assert_eq!(got.len(), want.len(), "the case list changed");
-    assert_eq!(actual, expected);
+    oracle::check_or_bless(fixture_path(), &actual);
 }
 
 #[test]
@@ -1207,12 +1209,4 @@ fn boundary_values_never_panic() {
         panicked.len(),
         panicked.join("\n")
     );
-}
-
-/// Regenerates the fixture. Deliberately `#[ignore]`d: the transcript is
-/// the oracle, so a regeneration is a reviewed event, never a side effect.
-#[test]
-#[ignore = "writes the oracle fixture; run explicitly and review every moved line"]
-fn regenerate_rejections() {
-    std::fs::write(fixture_path(), transcript()).expect("writes fixture");
 }

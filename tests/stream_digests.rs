@@ -12,15 +12,17 @@
 //! every arrival process under every load modulation. How a stream is
 //! generated may change; what it yields may not.
 //!
-//! Regenerate only deliberately, with
-//! `cargo test --test stream_digests regenerate_stream_digests -- --ignored`,
-//! and review which cells moved.
+//! `LSBENCH_BLESS=1` rewrites the moved cells (see
+//! `tests/support/oracle.rs`); review which ones moved.
 
 use lsbench::workload::arrival::{ArrivalGenerator, ArrivalProcess, LoadModulation};
 use lsbench::workload::keygen::{KeyDistribution, CANONICAL_DISTRIBUTIONS};
 use lsbench::workload::ops::{Operation, OperationMix};
 use lsbench::workload::phases::{LabeledOp, PhasedWorkload, TransitionKind, WorkloadPhase};
 use std::collections::BTreeMap;
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 /// Ops (or arrivals) per pinned stream.
 const OPS: usize = 20_000;
@@ -254,34 +256,10 @@ fn all_cells() -> BTreeMap<String, String> {
 
 #[test]
 fn streams_match_the_frozen_digests() {
-    let text = std::fs::read_to_string(fixture_path())
-        .expect("tests/fixtures/stream_digests_v1.json exists (see regenerate test)");
-    let expected: BTreeMap<String, String> = serde_json::from_str(&text).expect("fixture parses");
     let actual = all_cells();
-    let moved: Vec<&String> = actual
-        .iter()
-        .filter(|(k, v)| expected.get(*k) != Some(v))
-        .map(|(k, _)| k)
-        .chain(expected.keys().filter(|k| !actual.contains_key(*k)))
-        .collect();
-    assert!(
-        moved.is_empty(),
-        "{} of {} cells left the oracle: {moved:#?}",
-        moved.len(),
-        actual.len()
-    );
+    let json = serde_json::to_string_pretty(&actual).expect("serializes");
+    oracle::check_or_bless(fixture_path(), &(json + "\n"));
     // Every cell pins a different stream.
     let distinct: std::collections::BTreeSet<&String> = actual.values().collect();
     assert_eq!(distinct.len(), actual.len(), "two cells share a digest");
-}
-
-/// Regenerates the fixture. Deliberately `#[ignore]`d: the digests are the
-/// oracle, so a regeneration is a reviewed event, never a side effect.
-#[test]
-#[ignore = "writes the oracle fixture; run explicitly and review every moved cell"]
-fn regenerate_stream_digests() {
-    let path = fixture_path();
-    std::fs::create_dir_all(path.parent().expect("has parent")).expect("fixtures dir");
-    let json = serde_json::to_string_pretty(&all_cells()).expect("serializes");
-    std::fs::write(&path, json + "\n").expect("writes fixture");
 }

@@ -15,6 +15,9 @@ use lsbench::core::sweep::{sweep_curve, DriftLadder, SweepCurve, SweepPoint};
 use lsbench::workload::keygen::KeyDistribution;
 use std::path::PathBuf;
 
+#[path = "support/oracle.rs"]
+mod oracle;
+
 fn temp_store(tag: &str) -> (ResultStore, PathBuf) {
     let dir = std::env::temp_dir().join(format!("lsbench-sweep-it-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -66,42 +69,22 @@ fn golden_sweep_artifact() -> SweepArtifact {
 }
 
 fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("sweep_artifact_v1.json")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sweep_artifact_v1.json")
 }
 
 /// Byte-exact golden pin of the `SweepArtifact` v1 JSON schema. If this
 /// fails, the serialized shape changed: bump
-/// [`lsbench::core::results::SWEEP_SCHEMA_VERSION`], regenerate with
-/// `cargo test regenerate_golden_sweep_fixture -- --ignored`, and review
-/// the diff deliberately — stored sweeps from before the change must be
-/// *refused*, not misread.
+/// [`lsbench::core::results::SWEEP_SCHEMA_VERSION`], rewrite the fixture
+/// with `LSBENCH_BLESS=1`, and review the diff deliberately — stored sweeps
+/// from before the change must be *refused*, not misread.
 #[test]
 fn sweep_artifact_json_schema_is_pinned_byte_exact() {
     let artifact = golden_sweep_artifact();
-    let expected = std::fs::read_to_string(fixture_path())
-        .expect("tests/fixtures/sweep_artifact_v1.json exists (see regenerate test)");
-    let actual = artifact.to_json().expect("serializes");
-    assert_eq!(
-        actual, expected,
-        "SweepArtifact JSON changed shape — bump SWEEP_SCHEMA_VERSION and regenerate the fixture"
-    );
-    let parsed = SweepArtifact::from_json(&expected).expect("fixture parses strictly");
+    let json = artifact.to_json().expect("serializes");
+    oracle::check_or_bless(fixture_path(), &json);
+    let parsed = SweepArtifact::from_json(&json).expect("fixture parses strictly");
     assert_eq!(parsed, artifact);
     assert_eq!(parsed.schema_version, SWEEP_SCHEMA_VERSION);
-}
-
-/// Regenerates the golden fixture. Deliberately `#[ignore]`d: run it
-/// only when a sweep schema change is intentional, together with a
-/// `SWEEP_SCHEMA_VERSION` bump.
-#[test]
-#[ignore = "writes the golden fixture; run explicitly after a deliberate schema change"]
-fn regenerate_golden_sweep_fixture() {
-    let path = fixture_path();
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(&path, golden_sweep_artifact().to_json().unwrap()).unwrap();
 }
 
 #[test]
