@@ -3,7 +3,7 @@
 //! `--remote`.
 
 use super::archive::{archive, open_store};
-use super::args::{Args, CliError, Context};
+use super::args::{Args, CliError, Context, Flag};
 use super::flag::*;
 use lsbench::core::capacity::{
     capacity_search, render_capacity_report, with_arrival_rate, CapacityConfig, CapacityPoint,
@@ -30,6 +30,7 @@ use lsbench::core::BenchError;
 use lsbench::stats::LatencyHistogram;
 use lsbench::sut::sut::SystemUnderTest;
 use lsbench::workload::keygen::KeyDistribution;
+use std::str::FromStr;
 
 /// Open-loop client population when neither `--clients` nor the
 /// scenario's `[open_loop]` section names one.
@@ -238,20 +239,25 @@ impl<'a> RunArgs<'a> {
 /// unless `--size`/`--ops`/`--seed` say otherwise.
 pub fn scale(args: &Args) -> Result<SuiteConfig, CliError> {
     let default = SuiteConfig::default();
-    // A non-number is refused as "a number" first, then 0 as "a positive
-    // integer", as `RunArgs::parse` refuses `--threads 0`.
-    args.num::<usize>(&SIZE, 1)?;
-    args.num::<u64>(&OPS, 1)?;
-    let positive = "a positive integer";
     Ok(SuiteConfig {
-        dataset_size: args
-            .parsed(&SIZE, positive, |n| *n >= 1)?
-            .unwrap_or(default.dataset_size),
-        ops_per_phase: args
-            .parsed(&OPS, positive, |n| *n >= 1)?
-            .unwrap_or(default.ops_per_phase),
+        dataset_size: positive(args, &SIZE, default.dataset_size)?,
+        ops_per_phase: positive(args, &OPS, default.ops_per_phase)?,
         seed: args.num(&SEED, default.seed)?,
     })
+}
+
+/// `flag` as a positive integer, `default` when absent. A non-number is
+/// refused as "a number" first, then 0 as "a positive integer", as
+/// `RunArgs::parse` refuses `--threads 0`.
+fn positive<T: FromStr + PartialOrd + From<u8>>(
+    args: &Args,
+    flag: &Flag,
+    default: T,
+) -> Result<T, CliError> {
+    args.parsed::<T>(flag, "a number", |_| true)?;
+    Ok(args
+        .parsed(flag, "a positive integer", |n| *n >= T::from(1))?
+        .unwrap_or(default))
 }
 
 /// Prints the standard single-run summary: engine stats, record counters,
@@ -400,11 +406,10 @@ pub fn shift(args: &Args) -> Result<(), CliError> {
             center: 0.9,
             std_frac: 0.03,
         },
-        args.num(&SIZE, 100_000)?,
-        args.num(&OPS, 20_000)?,
+        positive(args, &SIZE, 100_000)?,
+        positive(args, &OPS, 20_000)?,
         args.num(&SEED, 42)?,
-    )
-    .context("invalid scenario")?;
+    )?;
     let opts = common.run_options(&scenario);
     let (outcome, sut_name) = common.execute(sut, &scenario, opts, true)?;
     report_outcome(&outcome, &sut_name, &scenario, "shift_trace.jsonl");

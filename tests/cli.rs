@@ -610,6 +610,8 @@ mod cases {
                 "--size",
             ),
             ("suite --size 2000 --ops 0", "--ops"),
+            ("shift --sut btree --size 0 --ops 100", "--size"),
+            ("shift --sut btree --size 100 --ops 0", "--ops"),
         ] {
             let ran = s.run(line, Pin::Both);
             assert_eq!(ran.code, 2, "`lsbench {line}` must be refused");
