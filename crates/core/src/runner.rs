@@ -55,7 +55,7 @@ use crate::obs::{
     DEFAULT_INTERVAL_WIDTH,
 };
 use crate::record::RunRecord;
-use crate::scenario::{ClockMode, Scenario};
+use crate::scenario::{Choice, ClockMode, ModePreference, Scenario};
 use crate::{BenchError, Result};
 use lsbench_stats::{IntervalCounts, LatencyHistogram};
 use lsbench_sut::sut::SystemUnderTest;
@@ -148,12 +148,13 @@ impl ExecutionMode {
     /// Short human-readable label (`serial`, `shared`, `sharded`,
     /// `open-loop`) used by CLI output.
     pub fn label(&self) -> &'static str {
-        match self {
-            ExecutionMode::Serial => "serial",
-            ExecutionMode::SharedLock { .. } => "shared",
-            ExecutionMode::Sharded { .. } => "sharded",
-            ExecutionMode::OpenLoop { .. } => "open-loop",
-        }
+        let preference = match self {
+            ExecutionMode::Serial => ModePreference::Serial,
+            ExecutionMode::SharedLock { .. } => ModePreference::Shared,
+            ExecutionMode::Sharded { .. } => ModePreference::Sharded,
+            ExecutionMode::OpenLoop { .. } => ModePreference::OpenLoop,
+        };
+        preference.as_str()
     }
 }
 
@@ -475,7 +476,7 @@ impl<'a> Runner<'a> {
                 LaneSuts::Shards(..) => opts,
                 LaneSuts::Shared(_) => RunOptions::default(),
             };
-            let unobserved = &mut RunObserver::disabled();
+            let unobserved = &mut RunObserver::new(ObsConfig::default());
             let (hold, _, _) = execute(&mut suts, &one_shot, &hold_opts, unobserved)?;
             obs.spans.exit(span);
             let cmp = HoldoutReport::new(&record, &hold)?;
@@ -549,7 +550,7 @@ mod tests {
         let s = scenario();
         let data = s.dataset.build().unwrap();
         let mut direct_sut = BTreeSut::build(&data).unwrap();
-        let unobserved = &mut RunObserver::disabled();
+        let unobserved = &mut RunObserver::new(ObsConfig::default());
         let (direct, _, _) =
             run_serial(&mut direct_sut, &s, &RunOptions::default(), unobserved).unwrap();
         let mut runner_sut = BTreeSut::build(&data).unwrap();
@@ -573,7 +574,7 @@ mod tests {
         let mut suts: Vec<BoxedKvSut> = shards.iter().map(|d| factory(d).unwrap()).collect();
         let opts = RunOptions::with_mode(ExecutionMode::Sharded { workers: 4 });
         let mut shards: LaneSuts<'_, DynKvSut> = LaneSuts::Shards(&mut suts, &router);
-        let unobserved = &mut RunObserver::disabled();
+        let unobserved = &mut RunObserver::new(ObsConfig::default());
         let (direct, shape, _) = run_lanes(&mut shards, &s, &opts, unobserved).unwrap();
         let outcome = Runner::from_factory(factory).config(opts).run(&s).unwrap();
         assert_eq!(outcome.record.ops, direct.ops);

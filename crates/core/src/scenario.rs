@@ -68,28 +68,24 @@ pub enum ModePreference {
     OpenLoop,
 }
 
-impl ModePreference {
-    /// Parses the spec-file spelling (`serial`, `shared`, `sharded`,
-    /// `open-loop`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "serial" => Some(ModePreference::Serial),
-            "shared" => Some(ModePreference::Shared),
-            "sharded" => Some(ModePreference::Sharded),
-            "open-loop" => Some(ModePreference::OpenLoop),
-            _ => None,
-        }
+/// Refuses a name that one spec `"string"` cannot hold — a `"` or a line
+/// break — so that every valid scenario renders to text that parses back.
+fn check_name(what: &str, name: &str) -> Result<()> {
+    match name.chars().find(|c| matches!(c, '"' | '\n')) {
+        Some(c) => Err(BenchError::InvalidScenario(format!(
+            "{what} {name:?} contains {c:?}, which a spec string cannot hold"
+        ))),
+        None => Ok(()),
     }
+}
 
-    /// The spec-file spelling this parses back from.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ModePreference::Serial => "serial",
-            ModePreference::Shared => "shared",
-            ModePreference::Sharded => "sharded",
-            ModePreference::OpenLoop => "open-loop",
-        }
-    }
+impl Choice for ModePreference {
+    const SPELLINGS: &'static [(&'static str, Self)] = &[
+        ("serial", ModePreference::Serial),
+        ("shared", ModePreference::Shared),
+        ("sharded", ModePreference::Sharded),
+        ("open-loop", ModePreference::OpenLoop),
+    ];
 }
 
 /// The measurement clock a scenario asks for (`clock = "..."` in the spec
@@ -111,22 +107,44 @@ pub enum ClockMode {
     Wall,
 }
 
-impl ClockMode {
-    /// Parses the spec-file spelling (`sim`, `wall`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "sim" => Some(ClockMode::Sim),
-            "wall" => Some(ClockMode::Wall),
-            _ => None,
-        }
+impl Choice for ClockMode {
+    const SPELLINGS: &'static [(&'static str, Self)] =
+        &[("sim", ClockMode::Sim), ("wall", ClockMode::Wall)];
+}
+
+/// A closed choice written as one of a few words — in spec files, on the
+/// command line, in rendered text. Its one `(spelling, value)` table is
+/// what parsing, printing and every "expected …" hint read.
+pub trait Choice: Copy + PartialEq + 'static {
+    /// Every value with its spelling, in the order hints list them.
+    const SPELLINGS: &'static [(&'static str, Self)];
+
+    /// The value `word` spells, if any.
+    fn parse(word: &str) -> Option<Self> {
+        let found = Self::SPELLINGS.iter().find(|(w, _)| *w == word);
+        found.map(|&(_, v)| v)
     }
 
-    /// The spec-file spelling this parses back from.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ClockMode::Sim => "sim",
-            ClockMode::Wall => "wall",
-        }
+    /// The word this value is spelled as.
+    fn as_str(&self) -> &'static str {
+        let found = Self::SPELLINGS.iter().find(|(_, v)| v == self);
+        found.expect("every value has a spelling").0
+    }
+
+    /// Every spelling, in table order.
+    fn words() -> Vec<&'static str> {
+        Self::SPELLINGS.iter().map(|&(w, _)| w).collect()
+    }
+}
+
+/// `"a", "b", or "c"` (`"a" or "b"` for two): how every "unknown …"
+/// hint lists the words a closed choice accepts.
+pub fn one_of(words: &[&str]) -> String {
+    let quoted: Vec<String> = words.iter().map(|w| format!("\"{w}\"")).collect();
+    let (last, init) = quoted.split_last().expect("a closed choice has words");
+    match init {
+        [only] => format!("{only} or {last}"),
+        _ => format!("{}, or {last}", init.join(", ")),
     }
 }
 
@@ -233,6 +251,12 @@ impl Scenario {
 
     /// Validates the scenario.
     pub fn validate(&self) -> Result<()> {
+        let phases = self.workload.phases().iter();
+        let holdout = self.holdout.iter().flat_map(|h| h.phases());
+        check_name("scenario name", &self.name)?;
+        for phase in phases.chain(holdout) {
+            check_name("phase name", &phase.name)?;
+        }
         if self.work_units_per_second <= 0.0 {
             return Err(BenchError::InvalidScenario(
                 "work_units_per_second must be positive".to_string(),
@@ -281,9 +305,10 @@ impl Scenario {
             }
         }
         if self.mode == Some(ModePreference::OpenLoop) && self.arrival.is_none() {
-            return Err(BenchError::InvalidScenario(
-                "mode = \"open-loop\" requires an [arrival] section".to_string(),
-            ));
+            return Err(BenchError::InvalidScenario(format!(
+                "mode = \"{}\" requires an [arrival] section",
+                ModePreference::OpenLoop.as_str()
+            )));
         }
         if let Some(plan) = &self.faults {
             plan.validate(self.workload.phases())
@@ -686,6 +711,68 @@ mod tests {
         );
         assert_eq!(ModePreference::parse("bogus"), None);
         assert_eq!(ModePreference::Shared.as_str(), "shared");
+    }
+
+    #[test]
+    fn every_spelling_parses_back_to_its_value() {
+        fn round_trips<T: Choice + std::fmt::Debug>() {
+            for &(word, value) in T::SPELLINGS {
+                assert_eq!(T::parse(word), Some(value));
+                assert_eq!(value.as_str(), word);
+            }
+        }
+        round_trips::<ModePreference>();
+        round_trips::<ClockMode>();
+        assert_eq!(one_of(&ClockMode::words()), "\"sim\" or \"wall\"");
+        assert_eq!(
+            one_of(&ModePreference::words()),
+            "\"serial\", \"shared\", \"sharded\", or \"open-loop\""
+        );
+    }
+
+    #[test]
+    fn names_a_spec_string_cannot_hold_are_refused() {
+        let valid = Scenario::two_phase_shift(
+            "valid",
+            KeyDistribution::Uniform,
+            KeyDistribution::Zipf { theta: 1.1 },
+            1000,
+            500,
+            7,
+        )
+        .unwrap();
+        let single = |name: &str| {
+            let phase = WorkloadPhase::new(
+                name,
+                KeyDistribution::Uniform,
+                (0, 1_000),
+                OperationMix::ycsb_c(),
+                10,
+            );
+            PhasedWorkload::single(phase, 1).unwrap()
+        };
+        let named = |scenario: &str, phase: &str| {
+            let mut s = valid.clone();
+            s.name = scenario.to_string();
+            s.workload = single(phase);
+            s.validate().map_err(|e| e.to_string())
+        };
+        assert!(named("plain name", "phase #1 'quoted'").is_ok());
+        let quote = named("a\"b", "p").unwrap_err();
+        assert!(
+            quote.contains(r#"scenario name "a\"b" contains '"'"#),
+            "{quote}"
+        );
+        let newline = named("a\nb", "p").unwrap_err();
+        assert!(newline.contains(r"contains '\n'"), "{newline}");
+        let phase = named("ok", "two\nlines").unwrap_err();
+        assert!(phase.contains(r#"phase name "two\nlines""#), "{phase}");
+        let mut s = valid.clone();
+        s.holdout = Some(single("hold\"out"));
+        assert!(
+            s.validate().is_err(),
+            "hold-out phase names are checked too"
+        );
     }
 
     #[test]

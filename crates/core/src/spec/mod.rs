@@ -32,6 +32,23 @@
 //!   mirroring [`SutRegistry`](crate::sut_registry::SutRegistry), with
 //!   uniform fallback to spec files on disk.
 //!
+//! # Where the vocabulary lives
+//!
+//! Each word list is one table beside the type it names. The parser,
+//! the renderer, the drift axis and the CLI read it and keep no copy:
+//!
+//! | Words | Table |
+//! |---|---|
+//! | distribution shapes, their parameter keys and defaults | [`CANONICAL_DISTRIBUTIONS`](lsbench_workload::keygen::CANONICAL_DISTRIBUTIONS), viewed per value by [`KeyDistribution::params`](lsbench_workload::keygen::KeyDistribution::params) |
+//! | mix weight keys | [`OperationMix::WEIGHT_KEYS`](lsbench_workload::ops::OperationMix::WEIGHT_KEYS) |
+//! | mix presets | [`MIX_PRESETS`](parse::MIX_PRESETS) |
+//! | section and block headers | `BLOCKS` in [`parse`] |
+//! | `mode`, `clock`, trace `--format` | [`Choice::SPELLINGS`](crate::scenario::Choice::SPELLINGS) of [`ModePreference`](crate::scenario::ModePreference), [`ClockMode`](crate::scenario::ClockMode), [`TraceFormat`](crate::trace::TraceFormat) |
+//!
+//! The choices that carry data (SLA policy, arrival process, modulation,
+//! online-train mode, transition, fault kind) are matched in [`parse`]
+//! beside their per-variant checks.
+//!
 //! # The seven parse-time drift composers
 //!
 //! | Block | Expands to | Drift shape |

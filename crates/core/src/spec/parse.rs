@@ -27,11 +27,12 @@ use super::SpecError;
 use crate::faults::{FaultPlan, FaultSpec, RetryPolicy};
 use crate::metrics::sla::SlaPolicy;
 use crate::scenario::{
-    ArrivalSpec, ClockMode, DatasetSpec, ModePreference, OnlineTrainMode, Scenario, ScenarioBuilder,
+    one_of, ArrivalSpec, Choice, ClockMode, DatasetSpec, ModePreference, OnlineTrainMode, Scenario,
+    ScenarioBuilder,
 };
 use lsbench_workload::arrival::{ArrivalProcess, LoadModulation};
 use lsbench_workload::families::{LedgerGrowth, Steps, TemplatedRepetition};
-use lsbench_workload::keygen::{KeyDistribution, CANONICAL_DISTRIBUTIONS};
+use lsbench_workload::keygen::{KeyDistribution, Param, Shape, CANONICAL_DISTRIBUTIONS};
 use lsbench_workload::ops::OperationMix;
 use lsbench_workload::phases::{PhasedWorkload, TransitionKind, WorkloadPhase, MAX_PHASES};
 
@@ -433,13 +434,18 @@ impl Fields {
     /// The one formatter of closed-enum misses:
     /// `unknown <what> '<got>' (expected "a", "b", or "c")`, at `key`.
     fn unknown(&self, key: &str, what: &str, got: &str, options: &[&str]) -> SpecError {
-        let quoted: Vec<String> = options.iter().map(|o| format!("\"{o}\"")).collect();
-        let (last, init) = quoted.split_last().expect("a closed enum has options");
-        let list = match init {
-            [only] => format!("{only} or {last}"),
-            _ => format!("{}, or {last}", init.join(", ")),
-        };
+        let list = one_of(options);
         self.bad(key, format!("unknown {what} '{got}' (expected {list})"))
+    }
+
+    /// Reads `key` as one of `T`'s spellings; any other word is refused
+    /// through [`unknown`](Fields::unknown).
+    fn choice<T: Choice>(&mut self, key: &str) -> SResult<Option<T>> {
+        let Some(word) = self.opt::<String>(key)? else {
+            return Ok(None);
+        };
+        let value = T::parse(&word).ok_or_else(|| self.unknown(key, key, &word, &T::words()));
+        value.map(Some)
     }
 
     /// Consumes `key` and hands out its raw value.
@@ -526,40 +532,23 @@ fn in_window(w: &f64) -> bool {
 /// `to_*` pairs of `[[gradual_shift]]` and `[[drift]]`).
 fn take_distribution(f: &mut Fields, name_key: &str, prefix: &str) -> SResult<KeyDistribution> {
     let name: String = f.req(name_key)?;
-    let num = |f: &mut Fields, param: &str| f.req::<f64>(&format!("{prefix}{param}"));
-    let dist = match name.as_str() {
-        "uniform" => KeyDistribution::Uniform,
-        "zipf" => KeyDistribution::Zipf {
-            theta: num(f, "theta")?,
-        },
-        "normal" => KeyDistribution::Normal {
-            center: num(f, "center")?,
-            std_frac: num(f, "std_frac")?,
-        },
-        "lognormal" => KeyDistribution::LogNormal {
-            mu: num(f, "mu")?,
-            sigma: num(f, "sigma")?,
-        },
-        "hotspot" => KeyDistribution::Hotspot {
-            hot_span: num(f, "hot_span")?,
-            hot_fraction: num(f, "hot_fraction")?,
-        },
-        "clustered" => KeyDistribution::Clustered {
-            clusters: f.req::<u64>(&format!("{prefix}clusters"))? as usize,
-            cluster_std_frac: num(f, "cluster_std_frac")?,
-        },
-        "seq" => KeyDistribution::SequentialNoise {
-            noise_frac: num(f, "noise_frac")?,
-        },
-        other => {
-            let known: Vec<&str> = CANONICAL_DISTRIBUTIONS.iter().map(|(n, _)| *n).collect();
-            let known = known.join(", ");
-            return Err(f.bad(
-                name_key,
-                format!("unknown distribution '{other}' (known: {known})"),
-            ));
-        }
+    let Some(shape) = Shape::named(&name) else {
+        let known: Vec<&str> = CANONICAL_DISTRIBUTIONS.iter().map(|s| s.name).collect();
+        let reason = format!(
+            "unknown distribution '{name}' (known: {})",
+            known.join(", ")
+        );
+        return Err(f.bad(name_key, reason));
     };
+    let mut params = Vec::with_capacity(shape.params.len());
+    for &(param, default) in shape.params {
+        let key = format!("{prefix}{param}");
+        params.push(match default {
+            Param::Num(_) => Param::Num(f.req(&key)?),
+            Param::Int(_) => Param::Int(f.req(&key)?),
+        });
+    }
+    let dist = shape.build(&params);
     dist.validate()
         .map_err(|e| f.bad(name_key, e.to_string()))?;
     Ok(dist)
@@ -567,9 +556,9 @@ fn take_distribution(f: &mut Fields, name_key: &str, prefix: &str) -> SResult<Ke
 
 /// Parses an operation mix: `mix = "<preset>"` or explicit weight keys.
 fn take_mix(f: &mut Fields) -> SResult<OperationMix> {
-    const WEIGHT_KEYS: &[&str] = &["read", "insert", "update", "scan", "delete", "max_scan_len"];
     if let Some(name) = f.opt_as::<String>("mix", "a preset \"string\"")? {
-        if let Some(conflict) = WEIGHT_KEYS.iter().find(|k| f.has(k)) {
+        let mut keys = OperationMix::WEIGHT_KEYS.iter().chain(&["max_scan_len"]);
+        if let Some(conflict) = keys.find(|k| f.has(k)) {
             let reason = format!("cannot combine the '{conflict}' weight key with a mix preset");
             return Err(f.bad("mix", reason));
         }
@@ -585,26 +574,20 @@ fn take_mix(f: &mut Fields) -> SResult<OperationMix> {
             }
         };
     }
+    let mut weights = [0.0; 5];
     let mut any = false;
-    let mut weight = |f: &mut Fields, key: &str| -> SResult<f64> {
-        let weight = f.opt::<f64>(key)?;
-        any |= weight.is_some();
-        Ok(weight.unwrap_or(0.0))
-    };
-    let mix = OperationMix {
-        read: weight(f, "read")?,
-        insert: weight(f, "insert")?,
-        update: weight(f, "update")?,
-        scan: weight(f, "scan")?,
-        delete: weight(f, "delete")?,
-        max_scan_len: f
-            .opt_if(
-                "max_scan_len",
-                |v| *v <= u32::MAX as u64,
-                "scan length does not fit in 32 bits",
-            )?
-            .map_or(0, |v: u64| v as u32),
-    };
+    for (weight, key) in weights.iter_mut().zip(OperationMix::WEIGHT_KEYS) {
+        if let Some(w) = f.opt::<f64>(key)? {
+            *weight = w;
+            any = true;
+        }
+    }
+    let max_scan_len = f.opt_if(
+        "max_scan_len",
+        |v| *v <= u32::MAX as u64,
+        "scan length does not fit in 32 bits",
+    )?;
+    let mix = OperationMix::from_weights(weights, max_scan_len.map_or(0, |v: u64| v as u32));
     if !any {
         let reason = format!(
             "{} needs an operation mix: a preset (mix = \"ycsb-c\") or weight keys",
@@ -1076,25 +1059,11 @@ fn compile_run(mut f: Fields) -> SResult<RunSettings> {
             return Err(f.unknown("online_train", "mode", other, &modes));
         }
     };
-    let mode = match f.opt::<String>("mode")? {
-        None => None,
-        Some(name) => Some(ModePreference::parse(&name).ok_or_else(|| {
-            let modes = ["serial", "shared", "sharded", "open-loop"];
-            f.unknown("mode", "mode", &name, &modes)
-        })?),
-    };
-    let clock = match f.opt::<String>("clock")? {
-        None => None,
-        Some(name) => Some(
-            ClockMode::parse(&name)
-                .ok_or_else(|| f.unknown("clock", "clock", &name, &["sim", "wall"]))?,
-        ),
-    };
     let settings = RunSettings {
         train_budget,
         online_train,
-        mode,
-        clock,
+        mode: f.choice("mode")?,
+        clock: f.choice("clock")?,
         policy: PolicyKeys::take(&mut f)?,
         work_units_per_second: f.opt("work_units_per_second")?,
         maintenance_every: f.opt("maintenance_every")?,

@@ -15,9 +15,9 @@
 use super::parse::MIX_PRESETS;
 use crate::faults::FaultSpec;
 use crate::metrics::sla::SlaPolicy;
-use crate::scenario::{OnlineTrainMode, Scenario};
+use crate::scenario::{Choice, OnlineTrainMode, Scenario};
 use lsbench_workload::arrival::{ArrivalProcess, LoadModulation};
-use lsbench_workload::keygen::KeyDistribution;
+use lsbench_workload::keygen::{KeyDistribution, Param};
 use lsbench_workload::ops::OperationMix;
 use lsbench_workload::phases::{TransitionKind, WorkloadPhase};
 use std::fmt::Write as _;
@@ -28,37 +28,14 @@ fn f(v: f64) -> String {
 }
 
 fn push_distribution(out: &mut String, name_key: &str, prefix: &str, d: &KeyDistribution) {
-    let _ = writeln!(out, "{name_key} = \"{}\"", d.canonical_name());
-    match *d {
-        KeyDistribution::Uniform => {}
-        KeyDistribution::Zipf { theta } => {
-            let _ = writeln!(out, "{prefix}theta = {}", f(theta));
-        }
-        KeyDistribution::Normal { center, std_frac } => {
-            let _ = writeln!(out, "{prefix}center = {}", f(center));
-            let _ = writeln!(out, "{prefix}std_frac = {}", f(std_frac));
-        }
-        KeyDistribution::LogNormal { mu, sigma } => {
-            let _ = writeln!(out, "{prefix}mu = {}", f(mu));
-            let _ = writeln!(out, "{prefix}sigma = {}", f(sigma));
-        }
-        KeyDistribution::Hotspot {
-            hot_span,
-            hot_fraction,
-        } => {
-            let _ = writeln!(out, "{prefix}hot_span = {}", f(hot_span));
-            let _ = writeln!(out, "{prefix}hot_fraction = {}", f(hot_fraction));
-        }
-        KeyDistribution::Clustered {
-            clusters,
-            cluster_std_frac,
-        } => {
-            let _ = writeln!(out, "{prefix}clusters = {clusters}");
-            let _ = writeln!(out, "{prefix}cluster_std_frac = {}", f(cluster_std_frac));
-        }
-        KeyDistribution::SequentialNoise { noise_frac } => {
-            let _ = writeln!(out, "{prefix}noise_frac = {}", f(noise_frac));
-        }
+    let (shape, params) = d.params();
+    let _ = writeln!(out, "{name_key} = \"{}\"", shape.name);
+    for (&(key, _), value) in shape.params.iter().zip(params) {
+        let value = match value {
+            Param::Num(v) => f(v),
+            Param::Int(v) => v.to_string(),
+        };
+        let _ = writeln!(out, "{prefix}{key} = {value}");
     }
 }
 
@@ -67,13 +44,7 @@ fn push_mix(out: &mut String, mix: &OperationMix) {
         let _ = writeln!(out, "mix = \"{name}\"");
         return;
     }
-    for (key, weight) in [
-        ("read", mix.read),
-        ("insert", mix.insert),
-        ("update", mix.update),
-        ("scan", mix.scan),
-        ("delete", mix.delete),
-    ] {
+    for (key, weight) in OperationMix::WEIGHT_KEYS.iter().zip(mix.weights()) {
         if weight != 0.0 {
             let _ = writeln!(out, "{key} = {}", f(weight));
         }
@@ -120,9 +91,9 @@ fn push_phase(
 ///
 /// Feeding the output back through
 /// [`parse_scenario`](super::parse_scenario) yields a scenario equal to
-/// the input (assuming phase names contain no `"` and the name is a
-/// single line — true of everything the builder or parser accepts in
-/// practice).
+/// the input. That needs every name to fit in one spec string, so
+/// [`Scenario::validate`] refuses a `"` or a line break in the scenario
+/// name and in phase names.
 pub fn render_scenario(s: &Scenario) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "name = \"{}\"", s.name);

@@ -11,7 +11,7 @@
 //! refactoring the composers onto this axis keeps their interior
 //! expansions bit-identical.
 
-use lsbench_workload::keygen::KeyDistribution;
+use lsbench_workload::keygen::{KeyDistribution, Param};
 use lsbench_workload::ops::OperationMix;
 use lsbench_workload::phases::WorkloadPhase;
 
@@ -23,88 +23,42 @@ pub use lsbench_workload::families::{lerp, lerp_t};
 
 /// Interpolates two same-shape distributions at `t ∈ [0, 1]`.
 ///
-/// Every numeric parameter is lerped; the integer `clusters` parameter is
-/// lerped and rounded. Mismatched shapes are an error — a jump between
-/// shapes is what `transition = "gradual"` on an explicit phase is for.
+/// Every parameter is lerped; integer parameters (`clusters`) are lerped,
+/// rounded and floored at 1. Mismatched shapes are an error — a jump
+/// between shapes is what `transition = "gradual"` on an explicit phase is
+/// for.
 pub fn interpolate_distribution(
     from: &KeyDistribution,
     to: &KeyDistribution,
     t: f64,
 ) -> Result<KeyDistribution, String> {
-    use KeyDistribution as D;
-    match (from, to) {
-        (D::Uniform, D::Uniform) => Ok(D::Uniform),
-        (D::Zipf { theta: a }, D::Zipf { theta: b }) => Ok(D::Zipf {
-            theta: lerp(*a, *b, t),
-        }),
-        (
-            D::Normal {
-                center: c1,
-                std_frac: s1,
-            },
-            D::Normal {
-                center: c2,
-                std_frac: s2,
-            },
-        ) => Ok(D::Normal {
-            center: lerp(*c1, *c2, t),
-            std_frac: lerp(*s1, *s2, t),
-        }),
-        (D::LogNormal { mu: m1, sigma: s1 }, D::LogNormal { mu: m2, sigma: s2 }) => {
-            Ok(D::LogNormal {
-                mu: lerp(*m1, *m2, t),
-                sigma: lerp(*s1, *s2, t),
-            })
-        }
-        (
-            D::Hotspot {
-                hot_span: h1,
-                hot_fraction: f1,
-            },
-            D::Hotspot {
-                hot_span: h2,
-                hot_fraction: f2,
-            },
-        ) => Ok(D::Hotspot {
-            hot_span: lerp(*h1, *h2, t),
-            hot_fraction: lerp(*f1, *f2, t),
-        }),
-        (
-            D::Clustered {
-                clusters: c1,
-                cluster_std_frac: s1,
-            },
-            D::Clustered {
-                clusters: c2,
-                cluster_std_frac: s2,
-            },
-        ) => Ok(D::Clustered {
-            clusters: lerp(*c1 as f64, *c2 as f64, t).round().max(1.0) as usize,
-            cluster_std_frac: lerp(*s1, *s2, t),
-        }),
-        (D::SequentialNoise { noise_frac: n1 }, D::SequentialNoise { noise_frac: n2 }) => {
-            Ok(D::SequentialNoise {
-                noise_frac: lerp(*n1, *n2, t),
-            })
-        }
-        _ => Err(format!(
+    let ((shape, a), (to_shape, b)) = (from.params(), to.params());
+    if shape.name != to_shape.name {
+        return Err(format!(
             "cannot interpolate '{}' into '{}' (shapes must match; use an explicit phase with \
              transition = \"gradual\" for cross-shape drift)",
-            from.canonical_name(),
-            to.canonical_name()
-        )),
+            shape.name, to_shape.name
+        ));
     }
+    let params: Vec<Param> = a
+        .into_iter()
+        .zip(b)
+        .map(|pair| match pair {
+            (Param::Int(a), Param::Int(b)) => {
+                Param::Int(lerp(a as f64, b as f64, t).round().max(1.0) as u64)
+            }
+            (a, b) => Param::Num(lerp(a.num(), b.num(), t)),
+        })
+        .collect();
+    Ok(shape.build(&params))
 }
 
 fn lerp_mix(a: &OperationMix, b: &OperationMix, t: f64) -> OperationMix {
-    OperationMix {
-        read: lerp(a.read, b.read, t),
-        insert: lerp(a.insert, b.insert, t),
-        update: lerp(a.update, b.update, t),
-        scan: lerp(a.scan, b.scan, t),
-        delete: lerp(a.delete, b.delete, t),
-        max_scan_len: lerp(a.max_scan_len as f64, b.max_scan_len as f64, t).round() as u32,
-    }
+    let (wa, wb) = (a.weights(), b.weights());
+    OperationMix::from_weights(
+        std::array::from_fn(|i| lerp(wa[i], wb[i], t)),
+        lerp(a.max_scan_len as f64, b.max_scan_len as f64, t).round() as u32,
+    )
 }
 
 fn lerp_u64(a: u64, b: u64, t: f64) -> u64 {

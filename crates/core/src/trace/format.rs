@@ -11,6 +11,7 @@
 //! style: the 1-based line, the offending column or key, and the reason.
 
 use super::{TResult, TraceError};
+use crate::scenario::Choice;
 use lsbench_workload::ops::Operation;
 use lsbench_workload::trace::Trace;
 
@@ -33,26 +34,21 @@ pub enum TraceFormat {
     Jsonl,
 }
 
+impl Choice for TraceFormat {
+    const SPELLINGS: &'static [(&'static str, Self)] =
+        &[("csv", TraceFormat::Csv), ("jsonl", TraceFormat::Jsonl)];
+}
+
 impl TraceFormat {
     /// Detects the format from a file extension (`.csv` / `.jsonl`).
     pub fn from_path(path: &str) -> Option<TraceFormat> {
         let lower = path.to_ascii_lowercase();
-        if lower.ends_with(".csv") {
-            Some(TraceFormat::Csv)
-        } else if lower.ends_with(".jsonl") {
-            Some(TraceFormat::Jsonl)
-        } else {
-            None
-        }
-    }
-
-    /// Parses a format name (`"csv"` / `"jsonl"`).
-    pub fn from_name(name: &str) -> Option<TraceFormat> {
-        match name {
-            "csv" => Some(TraceFormat::Csv),
-            "jsonl" => Some(TraceFormat::Jsonl),
-            _ => None,
-        }
+        let found = Self::SPELLINGS.iter().find(|(ext, _)| {
+            lower
+                .strip_suffix(ext)
+                .is_some_and(|stem| stem.ends_with('.'))
+        });
+        found.map(|&(_, format)| format)
     }
 }
 

@@ -11,26 +11,124 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Canonical distribution identifiers with one-line summaries — the single
-/// source of truth for everything that maps names to distributions: the
-/// `lsbench list` and `lsbench quality` commands and the scenario spec
-/// language all derive their accepted names from this table, so adding a
-/// variant here is the only step needed to surface it everywhere.
-pub const CANONICAL_DISTRIBUTIONS: &[(&str, &str)] = &[
-    ("uniform", "uniform over the key range"),
-    ("zipf", "zipfian popularity (theta)"),
-    ("normal", "truncated normal (center, std_frac)"),
-    ("lognormal", "log-normal, heavy right tail (mu, sigma)"),
-    (
-        "hotspot",
-        "hot span absorbing most accesses (hot_span, hot_fraction)",
-    ),
-    (
-        "clustered",
-        "equally spaced Gaussian bumps (clusters, cluster_std_frac)",
-    ),
-    ("seq", "sequential with bounded noise (noise_frac)"),
+/// The distribution shapes — the one table everything that maps names to
+/// distributions reads: `lsbench list` and `lsbench quality`, and the
+/// scenario spec language's parser, renderer and drift axis. Adding a
+/// shape means adding a [`KeyDistribution`] variant, its row here, its arm
+/// in [`KeyDistribution::params`], and its sampler.
+pub const CANONICAL_DISTRIBUTIONS: &[Shape] = &[
+    Shape {
+        name: "uniform",
+        summary: "uniform over the key range",
+        params: &[],
+        make: |_| KeyDistribution::Uniform,
+    },
+    Shape {
+        name: "zipf",
+        summary: "zipfian popularity",
+        params: &[("theta", Num(0.99))],
+        make: |p| KeyDistribution::Zipf { theta: p[0].num() },
+    },
+    Shape {
+        name: "normal",
+        summary: "truncated normal",
+        params: &[("center", Num(0.5)), ("std_frac", Num(0.1))],
+        make: |p| KeyDistribution::Normal {
+            center: p[0].num(),
+            std_frac: p[1].num(),
+        },
+    },
+    Shape {
+        name: "lognormal",
+        summary: "log-normal, heavy right tail",
+        params: &[("mu", Num(0.0)), ("sigma", Num(1.2))],
+        make: |p| KeyDistribution::LogNormal {
+            mu: p[0].num(),
+            sigma: p[1].num(),
+        },
+    },
+    Shape {
+        name: "hotspot",
+        summary: "hot span absorbing most accesses",
+        params: &[("hot_span", Num(0.05)), ("hot_fraction", Num(0.95))],
+        make: |p| KeyDistribution::Hotspot {
+            hot_span: p[0].num(),
+            hot_fraction: p[1].num(),
+        },
+    },
+    Shape {
+        name: "clustered",
+        summary: "equally spaced Gaussian bumps",
+        params: &[("clusters", Int(4)), ("cluster_std_frac", Num(0.01))],
+        make: |p| KeyDistribution::Clustered {
+            clusters: p[0].int() as usize,
+            cluster_std_frac: p[1].num(),
+        },
+    },
+    Shape {
+        name: "seq",
+        summary: "sequential with bounded noise",
+        params: &[("noise_frac", Num(0.01))],
+        make: |p| KeyDistribution::SequentialNoise {
+            noise_frac: p[0].num(),
+        },
+    },
 ];
+
+/// One distribution shape: a row of [`CANONICAL_DISTRIBUTIONS`].
+pub struct Shape {
+    /// The canonical identifier (`distribution = "zipf"`).
+    pub name: &'static str,
+    /// A one-line summary; `lsbench list` follows it with the keys.
+    pub summary: &'static str,
+    /// The parameter keys in declaration order, each with the default
+    /// [`KeyDistribution::from_canonical`] uses. A [`Param::Int`]
+    /// default marks an integer parameter.
+    pub params: &'static [(&'static str, Param)],
+    make: fn(&[Param]) -> KeyDistribution,
+}
+
+impl Shape {
+    /// The row named `name`.
+    pub fn named(name: &str) -> Option<&'static Shape> {
+        CANONICAL_DISTRIBUTIONS.iter().find(|s| s.name == name)
+    }
+
+    /// The distribution of this shape with `params` in declaration order:
+    /// the inverse of [`KeyDistribution::params`].
+    pub fn build(&self, params: &[Param]) -> KeyDistribution {
+        (self.make)(params)
+    }
+}
+
+/// One parameter of a distribution. Integer parameters stay integers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Param {
+    /// A real-valued parameter.
+    Num(f64),
+    /// An integer parameter (`clusters`).
+    Int(u64),
+}
+
+use Param::{Int, Num};
+
+impl Param {
+    /// The value as a float.
+    pub fn num(self) -> f64 {
+        match self {
+            Num(v) => v,
+            Int(v) => v as f64,
+        }
+    }
+
+    /// The value as an integer (a float truncates).
+    pub fn int(self) -> u64 {
+        match self {
+            Int(v) => v,
+            Num(v) => v as u64,
+        }
+    }
+}
 
 /// Shape of a key distribution, independent of the key range.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -108,46 +206,39 @@ impl KeyDistribution {
         }
     }
 
-    /// The canonical identifier from [`CANONICAL_DISTRIBUTIONS`] for this
-    /// distribution's shape (parameters stripped).
-    pub fn canonical_name(&self) -> &'static str {
-        match self {
-            KeyDistribution::Uniform => "uniform",
-            KeyDistribution::Zipf { .. } => "zipf",
-            KeyDistribution::Normal { .. } => "normal",
-            KeyDistribution::LogNormal { .. } => "lognormal",
-            KeyDistribution::Hotspot { .. } => "hotspot",
-            KeyDistribution::Clustered { .. } => "clustered",
-            KeyDistribution::SequentialNoise { .. } => "seq",
-        }
+    /// This value's row of [`CANONICAL_DISTRIBUTIONS`] and its parameters
+    /// in the row's declaration order; [`Shape::build`] is the inverse.
+    pub fn params(&self) -> (&'static Shape, Vec<Param>) {
+        use KeyDistribution as D;
+        let (row, params) = match *self {
+            D::Uniform => (0, vec![]),
+            D::Zipf { theta } => (1, vec![Num(theta)]),
+            D::Normal { center, std_frac } => (2, vec![Num(center), Num(std_frac)]),
+            D::LogNormal { mu, sigma } => (3, vec![Num(mu), Num(sigma)]),
+            D::Hotspot {
+                hot_span,
+                hot_fraction,
+            } => (4, vec![Num(hot_span), Num(hot_fraction)]),
+            D::Clustered {
+                clusters,
+                cluster_std_frac,
+            } => (5, vec![Int(clusters as u64), Num(cluster_std_frac)]),
+            D::SequentialNoise { noise_frac } => (6, vec![Num(noise_frac)]),
+        };
+        (&CANONICAL_DISTRIBUTIONS[row], params)
     }
 
-    /// A default-parameterized distribution for a canonical identifier, or
-    /// `None` for unknown names. Covers every entry of
-    /// [`CANONICAL_DISTRIBUTIONS`].
+    /// The canonical identifier of this distribution's shape.
+    pub fn canonical_name(&self) -> &'static str {
+        self.params().0.name
+    }
+
+    /// The shape named `name` with its default parameters, or `None` for
+    /// unknown names.
     pub fn from_canonical(name: &str) -> Option<KeyDistribution> {
-        match name {
-            "uniform" => Some(KeyDistribution::Uniform),
-            "zipf" => Some(KeyDistribution::Zipf { theta: 0.99 }),
-            "normal" => Some(KeyDistribution::Normal {
-                center: 0.5,
-                std_frac: 0.1,
-            }),
-            "lognormal" => Some(KeyDistribution::LogNormal {
-                mu: 0.0,
-                sigma: 1.2,
-            }),
-            "hotspot" => Some(KeyDistribution::Hotspot {
-                hot_span: 0.05,
-                hot_fraction: 0.95,
-            }),
-            "clustered" => Some(KeyDistribution::Clustered {
-                clusters: 4,
-                cluster_std_frac: 0.01,
-            }),
-            "seq" => Some(KeyDistribution::SequentialNoise { noise_frac: 0.01 }),
-            _ => None,
-        }
+        let shape = Shape::named(name)?;
+        let defaults: Vec<Param> = shape.params.iter().map(|&(_, d)| d).collect();
+        Some(shape.build(&defaults))
     }
 
     /// Validates the distribution's parameters.
@@ -429,12 +520,20 @@ mod tests {
         // Every canonical name resolves to a valid default distribution
         // whose canonical_name maps back — the CLI and spec language rely
         // on this closure property.
-        for (name, summary) in CANONICAL_DISTRIBUTIONS {
+        for shape in CANONICAL_DISTRIBUTIONS {
+            let name = shape.name;
             let dist = KeyDistribution::from_canonical(name)
                 .unwrap_or_else(|| panic!("'{name}' resolves"));
             dist.validate().unwrap();
-            assert_eq!(dist.canonical_name(), *name);
-            assert!(!summary.is_empty());
+            assert_eq!(dist.canonical_name(), name);
+            assert!(!shape.summary.is_empty());
+            // The view and its inverse agree with the row, parameter types
+            // included.
+            let (row, params) = dist.params();
+            assert_eq!(row.name, name, "params() picks its own row");
+            let defaults: Vec<Param> = shape.params.iter().map(|&(_, d)| d).collect();
+            assert_eq!(params, defaults, "{name}");
+            assert_eq!(shape.build(&params), dist, "{name}");
         }
         assert_eq!(KeyDistribution::from_canonical("no-such"), None);
     }

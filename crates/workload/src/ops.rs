@@ -112,10 +112,32 @@ pub struct OperationMix {
 }
 
 impl OperationMix {
+    /// The spec keys of the weights, in the order [`weights`](Self::weights)
+    /// lists them.
+    pub const WEIGHT_KEYS: [&'static str; 5] = ["read", "insert", "update", "scan", "delete"];
+
+    /// The weights in [`WEIGHT_KEYS`](Self::WEIGHT_KEYS) order.
+    pub fn weights(&self) -> [f64; 5] {
+        [self.read, self.insert, self.update, self.scan, self.delete]
+    }
+
+    /// The mix of `weights` in [`WEIGHT_KEYS`](Self::WEIGHT_KEYS) order.
+    pub fn from_weights(weights: [f64; 5], max_scan_len: u32) -> Self {
+        let [read, insert, update, scan, delete] = weights;
+        OperationMix {
+            read,
+            insert,
+            update,
+            scan,
+            delete,
+            max_scan_len,
+        }
+    }
+
     /// Validates and normalizes the mix (weights must be non-negative and
     /// sum to something positive).
     pub fn validate(&self) -> Result<()> {
-        let weights = [self.read, self.insert, self.update, self.scan, self.delete];
+        let weights = self.weights();
         if weights.iter().any(|w| *w < 0.0 || !w.is_finite()) {
             return Err(WorkloadError::InvalidParameter(
                 "mix weights must be non-negative and finite".to_string(),
@@ -136,74 +158,32 @@ impl OperationMix {
 
     /// YCSB workload A: 50% reads, 50% updates.
     pub fn ycsb_a() -> Self {
-        OperationMix {
-            read: 0.5,
-            insert: 0.0,
-            update: 0.5,
-            scan: 0.0,
-            delete: 0.0,
-            max_scan_len: 0,
-        }
+        OperationMix::from_weights([0.5, 0.0, 0.5, 0.0, 0.0], 0)
     }
 
     /// YCSB workload B: 95% reads, 5% updates.
     pub fn ycsb_b() -> Self {
-        OperationMix {
-            read: 0.95,
-            insert: 0.0,
-            update: 0.05,
-            scan: 0.0,
-            delete: 0.0,
-            max_scan_len: 0,
-        }
+        OperationMix::from_weights([0.95, 0.0, 0.05, 0.0, 0.0], 0)
     }
 
     /// YCSB workload C: read-only.
     pub fn ycsb_c() -> Self {
-        OperationMix {
-            read: 1.0,
-            insert: 0.0,
-            update: 0.0,
-            scan: 0.0,
-            delete: 0.0,
-            max_scan_len: 0,
-        }
+        OperationMix::from_weights([1.0, 0.0, 0.0, 0.0, 0.0], 0)
     }
 
     /// YCSB workload D: 95% reads, 5% inserts (read-latest flavour).
     pub fn ycsb_d() -> Self {
-        OperationMix {
-            read: 0.95,
-            insert: 0.05,
-            update: 0.0,
-            scan: 0.0,
-            delete: 0.0,
-            max_scan_len: 0,
-        }
+        OperationMix::from_weights([0.95, 0.05, 0.0, 0.0, 0.0], 0)
     }
 
     /// YCSB workload E: 95% scans, 5% inserts.
     pub fn ycsb_e() -> Self {
-        OperationMix {
-            read: 0.0,
-            insert: 0.05,
-            update: 0.0,
-            scan: 0.95,
-            delete: 0.0,
-            max_scan_len: 100,
-        }
+        OperationMix::from_weights([0.0, 0.05, 0.0, 0.95, 0.0], 100)
     }
 
     /// Read-heavy range workload used by the figure benches.
     pub fn range_heavy() -> Self {
-        OperationMix {
-            read: 0.5,
-            insert: 0.0,
-            update: 0.0,
-            scan: 0.5,
-            delete: 0.0,
-            max_scan_len: 64,
-        }
+        OperationMix::from_weights([0.5, 0.0, 0.0, 0.5, 0.0], 64)
     }
 
     /// Draws an operation kind according to the weights.

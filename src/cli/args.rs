@@ -3,6 +3,7 @@
 //! every command propagates with `?` ([`CliError`]).
 
 use lsbench::core::results::StoreError;
+use lsbench::core::scenario::{one_of, Choice};
 use lsbench::core::BenchError;
 use std::fmt::Display;
 use std::str::FromStr;
@@ -195,17 +196,12 @@ impl Args {
             .ok_or_else(|| CliError::usage(format!("{} {what}", flag.name)))
     }
 
-    /// The value of a flag that names one of a fixed set of things, through
-    /// that thing's own `parse`.
-    pub fn choice<T>(
-        &self,
-        flag: &Flag,
-        parse: impl Fn(&str) -> Option<T>,
-        noun: &str,
-        expected: &str,
-    ) -> Result<Option<T>, CliError> {
+    /// The value of a flag that names one of `T`'s spellings, if given;
+    /// any other word is a usage error listing them.
+    pub fn choice<T: Choice>(&self, flag: &Flag, noun: &str) -> Result<Option<T>, CliError> {
         let parsed = |v| {
-            parse(v).ok_or_else(|| {
+            T::parse(v).ok_or_else(|| {
+                let expected = one_of(&T::words());
                 CliError::usage(format!("unknown {noun} '{v}' (expected {expected})"))
             })
         };

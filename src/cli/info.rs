@@ -112,8 +112,14 @@ pub fn list(_: &Args) -> Result<(), CliError> {
         println!("  {name:<14} {description}");
     }
     println!("distributions:");
-    for (name, description) in CANONICAL_DISTRIBUTIONS {
-        println!("  {name:<14} {description}");
+    for shape in CANONICAL_DISTRIBUTIONS {
+        let keys: Vec<&str> = shape.params.iter().map(|&(key, _)| key).collect();
+        let description = if keys.is_empty() {
+            shape.summary.to_string()
+        } else {
+            format!("{} ({})", shape.summary, keys.join(", "))
+        };
+        println!("  {:<14} {description}", shape.name);
     }
     Ok(())
 }

@@ -54,15 +54,14 @@ pub struct RunArgs<'a> {
 
 impl<'a> RunArgs<'a> {
     pub fn parse(args: &'a Args) -> Result<Self, CliError> {
-        let modes = "\"serial\", \"shared\", \"sharded\", or \"open-loop\"";
         // A non-number is refused as "a number" first, like every other
         // numeric flag; then 0 as "a positive integer", like `--clients 0`.
         args.num::<usize>(&THREADS, 1)?;
         Ok(RunArgs {
             args,
             suts: args.all(&SUT).map(str::to_string).collect(),
-            mode: args.choice(&MODE, ModePreference::parse, "mode", modes)?,
-            clock: args.choice(&CLOCK, ClockMode::parse, "clock", "\"sim\" or \"wall\"")?,
+            mode: args.choice(&MODE, "mode")?,
+            clock: args.choice(&CLOCK, "clock")?,
             threads: args
                 .parsed(&THREADS, "a positive integer", |n| *n >= 1)?
                 .unwrap_or(1),

@@ -7,7 +7,7 @@ use super::flag::*;
 use super::run::{RunArgs, DEFAULT_CLIENTS};
 use lsbench::core::driver::{run_kv_trace, run_kv_trace_open_loop};
 use lsbench::core::results::{RunArtifact, RunManifest, Transport};
-use lsbench::core::scenario::{ClockMode, ModePreference};
+use lsbench::core::scenario::{Choice, ClockMode, ModePreference};
 use lsbench::core::spec::render_scenario;
 use lsbench::core::sut_registry::SutRegistry;
 use lsbench::core::trace::{
@@ -22,18 +22,13 @@ use std::path::Path;
 /// positioned, `validate`-style: `file:line N: field: reason`.
 fn load_trace(args: &Args) -> Result<(&str, ImportedTrace), CliError> {
     let file = args.positionals()[0].as_str();
-    let named = args.choice(
-        &FORMAT,
-        TraceFormat::from_name,
-        "trace format",
-        "\"csv\" or \"jsonl\"",
-    )?;
-    let format = match named {
+    let format = match args.choice(&FORMAT, "trace format")? {
         Some(format) => format,
         None => TraceFormat::from_path(file).ok_or_else(|| {
             CliError::usage(format!(
-                "cannot infer trace format of {file} (use {} csv|jsonl)",
-                FORMAT.name
+                "cannot infer trace format of {file} (use {} {})",
+                FORMAT.name,
+                TraceFormat::words().join("|")
             ))
         })?,
     };
@@ -49,12 +44,11 @@ fn load_trace(args: &Args) -> Result<(&str, ImportedTrace), CliError> {
     Ok((file, imported))
 }
 
-/// Writes a trace in canonical form to `path`, format from `--format` or
-/// the path's extension.
-fn write_trace(trace: &Trace, path: &str, args: &Args) -> Result<(), CliError> {
-    let format = args
-        .get(&FORMAT)
-        .and_then(TraceFormat::from_name)
+/// Writes a trace in canonical form to `path`, in `format` (the value of
+/// `--format`) or else the one the path's extension names, CSV when it
+/// names none.
+fn write_trace(trace: &Trace, path: &str, format: Option<TraceFormat>) -> Result<(), CliError> {
+    let format = format
         .or_else(|| TraceFormat::from_path(path))
         .unwrap_or(TraceFormat::Csv);
     let text = match format {
@@ -93,7 +87,7 @@ pub fn import(args: &Args) -> Result<(), CliError> {
         println!("no timestamps: replays closed-loop");
     }
     match args.get(&OUT) {
-        Some(out) => write_trace(&imported.trace, out, args),
+        Some(out) => write_trace(&imported.trace, out, args.choice(&FORMAT, "trace format")?),
         None => Ok(()),
     }
 }
@@ -143,7 +137,7 @@ pub fn replay(args: &Args) -> Result<(), CliError> {
         .file_stem()
         .map_or(file.into(), |s| s.to_string_lossy());
     let mode = if open_loop {
-        format!("open-loop:{clients}")
+        format!("{}:{clients}", ModePreference::OpenLoop.as_str())
     } else {
         "closed-loop".to_string()
     };
@@ -205,6 +199,7 @@ pub fn fit(args: &Args) -> Result<(), CliError> {
 pub fn record(args: &Args) -> Result<(), CliError> {
     let common = RunArgs::parse(args)?;
     let out = args.require(&OUT, "FILE is required")?;
+    let format = args.choice(&FORMAT, "trace format")?;
     let scenario = common.scenario()?;
     let mut trace =
         Trace::record(&scenario.workload).context(&format!("cannot record {}", scenario.name))?;
@@ -219,5 +214,5 @@ pub fn record(args: &Args) -> Result<(), CliError> {
         }
         trace = stamped;
     }
-    write_trace(&trace, out, args)
+    write_trace(&trace, out, format)
 }

@@ -203,6 +203,7 @@ cli_cases!(
     capacity,
     sweep,
     trace,
+    trace_refusals,
     shift_and_suite,
     wall_clock_archive,
     errors,
@@ -403,6 +404,30 @@ mod cases {
         assert_eq!(
             (one.manifest.concurrency, four.manifest.concurrency),
             (1, 4)
+        );
+    }
+
+    /// What `trace record` and `trace fit` refuse writes nothing: an
+    /// unknown `--format` (an unknown extension alone still means CSV), and
+    /// a `--name` that one spec string cannot hold.
+    pub fn trace_refusals(s: &mut Session) {
+        let record = "trace record --scenario S2-abrupt-shift --size 500 --ops 20 --out rec.out";
+        let refused = s.run(&format!("{record} --format xyz"), Pin::Both);
+        assert_eq!(refused.code, 2);
+        assert!(
+            !s.dir.join("rec.out").exists(),
+            "a refused record writes no file"
+        );
+        s.ok(record, Pin::Both);
+        s.file("rec.out");
+        let fit = s.run(
+            "trace fit traces/s2_10k.csv --name a\"b --out f.spec",
+            Pin::Both,
+        );
+        assert_ne!(fit.code, 0);
+        assert!(
+            !s.dir.join("f.spec").exists(),
+            "a refused fit writes no file"
         );
     }
 

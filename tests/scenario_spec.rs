@@ -183,23 +183,58 @@ fn every_built_in_round_trips_through_render() {
     }
 }
 
+/// Every shipped spec file — read from the directories, so a new file
+/// cannot be missed — parses, validates, and survives a render:
+/// parse ∘ render ∘ parse = parse.
 #[test]
 fn shipped_exemplars_parse_and_validate() {
-    for file in [
-        "scenarios/diurnal.spec",
-        "scenarios/flash_crowd.spec",
-        "scenarios/growing_skew.spec",
-        "scenarios/workload_shift.spec",
-        "scenarios/chaos_errors.spec",
-        "scenarios/chaos_stall.spec",
-        "scenarios/chaos_crash.spec",
-        "scenarios/templated_repetition.spec",
-        "scenarios/ledger_growth.spec",
-    ] {
-        let s = ScenarioRegistry::load_file(file).unwrap_or_else(|e| panic!("{file}:{e}"));
+    let mut files = Vec::new();
+    for dir in ["scenarios", "scenarios/figures"] {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+        for entry in std::fs::read_dir(&dir).expect("the spec directory reads") {
+            let path = entry.expect("a directory entry").path();
+            if path.extension().is_some_and(|e| e == "spec") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    assert!(files.len() >= 25, "found only {files:?}");
+    for path in files {
+        let file = path.display();
+        let text = std::fs::read_to_string(&path).expect("the spec file reads");
+        let s = parse_scenario(&text).unwrap_or_else(|e| panic!("{file}:{e}"));
         s.validate().unwrap_or_else(|e| panic!("{file}: {e}"));
         assert!(s.workload.total_ops() > 0, "{file}");
+        let rendered = render_scenario(&s);
+        let back = parse_scenario(&rendered).unwrap_or_else(|e| panic!("{file}: {e}\n{rendered}"));
+        assert_eq!(back, s, "{file} changed on the way through render");
     }
+}
+
+/// Integer parameters stay integers end to end: a `clusters` past 2^53,
+/// where an `f64` would round it, renders and parses back exactly.
+#[test]
+fn integer_parameters_round_trip_past_f64_precision() {
+    let clusters = (1usize << 53) + 1;
+    let s = spec_with_blocks(&format!(
+        "[[phase]]\ndistribution = \"clustered\"\nclusters = {clusters}\n\
+         cluster_std_frac = 0.01\nmix = \"ycsb-c\"\nops = 10\n"
+    ));
+    let dist = &s.workload.phases()[0].distribution;
+    assert_eq!(
+        *dist,
+        KeyDistribution::Clustered {
+            clusters,
+            cluster_std_frac: 0.01
+        }
+    );
+    let rendered = render_scenario(&s);
+    assert!(
+        rendered.contains(&format!("clusters = {clusters}\n")),
+        "{rendered}"
+    );
+    assert_eq!(parse_scenario(&rendered).expect("rendered spec parses"), s);
 }
 
 // ---------------------------------------------------------------------------

@@ -95,7 +95,8 @@ fn ycsb_mixes() -> [(&'static str, OperationMix); 5] {
 
 fn mix_cells(cells: &mut BTreeMap<String, String>) {
     for (mix_name, mix) in ycsb_mixes() {
-        for (dist_name, _) in CANONICAL_DISTRIBUTIONS {
+        for shape in CANONICAL_DISTRIBUTIONS {
+            let dist_name = shape.name;
             let dist = KeyDistribution::from_canonical(dist_name).expect("canonical name");
             let w = PhasedWorkload::single(phase("p", dist, mix.clone(), OPS as u64), 42)
                 .expect("valid workload");
