@@ -21,7 +21,7 @@ use crate::exec::{
     epilogue, prelude, prologue, run_inline, scenario_ops, ClientState, CoreOp, Merged, Pacing,
     RunPlan, Sinks,
 };
-use crate::obs::{LaneObs, RunObserver};
+use crate::obs::{LaneObs, ObsConfig, RunObserver};
 use crate::record::RunRecord;
 use crate::runner::{Executed, RunOptions};
 use crate::scenario::{ClockMode, Scenario};
@@ -98,7 +98,7 @@ pub fn run_kv_trace<S: SystemUnderTest<Operation> + ?Sized>(
     trace: &Trace,
 ) -> Result<RunRecord> {
     let plan = replay_plan(trace)?;
-    let obs = &mut RunObserver::disabled();
+    let obs = &mut RunObserver::new(ObsConfig::default());
     run_inline(sut, plan, trace_ops(trace), ClockMode::Sim, obs).map(|(record, _)| record)
 }
 
@@ -129,7 +129,7 @@ pub fn run_kv_trace_open_loop<S: SystemUnderTest<Operation> + ?Sized>(
             "open-loop replay needs at least one client".to_string(),
         ));
     }
-    let obs = &mut RunObserver::disabled();
+    let obs = &mut RunObserver::new(ObsConfig::default());
     let started = prologue(replay_plan(trace)?, [&mut *sut], obs);
     let p = &started.plan.params;
     // The server's `clock` is the latest completion so far: phase changes
@@ -181,7 +181,7 @@ pub fn run_query_workload<S: SystemUnderTest<QueryOp> + ?Sized>(
         .flat_map(|(phase, (_, batch))| batch.iter().map(move |op| (phase, op)))
         .enumerate()
         .map(|(i, (phase, op))| CoreOp::new(op.clone(), phase, i, None));
-    let obs = &mut RunObserver::disabled();
+    let obs = &mut RunObserver::new(ObsConfig::default());
     run_inline(sut, plan, source, ClockMode::Sim, obs).map(|(record, _)| record)
 }
 
@@ -548,7 +548,7 @@ mod tests {
     /// through one look-ahead on the calling thread, between the prologue
     /// and epilogue `run_inline` puts around its driver.
     fn unchunked(sut: &mut Probe, s: &Scenario, max_ops: u64) -> RunRecord {
-        let obs = &mut RunObserver::disabled();
+        let obs = &mut RunObserver::new(ObsConfig::default());
         let started = prologue(RunPlan::from_scenario(s).unwrap(), [&mut *sut], obs);
         let p = &started.plan.params;
         let mut sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, 0, false);
@@ -568,7 +568,7 @@ mod tests {
             max_ops,
             ..RunOptions::default()
         };
-        let obs = &mut RunObserver::disabled();
+        let obs = &mut RunObserver::new(ObsConfig::default());
         let mut ahead = Probe::default();
         let (record, _, _) = run_serial(&mut ahead, s, &opts, obs).unwrap();
         let mut whole = Probe::default();
@@ -620,7 +620,7 @@ mod tests {
             ..Probe::default()
         };
         let plan = RunPlan::from_scenario(&s)?;
-        let obs = &mut RunObserver::disabled();
+        let obs = &mut RunObserver::new(ObsConfig::default());
         run_inline(&mut sut, plan, source, ClockMode::Sim, obs).map(|(record, _)| record)
     }
 

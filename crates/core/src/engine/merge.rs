@@ -61,13 +61,11 @@ pub(crate) fn finish_engine(
     shape: EngineShape,
     obs: &mut RunObserver,
 ) -> Executed {
-    if obs.is_active() {
-        let lane_obs = results
-            .iter_mut()
-            .map(|l| std::mem::replace(&mut l.sinks.obs, LaneObs::inert()))
-            .collect();
-        obs.absorb(lane_obs);
-    }
+    let lane_obs = results
+        .iter_mut()
+        .map(|l| std::mem::replace(&mut l.sinks.obs, LaneObs::inert()))
+        .collect();
+    obs.absorb(lane_obs);
     let exec_start = started.plan.params.exec_start;
     // Deterministic fold order regardless of which worker finished first.
     results.sort_by_key(|l| l.lane);

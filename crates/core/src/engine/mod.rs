@@ -215,6 +215,7 @@ where
 mod tests {
     use super::*;
     use crate::exec::{unpaced_ops, CHUNK, CHUNKS};
+    use crate::obs::ObsConfig;
     use crate::runner::{EngineStats, ExecutionMode, RunOutcome, Runner};
     use crate::scenario::ArrivalSpec;
     use lsbench_sut::kv::BTreeSut;
@@ -514,7 +515,7 @@ mod tests {
         let mut suts: Vec<BoxedKvSut> = datasets[..2].iter().map(|d| btree(d).unwrap()).collect();
         let mut shards: LaneSuts<'_, dyn SystemUnderTest<Operation> + Send> =
             LaneSuts::Shards(&mut suts, &router);
-        let obs = &mut RunObserver::disabled();
+        let obs = &mut RunObserver::new(ObsConfig::default());
         let opts = RunOptions::with_mode(ExecutionMode::Sharded { workers: 3 });
         assert!(run_lanes(&mut shards, &s, &opts, obs).is_err());
     }
@@ -652,7 +653,7 @@ mod tests {
             threads: Some(threads),
             ..RunOptions::with_mode(mode)
         };
-        let obs = &mut RunObserver::disabled();
+        let obs = &mut RunObserver::new(ObsConfig::default());
         let opener = Arc::clone(&gate);
         if let ExecutionMode::OpenLoop { .. } = mode {
             let last = 2 * (CHUNKS + 2) * CHUNK - 2;

@@ -547,7 +547,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::LaneObs;
+    use crate::obs::{LaneObs, ObsConfig};
     use crate::runner::{EngineStats, ExecutionMode, RunOutcome, Runner};
     use crate::scenario::ArrivalSpec;
     use crate::sut_registry::SutRegistry;
@@ -637,7 +637,7 @@ mod tests {
         for batch_size in [1, 7] {
             let mut small_sut = BTreeSut::build(&data).unwrap();
             let opts = open_loop(64, 4);
-            let obs = &mut RunObserver::disabled();
+            let obs = &mut RunObserver::new(ObsConfig::default());
             let ops = || unpaced_ops(&s, u64::MAX);
             let small = heap_over(&mut small_sut, &s, &opts, batch_size, obs, ops);
             let (small, _, _) = small.unwrap();
@@ -685,7 +685,11 @@ mod tests {
         let mut sut = SutRegistry::default().build(sut, &data).unwrap();
         let arrivals = arrival_offsets(s, u64::MAX).unwrap();
         let plan = RunPlan::from_scenario(s).unwrap();
-        let started = prologue(plan, [sut.as_mut()], &mut RunObserver::disabled());
+        let started = prologue(
+            plan,
+            [sut.as_mut()],
+            &mut RunObserver::new(ObsConfig::default()),
+        );
         let sinks = Sinks::new(LaneObs::inert(), ClockMode::Sim, arrivals.len(), true);
         let mutex = Mutex::new(sut.as_mut());
         let ops = announced(unpaced_ops(s, u64::MAX).unwrap()).map(|op| (0, op));

@@ -58,7 +58,6 @@ struct CoreCounters {
 #[derive(Debug)]
 pub(crate) struct LaneObs {
     cfg: ObsConfig,
-    active: bool,
     lane: Option<usize>,
     seq: u64,
     events: Vec<TraceEvent>,
@@ -68,10 +67,9 @@ pub(crate) struct LaneObs {
 }
 
 impl LaneObs {
-    fn new(lane: Option<usize>, cfg: ObsConfig, active: bool) -> Self {
+    fn new(lane: Option<usize>, cfg: ObsConfig) -> Self {
         LaneObs {
             cfg,
-            active,
             lane,
             seq: 0,
             events: Vec::new(),
@@ -81,9 +79,10 @@ impl LaneObs {
         }
     }
 
-    /// A fully inert emitter: every hook returns immediately.
+    /// A placeholder emitter that traces nothing, left behind when a
+    /// lane's own emitter is handed back to the run observer.
     pub fn inert() -> Self {
-        LaneObs::new(None, ObsConfig::default(), false)
+        LaneObs::new(None, ObsConfig::default())
     }
 
     #[inline]
@@ -107,9 +106,6 @@ impl LaneObs {
     /// The emitting lane became active in `phase` at virtual time `t`.
     #[inline]
     pub fn phase_change(&mut self, t: f64, phase: usize) {
-        if !self.active {
-            return;
-        }
         self.counters.phase_changes += 1;
         self.push(t, RunEvent::PhaseChange { phase });
     }
@@ -117,7 +113,7 @@ impl LaneObs {
     /// A phase announcement triggered `work` units of online retraining.
     #[inline]
     pub fn retrain_burst(&mut self, t: f64, phase: usize, work: u64) {
-        if !self.active || work == 0 {
+        if work == 0 {
             return;
         }
         self.counters.retrain_bursts += 1;
@@ -130,9 +126,6 @@ impl LaneObs {
     /// every offer).
     #[inline]
     pub fn maintenance(&mut self, t: f64, work: u64) {
-        if !self.active {
-            return;
-        }
         self.counters.maintenance_slots += 1;
         if work > 0 {
             self.counters.maintenance_work += work;
@@ -165,9 +158,6 @@ impl LaneObs {
     /// on strictly new maxima only, so the event count stays bounded.
     #[inline]
     pub fn backlog(&mut self, t: f64, seconds: f64) {
-        if !self.active {
-            return;
-        }
         if seconds > self.backlog_high_water {
             self.backlog_high_water = seconds;
             self.push(t, RunEvent::BacklogHighWater { seconds });
@@ -210,7 +200,6 @@ pub(crate) struct ObsReport {
 #[derive(Debug)]
 pub(crate) struct RunObserver {
     cfg: ObsConfig,
-    active: bool,
     /// Coordinator-level emitter (train, phase-0 anchor, merge, run end).
     pub root: LaneObs,
     lanes: Vec<LaneObs>,
@@ -219,39 +208,22 @@ pub(crate) struct RunObserver {
 }
 
 impl RunObserver {
-    /// An active observer with the given configuration.
+    /// An observer with the given configuration. A run that reports
+    /// nothing but its record (trace replay, the query workload, the
+    /// hold-out pass) takes `ObsConfig::default()` and never finishes it.
     pub fn new(cfg: ObsConfig) -> Self {
         RunObserver {
             cfg,
-            active: true,
-            root: LaneObs::new(None, cfg, true),
+            root: LaneObs::new(None, cfg),
             lanes: Vec::new(),
             spans: SpanCollector::new(cfg.trace),
         }
     }
 
-    /// A fully inert observer: zero work on every hook. For the runs that
-    /// report nothing but their record (trace replay, the query workload,
-    /// the hold-out pass).
-    pub fn disabled() -> Self {
-        RunObserver {
-            cfg: ObsConfig::default(),
-            active: false,
-            root: LaneObs::inert(),
-            lanes: Vec::new(),
-            spans: SpanCollector::new(false),
-        }
-    }
-
-    /// True when this observer records anything at all.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// Creates the emitter for engine lane `lane`, to be moved into the
     /// lane's worker-side state and later returned via [`absorb`](Self::absorb).
     pub fn lane_obs(&self, lane: usize) -> LaneObs {
-        LaneObs::new(Some(lane), self.cfg, self.active)
+        LaneObs::new(Some(lane), self.cfg)
     }
 
     /// Takes back lane emitters after the workers join.
@@ -261,30 +233,22 @@ impl RunObserver {
 
     /// Offline training started with this budget.
     pub fn train_start(&mut self, t: f64, budget: u64) {
-        if self.active {
-            self.root.push(t, RunEvent::TrainStart { budget });
-        }
+        self.root.push(t, RunEvent::TrainStart { budget });
     }
 
     /// Offline training finished having spent `work` units.
     pub fn train_end(&mut self, t: f64, work: u64) {
-        if self.active {
-            self.root.push(t, RunEvent::TrainEnd { work });
-        }
+        self.root.push(t, RunEvent::TrainEnd { work });
     }
 
     /// The engine merged `lanes` lanes executed by `threads` threads.
     pub fn shard_merge(&mut self, t: f64, lanes: usize, threads: usize) {
-        if self.active {
-            self.root.push(t, RunEvent::ShardMerge { lanes, threads });
-        }
+        self.root.push(t, RunEvent::ShardMerge { lanes, threads });
     }
 
     /// The run finished with `ops` completed operations.
     pub fn run_end(&mut self, t: f64, ops: u64) {
-        if self.active {
-            self.root.push(t, RunEvent::RunEnd { ops });
-        }
+        self.root.push(t, RunEvent::RunEnd { ops });
     }
 
     /// Merges all emitters into the final report: events sorted by
@@ -293,7 +257,6 @@ impl RunObserver {
     pub fn finish(self) -> ObsReport {
         let RunObserver {
             cfg,
-            active,
             root,
             lanes,
             spans,
@@ -303,9 +266,6 @@ impl RunObserver {
             metrics: MetricsRegistry::new(),
             spans: spans.finish(),
         };
-        if !active {
-            return report;
-        }
         let mut emitters: Vec<&LaneObs> = Vec::with_capacity(lanes.len() + 1);
         emitters.push(&root);
         emitters.extend(lanes.iter());
@@ -328,19 +288,6 @@ impl RunObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_observer_records_nothing() {
-        let mut obs = RunObserver::disabled();
-        obs.train_start(0.0, 100);
-        obs.root.phase_change(0.0, 0);
-        obs.root.backlog(1.0, 3.0);
-        obs.run_end(2.0, 1);
-        let report = obs.finish();
-        assert!(report.trace.is_none());
-        assert!(report.metrics.is_empty());
-        assert!(report.spans.is_empty());
-    }
 
     #[test]
     fn lane_merge_is_order_independent() {
