@@ -79,8 +79,9 @@ impl LaneObs {
         }
     }
 
-    /// A placeholder emitter that traces nothing, left behind when a
-    /// lane's own emitter is handed back to the run observer.
+    /// An emitter of no lane that traces nothing: the placeholder left
+    /// where a lane's emitter was handed back, and the sink of a run that
+    /// reports only its record.
     pub fn inert() -> Self {
         LaneObs::new(None, ObsConfig::default())
     }

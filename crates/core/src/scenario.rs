@@ -50,68 +50,6 @@ pub struct OpenLoopSpec {
     pub clients: u64,
 }
 
-/// The execution mode a scenario asks for (`mode = "..."` in the spec
-/// `[run]` table). This is a *preference*: worker/client counts come from
-/// the run options and [`OpenLoopSpec`], so the spec stays portable
-/// across machines. `None` lets the caller (CLI flags, run options)
-/// decide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ModePreference {
-    /// The serial driver.
-    Serial,
-    /// Shared-mutex concurrent lanes.
-    Shared,
-    /// Key-range-sharded concurrent lanes.
-    Sharded,
-    /// The open-loop event-heap scheduler (requires `[open_loop]` and
-    /// `[arrival]`).
-    OpenLoop,
-}
-
-/// Refuses a name that one spec `"string"` cannot hold — a `"` or a line
-/// break — so that every valid scenario renders to text that parses back.
-fn check_name(what: &str, name: &str) -> Result<()> {
-    match name.chars().find(|c| matches!(c, '"' | '\n')) {
-        Some(c) => Err(BenchError::InvalidScenario(format!(
-            "{what} {name:?} contains {c:?}, which a spec string cannot hold"
-        ))),
-        None => Ok(()),
-    }
-}
-
-impl Choice for ModePreference {
-    const SPELLINGS: &'static [(&'static str, Self)] = &[
-        ("serial", ModePreference::Serial),
-        ("shared", ModePreference::Shared),
-        ("sharded", ModePreference::Sharded),
-        ("open-loop", ModePreference::OpenLoop),
-    ];
-}
-
-/// The measurement clock a scenario asks for (`clock = "..."` in the spec
-/// `[run]` table). Like [`ModePreference`] this is a *preference*: `None`
-/// lets the caller (CLI flags, run options) decide.
-///
-/// * [`Sim`](ClockMode::Sim) — the deterministic virtual clock: work units
-///   converted to seconds at `work_units_per_second`. The conformance
-///   oracle; records are bit-identical across machines and repeats.
-/// * [`Wall`](ClockMode::Wall) — real elapsed time measured around the
-///   batched dispatch, reported *alongside* the work-unit record (which
-///   stays bit-identical to a sim run of the same scenario).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ClockMode {
-    /// Deterministic virtual clock (the default).
-    #[default]
-    Sim,
-    /// Wall-clock measurement alongside the work-unit accounting.
-    Wall,
-}
-
-impl Choice for ClockMode {
-    const SPELLINGS: &'static [(&'static str, Self)] =
-        &[("sim", ClockMode::Sim), ("wall", ClockMode::Wall)];
-}
-
 /// A closed choice written as one of a few words — in spec files, on the
 /// command line, in rendered text. Its one `(spelling, value)` table is
 /// what parsing, printing and every "expected …" hint read.
@@ -146,6 +84,57 @@ pub fn one_of(words: &[&str]) -> String {
         [only] => format!("{only} or {last}"),
         _ => format!("{}, or {last}", init.join(", ")),
     }
+}
+
+/// The execution mode a scenario asks for (`mode = "..."` in the spec
+/// `[run]` table). This is a *preference*: worker/client counts come from
+/// the run options and [`OpenLoopSpec`], so the spec stays portable
+/// across machines. `None` lets the caller (CLI flags, run options)
+/// decide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ModePreference {
+    /// The serial driver.
+    Serial,
+    /// Shared-mutex concurrent lanes.
+    Shared,
+    /// Key-range-sharded concurrent lanes.
+    Sharded,
+    /// The open-loop event-heap scheduler (requires `[open_loop]` and
+    /// `[arrival]`).
+    OpenLoop,
+}
+
+impl Choice for ModePreference {
+    const SPELLINGS: &'static [(&'static str, Self)] = &[
+        ("serial", ModePreference::Serial),
+        ("shared", ModePreference::Shared),
+        ("sharded", ModePreference::Sharded),
+        ("open-loop", ModePreference::OpenLoop),
+    ];
+}
+
+/// The measurement clock a scenario asks for (`clock = "..."` in the spec
+/// `[run]` table). Like [`ModePreference`] this is a *preference*: `None`
+/// lets the caller (CLI flags, run options) decide.
+///
+/// * [`Sim`](ClockMode::Sim) — the deterministic virtual clock: work units
+///   converted to seconds at `work_units_per_second`. The conformance
+///   oracle; records are bit-identical across machines and repeats.
+/// * [`Wall`](ClockMode::Wall) — real elapsed time measured around the
+///   batched dispatch, reported *alongside* the work-unit record (which
+///   stays bit-identical to a sim run of the same scenario).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum ClockMode {
+    /// Deterministic virtual clock (the default).
+    #[default]
+    Sim,
+    /// Wall-clock measurement alongside the work-unit accounting.
+    Wall,
+}
+
+impl Choice for ClockMode {
+    const SPELLINGS: &'static [(&'static str, Self)] =
+        &[("sim", ClockMode::Sim), ("wall", ClockMode::Wall)];
 }
 
 /// How online adaptation (retraining) work consumes resources (§V-B:
@@ -239,6 +228,17 @@ pub struct Scenario {
     /// blocks or the `--faults` CLI flag). `None` = unfaulted run taking
     /// the exact unperturbed code path.
     pub faults: Option<FaultPlan>,
+}
+
+/// Refuses a name that one spec `"string"` cannot hold — a `"` or a line
+/// break — so that every valid scenario renders to text that parses back.
+fn check_name(what: &str, name: &str) -> Result<()> {
+    match name.chars().find(|c| matches!(c, '"' | '\n')) {
+        Some(c) => Err(BenchError::InvalidScenario(format!(
+            "{what} {name:?} contains {c:?}, which a spec string cannot hold"
+        ))),
+        None => Ok(()),
+    }
 }
 
 impl Scenario {

@@ -10,6 +10,7 @@ use crate::{Result, WorkloadError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use Param::{Int, Num};
 
 /// The distribution shapes — the one table everything that maps names to
 /// distributions reads: `lsbench list` and `lsbench quality`, and the
@@ -76,6 +77,7 @@ pub const CANONICAL_DISTRIBUTIONS: &[Shape] = &[
 ];
 
 /// One distribution shape: a row of [`CANONICAL_DISTRIBUTIONS`].
+#[derive(Debug)]
 pub struct Shape {
     /// The canonical identifier (`distribution = "zipf"`).
     pub name: &'static str,
@@ -109,8 +111,6 @@ pub enum Param {
     /// An integer parameter (`clusters`).
     Int(u64),
 }
-
-use Param::{Int, Num};
 
 impl Param {
     /// The value as a float.
