@@ -319,6 +319,7 @@ mod tests {
     use super::*;
     use crate::rmi::Rmi;
     use crate::test_support::test_pairs;
+    use proptest::prelude::*;
 
     type DeltaRmi = DeltaIndex<Rmi>;
 
@@ -435,6 +436,187 @@ mod tests {
         assert_eq!(scan_after_held(&idx, 0, usize::MAX), live);
         // From inside the key span the base adds its own offset to the limit.
         assert_eq!(scan_after_held(&idx, 100, usize::MAX), live[10..]);
+    }
+
+    /// The parent's merge, which finds each run of base rows with a binary
+    /// search and copies it in one move: what [`merge`] must equal.
+    fn merge_reference(
+        out: &mut Vec<(u64, u64)>,
+        from: usize,
+        want: usize,
+        fresh: usize,
+        window: btree_map::Range<'_, u64, Option<u64>>,
+    ) {
+        let stop = from.saturating_add(want);
+        let mut window = window.peekable();
+        let Some(&(&first, _)) = window.peek() else {
+            return;
+        };
+        let from = from + out[from..].partition_point(|r| r.0 < first);
+        let (rows, room) = (out.len() - from, fresh.min(stop - from));
+        out.resize(out.len() + room, (0, 0));
+        out.copy_within(from..from + rows, from + room);
+        let (mut read, mut write) = (from + room, from);
+        for (&key, &pending) in window {
+            if out.get(read).is_some_and(|r| r.0 < key) {
+                let run = out[read..].partition_point(|r| r.0 < key).min(stop - write);
+                out.copy_within(read..read + run, write);
+                (read, write) = (read + run, write + run);
+            }
+            if write == stop {
+                break;
+            }
+            if out.get(read).is_some_and(|r| r.0 == key) {
+                read += 1;
+            } else {
+                debug_assert!(pending.is_some(), "tombstone {key} is not a base row");
+            }
+            if let Some(value) = pending {
+                out[write] = (key, value);
+                write += 1;
+            }
+        }
+        let run = (out.len() - read).min(stop - write);
+        out.copy_within(read..read + run, write);
+        out.truncate(write + run);
+    }
+
+    /// Merges `delta` into the first chunk of every scan of `base` as
+    /// `range_into` would — from every key and both ends of the key space,
+    /// for every `want`, after no held rows and after two, with the fresh
+    /// count exact for the window, global, and over-stated — with [`merge`]
+    /// and with the reference, and requires the same rows.
+    fn merges_alike(base: &[u64], delta: &BTreeMap<u64, Option<u64>>) {
+        let is_fresh = |(k, w): (&u64, &Option<u64>)| w.is_some() && base.binary_search(k).is_err();
+        let global = delta.iter().filter(|&e| is_fresh(e)).count();
+        let starts = [0, u64::MAX].into_iter().chain(base.iter().copied());
+        for at in starts.chain(delta.keys().copied()) {
+            let from = base.partition_point(|&k| k < at);
+            for want in 1..=base.len() + delta.len() + 1 {
+                let rows = base[from..]
+                    .iter()
+                    .take(want)
+                    .map(|&k| (k, k.wrapping_mul(3)));
+                let rows: Vec<(u64, u64)> = rows.collect();
+                // A full chunk holds the base up to its last key, a short
+                // one the rest of it.
+                let to = match rows.last() {
+                    Some(&(last, _)) if rows.len() == want => last,
+                    _ => u64::MAX,
+                };
+                let exact = delta.range(at..=to).filter(|&e| is_fresh(e)).count();
+                for (held, fresh) in [(0, exact), (2, exact), (0, global), (2, global + 3)] {
+                    let mut out: Vec<(u64, u64)> =
+                        (0..held as u64).map(|i| (u64::MAX - i, i)).collect();
+                    out.extend_from_slice(&rows);
+                    let mut expected = out.clone();
+                    merge(&mut out, held, want, fresh, delta.range(at..=to));
+                    merge_reference(&mut expected, held, want, fresh, delta.range(at..=to));
+                    assert_eq!(
+                        out, expected,
+                        "from {at}, want {want}, held {held}, fresh {fresh}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Pending writes from `(key, tombstone)` draws: a tombstone only on a
+    /// key of `base`, every other draw an update of a base key or a fresh
+    /// insert.
+    fn pending(base: &[u64], writes: &[(u64, bool)]) -> BTreeMap<u64, Option<u64>> {
+        let tombstone = |&(k, dead): &(u64, bool)| dead && base.binary_search(&k).is_ok();
+        let write = |w: &(u64, bool)| (w.0, (!tombstone(w)).then_some(w.0 ^ 0xff));
+        writes.iter().map(write).collect()
+    }
+
+    #[test]
+    fn merge_matches_the_reference_with_every_other_row_pending() {
+        let base: Vec<u64> = (0..24).map(|i| i * 10).collect();
+        // Every other row is updated or tombstoned, and a fresh key sits
+        // after every third.
+        let rows = base
+            .iter()
+            .step_by(2)
+            .enumerate()
+            .map(|(i, &k)| (k, i % 3 == 1));
+        let fresh = base.iter().step_by(3).map(|&k| (k + 5, false));
+        merges_alike(
+            &base,
+            &pending(&base, &rows.chain(fresh).collect::<Vec<_>>()),
+        );
+    }
+
+    #[test]
+    fn merge_matches_the_reference_with_tombstones_at_chunk_edges() {
+        // The first and last rows, and pairs of neighbours, are tombstoned;
+        // every start and `want` puts a chunk edge on each of them.
+        let base: Vec<u64> = (0..30).map(|i| i * 3).collect();
+        let dead = [0, 3, 6, 30, 33, 60, 63, 84, 87].map(|k| (k, true));
+        merges_alike(&base, &pending(&base, &dead));
+        let mixed = [
+            (0, true),
+            (1, false),
+            (42, true),
+            (43, false),
+            (87, true),
+            (88, false),
+        ];
+        merges_alike(&base, &pending(&base, &mixed));
+    }
+
+    #[test]
+    fn merge_matches_the_reference_with_want_ending_mid_run() {
+        // Long runs of base rows between a few pending keys: most `want`s
+        // end inside a run.
+        let base: Vec<u64> = (0..40).map(|i| i * 2).collect();
+        let writes = [
+            (1, false),
+            (30, true),
+            (31, false),
+            (57, false),
+            (70, false),
+        ];
+        merges_alike(&base, &pending(&base, &writes));
+    }
+
+    #[test]
+    fn merge_matches_the_reference_with_fresh_keys_past_the_base() {
+        let base: Vec<u64> = (0..20).map(|i| i * 4).collect();
+        let past = [
+            (77, false),
+            (80, false),
+            (1000, false),
+            (u64::MAX - 1, false),
+        ];
+        merges_alike(
+            &base,
+            &pending(&base, &[past.as_slice(), &[(u64::MAX, false)]].concat()),
+        );
+        // A base that ends on `u64::MAX`, updated and then tombstoned there.
+        let top: Vec<u64> = [1, 2, 3, u64::MAX - 2, u64::MAX].to_vec();
+        for last in [false, true] {
+            let writes = [(0, false), (u64::MAX - 1, false), (u64::MAX, last)];
+            merges_alike(&top, &pending(&top, &writes));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Dense drawn windows: up to 40 base keys and 40 writes among 120
+        /// keys, a few of them at the top of the key space.
+        #[test]
+        fn merge_matches_the_reference_on_drawn_windows(
+            base in prop::collection::btree_set(0u64..124, 0..40),
+            writes in prop::collection::vec((0u64..124, any::<bool>()), 0..40),
+        ) {
+            let top = |k: u64| if k < 120 { k } else { u64::MAX - (k - 120) };
+            let mut base: Vec<u64> = base.into_iter().map(top).collect();
+            base.sort_unstable();
+            let writes: Vec<(u64, bool)> = writes.into_iter().map(|(k, d)| (top(k), d)).collect();
+            merges_alike(&base, &pending(&base, &writes));
+        }
     }
 
     #[test]

@@ -225,6 +225,7 @@ mod tests {
     use super::*;
     use crate::test_support::{check_point_lookups, check_ranges, test_pairs};
     use crate::{BulkLoad, Index};
+    use proptest::prelude::*;
 
     #[test]
     fn conformance_various_sizes() {
@@ -355,6 +356,218 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    /// The parent's route, which wraps with `%` where [`leaf_index`]
+    /// clamps with `min`: what [`fit_reference`] partitions by.
+    fn leaf_index_reference(root: &LinearModel, n: usize, leaf_count: usize, key: u64) -> usize {
+        let pos = root.predict(key).clamp(0.0, (n - 1) as f64);
+        ((pos / n as f64) * leaf_count as f64) as usize % leaf_count
+    }
+
+    /// The two-pass fit [`RmiModel::fit`] must equal bit for bit: it routes
+    /// every key, copies every sample and rounds every error.
+    fn fit_reference(keys: &[u64], config: RmiConfig) -> (RmiModel, u64) {
+        let n = keys.len();
+        let mut work = 0u64;
+        let root_sample: Vec<u64> = keys.iter().copied().step_by(config.sample_every).collect();
+        let root = LinearModel::fit(&root_sample);
+        work += root_sample.len() as u64;
+        let leaf_count = config.leaf_count.min(n.max(1));
+        let mut leaf_bounds = vec![(usize::MAX, 0usize); leaf_count];
+        for (i, &k) in keys.iter().enumerate() {
+            let b = &mut leaf_bounds[leaf_index_reference(&root, n, leaf_count, k)];
+            if b.0 == usize::MAX {
+                b.0 = i;
+            }
+            b.1 = i + 1;
+        }
+        work += n as u64;
+        let mut leaves = Vec::with_capacity(leaf_count);
+        for &(start, end) in &leaf_bounds {
+            if start == usize::MAX {
+                leaves.push(Leaf {
+                    model: LinearModel::ZERO,
+                    err_lo: 0,
+                    err_hi: 0,
+                });
+                continue;
+            }
+            let slice = &keys[start..end];
+            let sampled: Vec<u64> = slice.iter().copied().step_by(config.sample_every).collect();
+            let local = LinearModel::fit(&sampled);
+            work += sampled.len() as u64;
+            let scale = if sampled.len() > 1 {
+                (slice.len() as f64 - 1.0) / (sampled.len() as f64 - 1.0).max(1.0)
+            } else {
+                1.0
+            };
+            let model = LinearModel {
+                slope: local.slope * scale,
+                intercept: local.intercept * scale + start as f64,
+            };
+            let mut err_lo = i64::MAX;
+            let mut err_hi = i64::MIN;
+            for (off, &k) in slice.iter().enumerate() {
+                let actual = (start + off) as f64;
+                let err = (actual - model.predict(k)).round() as i64;
+                err_lo = err_lo.min(err);
+                err_hi = err_hi.max(err);
+            }
+            work += slice.len() as u64 / 4;
+            leaves.push(Leaf {
+                model,
+                err_lo,
+                err_hi,
+            });
+        }
+        let model = RmiModel {
+            root,
+            leaves,
+            config,
+            n,
+        };
+        (model, work)
+    }
+
+    /// What a fit decides, as bits: the root line, then every leaf's line
+    /// and error bounds.
+    fn bits(model: &RmiModel) -> Vec<[u64; 4]> {
+        let root = [
+            model.root.slope.to_bits(),
+            model.root.intercept.to_bits(),
+            0,
+            0,
+        ];
+        let leaves = model.leaves.iter().map(|l| {
+            let (lo, hi) = (l.err_lo as u64, l.err_hi as u64);
+            [l.model.slope.to_bits(), l.model.intercept.to_bits(), lo, hi]
+        });
+        std::iter::once(root).chain(leaves).collect()
+    }
+
+    fn assert_fits_alike(keys: &[u64], config: RmiConfig, what: &str) {
+        let (model, work) = RmiModel::fit(keys, config).unwrap();
+        let (reference, reference_work) = fit_reference(keys, config);
+        assert_eq!(work, reference_work, "{what} {config:?}: work");
+        assert_eq!((model.n, model.config), (reference.n, reference.config));
+        let (got, want) = (bits(&model), bits(&reference));
+        assert_eq!(got.len(), want.len(), "{what} {config:?}: leaf count");
+        // Row 0 is the root, row i the leaf i - 1.
+        if let Some(row) = (0..got.len()).find(|&i| got[i] != want[i]) {
+            panic!(
+                "{what} {config:?}: row {row} is {:?}, the reference's {:?}",
+                got[row], want[row]
+            );
+        }
+    }
+
+    /// `n` distinct sorted keys of every canonical shape over `[0, 10^9)`
+    /// (fewer where a shape repeats itself too often to give `n`), and `n`
+    /// exponentially spaced ones: each grows by a fixed fraction of itself,
+    /// up to 2^50 for a thousand keys and 2^60 for a million.
+    fn shaped_keys(n: usize, seed: u64) -> Vec<(&'static str, Vec<u64>)> {
+        use lsbench_workload::dataset::Dataset;
+        use lsbench_workload::keygen::{KeyDistribution, CANONICAL_DISTRIBUTIONS};
+        let mut sets: Vec<(&'static str, Vec<u64>)> = CANONICAL_DISTRIBUTIONS
+            .iter()
+            .map(|shape| {
+                let dist = KeyDistribution::from_canonical(shape.name).unwrap();
+                let data = Dataset::generate(dist, 0, 1_000_000_000, n, seed).unwrap();
+                (shape.name, data.keys().to_vec())
+            })
+            .collect();
+        let step = (n / 32).max(1) as u64;
+        let exponential = std::iter::successors(Some(0u64), |&k| Some(k + 1 + k / step));
+        sets.push(("exponential", exponential.take(n).collect()));
+        sets
+    }
+
+    /// The configurations the fit is held to the reference under: the
+    /// default, sampled ones, and more leaves than keys.
+    fn oracle_configs(n: usize) -> [RmiConfig; 4] {
+        let config = |leaf_count, sample_every| RmiConfig {
+            leaf_count,
+            sample_every,
+        };
+        [
+            RmiModel::DEFAULT,
+            config(64, 16),
+            config(4096, 3),
+            config(2 * n + 1, 2),
+        ]
+    }
+
+    #[test]
+    fn fit_matches_the_reference() {
+        for n in [0, 1, 2, 3, 1000, 100_000] {
+            for (shape, keys) in shaped_keys(n, 7) {
+                for config in oracle_configs(n) {
+                    assert_fits_alike(&keys, config, &format!("{shape} × {}", keys.len()));
+                }
+            }
+        }
+    }
+
+    /// The long form, run optimised in CI: a million keys of every shape
+    /// from two seeds.
+    #[test]
+    #[ignore]
+    fn fit_matches_the_reference_long() {
+        for seed in [1, 2] {
+            for (shape, keys) in shaped_keys(1_000_000, seed) {
+                for config in oracle_configs(keys.len()) {
+                    let what = format!("{shape} × {} (seed {seed})", keys.len());
+                    assert_fits_alike(&keys, config, &what);
+                }
+            }
+        }
+    }
+
+    /// Sorted distinct keys scattered over the key space, in one dense run,
+    /// or up against `u64::MAX`.
+    fn arb_sorted_keys() -> impl Strategy<Value = Vec<u64>> {
+        prop_oneof![
+            prop::collection::btree_set(any::<u64>(), 1..64)
+                .prop_map(|set| set.into_iter().collect::<Vec<u64>>()),
+            (0u64..1 << 40, 1u64..64).prop_map(|(k, n)| (k..k + n).collect()),
+            prop::collection::btree_set(0u64..2000, 1..64).prop_map(|set| set
+                .into_iter()
+                .rev()
+                .map(|d| u64::MAX - d)
+                .collect()),
+        ]
+    }
+
+    proptest! {
+        /// Over any key count up to 2^40 and at most that many leaves, the
+        /// top position routes below `leaf_count`, so wrapping with `%` and
+        /// clamping with `min` pick the same leaf; and a root fitted to
+        /// sorted keys never routes a larger key to a smaller leaf.
+        #[test]
+        fn leaf_index_stays_in_range_and_monotone(
+            (n_bits, n_draw) in (0u32..=40, any::<u64>()),
+            (leaf_bits, leaf_draw) in (0u32..=40, any::<u64>()),
+            keys in arb_sorted_keys(),
+            mut probes in prop::collection::vec(any::<u64>(), 0..64),
+        ) {
+            let n = 1 + (n_draw % (1u64 << n_bits)) as usize;
+            let leaf_count = (1 + (leaf_draw % (1u64 << leaf_bits)) as usize).min(n);
+            let top = (((n - 1) as f64 / n as f64) * leaf_count as f64) as usize;
+            prop_assert!(top < leaf_count, "n {n}, {leaf_count} leaves: top routes to {top}");
+            let root = LinearModel::fit(&keys);
+            prop_assert!(root.slope >= 0.0, "root {root:?} of {keys:?}");
+            probes.extend_from_slice(&keys);
+            probes.extend([0, u64::MAX]);
+            probes.sort_unstable();
+            let mut last = 0;
+            for &key in &probes {
+                let leaf = leaf_index(&root, n, leaf_count, key);
+                prop_assert_eq!(leaf, leaf_index_reference(&root, n, leaf_count, key));
+                prop_assert!(leaf >= last, "key {key} routes to {leaf}, below {last}");
+                last = leaf;
+            }
+        }
     }
 
     #[test]
