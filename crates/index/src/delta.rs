@@ -83,15 +83,10 @@ impl<I: Index + BulkLoad> DeltaIndex<I> {
     /// Pending writes as a fraction of total live keys; retrain policies
     /// trigger when this crosses a threshold.
     pub fn delta_fraction(&self) -> f64 {
-        let total = self.len();
-        if total == 0 {
-            if self.pending() > 0 {
-                1.0
-            } else {
-                0.0
-            }
-        } else {
-            self.pending() as f64 / total as f64
+        match (self.pending(), self.len()) {
+            (0, _) => 0.0,
+            (_, 0) => 1.0,
+            (pending, total) => pending as f64 / total as f64,
         }
     }
 
@@ -134,10 +129,9 @@ impl<I: Index + BulkLoad> DeltaIndex<I> {
 ///
 /// The base rows from the first pending key on first move up by as many
 /// fresh keys as the result can take, so the merge can write it upwards
-/// without overtaking the rows it has yet to read. A run of rows between
-/// two pending keys is copied in one move, and the merge stops once the
-/// result is full, so a window dense with pending keys costs what the
-/// result takes from it.
+/// without overtaking the rows it has yet to read. It then walks the rows
+/// and the pending keys side by side, one of them a step, and stops once
+/// the result is full: it costs what the result takes from the window.
 fn merge(
     out: &mut Vec<(u64, u64)>,
     from: usize,
@@ -157,10 +151,9 @@ fn merge(
     out.copy_within(from..from + rows, from + room);
     let (mut read, mut write) = (from + room, from);
     for (&key, &pending) in window {
-        if out.get(read).is_some_and(|r| r.0 < key) {
-            let run = out[read..].partition_point(|r| r.0 < key).min(stop - write);
-            out.copy_within(read..read + run, write);
-            (read, write) = (read + run, write + run);
+        while write < stop && out.get(read).is_some_and(|r| r.0 < key) {
+            out[write] = out[read];
+            (read, write) = (read + 1, write + 1);
         }
         if write == stop {
             break;

@@ -60,11 +60,19 @@ pub struct RmiModel {
 }
 
 /// The leaf the root routes `key` to, among `leaf_count` leaves over `n > 0`
-/// keys. Monotone in `key`, so each leaf covers a contiguous key range.
+/// keys. Monotone in `key` (the root never slopes down), so each leaf
+/// covers a contiguous key range.
+///
+/// `min` never bites, but unlike a `%` it is monotone and divides nothing.
+/// Below 2^53 keys, `n - 1` and `n` are exact and the top position
+/// `(n - 1) / n` rounds to at most 1 - 2^-53, the largest double below 1;
+/// times a `leaf_count` below 2^53 the exact product lies more than half a
+/// gap below `leaf_count` (on the double below it if that is a power of
+/// two), so it rounds below `leaf_count`.
 #[inline]
 fn leaf_index(root: &LinearModel, n: usize, leaf_count: usize, key: u64) -> usize {
     let pos = root.predict(key).clamp(0.0, (n - 1) as f64);
-    ((pos / n as f64) * leaf_count as f64) as usize % leaf_count
+    (((pos / n as f64) * leaf_count as f64) as usize).min(leaf_count - 1)
 }
 
 impl Model for RmiModel {
@@ -82,70 +90,66 @@ impl Model for RmiModel {
                 "leaf_count and sample_every must be positive",
             ));
         }
-        let n = keys.len();
-        let mut work = 0u64;
-
-        // Root model: fit key -> position over a subsample, then scale to
-        // leaf indices during routing.
-        let root_sample: Vec<u64> = keys.iter().copied().step_by(config.sample_every).collect();
-        let root = LinearModel::fit(&root_sample);
-        work += root_sample.len() as u64;
-
+        let (n, every) = (keys.len(), config.sample_every);
+        // A line through every `every`-th key, and how many that is: the
+        // keys are fitted where they lie unless a sample is asked for.
+        let mut sample = Vec::new();
+        let mut fit_every = |keys: &[u64]| match every {
+            1 => (LinearModel::fit(keys), keys.len()),
+            _ => {
+                sample.clear();
+                sample.extend(keys.iter().step_by(every));
+                (LinearModel::fit(&sample), sample.len())
+            }
+        };
+        // Root model: fit key -> position, then scale to leaf indices
+        // during routing.
+        let (root, sampled) = fit_every(keys);
+        debug_assert!(root.slope >= 0.0, "a root over sorted keys never falls");
         let leaf_count = config.leaf_count.min(n.max(1));
-        // Partition keys by root routing.
-        let mut leaf_bounds = vec![(usize::MAX, 0usize); leaf_count]; // (start, end)
-        for (i, &k) in keys.iter().enumerate() {
-            let b = &mut leaf_bounds[leaf_index(&root, n, leaf_count, k)];
-            if b.0 == usize::MAX {
-                b.0 = i;
+        let route = |key| leaf_index(&root, n, leaf_count, key);
+        // Charged as if every key were routed; only the leaf ends are.
+        let mut work = (sampled + n) as u64;
+        let empty = Leaf {
+            model: LinearModel::ZERO,
+            err_lo: 0,
+            err_hi: 0,
+        };
+        let mut leaves = vec![empty; leaf_count];
+        let mut start = 0;
+        while start < n {
+            // The leaf's keys end at the first key routed past it: an
+            // exponential, then a binary, search.
+            let (leaf, rest, mut past) = (route(keys[start]), &keys[start..], 1);
+            while past < rest.len() && route(rest[past]) == leaf {
+                past *= 2;
             }
-            b.1 = i + 1;
-        }
-        work += n as u64;
-
-        let mut leaves = Vec::with_capacity(leaf_count);
-        for &(start, end) in &leaf_bounds {
-            if start == usize::MAX {
-                leaves.push(Leaf {
-                    model: LinearModel::ZERO,
-                    err_lo: 0,
-                    err_hi: 0,
-                });
-                continue;
-            }
-            let slice = &keys[start..end];
-            // Fit on a subsample (training cost knob).
-            let sampled: Vec<u64> = slice.iter().copied().step_by(config.sample_every).collect();
-            let local = LinearModel::fit(&sampled);
-            work += sampled.len() as u64;
-            // Lift local positions (0..sample len) to absolute positions: the
-            // model was fit against subsampled local indices, so rescale.
-            let scale = if sampled.len() > 1 {
-                (slice.len() as f64 - 1.0) / (sampled.len() as f64 - 1.0).max(1.0)
-            } else {
-                1.0
-            };
+            let tail = &rest[past / 2 + 1..past.min(rest.len())];
+            let slice = &rest[..past / 2 + 1 + tail.partition_point(|&k| route(k) == leaf)];
+            let (local, sampled) = fit_every(slice);
+            // Lift local positions (0..sampled) to absolute positions: the
+            // model was fit against subsampled local indices, so rescale
+            // (a line through one key is flat whatever the scale).
+            let scale = (slice.len() as f64 - 1.0) / (sampled as f64 - 1.0).max(1.0);
             let model = LinearModel {
                 slope: local.slope * scale,
                 intercept: local.intercept * scale + start as f64,
             };
-            // Exact error bounds over all covered keys (single cheap pass).
-            let mut err_lo = i64::MAX;
-            let mut err_hi = i64::MIN;
-            for (off, &k) in slice.iter().enumerate() {
-                let actual = (start + off) as f64;
-                let err = (actual - model.predict(k)).round() as i64;
-                err_lo = err_lo.min(err);
-                err_hi = err_hi.max(err);
+            // Exact error bounds over all covered keys: the extreme errors,
+            // rounded once, since rounding is monotone.
+            let (mut lo, mut hi, mut actual) = (f64::INFINITY, f64::NEG_INFINITY, start as f64);
+            for &k in slice {
+                let err = actual - model.predict(k);
+                lo = if err < lo { err } else { lo };
+                hi = if err > hi { err } else { hi };
+                actual += 1.0;
             }
-            work += slice.len() as u64 / 4; // bounds pass is cheaper than fitting
-            leaves.push(Leaf {
-                model,
-                err_lo,
-                err_hi,
-            });
+            leaves[leaf].model = model;
+            (leaves[leaf].err_lo, leaves[leaf].err_hi) = (lo.round() as i64, hi.round() as i64);
+            // The bounds pass is cheaper than fitting.
+            work += (sampled + slice.len() / 4) as u64;
+            start += slice.len();
         }
-
         let model = RmiModel {
             root,
             leaves,
