@@ -44,13 +44,29 @@ fn load_trace(args: &Args) -> Result<(&str, ImportedTrace), CliError> {
     Ok((file, imported))
 }
 
-/// Writes a trace in canonical form to `path`, in `format` (the value of
-/// `--format`) or else the one the path's extension names, CSV when it
-/// names none.
-fn write_trace(trace: &Trace, path: &str, format: Option<TraceFormat>) -> Result<(), CliError> {
-    let format = format
-        .or_else(|| TraceFormat::from_path(path))
-        .unwrap_or(TraceFormat::Csv);
+/// The file `--out` names and the format to write it in: the value of
+/// `--format`, else the one the path's extension names, CSV when it names
+/// none. A `--format` the extension contradicts is refused, since writing
+/// either would belie the other.
+fn out_target(args: &Args) -> Result<Option<(&str, TraceFormat)>, CliError> {
+    let Some(path) = args.get(&OUT) else {
+        return Ok(None);
+    };
+    let named = TraceFormat::from_path(path);
+    match (args.choice::<TraceFormat>(&FORMAT, "trace format")?, named) {
+        (Some(format), Some(named)) if format != named => Err(CliError::usage(format!(
+            "{} {} contradicts {} {path}, which names {}",
+            FORMAT.name,
+            format.as_str(),
+            OUT.name,
+            named.as_str()
+        ))),
+        (format, _) => Ok(Some((path, format.or(named).unwrap_or(TraceFormat::Csv)))),
+    }
+}
+
+/// Writes a trace in canonical form to `path` in `format`.
+fn write_trace(trace: &Trace, path: &str, format: TraceFormat) -> Result<(), CliError> {
     let text = match format {
         TraceFormat::Csv => export_csv(trace),
         TraceFormat::Jsonl => export_jsonl(trace),
@@ -63,6 +79,7 @@ fn write_trace(trace: &Trace, path: &str, format: Option<TraceFormat>) -> Result
 /// `lsbench trace import`: parse, validate, and summarize a trace file,
 /// optionally re-exporting it in canonical form.
 pub fn import(args: &Args) -> Result<(), CliError> {
+    let out = out_target(args)?;
     let (_, imported) = load_trace(args)?;
     let stats = imported.stats();
     println!(
@@ -86,8 +103,8 @@ pub fn import(args: &Args) -> Result<(), CliError> {
     } else {
         println!("no timestamps: replays closed-loop");
     }
-    match args.get(&OUT) {
-        Some(out) => write_trace(&imported.trace, out, args.choice(&FORMAT, "trace format")?),
+    match out {
+        Some((path, format)) => write_trace(&imported.trace, path, format),
         None => Ok(()),
     }
 }
@@ -198,8 +215,8 @@ pub fn fit(args: &Args) -> Result<(), CliError> {
 /// replays open-loop.
 pub fn record(args: &Args) -> Result<(), CliError> {
     let common = RunArgs::parse(args)?;
-    let out = args.require(&OUT, "FILE is required")?;
-    let format = args.choice(&FORMAT, "trace format")?;
+    args.require(&OUT, "FILE is required")?;
+    let (out, format) = out_target(args)?.expect("--out is given");
     let scenario = common.scenario()?;
     let mut trace =
         Trace::record(&scenario.workload).context(&format!("cannot record {}", scenario.name))?;

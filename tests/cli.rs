@@ -407,9 +407,11 @@ mod cases {
         );
     }
 
-    /// What `trace record` and `trace fit` refuse writes nothing: an
-    /// unknown `--format` (an unknown extension alone still means CSV), and
-    /// a `--name` that one spec string cannot hold.
+    /// What `trace record`, `trace fit` and `trace import` refuse writes
+    /// nothing: an unknown `--format` (an unknown extension alone still
+    /// means CSV), a `--name` that one spec string cannot hold, and a
+    /// `--format` that the `--out` extension contradicts (an extension that
+    /// names no format follows `--format`).
     pub fn trace_refusals(s: &mut Session) {
         let record = "trace record --scenario S2-abrupt-shift --size 500 --ops 20 --out rec.out";
         let refused = s.run(&format!("{record} --format xyz"), Pin::Both);
@@ -429,6 +431,15 @@ mod cases {
             !s.dir.join("f.spec").exists(),
             "a refused fit writes no file"
         );
+        let import = "trace import traces/golden.jsonl --format jsonl";
+        let contradicted = s.run(&format!("{import} --out canon.csv"), Pin::Both);
+        assert_eq!(contradicted.code, 2);
+        assert!(
+            !s.dir.join("canon.csv").exists(),
+            "a refused import writes no file"
+        );
+        s.ok(&format!("{import} --out canon.out"), Pin::Both);
+        s.file("canon.out");
     }
 
     pub fn shift_and_suite(s: &mut Session) {
