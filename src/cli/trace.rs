@@ -44,14 +44,11 @@ fn load_trace(args: &Args) -> Result<(&str, ImportedTrace), CliError> {
     Ok((file, imported))
 }
 
-/// The file `--out` names and the format to write it in: the value of
+/// The format to write `path` (the value of `--out`) in: the value of
 /// `--format`, else the one the path's extension names, CSV when it names
 /// none. A `--format` the extension contradicts is refused, since writing
 /// either would belie the other.
-fn out_target(args: &Args) -> Result<Option<(&str, TraceFormat)>, CliError> {
-    let Some(path) = args.get(&OUT) else {
-        return Ok(None);
-    };
+fn out_format(args: &Args, path: &str) -> Result<TraceFormat, CliError> {
     let named = TraceFormat::from_path(path);
     match (args.choice::<TraceFormat>(&FORMAT, "trace format")?, named) {
         (Some(format), Some(named)) if format != named => Err(CliError::usage(format!(
@@ -61,7 +58,7 @@ fn out_target(args: &Args) -> Result<Option<(&str, TraceFormat)>, CliError> {
             OUT.name,
             named.as_str()
         ))),
-        (format, _) => Ok(Some((path, format.or(named).unwrap_or(TraceFormat::Csv)))),
+        (format, _) => Ok(format.or(named).unwrap_or(TraceFormat::Csv)),
     }
 }
 
@@ -79,7 +76,10 @@ fn write_trace(trace: &Trace, path: &str, format: TraceFormat) -> Result<(), Cli
 /// `lsbench trace import`: parse, validate, and summarize a trace file,
 /// optionally re-exporting it in canonical form.
 pub fn import(args: &Args) -> Result<(), CliError> {
-    let out = out_target(args)?;
+    let out = match args.get(&OUT) {
+        Some(path) => Some((path, out_format(args, path)?)),
+        None => None,
+    };
     let (_, imported) = load_trace(args)?;
     let stats = imported.stats();
     println!(
@@ -215,8 +215,8 @@ pub fn fit(args: &Args) -> Result<(), CliError> {
 /// replays open-loop.
 pub fn record(args: &Args) -> Result<(), CliError> {
     let common = RunArgs::parse(args)?;
-    args.require(&OUT, "FILE is required")?;
-    let (out, format) = out_target(args)?.expect("--out is given");
+    let out = args.require(&OUT, "FILE is required")?;
+    let format = out_format(args, out)?;
     let scenario = common.scenario()?;
     let mut trace =
         Trace::record(&scenario.workload).context(&format!("cannot record {}", scenario.name))?;
